@@ -16,8 +16,8 @@ import (
 // the root pins the incumbent objective at exactly 160 — strictly worse
 // than the optimum, proving the incumbent (not a lucky optimum) is what
 // a budget trip returns.
-func budgetKnapsack() *Solver {
-	s := knapsack([]float64{60, 100, 120}, []float64{10, 20, 30}, 50)
+func budgetKnapsack(t *testing.T) *Solver {
+	s := knapsack(t, []float64{60, 100, 120}, []float64{10, 20, 30}, 50)
 	weights := []float64{10, 20, 30}
 	s.Rounder = func(x []float64) ([]float64, bool) {
 		rx := make([]float64, len(x))
@@ -38,7 +38,7 @@ func budgetKnapsack() *Solver {
 // Feasible (non-Optimal) status and the budget error in Stop — never an
 // error, never a worse objective than the root rounding guarantees.
 func TestNodeBudgetKeepsIncumbent(t *testing.T) {
-	s := budgetKnapsack()
+	s := budgetKnapsack(t)
 	s.MaxNodes = 1 // root only: the incumbent exists solely via the rounder
 	r, err := s.Solve(context.Background())
 	if err != nil {
@@ -68,7 +68,7 @@ func TestNodeBudgetKeepsIncumbent(t *testing.T) {
 func TestIterBudgetRoundsPhase2Point(t *testing.T) {
 	sawFeasible := false
 	for maxIter := 1; maxIter <= 20; maxIter++ {
-		s := budgetKnapsack()
+		s := budgetKnapsack(t)
 		s.Base.MaxIter = maxIter
 		r, err := s.Solve(context.Background())
 		if err != nil {
@@ -104,7 +104,7 @@ func TestIterBudgetRoundsPhase2Point(t *testing.T) {
 func TestDeadlineKeepsIncumbent(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	s := budgetKnapsack()
+	s := budgetKnapsack(t)
 	_, err := s.Solve(ctx)
 	if err == nil {
 		t.Fatal("expected an error from a pre-cancelled context")
@@ -118,7 +118,7 @@ func TestDeadlineKeepsIncumbent(t *testing.T) {
 // across repeated solves.
 func TestBudgetDeterminism(t *testing.T) {
 	run := func() *Result {
-		s := budgetKnapsack()
+		s := budgetKnapsack(t)
 		s.MaxNodes = 1
 		r, err := s.Solve(context.Background())
 		if err != nil {

@@ -66,12 +66,9 @@ type WarmStart struct {
 	// optimal without a single LP solve.
 	Bound    float64
 	HasBound bool
-	// Basis, when non-nil, warm-starts the root relaxation through
-	// lp.SolveFrom instead of a cold solve.
-	Basis []int
 	// State, when non-nil, is the donor root's full end state
-	// (lp.Solution.State) and supersedes Basis: the root resumes through
-	// lp.SolveFromState, which skips basis re-installation entirely.
+	// (lp.Solution.State): the root relaxation resumes from it through
+	// lp.SolveFromState instead of solving cold.
 	State *lp.State
 	// RootIters is the simplex iteration count of the donor's root solve,
 	// used by callers to account iterations saved. Not read by Solve.
@@ -80,9 +77,10 @@ type WarmStart struct {
 
 // Solver is a 0–1 branch-and-bound instance.
 type Solver struct {
-	// Base is the LP relaxation. Solve adds its own 0/1 bound rows for
-	// every variable in Binaries (they carry the branching fixes), so
-	// Base need not include x_j ≤ 1 rows; redundant copies are harmless.
+	// Base is the LP relaxation. Solve clamps every variable in Binaries
+	// to the column bounds [0, 1] (intersected with Base's own) on a
+	// copy, and a branching fix is a bound edit of that copy, so Base
+	// need not bound its binaries itself.
 	Base *lp.Problem
 	// Binaries lists the variable indices required to be integer (0 or 1).
 	Binaries []int
@@ -94,6 +92,9 @@ type Solver struct {
 	Rounder func(x []float64) ([]float64, bool)
 	// Warm, if set, seeds the search with state from a related solve.
 	Warm *WarmStart
+
+	// onLP, if set, sees every LP relaxation solved with its problem.
+	onLP func(*lp.Problem, *lp.Solution)
 }
 
 // Result of a solve.
@@ -108,14 +109,12 @@ type Result struct {
 	// search ran to completion.
 	Stop error
 	// RootIters is the simplex iteration count of the root relaxation
-	// (zero when the root was never solved), RootBasis its final basis
-	// and RootState its full end state — together the donor state for
-	// the next warm start.
+	// (zero when the root was never solved) and RootState its full end
+	// state — together the donor state for the next warm start.
 	RootIters int
-	RootBasis []int
 	RootState *lp.State
 	// WarmIncumbent reports that the warm start's incumbent was accepted
-	// as the starting incumbent; WarmRoot that the warm basis genuinely
+	// as the starting incumbent; WarmRoot that the warm state genuinely
 	// warm-started the root relaxation (not a cold fallback); WarmProof
 	// that the incumbent was proven optimal by the carried bound alone,
 	// with no LP solved (Nodes == 0).
@@ -130,8 +129,8 @@ type node struct {
 	bound float64
 	fixes []fix
 	// from is the parent relaxation's end state. Because fixes are
-	// RHS-only edits of the augmented problem, the parent's tableau stays
-	// dual feasible in every child and seeds a dual-simplex re-solve.
+	// column-bound edits, the parent's tableau stays dual feasible in
+	// every child and seeds a dual-simplex re-solve.
 	from *lp.State
 }
 
@@ -167,28 +166,37 @@ func (s *Solver) Solve(ctx context.Context) (*Result, error) {
 	if maxNodes == 0 {
 		maxNodes = 100000
 	}
-	isBinary := make(map[int]bool, len(s.Binaries))
-	for _, j := range s.Binaries {
-		isBinary[j] = true
-	}
-
 	var (
 		incumbent    []float64
 		incumbentObj = math.Inf(1)
 		nodes        int
 		rootIters    int
-		rootBasis    []int
 		rootState    *lp.State
 		warmInc      bool
 		warmRoot     bool
 	)
 	stamp := func(r *Result) *Result {
 		r.RootIters = rootIters
-		r.RootBasis = rootBasis
 		r.RootState = rootState
 		r.WarmIncumbent = warmInc
 		r.WarmRoot = warmRoot
 		return r
+	}
+
+	// The search works on a copy of the relaxation whose binaries are
+	// clamped to integral bounds within [0, 1]. A binary can then only be
+	// fractional while its bounds are [0, 1], so a branching fix is
+	// exactly hi = 0 or lo = 1: one column-bound edit, and every node
+	// shares the root's tableau layout, which is what lets a parent's end
+	// state warm-start its children below.
+	root := s.Base.Clone()
+	for _, j := range s.Binaries {
+		lo, hi := root.Bounds(j)
+		lo, hi = math.Max(math.Ceil(lo), 0), math.Min(math.Floor(hi), 1)
+		if lo > hi {
+			return &Result{Status: Infeasible}, nil
+		}
+		root.SetBounds(j, lo, hi)
 	}
 
 	// A warm incumbent is admitted only on its own merits: integral and
@@ -196,15 +204,14 @@ func (s *Solver) Solve(ctx context.Context) (*Result, error) {
 	// lower bound already meets that objective the solve is over before
 	// the first LP.
 	if w := s.Warm; w != nil && w.Incumbent != nil &&
-		s.integral(w.Incumbent) && s.Base.Feasible(w.Incumbent, 1e-6) {
+		s.integral(w.Incumbent) && root.Feasible(w.Incumbent, 1e-6) {
 		incumbent = append([]float64(nil), w.Incumbent...)
-		incumbentObj = s.Base.Objective(incumbent)
+		incumbentObj = root.Objective(incumbent)
 		warmInc = true
 		if w.HasBound && incumbentObj <= w.Bound+1e-9 {
 			// The donor's root state is passed through untouched so a
-			// chain of instant proofs keeps a usable basis for the first
+			// chain of instant proofs keeps a usable state for the first
 			// point that needs a real solve again.
-			rootBasis = append([]int(nil), w.Basis...)
 			rootState = w.State
 			rootIters = w.RootIters
 			return stamp(&Result{
@@ -214,43 +221,30 @@ func (s *Solver) Solve(ctx context.Context) (*Result, error) {
 		}
 	}
 
-	// The search works on an augmented relaxation: every binary gets an
-	// upper-bound row (x_j ≤ 1) and a lower-bound row (x_j ≥ 0) up front,
-	// and a branching fix only edits the matching row's RHS — fix to 0
-	// tightens the upper bound to 0, fix to 1 raises the lower bound to 1.
-	// Appending EQ rows per node (the obvious encoding) would give every
-	// node a different standard-form layout; RHS-only edits keep the
-	// layout identical across the whole tree, which is what lets a parent
-	// basis warm-start its children below. The edited RHS values (0 and 1)
-	// never go negative, so no row changes sign or sprouts a different
-	// slack/artificial pattern.
-	aug := s.Base.Clone()
-	ubRow := make(map[int]int, len(s.Binaries))
-	lbRow := make(map[int]int, len(s.Binaries))
-	for _, j := range s.Binaries {
-		ubRow[j] = aug.NumRows()
-		aug.AddRow(map[int]float64{j: 1}, lp.LE, 1)
-		lbRow[j] = aug.NumRows()
-		aug.AddRow(map[int]float64{j: 1}, lp.GE, 0)
-	}
-
-	// solveNode solves one tree node. With a parent end state the node
-	// resumes the dual simplex from the parent's tableau (falling back to
-	// a cold solve internally on any mismatch); the root passes nil.
+	// solveNode solves one tree node. With an end state (the parent's,
+	// or a donor's at the root) the node resumes the dual simplex from
+	// that tableau, falling back to a cold solve internally on any
+	// mismatch.
 	solveNode := func(fixes []fix, from *lp.State) (*lp.Solution, error) {
-		p := aug.Clone()
-		for _, f := range fixes {
-			if f.val == 0 {
-				p.SetRHS(ubRow[f.j], 0)
-			} else {
-				p.SetRHS(lbRow[f.j], 1)
+		p := root
+		if len(fixes) > 0 {
+			p = root.Clone()
+			for _, f := range fixes {
+				p.SetBounds(f.j, f.val, f.val)
 			}
 		}
 		nodes++
+		var sol *lp.Solution
+		var err error
 		if from != nil {
-			return p.SolveFromState(ctx, from)
+			sol, err = p.SolveFromState(ctx, from)
+		} else {
+			sol, err = p.Solve(ctx)
 		}
-		return p.Solve(ctx)
+		if err == nil && s.onLP != nil {
+			s.onLP(p, sol)
+		}
+		return sol, err
 	}
 
 	tryIncumbent := func(x []float64) {
@@ -259,38 +253,28 @@ func (s *Solver) Solve(ctx context.Context) (*Result, error) {
 				return
 			}
 			rx, ok := s.Rounder(x)
-			if !ok || !s.integral(rx) || !s.Base.Feasible(rx, 1e-6) {
+			if !ok || !s.integral(rx) || !root.Feasible(rx, 1e-6) {
 				return
 			}
 			x = rx
 		}
-		obj := s.Base.Objective(x)
+		obj := root.Objective(x)
 		if obj < incumbentObj-1e-9 {
 			incumbentObj = obj
 			incumbent = append([]float64(nil), x...)
 		}
 	}
 
-	// Root node. A donor end state resumes the tableau directly; a bare
-	// basis routes through the install-and-repair re-solve. Both fall
-	// back to a cold solve internally on any mismatch.
-	var rootSol *lp.Solution
-	var err error
-	switch {
-	case s.Warm != nil && s.Warm.State != nil:
-		nodes++
-		rootSol, err = aug.Clone().SolveFromState(ctx, s.Warm.State)
-	case s.Warm != nil && s.Warm.Basis != nil:
-		nodes++
-		rootSol, err = aug.Clone().SolveFrom(ctx, s.Warm.Basis)
-	default:
-		rootSol, err = solveNode(nil, nil)
+	// Root node: a donor end state resumes its tableau directly.
+	var donor *lp.State
+	if s.Warm != nil {
+		donor = s.Warm.State
 	}
+	rootSol, err := solveNode(nil, donor)
 	if err != nil {
 		return nil, fmt.Errorf("ilp: root relaxation: %w", err)
 	}
 	rootIters = rootSol.Iters
-	rootBasis = rootSol.Basis
 	rootState = rootSol.State
 	warmRoot = rootSol.Warmed
 	switch rootSol.Status {
@@ -440,6 +424,7 @@ func (s *Solver) SolveExhaustive(ctx context.Context) (*Result, error) {
 	bestObj := math.Inf(1)
 	var bestX []float64
 	nodes := 0
+masks:
 	for mask := 0; mask < 1<<k; mask++ {
 		p := s.Base.Clone()
 		for bi, j := range s.Binaries {
@@ -447,12 +432,18 @@ func (s *Solver) SolveExhaustive(ctx context.Context) (*Result, error) {
 			if mask&(1<<bi) != 0 {
 				v = 1.0
 			}
-			p.AddRow(map[int]float64{j: 1}, lp.EQ, v)
+			if lo, hi := p.Bounds(j); v < lo || v > hi {
+				continue masks // the base bounds already exclude this assignment
+			}
+			p.SetBounds(j, v, v)
 		}
 		nodes++
 		sol, err := p.Solve(ctx)
 		if err != nil {
 			return nil, fmt.Errorf("ilp: exhaustive enumeration: %w", err)
+		}
+		if s.onLP != nil {
+			s.onLP(p, sol)
 		}
 		if sol.Status != lp.Optimal {
 			continue

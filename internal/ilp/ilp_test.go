@@ -9,25 +9,41 @@ import (
 	"repro/internal/lp"
 )
 
-// knapsack builds max Σv·x s.t. Σw·x ≤ cap as a minimization of -v.
-func knapsack(values, weights []float64, capacity float64) *Solver {
+// knapsack builds max Σv·x s.t. Σw·x ≤ cap as a minimization of -v. The
+// binaries carry no bounds of their own: Solve clamps them to [0, 1].
+// Every Optimal LP the returned solver solves is certified.
+func knapsack(t *testing.T, values, weights []float64, capacity float64) *Solver {
 	n := len(values)
 	p := lp.NewProblem(n)
 	w := make(map[int]float64, n)
 	bins := make([]int, n)
 	for j := 0; j < n; j++ {
 		p.SetObj(j, -values[j])
-		p.AddRow(map[int]float64{j: 1}, lp.LE, 1)
 		w[j] = weights[j]
 		bins[j] = j
 	}
 	p.AddRow(w, lp.LE, capacity)
-	return &Solver{Base: p, Binaries: bins}
+	return certified(t, &Solver{Base: p, Binaries: bins})
+}
+
+// certified makes every Optimal LP relaxation s solves (branch and bound
+// and exhaustive enumeration alike) carry a valid optimality certificate
+// for its node's problem.
+func certified(t *testing.T, s *Solver) *Solver {
+	s.onLP = func(p *lp.Problem, sol *lp.Solution) {
+		if sol.Status != lp.Optimal {
+			return
+		}
+		if err := p.Certify(sol); err != nil {
+			t.Errorf("LP relaxation: %v", err)
+		}
+	}
+	return s
 }
 
 func TestKnapsackSmall(t *testing.T) {
 	// Classic: values 60,100,120 weights 10,20,30 cap 50 → take 2+3 = 220.
-	s := knapsack([]float64{60, 100, 120}, []float64{10, 20, 30}, 50)
+	s := knapsack(t, []float64{60, 100, 120}, []float64{10, 20, 30}, 50)
 	r, err := s.Solve(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -48,7 +64,7 @@ func TestInfeasibleILP(t *testing.T) {
 	p.AddRow(map[int]float64{0: 1, 1: 1}, lp.GE, 3) // impossible for two binaries
 	p.AddRow(map[int]float64{0: 1}, lp.LE, 1)
 	p.AddRow(map[int]float64{1: 1}, lp.LE, 1)
-	s := &Solver{Base: p, Binaries: []int{0, 1}}
+	s := certified(t, &Solver{Base: p, Binaries: []int{0, 1}})
 	r, err := s.Solve(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -58,12 +74,30 @@ func TestInfeasibleILP(t *testing.T) {
 	}
 }
 
+// TestBinaryBoundsRoundInward: a binary's own column bounds are rounded
+// inward to integers, so [0, 0.5] pins it to 0 and [0.2, 0.8] admits no
+// value at all.
+func TestBinaryBoundsRoundInward(t *testing.T) {
+	for _, tc := range []struct {
+		lo, hi float64
+		want   Status
+	}{{0, 0.5, Optimal}, {0.2, 0.8, Infeasible}} {
+		p := lp.NewProblem(1)
+		p.SetObj(0, -1)
+		p.SetBounds(0, tc.lo, tc.hi)
+		r := mustSolve(t, certified(t, &Solver{Base: p, Binaries: []int{0}}))
+		if r.Status != tc.want || (r.Status == Optimal && r.X[0] != 0) {
+			t.Errorf("bounds [%v,%v]: %v x=%v, want %v at x=0", tc.lo, tc.hi, r.Status, r.X, tc.want)
+		}
+	}
+}
+
 func TestIntegralRootShortCircuits(t *testing.T) {
 	// min -x0 s.t. x0 <= 1: LP root is already integral.
 	p := lp.NewProblem(1)
 	p.SetObj(0, -1)
 	p.AddRow(map[int]float64{0: 1}, lp.LE, 1)
-	s := &Solver{Base: p, Binaries: []int{0}}
+	s := certified(t, &Solver{Base: p, Binaries: []int{0}})
 	r, err := s.Solve(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +112,7 @@ func TestUnboundedILP(t *testing.T) {
 	p := lp.NewProblem(2)
 	p.SetObj(1, -1)
 	p.AddRow(map[int]float64{0: 1}, lp.LE, 1)
-	s := &Solver{Base: p, Binaries: []int{0}}
+	s := certified(t, &Solver{Base: p, Binaries: []int{0}})
 	r, err := s.Solve(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +136,7 @@ func TestBranchAndBoundMatchesExhaustive(t *testing.T) {
 			weights[j] = float64(1 + rng.Intn(15))
 		}
 		capacity := float64(5 + rng.Intn(40))
-		s := knapsack(values, weights, capacity)
+		s := knapsack(t, values, weights, capacity)
 		// Occasionally add a coupling row like the model's Eq. 9.
 		if rng.Intn(2) == 0 {
 			row := make(map[int]float64, n)
@@ -128,9 +162,61 @@ func TestBranchAndBoundMatchesExhaustive(t *testing.T) {
 	}
 }
 
+// TestBranchAndBoundMatchesExhaustiveMixed: random 0–1 programs over up
+// to 10 binaries with native [0,1] column bounds, plus bounded continuous
+// columns and mixed LE/GE rows. Branch and bound must match exhaustive
+// enumeration, and every Optimal relaxation either solves is certified.
+func TestBranchAndBoundMatchesExhaustiveMixed(t *testing.T) {
+	rng := rand.New(rand.NewSource(101))
+	optimal := 0
+	for trial := 0; trial < 150; trial++ {
+		k := 1 + rng.Intn(10)
+		n := k + rng.Intn(3)
+		p := lp.NewProblem(n)
+		bins := make([]int, k)
+		for j := 0; j < n; j++ {
+			p.SetObj(j, float64(rng.Intn(21)-10))
+			if j < k {
+				bins[j] = j
+				p.SetBounds(j, 0, 1)
+			} else {
+				p.SetBounds(j, 0, float64(1+rng.Intn(4)))
+			}
+		}
+		for i := 1 + rng.Intn(4); i > 0; i-- {
+			row := make([]float64, n)
+			for j := range row {
+				row[j] = float64(rng.Intn(9) - 4)
+			}
+			p.AddDenseRow(row, lp.Rel(rng.Intn(2)), float64(rng.Intn(13)-4))
+		}
+		s := certified(t, &Solver{Base: p, Binaries: bins})
+		got, err := s.Solve(context.Background())
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		want, err := s.SolveExhaustive(context.Background())
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if got.Status != want.Status {
+			t.Fatalf("trial %d: status %v vs exhaustive %v", trial, got.Status, want.Status)
+		}
+		if want.Status == Optimal {
+			optimal++
+			if math.Abs(got.Obj-want.Obj) > 1e-6 {
+				t.Fatalf("trial %d: B&B obj %v != exhaustive %v", trial, got.Obj, want.Obj)
+			}
+		}
+	}
+	if optimal < 50 {
+		t.Errorf("only %d of 150 trials were feasible; the generator tests too little", optimal)
+	}
+}
+
 func TestRounderSeedsIncumbent(t *testing.T) {
 	// A fractional-root knapsack where rounding down is always feasible.
-	s := knapsack([]float64{10, 9, 8}, []float64{5, 5, 5}, 7)
+	s := knapsack(t, []float64{10, 9, 8}, []float64{5, 5, 5}, 7)
 	s.Rounder = func(x []float64) ([]float64, bool) {
 		rx := make([]float64, len(x))
 		for j, v := range x {
@@ -158,7 +244,7 @@ func TestNodeLimitReturnsFeasible(t *testing.T) {
 		values[j] = float64(10 + rng.Intn(90))
 		weights[j] = float64(5 + rng.Intn(30))
 	}
-	s := knapsack(values, weights, 60)
+	s := knapsack(t, values, weights, 60)
 	s.MaxNodes = 4
 	s.Rounder = func(x []float64) ([]float64, bool) {
 		rx := make([]float64, len(x))

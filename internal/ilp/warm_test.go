@@ -29,12 +29,12 @@ func sameX(a, b []float64) bool {
 }
 
 func TestWarmIncumbentWithBoundProvesWithoutLP(t *testing.T) {
-	s := knapsack([]float64{60, 100, 120}, []float64{10, 20, 30}, 50)
+	s := knapsack(t, []float64{60, 100, 120}, []float64{10, 20, 30}, 50)
 	cold := mustSolve(t, s)
 
 	// Same problem re-solved with its own optimum and objective as the
 	// warm state: the carried bound closes the gap with zero LP solves.
-	s2 := knapsack([]float64{60, 100, 120}, []float64{10, 20, 30}, 50)
+	s2 := knapsack(t, []float64{60, 100, 120}, []float64{10, 20, 30}, 50)
 	s2.Warm = &WarmStart{
 		Incumbent: cold.X,
 		Bound:     cold.Obj,
@@ -54,25 +54,29 @@ func TestWarmIncumbentWithBoundProvesWithoutLP(t *testing.T) {
 }
 
 func TestWarmIncumbentInfeasibleForTighterProblemIsRejected(t *testing.T) {
-	loose := knapsack([]float64{60, 100, 120}, []float64{10, 20, 30}, 50)
+	loose := knapsack(t, []float64{60, 100, 120}, []float64{10, 20, 30}, 50)
 	cold := mustSolve(t, loose)
 
 	// Capacity 25: the carried solution (weight 50) is infeasible here
 	// and must be dropped; the bound must not be applied either way
 	// (the caller is responsible for only carrying admissible bounds,
 	// but an unaccepted incumbent gives the bound nothing to prove).
-	tight := knapsack([]float64{60, 100, 120}, []float64{10, 20, 30}, 25)
+	tight := knapsack(t, []float64{60, 100, 120}, []float64{10, 20, 30}, 25)
 	tight.Warm = &WarmStart{Incumbent: cold.X, Bound: cold.Obj, HasBound: true}
 	warm := mustSolve(t, tight)
 	if warm.WarmIncumbent || warm.WarmProof {
 		t.Fatalf("infeasible incumbent accepted: WarmIncumbent=%v WarmProof=%v", warm.WarmIncumbent, warm.WarmProof)
 	}
-	ref := mustSolve(t, knapsack([]float64{60, 100, 120}, []float64{10, 20, 30}, 25))
+	ref := mustSolve(t, knapsack(t, []float64{60, 100, 120}, []float64{10, 20, 30}, 25))
 	if warm.Status != Optimal || math.Abs(warm.Obj-ref.Obj) > 1e-9 {
 		t.Errorf("warm got %v obj %v, cold obj %v", warm.Status, warm.Obj, ref.Obj)
 	}
 }
 
+// TestWarmBasisMatchesColdAcrossCapacitySweep carries each cold solve's
+// root end state into the next, tighter capacity: the warm chain must
+// land on exactly the cold answers, with the carried root state
+// genuinely resumed.
 func TestWarmBasisMatchesColdAcrossCapacitySweep(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	const n = 14
@@ -84,14 +88,15 @@ func TestWarmBasisMatchesColdAcrossCapacitySweep(t *testing.T) {
 	}
 
 	var prev *Result
+	warmRoots := 0
 	for _, capacity := range []float64{80, 60, 45, 30, 20, 10} {
-		cold := mustSolve(t, knapsack(values, weights, capacity))
+		cold := mustSolve(t, knapsack(t, values, weights, capacity))
 
-		warmSolver := knapsack(values, weights, capacity)
+		warmSolver := knapsack(t, values, weights, capacity)
 		if prev != nil {
 			warmSolver.Warm = &WarmStart{
 				Incumbent: prev.X,
-				Basis:     prev.RootBasis,
+				State:     prev.RootState,
 				RootIters: prev.RootIters,
 			}
 		}
@@ -105,25 +110,37 @@ func TestWarmBasisMatchesColdAcrossCapacitySweep(t *testing.T) {
 		if !sameX(warm.X, cold.X) {
 			t.Errorf("cap %v: warm x %v, cold %v", capacity, warm.X, cold.X)
 		}
-		if cold.RootBasis == nil {
-			t.Fatalf("cap %v: cold solve has no root basis", capacity)
+		if cold.RootState == nil {
+			t.Fatalf("cap %v: cold solve has no root state", capacity)
+		}
+		if warm.WarmRoot {
+			warmRoots++
 		}
 		prev = cold
 	}
+	if warmRoots == 0 {
+		t.Error("no point resumed its carried root state")
+	}
 }
 
+// TestWarmGarbageBasisStillSolves carries a root state from an unrelated
+// problem: the solve must fall back to cold and still find the optimum.
 func TestWarmGarbageBasisStillSolves(t *testing.T) {
-	cold := mustSolve(t, knapsack([]float64{60, 100, 120}, []float64{10, 20, 30}, 50))
-	s := knapsack([]float64{60, 100, 120}, []float64{10, 20, 30}, 50)
-	s.Warm = &WarmStart{Basis: []int{99, 98, 97, 96}}
+	cold := mustSolve(t, knapsack(t, []float64{60, 100, 120}, []float64{10, 20, 30}, 50))
+	foreign := mustSolve(t, knapsack(t, []float64{5, 4, 3, 2}, []float64{1, 2, 3, 4}, 6))
+	s := knapsack(t, []float64{60, 100, 120}, []float64{10, 20, 30}, 50)
+	s.Warm = &WarmStart{State: foreign.RootState}
 	warm := mustSolve(t, s)
 	if warm.Status != Optimal || math.Abs(warm.Obj-cold.Obj) > 1e-9 {
-		t.Fatalf("garbage basis: got %v obj %v, want cold obj %v", warm.Status, warm.Obj, cold.Obj)
+		t.Fatalf("garbage state: got %v obj %v, want cold obj %v", warm.Status, warm.Obj, cold.Obj)
+	}
+	if warm.WarmRoot {
+		t.Error("foreign root state was resumed instead of rejected")
 	}
 }
 
 func TestWarmNonIntegralIncumbentIsRejected(t *testing.T) {
-	s := knapsack([]float64{60, 100, 120}, []float64{10, 20, 30}, 50)
+	s := knapsack(t, []float64{60, 100, 120}, []float64{10, 20, 30}, 50)
 	s.Warm = &WarmStart{Incumbent: []float64{0.5, 0.5, 0.5}, Bound: -1e9, HasBound: true}
 	warm := mustSolve(t, s)
 	if warm.WarmIncumbent || warm.WarmProof {

@@ -36,6 +36,7 @@ func TestIterLimitReturnsFeasiblePoint(t *testing.T) {
 		if err != nil || full.Status != Optimal {
 			t.Fatalf("seed %d: unrestricted solve: %v %v", seed, full, err)
 		}
+		certify(t, p, full)
 		for maxIter := 1; maxIter <= 40; maxIter++ {
 			q := p.Clone()
 			q.MaxIter = maxIter
@@ -73,7 +74,9 @@ func TestSolveCancellation(t *testing.T) {
 	if _, err := p.Solve(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled solve returned %v, want context.Canceled", err)
 	}
-	if s, err := p.Solve(context.Background()); err != nil || s.Status != Optimal {
+	s, err := p.Solve(context.Background())
+	if err != nil || s.Status != Optimal {
 		t.Fatalf("background solve: %v %v", s, err)
 	}
+	certify(t, p, s)
 }

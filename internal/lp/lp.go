@@ -3,7 +3,7 @@
 //
 //	minimize    cᵀx
 //	subject to  aᵢᵀx {≤,=,≥} bᵢ
-//	            x ≥ 0
+//	            loⱼ ≤ xⱼ ≤ hiⱼ
 //
 // It stands in for the GNU Linear Programming Kit the paper integrates
 // (§4.3): the placement ILP's relaxations are solved here, driven by the
@@ -13,8 +13,12 @@
 // the sum of artificial variables to find a basic feasible solution, phase
 // 2 optimizes the real objective. Dantzig's rule selects entering columns,
 // falling back to Bland's rule when progress stalls so cycling cannot
-// occur. Upper bounds are expressed as explicit rows by the caller (the
-// ILP layer only needs them on branching variables).
+// occur. Column bounds never become rows: the upper-bounding technique
+// keeps every nonbasic column at one of its bounds, lets the ratio test
+// flip a column between them without a pivot, and lets a basic column
+// leave at either bound. A 0/1 variable therefore costs no tableau row,
+// and a branching fix is a bound edit that leaves the tableau layout
+// untouched.
 package lp
 
 import (
@@ -22,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Rel is a constraint relation.
@@ -60,23 +65,27 @@ func (s Status) String() string {
 }
 
 // Problem is an LP under construction. Create with NewProblem, then set
-// objective coefficients and add rows.
+// objective coefficients, column bounds and add rows.
 type Problem struct {
 	n   int // structural variables
 	obj []float64
+
+	// lo and hi are the column bounds: lo finite, hi possibly +Inf.
+	lo, hi []float64
 
 	rowCoef [][]float64 // dense row coefficients, length n
 	rowRel  []Rel
 	rowRHS  []float64
 
-	// MaxIter bounds total simplex pivots (both phases). Zero means the
-	// default (50 per row+column, at least 10000).
+	// MaxIter bounds total simplex pivots and bound flips (both phases).
+	// Zero means the default (50 per row+column, at least 10000).
 	MaxIter int
 
 	// err records the first construction mistake (negative variable
-	// count, out-of-range variable, dense-row length mismatch). Builders
-	// stay chainable — the error sticks and Solve reports it at entry,
-	// wrapped around ErrBadProblem, instead of panicking mid-build.
+	// count, out-of-range variable or row, dense-row length mismatch,
+	// empty or non-finite bounds). Builders stay chainable — the error
+	// sticks and Solve reports it at entry, wrapped around ErrBadProblem,
+	// instead of panicking mid-build.
 	err error
 }
 
@@ -86,84 +95,92 @@ type Solution struct {
 	X      []float64 // structural variable values (len = NumVars)
 	Obj    float64   // objective value cᵀx
 
-	// Basis is the final basis (one tableau column index per row) of an
-	// Optimal solve. A later solve of a problem with identical rows and
-	// columns but a changed RHS can restart from it via SolveFrom: the
-	// basis stays dual feasible under RHS changes, so the dual simplex
-	// re-solve needs only the pivots that repair primal feasibility.
-	// Nil for non-optimal outcomes.
-	Basis []int
-	// Iters is the number of simplex pivots this solve performed (both
-	// phases, including the basis-installation pivots of SolveFrom).
+	// Iters is the number of simplex pivots and bound flips this solve
+	// performed (both phases).
 	Iters int
-	// Warmed reports that a warm path (SolveFrom or SolveFromState)
-	// produced this solution — the carried state was genuinely consumed,
-	// not discarded for a cold fallback.
+	// Warmed reports that SolveFromState resumed the carried state — it
+	// was genuinely consumed, not discarded for a cold fallback.
 	Warmed bool
 	// State is the full end state of an Optimal solve — the final tableau
-	// with its basis and layout. SolveFromState resumes from it far
-	// cheaper than SolveFrom resumes from Basis alone: the tableau IS the
-	// factorized basis, so no re-installation pivots are needed. Nil for
-	// non-optimal outcomes. Opaque; safe to share (resuming copies it).
+	// with its basis, column bound status and layout. SolveFromState
+	// resumes from it. Nil for non-optimal outcomes. Opaque; safe to
+	// share (resuming copies it).
 	State *State
 }
 
 // State is the complete end state of an Optimal solve: the final simplex
-// tableau, its basis, and the standard-form layout it was built under. A
-// later solve of a problem with identical coefficient rows, columns and
-// objective but (possibly) changed RHS values resumes from it via
+// tableau, its basis, which nonbasic columns sit at their upper bound,
+// and the rows and bounds it was solved under. A later solve of a problem
+// with identical coefficient rows, columns and objective but (possibly)
+// changed RHS values or column bounds resumes from it via
 // SolveFromState. The zero value is useless; States come only from
 // Solution.State.
 type State struct {
-	tab    [][]float64 // final tableau, m × (total+1)
-	basis  []int
-	n      int
-	nSlack int
-	nArt   int
-	rels   []Rel     // original row relations at solve time
-	flips  []bool    // rows negated entering standard form (RHS < 0)
-	b      []float64 // standardized (post-negation) RHS values solved with
-}
-
-// captureState packages a finished tableau as a donor State. The tableau
-// and basis are taken over, not copied — callers must be done with them.
-func (p *Problem) captureState(t [][]float64, basis []int, nSlack, nArt int) *State {
-	m := len(p.rowRel)
-	flips := make([]bool, m)
-	b := make([]float64, m)
-	for i := 0; i < m; i++ {
-		rhs := p.rowRHS[i]
-		if rhs < 0 {
-			flips[i] = true
-			rhs = -rhs
-		}
-		b[i] = rhs
-	}
-	return &State{
-		tab: t, basis: basis, n: p.n, nSlack: nSlack, nArt: nArt,
-		rels:  append([]Rel(nil), p.rowRel...),
-		flips: flips, b: b,
-	}
+	tb     tableau
+	rels   []Rel     // row relations at solve time
+	rhs    []float64 // row right-hand sides at solve time
+	lo, hi []float64 // column bounds at solve time
 }
 
 // NewProblem returns a minimization problem with n structural variables,
-// all constrained to x ≥ 0, with zero objective coefficients.
+// all bounded to [0, +Inf), with zero objective coefficients.
 func NewProblem(n int) *Problem {
 	if n < 0 {
 		return &Problem{err: fmt.Errorf("%w: negative variable count %d", ErrBadProblem, n)}
 	}
-	return &Problem{n: n, obj: make([]float64, n)}
+	p := &Problem{n: n, obj: make([]float64, n), lo: make([]float64, n), hi: make([]float64, n)}
+	for j := range p.hi {
+		p.hi[j] = math.Inf(1)
+	}
+	return p
 }
 
 // NumVars returns the number of structural variables.
 func (p *Problem) NumVars() int { return p.n }
 
-// NumRows returns the number of constraint rows.
-func (p *Problem) NumRows() int { return len(p.rowRel) }
+// fail records the first construction mistake as the sticky error.
+func (p *Problem) fail(format string, args ...any) {
+	if p.err == nil {
+		p.err = fmt.Errorf("%w: "+format, append([]any{ErrBadProblem}, args...)...)
+	}
+}
 
-// SetObj sets the objective coefficient of variable j.
+// SetObj sets the objective coefficient of variable j. An out-of-range
+// variable records a sticky ErrBadProblem (reported by Solve).
 func (p *Problem) SetObj(j int, c float64) {
+	if j < 0 || j >= p.n {
+		p.fail("variable %d out of range [0,%d)", j, p.n)
+		return
+	}
 	p.obj[j] = c
+}
+
+// SetBounds sets variable j's bounds to [lo, hi]; hi may be +Inf. An
+// out-of-range variable, a non-finite lo, or lo > hi records a sticky
+// ErrBadProblem (reported by Solve) and leaves the bounds unchanged.
+//
+// Bound edits, like RHS edits, are a warm-restart move: SolveFromState
+// refreshes a carried tableau for them without re-deriving the basis.
+func (p *Problem) SetBounds(j int, lo, hi float64) {
+	switch {
+	case j < 0 || j >= p.n:
+		p.fail("variable %d out of range [0,%d)", j, p.n)
+	case math.IsInf(lo, 0) || math.IsNaN(lo):
+		p.fail("variable %d lower bound %v not finite", j, lo)
+	case !(lo <= hi):
+		p.fail("variable %d bounds [%v,%v] empty", j, lo, hi)
+	default:
+		p.lo[j], p.hi[j] = lo, hi
+	}
+}
+
+// Bounds returns variable j's bounds. An out-of-range variable reports
+// the default [0, +Inf).
+func (p *Problem) Bounds(j int) (lo, hi float64) {
+	if j < 0 || j >= p.n {
+		return 0, math.Inf(1)
+	}
+	return p.lo[j], p.hi[j]
 }
 
 // AddRow adds the constraint Σ coeffs[j]·x_j rel rhs. Variables absent
@@ -173,9 +190,7 @@ func (p *Problem) AddRow(coeffs map[int]float64, rel Rel, rhs float64) {
 	row := make([]float64, p.n)
 	for j, c := range coeffs {
 		if j < 0 || j >= p.n {
-			if p.err == nil {
-				p.err = fmt.Errorf("%w: variable %d out of range [0,%d)", ErrBadProblem, j, p.n)
-			}
+			p.fail("variable %d out of range [0,%d)", j, p.n)
 			return
 		}
 		row[j] = c
@@ -190,9 +205,7 @@ func (p *Problem) AddRow(coeffs map[int]float64, rel Rel, rhs float64) {
 // drops the row).
 func (p *Problem) AddDenseRow(coeffs []float64, rel Rel, rhs float64) {
 	if len(coeffs) != p.n {
-		if p.err == nil {
-			p.err = fmt.Errorf("%w: dense row length %d, want %d", ErrBadProblem, len(coeffs), p.n)
-		}
+		p.fail("dense row length %d, want %d", len(coeffs), p.n)
 		return
 	}
 	p.rowCoef = append(p.rowCoef, append([]float64(nil), coeffs...))
@@ -200,72 +213,57 @@ func (p *Problem) AddDenseRow(coeffs []float64, rel Rel, rhs float64) {
 	p.rowRHS = append(p.rowRHS, rhs)
 }
 
-// Row returns row i's dense coefficients (not a copy), relation and RHS.
-func (p *Problem) Row(i int) ([]float64, Rel, float64) {
-	return p.rowCoef[i], p.rowRel[i], p.rowRHS[i]
-}
-
 // SetRHS replaces row i's right-hand side. An out-of-range row records a
 // sticky ErrBadProblem (reported by Solve).
 //
-// RHS-only edits are the warm-restart move: a basis from a previous
-// Optimal solve stays dual feasible under them, so SolveFrom can repair
-// the solution with a few dual pivots. One caveat — the standard-form
-// layout negates rows with negative RHS, so an edit that flips a row's
-// RHS sign changes the tableau's column meaning and a carried basis
-// will (safely) fall back to a cold solve. Callers chasing warm restarts
-// should formulate rows so edited RHS values keep their sign.
+// RHS-only edits are a warm-restart move: a tableau from a previous
+// Optimal solve stays dual feasible under them, so SolveFromState can
+// repair the solution with a few dual pivots. One caveat — the
+// standard-form layout negates rows with negative RHS, so an edit that
+// flips a row's RHS sign changes the tableau's column meaning and a
+// carried state will (safely) fall back to a cold solve. Callers chasing
+// warm restarts should formulate rows so edited RHS values keep their
+// sign.
 func (p *Problem) SetRHS(i int, rhs float64) {
 	if i < 0 || i >= len(p.rowRHS) {
-		if p.err == nil {
-			p.err = fmt.Errorf("%w: row %d out of range [0,%d)", ErrBadProblem, i, len(p.rowRHS))
-		}
+		p.fail("row %d out of range [0,%d)", i, len(p.rowRHS))
 		return
 	}
 	p.rowRHS[i] = rhs
 }
 
-// Obj returns the objective coefficient of variable j.
-func (p *Problem) Obj(j int) float64 { return p.obj[j] }
-
-// Clone deep-copies the problem so rows can be appended per branch-and-
-// bound node without disturbing the base relaxation.
+// Clone copies the problem so bounds, RHS values or rows can be edited
+// per branch-and-bound node without disturbing the base relaxation. Row
+// coefficients never change once added, so the copy shares them.
 func (p *Problem) Clone() *Problem {
-	q := &Problem{
+	return &Problem{
 		n:       p.n,
-		obj:     append([]float64(nil), p.obj...),
-		rowRel:  append([]Rel(nil), p.rowRel...),
-		rowRHS:  append([]float64(nil), p.rowRHS...),
+		obj:     slices.Clone(p.obj),
+		lo:      slices.Clone(p.lo),
+		hi:      slices.Clone(p.hi),
+		rowCoef: slices.Clone(p.rowCoef),
+		rowRel:  slices.Clone(p.rowRel),
+		rowRHS:  slices.Clone(p.rowRHS),
 		MaxIter: p.MaxIter,
 		err:     p.err,
 	}
-	q.rowCoef = make([][]float64, len(p.rowCoef))
-	for i, r := range p.rowCoef {
-		q.rowCoef[i] = append([]float64(nil), r...)
-	}
-	return q
 }
 
-// Eval computes aᵢᵀx for row i.
-func (p *Problem) Eval(i int, x []float64) float64 {
-	v := 0.0
-	for j, c := range p.rowCoef[i] {
-		if c != 0 {
-			v += c * x[j]
-		}
-	}
-	return v
-}
-
-// Feasible reports whether x satisfies every row (within tol) and x ≥ 0.
+// Feasible reports whether x satisfies every row and column bound
+// (within tol).
 func (p *Problem) Feasible(x []float64, tol float64) bool {
 	for j := 0; j < p.n; j++ {
-		if x[j] < -tol {
+		if x[j] < p.lo[j]-tol || x[j] > p.hi[j]+tol {
 			return false
 		}
 	}
-	for i := range p.rowRel {
-		v := p.Eval(i, x)
+	for i, row := range p.rowCoef {
+		v := 0.0
+		for j, c := range row {
+			if c != 0 {
+				v += c * x[j]
+			}
+		}
 		switch p.rowRel[i] {
 		case LE:
 			if v > p.rowRHS[i]+tol {
@@ -308,10 +306,9 @@ var ErrBadProblem = errors.New("lp: invalid problem")
 // valid (merely unproven) answer and discarding it would throw away the
 // whole budget's work. A phase-1 trip has no feasible point and reports
 // IterLimit with a nil X. Errors report either a construction mistake —
-// the first one recorded by NewProblem/AddRow/AddDenseRow, wrapping
-// ErrBadProblem — or cancellation: when ctx is cancelled or its deadline
-// expires, Solve stops within a few pivots and returns the context error
-// wrapped.
+// the first one recorded by a builder, wrapping ErrBadProblem — or
+// cancellation: when ctx is cancelled or its deadline expires, Solve
+// stops within a few pivots and returns the context error wrapped.
 func (p *Problem) Solve(ctx context.Context) (*Solution, error) {
 	if p.err != nil {
 		return nil, p.err
@@ -333,7 +330,7 @@ func (p *Problem) Solve(ctx context.Context) (*Solution, error) {
 		for j := n + nSlack; j < total; j++ {
 			cost[j] = 1
 		}
-		st := simplex(t, basis, cost, total, maxIter, &iters, done)
+		st := simplex(tb, cost, maxIter, &iters, done)
 		if st == stCanceled {
 			return nil, fmt.Errorf("lp: solve interrupted: %w", ctx.Err())
 		}
@@ -359,7 +356,7 @@ func (p *Problem) Solve(ctx context.Context) (*Solution, error) {
 			pivoted := false
 			for j := 0; j < n+nSlack; j++ {
 				if math.Abs(t[i][j]) > 1e-7 {
-					pivot(t, basis, i, j, total)
+					tb.pivot(i, j)
 					pivoted = true
 					break
 				}
@@ -367,10 +364,8 @@ func (p *Problem) Solve(ctx context.Context) (*Solution, error) {
 			if !pivoted {
 				// Redundant row; artificial stays basic at zero. Zero the
 				// row so it cannot interfere.
-				for j := 0; j < total; j++ {
-					if j < n+nSlack {
-						t[i][j] = 0
-					}
+				for j := 0; j < n+nSlack; j++ {
+					t[i][j] = 0
 				}
 			}
 		}
@@ -385,76 +380,83 @@ func (p *Problem) Solve(ctx context.Context) (*Solution, error) {
 	}
 
 	// Phase 2: minimize the real objective.
-	cost := make([]float64, total)
-	copy(cost, p.obj)
-	// Artificials must not re-enter; give them prohibitive cost.
-	for j := n + nSlack; j < total; j++ {
-		cost[j] = math.Inf(1)
-	}
-	st := simplex(t, basis, cost, total, maxIter, &iters, done)
+	st := simplex(tb, p.workCost(tb), maxIter, &iters, done)
+	return p.finish(ctx, tb, st, iters, false)
+}
+
+// finish packages the outcome of the primal simplex pass that ends a
+// solve. The basis is feasible by then, so an IterLimit trip hands back
+// the point in hand instead of discarding the budget's work; an Optimal
+// one also donates its end state.
+func (p *Problem) finish(ctx context.Context, tb *tableau, st Status, iters int, warmed bool) (*Solution, error) {
 	switch st {
 	case stCanceled:
 		return nil, fmt.Errorf("lp: solve interrupted: %w", ctx.Err())
 	case Unbounded:
-		return &Solution{Status: Unbounded, Iters: iters}, nil
-	case IterLimit:
-		// The basis is feasible (phase 1 finished): hand back the point
-		// in hand instead of discarding the budget's work.
-		x, obj := p.extract(t, basis, m, n, total)
-		return &Solution{Status: IterLimit, X: x, Obj: obj, Iters: iters}, nil
+		return &Solution{Status: Unbounded, Iters: iters, Warmed: warmed}, nil
 	}
-
-	x, obj := p.extract(t, basis, m, n, total)
-	return &Solution{Status: Optimal, X: x, Obj: obj,
-		Basis: append([]int(nil), basis...), Iters: iters,
-		State: p.captureState(t, basis, nSlack, nArt)}, nil
+	x, obj := p.extract(tb)
+	sol := &Solution{Status: st, X: x, Obj: obj, Iters: iters, Warmed: warmed}
+	if st == Optimal {
+		// The tableau is taken over, not copied: the solve is done with it.
+		sol.State = &State{tb: *tb, rels: slices.Clone(p.rowRel), rhs: slices.Clone(p.rowRHS),
+			lo: slices.Clone(p.lo), hi: slices.Clone(p.hi)}
+	}
+	return sol, nil
 }
 
 // tableau is the dense simplex working state: m rows × (total+1) columns
 // (last column RHS) with the current basis column per row.
+//
+// Every column works in shifted coordinates in which its lower bound is
+// 0 and its upper bound up[j]: column j's working value is x_j − lo_j,
+// or hi_j − x_j when the column is complemented (flip[j]). Nonbasic
+// columns always sit at working value 0 — at their lower bound, or at
+// their upper bound when complemented — so the RHS column holds the
+// basic values and pivots are plain Gauss-Jordan steps. Moving a column
+// to its other bound complements it: its tableau column and cost change
+// sign and the basic values absorb the move.
 type tableau struct {
-	t                   [][]float64
-	basis               []int
+	t     [][]float64
+	basis []int
+	up    []float64 // per-column range hi − lo; +Inf for slack and artificial columns
+	flip  []bool    // per-column complement flag
+	nz    []int     // pivot scratch: the pivot row's nonzero columns
+
 	nSlack, nArt, total int
 }
 
 // newTableau lays out the standard-form tableau: columns [0,n) are
 // structural, [n, n+nSlack) slack/surplus, [n+nSlack, total) artificial.
-// Rows with negative RHS are negated (flipping their relation) so every
-// RHS starts non-negative; the initial basis is the slack (LE rows) or
-// artificial (GE/EQ rows) column of each row.
+// Structural columns start nonbasic at their lower bounds, so row i's
+// initial value is bᵢ − aᵢᵀlo; rows where that is negative are negated
+// (flipping their relation) so every initial value is non-negative. The
+// initial basis is the slack (LE rows) or artificial (GE/EQ rows) column
+// of each row.
 func (p *Problem) newTableau() *tableau {
-	m := len(p.rowRel)
-	n := p.n
-
-	slackOf := make([]int, m) // column of this row's slack, or -1
-	artOf := make([]int, m)   // column of this row's artificial, or -1
+	m, n := len(p.rowRel), p.n
+	start := make([]float64, m)
+	rels := append([]Rel(nil), p.rowRel...)
 	nSlack, nArt := 0, 0
-	for i := 0; i < m; i++ {
-		rel, rhs := p.rowRel[i], p.rowRHS[i]
-		neg := rhs < 0
-		effRel := rel
-		if neg {
-			// Row will be negated below; flip the relation.
-			switch rel {
-			case LE:
-				effRel = GE
-			case GE:
-				effRel = LE
+	for i, row := range p.rowCoef {
+		start[i] = p.rowRHS[i]
+		for j, c := range row {
+			if c != 0 && p.lo[j] != 0 {
+				start[i] -= c * p.lo[j]
 			}
 		}
-		slackOf[i], artOf[i] = -1, -1
-		switch effRel {
-		case LE:
-			slackOf[i] = nSlack
+		if start[i] < 0 {
+			switch rels[i] {
+			case LE:
+				rels[i] = GE
+			case GE:
+				rels[i] = LE
+			}
+		}
+		if rels[i] != EQ {
 			nSlack++
-		case GE:
-			slackOf[i] = nSlack
-			nSlack++
-			artOf[i] = nArt
-			nArt++
-		case EQ:
-			artOf[i] = nArt
+		}
+		if rels[i] != LE {
 			nArt++
 		}
 	}
@@ -462,42 +464,57 @@ func (p *Problem) newTableau() *tableau {
 	total := n + nSlack + nArt
 	t := make([][]float64, m)
 	basis := make([]int, m)
-	for i := 0; i < m; i++ {
-		t[i] = make([]float64, total+1)
+	slack, art := n, n+nSlack
+	for i, row := range p.rowCoef {
+		ti := make([]float64, total+1)
 		sign := 1.0
-		rhs := p.rowRHS[i]
-		if rhs < 0 {
+		if start[i] < 0 {
 			sign = -1.0
-			rhs = -rhs
 		}
-		for j := 0; j < n; j++ {
-			t[i][j] = sign * p.rowCoef[i][j]
+		for j, c := range row {
+			ti[j] = sign * c
 		}
-		t[i][total] = rhs
-
-		effRel := p.rowRel[i]
-		if sign < 0 {
-			switch effRel {
-			case LE:
-				effRel = GE
-			case GE:
-				effRel = LE
-			}
-		}
-		switch effRel {
+		ti[total] = sign * start[i]
+		switch rels[i] {
 		case LE:
-			t[i][n+slackOf[i]] = 1
-			basis[i] = n + slackOf[i]
+			ti[slack], basis[i] = 1, slack
+			slack++
 		case GE:
-			t[i][n+slackOf[i]] = -1
-			t[i][n+nSlack+artOf[i]] = 1
-			basis[i] = n + nSlack + artOf[i]
+			ti[slack], ti[art], basis[i] = -1, 1, art
+			slack, art = slack+1, art+1
 		case EQ:
-			t[i][n+nSlack+artOf[i]] = 1
-			basis[i] = n + nSlack + artOf[i]
+			ti[art], basis[i] = 1, art
+			art++
+		}
+		t[i] = ti
+	}
+	up := make([]float64, total)
+	for j := range up {
+		up[j] = math.Inf(1)
+		if j < n {
+			up[j] = p.hi[j] - p.lo[j]
 		}
 	}
-	return &tableau{t: t, basis: basis, nSlack: nSlack, nArt: nArt, total: total}
+	return &tableau{t: t, basis: basis, up: up, flip: make([]bool, total),
+		nSlack: nSlack, nArt: nArt, total: total}
+}
+
+// workCost returns the phase-2 objective in the tableau's working
+// coordinates: a complemented column runs downward from its upper bound,
+// so its cost changes sign; artificial columns cost +Inf so they never
+// re-enter.
+func (p *Problem) workCost(tb *tableau) []float64 {
+	cost := make([]float64, tb.total)
+	for j := 0; j < p.n; j++ {
+		cost[j] = p.obj[j]
+		if tb.flip[j] {
+			cost[j] = -cost[j]
+		}
+	}
+	for j := p.n + tb.nSlack; j < tb.total; j++ {
+		cost[j] = math.Inf(1)
+	}
+	return cost
 }
 
 // maxIters resolves the pivot budget for a tableau of m rows and total
@@ -513,222 +530,139 @@ func (p *Problem) maxIters(m, total int) int {
 	return maxIter
 }
 
-// install re-pivots the tableau so that target becomes the basis. The
-// target must have one column per row, each a structural or slack column
-// (artificials are never re-installed). Returns false — leaving the
-// tableau unusable — when the target is malformed or numerically
-// singular; callers fall back to a cold Solve.
-func (tb *tableau) install(target []int) bool {
-	m := len(tb.t)
-	if len(target) != m {
-		return false
+// shift moves the basic values as raising nonbasic column j's working
+// value by d would: by −d times the column (for a basic column, which is
+// a unit vector, that re-expresses its own value against a bound moved
+// by d).
+func (tb *tableau) shift(j int, d float64) {
+	if d == 0 {
+		return
 	}
-	want := make(map[int]bool, m)
-	for _, j := range target {
-		if j < 0 || j >= tb.total-tb.nArt || want[j] {
-			return false
+	for _, row := range tb.t {
+		if a := row[j]; a != 0 {
+			row[tb.total] -= a * d
 		}
-		want[j] = true
 	}
-	inBasis := make(map[int]bool, m)
-	for _, j := range tb.basis {
-		inBasis[j] = true
-	}
-	for _, j := range target {
-		if inBasis[j] {
-			continue
-		}
-		// Pivot j in, displacing a row whose current basis column is not
-		// itself wanted; pick the largest pivot element for stability.
-		best, bestAbs := -1, 1e-7
-		for i := 0; i < m; i++ {
-			if want[tb.basis[i]] {
-				continue
-			}
-			if a := math.Abs(tb.t[i][j]); a > bestAbs {
-				best, bestAbs = i, a
-			}
-		}
-		if best < 0 {
-			return false
-		}
-		delete(inBasis, tb.basis[best])
-		pivot(tb.t, tb.basis, best, j, tb.total)
-		inBasis[j] = true
-	}
-	return true
 }
 
-// SolveFrom re-solves the problem starting from the final basis of a
-// previous Optimal solve of a problem with identical rows, columns and
-// objective but (possibly) changed RHS values — the single-bound-change
-// re-solve of a constraint sweep. The basis stays dual feasible under an
-// RHS change, so the dual simplex method repairs primal feasibility in a
-// handful of pivots instead of re-deriving the basis from scratch; a
-// primal clean-up pass then certifies optimality. Any structural
-// mismatch, singular basis, or lost dual feasibility falls back to the
-// cold Solve path transparently (the pivots already spent still count in
-// Solution.Iters), so SolveFrom never answers worse than Solve — only
-// cheaper.
-func (p *Problem) SolveFrom(ctx context.Context, basis []int) (*Solution, error) {
-	if p.err != nil {
-		return nil, p.err
+// complement moves nonbasic column j to its other bound: the basic values
+// absorb the move of up[j], and the column and its cost change sign.
+func (tb *tableau) complement(j int, cost []float64) {
+	tb.shift(j, tb.up[j])
+	for _, row := range tb.t {
+		row[j] = -row[j]
 	}
-	m := len(p.rowRel)
-	n := p.n
-	tb := p.newTableau()
-	if !tb.install(basis) {
-		return p.Solve(ctx)
-	}
-	t, bs, total := tb.t, tb.basis, tb.total
-	maxIter := p.maxIters(m, total)
-	iters := 0
-	done := ctx.Done()
+	tb.flip[j] = !tb.flip[j]
+	cost[j] = -cost[j]
+}
 
-	cost := make([]float64, total)
-	copy(cost, p.obj)
-	for j := n + tb.nSlack; j < total; j++ {
-		cost[j] = math.Inf(1)
-	}
-
-	st := dualSimplex(t, bs, cost, total, maxIter, &iters, done)
-	switch st {
-	case stCanceled:
-		return nil, fmt.Errorf("lp: solve interrupted: %w", ctx.Err())
-	case Infeasible:
-		return &Solution{Status: Infeasible, Iters: iters, Warmed: true}, nil
-	case Optimal:
-		// Primal feasible again; the clean-up pass below certifies (and,
-		// if a reduced cost drifted negative, restores) optimality.
-	default:
-		// Iteration limit or lost dual feasibility: the warm path cannot
-		// certify anything from a primal-infeasible point, so pay for the
-		// cold solve instead of guessing.
-		sol, err := p.Solve(ctx)
-		if sol != nil {
-			sol.Iters += iters
+// complementBasic re-expresses the basic column of row r against its
+// other bound, so a column that leaves the basis at its upper bound
+// leaves at working value 0 like any other. Its tableau column stays the
+// unit vector; the rest of row r and the cost change sign together, so
+// every reduced cost is unchanged.
+func (tb *tableau) complementBasic(r int, cost []float64) {
+	l, row := tb.basis[r], tb.t[r]
+	for j := 0; j < tb.total; j++ {
+		if j != l {
+			row[j] = -row[j]
 		}
-		return sol, err
 	}
+	row[tb.total] = tb.up[l] - row[tb.total]
+	tb.flip[l] = !tb.flip[l]
+	cost[l] = -cost[l]
+}
 
-	st = simplex(t, bs, cost, total, maxIter, &iters, done)
-	switch st {
-	case stCanceled:
-		return nil, fmt.Errorf("lp: solve interrupted: %w", ctx.Err())
-	case Unbounded:
-		return &Solution{Status: Unbounded, Iters: iters, Warmed: true}, nil
-	case IterLimit:
-		x, obj := p.extract(t, bs, m, n, total)
-		return &Solution{Status: IterLimit, X: x, Obj: obj, Iters: iters, Warmed: true}, nil
+// clone deep-copies the tableau for a resumed solve.
+func (tb *tableau) clone() *tableau {
+	c := *tb
+	c.t = make([][]float64, len(tb.t))
+	for i, row := range tb.t {
+		c.t[i] = slices.Clone(row)
 	}
-	x, obj := p.extract(t, bs, m, n, total)
-	return &Solution{Status: Optimal, X: x, Obj: obj,
-		Basis: append([]int(nil), bs...), Iters: iters, Warmed: true,
-		State: p.captureState(t, bs, tb.nSlack, tb.nArt)}, nil
+	c.basis, c.up, c.flip = slices.Clone(tb.basis), slices.Clone(tb.up), slices.Clone(tb.flip)
+	c.nz = nil // scratch: never shared between resumes
+	return &c
 }
 
 // SolveFromState re-solves the problem from the full end state of a
 // previous Optimal solve of a problem with identical coefficient rows,
-// columns and objective but (possibly) changed RHS values. Where
-// SolveFrom must rebuild the tableau and re-install the basis pivot by
-// pivot — O(m) pivots, each a full tableau pass, nearly the price of a
-// cold solve on small problems — this path clones the donor tableau and
-// refreshes only the basic values: the donor tableau already embeds the
-// basis inverse, and for each changed RHS b_k the column of row k's
-// slack variable holds ±B⁻¹eₖ, so the refresh is one axpy per changed
-// row. The dual simplex then repairs primal feasibility and a primal
-// clean-up pass certifies optimality, exactly as in SolveFrom.
+// columns and objective but (possibly) changed RHS values and column
+// bounds. The donor tableau already embeds the basis inverse, so it is
+// cloned and only the basic values are refreshed, one axpy per changed
+// RHS or bound; the dual simplex then repairs primal feasibility and a
+// primal clean-up pass restores optimality.
 //
 // Safety: any layout mismatch — dimensions, relations, the RHS sign
 // pattern (which decides slack/artificial allocation), or a changed RHS
-// on a slackless EQ row — falls back to the cold Solve, and an Optimal
-// warm answer is verified feasible against THIS problem's rows before
-// being returned (cold fallback otherwise). A stale or foreign state
-// can cost time, never correctness.
+// on a slackless EQ row — falls back to the cold Solve, and a warm answer
+// must pass the optimality certificate (Certify) against THIS problem
+// before it is returned (cold fallback otherwise). A stale or foreign
+// state can cost time, never correctness.
 func (p *Problem) SolveFromState(ctx context.Context, st *State) (*Solution, error) {
 	if p.err != nil {
 		return nil, p.err
 	}
 	m := len(p.rowRel)
 	n := p.n
-	if st == nil || st.n != n || len(st.tab) != m || len(st.basis) != m || len(st.rels) != m {
+	if st == nil || len(st.lo) != n || len(st.tb.t) != m || len(st.rels) != m {
 		return p.Solve(ctx)
 	}
-	// Recompute this problem's standard-form layout row by row and bail to
-	// the cold path on the first divergence from the donor's.
-	slackSign := make([]float64, m) // slack coefficient (+1 LE, −1 GE), 0 for EQ
-	slackOf := make([]int, m)
-	newb := make([]float64, m)
-	nSlack := 0
-	for i := 0; i < m; i++ {
-		rel, rhs := p.rowRel[i], p.rowRHS[i]
-		flip := rhs < 0
-		if rel != st.rels[i] || flip != st.flips[i] {
-			return p.Solve(ctx)
-		}
-		if flip {
-			rhs = -rhs
-			switch rel {
-			case LE:
-				rel = GE
-			case GE:
-				rel = LE
-			}
-		}
-		newb[i] = rhs
-		slackOf[i] = -1
-		switch rel {
-		case LE:
-			slackOf[i], slackSign[i] = nSlack, 1
-			nSlack++
-		case GE:
-			slackOf[i], slackSign[i] = nSlack, -1
-			nSlack++
-		}
-	}
-	if nSlack != st.nSlack {
-		return p.Solve(ctx)
-	}
-	total := n + st.nSlack + st.nArt
-
-	t := make([][]float64, m)
-	for i, row := range st.tab {
-		if len(row) != total+1 {
-			return p.Solve(ctx)
-		}
-		t[i] = append([]float64(nil), row...)
-	}
-	bs := append([]int(nil), st.basis...)
+	tb := st.tb.clone()
 
 	// Refresh the basic values for every changed RHS. Row k's slack
 	// column started as ±eₖ, so its current column is ±B⁻¹eₖ — exactly
-	// the direction the basic values move when b_k changes.
-	for k := 0; k < m; k++ {
-		d := newb[k] - st.b[k]
-		if d == 0 {
+	// the direction the basic values move when b_k changes. (Standard
+	// form's row negation flips both the RHS change and the slack's
+	// sign, so only the relation decides the step's sign.)
+	slack := n
+	for k, rel := range p.rowRel {
+		if rel != st.rels[k] || (p.rowRHS[k] < 0) != (st.rhs[k] < 0) {
+			return p.Solve(ctx)
+		}
+		d := p.rowRHS[k] - st.rhs[k]
+		if rel == EQ {
+			if d != 0 {
+				return p.Solve(ctx) // no slack column to read B⁻¹ from
+			}
 			continue
 		}
-		if slackOf[k] < 0 {
-			return p.Solve(ctx) // EQ row changed: no slack column to read B⁻¹ from
+		if rel == LE {
+			d = -d // a slack column enters with +1, a surplus column with −1
 		}
-		col := n + slackOf[k]
-		step := slackSign[k] * d
-		for i := 0; i < m; i++ {
-			if c := t[i][col]; c != 0 {
-				t[i][total] += step * c
+		tb.shift(slack, d)
+		slack++
+	}
+
+	// Refresh for every changed column bound: moving a column's bound by
+	// d moves its working value by d, and the basic values by −d along
+	// the tableau column (for a basic column, that is its own row). A
+	// complemented column whose upper bound became infinite first returns
+	// to its old lower bound.
+	cost := p.workCost(tb)
+	for j := 0; j < n; j++ {
+		lo, hi := p.lo[j], p.hi[j]
+		if lo == st.lo[j] && hi == st.hi[j] {
+			continue
+		}
+		if tb.flip[j] && math.IsInf(hi, 1) {
+			if r := slices.Index(tb.basis, j); r >= 0 {
+				tb.complementBasic(r, cost)
+			} else {
+				tb.complement(j, cost)
 			}
 		}
+		d := lo - st.lo[j]
+		if tb.flip[j] {
+			d = st.hi[j] - hi
+		}
+		tb.shift(j, d)
+		tb.up[j] = hi - lo
 	}
 
-	maxIter := p.maxIters(m, total)
+	maxIter := p.maxIters(m, tb.total)
 	iters := 0
 	done := ctx.Done()
-
-	cost := make([]float64, total)
-	copy(cost, p.obj)
-	for j := n + st.nSlack; j < total; j++ {
-		cost[j] = math.Inf(1)
-	}
 
 	cold := func() (*Solution, error) {
 		sol, err := p.Solve(ctx)
@@ -738,36 +672,57 @@ func (p *Problem) SolveFromState(ctx context.Context, st *State) (*Solution, err
 		return sol, err
 	}
 
-	dst := dualSimplex(t, bs, cost, total, maxIter, &iters, done)
+	dst := dualSimplex(tb, cost, maxIter, &iters, done)
 	switch dst {
 	case stCanceled:
 		return nil, fmt.Errorf("lp: solve interrupted: %w", ctx.Err())
 	case Infeasible:
 		return &Solution{Status: Infeasible, Iters: iters, Warmed: true}, nil
 	case Optimal:
-		// Primal feasible again; fall through to the certifying pass.
+		// Primal feasible again; fall through to the clean-up pass.
 	default:
 		return cold()
 	}
 
-	dst = simplex(t, bs, cost, total, maxIter, &iters, done)
-	switch dst {
-	case stCanceled:
-		return nil, fmt.Errorf("lp: solve interrupted: %w", ctx.Err())
-	case Unbounded:
-		return &Solution{Status: Unbounded, Iters: iters, Warmed: true}, nil
-	case IterLimit:
-		x, obj := p.extract(t, bs, m, n, total)
-		return &Solution{Status: IterLimit, X: x, Obj: obj, Iters: iters, Warmed: true}, nil
+	dst = simplex(tb, cost, maxIter, &iters, done)
+	sol, err := p.finish(ctx, tb, dst, iters, true)
+	if err == nil && sol.Status == Optimal && p.Certify(sol) != nil {
+		return cold() // the donor state did not describe this problem after all
 	}
-	x, obj := p.extract(t, bs, m, n, total)
+	return sol, err
+}
+
+// Certify checks an Optimal solution's final tableau as an optimality
+// certificate for p: X satisfies p's rows and column bounds, and on the
+// tableau every reduced cost is ≥ 0 for a column at its lower bound, ≤ 0
+// for a column at its upper bound, and ≈ 0 for a basic column (fixed
+// columns may take either sign). It returns nil when the certificate
+// holds and a description of the first violation otherwise.
+func (p *Problem) Certify(sol *Solution) error {
+	if sol == nil || sol.Status != Optimal || sol.State == nil {
+		return errors.New("lp: no optimal end state to certify")
+	}
+	tb, x := &sol.State.tb, sol.X
+	if len(sol.State.lo) != p.n || len(tb.t) != len(p.rowRel) {
+		return errors.New("lp: end state does not match the problem's layout")
+	}
 	if !p.Feasible(x, 1e-6) {
-		// The donor state did not describe this problem after all.
-		return cold()
+		return errors.New("lp: certificate: point violates a row or bound")
 	}
-	return &Solution{Status: Optimal, X: x, Obj: obj,
-		Basis: append([]int(nil), bs...), Iters: iters, Warmed: true,
-		State: p.captureState(t, bs, st.nSlack, st.nArt)}, nil
+	cost := p.workCost(tb)
+	reduced := make([]float64, tb.total)
+	tb.price(cost, reduced)
+	isBasic := make([]bool, tb.total)
+	for _, j := range tb.basis {
+		isBasic[j] = true
+	}
+	for j, d := range reduced[:p.n+tb.nSlack] {
+		tol := 1e-7 * (1 + math.Abs(cost[j]))
+		if isBasic[j] && math.Abs(d) > tol || !isBasic[j] && tb.up[j] > 0 && d < -tol {
+			return fmt.Errorf("lp: certificate: column %d has reduced cost %g", j, d)
+		}
+	}
+	return nil
 }
 
 // stDualStall is dual simplex's internal "a reduced cost is negative"
@@ -777,15 +732,18 @@ func (p *Problem) SolveFromState(ctx context.Context, st *State) (*Solution, err
 const stDualStall Status = -2
 
 // dualSimplex restores primal feasibility of a dual-feasible basis: the
-// leaving row is the most negative RHS, the entering column the dual
-// ratio test over that row's negative coefficients. Returns Optimal once
-// every RHS is non-negative (primal feasible — not yet re-certified
-// optimal), Infeasible when a negative row has no negative coefficient
-// (that row is unsatisfiable for any x ≥ 0), stDualStall when a
-// candidate column's reduced cost is negative, IterLimit or stCanceled.
-func dualSimplex(t [][]float64, basis []int, cost []float64, total, maxIter int, iters *int, done <-chan struct{}) Status {
-	m := len(t)
-	cb := make([]float64, m)
+// leaving row is the basic value furthest outside its bounds (a value
+// above its upper bound is complemented first, so it reads as below
+// zero), the entering column the dual ratio test over that row's
+// negative coefficients. Fixed columns never enter. Returns Optimal once
+// every basic value is within its bounds (primal feasible — not yet
+// re-certified optimal), Infeasible when a violated row has no candidate
+// column (no movable column can repair it), stDualStall when a candidate
+// column's reduced cost is negative, IterLimit or stCanceled.
+func dualSimplex(tb *tableau, cost []float64, maxIter int, iters *int, done <-chan struct{}) Status {
+	t, basis, total := tb.t, tb.basis, tb.total
+	reduced := make([]float64, total)
+	tb.price(cost, reduced)
 	for {
 		if *iters >= maxIter {
 			return IterLimit
@@ -800,50 +758,37 @@ func dualSimplex(t [][]float64, basis []int, cost []float64, total, maxIter int,
 		*iters++
 
 		leave := -1
-		worst := -1e-7
-		for i := 0; i < m; i++ {
-			if t[i][total] < worst {
-				worst = t[i][total]
-				leave = i
+		worst := 1e-7
+		for i, row := range t {
+			v := row[total]
+			if -v > worst {
+				worst, leave = -v, i
+			}
+			if over := v - tb.up[basis[i]]; over > worst {
+				worst, leave = over, i
 			}
 		}
 		if leave < 0 {
 			return Optimal // primal feasible
 		}
-
-		for i := 0; i < m; i++ {
-			c := cost[basis[i]]
-			if math.IsInf(c, 1) {
-				c = 0 // basic artificial at value 0 contributes nothing
-			}
-			cb[i] = c
+		if t[leave][total] > 0 {
+			tb.complementBasic(leave, cost)
 		}
 
 		// Dual ratio test: minimize reduced[j] / |t[leave][j]| over the
 		// leaving row's negative coefficients; lowest column index breaks
-		// ties (Bland, so the dual walk cannot cycle). Reduced costs are
-		// priced lazily — only the leaving row's candidate columns need
-		// them, a small fraction of the tableau.
+		// ties (Bland, so the dual walk cannot cycle).
 		enter := -1
 		bestRatio := math.Inf(1)
-		for j := 0; j < total; j++ {
-			a := t[leave][j]
-			if a >= -eps || math.IsInf(cost[j], 1) {
+		for j, a := range t[leave][:total] {
+			if a >= -eps || math.IsInf(cost[j], 1) || tb.up[j] == 0 {
 				continue
 			}
-			r := cost[j]
-			for i := 0; i < m; i++ {
-				if cb[i] != 0 && t[i][j] != 0 {
-					r -= cb[i] * t[i][j]
-				}
-			}
+			r := reduced[j]
 			if r < -1e-7 {
 				return stDualStall
 			}
-			if r < 0 {
-				r = 0
-			}
-			ratio := r / -a
+			ratio := max(r, 0) / -a
 			if ratio < bestRatio-eps || (ratio < bestRatio+eps && (enter < 0 || j < enter)) {
 				bestRatio = ratio
 				enter = j
@@ -852,24 +797,31 @@ func dualSimplex(t [][]float64, basis []int, cost []float64, total, maxIter int,
 		if enter < 0 {
 			return Infeasible
 		}
-		pivot(t, basis, leave, enter, total)
+		tb.pivotPriced(leave, enter, reduced)
 	}
 }
 
 // extract reads the structural variable values and objective off the
-// tableau's current basis.
-func (p *Problem) extract(t [][]float64, basis []int, m, n, total int) ([]float64, float64) {
-	x := make([]float64, n)
-	for i := 0; i < m; i++ {
-		if basis[i] < n {
-			x[basis[i]] = t[i][total]
+// tableau: basic columns from their rows, nonbasic columns at the bound
+// they sit on.
+func (p *Problem) extract(tb *tableau) ([]float64, float64) {
+	x := make([]float64, p.n)
+	for j := range x {
+		x[j] = p.lo[j]
+		if tb.flip[j] {
+			x[j] = p.hi[j]
 		}
 	}
-	obj := 0.0
-	for j := 0; j < n; j++ {
-		obj += p.obj[j] * x[j]
+	for i, j := range tb.basis {
+		if j < p.n {
+			if y := tb.t[i][tb.total]; tb.flip[j] {
+				x[j] = p.hi[j] - y
+			} else {
+				x[j] = p.lo[j] + y
+			}
+		}
 	}
-	return x, obj
+	return x, p.Objective(x)
 }
 
 // stCanceled is simplex's internal "the context died" outcome; Solve
@@ -882,12 +834,41 @@ const stCanceled Status = -1
 // no-deadline path pays one nil-channel comparison per pivot.
 const cancelCheckStride = 64
 
-// simplex optimizes the tableau in place for the given cost vector.
-// Returns Optimal, Unbounded, IterLimit or stCanceled.
-func simplex(t [][]float64, basis []int, cost []float64, total, maxIter int, iters *int, done <-chan struct{}) Status {
+// simplex optimizes the tableau in place for the given working-coordinate
+// cost vector. Returns Optimal, Unbounded, IterLimit or stCanceled.
+//
+// Reduced costs are priced once and then updated with each pivot's row;
+// before Optimal is declared they are re-priced from scratch, so the
+// verdict never rests on accumulated rounding.
+func simplex(tb *tableau, cost []float64, maxIter int, iters *int, done <-chan struct{}) Status {
+	t, basis, total := tb.t, tb.basis, tb.total
 	m := len(t)
 	reduced := make([]float64, total)
+	tb.price(cost, reduced)
+	fresh := true
 	blandAfter := maxIter / 2
+
+	// entering picks the most negative reduced cost (Dantzig), or the
+	// lowest-index negative column (Bland) once we are past the
+	// midpoint, which guarantees termination. Fixed columns cannot move
+	// and never enter.
+	entering := func() int {
+		if *iters < blandAfter {
+			enter, best := -1, -eps
+			for j, d := range reduced {
+				if d < best && tb.up[j] != 0 {
+					enter, best = j, d
+				}
+			}
+			return enter
+		}
+		for j, d := range reduced {
+			if d < -eps && tb.up[j] != 0 {
+				return j
+			}
+		}
+		return -1
+	}
 
 	for {
 		if *iters >= maxIter {
@@ -902,93 +883,116 @@ func simplex(t [][]float64, basis []int, cost []float64, total, maxIter int, ite
 		}
 		*iters++
 
-		// Reduced costs: c_j - c_B · B⁻¹A_j (tableau form: c_j - Σ c_basis[i]·t[i][j]),
-		// accumulated row-major. An infinite-cost column may still be basic
-		// (artificial at zero); it never enters, and a finite subtraction
-		// leaves its +Inf reduced cost intact.
-		copy(reduced, cost[:total])
-		for i := 0; i < m; i++ {
-			cb := cost[basis[i]]
-			if math.IsInf(cb, 1) {
-				cb = 0 // basic artificial at value 0 contributes nothing
-			}
-			if cb == 0 {
-				continue
-			}
-			ti := t[i]
-			for j := 0; j < total; j++ {
-				if ti[j] != 0 {
-					reduced[j] -= cb * ti[j]
-				}
-			}
-		}
-
-		// Entering column: most negative reduced cost (Dantzig), or the
-		// lowest-index negative column (Bland) once we are past the
-		// midpoint, which guarantees termination.
-		enter := -1
-		if *iters < blandAfter {
-			best := -eps
-			for j := 0; j < total; j++ {
-				if reduced[j] < best {
-					best = reduced[j]
-					enter = j
-				}
-			}
-		} else {
-			for j := 0; j < total; j++ {
-				if reduced[j] < -eps {
-					enter = j
-					break
-				}
-			}
+		enter := entering()
+		if enter < 0 && !fresh {
+			tb.price(cost, reduced)
+			fresh = true
+			enter = entering()
 		}
 		if enter < 0 {
 			return Optimal
 		}
 
-		// Ratio test; Bland tie-break on basis index.
-		leave := -1
-		bestRatio := math.Inf(1)
+		// Ratio test over three limits: a basic value falling to its
+		// lower bound, a basic value rising to its upper bound, and the
+		// entering column reaching its own upper bound (a bound flip,
+		// preferred on ties since it needs no pivot). Bland tie-break on
+		// basis index among rows.
+		leave, toUpper := -1, false
+		bestRatio := tb.up[enter]
 		for i := 0; i < m; i++ {
 			a := t[i][enter]
-			if a > eps {
-				ratio := t[i][total] / a
-				if ratio < bestRatio-eps ||
-					(ratio < bestRatio+eps && leave >= 0 && basis[i] < basis[leave]) {
-					bestRatio = ratio
-					leave = i
-				}
+			var ratio float64
+			switch {
+			case a > eps:
+				ratio = t[i][total] / a
+			case a < -eps && !math.IsInf(tb.up[basis[i]], 1):
+				ratio = (tb.up[basis[i]] - t[i][total]) / -a
+			default:
+				continue
+			}
+			if ratio < bestRatio-eps ||
+				(ratio < bestRatio+eps && leave >= 0 && basis[i] < basis[leave]) {
+				bestRatio = ratio
+				leave, toUpper = i, a < 0
 			}
 		}
-		if leave < 0 {
+		fresh = false
+		switch {
+		case leave >= 0:
+			if toUpper {
+				tb.complementBasic(leave, cost)
+			}
+			tb.pivotPriced(leave, enter, reduced)
+		case math.IsInf(bestRatio, 1):
 			return Unbounded
+		default:
+			tb.complement(enter, cost)
+			reduced[enter] = -reduced[enter]
 		}
-		pivot(t, basis, leave, enter, total)
 	}
 }
 
-// pivot performs a Gauss-Jordan pivot on t[row][col].
-func pivot(t [][]float64, basis []int, row, col, total int) {
-	m := len(t)
-	pv := t[row][col]
-	inv := 1.0 / pv
-	for j := 0; j <= total; j++ {
-		t[row][j] *= inv
+// price computes every column's reduced cost c_j − Σ c_basis[i]·t[i][j]
+// into reduced, accumulated row-major. An infinite-cost column may still
+// be basic (artificial at zero); it never enters, and a finite
+// subtraction leaves its +Inf reduced cost intact.
+func (tb *tableau) price(cost, reduced []float64) {
+	copy(reduced, cost[:tb.total])
+	for i, ti := range tb.t {
+		cb := cost[tb.basis[i]]
+		if math.IsInf(cb, 1) || cb == 0 {
+			continue // an +Inf-cost basic column is an artificial at value 0
+		}
+		for j, a := range ti[:tb.total] {
+			if a != 0 {
+				reduced[j] -= cb * a
+			}
+		}
 	}
-	t[row][col] = 1 // exact
-	for i := 0; i < m; i++ {
+}
+
+// pivot performs a Gauss-Jordan pivot on t[row][col], making col basic
+// in row. Only the pivot row's nonzero entries are eliminated — the
+// placement tableaus are mostly zeros.
+func (tb *tableau) pivot(row, col int) {
+	t, total := tb.t, tb.total
+	pr := t[row]
+	inv := 1.0 / pr[col]
+	nz := tb.nz[:0]
+	for j := 0; j <= total; j++ {
+		if pr[j] != 0 {
+			pr[j] *= inv
+			nz = append(nz, j)
+		}
+	}
+	pr[col] = 1 // exact
+	for i, ti := range t {
 		if i == row {
 			continue
 		}
-		f := t[i][col]
+		f := ti[col]
 		if f == 0 {
 			continue
 		}
-		for j := 0; j <= total; j++ {
-			t[i][j] -= f * t[row][j]
+		for _, j := range nz {
+			ti[j] -= f * pr[j]
 		}
-		t[i][col] = 0 // exact
+		ti[col] = 0 // exact
 	}
-	basis[row] = col
+	tb.nz = nz
+	tb.basis[row] = col
+}
+
+// pivotPriced pivots on t[row][col] and carries the reduced costs along:
+// each changes by the entering column's times the new pivot row.
+func (tb *tableau) pivotPriced(row, col int, reduced []float64) {
+	dq := reduced[col]
+	tb.pivot(row, col)
+	for _, j := range tb.nz {
+		if j < tb.total {
+			reduced[j] -= dq * tb.t[row][j]
+		}
+	}
+	reduced[col] = 0
 }

@@ -8,13 +8,27 @@ import (
 	"testing"
 )
 
+// solve solves p cold and certifies an Optimal answer.
 func solve(t *testing.T, p *Problem) *Solution {
 	t.Helper()
 	s, err := p.Solve(context.Background())
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
+	certify(t, p, s)
 	return s
+}
+
+// certify fails the test unless an Optimal solution carries a valid
+// optimality certificate for p.
+func certify(t *testing.T, p *Problem, s *Solution) {
+	t.Helper()
+	if s.Status != Optimal {
+		return
+	}
+	if err := p.Certify(s); err != nil {
+		t.Fatalf("certificate: %v", err)
+	}
 }
 
 func approx(a, b float64) bool { return math.Abs(a-b) < 1e-6 }
@@ -147,6 +161,11 @@ func TestDenseRow(t *testing.T) {
 }
 
 func TestBadProblemSurfacedBySolve(t *testing.T) {
+	build := func(n int, edit func(*Problem)) *Problem {
+		p := NewProblem(n)
+		edit(p)
+		return p
+	}
 	cases := []struct {
 		name string
 		p    *Problem
@@ -162,6 +181,18 @@ func TestBadProblemSurfacedBySolve(t *testing.T) {
 			p.AddDenseRow([]float64{1}, LE, 1)
 			return p
 		}()},
+		{"objective of out-of-range variable", build(2, func(p *Problem) { p.SetObj(2, 1) })},
+		{"objective on negative variable count", build(-1, func(p *Problem) { p.SetObj(0, 1) })},
+		{"rhs of out-of-range row", build(1, func(p *Problem) {
+			p.AddRow(map[int]float64{0: 1}, LE, 1)
+			p.SetRHS(1, 2)
+		})},
+		{"bounds of out-of-range variable", build(1, func(p *Problem) { p.SetBounds(-1, 0, 1) })},
+		{"bounds on negative variable count", build(-1, func(p *Problem) { p.SetBounds(0, 0, 1) })},
+		{"empty bounds", build(1, func(p *Problem) { p.SetBounds(0, 2, 1) })},
+		{"infinite lower bound", build(1, func(p *Problem) { p.SetBounds(0, math.Inf(-1), 1) })},
+		{"NaN lower bound", build(1, func(p *Problem) { p.SetBounds(0, math.NaN(), 1) })},
+		{"NaN upper bound", build(1, func(p *Problem) { p.SetBounds(0, 0, math.NaN()) })},
 	}
 	for _, tc := range cases {
 		if _, err := tc.p.Solve(context.Background()); !errors.Is(err, ErrBadProblem) {
@@ -260,6 +291,7 @@ func TestRelaxationLowerBounds(t *testing.T) {
 		if s.Status != Optimal {
 			t.Fatalf("trial %d: status %v with binary-feasible instance", trial, s.Status)
 		}
+		certify(t, p, s)
 		if s.Obj > intBest+1e-6 {
 			t.Fatalf("trial %d: LP obj %v exceeds binary optimum %v", trial, s.Obj, intBest)
 		}

@@ -23,6 +23,9 @@ func sweepProblem(n int, c, w []float64, budget float64) *Problem {
 	return p
 }
 
+// TestSolveFromMatchesColdAfterRHSChange resumes every budget of the
+// sweep from the one base state (no chaining), so each resume repairs
+// the whole RHS jump from budget 20.
 func TestSolveFromMatchesColdAfterRHSChange(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	const n = 12
@@ -38,8 +41,8 @@ func TestSolveFromMatchesColdAfterRHSChange(t *testing.T) {
 	if sol.Status != Optimal {
 		t.Fatalf("base status = %v", sol.Status)
 	}
-	if sol.Basis == nil {
-		t.Fatal("optimal solve returned nil Basis")
+	if sol.State == nil {
+		t.Fatal("optimal solve returned nil State")
 	}
 	if sol.Iters <= 0 {
 		t.Fatalf("Iters = %d, want > 0", sol.Iters)
@@ -49,13 +52,17 @@ func TestSolveFromMatchesColdAfterRHSChange(t *testing.T) {
 	for _, budget := range []float64{4, 9, 14, 18, 22, 30} {
 		next := sweepProblem(n, c, w, budget)
 		cold := solve(t, next.Clone())
-		warm, err := next.SolveFrom(context.Background(), sol.Basis)
+		warm, err := next.SolveFromState(context.Background(), sol.State)
 		if err != nil {
-			t.Fatalf("budget %v: SolveFrom: %v", budget, err)
+			t.Fatalf("budget %v: SolveFromState: %v", budget, err)
 		}
 		if warm.Status != cold.Status {
 			t.Fatalf("budget %v: warm status %v, cold %v", budget, warm.Status, cold.Status)
 		}
+		if !warm.Warmed {
+			t.Errorf("budget %v: state resume fell back to a cold solve", budget)
+		}
+		certify(t, next, warm)
 		if !approx(warm.Obj, cold.Obj) {
 			t.Errorf("budget %v: warm obj %v, cold %v", budget, warm.Obj, cold.Obj)
 		}
@@ -67,78 +74,33 @@ func TestSolveFromMatchesColdAfterRHSChange(t *testing.T) {
 	}
 }
 
-func TestSolveFromUnchangedRHSNeedsNoDualPivots(t *testing.T) {
+func TestSolveFromStickyError(t *testing.T) {
+	p := NewProblem(1)
+	p.AddRow(map[int]float64{2: 1}, LE, 1) // out of range: poisons the problem
+	if _, err := p.SolveFromState(context.Background(), nil); err == nil {
+		t.Fatal("want sticky construction error from SolveFromState")
+	}
+}
+
+// TestSolveFromStateUnchangedRHSNeedsNoDualPivots resumes a state on the
+// very problem it came from: one dual scan finding nothing, one primal
+// scan finding nothing. Far below a cold solve.
+func TestSolveFromStateUnchangedRHSNeedsNoDualPivots(t *testing.T) {
 	c := []float64{3, 2, 5}
 	w := []float64{1, 1, 2}
 	p := sweepProblem(3, c, w, 2.5)
 	sol := solve(t, p)
-	warm, err := p.Clone().SolveFrom(context.Background(), sol.Basis)
+	warm, err := p.Clone().SolveFromState(context.Background(), sol.State)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if warm.Status != Optimal || !approx(warm.Obj, sol.Obj) {
-		t.Fatalf("warm = %v obj %v, want Optimal obj %v", warm.Status, warm.Obj, sol.Obj)
+	if warm.Status != Optimal || !approx(warm.Obj, sol.Obj) || !warm.Warmed {
+		t.Fatalf("warm = %v obj %v warmed=%v, want Optimal obj %v", warm.Status, warm.Obj, warm.Warmed, sol.Obj)
 	}
-	// Re-installing an already-optimal basis: one dual scan finding
-	// nothing, one primal scan finding nothing. Far below a cold solve.
 	if warm.Iters >= sol.Iters {
 		t.Errorf("warm Iters = %d, want < cold %d", warm.Iters, sol.Iters)
 	}
-}
-
-func TestSolveFromDetectsInfeasible(t *testing.T) {
-	// x ≥ 2 via -x ≤ -2 plus x ≤ budget: budget 1 is infeasible.
-	build := func(budget float64) *Problem {
-		p := NewProblem(1)
-		p.SetObj(0, 1)
-		p.AddRow(map[int]float64{0: -1}, LE, -2)
-		p.AddRow(map[int]float64{0: 1}, LE, budget)
-		return p
-	}
-	sol := solve(t, build(5))
-	if sol.Status != Optimal {
-		t.Fatalf("base status = %v", sol.Status)
-	}
-	warm, err := build(1).SolveFrom(context.Background(), sol.Basis)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.Status != Infeasible {
-		t.Fatalf("warm status = %v, want Infeasible", warm.Status)
-	}
-}
-
-func TestSolveFromBadBasisFallsBackToCold(t *testing.T) {
-	c := []float64{3, 2, 5}
-	w := []float64{1, 1, 2}
-	cold := solve(t, sweepProblem(3, c, w, 2.5))
-	for _, bad := range [][]int{
-		nil,                  // no basis at all
-		{0},                  // wrong length
-		{0, 0, 1, 2},         // duplicate column
-		{0, 1, 2, 99},        // out of range
-		{-1, 0, 1, 2},        // negative
-		{0, 1, 0 + 3, 1 + 3}, // structurally valid but linearly dependent
-	} {
-		warm, err := sweepProblem(3, c, w, 2.5).SolveFrom(context.Background(), bad)
-		if err != nil {
-			t.Fatalf("basis %v: %v", bad, err)
-		}
-		if warm.Status != Optimal || !approx(warm.Obj, cold.Obj) {
-			t.Errorf("basis %v: got %v obj %v, want cold optimum %v", bad, warm.Status, warm.Obj, cold.Obj)
-		}
-	}
-}
-
-func TestSolveFromStickyError(t *testing.T) {
-	p := NewProblem(1)
-	p.AddRow(map[int]float64{2: 1}, LE, 1) // out of range: poisons the problem
-	if _, err := p.SolveFrom(context.Background(), []int{0}); err == nil {
-		t.Fatal("want sticky construction error from SolveFrom")
-	}
-	if _, err := p.SolveFromState(context.Background(), nil); err == nil {
-		t.Fatal("want sticky construction error from SolveFromState")
-	}
+	certify(t, p, warm)
 }
 
 func TestSolveFromStateMatchesColdAfterRHSChange(t *testing.T) {
@@ -173,6 +135,7 @@ func TestSolveFromStateMatchesColdAfterRHSChange(t *testing.T) {
 		if !warm.Warmed {
 			t.Errorf("budget %v: state resume fell back to a cold solve", budget)
 		}
+		certify(t, next, warm)
 		if !approx(warm.Obj, cold.Obj) {
 			t.Errorf("budget %v: warm obj %v, cold %v", budget, warm.Obj, cold.Obj)
 		}
@@ -203,10 +166,12 @@ func TestSolveFromStateSharedDonorServesTwoReceivers(t *testing.T) {
 	parent := solve(t, sweepProblem(3, c, w, 2.5))
 	for _, budget := range []float64{1.5, 3.5} {
 		cold := solve(t, sweepProblem(3, c, w, budget))
-		warm, err := sweepProblem(3, c, w, budget).SolveFromState(context.Background(), parent.State)
+		p := sweepProblem(3, c, w, budget)
+		warm, err := p.SolveFromState(context.Background(), parent.State)
 		if err != nil {
 			t.Fatal(err)
 		}
+		certify(t, p, warm)
 		if warm.Status != Optimal || !approx(warm.Obj, cold.Obj) {
 			t.Errorf("budget %v: got %v obj %v, want cold optimum %v",
 				budget, warm.Status, warm.Obj, cold.Obj)
@@ -223,6 +188,31 @@ func TestSolveFromStateDetectsInfeasible(t *testing.T) {
 		return p
 	}
 	sol := solve(t, build(5))
+	warm, err := build(1).SolveFromState(context.Background(), sol.State)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm.Status != Infeasible {
+		t.Fatalf("warm status = %v, want Infeasible", warm.Status)
+	}
+}
+
+// TestSolveFromDetectsInfeasible writes the lower limit as a negated LE
+// row (-x ≤ -2), which standard form re-negates, and resumes from the
+// feasible budget's state.
+func TestSolveFromDetectsInfeasible(t *testing.T) {
+	// x ≥ 2 via -x ≤ -2 plus x ≤ budget: budget 1 is infeasible.
+	build := func(budget float64) *Problem {
+		p := NewProblem(1)
+		p.SetObj(0, 1)
+		p.AddRow(map[int]float64{0: -1}, LE, -2)
+		p.AddRow(map[int]float64{0: 1}, LE, budget)
+		return p
+	}
+	sol := solve(t, build(5))
+	if sol.Status != Optimal {
+		t.Fatalf("base status = %v", sol.Status)
+	}
 	warm, err := build(1).SolveFromState(context.Background(), sol.State)
 	if err != nil {
 		t.Fatal(err)
@@ -253,6 +243,7 @@ func TestSolveFromStateLayoutMismatchFallsBackToCold(t *testing.T) {
 		if warm.Warmed {
 			t.Error("foreign state was consumed instead of rejected")
 		}
+		certify(t, p, warm)
 	}
 
 	// Different dimensions.
@@ -274,10 +265,12 @@ func TestSolveFromStateLayoutMismatchFallsBackToCold(t *testing.T) {
 		return p
 	})
 	// nil state.
-	warm, err := sweepProblem(3, c, w, 2.5).SolveFromState(context.Background(), nil)
+	p := sweepProblem(3, c, w, 2.5)
+	warm, err := p.SolveFromState(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	certify(t, p, warm)
 	if warm.Status != Optimal || !approx(warm.Obj, cold.Obj) || warm.Warmed {
 		t.Errorf("nil state: got %v obj %v warmed=%v, want cold optimum %v",
 			warm.Status, warm.Obj, warm.Warmed, cold.Obj)

@@ -241,13 +241,10 @@ func (m *Model) BuildILP() (*lp.Problem, *Vars) {
 		}
 	}
 
-	// Binary bounds for branching variables, in block order — row order
-	// must be deterministic or degenerate simplex ties (and with them the
-	// branch-and-bound node count) follow map iteration order.
-	for _, bd := range m.Blocks {
-		if j, ok := vars.R[bd.Block.Label]; ok {
-			prob.AddRow(map[int]float64{j: 1}, lp.LE, 1)
-		}
+	// Branching variables are bounded to [0, 1] as column bounds (no
+	// tableau rows); internal/ilp branches by editing them.
+	for _, j := range vars.R {
+		prob.SetBounds(j, 0, 1)
 	}
 
 	// Eq. 5 edges: i_b ≥ r_b − r_s, i_b ≥ r_s − r_b.
@@ -278,8 +275,10 @@ func (m *Model) BuildILP() (*lp.Problem, *Vars) {
 		}
 	}
 
-	// Product linearization: p ≤ r, p ≤ i, p ≥ r + i − 1 (block order,
-	// for the same determinism reason as the binary bounds).
+	// Product linearization: p ≤ r, p ≤ i, p ≥ r + i − 1, in block order
+	// — row order must be deterministic or degenerate simplex ties (and
+	// with them the branch-and-bound node count) follow map iteration
+	// order.
 	for _, bd := range m.Blocks {
 		lbl := bd.Block.Label
 		pv, ok := vars.P[lbl]

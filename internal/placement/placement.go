@@ -106,10 +106,9 @@ type Warm struct {
 	Incumbent map[string]bool
 	// Obj is the donor's optimal objective in LP units.
 	Obj float64
-	// Basis and RootIters are the donor root relaxation's final basis
-	// and pivot count (see lp.Solution); State is its full end state,
-	// which resumes the receiver's root far cheaper than the bare basis.
-	Basis     []int
+	// State and RootIters are the donor root relaxation's full end state
+	// and pivot count (see lp.Solution); the receiver's root resumes
+	// from State.
 	State     *lp.State
 	RootIters int
 	// Rspare and Xlimit are the donor's constraint bounds — the
@@ -129,8 +128,8 @@ type WarmUse struct {
 	Incumbent bool
 	// Bound: the donor objective was carried as an admissible bound.
 	Bound bool
-	// Basis: the donor basis warm-started the root LP (dual simplex ran;
-	// false when SolveFrom fell back to a cold solve).
+	// Basis: the donor state warm-started the root LP (dual simplex ran;
+	// false when SolveFromState fell back to a cold solve).
 	Basis bool
 	// InstantProof: the bound proved the incumbent optimal with zero LP
 	// solves.
@@ -186,7 +185,7 @@ func SolveILPWarm(ctx context.Context, m *model.Model, budget Budget, warm *Warm
 	var ws *ilp.WarmStart
 	carriedBound := false
 	if warm != nil {
-		ws = &ilp.WarmStart{Basis: warm.Basis, State: warm.State, RootIters: warm.RootIters}
+		ws = &ilp.WarmStart{State: warm.State, RootIters: warm.RootIters}
 		if warm.Incumbent != nil {
 			// Offered unconditionally; the solver admits it only after
 			// its own integrality and feasibility checks.
@@ -274,7 +273,6 @@ func SolveILPWarm(ctx context.Context, m *model.Model, budget Budget, warm *Warm
 		r.Warm = &Warm{
 			Incumbent: inRAM,
 			Obj:       res.Obj,
-			Basis:     res.RootBasis,
 			State:     res.RootState,
 			RootIters: res.RootIters,
 			Rspare:    m.Params.Rspare,

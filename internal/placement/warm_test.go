@@ -3,6 +3,7 @@ package placement
 import (
 	"context"
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -112,15 +113,15 @@ func TestWarmSamePointIsInstantProof(t *testing.T) {
 		t.Errorf("instant proof changed the answer: %v vs %v", again.InRAM, first.InRAM)
 	}
 	// The instant proof passes the donor's root state through, so the
-	// NEXT point in a chain still has a basis to start from.
-	if again.Warm == nil || again.Warm.Basis == nil {
-		t.Errorf("instant proof dropped the donated basis: %+v", again.Warm)
+	// NEXT point in a chain still has a tableau to start from.
+	if again.Warm == nil || again.Warm.State == nil {
+		t.Errorf("instant proof dropped the donated state: %+v", again.Warm)
 	}
 }
 
-// TestWarmGarbageStateIsHarmless feeds a Warm whose basis and incumbent
-// belong to no valid solve; the solver must quietly fall back to a cold
-// solve and still return the proven optimum.
+// TestWarmGarbageStateIsHarmless feeds a Warm whose tableau state and
+// incumbent belong to no solve of this model; the solver must quietly
+// fall back to a cold solve and still return the proven optimum.
 func TestWarmGarbageStateIsHarmless(t *testing.T) {
 	p := ir.Figure2Program()
 	m := buildModel(t, p, 2048, 2.0)
@@ -128,10 +129,15 @@ func TestWarmGarbageStateIsHarmless(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	other, err := SolveILP(context.Background(),
+		buildModel(t, randomProgram(rand.New(rand.NewSource(5)), 6), 2048, 2.0), Budget{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	garbage := &Warm{
 		Incumbent: map[string]bool{"no_such_block": true},
 		Obj:       -1e18, // wildly wrong, but not Proven: never carried
-		Basis:     []int{9999, 9998, 9997},
+		State:     other.Warm.State,
 		RootIters: 3,
 	}
 	res, err := SolveILPWarm(context.Background(), m, Budget{}, garbage)
