@@ -336,9 +336,10 @@ func BenchmarkSimThroughput(b *testing.B) {
 }
 
 // BenchmarkSimThroughputNoFuse is BenchmarkSimThroughput with superblock
-// fusion disabled (sim.Machine.NoFuse, the beebsbench -nofuse knob): pure
-// slot-at-a-time dispatch on the same workload. The ratio between the two
-// is the fused engine's same-host speedup recorded in BENCH_sim.json.
+// fusion disabled (sim.Machine.NoFuse, the beebsbench -nofuse knob): every
+// instruction dispatches as a length-1 descriptor through the same uop
+// executor. The ratio between the two is the fused engine's same-host
+// speedup recorded in BENCH_sim.json.
 func BenchmarkSimThroughputNoFuse(b *testing.B) {
 	prog, err := mcc.Compile(beebs.Get("int_matmult").Source, mcc.O2)
 	if err != nil {

@@ -21,9 +21,9 @@
 // fragment; `beebsbench -merge frag0.json … fragN-1.json` validates the
 // fragments form one partition and reassembles the exact unsharded
 // document. Merged documents are ledger-free, so compare them against an
-// unsharded `-noledger` run. `-nofuse` forces the simulator's slot-at-a-
-// time dispatch (identical output, no superblock fusion — the
-// differential-testing knob).
+// unsharded `-noledger` run. `-nofuse` dispatches every simulated
+// instruction as a length-1 descriptor (identical output, no superblock
+// fusion — the differential-testing knob for the fusion boundaries).
 package main
 
 import (
@@ -71,7 +71,7 @@ func main() {
 		shardSpec = flag.String("shard", "", "run only sweep cells owned by shard `i/n` and emit a mergeable fragment (implies -json)")
 		merge     = flag.Bool("merge", false, "merge the shard fragment files given as arguments into the unsharded document and exit")
 		noledger  = flag.Bool("noledger", false, "omit the process ledgers (session_stats, solver_stats, wall_ms, workers) so documents are byte-comparable across runs")
-		noFuse    = flag.Bool("nofuse", false, "force slot-at-a-time simulator dispatch instead of superblock fusion (identical output; differential-testing knob)")
+		noFuse    = flag.Bool("nofuse", false, "dispatch every simulated instruction on its own instead of in fused superblocks (identical output; differential-testing knob)")
 		timeout   = flag.Duration("timeout", 0, "overall wall-clock budget (0 = none); on expiry — or SIGINT — the sweep stops and the partial document is still emitted")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the sweep to `file`")
 		memProf   = flag.String("memprofile", "", "write a heap profile to `file` on exit")

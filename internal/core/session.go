@@ -106,8 +106,8 @@ type SessionConfig struct {
 	// concurrent solves) must leave this off; the sweeps and the service
 	// turn it on.
 	WarmSolve bool
-	// NoFuse forces every simulator run to slot-at-a-time dispatch,
-	// bypassing the superblock engine (sim.Machine.NoFuse). Outputs are
+	// NoFuse makes every simulator run dispatch length-1 descriptors
+	// only, bypassing superblock fusion (sim.Machine.NoFuse). Outputs are
 	// byte-identical either way — that identity is the fused engine's
 	// contract and what the differential sweeps assert — so this is a
 	// debug/verification knob (beebsbench -nofuse), never a semantics

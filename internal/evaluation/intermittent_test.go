@@ -114,7 +114,7 @@ func TestMergeShardsIntermittentSection(t *testing.T) {
 
 // TestNoFuseDifferentialIntermittent extends the differential property
 // test to trace-driven replays: random benchmark × level × profile cells
-// run fused and forced slot-at-a-time under the same injected power
+// run fused and one instruction at a time under the same injected power
 // trace must produce identical reports — the intermittent comparison
 // deeply equal (replay counts, checkpoint energy, wall cycles) and the
 // emitted RunJSON byte-for-byte.

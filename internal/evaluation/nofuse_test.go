@@ -13,7 +13,7 @@ import (
 
 // TestNoFuseDifferentialRandomCells is the pipeline-level differential
 // property test for the superblock engine: random benchmark × level ×
-// rspare cells run through a fused sweep and a forced slot-dispatch sweep
+// rspare cells run through a fused sweep and a length-1-dispatch sweep
 // (the beebsbench -nofuse knob) must produce identical reports — the
 // simulated stats bit-for-bit (EnergyNJ is a float accumulation, so this
 // checks the fused engine's in-order charging, not just totals) and the

@@ -61,9 +61,10 @@ type Sweep struct {
 
 	// NoFuse builds the sweep's sessions with superblock fusion disabled
 	// (core.SessionConfig.NoFuse → sim.Machine.NoFuse): every simulated
-	// run dispatches slot-at-a-time. Outputs are byte-identical either
-	// way — the differential tests and `beebsbench -nofuse` exist to
-	// prove exactly that. As with ColdSolve, a Cache-owned session may
+	// instruction dispatches as a length-1 descriptor through the same
+	// executor. Outputs are byte-identical either way — the differential
+	// tests and `beebsbench -nofuse` exist to prove exactly that at the
+	// fusion boundaries. As with ColdSolve, a Cache-owned session may
 	// have been built with the other setting; the daemon never mixes
 	// the two.
 	NoFuse bool

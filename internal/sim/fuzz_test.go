@@ -15,9 +15,14 @@ import (
 // the flash/RAM placement. The shapes mirror internal/encode's round-trip
 // generator, biased toward what exercises the superblock engine: flag
 // writers feeding conditional terminals, loads/stores that mostly hit the
-// global buffer but sometimes fault, multiplies, literal loads. Programs
-// are straight-line plus forward branches and a leaf call, so every
-// synthesis terminates.
+// global buffer but sometimes fault, multiplies, literal loads. Op bytes
+// 234-255 select the forms that sit on fusion boundaries — IT-predicated
+// ALU ops, loads and stores, a push/pop pair mid-body, a conditional
+// bx lr and a conditional bl; bytes below 234 keep the original 26
+// shapes, so older corpus entries still build the programs they were
+// minimized for. Programs are straight-line plus forward branches and a
+// leaf call; a conditional bx lr taken after a bl returns into the body,
+// which the instruction limit bounds.
 func synthExecProgram(data []byte) (*ir.Program, map[string]bool) {
 	if len(data) < 4 {
 		return nil, nil
@@ -39,12 +44,38 @@ func synthExecProgram(data []byte) (*ir.Program, map[string]bool) {
 	imm8 := func(b byte) int32 { return int32(b) }
 	shamt := func(b byte) int32 { return int32(b%31) + 1 }
 
+	conds := []isa.Cond{isa.EQ, isa.NE, isa.LT, isa.GE, isa.GT, isa.LE, isa.HI, isa.LS}
+	// pred emits an IT block of one instruction under condition c.
+	pred := func(c isa.Cond, in isa.Instr) {
+		body.Append(isa.Instr{Op: isa.IT, Cond: c})
+		in.Cond = c
+		body.Append(in)
+	}
+
 	n := (len(data) - 2) / 3
 	if n > 25 {
 		n = 25
 	}
 	for i := 0; i < n; i++ {
 		op, a, b := data[3*i+1], data[3*i+2], data[3*i+3]
+		if op >= 234 {
+			c := conds[b%8]
+			switch (op - 234) % 6 {
+			case 0:
+				pred(c, isa.Instr{Op: isa.ADD, Rd: lo(a), Rn: lo(a), Imm: imm8(b), HasImm: true})
+			case 1:
+				pred(c, isa.Instr{Op: isa.LDR, Rd: lo(a), Rn: isa.R7, Mode: isa.AddrOffset, Imm: int32(op%32) * 4})
+			case 2:
+				pred(c, isa.Instr{Op: isa.STR, Rd: lo(a), Rn: isa.R7, Mode: isa.AddrOffset, Imm: int32(op%32) * 4})
+			case 3:
+				bb.Push(lo(a), isa.R5).AddImm(lo(a), lo(a), imm8(b)).Pop(lo(a), isa.R5)
+			case 4:
+				pred(c, isa.Instr{Op: isa.BX, Rm: isa.LR})
+			case 5:
+				pred(c, isa.Instr{Op: isa.BL, Sym: "leaf"})
+			}
+			continue
+		}
 		switch op % 26 {
 		case 0:
 			bb.Nop()
@@ -114,7 +145,7 @@ func synthExecProgram(data []byte) (*ir.Program, map[string]bool) {
 	case 1:
 		bb.B("m2")
 	case 2:
-		bb.Bcond([]isa.Cond{isa.EQ, isa.NE, isa.LT, isa.GE, isa.GT, isa.LE, isa.HI, isa.LS}[t%8], "m2")
+		bb.Bcond(conds[t%8], "m2")
 	case 3:
 		bb.Cbz(lo(t), "m2")
 	case 4:
@@ -132,13 +163,17 @@ func synthExecProgram(data []byte) (*ir.Program, map[string]bool) {
 	return p, nil
 }
 
-// FuzzFusedVsSlot is the differential property test for the superblock
-// engine: any synthesized program must produce identical stats, fault
-// messages, registers and block counts through fused dispatch and forced
-// slot dispatch (the beebsbench -nofuse knob). The seed corpus under
+// FuzzFusedVsSlot is the differential property test for the fusion
+// boundaries: any synthesized program must produce identical stats, fault
+// messages, registers and block counts through maximal fused descriptors
+// and through length-1 descriptors only (Machine.NoFuse, the beebsbench
+// -nofuse knob) — pre-aggregated cycles, chaining, partial-stats flushes
+// and mid-run entries all sit on that boundary. Per-instruction
+// semantics are pinned separately by TestISAOracle. The seed corpus under
 // testdata/fuzz covers ALU-only runs, load/store mixes, faulting
-// accesses, conditional terminators and RAM placements; CI replays it
-// under -race.
+// accesses, conditional terminators, RAM placements, IT-predicated ALU
+// ops, loads and stores, mid-body push/pop, conditional bx lr and
+// conditional bl; CI replays it under -race.
 func FuzzFusedVsSlot(f *testing.F) {
 	f.Add([]byte("\x00\x01\x02\x03\x15\x04\x00\x02\x05\x06\x07\x01\x02\x03"))
 	f.Add([]byte("\x01\x19\x02\x03\x15\x01\x00\x16\x02\x04\x07\x05\x00\x04"))

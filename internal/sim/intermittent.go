@@ -3,7 +3,6 @@ package sim
 import (
 	"context"
 	"errors"
-	"fmt"
 
 	"repro/internal/isa"
 	"repro/internal/power"
@@ -22,10 +21,10 @@ import (
 // The segment boundaries live in executed-cycle space and the stop rule
 // is "an instruction executes iff its pre-execution cycle count is below
 // the stop mark", which depends only on Stats — not on how instructions
-// are dispatched — so a trace-driven run is byte-identical between the
-// fused and slot engines: runFrom declines the fused path for any
+// are grouped into descriptors — so a trace-driven run is byte-identical
+// with fusion on or off: runFrom declines the fused path for any
 // superblock whose worst-case cycle bound could reach the mark, and the
-// boundary instructions slot-dispatch identically in both.
+// boundary instructions dispatch as length-1 descriptors either way.
 
 // errStopCycles is runFrom's internal pause signal: the executed-cycle
 // stop mark was reached at an instruction boundary. Machine.pausePC
@@ -206,9 +205,9 @@ func (m *Machine) RunIntermittent(ctx context.Context, cfg IntermittentConfig) (
 	if interval == 0 {
 		interval = DefaultCheckpointCycles
 	}
-	entry, ok := m.Img.Symbols[m.Img.Prog.Entry]
-	if !ok {
-		return nil, fmt.Errorf("sim: no entry symbol %q", m.Img.Prog.Entry)
+	entry, err := m.entry()
+	if err != nil {
+		return nil, err
 	}
 
 	rep := &IntermittentReport{CheckpointIntervalCycles: interval}

@@ -33,7 +33,7 @@ func longLoopProgram() *ir.Program {
 }
 
 // runIntermittentPair executes one program under the same trace+config on
-// fused and forced-slot machines and asserts the reports — stats, every
+// fused and NoFuse (length-1 dispatch) machines and asserts the reports — stats, every
 // intermittent dimension, registers — are byte-identical. Returns the
 // fused report for further assertions.
 func runIntermittentPair(t *testing.T, p *ir.Program, inRAM map[string]bool, cfg IntermittentConfig) *IntermittentReport {
@@ -209,8 +209,9 @@ func TestIntermittentCheckpointBoundsLoss(t *testing.T) {
 	}
 }
 
-// The byte-identity contract extends to trace-driven runs: fused and slot
-// dispatch must pause, checkpoint and replay at identical boundaries.
+// The byte-identity contract extends to trace-driven runs: fused and
+// length-1 dispatch must pause, checkpoint and replay at identical
+// boundaries.
 func TestIntermittentFusedVsSlotIdentity(t *testing.T) {
 	progs := []struct {
 		name  string

@@ -7,54 +7,45 @@ import (
 )
 
 // The predecoded execution engine: at SetImage time the placed image is
-// compiled once into dense per-memory instruction tables, so the run loop
-// dispatches on an array index instead of a map lookup and every
-// per-instruction constant — class, cycle costs, sequential successor,
-// resolved branch target, literal value, per-cycle energy — is computed
-// exactly once instead of once per executed instruction.
+// compiled once into dense per-memory slot tables and one uop per
+// instruction (superblock.go), so the run loop dispatches on an array
+// index instead of a map lookup and every per-instruction constant —
+// class, cycle costs, sequential successor, resolved branch target,
+// literal value, per-cycle energy — is computed exactly once instead of
+// once per executed instruction.
 //
-// Invariants (enforced by the sim tests and the PR 3 session goldens):
+// Invariants (enforced by the sim tests, the event-stream golden and
+// the core session goldens):
 //
-//   - Stats, fault messages and the observer event stream are
-//     byte-identical to the reference interpret-on-fetch loop. In
-//     particular the per-cycle energies are precomputed with the same
-//     float64 expression the interpreter evaluated per step, so energy
-//     accumulates bit-for-bit identically.
-//   - The table is rebuilt on any image change (Machine.SetImage) and
-//     only then; Reset keeps it.
+//   - Stats, fault messages and the observer event stream depend only
+//     on the image and the program's inputs, never on how instructions
+//     are grouped into descriptors: fused and length-1 dispatch are
+//     byte-identical. Per-cycle energies are precomputed with one
+//     float64 expression per (fetch memory, class, data memory), so
+//     energy accumulates bit-for-bit the same way on every path.
+//   - The tables are rebuilt on any image change (Machine.SetImage) and
+//     only then; Reset keeps them.
 
-// slot is one predecoded instruction. Slots are indexed by
+// slot is one predecoded instruction address. Slots are indexed by
 // (pc - regionBase) >> 1 within their memory's table; a slot whose pl is
 // nil is not an instruction start (literal pool words, alignment padding,
 // the second half of a 32-bit encoding) and faults like any other
-// non-instruction address.
+// non-instruction address. A slot keeps only what dispatch and fault
+// attribution need; the semantics live in its uop.
 type slot struct {
-	pl *layout.Placed
-	in *isa.Instr
-
-	// epc is the energy charged per cycle (nJ) for each possible data
-	// memory outcome, indexed by power.Memory (Flash, RAM, None).
-	epc [3]float64
-
+	pl      *layout.Placed
 	seqNext uint32 // pc + laid-out instruction size
-	// target is the resolved control-transfer destination (B/CBZ/CBNZ/BL),
-	// literal value (LDRLIT) or symbol address (ADR); valid iff targetOK.
-	target   uint32
-	index    int32 // instruction index within the block
-	blockID  int32 // dense layout.Placed.ID, for array-indexed counters
-	op       isa.Op
-	class    isa.Class
-	fetchMem power.Memory
-	litMem   power.Memory // LDRLIT data memory (pool residence)
-	memSize  uint8        // load/store access width in bytes
-	memSign  bool         // load sign-extends
-	cycles   uint8        // isa.Cycles(in)
-	cyclesNT uint8        // isa.CyclesNotTaken(in)
-	targetOK bool
+	index   int32  // instruction index within the block
+	k       int32  // this instruction's first uop (its guard, if any) in engine.uops
 	// sb indexes engine.super when this slot heads a fused run, -1
-	// otherwise (superblock.go). Only head slots carry a descriptor — a
-	// jump into the middle of a run falls back to slot dispatch.
-	sb int32
+	// otherwise. Only head slots carry a descriptor — a jump into the
+	// middle of a run dispatches length-1 descriptors.
+	sb       int32
+	w        uint8 // uops of this instruction: 2 with a guard, else 1
+	fetchMem power.Memory
+	// head marks a statically known entry point: a fused run may start
+	// here but never continue across it.
+	head bool
 }
 
 // engine holds the predecoded tables for the two code regions plus the
@@ -64,19 +55,39 @@ type engine struct {
 	flashBase, ramBase uint32
 	flashLen, ramLen   uint32 // code byte extents (table covers len>>1 slots)
 
+	// uops holds the lowered instructions — one uop each, a guard first
+	// for IT-predicated ones — flash region first, each region in address
+	// order, so a fused run is a window of it. order parallels it with
+	// each uop's slot.
+	uops  []uop
+	order []*slot
+
 	// blockCounts is the dense form of Stats.BlockCounts, indexed by
 	// layout.Placed.ID and materialized into the public map form only
 	// when a run completes.
 	blockCounts []uint64
 
-	// super holds the fused straight-line run descriptors, indexed by
-	// slot.sb (superblock.go). Rebuilt with the tables on SetImage.
-	super []superblock
+	// super holds the fused run descriptors, indexed by slot.sb. entries
+	// backs the descriptors' block-entry windows: first each uop's block
+	// ID in uops order (a length-1 window), then each fused run's
+	// compacted list. Rebuilt with the tables on
+	// SetImage.
+	super   []superblock
+	entries []int32
+
+	// epc is the energy charged per cycle (nJ), by fetch memory, class
+	// and data memory outcome (power.Flash, RAM, None).
+	epc [2][isa.NumClasses][3]float64
+
+	// entry is the program entry address, valid iff entryOK.
+	entry   uint32
+	entryOK bool
+
+	splits []uint32 // predecode scratch: statically known entry points
 }
 
 // slotAt resolves a fetch address against the predecoded tables. It
-// returns nil exactly when the reference interpreter's per-address map
-// lookup missed: odd addresses, addresses outside the code regions, and
+// returns nil for odd addresses, addresses outside the code regions, and
 // addresses inside them that are not an instruction start.
 func (m *Machine) slotAt(pc uint32) *slot { return m.eng.slotAt(pc) }
 
@@ -112,93 +123,118 @@ func (m *Machine) predecode() {
 	e := &m.eng
 	e.flashBase, e.flashLen = img.CodeBounds(power.Flash)
 	e.ramBase, e.ramLen = img.CodeBounds(power.RAM)
-	e.flash = resizeSlots(e.flash, int(e.flashLen+1)>>1)
-	e.ram = resizeSlots(e.ram, int(e.ramLen+1)>>1)
-	e.blockCounts = resizeCounts(e.blockCounts, len(img.Blocks))
+	e.flash = resize(e.flash, int(e.flashLen+1)>>1)
+	e.ram = resize(e.ram, int(e.ramLen+1)>>1)
+	e.blockCounts = resize(e.blockCounts, len(img.Blocks))
+	e.entry, e.entryOK = img.Symbols[img.Prog.Entry]
 
-	// Per (fetchMem, class, dataMem) energy table, shared by every slot
-	// with that outcome. The expression mirrors the reference loop's
-	// EnergyPerCycle(InstrPower(...)) exactly, for bit-identical charges.
-	var epc [2][isa.NumClasses][3]float64
+	// Per (fetchMem, class, dataMem) energy table, shared by every uop
+	// with that outcome.
 	for fm := power.Flash; fm <= power.RAM; fm++ {
 		for cl := isa.Class(0); cl < isa.NumClasses; cl++ {
 			for dm := 0; dm < 3; dm++ {
-				epc[fm][cl][dm] = prof.EnergyPerCycle(prof.InstrPower(fm, cl, power.Memory(dm)))
+				e.epc[fm][cl][dm] = prof.EnergyPerCycle(prof.InstrPower(fm, cl, power.Memory(dm)))
 			}
 		}
 	}
 
+	n := 0
 	for _, pl := range img.Blocks {
 		fetchMem, tbl, base := power.Flash, e.flash, e.flashBase
 		if pl.InRAM {
 			fetchMem, tbl, base = power.RAM, e.ram, e.ramBase
 		}
 		for i := range pl.Block.Instrs {
-			in := &pl.Block.Instrs[i]
-			s := &tbl[(pl.InstrAddrs[i]-base)>>1]
-			cl := isa.ClassOf(in.Op)
-			*s = slot{
+			tbl[(pl.InstrAddrs[i]-base)>>1] = slot{
 				pl:       pl,
-				in:       in,
-				epc:      epc[fetchMem][cl],
 				seqNext:  pl.InstrAddrs[i] + uint32(pl.InstrSize(i)),
 				index:    int32(i),
-				blockID:  int32(pl.ID),
-				op:       in.Op,
-				class:    cl,
-				fetchMem: fetchMem,
-				cycles:   uint8(isa.Cycles(in)),
-				cyclesNT: uint8(isa.CyclesNotTaken(in)),
 				sb:       -1,
+				fetchMem: fetchMem,
 			}
+		}
+		n += len(pl.Block.Instrs)
+	}
+
+	// Lower every instruction in address order, region by region, and
+	// collect the statically known entry points: resolved branch targets,
+	// call-return addresses, ADR results and symbol-valued LDRLIT results
+	// (potential computed jumps), and the entry point. Value-only LDRLIT
+	// constants are excluded — they are data, and splitting at whatever
+	// code address they happen to alias would chop runs for nothing.
+	e.uops, e.order, e.entries = resize(e.uops, n)[:0], resize(e.order, n)[:0], resize(e.entries, n)[:0]
+	e.splits = append(e.splits[:0], e.entry)
+	var bounds [3]int
+	for r, tbl := range [2][]slot{e.flash, e.ram} {
+		for h := range tbl {
+			s := &tbl[h]
+			if s.pl == nil {
+				continue
+			}
+			in := &s.pl.Block.Instrs[s.index]
+			var target uint32
+			var targetOK bool
+			litMem := s.fetchMem
 			switch in.Op {
-			case isa.B, isa.CBZ, isa.CBNZ, isa.BL:
-				s.target, s.targetOK = img.Symbols[in.Sym]
-			case isa.ADR:
-				s.target, s.targetOK = img.Symbols[in.Sym]
+			case isa.B, isa.CBZ, isa.CBNZ, isa.BL, isa.ADR:
+				target, targetOK = img.Symbols[in.Sym]
+				if targetOK {
+					e.splits = append(e.splits, target)
+				}
 			case isa.LDRLIT:
 				// The pool travels with its block unless the slot address
-				// resolves elsewhere — same rule as the reference loop.
-				s.litMem = fetchMem
-				if la := pl.LitAddrs[i]; la != 0 {
+				// resolves elsewhere.
+				if la := s.pl.LitAddrs[s.index]; la != 0 {
 					if mm, ok := img.MemoryOf(la); ok {
-						s.litMem = mm
+						litMem = mm
 					}
 				}
 				if in.Sym != "" {
-					s.target, s.targetOK = img.Symbols[in.Sym]
+					target, targetOK = img.Symbols[in.Sym]
+					if targetOK {
+						e.splits = append(e.splits, target)
+					}
 				} else {
-					s.target, s.targetOK = uint32(in.Imm), true
+					target, targetOK = uint32(in.Imm), true
 				}
-			case isa.LDR, isa.LDRB, isa.LDRH, isa.LDRSB, isa.LDRSH,
-				isa.STR, isa.STRB, isa.STRH:
-				size, signed := memWidth(in.Op)
-				s.memSize, s.memSign = uint8(size), signed
 			}
+			if in.Op == isa.BL || in.Op == isa.BLX {
+				e.splits = append(e.splits, s.seqNext)
+			}
+			s.k, s.w = int32(len(e.uops)), 1
+			u := lower(in, s.fetchMem, litMem, &e.epc[s.fetchMem][isa.ClassOf(in.Op)], target, targetOK)
+			if g, ok := guard(in, &u); ok {
+				s.w = 2
+				e.uops = append(e.uops, g)
+				e.order = append(e.order, s)
+				e.entries = append(e.entries, int32(s.pl.ID))
+			}
+			e.uops = append(e.uops, u)
+			e.order = append(e.order, s)
+			e.entries = append(e.entries, int32(s.pl.ID))
+		}
+		bounds[r+1] = len(e.uops)
+	}
+	for _, a := range e.splits {
+		if s := e.slotAt(a); s != nil {
+			s.head = true
 		}
 	}
 
-	// With every target resolved, fuse straight-line runs into
-	// superblock descriptors (superblock.go). The one symbol lookup here
-	// is per-SetImage, not per-instruction: fuse itself reads only the
-	// resolved slots.
-	m.fuse(img.Symbols[img.Prog.Entry])
+	// With every uop lowered, fuse straight-line runs into superblock
+	// descriptors and chain them.
+	e.super = e.super[:0]
+	e.fuse(bounds[0], bounds[1], power.Flash)
+	e.fuse(bounds[1], bounds[2], power.RAM)
+	e.link()
 }
 
-// resizeSlots reuses the backing array across SetImage calls when it is
-// big enough (the session pipeline retargets one machine per run).
-func resizeSlots(s []slot, n int) []slot {
+// resize reuses the backing array across SetImage calls when it is big
+// enough (the session pipeline retargets one machine per run) and
+// returns it cleared.
+func resize[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]slot, n)
-	}
-	s = s[:n]
-	clear(s)
-	return s
-}
-
-func resizeCounts(s []uint64, n int) []uint64 {
-	if cap(s) < n {
-		return make([]uint64, n)
+		return make([]T, n)
 	}
 	s = s[:n]
 	clear(s)

@@ -1,5 +1,5 @@
 // Package sim is this reproduction's stand-in for the paper's
-// power-instrumented Cortex-M3 board: a cycle-level interpreter for the
+// power-instrumented Cortex-M3 board: a cycle-level simulator for the
 // laid-out program image that charges every cycle the power of the memory
 // it fetches from (internal/power), models the single-port RAM contention
 // stall on loads executed from RAM (the paper's Lb effect), pays the
@@ -7,9 +7,11 @@
 // execution frequencies (the profiler behind the "w/Frequency" results in
 // Figure 5).
 //
-// Execution runs over a predecoded instruction table (see predecode.go):
-// the image is compiled once per SetImage into dense per-memory slot
-// arrays, and the run loop is a pure array-indexed dispatch with no map
+// The image is compiled once per SetImage into dense per-memory slot
+// tables and one micro-op per instruction (predecode.go), and every
+// instruction executes through one uop executor (superblock.go): fused
+// straight-line runs as one descriptor, everything else as length-1
+// descriptors. The run loop is a pure array-indexed dispatch with no map
 // lookups, closures or symbol resolution per instruction.
 package sim
 
@@ -57,15 +59,15 @@ type Event struct {
 }
 
 // Observer receives one Event per executed instruction. A nil observer
-// (the default) keeps the simulator on its fast path; Run's inner loop
-// only pays a nil check per instruction.
+// (the default) keeps the simulator on its fused fast path; the dispatch
+// loop pays a nil check per descriptor, the uop loop none.
 type Observer interface {
 	Event(*Event)
 }
 
 // Attach installs an observer (nil detaches). Attach before Run; events
 // are emitted for every charged instruction, including failed-predication
-// issue cycles.
+// issue cycles, and force one-instruction-at-a-time dispatch.
 func (m *Machine) Attach(o Observer) { m.obs = o }
 
 // Machine is one simulated SoC instance.
@@ -76,10 +78,12 @@ type Machine struct {
 	// MaxInstrs aborts runaway programs (0 = default 500 million).
 	MaxInstrs uint64
 
-	// NoFuse forces slot-by-slot dispatch even where superblock
-	// descriptors exist (superblock.go) — the differential-testing knob
-	// behind beebsbench -nofuse. An attached observer bypasses fusion
-	// regardless, since the event stream is per-instruction.
+	// NoFuse dispatches every instruction as a length-1 descriptor even
+	// where fused runs exist (superblock.go) — the differential-testing
+	// knob behind beebsbench -nofuse, which checks the fusion boundaries
+	// (pre-aggregated cycles, chaining, partial-stats flushes, stop and
+	// poll gates). An attached observer forces length-1 dispatch
+	// regardless, since the event stream is per instruction.
 	NoFuse bool
 
 	regs  [isa.NumRegs]uint32
@@ -98,6 +102,14 @@ type Machine struct {
 	ev    Event // reused event buffer when obs != nil
 	stats Stats
 
+	// one is the reused length-1 descriptor runFrom dispatches unfused
+	// instructions through; oc is the outcome of the executor's last
+	// dynamic charge choice (ocMain/ocAlt/ocNT), and cycles0/stalls0 the
+	// counts before the last length-1 dispatch, read back for events.
+	one              superblock
+	oc               uint8
+	cycles0, stalls0 uint64
+
 	// stopCycles, when nonzero, pauses runFrom at the first instruction
 	// boundary whose executed-cycle count has reached it — the segment
 	// mechanism behind RunIntermittent (intermittent.go). pausePC holds
@@ -109,11 +121,12 @@ type Machine struct {
 	// polls counts cancellation-poll selects this run; the regression
 	// test beside TestSimCancellationOverhead pigeonholes it against the
 	// instruction count to prove no fused run stretched the poll
-	// interval past cancelCheckMask+1 dispatched slots.
+	// interval past cancelCheckMask+1 dispatched instructions.
 	polls uint64
-	// fusedInstrs counts instructions retired through superblocks this
-	// run (fusion-rate reporting; Stats stays byte-identical either way).
-	fusedInstrs uint64
+	// unfused counts instructions retired through length-1 descriptors
+	// this run; the rest retired fused (fusion-rate reporting; Stats stays
+	// byte-identical either way).
+	unfused uint64
 }
 
 // Stats aggregates one run.
@@ -196,19 +209,12 @@ func (m *Machine) SetImage(img *layout.Image) {
 	c := img.Config
 	m.flashBase, m.flashSize = c.FlashBase, uint32(c.FlashSize)
 	m.ramBase, m.ramSize = c.RAMBase, uint32(c.RAMSize)
-	m.flash = resizeBytes(m.flash, c.FlashSize)
-	m.ram = resizeBytes(m.ram, c.RAMSize)
+	m.flash = resize(m.flash, c.FlashSize)
+	m.ram = resize(m.ram, c.RAMSize)
 	if rebuild {
 		m.predecode()
 	}
 	m.reset()
-}
-
-func resizeBytes(b []byte, n int) []byte {
-	if cap(b) < n {
-		return make([]byte, n)
-	}
-	return b[:n]
 }
 
 func (m *Machine) reset() {
@@ -220,7 +226,7 @@ func (m *Machine) reset() {
 	clear(m.ram)
 	clear(m.eng.blockCounts)
 	m.stats = Stats{}
-	m.polls, m.fusedInstrs = 0, 0
+	m.polls, m.unfused = 0, 0
 
 	// Initialize globals.
 	for _, g := range m.Img.Prog.Globals {
@@ -270,7 +276,7 @@ func (m *Machine) pokeWord(addr uint32, w uint32) {
 // FusedInstructions reports how many of the current run's instructions
 // retired through superblock descriptors — fusion-rate reporting only;
 // Stats is byte-identical with fusion on or off.
-func (m *Machine) FusedInstructions() uint64 { return m.fusedInstrs }
+func (m *Machine) FusedInstructions() uint64 { return m.stats.Instructions - m.unfused }
 
 // Reg returns a register value (for tests and result extraction).
 func (m *Machine) Reg(r isa.Reg) uint32 { return m.regs[r] }
@@ -409,7 +415,7 @@ func (m *Machine) Run() (*Stats, error) {
 
 // cancelCheckMask gates the run loop's cancellation poll: the context is
 // checked once every 4096 dispatched instructions, so the fast path pays a
-// nil test and mask per instruction and a cancelled run stops within at
+// nil test and compare per dispatch and a cancelled run stops within at
 // most 4096 further instructions.
 const cancelCheckMask = 4095
 
@@ -419,9 +425,9 @@ const cancelCheckMask = 4095
 // (errors.Is against context.Canceled / DeadlineExceeded both work) and
 // whose Block/Func name the instruction the stop landed on.
 func (m *Machine) RunContext(ctx context.Context) (*Stats, error) {
-	entry, ok := m.Img.Symbols[m.Img.Prog.Entry]
-	if !ok {
-		return nil, fmt.Errorf("sim: no entry symbol %q", m.Img.Prog.Entry)
+	entry, err := m.entry()
+	if err != nil {
+		return nil, err
 	}
 	if err := m.runFrom(ctx, entry); err != nil {
 		return nil, err
@@ -429,6 +435,14 @@ func (m *Machine) RunContext(ctx context.Context) (*Stats, error) {
 	st := m.stats
 	st.BlockCounts = m.blockCountsMap()
 	return &st, nil
+}
+
+// entry returns the program entry address, resolved at SetImage.
+func (m *Machine) entry() (uint32, error) {
+	if !m.eng.entryOK {
+		return 0, fmt.Errorf("sim: no entry symbol %q", m.Img.Prog.Entry)
+	}
+	return m.eng.entry, nil
 }
 
 // blockCountsMap materializes the dense per-block counters into the
@@ -446,472 +460,6 @@ func (m *Machine) blockCountsMap() map[string]uint64 {
 
 // TimeSeconds converts collected cycles to seconds at this profile's clock.
 func (m *Machine) TimeSeconds(s *Stats) float64 { return s.timeSeconds(m.Profile.ClockHz) }
-
-func (m *Machine) runFrom(ctx context.Context, entry uint32) error {
-	maxInstrs := m.MaxInstrs
-	if maxInstrs == 0 {
-		maxInstrs = 500_000_000
-	}
-	// stop is the executed-cycle pause mark (intermittent segments);
-	// zero means none and degrades to a never-reached sentinel so the
-	// hot loop pays one compare either way.
-	stop := m.stopCycles
-	if stop == 0 {
-		stop = ^uint64(0)
-	}
-	done := ctx.Done() // nil for context.Background: poll compiles out
-	counts := m.eng.blockCounts
-	super := m.eng.super
-	// Fused dispatch needs per-instruction observer events off and the
-	// differential knob unset; both are fixed for the whole run.
-	fuse := m.obs == nil && !m.NoFuse
-	// nextPoll is the instruction count at which the context must be
-	// polled again. Re-arming it after every poll (instead of masking
-	// the count) keeps the <= cancelCheckMask+1 dispatched-slots
-	// guarantee when superblocks retire thousands of instructions at
-	// once: a run that would cross the mark polls before dispatching.
-	var nextPoll uint64
-	pc := entry
-	var last *slot // previous instruction, for wild-jump faults
-	for {
-		if pc == exitLR {
-			return nil
-		}
-		s := m.slotAt(pc)
-		if s == nil {
-			f := &Fault{PC: pc, Reason: "jump to non-instruction address"}
-			if last != nil {
-				f.locate(last.ref()) // blame the transferring block
-			}
-			return f
-		}
-		if fuse && s.sb >= 0 {
-			sb := &super[s.sb]
-			// A run that would cross MaxInstrs falls through to slot
-			// dispatch so the limit faults on the exact instruction; one
-			// whose worst-case cycle bound could reach the stop mark
-			// falls through so the boundary instruction slot-dispatches
-			// identically in both engines.
-			if m.stats.Instructions+sb.n <= maxInstrs && m.stats.Cycles+sb.maxCycles < stop {
-				if done != nil && m.stats.Instructions+sb.n > nextPoll {
-					m.polls++
-					select {
-					case <-done:
-						cause := context.Cause(ctx)
-						f := &Fault{PC: pc, Reason: "run cancelled: " + cause.Error(), Cause: cause}
-						f.locate(s.ref())
-						return f
-					default:
-					}
-					nextPoll = m.stats.Instructions + cancelCheckMask + 1
-				}
-				// The chain inside runSuperblock may not cross the nearer
-				// of the poll mark and the instruction limit; it returns
-				// at the boundary and this loop polls or faults there.
-				limit := maxInstrs
-				if done != nil && nextPoll < limit {
-					limit = nextPoll
-				}
-				next, tail, f := m.runSuperblock(sb, limit, stop)
-				if f != nil {
-					return f // located by flushFault
-				}
-				last = tail
-				pc = next
-				continue
-			}
-		}
-		// The pause rule: an instruction executes iff its pre-execution
-		// cycle count is below the stop mark. It depends only on Stats,
-		// so fused and slot dispatch pause at the same boundary.
-		if m.stats.Cycles >= stop {
-			m.pausePC = pc
-			return errStopCycles
-		}
-		if m.stats.Instructions >= maxInstrs {
-			f := &Fault{PC: pc, Reason: fmt.Sprintf("instruction limit %d exceeded", maxInstrs)}
-			f.locate(s.ref())
-			return f
-		}
-		if done != nil && m.stats.Instructions >= nextPoll {
-			m.polls++
-			select {
-			case <-done:
-				cause := context.Cause(ctx)
-				f := &Fault{PC: pc, Reason: "run cancelled: " + cause.Error(), Cause: cause}
-				f.locate(s.ref())
-				return f
-			default:
-			}
-			nextPoll = m.stats.Instructions + cancelCheckMask + 1
-		}
-		if s.index == 0 {
-			counts[s.blockID]++
-		}
-		next, err := m.step(s, pc)
-		if err != nil {
-			if f, ok := err.(*Fault); ok {
-				f.locate(s.ref())
-			}
-			return err
-		}
-		last = s
-		pc = next
-	}
-}
-
-// chargeState carries the per-step attribution inputs the charge path
-// needs beyond the slot: the PC, the contention stall and the
-// taken-branch flag. It lives on the step frame — no per-step allocation.
-type chargeState struct {
-	s     *slot
-	pc    uint32
-	stall uint64
-	taken bool
-}
-
-// charge accounts one instruction: cycles, per-memory/class split, energy
-// (from the slot's precomputed per-cycle table) and the observer event.
-func (m *Machine) charge(cs *chargeState, cycles int, dataMem power.Memory) {
-	s := cs.s
-	m.stats.Instructions++
-	m.stats.Cycles += uint64(cycles)
-	m.stats.CyclesByMem[s.fetchMem][s.class] += uint64(cycles)
-	e := float64(cycles) * s.epc[dataMem]
-	m.stats.EnergyNJ += e
-	if m.obs != nil {
-		m.ev = Event{
-			Block: s.pl, Index: int(s.index), PC: cs.pc,
-			Class: s.class, FetchMem: s.fetchMem, DataMem: dataMem,
-			Cycles: uint64(cycles), Stall: cs.stall,
-			EnergyNJ: e, Taken: cs.taken, BlockEntry: s.index == 0,
-		}
-		m.obs.Event(&m.ev)
-	}
-}
-
-// chargeLoad adds the RAM-contention stall when both the fetch and the
-// data access hit RAM (single RAM port; paper §4, Eq. 6).
-func (m *Machine) chargeLoad(cs *chargeState, dataMem power.Memory, baseCycles int) {
-	cyc := baseCycles
-	if cs.s.fetchMem == power.RAM && dataMem == power.RAM {
-		cyc += isa.RAMContentionStall
-		cs.stall = isa.RAMContentionStall
-		m.stats.ContentionStalls++
-	}
-	m.charge(cs, cyc, dataMem)
-}
-
-// step executes one predecoded instruction, charges cycles and energy,
-// and returns the next PC.
-func (m *Machine) step(s *slot, pc uint32) (uint32, error) {
-	in := s.in
-	seqNext := s.seqNext
-	cs := chargeState{s: s, pc: pc}
-
-	// Predication: a failed condition costs one issue cycle, no effects.
-	// (Conditional branches handle their own taken/not-taken charging.)
-	if in.Cond != isa.AL && s.op != isa.B {
-		if !in.Cond.Holds(m.n, m.z, m.c, m.v) {
-			m.charge(&cs, int(s.cyclesNT), power.None)
-			return seqNext, nil
-		}
-	}
-
-	switch s.op {
-	case isa.NOP, isa.IT,
-		isa.MOV, isa.MVN, isa.SXTB, isa.SXTH, isa.UXTB, isa.UXTH, isa.CLZ,
-		isa.ADD, isa.ADC, isa.SUB, isa.SBC, isa.RSB, isa.MUL, isa.MLA,
-		isa.SDIV, isa.UDIV, isa.AND, isa.ORR, isa.EOR, isa.BIC,
-		isa.LSL, isa.LSR, isa.ASR, isa.ROR,
-		isa.CMP, isa.CMN, isa.TST:
-		// Data-processing effects are shared with the superblock engine
-		// (execALU); every one of these charges (cycles, power.None).
-		m.execALU(s)
-		m.charge(&cs, int(s.cycles), power.None)
-		return seqNext, nil
-
-	case isa.LDR, isa.LDRB, isa.LDRH, isa.LDRSB, isa.LDRSH:
-		addr := m.effAddr(in)
-		v, dataMem, err := m.load(addr, int(s.memSize), s.memSign)
-		if err != nil {
-			return 0, &Fault{PC: pc, Reason: err.Error()}
-		}
-		m.regs[in.Rd] = v
-		m.chargeLoad(&cs, dataMem, int(s.cycles))
-		return seqNext, nil
-
-	case isa.STR, isa.STRB, isa.STRH:
-		addr := m.effAddr(in)
-		dataMem, err := m.store(addr, m.regs[in.Rd], int(s.memSize))
-		if err != nil {
-			return 0, &Fault{PC: pc, Reason: err.Error()}
-		}
-		m.charge(&cs, int(s.cycles), dataMem)
-		return seqNext, nil
-
-	case isa.LDRLIT:
-		if !s.targetOK {
-			return 0, &Fault{PC: pc, Reason: fmt.Sprintf("unresolved literal %q", in.Sym)}
-		}
-		if in.Rd == isa.PC {
-			cs.taken = true
-			m.chargeLoad(&cs, s.litMem, int(s.cycles))
-			return s.target, nil
-		}
-		m.regs[in.Rd] = s.target
-		m.chargeLoad(&cs, s.litMem, int(s.cycles))
-		return seqNext, nil
-
-	case isa.ADR:
-		if !s.targetOK {
-			return 0, &Fault{PC: pc, Reason: fmt.Sprintf("unresolved adr %q", in.Sym)}
-		}
-		m.regs[in.Rd] = s.target
-		m.charge(&cs, int(s.cycles), power.None)
-		return seqNext, nil
-
-	case isa.PUSH:
-		count := popCount(in.RegList)
-		sp := m.regs[isa.SP] - 4*uint32(count)
-		a := sp
-		for r := isa.Reg(0); r < isa.NumRegs; r++ {
-			if in.RegList&(1<<r) != 0 {
-				if _, err := m.store(a, m.regs[r], 4); err != nil {
-					return 0, &Fault{PC: pc, Reason: err.Error()}
-				}
-				a += 4
-			}
-		}
-		m.regs[isa.SP] = sp
-		m.charge(&cs, int(s.cycles), power.RAM)
-		return seqNext, nil
-
-	case isa.POP:
-		a := m.regs[isa.SP]
-		var newPC uint32
-		gotPC := false
-		for r := isa.Reg(0); r < isa.NumRegs; r++ {
-			if in.RegList&(1<<r) != 0 {
-				v, _, err := m.load(a, 4, false)
-				if err != nil {
-					return 0, &Fault{PC: pc, Reason: err.Error()}
-				}
-				if r == isa.PC {
-					newPC = v &^ 1
-					gotPC = true
-				} else {
-					m.regs[r] = v
-				}
-				a += 4
-			}
-		}
-		m.regs[isa.SP] = a
-		cs.taken = gotPC
-		m.chargeLoad(&cs, power.RAM, int(s.cycles))
-		if gotPC {
-			return newPC, nil
-		}
-		return seqNext, nil
-
-	case isa.B:
-		if in.Cond == isa.AL || in.Cond.Holds(m.n, m.z, m.c, m.v) {
-			cs.taken = true
-			m.charge(&cs, int(s.cycles), power.None)
-			return m.branchTarget(s, pc)
-		}
-		m.charge(&cs, int(s.cyclesNT), power.None)
-		return seqNext, nil
-
-	case isa.CBZ, isa.CBNZ:
-		if (m.regs[in.Rn] == 0) == (s.op == isa.CBZ) {
-			cs.taken = true
-			m.charge(&cs, int(s.cycles), power.None)
-			return m.branchTarget(s, pc)
-		}
-		m.charge(&cs, int(s.cyclesNT), power.None)
-		return seqNext, nil
-
-	case isa.BL:
-		m.regs[isa.LR] = seqNext
-		cs.taken = true
-		m.charge(&cs, int(s.cycles), power.None)
-		return m.branchTarget(s, pc)
-
-	case isa.BLX:
-		m.regs[isa.LR] = seqNext
-		cs.taken = true
-		m.charge(&cs, int(s.cycles), power.None)
-		return m.regs[in.Rm] &^ 1, nil
-
-	case isa.BX:
-		cs.taken = true
-		m.charge(&cs, int(s.cycles), power.None)
-		return m.regs[in.Rm] &^ 1, nil
-	}
-	return 0, &Fault{PC: pc, Reason: fmt.Sprintf("unimplemented op %v", s.op)}
-}
-
-// branchTarget returns the slot's predecode-resolved target. Unresolved
-// symbols fault on execution, as the interpret-on-fetch loop did.
-func (m *Machine) branchTarget(s *slot, pc uint32) (uint32, error) {
-	if !s.targetOK {
-		return 0, &Fault{PC: pc, Reason: fmt.Sprintf("branch to unresolved %q", s.in.Sym)}
-	}
-	return s.target, nil
-}
-
-// execALU applies the register and flag effects of one data-processing
-// instruction — the reference semantics the superblock compiler's
-// specialized uops (superblock.go) must reproduce and the differential
-// fuzz target checks them against. The caller has already settled
-// predication and does the charging itself.
-func (m *Machine) execALU(s *slot) {
-	in := s.in
-	switch s.op {
-	case isa.NOP, isa.IT:
-
-	case isa.MOV, isa.MVN, isa.SXTB, isa.SXTH, isa.UXTB, isa.UXTH, isa.CLZ:
-		src := m.operand2(in)
-		var v uint32
-		switch s.op {
-		case isa.MOV:
-			v = src
-		case isa.MVN:
-			v = ^src
-		case isa.SXTB:
-			v = uint32(int32(int8(src)))
-		case isa.SXTH:
-			v = uint32(int32(int16(src)))
-		case isa.UXTB:
-			v = src & 0xFF
-		case isa.UXTH:
-			v = src & 0xFFFF
-		case isa.CLZ:
-			v = clz(src)
-		}
-		m.regs[in.Rd] = v
-		if in.SetFlags {
-			m.setNZ(v)
-		}
-
-	case isa.ADD, isa.ADC, isa.SUB, isa.SBC, isa.RSB, isa.MUL, isa.MLA,
-		isa.SDIV, isa.UDIV, isa.AND, isa.ORR, isa.EOR, isa.BIC,
-		isa.LSL, isa.LSR, isa.ASR, isa.ROR:
-		a := m.regs[in.Rn]
-		b := m.operand2(in)
-		var v uint32
-		switch s.op {
-		case isa.ADD:
-			v = a + b
-			if in.SetFlags {
-				m.setAddFlags(a, b, 0)
-			}
-		case isa.ADC:
-			carry := uint32(0)
-			if m.c {
-				carry = 1
-			}
-			v = a + b + carry
-			if in.SetFlags {
-				m.setAddFlags(a, b, carry)
-			}
-		case isa.SUB:
-			v = a - b
-			if in.SetFlags {
-				m.setSubFlags(a, b)
-			}
-		case isa.SBC:
-			borrow := uint32(1)
-			if m.c {
-				borrow = 0
-			}
-			v = a - b - borrow
-		case isa.RSB:
-			v = b - a
-			if in.SetFlags {
-				m.setSubFlags(b, a)
-			}
-		case isa.MUL:
-			v = a * b
-		case isa.MLA:
-			v = m.regs[in.Rd] + a*b
-		case isa.SDIV:
-			if b == 0 {
-				v = 0 // ARM defines divide-by-zero result as 0
-			} else if int32(a) == -1<<31 && int32(b) == -1 {
-				v = a // overflow case: result is the dividend
-			} else {
-				v = uint32(int32(a) / int32(b))
-			}
-		case isa.UDIV:
-			if b == 0 {
-				v = 0
-			} else {
-				v = a / b
-			}
-		case isa.AND:
-			v = a & b
-		case isa.ORR:
-			v = a | b
-		case isa.EOR:
-			v = a ^ b
-		case isa.BIC:
-			v = a &^ b
-		case isa.LSL:
-			v = shiftL(a, b)
-		case isa.LSR:
-			v = shiftR(a, b)
-		case isa.ASR:
-			v = shiftAR(a, b)
-		case isa.ROR:
-			v = rotR(a, b)
-		}
-		m.regs[in.Rd] = v
-		if in.SetFlags {
-			switch s.op {
-			case isa.ADD, isa.ADC, isa.SUB, isa.RSB:
-				// full flags already set above (including C and V)
-			default:
-				m.setNZ(v)
-			}
-		}
-
-	case isa.CMP:
-		m.setSubFlags(m.regs[in.Rn], m.operand2(in))
-	case isa.CMN:
-		m.setAddFlags(m.regs[in.Rn], m.operand2(in), 0)
-	case isa.TST:
-		m.setNZ(m.regs[in.Rn] & m.operand2(in))
-	}
-}
-
-// operand2 evaluates the flexible second operand (register or immediate,
-// with optional shift).
-func (m *Machine) operand2(in *isa.Instr) uint32 {
-	if in.HasImm {
-		return uint32(in.Imm)
-	}
-	v := m.regs[in.Rm]
-	if in.Shift != 0 {
-		v <<= in.Shift
-	}
-	return v
-}
-
-// effAddr computes a load/store effective address.
-func (m *Machine) effAddr(in *isa.Instr) uint32 {
-	base := m.regs[in.Rn]
-	switch in.Mode {
-	case isa.AddrOffset:
-		return base + uint32(in.Imm)
-	case isa.AddrReg:
-		return base + m.regs[in.Rm]
-	case isa.AddrRegLSL:
-		return base + m.regs[in.Rm]<<in.Shift
-	}
-	return base
-}
 
 func (m *Machine) setNZ(v uint32) {
 	m.n = int32(v) < 0
@@ -949,25 +497,6 @@ func memWidth(op isa.Op) (size int, signed bool) {
 		return 2, true
 	}
 	return 4, false
-}
-
-func popCount(x uint16) int {
-	n := 0
-	for ; x != 0; x &= x - 1 {
-		n++
-	}
-	return n
-}
-
-func clz(x uint32) uint32 {
-	n := uint32(0)
-	for i := 31; i >= 0; i-- {
-		if x&(1<<uint(i)) != 0 {
-			break
-		}
-		n++
-	}
-	return n
 }
 
 func shiftL(a, b uint32) uint32 {

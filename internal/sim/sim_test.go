@@ -332,6 +332,239 @@ func TestArithmeticOps(t *testing.T) {
 	}
 }
 
+// TestISAOracle pins the edge cases of the instruction semantics with
+// hand-computed expected values, so the executor is checked against an
+// oracle independent of any second implementation. Each case loads its
+// input registers from literal constants, runs its body (r7 points at a
+// scratch buffer initialized from mem), returns, and is checked on
+// registers, the NZCV flags and the buffer.
+func TestISAOracle(t *testing.T) {
+	const (
+		r0, r1, r2, r3, r7 = isa.R0, isa.R1, isa.R2, isa.R3, isa.R7
+	)
+	rrr := func(op isa.Op, rd, rn, rm isa.Reg) isa.Instr {
+		return isa.Instr{Op: op, Rd: rd, Rn: rn, Rm: rm}
+	}
+	s := func(in isa.Instr) isa.Instr { in.SetFlags = true; return in }
+	cmp := func(rn, rm isa.Reg) isa.Instr { return isa.Instr{Op: isa.CMP, Rn: rn, Rm: rm} }
+	cmn := func(rn, rm isa.Reg) isa.Instr { return isa.Instr{Op: isa.CMN, Rn: rn, Rm: rm} }
+	unary := func(op isa.Op, rd, rm isa.Reg) isa.Instr {
+		return isa.Instr{Op: op, Rd: rd, Rn: isa.NoReg, Rm: rm}
+	}
+	mem := func(op isa.Op, rd isa.Reg, off int32) isa.Instr {
+		return isa.Instr{Op: op, Rd: rd, Rn: r7, Mode: isa.AddrOffset, Imm: off}
+	}
+	pred := func(c isa.Cond, in isa.Instr) isa.Instr { in.Cond = c; return in }
+	it := func(c isa.Cond) isa.Instr { return isa.Instr{Op: isa.IT, Cond: c} }
+	type regs map[isa.Reg]uint32
+	const intMin = 0x80000000
+
+	cases := []struct {
+		name  string
+		in    regs
+		body  []isa.Instr
+		want  regs
+		nzcv  string         // expected flags as "NZCV" bits, "" = unchecked
+		mem   []byte         // initial scratch buffer
+		words map[int]uint32 // expected buffer words by byte offset
+	}{
+		{name: "sdiv INT_MIN/-1", in: regs{r0: intMin, r1: 0xFFFFFFFF},
+			body: []isa.Instr{rrr(isa.SDIV, r2, r0, r1)}, want: regs{r2: intMin}},
+		{name: "sdiv by zero", in: regs{r0: 0xFFFFFF9C, r1: 0, r2: 7},
+			body: []isa.Instr{rrr(isa.SDIV, r2, r0, r1)}, want: regs{r2: 0}},
+		{name: "sdiv negative", in: regs{r0: 0xFFFFFF9C, r1: 7},
+			body: []isa.Instr{rrr(isa.SDIV, r2, r0, r1)}, want: regs{r2: 0xFFFFFFF2}}, // -100/7 = -14
+		{name: "udiv by zero", in: regs{r0: 100, r1: 0, r2: 7},
+			body: []isa.Instr{rrr(isa.UDIV, r2, r0, r1)}, want: regs{r2: 0}},
+		{name: "udiv unsigned", in: regs{r0: 0xFFFFFFFE, r1: 2},
+			body: []isa.Instr{rrr(isa.UDIV, r2, r0, r1)}, want: regs{r2: 0x7FFFFFFF}},
+
+		{name: "lsl by reg 0/31/32/255/256", in: regs{r0: 0x80000001, r1: 0, r2: 31, r3: 32, isa.R4: 255, isa.R5: 256},
+			body: []isa.Instr{rrr(isa.LSL, r1, r0, r1), rrr(isa.LSL, r2, r0, r2), rrr(isa.LSL, r3, r0, r3),
+				rrr(isa.LSL, isa.R4, r0, isa.R4), rrr(isa.LSL, isa.R5, r0, isa.R5)},
+			want: regs{r1: 0x80000001, r2: 0x80000000, r3: 0, isa.R4: 0, isa.R5: 0x80000001}},
+		{name: "lsr by reg 0/31/32/255", in: regs{r0: 0x80000001, r1: 0, r2: 31, r3: 32, isa.R4: 255},
+			body: []isa.Instr{rrr(isa.LSR, r1, r0, r1), rrr(isa.LSR, r2, r0, r2), rrr(isa.LSR, r3, r0, r3),
+				rrr(isa.LSR, isa.R4, r0, isa.R4)},
+			want: regs{r1: 0x80000001, r2: 1, r3: 0, isa.R4: 0}},
+		{name: "asr by reg 0/31/32/255", in: regs{r0: 0x80000001, r1: 0, r2: 31, r3: 32, isa.R4: 255, isa.R5: 0x40000000, isa.R6: 32},
+			body: []isa.Instr{rrr(isa.ASR, r1, r0, r1), rrr(isa.ASR, r2, r0, r2), rrr(isa.ASR, r3, r0, r3),
+				rrr(isa.ASR, isa.R4, r0, isa.R4), rrr(isa.ASR, isa.R6, isa.R5, isa.R6)},
+			want: regs{r1: 0x80000001, r2: 0xFFFFFFFF, r3: 0xFFFFFFFF, isa.R4: 0xFFFFFFFF, isa.R6: 0}},
+		{name: "ror by reg 0/1/32", in: regs{r0: 0x80000001, r1: 0, r2: 1, r3: 32},
+			body: []isa.Instr{rrr(isa.ROR, r1, r0, r1), rrr(isa.ROR, r2, r0, r2), rrr(isa.ROR, r3, r0, r3)},
+			want: regs{r1: 0x80000001, r2: 0xC0000000, r3: 0x80000001}},
+
+		// cmp r0, r0 sets C (no borrow); cmp r3, r0 with r3 < r0 clears it.
+		{name: "adc carry set", in: regs{r0: 5, r1: 10, r2: 20},
+			body: []isa.Instr{cmp(r0, r0), rrr(isa.ADC, r3, r1, r2)}, want: regs{r3: 31}},
+		{name: "adc carry clear", in: regs{r0: 5, r1: 10, r2: 20, r3: 0},
+			body: []isa.Instr{cmp(r3, r0), rrr(isa.ADC, r3, r1, r2)}, want: regs{r3: 30}},
+		{name: "sbc carry set", in: regs{r0: 5, r1: 10, r2: 3},
+			body: []isa.Instr{cmp(r0, r0), rrr(isa.SBC, r3, r1, r2)}, want: regs{r3: 7}},
+		{name: "sbc carry clear", in: regs{r0: 5, r1: 10, r2: 3, r3: 0},
+			body: []isa.Instr{cmp(r3, r0), rrr(isa.SBC, r3, r1, r2)}, want: regs{r3: 6}},
+		{name: "adcs carry out", in: regs{r0: 5, r1: 0xFFFFFFFF, r2: 0},
+			body: []isa.Instr{cmp(r0, r0), s(rrr(isa.ADC, r3, r1, r2))}, want: regs{r3: 0}, nzcv: "0110"},
+
+		{name: "adds signed overflow", in: regs{r0: 0x7FFFFFFF, r1: 1},
+			body: []isa.Instr{s(rrr(isa.ADD, r2, r0, r1))}, want: regs{r2: intMin}, nzcv: "1001"},
+		{name: "adds unsigned wrap", in: regs{r0: 0xFFFFFFFF, r1: 1},
+			body: []isa.Instr{s(rrr(isa.ADD, r2, r0, r1))}, want: regs{r2: 0}, nzcv: "0110"},
+		{name: "adds both overflow", in: regs{r0: intMin, r1: intMin},
+			body: []isa.Instr{s(rrr(isa.ADD, r2, r0, r1))}, want: regs{r2: 0}, nzcv: "0111"},
+		{name: "subs signed overflow", in: regs{r0: intMin, r1: 1},
+			body: []isa.Instr{s(rrr(isa.SUB, r2, r0, r1))}, want: regs{r2: 0x7FFFFFFF}, nzcv: "0011"},
+		{name: "subs borrow", in: regs{r0: 0, r1: 1},
+			body: []isa.Instr{s(rrr(isa.SUB, r2, r0, r1))}, want: regs{r2: 0xFFFFFFFF}, nzcv: "1000"},
+		{name: "rsbs borrow", in: regs{r0: 1},
+			body: []isa.Instr{s(isa.Instr{Op: isa.RSB, Rd: r2, Rn: r0, HasImm: true})}, want: regs{r2: 0xFFFFFFFF}, nzcv: "1000"},
+		{name: "rsbs negate INT_MIN", in: regs{r0: intMin},
+			body: []isa.Instr{s(isa.Instr{Op: isa.RSB, Rd: r2, Rn: r0, HasImm: true})}, want: regs{r2: intMin}, nzcv: "1001"},
+		{name: "cmn signed overflow", in: regs{r0: 0x7FFFFFFF, r1: 1},
+			body: []isa.Instr{cmn(r0, r1)}, nzcv: "1001"},
+		{name: "cmn unsigned wrap", in: regs{r0: 0xFFFFFFFF, r1: 1},
+			body: []isa.Instr{cmn(r0, r1)}, nzcv: "0110"},
+		{name: "cmp equal", in: regs{r0: 5, r1: 5}, body: []isa.Instr{cmp(r0, r1)}, nzcv: "0110"},
+		{name: "cmp signed overflow", in: regs{r0: intMin, r1: 1}, body: []isa.Instr{cmp(r0, r1)}, nzcv: "0011"},
+		{name: "cmp borrow", in: regs{r0: 0, r1: 1}, body: []isa.Instr{cmp(r0, r1)}, nzcv: "1000"},
+
+		{name: "sxth/uxth/clz of 0", in: regs{r0: 0, r1: 9, r2: 9, r3: 9},
+			body: []isa.Instr{unary(isa.SXTH, r1, r0), unary(isa.UXTH, r2, r0), unary(isa.CLZ, r3, r0)},
+			want: regs{r1: 0, r2: 0, r3: 32}},
+		{name: "sxth/uxth/clz of INT_MIN", in: regs{r0: intMin},
+			body: []isa.Instr{unary(isa.SXTH, r1, r0), unary(isa.UXTH, r2, r0), unary(isa.CLZ, r3, r0)},
+			want: regs{r1: 0, r2: 0, r3: 0}},
+		{name: "sxth/uxth of 0xffff8000", in: regs{r0: 0xFFFF8000},
+			body: []isa.Instr{unary(isa.SXTH, r1, r0), unary(isa.UXTH, r2, r0)},
+			want: regs{r1: 0xFFFF8000, r2: 0x8000}},
+		{name: "clz immediate", body: []isa.Instr{{Op: isa.CLZ, Rd: r1, Rn: isa.NoReg, Imm: 0x00010000, HasImm: true}},
+			want: regs{r1: 15}},
+
+		{name: "ldrsb/ldrsh sign extension", mem: []byte{0x80, 0x7F, 0x00, 0x80, 0xFF, 0x7F, 0, 0},
+			body: []isa.Instr{mem(isa.LDRSB, r0, 0), mem(isa.LDRSB, r1, 1), mem(isa.LDRSH, r2, 2), mem(isa.LDRSH, r3, 4)},
+			want: regs{r0: 0xFFFFFF80, r1: 0x7F, r2: 0xFFFF8000, r3: 0x7FFF}},
+		{name: "ldrb/ldrh zero extension", mem: []byte{0x80, 0x7F, 0x00, 0x80, 0, 0, 0, 0},
+			body: []isa.Instr{mem(isa.LDRB, r0, 0), mem(isa.LDRH, r2, 2)},
+			want: regs{r0: 0x80, r2: 0x8000}},
+
+		// cmp r0, r0 sets Z: the ne-predicated access must not happen.
+		{name: "predicated load fails", in: regs{r0: 1, r1: 0x1234}, mem: []byte{0xEF, 0xBE, 0xAD, 0xDE},
+			body: []isa.Instr{cmp(r0, r0), it(isa.NE), pred(isa.NE, mem(isa.LDR, r1, 0))},
+			want: regs{r1: 0x1234}, nzcv: "0110", words: map[int]uint32{0: 0xDEADBEEF}},
+		{name: "predicated store fails", in: regs{r0: 1, r1: 0x1234}, mem: []byte{0xEF, 0xBE, 0xAD, 0xDE},
+			body: []isa.Instr{cmp(r0, r0), it(isa.NE), pred(isa.NE, mem(isa.STR, r1, 0))},
+			want: regs{r1: 0x1234}, words: map[int]uint32{0: 0xDEADBEEF}},
+		{name: "predicated load passes", in: regs{r0: 1, r1: 0x1234}, mem: []byte{0xEF, 0xBE, 0xAD, 0xDE},
+			body: []isa.Instr{cmp(r0, r0), it(isa.EQ), pred(isa.EQ, mem(isa.LDR, r1, 0))},
+			want: regs{r1: 0xDEADBEEF}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := ir.NewProgram()
+			f := p.AddFunc(&ir.Function{Name: "main"})
+			b := f.AddBlock("entry")
+			bb := ir.Build(b)
+			for r := isa.R0; r <= isa.R6; r++ {
+				if v, ok := tc.in[r]; ok {
+					bb.LdrConst(r, int32(v))
+				}
+			}
+			buf := tc.mem
+			if buf == nil {
+				buf = make([]byte, 4)
+			}
+			p.AddGlobal(&ir.Global{Name: "scratch", Size: len(buf), Init: buf})
+			bb.LdrLit(r7, "scratch")
+			for _, in := range tc.body {
+				b.Append(in)
+			}
+			bb.Ret()
+			p.Reindex()
+
+			m, _ := run(t, p, nil)
+			for r, w := range tc.want {
+				if got := m.Reg(r); got != w {
+					t.Errorf("%v = %#x, want %#x", r, got, w)
+				}
+			}
+			if tc.nzcv != "" {
+				bit := func(b bool) byte {
+					if b {
+						return '1'
+					}
+					return '0'
+				}
+				got := string([]byte{bit(m.n), bit(m.z), bit(m.c), bit(m.v)})
+				if got != tc.nzcv {
+					t.Errorf("NZCV = %s, want %s", got, tc.nzcv)
+				}
+			}
+			base := m.Img.Symbols["scratch"]
+			for off, w := range tc.words {
+				if got, _ := m.ReadWord(base + uint32(off)); got != w {
+					t.Errorf("scratch[%d] = %#x, want %#x", off, got, w)
+				}
+			}
+		})
+	}
+}
+
+// TestPredicatedFailCharge: a failed predicated load charges one issue
+// cycle at its own class with no data access and no stall, exactly like
+// any failed predicate — observed per instruction through the event
+// stream, from RAM so a stall would show.
+func TestPredicatedFailCharge(t *testing.T) {
+	p := ir.NewProgram()
+	fn := p.AddFunc(&ir.Function{Name: "ramfn"})
+	b := fn.AddBlock("ramfn_body")
+	ir.Build(b).LdrLit(isa.R1, "buf").CmpImm(isa.R1, 0) // buf != 0: NE holds, EQ fails
+	b.Append(isa.Instr{Op: isa.IT, Cond: isa.EQ, ITMask: "e"})
+	b.Append(isa.Instr{Op: isa.LDR, Cond: isa.EQ, Rd: isa.R0, Rn: isa.R1, Mode: isa.AddrOffset})
+	b.Append(isa.Instr{Op: isa.LDR, Cond: isa.NE, Rd: isa.R2, Rn: isa.R1, Mode: isa.AddrOffset})
+	ir.Build(b).Ret()
+	mn := p.AddFunc(&ir.Function{Name: "main"})
+	ir.Build(mn.AddBlock("main_entry")).
+		Push(isa.R4, isa.LR).
+		LdrLit(isa.R4, "ramfn").
+		Blx(isa.R4).
+		Pop(isa.R4, isa.PC)
+	p.AddGlobal(&ir.Global{Name: "buf", Size: 4, Init: []byte{7, 0, 0, 0}})
+	p.Reindex()
+
+	m := New(mustImage(t, p, map[string]bool{"ramfn_body": true}), power.STM32F100())
+	rec := &recordingObserver{}
+	m.Attach(rec)
+	if _, err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if m.Reg(isa.R0) != 0 || m.Reg(isa.R2) != 7 {
+		t.Errorf("r0, r2 = %d, %d; want 0 (skipped), 7 (loaded)", m.Reg(isa.R0), m.Reg(isa.R2))
+	}
+	var failed, passed *Event
+	for i := range rec.events {
+		if e := &rec.events[i]; e.Block.Block.Label == "ramfn_body" {
+			switch e.Index {
+			case 3:
+				failed = e
+			case 4:
+				passed = e
+			}
+		}
+	}
+	if failed == nil || passed == nil {
+		t.Fatal("predicated loads produced no events")
+	}
+	if failed.Cycles != 1 || failed.Stall != 0 || failed.DataMem != power.None ||
+		failed.Class != isa.ClassLoad || failed.Taken {
+		t.Errorf("failed predicate event %+v, want 1 cycle, no stall, no data access, load class", *failed)
+	}
+	if passed.Cycles != uint64(isa.LoadCycles+isa.RAMContentionStall) || passed.Stall != isa.RAMContentionStall ||
+		passed.DataMem != power.RAM {
+		t.Errorf("passed predicate event %+v, want a stalled RAM load", *passed)
+	}
+}
+
 func TestByteHalfwordAccess(t *testing.T) {
 	p := ir.NewProgram()
 	f := p.AddFunc(&ir.Function{Name: "main"})
@@ -584,5 +817,62 @@ func TestPredicationCostsOneCycle(t *testing.T) {
 	}
 	if st.Cycles != 8 {
 		t.Errorf("cycles = %d, want 8", st.Cycles)
+	}
+}
+
+// TestUnresolvedSymbolFaults pins the fault contract for symbols the
+// image cannot resolve: a direct branch charges like a taken branch and
+// then faults at itself, while adr and a literal load fault before
+// charging. Fused, length-1 and observed runs must agree.
+func TestUnresolvedSymbolFaults(t *testing.T) {
+	cases := []struct {
+		name   string
+		in     isa.Instr
+		reason string
+		instrs uint64 // instructions charged before the fault
+	}{
+		{"b", isa.Instr{Op: isa.B, Sym: "nowhere"}, `branch to unresolved "nowhere"`, 2},
+		{"bl", isa.Instr{Op: isa.BL, Sym: "nowhere"}, `branch to unresolved "nowhere"`, 2},
+		{"b<cond> taken", isa.Instr{Op: isa.B, Cond: isa.NE, Sym: "nowhere"}, `branch to unresolved "nowhere"`, 2},
+		{"adr", isa.Instr{Op: isa.ADR, Rd: isa.R1, Sym: "nowhere"}, `unresolved adr "nowhere"`, 1},
+		{"ldr =sym", isa.Instr{Op: isa.LDRLIT, Rd: isa.R1, Sym: "nowhere"}, `unresolved literal "nowhere"`, 1},
+		{"ldr pc", isa.Instr{Op: isa.LDRLIT, Rd: isa.PC, Sym: "nowhere"}, `unresolved literal "nowhere"`, 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := ir.NewProgram()
+			b := p.AddFunc(&ir.Function{Name: "main"}).AddBlock("entry")
+			ir.Build(b).MovImm(isa.R0, 1).AddImm(isa.R0, isa.R0, 1)
+			b.Append(tc.in)
+			ir.Build(b).Ret()
+			p.Reindex()
+			img := mustImage(t, p, nil)
+			var msgs []string
+			for _, mode := range []string{"fused", "nofuse", "observed"} {
+				m := New(img, power.STM32F100())
+				rec := &recordingObserver{}
+				switch mode {
+				case "nofuse":
+					m.NoFuse = true
+				case "observed":
+					m.Attach(rec)
+				}
+				_, err := m.Run()
+				if err == nil || !strings.Contains(err.Error(), tc.reason) ||
+					!strings.Contains(err.Error(), "block entry") {
+					t.Fatalf("%s: err = %v, want %q in block entry", mode, err, tc.reason)
+				}
+				if got := m.stats.Instructions; got != tc.instrs+1 {
+					t.Errorf("%s: %d instructions charged, want %d", mode, got, tc.instrs+1)
+				}
+				if mode == "observed" && uint64(len(rec.events)) != m.stats.Instructions {
+					t.Errorf("%d events for %d charged instructions", len(rec.events), m.stats.Instructions)
+				}
+				msgs = append(msgs, err.Error())
+			}
+			if msgs[0] != msgs[1] || msgs[0] != msgs[2] {
+				t.Errorf("fault messages differ across dispatch modes: %q", msgs)
+			}
+		})
 	}
 }

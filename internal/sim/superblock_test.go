@@ -11,7 +11,7 @@ import (
 )
 
 // runPair executes one program on two fresh machines — fused dispatch and
-// forced slot dispatch (the beebsbench -nofuse knob) — and returns both
+// length-1 dispatch only (the beebsbench -nofuse knob) — and returns both
 // machines plus their run errors. Stats are compared via compareMachines
 // so faulting runs (Run returns nil stats) still diff their partials.
 func runPair(t *testing.T, p *ir.Program, inRAM map[string]bool, maxInstrs uint64) (fused, slot *Machine, fErr, sErr error) {
@@ -28,7 +28,7 @@ func runPair(t *testing.T, p *ir.Program, inRAM map[string]bool, maxInstrs uint6
 }
 
 // compareMachines asserts every statistic of a fused run is byte-identical
-// to its slot-dispatch twin: the superblock engine's core contract.
+// to its length-1-dispatch twin: the superblock engine's core contract.
 func compareMachines(t *testing.T, fused, slot *Machine) {
 	t.Helper()
 	f, s := &fused.stats, &slot.stats
@@ -90,8 +90,8 @@ func TestFusedMatchesSlotDispatch(t *testing.T) {
 	}
 }
 
-// TestFusedObserverBypassIdentity: attaching an observer must force the
-// per-slot path (fusion would skip per-instruction events) and still
+// TestFusedObserverBypassIdentity: attaching an observer must force
+// length-1 dispatch (fusion would skip per-instruction events) and still
 // produce the stats of the fused run.
 func TestFusedObserverBypassIdentity(t *testing.T) {
 	img := mustImage(t, ir.Figure2Program(), nil)
@@ -115,8 +115,8 @@ func TestFusedObserverBypassIdentity(t *testing.T) {
 }
 
 // TestFusedMidRunLoadFault: a load faulting in the middle of a superblock
-// must flush the exact partial stats and the exact fault the slot path
-// produces — including the faulting instruction's block entry (counted
+// must flush the exact partial stats and the exact fault length-1
+// dispatch produces — including the faulting instruction's block entry (counted
 // before the step) but none of its charge.
 func TestFusedMidRunLoadFault(t *testing.T) {
 	p := ir.NewProgram()
@@ -172,8 +172,8 @@ func TestFusedMidRunStoreFault(t *testing.T) {
 }
 
 // TestFusedMaxInstrsExact: a run that would cross MaxInstrs inside a
-// superblock must fall back to slot dispatch so the limit faults on the
-// exact instruction, like the unfused engine.
+// superblock must dispatch one instruction at a time so the limit faults
+// on the exact instruction, like an unfused run.
 func TestFusedMaxInstrsExact(t *testing.T) {
 	fused, slot, fErr, sErr := runPair(t, spinProgram(), nil, 1000)
 	if fErr == nil || sErr == nil {
@@ -189,8 +189,8 @@ func TestFusedMaxInstrsExact(t *testing.T) {
 }
 
 // TestFusedMidRunEntry: a computed jump into the middle of a fused run
-// lands on a slot without a descriptor and must fall back to slot
-// dispatch with identical results. The entry address is derived
+// lands on a slot without a descriptor and must dispatch length-1
+// descriptors with identical results. The entry address is derived
 // numerically (symbol + one instruction) so it is not in the static
 // split set.
 func TestFusedMidRunEntry(t *testing.T) {
@@ -254,7 +254,7 @@ func TestSuperblockPollGranularity(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "instruction limit") {
 		t.Fatalf("err = %v, want instruction limit", err)
 	}
-	if m.fusedInstrs == 0 {
+	if m.FusedInstructions() == 0 {
 		t.Fatal("straight-line spin did not exercise the fused path")
 	}
 	instrs := m.stats.Instructions
@@ -287,10 +287,10 @@ func TestSuperblockChaining(t *testing.T) {
 	for i := range m.eng.super {
 		sb := &m.eng.super[i]
 		if sb.n < minFuse {
-			t.Errorf("superblock %d has %d uops, below minFuse", i, sb.n)
+			t.Errorf("superblock %d has %d instructions, below minFuse", i, sb.n)
 		}
 		if sb.n > maxFuse {
-			t.Errorf("superblock %d has %d uops, above the poll window", i, sb.n)
+			t.Errorf("superblock %d has %d instructions, above the poll window", i, sb.n)
 		}
 	}
 }

@@ -81,16 +81,26 @@ if [ -n "$mapuse" ]; then
     exit 1
 fi
 
-# The fused engine's whole win is that a superblock retires with zero
-# map traffic: symbol/memory/block-name resolution happens once at
-# SetImage time (predecode.go) and lands in the uop records and the
-# dense counter arrays (DESIGN.md §6k). Any of these identifiers in
-# superblock.go means a per-instruction (or per-superblock-dispatch)
-# map lookup crept back into the fused path — hoist it to compile time.
-fusedmaps=$(grep -n 'Symbols\[\|MemoryOf(\|BlockCounts\[' internal/sim/superblock.go || true)
-if [ -n "$fusedmaps" ]; then
-    echo "internal/sim/superblock.go does map lookups (resolve at SetImage/predecode time instead):" >&2
-    echo "$fusedmaps" >&2
+# The executor's whole win is that a descriptor retires with zero map
+# traffic: symbol/memory/block-name resolution happens once at SetImage
+# time (predecode.go) and lands in the uop records and the dense counter
+# arrays (DESIGN.md §6k). Every non-test file of internal/sim that holds
+# the run path — the dispatch loop runFrom, the uop executor, the
+# intermittent segment driver, and any file added later — is policed;
+# only predecode.go (SetImage time) and sim.go (image setup, Reset and
+# the ReadGlobal API, all outside the run loop) may resolve symbols. Any
+# of these identifiers elsewhere means a per-instruction (or
+# per-dispatch) map lookup crept back into the run path — hoist it to
+# predecode time.
+runfiles=$(ls internal/sim/*.go | grep -v '_test\.go$' | grep -v '/predecode\.go$' | grep -v '/sim\.go$')
+runmaps=$(grep -n 'Symbols\[\|MemoryOf(\|BlockCounts\[' $runfiles || true)
+if [ -n "$runmaps" ]; then
+    echo "internal/sim run-path files do map lookups (resolve at SetImage/predecode time instead):" >&2
+    echo "$runmaps" >&2
+    exit 1
+fi
+if grep -n 'func (m \*Machine) runFrom(' internal/sim/sim.go internal/sim/predecode.go; then
+    echo "runFrom moved into a file the map-lookup gate exempts" >&2
     exit 1
 fi
 
