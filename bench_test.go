@@ -501,14 +501,32 @@ func BenchmarkSimulatorTraced(b *testing.B) {
 	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "sim-instrs/s")
 }
 
-// BenchmarkCompiler measures mcc compile speed on the largest benchmark.
+// BenchmarkCompiler measures mcc compile speed:
+//
+//   - "rijndael" compiles the largest benchmark at O2 (integer only);
+//   - "paper-cells" compiles all 20 Figure 5 cells (10 BEEBS × O2/Os) per
+//     op, so the two float benchmarks' soft-float runtime is timed too.
 func BenchmarkCompiler(b *testing.B) {
-	src := beebs.Get("rijndael").Source
-	for i := 0; i < b.N; i++ {
-		if _, err := mcc.Compile(src, mcc.O2); err != nil {
-			b.Fatal(err)
+	b.Run("rijndael", func(b *testing.B) {
+		src := beebs.Get("rijndael").Source
+		for i := 0; i < b.N; i++ {
+			if _, err := mcc.Compile(src, mcc.O2); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
+	})
+	b.Run("paper-cells", func(b *testing.B) {
+		benches := beebs.All()
+		for i := 0; i < b.N; i++ {
+			for _, bench := range benches {
+				for _, level := range []mcc.OptLevel{mcc.O2, mcc.Os} {
+					if _, err := mcc.Compile(bench.Source, level); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		}
+	})
 }
 
 // BenchmarkFigure5Sweep measures the whole Figure 5 sweep (10 benchmarks

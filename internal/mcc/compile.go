@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/ir"
 	"repro/internal/softfloat"
@@ -29,8 +30,8 @@ func Compile(src string, level OptLevel) (*ir.Program, error) {
 
 	prog := ir.NewProgram()
 
-	// Link the soft-float runtime if needed, compiled at a fixed -O2 the
-	// way a prebuilt libgcc would be.
+	// Link the soft-float runtime if needed: a private copy of the
+	// process-wide prebuilt one.
 	if len(mp.FloatCalled) > 0 {
 		for _, f := range mp.Funcs {
 			for _, rt := range softfloat.Routines() {
@@ -39,26 +40,11 @@ func Compile(src string, level OptLevel) (*ir.Program, error) {
 				}
 			}
 		}
-		libAST, err := Parse(softfloat.Source)
+		lib, err := softFloatLib()
 		if err != nil {
-			return nil, fmt.Errorf("mcc: internal: soft-float source: %w", err)
+			return nil, err
 		}
-		if err := check(libAST, false); err != nil {
-			return nil, fmt.Errorf("mcc: internal: soft-float check: %w", err)
-		}
-		libMP, err := Lower(libAST)
-		if err != nil {
-			return nil, fmt.Errorf("mcc: internal: soft-float lower: %w", err)
-		}
-		Optimize(libMP, O2)
-		for _, f := range libMP.Funcs {
-			irf, err := genWithLevel(f, O2)
-			if err != nil {
-				return nil, fmt.Errorf("mcc: internal: soft-float codegen: %w", err)
-			}
-			irf.Library = true
-			prog.AddFunc(irf)
-		}
+		prog = lib.Clone()
 	}
 
 	for _, f := range mp.Funcs {
@@ -85,6 +71,37 @@ func Compile(src string, level OptLevel) (*ir.Program, error) {
 	return prog, nil
 }
 
+// softFloatLib returns the soft-float runtime, compiled once per process at
+// a fixed -O2 the way a prebuilt libgcc would be. The result is shared:
+// Compile links a Clone of it into each float program and never modifies
+// it.
+var softFloatLib = sync.OnceValues(compileSoftFloat)
+
+func compileSoftFloat() (*ir.Program, error) {
+	libAST, err := Parse(softfloat.Source)
+	if err != nil {
+		return nil, fmt.Errorf("mcc: internal: soft-float source: %w", err)
+	}
+	if err := check(libAST, false); err != nil {
+		return nil, fmt.Errorf("mcc: internal: soft-float check: %w", err)
+	}
+	libMP, err := Lower(libAST)
+	if err != nil {
+		return nil, fmt.Errorf("mcc: internal: soft-float lower: %w", err)
+	}
+	Optimize(libMP, O2)
+	prog := ir.NewProgram()
+	for _, f := range libMP.Funcs {
+		irf, err := genWithLevel(f, O2)
+		if err != nil {
+			return nil, fmt.Errorf("mcc: internal: soft-float codegen: %w", err)
+		}
+		irf.Library = true
+		prog.AddFunc(irf)
+	}
+	return prog, nil
+}
+
 // check wraps Check with the main-function requirement toggled (library
 // translation units have no main).
 func check(prog *SourceProgram, requireMain bool) error {
@@ -96,7 +113,7 @@ func genWithLevel(f *MFunc, level OptLevel) (*ir.Function, error) {
 	if level == O0 {
 		alloc = AllocateSpillAll(f)
 	} else {
-		alloc = Allocate(f, level == Os)
+		alloc = Allocate(f)
 	}
 	return GenFunc(f, alloc)
 }

@@ -104,10 +104,10 @@ func lowerFunc(mp *MProgram, f *FuncDecl) (*MFunc, error) {
 }
 
 // pruneUnreachable drops blocks not reachable from the entry (created by
-// code after return/break/continue).
-func pruneUnreachable(f *MFunc) {
+// code after return/break/continue) and reports whether it dropped any.
+func pruneUnreachable(f *MFunc) bool {
 	if len(f.Blocks) == 0 {
-		return
+		return false
 	}
 	byLabel := map[string]*MBlock{}
 	for _, b := range f.Blocks {
@@ -126,6 +126,9 @@ func pruneUnreachable(f *MFunc) {
 			}
 		}
 	}
+	if len(seen) == len(f.Blocks) {
+		return false
+	}
 	var kept []*MBlock
 	for _, b := range f.Blocks {
 		if seen[b] {
@@ -133,6 +136,7 @@ func pruneUnreachable(f *MFunc) {
 		}
 	}
 	f.Blocks = kept
+	return true
 }
 
 func collectAddrTaken(s Stmt, out map[*Symbol]bool) {

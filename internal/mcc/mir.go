@@ -168,7 +168,12 @@ func (in *MIns) IsTerm() bool {
 
 // Uses returns the vregs read by the instruction.
 func (in *MIns) Uses() []VReg {
-	var out []VReg
+	return in.appendUses(nil)
+}
+
+// appendUses appends the vregs read by the instruction to out, so hot
+// loops can reuse one buffer.
+func (in *MIns) appendUses(out []VReg) []VReg {
 	add := func(v VReg) {
 		if v != NoVReg {
 			out = append(out, v)

@@ -48,6 +48,22 @@ func (l OptLevel) String() string {
 	return "O?"
 }
 
+// maxRounds bounds the pass rounds per function; Optimize stops earlier
+// at the first round in which no pass reports a change.
+const maxRounds = 3
+
+// pipeline returns the level's pass round. Every pass reports whether it
+// changed the function; a pass may over-report (that only costs a round)
+// but never under-reports, so a round that reports no change left the
+// function untouched and every later round would too.
+func pipeline(level OptLevel) []func(*MFunc) bool {
+	passes := []func(*MFunc) bool{simplify, copyProp}
+	if level >= O2 {
+		passes = append(passes, localCSE)
+	}
+	return append(passes, deadCodeElim, cleanCFG)
+}
+
 // Optimize runs the pass pipeline for the level over the program.
 func Optimize(p *MProgram, level OptLevel) {
 	if level == O0 {
@@ -56,16 +72,18 @@ func Optimize(p *MProgram, level OptLevel) {
 	if level == O3 {
 		inlineSmallFunctions(p, 24)
 	}
+	passes := pipeline(level)
 	for _, f := range p.Funcs {
-		passes := 3 // fixpoint-ish: a few rounds are plenty at this scale
-		for i := 0; i < passes; i++ {
-			simplify(f)
-			copyProp(f)
-			if level >= O2 {
-				localCSE(f)
+		for round := 0; round < maxRounds; round++ {
+			changed := false
+			for _, pass := range passes {
+				if pass(f) {
+					changed = true
+				}
 			}
-			deadCodeElim(f)
-			cleanCFG(f)
+			if !changed {
+				break
+			}
 		}
 	}
 }
@@ -73,14 +91,17 @@ func Optimize(p *MProgram, level OptLevel) {
 // ---- local simplification: constant folding + strength reduction ----
 
 // simplify tracks per-block constants and folds/strength-reduces.
-func simplify(f *MFunc) {
+func simplify(f *MFunc) bool {
+	changed := false
+	consts := map[VReg]int32{}
+	// fold rewrites in into the constant v.
+	fold := func(in *MIns, v int32) {
+		*in = MIns{Op: MConst, Dst: in.Dst, Imm: v}
+		consts[in.Dst] = v
+		changed = true
+	}
 	for _, b := range f.Blocks {
-		consts := map[VReg]int32{}
-		setConst := func(d VReg, v int32) {
-			consts[d] = v
-		}
-		kill := func(d VReg) { delete(consts, d) }
-
+		clear(consts)
 		for i := range b.Ins {
 			in := &b.Ins[i]
 			ca, aOK := consts[in.A]
@@ -88,20 +109,18 @@ func simplify(f *MFunc) {
 
 			switch in.Op {
 			case MConst:
-				setConst(in.Dst, in.Imm)
+				consts[in.Dst] = in.Imm
 				continue
 			case MMov:
 				if aOK {
-					*in = MIns{Op: MConst, Dst: in.Dst, Imm: ca}
-					setConst(in.Dst, ca)
+					fold(in, ca)
 					continue
 				}
 			case MAdd, MSub, MMul, MSDiv, MUDiv, MSRem, MURem,
 				MAnd, MOr, MXor, MShl, MShr, MSar:
 				if aOK && bOK {
 					if v, ok := foldBin(in.Op, ca, cb); ok {
-						*in = MIns{Op: MConst, Dst: in.Dst, Imm: v}
-						setConst(in.Dst, v)
+						fold(in, v)
 						continue
 					}
 				}
@@ -109,7 +128,8 @@ func simplify(f *MFunc) {
 				if bOK {
 					if rep, ok := strengthReduce(in, cb); ok {
 						*in = rep
-						kill(in.Dst)
+						delete(consts, in.Dst)
+						changed = true
 						continue
 					}
 				}
@@ -118,24 +138,21 @@ func simplify(f *MFunc) {
 					// Commute the constant to the right; the next pass
 					// round will see it there and strength-reduce.
 					in.A, in.B = in.B, in.A
+					changed = true
 				}
 			case MNeg:
 				if aOK {
-					*in = MIns{Op: MConst, Dst: in.Dst, Imm: -ca}
-					setConst(in.Dst, -ca)
+					fold(in, -ca)
 					continue
 				}
 			case MNot:
 				if aOK {
-					*in = MIns{Op: MConst, Dst: in.Dst, Imm: ^ca}
-					setConst(in.Dst, ^ca)
+					fold(in, ^ca)
 					continue
 				}
 			case MExt:
 				if aOK {
-					v := extVal(ca, in.Width, in.Signed)
-					*in = MIns{Op: MConst, Dst: in.Dst, Imm: v}
-					setConst(in.Dst, v)
+					fold(in, extVal(ca, in.Width, in.Signed))
 					continue
 				}
 			case MSetCC:
@@ -144,8 +161,7 @@ func simplify(f *MFunc) {
 					if in.CC.Eval(uint32(ca), uint32(cb)) {
 						v = 1
 					}
-					*in = MIns{Op: MConst, Dst: in.Dst, Imm: v}
-					setConst(in.Dst, v)
+					fold(in, v)
 					continue
 				}
 			case MCmpBr:
@@ -155,14 +171,16 @@ func simplify(f *MFunc) {
 						target = in.L1
 					}
 					*in = MIns{Op: MJmp, L1: target}
+					changed = true
 					continue
 				}
 			}
 			if d := in.Def(); d != NoVReg {
-				kill(d)
+				delete(consts, d)
 			}
 		}
 	}
+	return changed
 }
 
 func foldBin(op MOp, a, b int32) (int32, bool) {
@@ -241,10 +259,8 @@ func extVal(v int32, width int, signed bool) int32 {
 	return v
 }
 
-// strengthReduce rewrites ops with a constant right operand into cheaper
-// forms. It may introduce a dependence on the constant staying in a
-// register, so it rewrites in place using an immediate-carrying MConst
-// fed by later passes; here we only handle the self-contained cases.
+// strengthReduce rewrites ops with a constant right operand c into a
+// cheaper form that needs no other operand: a constant or a copy.
 func strengthReduce(in *MIns, c int32) (MIns, bool) {
 	switch in.Op {
 	case MMul:
@@ -257,14 +273,6 @@ func strengthReduce(in *MIns, c int32) (MIns, bool) {
 	case MSDiv, MUDiv:
 		if c == 1 {
 			return MIns{Op: MMov, Dst: in.Dst, A: in.A}, true
-		}
-		if in.Op == MUDiv && c > 0 && c&(c-1) == 0 {
-			// Unsigned divide by power of two → shift; requires the shift
-			// amount in a vreg, so keep the const producer: rewrite as
-			// Shr with B reused (B already holds the constant c; the
-			// shift amount differs). Only rewrite when we can encode the
-			// shift via an extra const — handled by emitting MShr with
-			// the same B is wrong, so skip unless c == 1.
 		}
 	case MAdd, MSub, MOr, MXor, MShl, MShr, MSar:
 		if c == 0 {
@@ -283,29 +291,35 @@ func strengthReduce(in *MIns, c int32) (MIns, bool) {
 
 // ---- copy propagation (local) ----
 
-func copyProp(f *MFunc) {
-	for _, b := range f.Blocks {
-		copyOf := map[VReg]VReg{}
-		resolve := func(v VReg) VReg {
-			for {
-				w, ok := copyOf[v]
-				if !ok {
-					return v
-				}
-				v = w
+func copyProp(f *MFunc) bool {
+	changed := false
+	copyOf := map[VReg]VReg{}
+	resolve := func(v VReg) VReg {
+		for {
+			w, ok := copyOf[v]
+			if !ok {
+				return v
 			}
+			v = w
 		}
+	}
+	subst := func(v *VReg) {
+		if *v == NoVReg {
+			return
+		}
+		if r := resolve(*v); r != *v {
+			*v = r
+			changed = true
+		}
+	}
+	for _, b := range f.Blocks {
+		clear(copyOf)
 		for i := range b.Ins {
 			in := &b.Ins[i]
-			// Substitute uses.
-			if in.A != NoVReg {
-				in.A = resolve(in.A)
-			}
-			if in.B != NoVReg {
-				in.B = resolve(in.B)
-			}
+			subst(&in.A)
+			subst(&in.B)
 			for k := range in.Args {
-				in.Args[k] = resolve(in.Args[k])
+				subst(&in.Args[k])
 			}
 			d := in.Def()
 			if d != NoVReg {
@@ -322,6 +336,7 @@ func copyProp(f *MFunc) {
 			}
 		}
 	}
+	return changed
 }
 
 // ---- local common subexpression elimination ----
@@ -336,33 +351,63 @@ type cseKey struct {
 	sym    string
 }
 
-func localCSE(f *MFunc) {
-	for _, b := range f.Blocks {
-		avail := map[cseKey]VReg{}
-		kill := func(d VReg) {
-			for k, v := range avail {
-				if v == d || k.a == d || k.b == d {
-					delete(avail, k)
-				}
+// cseLink is one entry of a vreg's mention list in localCSE.
+type cseLink struct {
+	key  int32 // index into the block's keys
+	next int32 // next link of the same vreg, or -1
+	v    VReg
+}
+
+func localCSE(f *MFunc) bool {
+	changed := false
+	avail := map[cseKey]VReg{}
+	// keys holds every key added to avail in the current block. heads[v]
+	// starts a list of the keys that had v as their value or an operand
+	// when they were added; a link is stale once avail no longer relates
+	// its key to v. loads lists the load keys added since the last flush.
+	var keys []cseKey
+	var links []cseLink
+	var loads []int32
+	heads := make([]int32, f.NumVRegs)
+	for v := range heads {
+		heads[v] = -1
+	}
+	index := func(v VReg, k int32) {
+		if v != NoVReg {
+			links = append(links, cseLink{key: k, next: heads[v], v: v})
+			heads[v] = int32(len(links) - 1)
+		}
+	}
+	kill := func(d VReg) {
+		for l := heads[d]; l >= 0; l = links[l].next {
+			k := keys[links[l].key]
+			if v, ok := avail[k]; ok && (v == d || k.a == d || k.b == d) {
+				delete(avail, k)
 			}
 		}
+		heads[d] = -1
+	}
+	flushLoads := func() {
+		for _, k := range loads {
+			delete(avail, keys[k])
+		}
+		loads = loads[:0]
+	}
+	for _, b := range f.Blocks {
+		clear(avail)
+		for _, l := range links {
+			heads[l.v] = -1
+		}
+		keys, links, loads = keys[:0], links[:0], loads[:0]
 		for i := range b.Ins {
 			in := &b.Ins[i]
 			switch in.Op {
 			case MCall:
 				// Calls clobber memory: flush loads.
-				for k := range avail {
-					if k.op == MLoad {
-						delete(avail, k)
-					}
-				}
+				flushLoads()
 			case MStore:
 				// A store may alias any load.
-				for k := range avail {
-					if k.op == MLoad {
-						delete(avail, k)
-					}
-				}
+				flushLoads()
 				continue
 			}
 			d := in.Def()
@@ -379,103 +424,135 @@ func localCSE(f *MFunc) {
 			if prev, ok := avail[key]; ok && prev != d {
 				*in = MIns{Op: MMov, Dst: d, A: prev}
 				kill(d)
+				changed = true
 				continue
 			}
 			kill(d)
 			avail[key] = d
+			k := int32(len(keys))
+			keys = append(keys, key)
+			index(d, k)
+			index(key.a, k)
+			index(key.b, k)
+			if key.op == MLoad {
+				loads = append(loads, k)
+			}
 		}
 	}
+	return changed
 }
 
 // ---- dead code elimination (global liveness) ----
 
-func deadCodeElim(f *MFunc) {
+func deadCodeElim(f *MFunc) bool {
+	changed := false
 	liveOut := liveness(f)
-	for _, b := range f.Blocks {
-		live := map[VReg]bool{}
-		for v := range liveOut[b] {
-			live[v] = true
-		}
+	live := newBitset(f.NumVRegs)
+	var kept []bool
+	var uses []VReg
+	for bi, b := range f.Blocks {
+		copy(live, liveOut[bi])
 		// Backward sweep marking kept instructions.
-		kept := make([]bool, len(b.Ins))
+		kept = append(kept[:0], make([]bool, len(b.Ins))...)
 		for i := len(b.Ins) - 1; i >= 0; i-- {
 			in := &b.Ins[i]
 			d := in.Def()
-			if !in.Pure() || (d != NoVReg && live[d]) || d == NoVReg {
+			if !in.Pure() || d == NoVReg || live.has(d) {
 				kept[i] = true
 				if d != NoVReg {
-					delete(live, d)
+					live.clear(d)
 				}
-				for _, u := range in.Uses() {
-					live[u] = true
+				uses = in.appendUses(uses[:0])
+				for _, u := range uses {
+					live.set(u)
 				}
 			}
 		}
-		var out []MIns
+		n := 0
 		for i := range b.Ins {
 			if kept[i] {
-				out = append(out, b.Ins[i])
+				b.Ins[n] = b.Ins[i]
+				n++
 			}
 		}
-		b.Ins = out
+		if n < len(b.Ins) {
+			clear(b.Ins[n:])
+			b.Ins = b.Ins[:n]
+			changed = true
+		}
 	}
+	return changed
 }
 
-// liveness computes live-out sets per block.
-func liveness(f *MFunc) map[*MBlock]map[VReg]bool {
-	byLabel := map[string]*MBlock{}
-	for _, b := range f.Blocks {
-		byLabel[b.Label] = b
+// bitset is a dense set of vregs, one bit per vreg.
+type bitset []uint64
+
+func newBitset(n int) bitset     { return make(bitset, (n+63)/64) }
+func (s bitset) has(v VReg) bool { return s[v/64]&(1<<(v%64)) != 0 }
+func (s bitset) set(v VReg)      { s[v/64] |= 1 << (v % 64) }
+func (s bitset) clear(v VReg)    { s[v/64] &^= 1 << (v % 64) }
+
+// liveness computes each block's live-out set, indexed like f.Blocks:
+// per-block gen/kill sets, then a backward word-wise fixpoint.
+func liveness(f *MFunc) []bitset {
+	n := len(f.Blocks)
+	words := (f.NumVRegs + 63) / 64
+	// One allocation holds every block's gen, kill, live-in and live-out.
+	buf := make(bitset, 4*n*words)
+	set := func(k, bi int) bitset {
+		off := (k*n + bi) * words
+		return buf[off : off+words : off+words]
 	}
-	gen := map[*MBlock]map[VReg]bool{}
-	killed := map[*MBlock]map[VReg]bool{}
-	for _, b := range f.Blocks {
-		g, k := map[VReg]bool{}, map[VReg]bool{}
+	idx := make(map[string]int, n)
+	for bi, b := range f.Blocks {
+		idx[b.Label] = bi
+	}
+	succs := make([][2]int, n)
+	var uses []VReg
+	for bi, b := range f.Blocks {
+		gen, kill := set(0, bi), set(1, bi)
 		for i := range b.Ins {
 			in := &b.Ins[i]
-			for _, u := range in.Uses() {
-				if !k[u] {
-					g[u] = true
+			uses = in.appendUses(uses[:0])
+			for _, u := range uses {
+				if !kill.has(u) {
+					gen.set(u)
 				}
 			}
 			if d := in.Def(); d != NoVReg {
-				k[d] = true
+				kill.set(d)
 			}
 		}
-		gen[b], killed[b] = g, k
-	}
-	liveIn := map[*MBlock]map[VReg]bool{}
-	liveOut := map[*MBlock]map[VReg]bool{}
-	for _, b := range f.Blocks {
-		liveIn[b] = map[VReg]bool{}
-		liveOut[b] = map[VReg]bool{}
+		succs[bi] = [2]int{-1, -1}
+		for k, l := range b.Succs() {
+			if si, ok := idx[l]; ok {
+				succs[bi][k] = si
+			}
+		}
 	}
 	for changed := true; changed; {
 		changed = false
-		for i := len(f.Blocks) - 1; i >= 0; i-- {
-			b := f.Blocks[i]
-			out := map[VReg]bool{}
-			for _, s := range b.Succs() {
-				sb := byLabel[s]
-				for v := range liveIn[sb] {
-					out[v] = true
+		for bi := n - 1; bi >= 0; bi-- {
+			gen, kill, in, out := set(0, bi), set(1, bi), set(2, bi), set(3, bi)
+			for _, si := range succs[bi] {
+				if si >= 0 {
+					for w, x := range set(2, si) {
+						out[w] |= x
+					}
 				}
 			}
-			in := map[VReg]bool{}
-			for v := range out {
-				if !killed[b][v] {
-					in[v] = true
+			for w := range in {
+				x := gen[w] | out[w]&^kill[w]
+				if x != in[w] {
+					in[w] = x
+					changed = true
 				}
 			}
-			for v := range gen[b] {
-				in[v] = true
-			}
-			if len(out) != len(liveOut[b]) || len(in) != len(liveIn[b]) {
-				changed = true
-			}
-			liveOut[b] = out
-			liveIn[b] = in
 		}
+	}
+	liveOut := make([]bitset, n)
+	for bi := range liveOut {
+		liveOut[bi] = set(3, bi)
 	}
 	return liveOut
 }
@@ -484,7 +561,8 @@ func liveness(f *MFunc) map[*MBlock]map[VReg]bool {
 
 // cleanCFG retargets jumps through empty forwarding blocks, removes
 // unreachable blocks and merges single-successor/single-predecessor pairs.
-func cleanCFG(f *MFunc) {
+func cleanCFG(f *MFunc) bool {
+	changed := false
 	// Forwarding: block whose only instruction is jmp L.
 	forward := map[string]string{}
 	for _, b := range f.Blocks {
@@ -492,13 +570,17 @@ func cleanCFG(f *MFunc) {
 			forward[b.Label] = b.Ins[0].L1
 		}
 	}
-	resolve := func(l string) string {
+	resolve := func(l *string) {
 		seen := map[string]bool{}
-		for forward[l] != "" && !seen[l] {
-			seen[l] = true
-			l = forward[l]
+		to := *l
+		for forward[to] != "" && !seen[to] {
+			seen[to] = true
+			to = forward[to]
 		}
-		return l
+		if to != *l {
+			*l = to
+			changed = true
+		}
 	}
 	for _, b := range f.Blocks {
 		t := b.Term()
@@ -507,16 +589,19 @@ func cleanCFG(f *MFunc) {
 		}
 		switch t.Op {
 		case MJmp:
-			t.L1 = resolve(t.L1)
+			resolve(&t.L1)
 		case MCmpBr:
-			t.L1 = resolve(t.L1)
-			t.L2 = resolve(t.L2)
+			resolve(&t.L1)
+			resolve(&t.L2)
 			if t.L1 == t.L2 {
 				*t = MIns{Op: MJmp, L1: t.L1}
+				changed = true
 			}
 		}
 	}
-	pruneUnreachable(f)
+	if pruneUnreachable(f) {
+		changed = true
+	}
 
 	// Merge chains: b ends in jmp s, s has exactly one predecessor.
 	preds := map[string]int{}
@@ -546,6 +631,7 @@ func cleanCFG(f *MFunc) {
 			// Append s's instructions over b's jump.
 			b.Ins = append(b.Ins[:len(b.Ins)-1], s.Ins...)
 			merged[s] = true
+			changed = true
 		}
 	}
 	var kept []*MBlock
@@ -555,7 +641,10 @@ func cleanCFG(f *MFunc) {
 		}
 	}
 	f.Blocks = kept
-	pruneUnreachable(f)
+	if pruneUnreachable(f) {
+		changed = true
+	}
+	return changed
 }
 
 // ---- inlining (O3) ----

@@ -1,6 +1,9 @@
 package mcc
 
 import (
+	"math"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"repro/internal/isa"
@@ -46,13 +49,16 @@ type interval struct {
 
 // Allocate runs linear-scan register allocation (Poletto/Sarkar style)
 // over liveness-derived intervals.
-func Allocate(f *MFunc, preferLow bool) *Allocation {
+func Allocate(f *MFunc) *Allocation {
 	liveOut := liveness(f)
 
-	// Global numbering.
+	// Global numbering; ends[v] < 0 marks a vreg with no position yet.
 	pos := 0
-	starts := map[VReg]int{}
-	ends := map[VReg]int{}
+	starts := make([]int, f.NumVRegs)
+	ends := make([]int, f.NumVRegs)
+	for v := range starts {
+		starts[v], ends[v] = math.MaxInt, -1
+	}
 	// touch widens v's interval to include position p. Starts must be
 	// lowerable, not just set-once: block list order is not control-flow
 	// order (else blocks are laid out after their join blocks), so a
@@ -61,43 +67,46 @@ func Allocate(f *MFunc, preferLow bool) *Allocation {
 		if v == NoVReg {
 			return
 		}
-		if s, ok := starts[v]; !ok || p < s {
-			starts[v] = p
-		}
-		if e, ok := ends[v]; !ok || p > e {
-			ends[v] = p
-		}
+		starts[v] = min(starts[v], p)
+		ends[v] = max(ends[v], p)
 	}
 	// Parameters are defined at position 0.
 	for _, pr := range f.ParamRegs {
 		touch(pr, 0)
 	}
-	blockStart := map[*MBlock]int{}
-	blockEnd := map[*MBlock]int{}
-	for _, b := range f.Blocks {
-		blockStart[b] = pos
+	blockStart := make([]int, len(f.Blocks))
+	blockEnd := make([]int, len(f.Blocks))
+	var uses []VReg
+	for bi, b := range f.Blocks {
+		blockStart[bi] = pos
 		for i := range b.Ins {
 			in := &b.Ins[i]
-			for _, u := range in.Uses() {
+			uses = in.appendUses(uses[:0])
+			for _, u := range uses {
 				touch(u, pos)
 			}
 			touch(in.Def(), pos)
 			pos++
 		}
-		blockEnd[b] = pos - 1
+		blockEnd[bi] = pos - 1
 	}
 	// Extend intervals across blocks where values are live-out (covers
 	// loop-carried values).
-	for _, b := range f.Blocks {
-		for v := range liveOut[b] {
-			touch(v, blockStart[b])
-			touch(v, blockEnd[b])
+	for bi, out := range liveOut {
+		for w, x := range out {
+			for ; x != 0; x &= x - 1 {
+				v := VReg(w*64 + bits.TrailingZeros64(x))
+				touch(v, blockStart[bi])
+				touch(v, blockEnd[bi])
+			}
 		}
 	}
 
 	var ivs []interval
-	for v, s := range starts {
-		ivs = append(ivs, interval{v: v, start: s, end: ends[v]})
+	for v, e := range ends {
+		if e >= 0 {
+			ivs = append(ivs, interval{v: VReg(v), start: starts[v], end: e})
+		}
 	}
 	sort.Slice(ivs, func(i, j int) bool {
 		if ivs[i].start != ivs[j].start {
@@ -106,24 +115,16 @@ func Allocate(f *MFunc, preferLow bool) *Allocation {
 		return ivs[i].v < ivs[j].v
 	})
 
-	regs := allocatable
-	if preferLow {
-		// Os: favour r4-r7 so more instructions get 16-bit encodings;
-		// same set, low-first order is already the default. Kept for
-		// symmetry and future high-register experiments.
-		regs = allocatable
-	}
-
 	a := &Allocation{Reg: map[VReg]isa.Reg{}, Spill: map[VReg]int{}}
 	type active struct {
 		interval
 		r isa.Reg
 	}
 	var act []*active
-	free := append([]isa.Reg(nil), regs...)
+	free := append([]isa.Reg(nil), allocatable...)
 
 	expire := func(p int) {
-		var keep []*active
+		keep := act[:0]
 		for _, x := range act {
 			if x.end < p {
 				free = append(free, x.r)
@@ -137,7 +138,7 @@ func Allocate(f *MFunc, preferLow bool) *Allocation {
 		expire(iv.start)
 		if len(free) > 0 {
 			// Lowest-numbered free register first (narrow encodings).
-			sort.Slice(free, func(i, j int) bool { return free[i] < free[j] })
+			slices.Sort(free)
 			r := free[0]
 			free = free[1:]
 			a.Reg[iv.v] = r
