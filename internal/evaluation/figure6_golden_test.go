@@ -1,0 +1,90 @@
+package evaluation
+
+import (
+	"bufio"
+	"bytes"
+	"context"
+	"crypto/sha256"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"os"
+	"strings"
+	"testing"
+
+	"repro/internal/beebs"
+	"repro/internal/mcc"
+)
+
+var updateFigure6 = flag.Bool("update-figure6", false, "rewrite testdata/figure6.golden from the current solver")
+
+const figure6Golden = "testdata/figure6.golden"
+
+// The constraint sweeps cmd/tradeoff traces.
+var (
+	figure6RAMSweep = []float64{0, 16, 32, 64, 128, 192, 256, 384, 512, 768, 1024, 1536, 2048, 4096}
+	figure6XSweep   = []float64{1.0, 1.01, 1.02, 1.05, 1.1, 1.15, 1.2, 1.3, 1.5, 2.0}
+)
+
+// figure6Lines hashes the Figure 6 document (`tradeoff -json -points`
+// bytes, k = 8) of every BEEBS benchmark at O2 and Os: one SHA-256 per
+// (benchmark, level).
+func figure6Lines(t *testing.T, cold bool) []string {
+	t.Helper()
+	var lines []string
+	for _, b := range beebs.All() {
+		for _, level := range []mcc.OptLevel{mcc.O2, mcc.Os} {
+			sw := NewSweep(1)
+			sw.ColdSolve = cold
+			data, err := sw.Figure6(context.Background(), b.Name, level, 8, figure6RAMSweep, figure6XSweep)
+			if err != nil {
+				t.Fatalf("%s/%v cold=%v: %v", b.Name, level, cold, err)
+			}
+			var buf bytes.Buffer
+			enc := json.NewEncoder(&buf)
+			enc.SetIndent("", "  ")
+			if err := enc.Encode(NewFigure6JSON(data, level.String(), true)); err != nil {
+				t.Fatal(err)
+			}
+			lines = append(lines, fmt.Sprintf("%s %v %x", b.Name, level, sha256.Sum256(buf.Bytes())))
+		}
+	}
+	return lines
+}
+
+// TestFigure6Golden pins every Figure 6 document, warm-started and cold:
+// solver speedups must leave each line unchanged. A deliberate change to
+// the model or the solver's answers regenerates the file with
+// -update-figure6 and says why.
+func TestFigure6Golden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("20 full trade-off sweeps, twice")
+	}
+	warm := figure6Lines(t, false)
+	if *updateFigure6 {
+		if err := os.WriteFile(figure6Golden, []byte(strings.Join(warm, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	f, err := os.Open(figure6Golden)
+	if err != nil {
+		t.Fatalf("%v (run with -update-figure6 to create it)", err)
+	}
+	defer f.Close()
+	var want []string
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		want = append(want, sc.Text())
+	}
+	for pass, got := range map[string][]string{"warm": warm, "cold": figure6Lines(t, true)} {
+		if len(got) != len(want) {
+			t.Fatalf("%s: golden has %d lines, sweep produced %d", pass, len(want), len(got))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Errorf("%s: Figure 6 document changed:\n got  %s\n want %s", pass, got[i], want[i])
+			}
+		}
+	}
+}
