@@ -580,6 +580,7 @@ func BenchmarkTradeoffSweep(b *testing.B) {
 	ramSweep := []float64{0, 16, 32, 64, 128, 192, 256, 384, 512, 768, 1024, 1536, 2048, 4096}
 	xSweep := []float64{1.0, 1.01, 1.02, 1.05, 1.1, 1.15, 1.2, 1.3, 1.5, 2.0}
 	b.Run("shared", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := evaluation.NewSweep(1).Figure6(context.Background(), "int_matmult", mcc.O2, 8, ramSweep, xSweep); err != nil {
 				b.Fatal(err)
@@ -587,6 +588,7 @@ func BenchmarkTradeoffSweep(b *testing.B) {
 		}
 	})
 	b.Run("shared-cold", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			sw := evaluation.NewSweep(1)
 			sw.ColdSolve = true
@@ -596,6 +598,7 @@ func BenchmarkTradeoffSweep(b *testing.B) {
 		}
 	})
 	paths := func(b *testing.B, warm bool) {
+		b.ReportAllocs()
 		bench := beebs.Get("int_matmult")
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
@@ -635,6 +638,7 @@ func BenchmarkTradeoffSweep(b *testing.B) {
 	b.Run("paths-warm", func(b *testing.B) { paths(b, true) })
 	b.Run("paths-cold", func(b *testing.B) { paths(b, false) })
 	b.Run("per-point", func(b *testing.B) {
+		b.ReportAllocs()
 		bench := beebs.Get("int_matmult")
 		solve := func(rspare, xlimit float64) {
 			sess, err := evaluation.NewSession(bench, mcc.O2)

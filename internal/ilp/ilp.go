@@ -67,8 +67,9 @@ type WarmStart struct {
 	Bound    float64
 	HasBound bool
 	// State, when non-nil, is the donor root's full end state
-	// (lp.Solution.State): the root relaxation resumes from it through
-	// lp.SolveFromState instead of solving cold.
+	// (lp.Solution.State): the root relaxation resumes from a copy of it
+	// instead of solving cold. Solve only reads it, so one State may warm
+	// any number of solves, concurrent ones included.
 	State *lp.State
 	// RootIters is the simplex iteration count of the donor's root solve,
 	// used by callers to account iterations saved. Not read by Solve.
@@ -110,7 +111,9 @@ type Result struct {
 	Stop error
 	// RootIters is the simplex iteration count of the root relaxation
 	// (zero when the root was never solved) and RootState its full end
-	// state — together the donor state for the next warm start.
+	// state — together the donor state for the next warm start. The
+	// search only ever copies RootState, so it describes the root
+	// relaxation exactly.
 	RootIters int
 	RootState *lp.State
 	// WarmIncumbent reports that the warm start's incumbent was accepted
@@ -131,7 +134,13 @@ type node struct {
 	// from is the parent relaxation's end state. Because fixes are
 	// column-bound edits, the parent's tableau stays dual feasible in
 	// every child and seeds a dual-simplex re-solve.
-	from *lp.State
+	from *parent
+}
+
+// parent is a branched node's end state, shared by its children.
+type parent struct {
+	state *lp.State
+	open  int // children not yet popped; the last one takes state over
 }
 
 type fix struct {
@@ -221,10 +230,28 @@ func (s *Solver) Solve(ctx context.Context) (*Result, error) {
 		}
 	}
 
-	// solveNode solves one tree node. With an end state (the parent's,
-	// or a donor's at the root) the node resumes the dual simplex from
-	// that tableau, falling back to a cold solve internally on any
-	// mismatch.
+	// free holds the dead end states of this search: nodes that ended
+	// without children, and resumes that did not hand their state back.
+	// Copies of a parent's state are built in their storage.
+	var free []*lp.State
+	recycle := func(st *lp.State) {
+		if st != nil {
+			free = append(free, st)
+		}
+	}
+	spare := func() *lp.State {
+		if len(free) == 0 {
+			return nil
+		}
+		st := free[len(free)-1]
+		free = free[:len(free)-1]
+		return st
+	}
+
+	// solveNode solves one tree node. With an end state (a copy of the
+	// parent's or the donor's, or the parent's own once no other child
+	// needs it) the node resumes the dual simplex from that tableau in
+	// place, falling back to a cold solve internally on any mismatch.
 	solveNode := func(fixes []fix, from *lp.State) (*lp.Solution, error) {
 		p := root
 		if len(fixes) > 0 {
@@ -234,17 +261,17 @@ func (s *Solver) Solve(ctx context.Context) (*Result, error) {
 			}
 		}
 		nodes++
-		var sol *lp.Solution
-		var err error
-		if from != nil {
-			sol, err = p.SolveFromState(ctx, from)
-		} else {
-			sol, err = p.Solve(ctx)
+		sol, err := p.Resume(ctx, from)
+		if err != nil {
+			return nil, err
 		}
-		if err == nil && s.onLP != nil {
+		if sol.State != from {
+			recycle(from)
+		}
+		if s.onLP != nil {
 			s.onLP(p, sol)
 		}
-		return sol, err
+		return sol, nil
 	}
 
 	tryIncumbent := func(x []float64) {
@@ -265,10 +292,11 @@ func (s *Solver) Solve(ctx context.Context) (*Result, error) {
 		}
 	}
 
-	// Root node: a donor end state resumes its tableau directly.
+	// Root node: a donor end state resumes a copy of its tableau; the
+	// donor itself is shared with other solves and never written.
 	var donor *lp.State
 	if s.Warm != nil {
-		donor = s.Warm.State
+		donor = s.Warm.State.Copy(nil)
 	}
 	rootSol, err := solveNode(nil, donor)
 	if err != nil {
@@ -296,12 +324,25 @@ func (s *Solver) Solve(ctx context.Context) (*Result, error) {
 		return stamp(&Result{Status: Feasible, X: incumbent, Obj: incumbentObj, Nodes: nodes, Stop: stop}), nil
 	}
 	tryIncumbent(rootSol.X)
-	if s.integral(rootSol.X) {
+	if s.integral(rootSol.X) || rootSol.Obj >= incumbentObj-1e-9 {
 		return stamp(&Result{Status: Optimal, X: incumbent, Obj: incumbentObj, Nodes: nodes}), nil
 	}
 
-	open := &nodeHeap{{bound: rootSol.Obj}}
-	heap.Init(open)
+	// branch opens both children, on variable j, of the node with the
+	// given fixes solved to sol. They share its end state: each copies it
+	// except the last to be popped, which takes it over.
+	open := &nodeHeap{}
+	branch := func(fixes []fix, sol *lp.Solution, j int) {
+		from := &parent{state: sol.State, open: 2}
+		for _, v := range [2]float64{0, 1} {
+			heap.Push(open, &node{
+				bound: sol.Obj,
+				fixes: append(append([]fix(nil), fixes...), fix{j, v}),
+				from:  from,
+			})
+		}
+	}
+	branch(nil, rootSol, s.mostFractional(rootSol.X))
 	done := ctx.Done()
 
 	// stopResult ends the search on a tripped budget: the incumbent is
@@ -335,10 +376,20 @@ func (s *Solver) Solve(ctx context.Context) (*Result, error) {
 			}
 		}
 		nd := heap.Pop(open).(*node)
+		nd.from.open--
+		// The root's end state is donated as RootState: only ever copied.
+		last := nd.from.open == 0 && nd.from.state != rootState
 		if nd.bound >= incumbentObj-1e-9 {
+			if last {
+				recycle(nd.from.state)
+			}
 			continue // pruned by bound
 		}
-		sol, err := solveNode(nd.fixes, nd.from)
+		from := nd.from.state
+		if !last {
+			from = from.Copy(spare())
+		}
+		sol, err := solveNode(nd.fixes, from)
 		if err != nil {
 			if ctx.Err() != nil {
 				return stopResult(&errs.BudgetError{Resource: "deadline", Cause: ctx.Err()})
@@ -358,21 +409,16 @@ func (s *Solver) Solve(ctx context.Context) (*Result, error) {
 			continue // infeasible or numerically stuck branch
 		}
 		if sol.Obj >= incumbentObj-1e-9 {
+			recycle(sol.State)
 			continue
 		}
 		tryIncumbent(sol.X)
 		j := s.mostFractional(sol.X)
 		if j < 0 {
+			recycle(sol.State)
 			continue // integral; tryIncumbent already recorded it
 		}
-		for _, v := range [2]float64{0, 1} {
-			child := &node{
-				bound: sol.Obj,
-				fixes: append(append([]fix(nil), nd.fixes...), fix{j, v}),
-				from:  sol.State,
-			}
-			heap.Push(open, child)
-		}
+		branch(nd.fixes, sol, j)
 	}
 
 	if incumbent == nil {

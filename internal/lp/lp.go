@@ -103,8 +103,9 @@ type Solution struct {
 	Warmed bool
 	// State is the full end state of an Optimal solve — the final tableau
 	// with its basis, column bound status and layout. SolveFromState
-	// resumes from it. Nil for non-optimal outcomes. Opaque; safe to
-	// share (resuming copies it).
+	// resumes from a copy of it, so a State passed only to
+	// SolveFromState (and Copy) is safe to share; Resume takes it over.
+	// Nil for non-optimal outcomes. Opaque.
 	State *State
 }
 
@@ -316,7 +317,8 @@ func (p *Problem) Solve(ctx context.Context) (*Solution, error) {
 	m := len(p.rowRel)
 	n := p.n
 
-	tb := p.newTableau()
+	st := &State{tb: p.newTableau()}
+	tb := &st.tb
 	t, basis := tb.t, tb.basis
 	nSlack, nArt, total := tb.nSlack, tb.nArt, tb.total
 
@@ -330,11 +332,11 @@ func (p *Problem) Solve(ctx context.Context) (*Solution, error) {
 		for j := n + nSlack; j < total; j++ {
 			cost[j] = 1
 		}
-		st := simplex(tb, cost, maxIter, &iters, done)
-		if st == stCanceled {
+		status := simplex(tb, cost, maxIter, &iters, done)
+		if status == stCanceled {
 			return nil, fmt.Errorf("lp: solve interrupted: %w", ctx.Err())
 		}
-		if st == IterLimit {
+		if status == IterLimit {
 			// No feasible basis yet: nothing worth returning.
 			return &Solution{Status: IterLimit}, nil
 		}
@@ -380,27 +382,30 @@ func (p *Problem) Solve(ctx context.Context) (*Solution, error) {
 	}
 
 	// Phase 2: minimize the real objective.
-	st := simplex(tb, p.workCost(tb), maxIter, &iters, done)
-	return p.finish(ctx, tb, st, iters, false)
+	status := simplex(tb, p.workCost(tb), maxIter, &iters, done)
+	return p.finish(ctx, st, status, iters, false)
 }
 
 // finish packages the outcome of the primal simplex pass that ends a
-// solve. The basis is feasible by then, so an IterLimit trip hands back
-// the point in hand instead of discarding the budget's work; an Optimal
-// one also donates its end state.
-func (p *Problem) finish(ctx context.Context, tb *tableau, st Status, iters int, warmed bool) (*Solution, error) {
-	switch st {
+// solve on st's tableau. The basis is feasible by then, so an IterLimit
+// trip hands back the point in hand instead of discarding the budget's
+// work; an Optimal one also donates st as its end state.
+func (p *Problem) finish(ctx context.Context, st *State, status Status, iters int, warmed bool) (*Solution, error) {
+	switch status {
 	case stCanceled:
 		return nil, fmt.Errorf("lp: solve interrupted: %w", ctx.Err())
 	case Unbounded:
 		return &Solution{Status: Unbounded, Iters: iters, Warmed: warmed}, nil
 	}
-	x, obj := p.extract(tb)
-	sol := &Solution{Status: st, X: x, Obj: obj, Iters: iters, Warmed: warmed}
-	if st == Optimal {
+	x, obj := p.extract(&st.tb)
+	sol := &Solution{Status: status, X: x, Obj: obj, Iters: iters, Warmed: warmed}
+	if status == Optimal {
 		// The tableau is taken over, not copied: the solve is done with it.
-		sol.State = &State{tb: *tb, rels: slices.Clone(p.rowRel), rhs: slices.Clone(p.rowRHS),
-			lo: slices.Clone(p.lo), hi: slices.Clone(p.hi)}
+		st.rels = append(st.rels[:0], p.rowRel...)
+		st.rhs = append(st.rhs[:0], p.rowRHS...)
+		st.lo = append(st.lo[:0], p.lo...)
+		st.hi = append(st.hi[:0], p.hi...)
+		sol.State = st
 	}
 	return sol, nil
 }
@@ -417,7 +422,8 @@ func (p *Problem) finish(ctx context.Context, tb *tableau, st Status, iters int,
 // to its other bound complements it: its tableau column and cost change
 // sign and the basic values absorb the move.
 type tableau struct {
-	t     [][]float64
+	cells []float64   // the m × (total+1) cells, row-major, in one block
+	t     [][]float64 // the rows: capped views into cells
 	basis []int
 	up    []float64 // per-column range hi − lo; +Inf for slack and artificial columns
 	flip  []bool    // per-column complement flag
@@ -433,7 +439,7 @@ type tableau struct {
 // (flipping their relation) so every initial value is non-negative. The
 // initial basis is the slack (LE rows) or artificial (GE/EQ rows) column
 // of each row.
-func (p *Problem) newTableau() *tableau {
+func (p *Problem) newTableau() tableau {
 	m, n := len(p.rowRel), p.n
 	start := make([]float64, m)
 	rels := append([]Rel(nil), p.rowRel...)
@@ -462,11 +468,13 @@ func (p *Problem) newTableau() *tableau {
 	}
 
 	total := n + nSlack + nArt
-	t := make([][]float64, m)
-	basis := make([]int, m)
+	tb := tableau{cells: make([]float64, m*(total+1)), basis: make([]int, m),
+		nSlack: nSlack, nArt: nArt, total: total}
+	tb.rows(m)
+	basis := tb.basis
 	slack, art := n, n+nSlack
 	for i, row := range p.rowCoef {
-		ti := make([]float64, total+1)
+		ti := tb.t[i]
 		sign := 1.0
 		if start[i] < 0 {
 			sign = -1.0
@@ -486,17 +494,26 @@ func (p *Problem) newTableau() *tableau {
 			ti[art], basis[i] = 1, art
 			art++
 		}
-		t[i] = ti
 	}
-	up := make([]float64, total)
-	for j := range up {
-		up[j] = math.Inf(1)
+	tb.up = make([]float64, total)
+	for j := range tb.up {
+		tb.up[j] = math.Inf(1)
 		if j < n {
-			up[j] = p.hi[j] - p.lo[j]
+			tb.up[j] = p.hi[j] - p.lo[j]
 		}
 	}
-	return &tableau{t: t, basis: basis, up: up, flip: make([]bool, total),
-		nSlack: nSlack, nArt: nArt, total: total}
+	tb.flip = make([]bool, total)
+	return tb
+}
+
+// rows points the m row views at consecutive (total+1)-cell stretches of
+// cells, each capped so no row can grow into the next.
+func (tb *tableau) rows(m int) {
+	w := tb.total + 1
+	tb.t = slices.Grow(tb.t[:0], m)[:m]
+	for i := range tb.t {
+		tb.t[i] = tb.cells[i*w : (i+1)*w : (i+1)*w]
+	}
 }
 
 // workCost returns the phase-2 objective in the tableau's working
@@ -573,25 +590,46 @@ func (tb *tableau) complementBasic(r int, cost []float64) {
 	cost[l] = -cost[l]
 }
 
-// clone deep-copies the tableau for a resumed solve.
-func (tb *tableau) clone() *tableau {
-	c := *tb
-	c.t = make([][]float64, len(tb.t))
-	for i, row := range tb.t {
-		c.t[i] = slices.Clone(row)
+// copyTo deep-copies tb into dst, building the copy in dst's own storage
+// wherever it is large enough.
+func (tb *tableau) copyTo(dst *tableau) {
+	c := *dst
+	*dst = *tb
+	dst.cells = append(c.cells[:0], tb.cells...)
+	dst.t = c.t
+	dst.rows(len(tb.t))
+	dst.basis = append(c.basis[:0], tb.basis...)
+	dst.up = append(c.up[:0], tb.up...)
+	dst.flip = append(c.flip[:0], tb.flip...)
+	dst.nz = append(c.nz[:0], tb.nz...)
+}
+
+// Copy returns a deep copy of st (nil for a nil st). The copy is built in
+// spare's storage wherever that is large enough, so a caller recycling
+// dead states copies without allocating; spare may be nil, and must not
+// be used again otherwise.
+func (st *State) Copy(spare *State) *State {
+	if st == nil {
+		return nil
 	}
-	c.basis, c.up, c.flip = slices.Clone(tb.basis), slices.Clone(tb.up), slices.Clone(tb.flip)
-	c.nz = nil // scratch: never shared between resumes
-	return &c
+	if spare == nil {
+		spare = new(State)
+	}
+	st.tb.copyTo(&spare.tb)
+	spare.rels = append(spare.rels[:0], st.rels...)
+	spare.rhs = append(spare.rhs[:0], st.rhs...)
+	spare.lo = append(spare.lo[:0], st.lo...)
+	spare.hi = append(spare.hi[:0], st.hi...)
+	return spare
 }
 
 // SolveFromState re-solves the problem from the full end state of a
 // previous Optimal solve of a problem with identical coefficient rows,
 // columns and objective but (possibly) changed RHS values and column
 // bounds. The donor tableau already embeds the basis inverse, so it is
-// cloned and only the basic values are refreshed, one axpy per changed
+// copied and only the basic values are refreshed, one axpy per changed
 // RHS or bound; the dual simplex then repairs primal feasibility and a
-// primal clean-up pass restores optimality.
+// primal clean-up pass restores optimality. st itself is only read.
 //
 // Safety: any layout mismatch — dimensions, relations, the RHS sign
 // pattern (which decides slack/artificial allocation), or a changed RHS
@@ -600,6 +638,14 @@ func (tb *tableau) clone() *tableau {
 // before it is returned (cold fallback otherwise). A stale or foreign
 // state can cost time, never correctness.
 func (p *Problem) SolveFromState(ctx context.Context, st *State) (*Solution, error) {
+	return p.Resume(ctx, st.Copy(nil))
+}
+
+// Resume is SolveFromState without the copy: it resumes st's own tableau
+// in place, so the call takes st over — the caller must neither read nor
+// resume it again. A warm Optimal answer hands st back as its State; any
+// other outcome leaves st dead, its storage fit only to be a Copy spare.
+func (p *Problem) Resume(ctx context.Context, st *State) (*Solution, error) {
 	if p.err != nil {
 		return nil, p.err
 	}
@@ -608,7 +654,7 @@ func (p *Problem) SolveFromState(ctx context.Context, st *State) (*Solution, err
 	if st == nil || len(st.lo) != n || len(st.tb.t) != m || len(st.rels) != m {
 		return p.Solve(ctx)
 	}
-	tb := st.tb.clone()
+	tb := &st.tb
 
 	// Refresh the basic values for every changed RHS. Row k's slack
 	// column started as ±eₖ, so its current column is ±B⁻¹eₖ — exactly
@@ -685,7 +731,7 @@ func (p *Problem) SolveFromState(ctx context.Context, st *State) (*Solution, err
 	}
 
 	dst = simplex(tb, cost, maxIter, &iters, done)
-	sol, err := p.finish(ctx, tb, dst, iters, true)
+	sol, err := p.finish(ctx, st, dst, iters, true)
 	if err == nil && sol.Status == Optimal && p.Certify(sol) != nil {
 		return cold() // the donor state did not describe this problem after all
 	}

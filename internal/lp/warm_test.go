@@ -276,3 +276,43 @@ func TestSolveFromStateLayoutMismatchFallsBackToCold(t *testing.T) {
 			warm.Status, warm.Obj, warm.Warmed, cold.Obj)
 	}
 }
+
+// TestResumeTakesItsStateOver: Resume works on the state it is given and,
+// on a warm Optimal answer, hands that same State back; it answers
+// exactly as SolveFromState does from the same donor, which it leaves
+// alone.
+func TestResumeTakesItsStateOver(t *testing.T) {
+	c := []float64{3, 2, 5, 4}
+	w := []float64{1, 1, 2, 3}
+	donor := solve(t, sweepProblem(4, c, w, 3.5)).State
+	next := sweepProblem(4, c, w, 2)
+	shared, err := next.SolveFromState(context.Background(), donor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	own := donor.Copy(nil)
+	taken, err := next.Resume(context.Background(), own)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !taken.Warmed || taken.State != own {
+		t.Fatalf("warmed=%v, state handed back=%v; want the resumed state back", taken.Warmed, taken.State == own)
+	}
+	if taken.Obj != shared.Obj || taken.Iters != shared.Iters || shared.State == donor {
+		t.Errorf("Resume obj %v in %d iters, SolveFromState obj %v in %d", taken.Obj, taken.Iters, shared.Obj, shared.Iters)
+	}
+	certify(t, next, taken)
+}
+
+// TestCopyIntoSpareAllocatesNothing: a copy built in a spare of the same
+// layout reuses its storage outright.
+func TestCopyIntoSpareAllocatesNothing(t *testing.T) {
+	st := solve(t, sweepProblem(6, []float64{1, 2, 3, 4, 5, 6}, []float64{2, 2, 3, 3, 4, 4}, 7)).State
+	spare := st.Copy(nil)
+	if allocs := testing.AllocsPerRun(20, func() { spare = st.Copy(spare) }); allocs != 0 {
+		t.Errorf("Copy into a fitting spare made %v allocations, want 0", allocs)
+	}
+	if st.Copy(nil) == st || (*State)(nil).Copy(nil) != nil {
+		t.Error("Copy must return a new State, and nil for a nil one")
+	}
+}
