@@ -99,6 +99,9 @@ func (st SessionStats) Totals() CacheTotals {
 	} {
 		t.add(s)
 	}
+	if st.Intermit != nil {
+		t.add(*st.Intermit)
+	}
 	t.finish()
 	return t
 }

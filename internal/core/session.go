@@ -72,21 +72,18 @@ type Session struct {
 
 	graphs     memo[struct{}, map[string]*cfg.Graph]
 	spare      memo[struct{}, float64]
-	measures   memo[measureKey, *Measurement]
 	freqs      memo[freqKey, freq.Estimate]
 	models     memo[modelKey, *model.Model]
 	solves     memo[solveKey, *placement.Result]
 	transforms memo[transformKey, *transformed]
-	optRuns    memo[optRunKey, *Measurement]
 	reports    memo[reportKey, *Report]
-	// intermits memoizes trace-driven runs per (image, trace, interval):
-	// the zero transform key is the baseline image, so an oblivious and
-	// an aware configuration that test the same image under the same
-	// schedule replay it once.
+	// runs, intermits and brackets key on the image they read, not on the
+	// configuration that asked: the baseline and every configuration whose
+	// solve lands on the empty placement share one entry, and so do two
+	// configurations that differ only in Rspare.
+	runs      memo[runKey, *Measurement]
 	intermits memo[intermitKey, *sim.IntermittentReport]
-	// brackets memoizes the static energy/cycle bounds per placed image;
-	// the zero key is the all-in-flash baseline image.
-	brackets memo[transformKey, *bounds.Result]
+	brackets  memo[imageKey, *bounds.Result]
 }
 
 // SessionConfig fixes the per-session invariants. Zero values mean the
@@ -172,15 +169,6 @@ func (s *Session) LayoutConfig() layout.Config { return s.layout }
 // Stage keys. Each stage is memoized on exactly the parameters that can
 // change its output; everything else is a session invariant.
 
-// measureKey identifies one simulated run of the session program: the
-// placement (canonicalized label set), the instruction limit, and
-// whether the energy-attribution collector was attached.
-type measureKey struct {
-	placement string
-	maxInstrs uint64
-	traced    bool
-}
-
 // freqKey identifies a frequency estimate: the static estimate has one
 // value per session; the profiled estimate depends on the baseline run,
 // hence on the instruction limit.
@@ -225,11 +213,12 @@ type reportKey struct {
 // configuration: the concrete outage schedule (canonical text form — a
 // profile name plus the measured horizon resolves to this before keying,
 // so identical schedules share memo slots however they were spelled),
-// the checkpoint interval, and whether the solve saw the checkpoint
-// term. The zero value is the always-powered pipeline.
+// its outage count, the checkpoint interval, and whether the solve saw
+// the checkpoint term. The zero value is the always-powered pipeline.
 type intermittentSpec struct {
 	enabled    bool
 	trace      string
+	outages    int
 	ckptCycles uint64
 	aware      bool
 }
@@ -238,25 +227,67 @@ type intermittentSpec struct {
 // the transform mode, and the RAM budget the static analysis verifies
 // against. Two solves that pick the same block set — common between the
 // static and profiled Figure 5 variants, which also share the derived
-// budget — share one transformed program, optimized image and analysis.
+// budget — share one transformed program and analysis.
 type transformKey struct {
 	placement string
 	linkTime  bool
 	rspare    float64
 }
 
-// optRunKey identifies one simulated run of a transformed program.
-type optRunKey struct {
-	transform transformKey
+// transform is the transform key of the placement the configuration's
+// solve chose.
+func (k reportKey) transform(res *placement.Result) transformKey {
+	return transformKey{placement: canonicalPlacement(res.InRAM), linkTime: k.solve.model.linkTime, rspare: k.solve.model.rspare}
+}
+
+// imageForm is how a placement reaches its image: laid out over the
+// untransformed program (Measure), or through the Figure 4 transform
+// without or with link-time visibility.
+type imageForm uint8
+
+const (
+	formRaw imageForm = iota
+	formFig4
+	formLinkTime
+)
+
+// imageKey identifies one laid-out image: the placement and its form.
+// The empty placement is the all-flash baseline in every form (the
+// transform leaves the program untouched, which transformFor checks), so
+// it normalizes to the zero key.
+type imageKey struct {
+	placement string
+	form      imageForm
+}
+
+func newImageKey(placement string, form imageForm) imageKey {
+	if placement == "" {
+		return imageKey{}
+	}
+	return imageKey{placement: placement, form: form}
+}
+
+// image is the key of the transformed program's image. The RAM budget
+// drops out: only the static analysis reads it.
+func (k transformKey) image() imageKey {
+	if k.linkTime {
+		return newImageKey(k.placement, formLinkTime)
+	}
+	return newImageKey(k.placement, formFig4)
+}
+
+// runKey identifies one simulated run: the image, whether the
+// energy-attribution collector was attached, and the instruction limit.
+type runKey struct {
+	image     imageKey
 	traced    bool
 	maxInstrs uint64
 }
 
-// intermitKey identifies one trace-driven run: the image (zero transform
-// key = the all-in-flash baseline), the canonical trace text, the
-// checkpoint interval and the instruction limit.
+// intermitKey identifies one trace-driven run: the image, the canonical
+// trace text, the checkpoint interval and the instruction limit.
 type intermitKey struct {
-	transform  transformKey
+	image      imageKey
 	trace      string
 	ckptCycles uint64
 	maxInstrs  uint64
@@ -354,6 +385,7 @@ func (s *Session) resolveIntermittent(ctx context.Context, opts Options) (interm
 	ispec := intermittentSpec{
 		enabled:    true,
 		trace:      tr.String(),
+		outages:    len(tr.Outages),
 		ckptCycles: opts.CheckpointCycles,
 		aware:      opts.CkptAware,
 	}
@@ -364,8 +396,7 @@ func (s *Session) resolveIntermittent(ctx context.Context, opts Options) (interm
 	if opts.CkptAware {
 		perCkptNJ, perRestoreNJ := sim.CheckpointCostPerByteNJ(s.profile)
 		nCkpt := float64(base.Stats.Cycles / ispec.ckptCycles)
-		nOut := float64(len(tr.Outages))
-		ckptNJ = nCkpt*perCkptNJ + nOut*perRestoreNJ
+		ckptNJ = nCkpt*perCkptNJ + float64(ispec.outages)*perRestoreNJ
 	}
 	return ispec, ckptNJ, nil
 }
@@ -416,40 +447,58 @@ type Measurement struct {
 	globals map[string][]byte
 }
 
-// Measure lays out the session program with the given placement and
-// simulates it, memoizing on (placement, instruction limit, tracing).
-// A nil placement is the all-in-flash baseline. An untraced request is
-// satisfied by an already-completed traced run of the same
-// configuration: the observer is passive, so the statistics and final
-// memory state are identical. Cancelling ctx stops the simulation within
-// its poll window; a cancelled computation is evicted from the memo so a
-// later caller with a live context can retry.
+// Measure lays out the untransformed session program with the given
+// placement and simulates it. A nil placement is the all-in-flash
+// baseline.
 func (s *Session) Measure(ctx context.Context, inRAM map[string]bool, traced bool, maxInstrs uint64) (*Measurement, error) {
-	key := measureKey{placement: canonicalPlacement(inRAM), maxInstrs: maxInstrs, traced: traced}
-	if !traced {
-		tk := key
-		tk.traced = true
-		if m, ok := s.measures.peek(tk); ok {
-			s.counters.baseline.hit()
-			return m, nil
-		}
-	}
-	return s.measures.do(&s.counters.baseline, key, func() (*Measurement, error) {
+	key := runKey{image: newImageKey(canonicalPlacement(inRAM), formRaw), traced: traced, maxInstrs: maxInstrs}
+	return s.run(ctx, &s.counters.baseline, errs.StageBaseline, key, s.rawImage(inRAM))
+}
+
+// rawImage lays out the untransformed session program.
+func (s *Session) rawImage(inRAM map[string]bool) func() (*layout.Image, error) {
+	return func() (*layout.Image, error) {
 		img, err := layout.New(s.prog, s.layout, inRAM)
 		if err != nil {
 			return nil, errs.Wrap(errs.StageLayout, err)
 		}
+		return img, nil
+	}
+}
+
+// run simulates one image, memoized on (image, tracing, instruction
+// limit) and ledgered on the caller's stage counter; a simulator error
+// carries the caller's stage. A completed traced run also satisfies an
+// untraced request: the observer is passive, so the statistics and final
+// memory state are identical. A traced run checks that its attribution
+// conserves energy. Cancelling ctx stops the simulation within its poll
+// window; a cancelled computation is evicted from the memo so a later
+// caller with a live context can retry.
+func (s *Session) run(ctx context.Context, st *stageCounter, stage errs.Stage, key runKey, image func() (*layout.Image, error)) (*Measurement, error) {
+	if !key.traced {
+		tk := key
+		tk.traced = true
+		if m, ok := s.runs.peek(tk); ok {
+			st.hit()
+			return m, nil
+		}
+	}
+	return s.runs.do(st, key, func() (*Measurement, error) {
+		img, err := image()
+		if err != nil {
+			return nil, err
+		}
 		machine := s.acquireMachine(img)
 		defer s.releaseMachine(machine)
-		machine.MaxInstrs = maxInstrs
+		machine.MaxInstrs = key.maxInstrs
 		var col *trace.Collector
-		if traced {
+		if key.traced {
 			col = trace.NewCollector()
 			machine.Attach(col)
 		}
 		stats, err := machine.RunContext(ctx)
 		if err != nil {
-			return nil, errs.Wrap(errs.StageBaseline, err)
+			return nil, errs.Wrap(stage, err)
 		}
 		s.counters.simRuns.Add(1)
 		s.counters.cyclesSimulated.Add(stats.Cycles)
@@ -461,6 +510,12 @@ func (s *Session) Measure(ctx context.Context, inRAM map[string]bool, traced boo
 		}
 		if col != nil {
 			m.Trace = col.Profile()
+			// The attribution invariant is cheap to check and catastrophic
+			// to miss: every nanojoule the simulator charged must have
+			// landed in exactly one block.
+			if err := m.Trace.CheckConservation(stats); err != nil {
+				return nil, errs.Wrap(stage, err)
+			}
 		}
 		return m, nil
 	})
@@ -736,6 +791,8 @@ type transformed struct {
 	ares *analysis.Result
 }
 
+func (tf *transformed) image() (*layout.Image, error) { return tf.img, nil }
+
 // transformFor clones, transforms, lays out and statically verifies the
 // program for one placement. res.InRAM must canonicalize to
 // key.placement.
@@ -751,6 +808,12 @@ func (s *Session) transformFor(key transformKey, inRAM map[string]bool) (*transf
 		trep, err := applyFn(opt, inRAM)
 		if err != nil {
 			return nil, errs.Wrap(errs.StageTransform, err)
+		}
+		// The image memos serve the empty placement from the baseline's
+		// entries; that holds only while the transform leaves it alone.
+		if key.placement == "" && (len(trep.Moved) > 0 || len(trep.Instrumented) > 0) {
+			return nil, errs.Wrap(errs.StageTransform,
+				fmt.Errorf("empty placement rewrote the program (moved %v, instrumented %v)", trep.Moved, trep.Instrumented))
 		}
 		optImg, err := layout.New(opt, s.layout, inRAM)
 		if err != nil {
@@ -775,57 +838,10 @@ func (s *Session) transformFor(key transformKey, inRAM map[string]bool) (*transf
 	})
 }
 
-// optRun simulates a transformed image, memoized on (placement, mode,
-// tracing, instruction limit) — so the static and profiled variants of a
-// configuration that land on the same placement simulate it once. As
-// with Measure, a completed traced run satisfies untraced requests.
-func (s *Session) optRun(ctx context.Context, key optRunKey, tf *transformed) (*Measurement, error) {
-	if !key.traced {
-		tk := key
-		tk.traced = true
-		if m, ok := s.optRuns.peek(tk); ok {
-			s.counters.optrun.hit()
-			return m, nil
-		}
-	}
-	return s.optRuns.do(&s.counters.optrun, key, func() (*Measurement, error) {
-		machine := s.acquireMachine(tf.img)
-		defer s.releaseMachine(machine)
-		machine.MaxInstrs = key.maxInstrs
-		var col *trace.Collector
-		if key.traced {
-			col = trace.NewCollector()
-			machine.Attach(col)
-		}
-		stats, err := machine.RunContext(ctx)
-		if err != nil {
-			return nil, errs.Wrap(errs.StageOptRun, err)
-		}
-		s.counters.simRuns.Add(1)
-		s.counters.cyclesSimulated.Add(stats.Cycles)
-		m := &Measurement{
-			Image:   tf.img,
-			Stats:   stats,
-			Metrics: metrics(machine, stats, tf.img),
-			globals: snapshotGlobals(s.prog, machine),
-		}
-		if col != nil {
-			m.Trace = col.Profile()
-			// The attribution invariant is cheap to check and catastrophic
-			// to miss: every nanojoule the simulator charged must have
-			// landed in exactly one block.
-			if err := m.Trace.CheckConservation(stats); err != nil {
-				return nil, errs.Wrap(errs.StageOptRun, err)
-			}
-		}
-		return m, nil
-	})
-}
-
 // intermittentRun replays the key's power trace against one image,
-// memoized on the image's placement and the schedule. The trace is
-// re-parsed from its canonical text so the stage depends on nothing but
-// its key; parsing the canonical form cannot fail for keys produced by
+// memoized on the image and the schedule. The trace is re-parsed from
+// its canonical text so the stage depends on nothing but its key;
+// parsing the canonical form cannot fail for keys produced by
 // resolveIntermittent, but a defensive error path keeps the invariant
 // visible.
 func (s *Session) intermittentRun(ctx context.Context, key intermitKey, img *layout.Image) (*sim.IntermittentReport, error) {
@@ -854,29 +870,18 @@ func (s *Session) intermittentRun(ctx context.Context, key intermitKey, img *lay
 	})
 }
 
-// boundsFor brackets (once per placement) the placed image's energy and
-// cycles without simulating it. The zero key is the all-in-flash
-// baseline; any other key reuses — or builds — the placement's
-// transformed image. Structure (CFG, loops, calls) always comes from the
-// pristine session program; costs from the placed blocks.
-func (s *Session) boundsFor(key transformKey, inRAM map[string]bool) (*bounds.Result, error) {
+// boundsFor brackets (once per image) a placed image's energy and cycles
+// without simulating it. Structure (CFG, loops, calls) always comes from
+// the pristine session program; costs from the placed blocks.
+func (s *Session) boundsFor(key imageKey, image func() (*layout.Image, error)) (*bounds.Result, error) {
 	return s.brackets.do(&s.counters.bounds, key, func() (*bounds.Result, error) {
 		graphs, err := s.Graphs()
 		if err != nil {
 			return nil, err
 		}
-		var img *layout.Image
-		if key == (transformKey{}) {
-			img, err = layout.New(s.prog, s.layout, nil)
-			if err != nil {
-				return nil, errs.Wrap(errs.StageLayout, err)
-			}
-		} else {
-			tf, err := s.transformFor(key, inRAM)
-			if err != nil {
-				return nil, err
-			}
-			img = tf.img
+		img, err := image()
+		if err != nil {
+			return nil, err
 		}
 		br, err := bounds.Compute(s.prog, graphs, img, s.profile)
 		if err != nil {
@@ -889,7 +894,7 @@ func (s *Session) boundsFor(key transformKey, inRAM map[string]bool) (*bounds.Re
 // BaselineBounds brackets the all-in-flash baseline image statically —
 // no simulation runs.
 func (s *Session) BaselineBounds() (*bounds.Result, error) {
-	return s.boundsFor(transformKey{}, nil)
+	return s.boundsFor(imageKey{}, s.rawImage(nil))
 }
 
 // StaticBounds runs the static half of the pipeline for one
@@ -906,12 +911,12 @@ func (s *Session) StaticBounds(ctx context.Context, opts Options) (*bounds.Resul
 	if err != nil {
 		return nil, err
 	}
-	tkey := transformKey{
-		placement: canonicalPlacement(res.InRAM),
-		linkTime:  key.solve.model.linkTime,
-		rspare:    key.solve.model.rspare,
+	tkey := key.transform(res)
+	tf, err := s.transformFor(tkey, res.InRAM)
+	if err != nil {
+		return nil, err
 	}
-	return s.boundsFor(tkey, res.InRAM)
+	return s.boundsFor(tkey.image(), tf.image)
 }
 
 // PruneAgainst decides admissible pruning for one configuration: true
@@ -966,16 +971,13 @@ func (s *Session) optimize(ctx context.Context, key reportKey) (*Report, error) 
 		return nil, err
 	}
 
-	tkey := transformKey{
-		placement: canonicalPlacement(res.InRAM),
-		linkTime:  key.solve.model.linkTime,
-		rspare:    key.solve.model.rspare,
-	}
+	tkey := key.transform(res)
 	tf, err := s.transformFor(tkey, res.InRAM)
 	if err != nil {
 		return nil, err
 	}
-	orun, err := s.optRun(ctx, optRunKey{transform: tkey, traced: key.traced, maxInstrs: key.maxInstrs}, tf)
+	img := tkey.image()
+	orun, err := s.run(ctx, &s.counters.optrun, errs.StageOptRun, runKey{image: img, traced: key.traced, maxInstrs: key.maxInstrs}, tf.image)
 	if err != nil {
 		return nil, err
 	}
@@ -1002,11 +1004,6 @@ func (s *Session) optimize(ctx context.Context, key reportKey) (*Report, error) 
 	if key.traced {
 		rep.BaselineTrace = base.Trace
 		rep.OptimizedTrace = orun.Trace
-		// Baseline conservation is checked here (the optimized run checks
-		// its own when it is simulated).
-		if err := rep.BaselineTrace.CheckConservation(base.Stats); err != nil {
-			return nil, errs.Wrap(errs.StageBaseline, err)
-		}
 	}
 	if rep.Baseline.EnergyMJ > 0 {
 		rep.Ke = rep.Optimized.EnergyMJ / rep.Baseline.EnergyMJ
@@ -1022,32 +1019,23 @@ func (s *Session) optimize(ctx context.Context, key reportKey) (*Report, error) 
 	rep.StartupCopyCycles, rep.StartupCopyEnergyMJ = startupCopyCost(tf.img, s.profile)
 
 	// The intermittent tail: replay the same concrete outage schedule
-	// against both images. The baseline run shares the zero transform
-	// key across configurations; the optimized run keys on the chosen
-	// placement, so aware and oblivious solves that land on different
-	// placements measure separately while identical placements share.
+	// against both images. Each replay keys on its image, so aware and
+	// oblivious solves that land on different placements measure
+	// separately, while identical images — the baseline included — share.
 	if is := key.intermittent; is.enabled {
-		baseRep, err := s.intermittentRun(ctx, intermitKey{
-			trace: is.trace, ckptCycles: is.ckptCycles, maxInstrs: key.maxInstrs,
-		}, base.Image)
+		ik := intermitKey{trace: is.trace, ckptCycles: is.ckptCycles, maxInstrs: key.maxInstrs}
+		baseRep, err := s.intermittentRun(ctx, ik, base.Image)
 		if err != nil {
 			return nil, err
 		}
-		optRep, err := s.intermittentRun(ctx, intermitKey{
-			transform: tkey, trace: is.trace, ckptCycles: is.ckptCycles, maxInstrs: key.maxInstrs,
-		}, tf.img)
+		ik.image = img
+		optRep, err := s.intermittentRun(ctx, ik, tf.img)
 		if err != nil {
 			return nil, err
-		}
-		nOut := 0
-		if is.trace != "" {
-			if tr, err := sim.ParsePowerTrace([]byte(is.trace)); err == nil {
-				nOut = len(tr.Outages)
-			}
 		}
 		rep.Intermittent = &IntermittentComparison{
 			Spec:             is.trace,
-			Outages:          nOut,
+			Outages:          is.outages,
 			CheckpointCycles: is.ckptCycles,
 			CkptAware:        is.aware,
 			CkptNJPerByte:    key.solve.model.ckptNJPerByte,
@@ -1114,6 +1102,9 @@ type SessionStats struct {
 	OptRun    StageStats `json:"opt_run"`
 	Optimize  StageStats `json:"optimize"`
 	Bounds    StageStats `json:"bounds"`
+	// Intermit is the trace-driven replay memo; nil when the stage was
+	// never touched, so always-powered documents keep their schema.
+	Intermit *StageStats `json:"intermit,omitempty"`
 	// SimRuns and CyclesSimulated count actual simulator executions
 	// (baseline + optimized, deduplicated by the memo).
 	SimRuns         uint64 `json:"sim_runs"`
@@ -1132,32 +1123,30 @@ type SessionStats struct {
 
 // Reuses totals the stage hits: how many artifact computations the
 // session avoided.
-func (st SessionStats) Reuses() uint64 {
-	return st.Baseline.Hits + st.CFG.Hits + st.Freq.Hits +
-		st.Model.Hits + st.Solve.Hits + st.Transform.Hits +
-		st.OptRun.Hits + st.Optimize.Hits + st.Bounds.Hits
+func (st SessionStats) Reuses() uint64 { return st.Totals().Hits }
+
+func (st *StageStats) add(o StageStats) {
+	st.Hits += o.Hits
+	st.Misses += o.Misses
 }
 
 // Add accumulates another snapshot (for aggregating across sessions).
 func (st *SessionStats) Add(o SessionStats) {
-	st.Baseline.Hits += o.Baseline.Hits
-	st.Baseline.Misses += o.Baseline.Misses
-	st.CFG.Hits += o.CFG.Hits
-	st.CFG.Misses += o.CFG.Misses
-	st.Freq.Hits += o.Freq.Hits
-	st.Freq.Misses += o.Freq.Misses
-	st.Model.Hits += o.Model.Hits
-	st.Model.Misses += o.Model.Misses
-	st.Solve.Hits += o.Solve.Hits
-	st.Solve.Misses += o.Solve.Misses
-	st.Transform.Hits += o.Transform.Hits
-	st.Transform.Misses += o.Transform.Misses
-	st.OptRun.Hits += o.OptRun.Hits
-	st.OptRun.Misses += o.OptRun.Misses
-	st.Optimize.Hits += o.Optimize.Hits
-	st.Optimize.Misses += o.Optimize.Misses
-	st.Bounds.Hits += o.Bounds.Hits
-	st.Bounds.Misses += o.Bounds.Misses
+	st.Baseline.add(o.Baseline)
+	st.CFG.add(o.CFG)
+	st.Freq.add(o.Freq)
+	st.Model.add(o.Model)
+	st.Solve.add(o.Solve)
+	st.Transform.add(o.Transform)
+	st.OptRun.add(o.OptRun)
+	st.Optimize.add(o.Optimize)
+	st.Bounds.add(o.Bounds)
+	if o.Intermit != nil {
+		if st.Intermit == nil {
+			st.Intermit = new(StageStats)
+		}
+		st.Intermit.add(*o.Intermit)
+	}
 	st.SimRuns += o.SimRuns
 	st.CyclesSimulated += o.CyclesSimulated
 	st.PruneChecked += o.PruneChecked
@@ -1218,11 +1207,7 @@ func (c *stageCounter) snapshot() StageStats {
 
 type sessionCounters struct {
 	baseline, cfg, freq, model, solve, transform, optrun, optimize stageCounter
-	bounds                                                         stageCounter
-	// intermit ledgers the trace-driven run memo. Deliberately not part
-	// of SessionStats: that schema is golden-tested, and always-powered
-	// sweeps never touch this stage.
-	intermit stageCounter
+	bounds, intermit                                               stageCounter
 
 	simRuns, cyclesSimulated   atomic.Uint64
 	pruneChecked, pruneSkipped atomic.Uint64
@@ -1233,7 +1218,7 @@ type sessionCounters struct {
 
 // Stats snapshots the session's stage hit/miss counters.
 func (s *Session) Stats() SessionStats {
-	return SessionStats{
+	st := SessionStats{
 		Baseline:        s.counters.baseline.snapshot(),
 		CFG:             s.counters.cfg.snapshot(),
 		Freq:            s.counters.freq.snapshot(),
@@ -1250,6 +1235,10 @@ func (s *Session) Stats() SessionStats {
 		WarmHits:        s.counters.warmHits.Load(),
 		WarmMisses:      s.counters.warmMisses.Load(),
 	}
+	if in := s.counters.intermit.snapshot(); in != (StageStats{}) {
+		st.Intermit = &in
+	}
+	return st
 }
 
 // ---------------------------------------------------------------------

@@ -61,21 +61,9 @@ func TestFigure6Golden(t *testing.T) {
 		t.Skip("20 full trade-off sweeps, twice")
 	}
 	warm := figure6Lines(t, false)
-	if *updateFigure6 {
-		if err := os.WriteFile(figure6Golden, []byte(strings.Join(warm, "\n")+"\n"), 0o644); err != nil {
-			t.Fatal(err)
-		}
+	want, ok := goldenLines(t, figure6Golden, "-update-figure6", *updateFigure6, warm)
+	if !ok {
 		return
-	}
-	f, err := os.Open(figure6Golden)
-	if err != nil {
-		t.Fatalf("%v (run with -update-figure6 to create it)", err)
-	}
-	defer f.Close()
-	var want []string
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		want = append(want, sc.Text())
 	}
 	for pass, got := range map[string][]string{"warm": warm, "cold": figure6Lines(t, true)} {
 		if len(got) != len(want) {
@@ -87,4 +75,28 @@ func TestFigure6Golden(t *testing.T) {
 			}
 		}
 	}
+}
+
+// goldenLines returns the lines of a golden file, or with update set
+// rewrites it from got and reports false. A missing file names the flag
+// that creates it.
+func goldenLines(t *testing.T, path, flag string, update bool, got []string) ([]string, bool) {
+	t.Helper()
+	if update {
+		if err := os.WriteFile(path, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return nil, false
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatalf("%v (run with %s to create it)", err, flag)
+	}
+	defer f.Close()
+	var want []string
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		want = append(want, sc.Text())
+	}
+	return want, true
 }

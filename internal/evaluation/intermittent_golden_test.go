@@ -1,14 +1,11 @@
 package evaluation
 
 import (
-	"bufio"
 	"context"
 	"crypto/sha256"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"os"
-	"strings"
 	"testing"
 
 	"repro/internal/beebs"
@@ -66,21 +63,9 @@ func TestIntermittentGolden(t *testing.T) {
 		t.Skip("the full intermittent sweep")
 	}
 	got := intermittentLines(t)
-	if *updateIntermittent {
-		if err := os.WriteFile(intermittentGolden, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
-			t.Fatal(err)
-		}
+	want, ok := goldenLines(t, intermittentGolden, "-update-intermittent", *updateIntermittent, got)
+	if !ok {
 		return
-	}
-	f, err := os.Open(intermittentGolden)
-	if err != nil {
-		t.Fatalf("%v (run with -update-intermittent to create it)", err)
-	}
-	defer f.Close()
-	var want []string
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		want = append(want, sc.Text())
 	}
 	if len(got) != len(want) {
 		t.Fatalf("golden has %d lines, sweep produced %d", len(want), len(got))

@@ -1,12 +1,15 @@
 package transform
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/beebs"
 	"repro/internal/ir"
 	"repro/internal/isa"
 	"repro/internal/layout"
+	"repro/internal/mcc"
 	"repro/internal/power"
 	"repro/internal/sim"
 )
@@ -281,5 +284,49 @@ func TestApplyOnCloneLeavesOriginal(t *testing.T) {
 	}
 	if base.String() != before {
 		t.Error("Apply mutated the original program through the clone")
+	}
+}
+
+// The empty placement is the all-flash baseline in every transform mode:
+// Apply and ApplyLinkTime leave every BEEBS program untouched and report
+// nothing, and the result lays out to the baseline image — same blocks,
+// addresses, literal addresses and symbols. The session's image-keyed
+// memos rely on this to serve such configurations the baseline's runs.
+func TestEmptyPlacementIsTheBaseline(t *testing.T) {
+	cfg := layout.DefaultConfig()
+	modes := map[string]func(*ir.Program, map[string]bool) (*Report, error){
+		"Apply": Apply, "ApplyLinkTime": ApplyLinkTime,
+	}
+	for _, b := range beebs.All() {
+		for _, level := range []mcc.OptLevel{mcc.O2, mcc.Os} {
+			p, err := mcc.Compile(b.Source, level)
+			if err != nil {
+				t.Fatal(err)
+			}
+			base, err := layout.New(p, cfg, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, apply := range modes {
+				q := p.Clone()
+				rep, err := apply(q, map[string]bool{})
+				if err != nil {
+					t.Fatalf("%s/%v %s: %v", b.Name, level, name, err)
+				}
+				if !reflect.DeepEqual(rep, &Report{}) {
+					t.Errorf("%s/%v %s: empty placement reported %+v", b.Name, level, name, rep)
+				}
+				if !reflect.DeepEqual(q, p) {
+					t.Errorf("%s/%v %s: empty placement changed the program", b.Name, level, name)
+				}
+				img, err := layout.New(q, cfg, map[string]bool{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(img, base) {
+					t.Errorf("%s/%v %s: empty placement laid out differently from the baseline", b.Name, level, name)
+				}
+			}
+		}
 	}
 }
