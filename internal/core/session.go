@@ -1142,10 +1142,13 @@ func (st *SessionStats) Add(o SessionStats) {
 	st.Optimize.add(o.Optimize)
 	st.Bounds.add(o.Bounds)
 	if o.Intermit != nil {
-		if st.Intermit == nil {
-			st.Intermit = new(StageStats)
+		// Copy on write: a struct copy of st shares its Intermit pointer,
+		// so summing in place would change the copy's source too.
+		sum := *o.Intermit
+		if st.Intermit != nil {
+			sum.add(*st.Intermit)
 		}
-		st.Intermit.add(*o.Intermit)
+		st.Intermit = &sum
 	}
 	st.SimRuns += o.SimRuns
 	st.CyclesSimulated += o.CyclesSimulated

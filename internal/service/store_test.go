@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/evaluation"
 	"repro/internal/mcc"
+	"repro/internal/sim"
 )
 
 // buildSession compiles a real (tiny) benchmark session — store tests
@@ -118,6 +119,44 @@ func TestStoreEvictionKeepsCumulativeStats(t *testing.T) {
 	agg := s.StageStats()
 	if agg.Baseline.Misses < work.Baseline.Misses {
 		t.Fatalf("evicted session's stage counters vanished: agg=%+v work=%+v", agg, work)
+	}
+}
+
+// TestStoreStageStatsIdempotentWithIntermit: once an evicted session
+// that replayed a power trace sits in the retained ledger, reading the
+// cumulative stats must not fold the live sessions into it — two reads
+// with no work in between agree.
+func TestStoreStageStatsIdempotentWithIntermit(t *testing.T) {
+	s := NewStore(1)
+	traced := func(key, bench string) {
+		t.Helper()
+		sess, err := s.GetSession(key, buildSession(t, bench))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sess.Optimize(t.Context(), core.Options{PowerTrace: sim.ProfileSteady}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	traced("a", "crc32")
+	traced("b", "crc32") // evicts a, whose ledger has an intermit stage
+	// Compare values, not pointers: a shared Intermit would make two
+	// snapshots agree while both drift.
+	read := func() core.StageStats {
+		t.Helper()
+		st := s.StageStats()
+		if st.Intermit == nil {
+			t.Fatalf("intermit stage missing from the cumulative ledger: %+v", st)
+		}
+		return *st.Intermit
+	}
+	first := read()
+	second := read()
+	if first != second {
+		t.Fatalf("StageStats drifted between reads: intermit %+v then %+v", first, second)
+	}
+	if first.Misses < 2 {
+		t.Fatalf("intermit misses = %d, want a replay from each session", first.Misses)
 	}
 }
 
