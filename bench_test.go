@@ -37,7 +37,7 @@ import (
 func BenchmarkFigure1(b *testing.B) {
 	var ratio float64
 	for i := 0; i < b.N; i++ {
-		rows, err := evaluation.Figure1()
+		rows, err := evaluation.NewSweep(1).Figure1(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -68,7 +68,7 @@ func BenchmarkFigure5(b *testing.B) {
 		b.Run(bench.Name, func(b *testing.B) {
 			var rep *core.Report
 			for i := 0; i < b.N; i++ {
-				r, err := evaluation.RunBenchmark(bench, mcc.O2, evaluation.Options{})
+				r, err := evaluation.NewSweep(1).RunBenchmark(context.Background(), bench, mcc.O2, core.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -89,7 +89,7 @@ func BenchmarkFigure5Frequency(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var rep *core.Report
 			for i := 0; i < b.N; i++ {
-				r, err := evaluation.RunBenchmark(bench, mcc.O2, evaluation.Options{UseProfile: true})
+				r, err := evaluation.NewSweep(1).RunBenchmark(context.Background(), bench, mcc.O2, core.Options{UseProfile: true})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -108,7 +108,7 @@ func BenchmarkAggregate(b *testing.B) {
 	var agg *evaluation.Aggregate
 	for i := 0; i < b.N; i++ {
 		var err error
-		agg, err = evaluation.RunAggregate([]mcc.OptLevel{mcc.O0, mcc.O1, mcc.O2, mcc.O3, mcc.Os})
+		agg, err = evaluation.NewSweep(1).RunAggregate(context.Background(), []mcc.OptLevel{mcc.O0, mcc.O1, mcc.O2, mcc.O3, mcc.Os})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -129,7 +129,7 @@ func BenchmarkFigure6(b *testing.B) {
 			var data *evaluation.Figure6Data
 			for i := 0; i < b.N; i++ {
 				var err error
-				data, err = evaluation.Figure6(name, mcc.O2, 8,
+				data, err = evaluation.NewSweep(1).Figure6(context.Background(), name, mcc.O2, 8,
 					[]float64{0, 64, 128, 256, 512, 1024, 2048},
 					[]float64{1.0, 1.05, 1.1, 1.2, 1.5, 2.0})
 				if err != nil {
@@ -149,7 +149,7 @@ func BenchmarkFigure6(b *testing.B) {
 func BenchmarkCaseStudy(b *testing.B) {
 	var sc casestudy.Scenario
 	for i := 0; i < b.N; i++ {
-		r, err := evaluation.RunBenchmark(beebs.Get("fdct"), mcc.O2, evaluation.Options{})
+		r, err := evaluation.NewSweep(1).RunBenchmark(context.Background(), beebs.Get("fdct"), mcc.O2, core.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -168,7 +168,7 @@ func BenchmarkFigure9(b *testing.B) {
 	var series []evaluation.Figure9Series
 	for i := 0; i < b.N; i++ {
 		var err error
-		series, err = evaluation.Figure9(mcc.O2, []float64{1, 2, 3, 4, 6, 8, 12, 16})
+		series, err = evaluation.NewSweep(1).Figure9(context.Background(), mcc.O2, []float64{1, 2, 3, 4, 6, 8, 12, 16})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -187,8 +187,8 @@ func BenchmarkAblationSolvers(b *testing.B) {
 		b.Run(string(solver), func(b *testing.B) {
 			var rep *core.Report
 			for i := 0; i < b.N; i++ {
-				r, err := evaluation.RunBenchmark(beebs.Get("dijkstra"), mcc.O2,
-					evaluation.Options{Solver: solver, Rspare: 512})
+				r, err := evaluation.NewSweep(1).RunBenchmark(context.Background(), beebs.Get("dijkstra"), mcc.O2,
+					core.Options{Solver: solver, Rspare: 512})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -210,8 +210,8 @@ func BenchmarkAblationFrequency(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var rep *core.Report
 			for i := 0; i < b.N; i++ {
-				r, err := evaluation.RunBenchmark(beebs.Get("sha"), mcc.O2,
-					evaluation.Options{UseProfile: useProf})
+				r, err := evaluation.NewSweep(1).RunBenchmark(context.Background(), beebs.Get("sha"), mcc.O2,
+					core.Options{UseProfile: useProf})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -229,8 +229,8 @@ func BenchmarkAblationXlimit(b *testing.B) {
 		b.Run(fmtF(xl), func(b *testing.B) {
 			var rep *core.Report
 			for i := 0; i < b.N; i++ {
-				r, err := evaluation.RunBenchmark(beebs.Get("int_matmult"), mcc.O2,
-					evaluation.Options{Xlimit: xl})
+				r, err := evaluation.NewSweep(1).RunBenchmark(context.Background(), beebs.Get("int_matmult"), mcc.O2,
+					core.Options{Xlimit: xl})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -262,8 +262,8 @@ func BenchmarkLinkTimeExtension(b *testing.B) {
 			b.Run(label, func(b *testing.B) {
 				var rep *core.Report
 				for i := 0; i < b.N; i++ {
-					r, err := evaluation.RunBenchmark(bench, mcc.O2,
-						evaluation.Options{LinkTime: lt})
+					r, err := evaluation.NewSweep(1).RunBenchmark(context.Background(), bench, mcc.O2,
+						core.Options{LinkTime: lt})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -553,10 +553,10 @@ func BenchmarkFigure5Sweep(b *testing.B) {
 				for _, level := range levels {
 					// Package-level RunBenchmark uses a private one-shot
 					// Sweep: nothing is shared between the two calls.
-					if _, err := evaluation.RunBenchmark(bench, level, evaluation.Options{}); err != nil {
+					if _, err := evaluation.NewSweep(1).RunBenchmark(context.Background(), bench, level, core.Options{}); err != nil {
 						b.Fatal(err)
 					}
-					if _, err := evaluation.RunBenchmark(bench, level, evaluation.Options{UseProfile: true}); err != nil {
+					if _, err := evaluation.NewSweep(1).RunBenchmark(context.Background(), bench, level, core.Options{UseProfile: true}); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -32,6 +32,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"repro/internal/core"
 	"runtime"
 	"runtime/pprof"
 	"time"
@@ -279,7 +280,7 @@ func runSavers(ctx context.Context, sw *evaluation.Sweep, asJSON bool, top int, 
 }
 
 func runCaseStudy(ctx context.Context, sw *evaluation.Sweep, asJSON bool, doc *document) error {
-	r, err := sw.RunBenchmark(ctx, beebs.Get("fdct"), mcc.O2, evaluation.Options{})
+	r, err := sw.RunBenchmark(ctx, beebs.Get("fdct"), mcc.O2, core.Options{})
 	if err != nil {
 		return err
 	}
@@ -394,9 +395,9 @@ func runIntermittent(ctx context.Context, sw *evaluation.Sweep, asJSON bool, doc
 // way, only session_stats' prune_checked/prune_skipped move.
 func runSelect(ctx context.Context, sw *evaluation.Sweep, asJSON bool, doc *document) error {
 	cands := []evaluation.Candidate{
-		{Name: "static", Opts: evaluation.Options{}},
-		{Name: "profiled", Opts: evaluation.Options{UseProfile: true}},
-		{Name: "all-flash", Opts: evaluation.Options{Rspare: 1}},
+		{Name: "static", Opts: core.Options{}},
+		{Name: "profiled", Opts: core.Options{UseProfile: true}},
+		{Name: "all-flash", Opts: core.Options{Rspare: 1}},
 	}
 	var firstErr error
 	if !asJSON {

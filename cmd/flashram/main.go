@@ -22,14 +22,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"repro/internal/beebs"
 	"repro/internal/cliutil"
 	"repro/internal/core"
 	"repro/internal/encode"
 	"repro/internal/evaluation"
-	"repro/internal/mcc"
 	"repro/internal/placement"
 )
 
@@ -46,28 +44,14 @@ func main() {
 		runBounds(os.Args[2:])
 		return
 	}
+	knobs := addRequestFlags(flag.CommandLine)
 	var (
-		benchName = flag.String("bench", "", "built-in BEEBS benchmark name")
-		srcFile   = flag.String("src", "", "mcc source file to compile")
-		level     = flag.String("O", "O2", "optimization level: O0 O1 O2 O3 Os")
-		solver    = flag.String("solver", "ilp", "placement solver: ilp greedy function exhaustive")
-		xlimit    = flag.Float64("xlimit", 0, "max execution-time ratio (0 = default 2.0)")
-		rspare    = flag.Float64("rspare", 0, "RAM budget for code in bytes (0 = derive)")
-		profile   = flag.Bool("profile", false, "use measured block frequencies instead of the static estimate")
-		linktime  = flag.Bool("linktime", false, "link-time mode: library code (soft-float) becomes placeable (§8 future work)")
-		maxinstr  = flag.Uint64("maxinstr", 0, "per-run instruction limit (0 = simulator default)")
-		ptrace    = flag.String("powertrace", "", "replay both images under injected power failures: a harvest profile (steady bursty adversarial), an inline trace spec, or @file")
-		ckptCyc   = flag.Uint64("checkpoint", 0, "checkpoint interval in executed cycles for -powertrace runs (0 = default)")
-		ckptAware = flag.Bool("ckptaware", false, "price per-checkpoint journal traffic of RAM residency into the placement model")
-		dump      = flag.Bool("dump", false, "dump the optimized assembly")
-		emit      = flag.String("emit", "", "write the encoded machine-code image to <prefix>.flash.bin and <prefix>.ram.bin")
-		disasm    = flag.Bool("disasm", false, "disassemble the optimized image (encoded bytes + assembly)")
-		asJSON    = flag.Bool("json", false, "emit the run as one JSON document (the schema shared with beebsbench/tradeoff and the flashramd service)")
-		fig1      = flag.Bool("fig1", false, "print the Figure 1 instruction-power table and exit")
-		list      = flag.Bool("list", false, "list built-in benchmarks and exit")
-		timeout   = flag.Duration("timeout", 0, "overall wall-clock budget (0 = none); SIGINT also cancels")
-		snodes    = flag.Int("solvenodes", 0, "branch-and-bound node budget (0 = solver default); on exhaustion the degradation ladder keeps the best answer it has")
-		stimeout  = flag.Duration("solvetimeout", 0, "ILP solve wall-clock budget (0 = none); on expiry the ladder degrades instead of failing")
+		dump   = flag.Bool("dump", false, "dump the optimized assembly")
+		emit   = flag.String("emit", "", "write the encoded machine-code image to <prefix>.flash.bin and <prefix>.ram.bin")
+		disasm = flag.Bool("disasm", false, "disassemble the optimized image (encoded bytes + assembly)")
+		asJSON = flag.Bool("json", false, "emit the run as one JSON document (the schema shared with beebsbench/tradeoff and the flashramd service)")
+		fig1   = flag.Bool("fig1", false, "print the Figure 1 instruction-power table and exit")
+		list   = flag.Bool("list", false, "list built-in benchmarks and exit")
 	)
 	flag.Parse()
 
@@ -81,7 +65,7 @@ func main() {
 		}
 		return
 	}
-	ctx, stop := cliutil.Context(*timeout)
+	ctx, stop := cliutil.Context(knobs.timeout)
 	defer stop()
 
 	if *fig1 {
@@ -97,70 +81,28 @@ func main() {
 		return
 	}
 
-	optLevel, err := mcc.ParseOptLevel(*level)
-	if err != nil {
-		fatal(err)
-	}
-
-	var source, name string
-	switch {
-	case *benchName != "":
-		b := beebs.Get(*benchName)
-		if b == nil {
-			fatal(fmt.Errorf("unknown benchmark %q (use -list)", *benchName))
-		}
-		source, name = b.Source, b.Name
-	case *srcFile != "":
-		data, err := os.ReadFile(*srcFile)
-		if err != nil {
-			fatal(err)
-		}
-		source, name = string(data), *srcFile
-	default:
-		fatal(fmt.Errorf("one of -bench or -src is required"))
-	}
-
-	prog, err := mcc.Compile(source, optLevel)
+	cell, err := knobs.resolve()
 	if err != nil {
 		fatal(err)
 	}
 	// One session per invocation: with -profile the frequency estimate
 	// reuses the baseline run the report measures anyway, so the program
 	// is simulated twice (baseline + optimized), not three times.
-	sess, err := core.NewSession(prog, core.SessionConfig{})
+	sess, err := evaluation.NewSession(cell.Bench, cell.Level)
 	if err != nil {
 		fatal(err)
 	}
-	traceSpec := *ptrace
-	if strings.HasPrefix(traceSpec, "@") {
-		data, err := os.ReadFile(traceSpec[1:])
-		if err != nil {
-			fatal(err)
-		}
-		traceSpec = string(data)
-	}
-	rep, err := sess.Optimize(ctx, core.Options{
-		Solver:           core.Solver(*solver),
-		Xlimit:           *xlimit,
-		Rspare:           *rspare,
-		UseProfile:       *profile,
-		LinkTime:         *linktime,
-		MaxInstrs:        *maxinstr,
-		PowerTrace:       traceSpec,
-		CheckpointCycles: *ckptCyc,
-		CkptAware:        *ckptAware,
-		SolveMaxNodes:    *snodes,
-		SolveTimeout:     *stimeout,
-	})
+	rep, err := sess.Optimize(ctx, cell.Opts)
 	if err != nil {
 		fatal(err)
 	}
+	run := &evaluation.Run{Bench: cell.Bench.Name, Level: cell.Level, Report: rep}
 
 	if *asJSON {
 		// Exactly the document — and exactly the encoding — the flashramd
 		// service returns for the same request, so `flashram -json` and a
 		// /v1/optimize response are byte-comparable.
-		doc := evaluation.NewRunJSON(&evaluation.Run{Bench: name, Level: optLevel, Report: rep})
+		doc := evaluation.NewRunJSON(run)
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(doc); err != nil {
@@ -169,13 +111,7 @@ func main() {
 		return
 	}
 
-	fmt.Printf("%s at %v (%s solver)\n", name, optLevel, *solver)
-	fmt.Printf("  baseline : %.4f mJ, %.3f ms, %.2f mW (%d cycles)\n",
-		rep.Baseline.EnergyMJ, 1e3*rep.Baseline.TimeS, rep.Baseline.PowerMW, rep.Baseline.Cycles)
-	fmt.Printf("  optimized: %.4f mJ, %.3f ms, %.2f mW (%d cycles)\n",
-		rep.Optimized.EnergyMJ, 1e3*rep.Optimized.TimeS, rep.Optimized.PowerMW, rep.Optimized.Cycles)
-	fmt.Printf("  change   : energy %+.1f%%, time %+.1f%%, power %+.1f%%\n",
-		100*rep.EnergyChange, 100*rep.TimeChange, 100*rep.PowerChange)
+	printSummary(run, cell.Opts.Solver)
 	fmt.Printf("  placement: %d blocks (%d bytes RAM code), solver nodes %d, proven %v\n",
 		len(rep.MovedLabels()), rep.Optimized.RAMCodeBytes, rep.Placement.Nodes, rep.Placement.Proven)
 	if rep.Strategy != "" && rep.Strategy != placement.StrategyILPOptimal &&
@@ -228,6 +164,28 @@ func main() {
 		fmt.Printf("  emitted  : %s (%d bytes), %s (%d bytes of .ramcode, copied at boot)\n",
 			flashFile, flashLen, ramFile, len(ram))
 	}
+}
+
+// solverName labels a run's solver, naming the default the pipeline
+// picks for an empty one.
+func solverName(s core.Solver) string {
+	if s == "" {
+		return string(core.SolverILP)
+	}
+	return string(s)
+}
+
+// printSummary prints the header and the baseline/optimized/change lines
+// every flashram run mode opens its text report with.
+func printSummary(run *evaluation.Run, solver core.Solver) {
+	rep := run.Report
+	fmt.Printf("%s at %v (%s solver)\n", run.Bench, run.Level, solverName(solver))
+	fmt.Printf("  baseline : %.4f mJ, %.3f ms, %.2f mW (%d cycles)\n",
+		rep.Baseline.EnergyMJ, 1e3*rep.Baseline.TimeS, rep.Baseline.PowerMW, rep.Baseline.Cycles)
+	fmt.Printf("  optimized: %.4f mJ, %.3f ms, %.2f mW (%d cycles)\n",
+		rep.Optimized.EnergyMJ, 1e3*rep.Optimized.TimeS, rep.Optimized.PowerMW, rep.Optimized.Cycles)
+	fmt.Printf("  change   : energy %+.1f%%, time %+.1f%%, power %+.1f%%\n",
+		100*rep.EnergyChange, 100*rep.TimeChange, 100*rep.PowerChange)
 }
 
 func fatal(err error) {

@@ -6,12 +6,10 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/beebs"
 	"repro/internal/cliutil"
 	"repro/internal/core"
 	"repro/internal/evaluation"
 	"repro/internal/isa"
-	"repro/internal/mcc"
 	"repro/internal/power"
 	"repro/internal/trace"
 )
@@ -38,20 +36,11 @@ type profileDoc struct {
 // comparison of §6.
 func runProfile(args []string) {
 	fs := flag.NewFlagSet("profile", flag.ExitOnError)
+	knobs := addRequestFlags(fs)
 	var (
-		benchName = fs.String("bench", "", "built-in BEEBS benchmark name")
-		srcFile   = fs.String("src", "", "mcc source file to compile")
-		level     = fs.String("O", "O2", "optimization level: O0 O1 O2 O3 Os")
-		solver    = fs.String("solver", "ilp", "placement solver: ilp greedy function exhaustive")
-		xlimit    = fs.Float64("xlimit", 0, "max execution-time ratio (0 = default 2.0)")
-		rspare    = fs.Float64("rspare", 0, "RAM budget for code in bytes (0 = derive)")
-		useFreq   = fs.Bool("profile", false, "use measured block frequencies instead of the static estimate")
-		linktime  = fs.Bool("linktime", false, "link-time mode: library code becomes placeable")
-		top       = fs.Int("top", 10, "rows per table (<= 0 shows everything)")
-		outlier   = fs.Float64("outlier", 0.5, "relative model-vs-measured disagreement that flags a block")
-		maxinstr  = fs.Uint64("maxinstr", 0, "per-run instruction limit (0 = simulator default)")
-		asJSON    = fs.Bool("json", false, "emit one machine-readable JSON document")
-		timeout   = fs.Duration("timeout", 0, "overall wall-clock budget (0 = none); SIGINT also cancels")
+		top     = fs.Int("top", 10, "rows per table (<= 0 shows everything)")
+		outlier = fs.Float64("outlier", 0.5, "relative model-vs-measured disagreement that flags a block")
+		asJSON  = fs.Bool("json", false, "emit one machine-readable JSON document")
 	)
 	fs.Usage = func() {
 		fmt.Fprintln(os.Stderr, `usage: flashram profile [-bench name | -src file] [flags]
@@ -64,51 +53,20 @@ ILP cost model disagrees with the measured attribution.`)
 	}
 	fs.Parse(args)
 
-	optLevel, err := mcc.ParseOptLevel(*level)
-	if err != nil {
-		fatal(err)
-	}
-
-	var source, name string
-	switch {
-	case *benchName != "":
-		b := beebs.Get(*benchName)
-		if b == nil {
-			fatal(fmt.Errorf("unknown benchmark %q (use flashram -list)", *benchName))
-		}
-		source, name = b.Source, b.Name
-	case *srcFile != "":
-		data, err := os.ReadFile(*srcFile)
-		if err != nil {
-			fatal(err)
-		}
-		source, name = string(data), *srcFile
-	default:
-		fs.Usage()
-		os.Exit(2)
-	}
-
-	prog, err := mcc.Compile(source, optLevel)
+	cell, err := knobs.resolve()
 	if err != nil {
 		fatal(err)
 	}
 	// The traced run comes out of a session so the -profile frequency
 	// estimate shares the baseline simulation with the report itself.
-	sess, err := core.NewSession(prog, core.SessionConfig{})
+	sess, err := evaluation.NewSession(cell.Bench, cell.Level)
 	if err != nil {
 		fatal(err)
 	}
-	ctx, stop := cliutil.Context(*timeout)
+	ctx, stop := cliutil.Context(knobs.timeout)
 	defer stop()
-	rep, err := sess.Optimize(ctx, core.Options{
-		Solver:     core.Solver(*solver),
-		Xlimit:     *xlimit,
-		Rspare:     *rspare,
-		UseProfile: *useFreq,
-		LinkTime:   *linktime,
-		Trace:      true,
-		MaxInstrs:  *maxinstr,
-	})
+	cell.Opts.Trace = true
+	rep, err := sess.Optimize(ctx, cell.Opts)
 	if err != nil {
 		fatal(err)
 	}
@@ -116,13 +74,13 @@ ILP cost model disagrees with the measured attribution.`)
 	diff := trace.ModelDiff(rep.OptimizedTrace, rep.Model, rep.Placement.InRAM,
 		trace.DiffOptions{OutlierRelErr: *outlier})
 	savers := rep.BlockSavings(*top)
-	run := &evaluation.Run{Bench: name, Level: optLevel, Report: rep}
+	run := &evaluation.Run{Bench: cell.Bench.Name, Level: cell.Level, Report: rep}
 
 	if *asJSON {
 		doc := profileDoc{
-			Bench:     name,
-			Level:     optLevel.String(),
-			Solver:    *solver,
+			Bench:     run.Bench,
+			Level:     run.Level.String(),
+			Solver:    solverName(cell.Opts.Solver),
 			Run:       evaluation.NewRunJSON(run),
 			Baseline:  rep.BaselineTrace.JSON(*top),
 			Optimized: rep.OptimizedTrace.JSON(*top),
@@ -139,13 +97,7 @@ ILP cost model disagrees with the measured attribution.`)
 		return
 	}
 
-	fmt.Printf("%s at %v (%s solver)\n", name, optLevel, *solver)
-	fmt.Printf("  baseline : %.4f mJ, %.3f ms, %.2f mW (%d cycles)\n",
-		rep.Baseline.EnergyMJ, 1e3*rep.Baseline.TimeS, rep.Baseline.PowerMW, rep.Baseline.Cycles)
-	fmt.Printf("  optimized: %.4f mJ, %.3f ms, %.2f mW (%d cycles)\n",
-		rep.Optimized.EnergyMJ, 1e3*rep.Optimized.TimeS, rep.Optimized.PowerMW, rep.Optimized.Cycles)
-	fmt.Printf("  change   : energy %+.1f%%, time %+.1f%%, power %+.1f%%\n",
-		100*rep.EnergyChange, 100*rep.TimeChange, 100*rep.PowerChange)
+	printSummary(run, cell.Opts.Solver)
 
 	printHotBlocks("baseline", rep.BaselineTrace, *top)
 	printHotBlocks("optimized", rep.OptimizedTrace, *top)

@@ -6,8 +6,10 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
+	"repro/internal/core"
 
 	"repro/internal/beebs"
 	"repro/internal/casestudy"
@@ -17,7 +19,7 @@ import (
 
 func main() {
 	fmt.Println("Measuring the FDCT active region on the simulated board...")
-	run, err := evaluation.RunBenchmark(beebs.Get("fdct"), mcc.O2, evaluation.Options{})
+	run, err := evaluation.NewSweep(1).RunBenchmark(context.Background(), beebs.Get("fdct"), mcc.O2, core.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

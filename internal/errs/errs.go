@@ -68,20 +68,21 @@ func (e *Error) Error() string {
 		}
 		b.WriteString(": ")
 	}
+	cause := "failed"
+	if e.Err != nil {
+		cause = e.Err.Error()
+	}
 	if e.Stage != "" {
-		// Suppress the stage prefix when the cause already leads with it
-		// (an inner *Error for the same stage).
+		// Suppress the stage prefix when the cause already names the
+		// stage: an inner *Error for the same stage, or a plain message
+		// that leads with it (model.Build's "model: ...").
+		prefix := string(e.Stage) + ": "
 		var inner *Error
-		if !(errors.As(e.Err, &inner) && inner.Stage == e.Stage) {
-			b.WriteString(string(e.Stage))
-			b.WriteString(": ")
+		if !(errors.As(e.Err, &inner) && inner.Stage == e.Stage) && !strings.HasPrefix(cause, prefix) {
+			b.WriteString(prefix)
 		}
 	}
-	if e.Err != nil {
-		b.WriteString(e.Err.Error())
-	} else {
-		b.WriteString("failed")
-	}
+	b.WriteString(cause)
 	return b.String()
 }
 

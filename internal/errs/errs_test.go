@@ -50,6 +50,11 @@ func TestErrorSuppressesDuplicateStagePrefix(t *testing.T) {
 	if got := outer.Error(); strings.Count(got, "solve:") != 1 {
 		t.Fatalf("duplicated stage prefix: %q", got)
 	}
+	// A plain cause that already leads with the stage keeps one prefix.
+	plain := AtBench("crc32", "O2", Wrap(StageModel, errors.New("model: negative Rspare -5")))
+	if got, want := plain.Error(), "crc32 at O2: model: negative Rspare -5"; got != want {
+		t.Fatalf("Error() = %q, want %q", got, want)
+	}
 }
 
 func TestBudgetErrorMatching(t *testing.T) {

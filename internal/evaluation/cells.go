@@ -5,18 +5,18 @@ import (
 	"errors"
 
 	"repro/internal/beebs"
+	"repro/internal/core"
 	"repro/internal/errs"
 	"repro/internal/mcc"
 )
 
 // Cell is one item of an ad-hoc sweep: a benchmark (built-in or a
 // synthetic one wrapping inline source), an optimization level, and the
-// pipeline knobs. The daemon's sweep endpoint builds these straight from
-// request JSON.
+// pipeline knobs. Request.Resolve builds one from every surface's input.
 type Cell struct {
 	Bench *beebs.Benchmark
 	Level mcc.OptLevel
-	Opts  Options
+	Opts  core.Options
 }
 
 // RunCells runs every cell across the sweep's bounded, panic-isolated

@@ -15,7 +15,7 @@ func TestRunCellsDeliversEveryCell(t *testing.T) {
 	sw := NewSweep(2)
 	cells := []Cell{
 		{Bench: beebs.Get("crc32"), Level: mcc.O2},
-		{Bench: beebs.Get("crc32"), Level: mcc.O2, Opts: Options{Xlimit: 1.5}},
+		{Bench: beebs.Get("crc32"), Level: mcc.O2, Opts: core.Options{Xlimit: 1.5}},
 		{Bench: beebs.Get("sha"), Level: mcc.Os},
 	}
 	var mu sync.Mutex
@@ -76,7 +76,7 @@ func TestRunCellsBadCellForfeitsOnlyItself(t *testing.T) {
 	sw := NewSweep(2)
 	cells := []Cell{
 		{Bench: beebs.Get("crc32"), Level: mcc.O2},
-		{Bench: beebs.Get("crc32"), Level: mcc.O2, Opts: Options{Solver: "quantum"}},
+		{Bench: beebs.Get("crc32"), Level: mcc.O2, Opts: core.Options{Solver: "quantum"}},
 		{Bench: beebs.Get("sha"), Level: mcc.O2},
 	}
 	var mu sync.Mutex

@@ -1,6 +1,8 @@
 package evaluation
 
 import (
+	"context"
+	"repro/internal/core"
 	"testing"
 
 	"repro/internal/beebs"
@@ -13,7 +15,7 @@ import (
 // whose magnitudes sit closest to the paper's measurements.
 func TestConstrainedTable(t *testing.T) {
 	for _, b := range beebs.All() {
-		r, err := RunBenchmark(b, mcc.O2, Options{Rspare: 320, Xlimit: 1.35})
+		r, err := NewSweep(1).RunBenchmark(context.Background(), b, mcc.O2, core.Options{Rspare: 320, Xlimit: 1.35})
 		if err != nil {
 			t.Fatal(err)
 		}

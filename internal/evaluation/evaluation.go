@@ -4,18 +4,16 @@
 // numbers behind Figure 5, the §6 aggregate, Figure 6, the §7 case study
 // and Figure 9.
 //
-// Every driver exists in two forms: a method on Sweep — which shares one
-// core.Session per benchmark×level across everything run through it, so
-// e.g. Figure 5's static and profiled variants compile and baseline-
-// simulate once — and a package-level function of the same name that runs
-// on a private serial Sweep for one-shot callers.
+// Every driver is a method on Sweep, which shares one core.Session per
+// benchmark×level across everything run through it, so e.g. Figure 5's
+// static and profiled variants compile and baseline-simulate once.
+// One-shot callers use NewSweep(1).
 package evaluation
 
 import (
 	"context"
 	"fmt"
 	"sort"
-	"time"
 
 	"repro/internal/beebs"
 	"repro/internal/casestudy"
@@ -33,86 +31,21 @@ type Run struct {
 	Report *core.Report
 }
 
-// Options tune the pipeline for an evaluation run.
-type Options struct {
-	// UseProfile feeds measured block frequencies to the model (the
-	// Figure 5 "w/Frequency" dots).
-	UseProfile bool
-	// Solver overrides the placement algorithm ("" = ILP).
-	Solver core.Solver
-	// Xlimit overrides the time constraint (0 = pipeline default 2.0).
-	Xlimit float64
-	// Rspare overrides the RAM budget (0 = derive statically).
-	Rspare float64
-	// LinkTime enables the §8 link-time extension (library code becomes
-	// placeable).
-	LinkTime bool
-	// Trace attaches the internal/trace attribution collectors, filling
-	// Report.BaselineTrace/OptimizedTrace.
-	Trace bool
-	// MaxInstrs bounds each simulated run (0 = simulator default).
-	MaxInstrs uint64
-
-	// PowerTrace schedules injected power failures for an intermittent
-	// replay of both images (DESIGN.md §6l): a harvest-profile name
-	// (sim.HarvestProfiles) or an inline trace spec. "" = always powered.
-	PowerTrace string
-	// CheckpointCycles is the periodic checkpoint interval in executed
-	// cycles (0 = sim.DefaultCheckpointCycles).
-	CheckpointCycles uint64
-	// CkptAware prices RAM residency's per-checkpoint journal traffic
-	// into the placement model (model.Params.CkptNJPerByte), so the
-	// solve trades flash fetch savings against checkpoint cost.
-	CkptAware bool
-
-	// SolveMaxNodes, SolveMaxLPIter and SolveTimeout bound the ILP solve
-	// (0 = unlimited); tripped budgets degrade down the placement ladder
-	// instead of failing, and each Report's Strategy names the rung.
-	SolveMaxNodes  int
-	SolveMaxLPIter int
-	SolveTimeout   time.Duration
-}
-
-// Core lowers the evaluation knobs onto the pipeline's option set (the
-// service's request handlers call it too).
-func (o Options) Core() core.Options {
-	return core.Options{
-		UseProfile:       o.UseProfile,
-		Solver:           o.Solver,
-		Xlimit:           o.Xlimit,
-		Rspare:           o.Rspare,
-		LinkTime:         o.LinkTime,
-		Trace:            o.Trace,
-		MaxInstrs:        o.MaxInstrs,
-		PowerTrace:       o.PowerTrace,
-		CheckpointCycles: o.CheckpointCycles,
-		CkptAware:        o.CkptAware,
-		SolveMaxNodes:    o.SolveMaxNodes,
-		SolveMaxLPIter:   o.SolveMaxLPIter,
-		SolveTimeout:     o.SolveTimeout,
-	}
-}
-
 // RunBenchmark executes the full pipeline for one benchmark at one level,
 // reusing the sweep's session for the cell (compile, baseline run, CFG,
 // frequency and model stages are shared with every other configuration of
 // the same cell). Errors carry the benchmark × level attribution
 // (errs.Error) on top of the failing stage's own.
-func (sw *Sweep) RunBenchmark(ctx context.Context, b *beebs.Benchmark, level mcc.OptLevel, opts Options) (*Run, error) {
+func (sw *Sweep) RunBenchmark(ctx context.Context, b *beebs.Benchmark, level mcc.OptLevel, opts core.Options) (*Run, error) {
 	sess, err := sw.Session(b, level)
 	if err != nil {
 		return nil, errs.AtBench(b.Name, level.String(), errs.Wrap(errs.StageCompile, err))
 	}
-	rep, err := sess.Optimize(ctx, opts.Core())
+	rep, err := sess.Optimize(ctx, opts)
 	if err != nil {
 		return nil, errs.AtBench(b.Name, level.String(), err)
 	}
 	return &Run{Bench: b.Name, Level: level, Report: rep}, nil
-}
-
-// RunBenchmark executes the full pipeline for one benchmark at one level.
-func RunBenchmark(b *beebs.Benchmark, level mcc.OptLevel, opts Options) (*Run, error) {
-	return NewSweep(1).RunBenchmark(context.Background(), b, level, opts)
 }
 
 // Figure5Row is one pair of bars (plus the frequency dots) of Figure 5.
@@ -148,11 +81,11 @@ func (sw *Sweep) Figure5(ctx context.Context, levels []mcc.OptLevel) ([]Figure5R
 	}
 	err := sw.forEach(ctx, len(own), func(i int) error {
 		j := jobs[own[i]]
-		static, err := sw.RunBenchmark(ctx, j.bench, j.level, Options{})
+		static, err := sw.RunBenchmark(ctx, j.bench, j.level, core.Options{})
 		if err != nil {
 			return err
 		}
-		prof, err := sw.RunBenchmark(ctx, j.bench, j.level, Options{UseProfile: true})
+		prof, err := sw.RunBenchmark(ctx, j.bench, j.level, core.Options{UseProfile: true})
 		if err != nil {
 			return err
 		}
@@ -168,15 +101,6 @@ func (sw *Sweep) Figure5(ctx context.Context, levels []mcc.OptLevel) ([]Figure5R
 		return nil
 	})
 	return rows, err
-}
-
-// Figure5 runs the Figure 5 sweep serially on a fresh Sweep.
-func Figure5(levels []mcc.OptLevel) ([]Figure5Row, error) {
-	rows, err := NewSweep(1).Figure5(context.Background(), levels)
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
 }
 
 // sweepJob is one benchmark × level cell of an evaluation sweep.
@@ -226,7 +150,7 @@ func (sw *Sweep) RunAggregate(ctx context.Context, levels []mcc.OptLevel) (*Aggr
 	own := sw.Shard.indices(len(jobs))
 	runs := make([]*Run, len(own))
 	err := sw.forEach(ctx, len(own), func(i int) error {
-		r, err := sw.RunBenchmark(ctx, jobs[own[i]].bench, jobs[own[i]].level, Options{})
+		r, err := sw.RunBenchmark(ctx, jobs[own[i]].bench, jobs[own[i]].level, core.Options{})
 		if err != nil {
 			return err
 		}
@@ -263,15 +187,6 @@ func (sw *Sweep) RunAggregate(ctx context.Context, levels []mcc.OptLevel) (*Aggr
 	return agg, err
 }
 
-// RunAggregate evaluates all benchmarks serially on a fresh Sweep.
-func RunAggregate(levels []mcc.OptLevel) (*Aggregate, error) {
-	agg, err := NewSweep(1).RunAggregate(context.Background(), levels)
-	if err != nil {
-		return nil, err
-	}
-	return agg, nil
-}
-
 // SaversRow names the blocks behind one benchmark's measured energy
 // saving: the attribution diff between the baseline and optimized runs.
 type SaversRow struct {
@@ -297,7 +212,7 @@ func (sw *Sweep) TopSavers(ctx context.Context, levels []mcc.OptLevel, n int) ([
 		rows[i] = SaversRow{Bench: jobs[j].bench.Name, Level: jobs[j].level, Incomplete: true}
 	}
 	err := sw.forEach(ctx, len(own), func(i int) error {
-		r, err := sw.RunBenchmark(ctx, jobs[own[i]].bench, jobs[own[i]].level, Options{Trace: true})
+		r, err := sw.RunBenchmark(ctx, jobs[own[i]].bench, jobs[own[i]].level, core.Options{Trace: true})
 		if err != nil {
 			return err
 		}
@@ -310,15 +225,6 @@ func (sw *Sweep) TopSavers(ctx context.Context, levels []mcc.OptLevel, n int) ([
 		return nil
 	})
 	return rows, err
-}
-
-// TopSavers runs the attribution sweep serially on a fresh Sweep.
-func TopSavers(levels []mcc.OptLevel, n int) ([]SaversRow, error) {
-	rows, err := NewSweep(1).TopSavers(context.Background(), levels, n)
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
 }
 
 // Figure6Data carries the trade-off cloud and solver paths for one
@@ -439,12 +345,6 @@ func (sw *Sweep) Figure6(ctx context.Context, benchName string, level mcc.OptLev
 	return data, nil
 }
 
-// Figure6 runs the trade-off sweep on a fresh serial Sweep.
-func Figure6(benchName string, level mcc.OptLevel, k int,
-	ramSweep []float64, xlimitSweep []float64) (*Figure6Data, error) {
-	return NewSweep(1).Figure6(context.Background(), benchName, level, k, ramSweep, xlimitSweep)
-}
-
 // Scenario builds the §7 case-study scenario from a measured pipeline run.
 func Scenario(r *Run) casestudy.Scenario {
 	rep := r.Report
@@ -474,7 +374,7 @@ func (sw *Sweep) Figure9(ctx context.Context, level mcc.OptLevel, multiples []fl
 		if !sw.Shard.Owns(j) {
 			continue
 		}
-		r, err := sw.RunBenchmark(ctx, beebs.Get(name), level, Options{})
+		r, err := sw.RunBenchmark(ctx, beebs.Get(name), level, core.Options{})
 		if err != nil {
 			// The completed series still stand; the error names the
 			// benchmark that broke the sweep.
@@ -488,13 +388,4 @@ func (sw *Sweep) Figure9(ctx context.Context, level mcc.OptLevel, multiples []fl
 		})
 	}
 	return out, nil
-}
-
-// Figure9 runs the periodic-sensing sweep on a fresh serial Sweep.
-func Figure9(level mcc.OptLevel, multiples []float64) ([]Figure9Series, error) {
-	series, err := NewSweep(1).Figure9(context.Background(), level, multiples)
-	if err != nil {
-		return nil, err
-	}
-	return series, nil
 }

@@ -1,6 +1,7 @@
 package evaluation
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/beebs"
@@ -10,7 +11,7 @@ import (
 )
 
 func TestSingleBenchmarkShape(t *testing.T) {
-	r, err := RunBenchmark(beebs.Get("int_matmult"), mcc.O2, Options{})
+	r, err := NewSweep(1).RunBenchmark(context.Background(), beebs.Get("int_matmult"), mcc.O2, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +37,7 @@ func TestSingleBenchmarkShape(t *testing.T) {
 func TestFloatBenchmarksBarelyImprove(t *testing.T) {
 	intSaving := 0.0
 	for _, name := range []string{"int_matmult", "fdct"} {
-		r, err := RunBenchmark(beebs.Get(name), mcc.O2, Options{})
+		r, err := NewSweep(1).RunBenchmark(context.Background(), beebs.Get(name), mcc.O2, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,7 +45,7 @@ func TestFloatBenchmarksBarelyImprove(t *testing.T) {
 	}
 	intSaving /= 2
 	for _, name := range []string{"cubic", "float_matmult"} {
-		r, err := RunBenchmark(beebs.Get(name), mcc.O2, Options{})
+		r, err := NewSweep(1).RunBenchmark(context.Background(), beebs.Get(name), mcc.O2, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,11 +61,11 @@ func TestProfiledFrequenciesAgree(t *testing.T) {
 	// §6: "the results are very similar when the basic block frequency is
 	// estimated, versus the actual frequencies."
 	for _, name := range []string{"crc32", "fdct"} {
-		static, err := RunBenchmark(beebs.Get(name), mcc.O2, Options{})
+		static, err := NewSweep(1).RunBenchmark(context.Background(), beebs.Get(name), mcc.O2, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		prof, err := RunBenchmark(beebs.Get(name), mcc.O2, Options{UseProfile: true})
+		prof, err := NewSweep(1).RunBenchmark(context.Background(), beebs.Get(name), mcc.O2, core.Options{UseProfile: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,7 +81,7 @@ func TestAggregateShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full 5-level aggregate in long mode only")
 	}
-	agg, err := RunAggregate([]mcc.OptLevel{mcc.O0, mcc.O1, mcc.O2, mcc.O3, mcc.Os})
+	agg, err := NewSweep(1).RunAggregate(context.Background(), []mcc.OptLevel{mcc.O0, mcc.O1, mcc.O2, mcc.O3, mcc.Os})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +109,7 @@ func TestAggregateShape(t *testing.T) {
 }
 
 func TestFigure6Shape(t *testing.T) {
-	data, err := Figure6("int_matmult", mcc.O2, 8,
+	data, err := NewSweep(1).Figure6(context.Background(), "int_matmult", mcc.O2, 8,
 		[]float64{0, 64, 128, 256, 512, 1024, 2048},
 		[]float64{1.0, 1.02, 1.05, 1.1, 1.2, 1.5, 2.0})
 	if err != nil {
@@ -163,7 +164,7 @@ func TestFigure6Shape(t *testing.T) {
 }
 
 func TestFigure9AndCaseStudy(t *testing.T) {
-	series, err := Figure9(mcc.O2, []float64{1, 2, 3, 4, 6, 8, 12, 16})
+	series, err := NewSweep(1).Figure9(context.Background(), mcc.O2, []float64{1, 2, 3, 4, 6, 8, 12, 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +197,7 @@ func TestSolverAblation(t *testing.T) {
 	for _, name := range []string{"int_matmult", "fdct"} {
 		var energies = map[core.Solver]float64{}
 		for _, solver := range []core.Solver{core.SolverILP, core.SolverGreedy, core.SolverFunction} {
-			r, err := RunBenchmark(beebs.Get(name), mcc.O2, Options{Solver: solver})
+			r, err := NewSweep(1).RunBenchmark(context.Background(), beebs.Get(name), mcc.O2, core.Options{Solver: solver})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -218,7 +219,7 @@ func TestSolverAblation(t *testing.T) {
 func TestTightBudgetStillValid(t *testing.T) {
 	// Failure injection: tiny Rspare and minimal Xlimit must degrade
 	// gracefully to near-baseline, never break the program.
-	r, err := RunBenchmark(beebs.Get("sha"), mcc.O2, Options{Rspare: 16, Xlimit: 1.001})
+	r, err := NewSweep(1).RunBenchmark(context.Background(), beebs.Get("sha"), mcc.O2, core.Options{Rspare: 16, Xlimit: 1.001})
 	if err != nil {
 		t.Fatal(err)
 	}

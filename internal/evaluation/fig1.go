@@ -165,8 +165,3 @@ func (sw *Sweep) Figure1(ctx context.Context) ([]Figure1Row, error) {
 	}
 	return rows, nil
 }
-
-// Figure1 runs the micro-benchmark bars serially on a fresh Sweep.
-func Figure1() ([]Figure1Row, error) {
-	return NewSweep(1).Figure1(context.Background())
-}

@@ -1,11 +1,12 @@
 package evaluation
 
 import (
+	"context"
 	"testing"
 )
 
 func TestFigure1Reproduction(t *testing.T) {
-	rows, err := Figure1()
+	rows, err := NewSweep(1).Figure1(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

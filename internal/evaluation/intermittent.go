@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"repro/internal/casestudy"
+	"repro/internal/core"
 	"repro/internal/mcc"
 	"repro/internal/power"
 	"repro/internal/sim"
@@ -91,7 +92,7 @@ func (sw *Sweep) Intermittent(ctx context.Context, levels []mcc.OptLevel, profil
 	}
 	err := sw.forEach(ctx, len(own), func(i int) error {
 		c := cells[own[i]]
-		opts := Options{PowerTrace: c.profile}
+		opts := core.Options{PowerTrace: c.profile}
 		obl, err := sw.RunBenchmark(ctx, c.job.bench, c.job.level, opts)
 		if err != nil {
 			return err
@@ -116,15 +117,6 @@ func (sw *Sweep) Intermittent(ctx context.Context, levels []mcc.OptLevel, profil
 		return nil
 	})
 	return rows, err
-}
-
-// Intermittent runs the harvested-power sweep serially on a fresh Sweep.
-func Intermittent(levels []mcc.OptLevel, profiles []string) ([]IntermittentRow, error) {
-	rows, err := NewSweep(1).Intermittent(context.Background(), levels, profiles)
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
 }
 
 // intermitClockHz is the simulated board's clock, used to express

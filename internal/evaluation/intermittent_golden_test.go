@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"repro/internal/core"
 	"testing"
 
 	"repro/internal/beebs"
@@ -40,7 +41,7 @@ func intermittentLines(t *testing.T) []string {
 			t.Fatal(err)
 		}
 		b := beebs.Get(r.Bench)
-		for _, opts := range []Options{{}, {PowerTrace: r.Profile}, {PowerTrace: r.Profile, CkptAware: true}} {
+		for _, opts := range []core.Options{{}, {PowerTrace: r.Profile}, {PowerTrace: r.Profile, CkptAware: true}} {
 			run, err := sw.RunBenchmark(ctx, b, r.Level, opts)
 			if err != nil {
 				t.Fatalf("%s/%v/%s: %v", r.Bench, r.Level, r.Profile, err)

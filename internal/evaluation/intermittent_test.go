@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"repro/internal/core"
 	"testing"
 
 	"repro/internal/beebs"
@@ -133,7 +134,7 @@ func TestNoFuseDifferentialIntermittent(t *testing.T) {
 		b := benches[rng.Intn(len(benches))]
 		level := levels[rng.Intn(len(levels))]
 		profile := profiles[rng.Intn(len(profiles))]
-		opts := Options{PowerTrace: profile, CkptAware: i%2 == 0}
+		opts := core.Options{PowerTrace: profile, CkptAware: i%2 == 0}
 		name := b.Name + " " + level.String() + " " + profile
 
 		fr, fErr := fused.RunBenchmark(context.Background(), b, level, opts)

@@ -1,6 +1,8 @@
 package evaluation
 
 import (
+	"context"
+	"repro/internal/core"
 	"testing"
 
 	"repro/internal/beebs"
@@ -15,11 +17,11 @@ import (
 func TestLinkTimeExtension(t *testing.T) {
 	for _, name := range []string{"cubic", "float_matmult"} {
 		b := beebs.Get(name)
-		compilerOnly, err := RunBenchmark(b, mcc.O2, Options{})
+		compilerOnly, err := NewSweep(1).RunBenchmark(context.Background(), b, mcc.O2, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		linkTime, err := RunBenchmark(b, mcc.O2, Options{LinkTime: true})
+		linkTime, err := NewSweep(1).RunBenchmark(context.Background(), b, mcc.O2, core.Options{LinkTime: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,11 +56,11 @@ func TestLinkTimeExtension(t *testing.T) {
 // so link-time mode must behave identically.
 func TestLinkTimeIntegerUnchanged(t *testing.T) {
 	b := beebs.Get("crc32")
-	normal, err := RunBenchmark(b, mcc.O2, Options{})
+	normal, err := NewSweep(1).RunBenchmark(context.Background(), b, mcc.O2, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lt, err := RunBenchmark(b, mcc.O2, Options{LinkTime: true})
+	lt, err := NewSweep(1).RunBenchmark(context.Background(), b, mcc.O2, core.Options{LinkTime: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math/rand"
 	"reflect"
+	"repro/internal/core"
 	"testing"
 
 	"repro/internal/beebs"
@@ -36,7 +37,7 @@ func TestNoFuseDifferentialRandomCells(t *testing.T) {
 		b := benches[rng.Intn(len(benches))]
 		level := levels[rng.Intn(len(levels))]
 		rspare := rspares[rng.Intn(len(rspares))]
-		opts := Options{Rspare: rspare}
+		opts := core.Options{Rspare: rspare}
 
 		fr, fErr := fused.RunBenchmark(context.Background(), b, level, opts)
 		sr, sErr := slot.RunBenchmark(context.Background(), b, level, opts)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"repro/internal/core"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -161,10 +162,10 @@ func TestSweepSessionCache(t *testing.T) {
 	}
 
 	// A static and a profiled run of the cell must share the baseline.
-	if _, err := sw.RunBenchmark(context.Background(), b, testLevel, Options{}); err != nil {
+	if _, err := sw.RunBenchmark(context.Background(), b, testLevel, core.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sw.RunBenchmark(context.Background(), b, testLevel, Options{UseProfile: true}); err != nil {
+	if _, err := sw.RunBenchmark(context.Background(), b, testLevel, core.Options{UseProfile: true}); err != nil {
 		t.Fatal(err)
 	}
 	st = sw.Stats()

@@ -14,7 +14,7 @@ import (
 // selection.
 type Candidate struct {
 	Name string
-	Opts Options
+	Opts core.Options
 }
 
 // SelectionRow records one candidate's outcome in a BestConfig run.
@@ -64,14 +64,13 @@ func (sw *Sweep) BestConfig(ctx context.Context, b *beebs.Benchmark, level mcc.O
 	incumbent := 0.0
 	for _, c := range cands {
 		row := SelectionRow{Name: c.Name}
-		copts := c.Opts.Core()
 		if sw.Prune && best.Report != nil {
-			br, err := sess.StaticBounds(ctx, copts)
+			br, err := sess.StaticBounds(ctx, c.Opts)
 			if err != nil {
 				return nil, errs.AtBench(b.Name, level.String(), err)
 			}
 			row.LowerBoundNJ = br.Whole.LoEnergyNJ
-			pruned, err := sess.PruneAgainst(ctx, copts, incumbent)
+			pruned, err := sess.PruneAgainst(ctx, c.Opts, incumbent)
 			if err != nil {
 				return nil, errs.AtBench(b.Name, level.String(), err)
 			}
@@ -81,7 +80,7 @@ func (sw *Sweep) BestConfig(ctx context.Context, b *beebs.Benchmark, level mcc.O
 				continue
 			}
 		}
-		rep, err := sess.Optimize(ctx, copts)
+		rep, err := sess.Optimize(ctx, c.Opts)
 		if err != nil {
 			return nil, errs.AtBench(b.Name, level.String(), err)
 		}
@@ -93,10 +92,4 @@ func (sw *Sweep) BestConfig(ctx context.Context, b *beebs.Benchmark, level mcc.O
 		}
 	}
 	return best, nil
-}
-
-// BestConfig selects among candidates on a fresh serial Sweep without
-// pruning.
-func BestConfig(b *beebs.Benchmark, level mcc.OptLevel, cands []Candidate) (*Best, error) {
-	return NewSweep(1).BestConfig(context.Background(), b, level, cands)
 }

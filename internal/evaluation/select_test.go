@@ -2,6 +2,7 @@ package evaluation
 
 import (
 	"context"
+	"repro/internal/core"
 	"testing"
 
 	"repro/internal/beebs"
@@ -14,9 +15,9 @@ import (
 // provably exceeds it, so a pruning sweep can skip simulating it.
 func selectionCandidates() []Candidate {
 	return []Candidate{
-		{Name: "default", Opts: Options{}},
-		{Name: "no-ram", Opts: Options{Rspare: 1}},
-		{Name: "profiled", Opts: Options{UseProfile: true}},
+		{Name: "default", Opts: core.Options{}},
+		{Name: "no-ram", Opts: core.Options{Rspare: 1}},
+		{Name: "profiled", Opts: core.Options{UseProfile: true}},
 	}
 }
 
@@ -100,8 +101,8 @@ func TestBestConfigPruningNeutral(t *testing.T) {
 func TestBestConfigOrder(t *testing.T) {
 	b := beebs.Get("crc32")
 	best, err := NewSweep(1).BestConfig(context.Background(), b, mcc.O2, []Candidate{
-		{Name: "first", Opts: Options{}},
-		{Name: "same-again", Opts: Options{}},
+		{Name: "first", Opts: core.Options{}},
+		{Name: "same-again", Opts: core.Options{}},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package evaluation
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/beebs"
@@ -16,8 +17,8 @@ import (
 // the coarse baselines, while the same ILP under profiled Fb wins again.
 func TestTightBudgetFrequencySensitivity(t *testing.T) {
 	run := func(solver core.Solver, prof bool) *core.Report {
-		r, err := RunBenchmark(beebs.Get("dijkstra"), mcc.O2,
-			Options{Solver: solver, Rspare: 512, UseProfile: prof})
+		r, err := NewSweep(1).RunBenchmark(context.Background(), beebs.Get("dijkstra"), mcc.O2,
+			core.Options{Solver: solver, Rspare: 512, UseProfile: prof})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -21,7 +21,7 @@ func TestCrossRequestMemoCorrectness(t *testing.T) {
 	store := NewStore(0)
 	b := beebs.Get("crc32")
 	key := core.SessionKey(b.Source, mcc.O2.String())
-	opts := evaluation.Options{Xlimit: 1.5}
+	opts := core.Options{Xlimit: 1.5}
 
 	const requests = 8
 	docs := make([][]byte, requests)
@@ -37,7 +37,7 @@ func TestCrossRequestMemoCorrectness(t *testing.T) {
 				t.Errorf("request %d: %v", i, err)
 				return
 			}
-			rep, err := sess.Optimize(t.Context(), opts.Core())
+			rep, err := sess.Optimize(t.Context(), opts)
 			if err != nil {
 				t.Errorf("request %d: %v", i, err)
 				return

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/beebs"
+	"repro/internal/core"
 	"repro/internal/evaluation"
 	"repro/internal/mcc"
 )
@@ -83,7 +84,7 @@ func TestOptimizeEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := sess.Optimize(t.Context(), evaluation.Options{}.Core())
+	rep, err := sess.Optimize(t.Context(), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,6 +219,9 @@ func TestBadRequestsMapTo400(t *testing.T) {
 		{"bad solver", `{"bench":"crc32","solver":"quantum"}`},
 		{"unknown field", `{"bench":"crc32","xlimt":2}`},
 		{"negative timeout", `{"bench":"crc32","timeout_ms":-5}`},
+		{"unsatisfiable xlimit", `{"bench":"crc32","xlimit":0.5}`},
+		{"negative node budget", `{"bench":"crc32","solve_max_nodes":-1}`},
+		{"negative pivot budget", `{"bench":"crc32","solve_max_lp_iter":-1}`},
 		{"uncompilable source", `{"source":"int main( {"}`},
 		{"malformed json", `{"bench":`},
 		{"non-numeric power trace", `{"bench":"crc32","power_trace":"nonsense trace"}`},
@@ -289,7 +293,7 @@ func TestOptimizePowerTrace(t *testing.T) {
 
 func mustResolve(t *testing.T, r OptimizeRequest) evaluation.Cell {
 	t.Helper()
-	cell, err := r.resolve()
+	cell, err := r.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,12 +10,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/beebs"
 	"repro/internal/core"
 	"repro/internal/errs"
 	"repro/internal/evaluation"
-	"repro/internal/mcc"
-	"repro/internal/sim"
 )
 
 // Config fixes a Server's invariants.
@@ -114,42 +111,10 @@ func (s *Server) Handler() http.Handler {
 // Request schema.
 
 // OptimizeRequest is the JSON body of /v1/optimize and one cell of
-// /v1/sweep: which program (a built-in BEEBS benchmark or inline mcc
-// source) and the pipeline knobs the CLIs expose as flags. Zero values
-// mean the pipeline defaults, exactly as for the CLIs, so the same
-// logical request hits the same stage memos no matter how it is spelled.
-type OptimizeRequest struct {
-	// Bench names a built-in BEEBS benchmark; Source carries inline mcc
-	// source (exactly one of the two must be set). Name labels inline
-	// source in the report ("source" when empty).
-	Bench  string `json:"bench,omitempty"`
-	Source string `json:"source,omitempty"`
-	Name   string `json:"name,omitempty"`
-
-	Level  string  `json:"level,omitempty"`  // O0..Os, default O2
-	Solver string  `json:"solver,omitempty"` // ilp greedy function exhaustive
-	Xlimit float64 `json:"xlimit,omitempty"`
-	Rspare float64 `json:"rspare,omitempty"`
-
-	UseProfile bool   `json:"use_profile,omitempty"`
-	LinkTime   bool   `json:"link_time,omitempty"`
-	MaxInstrs  uint64 `json:"max_instrs,omitempty"`
-
-	// PowerTrace schedules injected power failures for an intermittent
-	// replay (DESIGN.md §6l): a harvest-profile name or an inline trace
-	// spec. CheckpointCycles and CkptAware mirror the flashram flags.
-	PowerTrace       string `json:"power_trace,omitempty"`
-	CheckpointCycles uint64 `json:"checkpoint_cycles,omitempty"`
-	CkptAware        bool   `json:"ckpt_aware,omitempty"`
-
-	SolveMaxNodes  int `json:"solve_max_nodes,omitempty"`
-	SolveMaxLPIter int `json:"solve_max_lp_iter,omitempty"`
-	SolveTimeoutMS int `json:"solve_timeout_ms,omitempty"`
-
-	// TimeoutMS bounds this request's wall clock (0 = the server
-	// default). Expiry maps to 504.
-	TimeoutMS int `json:"timeout_ms,omitempty"`
-}
+// /v1/sweep. It is the request type every surface shares — the flashram
+// flags fill the same fields — so its one validation, Resolve, runs
+// here before any pipeline work, and every rejection is a 400.
+type OptimizeRequest = evaluation.Request
 
 // SweepRequest is the JSON body of /v1/sweep.
 type SweepRequest struct {
@@ -169,72 +134,6 @@ type sweepRow struct {
 	Run    *evaluation.RunJSON `json:"run,omitempty"`
 	Error  string              `json:"error,omitempty"`
 	Status int                 `json:"status,omitempty"`
-}
-
-// resolve validates one request into a sweep cell. Every failure here is
-// request-shaped (errs.ErrBadInput → 400): the pipeline was never going
-// to run.
-func (r *OptimizeRequest) resolve() (evaluation.Cell, error) {
-	var cell evaluation.Cell
-	switch {
-	case r.Bench != "" && r.Source != "":
-		return cell, errs.BadInput(fmt.Errorf("bench and source are mutually exclusive"))
-	case r.Bench != "":
-		b := beebs.Get(r.Bench)
-		if b == nil {
-			return cell, errs.BadInput(fmt.Errorf("unknown benchmark %q", r.Bench))
-		}
-		cell.Bench = b
-	case r.Source != "":
-		name := r.Name
-		if name == "" {
-			name = "source"
-		}
-		cell.Bench = &beebs.Benchmark{Name: name, Source: r.Source}
-	default:
-		return cell, errs.BadInput(fmt.Errorf("one of bench or source is required"))
-	}
-	levelStr := r.Level
-	if levelStr == "" {
-		levelStr = "O2"
-	}
-	level, err := mcc.ParseOptLevel(levelStr)
-	if err != nil {
-		return cell, errs.BadInput(err)
-	}
-	cell.Level = level
-	switch core.Solver(r.Solver) {
-	case "", core.SolverILP, core.SolverGreedy, core.SolverFunction, core.SolverExhaustive:
-	default:
-		return cell, errs.BadInput(fmt.Errorf("unknown solver %q", r.Solver))
-	}
-	if r.Xlimit < 0 || r.Rspare < 0 || r.TimeoutMS < 0 || r.SolveTimeoutMS < 0 {
-		return cell, errs.BadInput(fmt.Errorf("negative knobs are invalid"))
-	}
-	if r.PowerTrace != "" {
-		// Resolve against a placeholder horizon: profile names generate
-		// lazily per program, but a malformed inline trace spec must fail
-		// here (400), not inside the pipeline. ResolveTrace's errors are
-		// already request-shaped; BadInput is idempotent.
-		if _, err := sim.ResolveTrace(r.PowerTrace, 1<<20); err != nil {
-			return cell, errs.BadInput(err)
-		}
-	}
-	cell.Opts = evaluation.Options{
-		UseProfile:       r.UseProfile,
-		Solver:           core.Solver(r.Solver),
-		Xlimit:           r.Xlimit,
-		Rspare:           r.Rspare,
-		LinkTime:         r.LinkTime,
-		MaxInstrs:        r.MaxInstrs,
-		PowerTrace:       r.PowerTrace,
-		CheckpointCycles: r.CheckpointCycles,
-		CkptAware:        r.CkptAware,
-		SolveMaxNodes:    r.SolveMaxNodes,
-		SolveMaxLPIter:   r.SolveMaxLPIter,
-		SolveTimeout:     time.Duration(r.SolveTimeoutMS) * time.Millisecond,
-	}
-	return cell, nil
 }
 
 // ---------------------------------------------------------------------
@@ -282,7 +181,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	cell, err := req.resolve()
+	cell, err := req.Resolve()
 	if err != nil {
 		s.writeError(w, err)
 		return
@@ -389,7 +288,7 @@ func (s *Server) runCell(ctx context.Context, cell evaluation.Cell) (*evaluation
 			// faults.
 			return errs.BadInput(err)
 		}
-		rep, err := sess.Optimize(ctx, cell.Opts.Core())
+		rep, err := sess.Optimize(ctx, cell.Opts)
 		if err != nil {
 			return err
 		}
@@ -419,7 +318,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	cells := make([]evaluation.Cell, len(req.Cells))
 	var timeoutMS int
 	for i := range req.Cells {
-		cell, err := req.Cells[i].resolve()
+		cell, err := req.Cells[i].Resolve()
 		if err != nil {
 			s.writeError(w, errs.BadInput(fmt.Errorf("cell %d: %w", i, err)))
 			return

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"repro/internal/core"
 	"testing"
 
 	"repro/internal/beebs"
@@ -28,7 +29,7 @@ func TestConservationAllBenchmarks(t *testing.T) {
 	for _, bench := range beebs.All() {
 		for _, level := range []mcc.OptLevel{mcc.O2, mcc.Os} {
 			t.Run(bench.Name+"/"+level.String(), func(t *testing.T) {
-				r, err := evaluation.RunBenchmark(bench, level, evaluation.Options{Trace: true})
+				r, err := evaluation.NewSweep(1).RunBenchmark(t.Context(), bench, level, core.Options{Trace: true})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -6,11 +6,15 @@
 #   2. Two identical /v1/optimize POSTs return byte-identical documents
 #      (cold == warm), and those bytes equal what `flashram -json` prints
 #      for the same request — the cross-transport byte-identity contract.
-#   3. `flashramd -selftest -target <url>` drives 64 concurrent mixed
+#      The same holds for a request setting every pipeline knob, with
+#      the CLI spelling each JSON field as its flag.
+#   3. A request-shaped failure is a 400 from the daemon and a non-zero
+#      `flashram` exit, both with the same message.
+#   4. `flashramd -selftest -target <url>` drives 64 concurrent mixed
 #      requests against the running daemon: 0 dropped, 0 non-2xx, a
 #      nonzero cross-request hit rate (the harness exits non-zero
 #      otherwise).
-#   4. SIGTERM drains the daemon: it exits 0 on its own, no kill -9.
+#   5. SIGTERM drains the daemon: it exits 0 on its own, no kill -9.
 set -e
 cd "$(dirname "$0")/.."
 
@@ -64,6 +68,35 @@ if [ "$code" != 400 ]; then
     exit 1
 fi
 
+# Byte identity with every knob set: each JSON field against its flag.
+knobs='{"bench":"int_matmult","level":"O2","rspare":512,"xlimit":1.25,"use_profile":true,"link_time":true,"power_trace":"adversarial","ckpt_aware":true,"checkpoint_cycles":4096,"solve_max_nodes":50,"solve_max_lp_iter":5000,"solve_timeout_ms":60000}'
+curl -fsS -X POST -d "$knobs" "$url/v1/optimize" >"$tmp/knobs.json"
+"$tmp/flashram" -bench int_matmult -O O2 -rspare 512 -xlimit 1.25 -profile -linktime \
+    -powertrace adversarial -ckptaware -checkpoint 4096 \
+    -solvenodes 50 -solvelpiter 5000 -solvetimeout 60s -json >"$tmp/knobs_cli.json"
+cmp "$tmp/knobs.json" "$tmp/knobs_cli.json" || {
+    echo "smoke_flashramd: knob-heavy service response differs from flashram -json" >&2
+    exit 1
+}
+
+# A rejected request: 400 from the daemon, a non-zero exit from the CLI,
+# and the same message from both.
+code=$(curl -s -o "$tmp/reject.json" -w '%{http_code}' -X POST -d '{"bench":"crc32","xlimit":0.5}' "$url/v1/optimize")
+if [ "$code" != 400 ]; then
+    echo "smoke_flashramd: xlimit 0.5 returned $code, want 400" >&2
+    exit 1
+fi
+if "$tmp/flashram" -bench crc32 -xlimit 0.5 -json >/dev/null 2>"$tmp/reject_cli.txt"; then
+    echo "smoke_flashramd: flashram accepted xlimit 0.5" >&2
+    exit 1
+fi
+daemon_msg=$(sed -n 's/^  "error": "\(.*\)",$/\1/p' "$tmp/reject.json")
+cli_msg=$(sed 's/^flashram: //' "$tmp/reject_cli.txt")
+if [ -z "$daemon_msg" ] || [ "$daemon_msg" != "$cli_msg" ]; then
+    echo "smoke_flashramd: rejection messages differ: daemon '$daemon_msg', flashram '$cli_msg'" >&2
+    exit 1
+fi
+
 # Concurrent mixed load against the live socket. The harness itself
 # enforces 0 dropped / 0 non-2xx / >50% hit rate on the repeated mix.
 "$tmp/flashramd" -selftest -target "$url" -n 64
@@ -82,4 +115,4 @@ grep -q 'drained' "$tmp/daemon.log" || {
     cat "$tmp/daemon.log" >&2
     exit 1
 }
-echo "smoke_flashramd: byte identity, 400 mapping, 64-way load and graceful drain all clean"
+echo "smoke_flashramd: byte identity, knob-heavy identity, 400 mapping, CLI/daemon rejection parity, 64-way load and graceful drain all clean"
