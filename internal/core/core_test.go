@@ -1,9 +1,11 @@
 package core
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
+	"repro/internal/errs"
 	"repro/internal/ir"
 )
 
@@ -146,5 +148,23 @@ func TestStartupCopyCostIsAmortizable(t *testing.T) {
 	}
 	if rep.StartupCopyEnergyMJ <= 0 {
 		t.Error("startup energy must be positive when code moved")
+	}
+}
+
+// beside reports the base side's error ahead of the other's, and a panic
+// of the base side, on its own goroutine, reaches the caller as a
+// *errs.PanicError.
+func TestBesideOrdersErrorsAndReportsPanics(t *testing.T) {
+	errBase, errOpt := errors.New("base"), errors.New("opt")
+	if err := beside(func() error { return errBase }, func(func() error) error { return errOpt }); err != errBase {
+		t.Errorf("both sides failed: got %v, want the base error", err)
+	}
+	if err := beside(func() error { return nil }, func(func() error) error { return errOpt }); err != errOpt {
+		t.Errorf("opt side failed: got %v, want its error", err)
+	}
+	err := beside(func() error { panic("base panicked") }, func(func() error) error { return nil })
+	var pe *errs.PanicError
+	if !errors.As(err, &pe) || pe.Value != "base panicked" || len(pe.Stack) == 0 {
+		t.Errorf("got %v, want the base side's panic with its stack", err)
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"sync"
@@ -57,17 +58,6 @@ type Session struct {
 	warmIdx struct {
 		mu  sync.Mutex
 		idx map[solveFamily][]solvePoint
-	}
-
-	// machines is a one-slot pool of simulator instances. sim.Machine
-	// retargets across images via SetImage, keeping its memory arrays and
-	// predecode-table storage, so the session's many runs (baseline,
-	// optimized, sweep points) reuse one machine instead of allocating
-	// per run. Concurrent solves that find the slot empty just allocate —
-	// pooling is an optimization, never a correctness dependency.
-	machines struct {
-		mu   sync.Mutex
-		free *sim.Machine
 	}
 
 	graphs     memo[struct{}, map[string]*cfg.Graph]
@@ -130,34 +120,6 @@ func NewSession(p *ir.Program, cfg SessionConfig) (*Session, error) {
 
 // Program returns the session's (immutable) input program.
 func (s *Session) Program() *ir.Program { return s.prog }
-
-// acquireMachine returns a simulator targeted at img: the pooled machine
-// retargeted via SetImage when it is idle, a fresh one otherwise.
-func (s *Session) acquireMachine(img *layout.Image) *sim.Machine {
-	s.machines.mu.Lock()
-	m := s.machines.free
-	s.machines.free = nil
-	s.machines.mu.Unlock()
-	if m == nil {
-		m = sim.New(img, s.profile)
-	} else {
-		m.SetImage(img)
-	}
-	m.NoFuse = s.noFuse
-	return m
-}
-
-// releaseMachine detaches any observer and parks the machine for reuse.
-// If another run already parked one, this machine is simply dropped.
-func (s *Session) releaseMachine(m *sim.Machine) {
-	m.Attach(nil)
-	m.MaxInstrs = 0
-	s.machines.mu.Lock()
-	if s.machines.free == nil {
-		s.machines.free = m
-	}
-	s.machines.mu.Unlock()
-}
 
 // Profile returns the session's board power profile.
 func (s *Session) Profile() *power.Profile { return s.profile }
@@ -488,8 +450,9 @@ func (s *Session) run(ctx context.Context, st *stageCounter, stage errs.Stage, k
 		if err != nil {
 			return nil, err
 		}
-		machine := s.acquireMachine(img)
-		defer s.releaseMachine(machine)
+		machine := sim.Acquire(img, s.profile)
+		defer machine.Release()
+		machine.NoFuse = s.noFuse
 		machine.MaxInstrs = key.maxInstrs
 		var col *trace.Collector
 		if key.traced {
@@ -854,8 +817,9 @@ func (s *Session) intermittentRun(ctx context.Context, key intermitKey, img *lay
 				return nil, errs.Wrap(errs.StageIntermittent, err)
 			}
 		}
-		machine := s.acquireMachine(img)
-		defer s.releaseMachine(machine)
+		machine := sim.Acquire(img, s.profile)
+		defer machine.Release()
+		machine.NoFuse = s.noFuse
 		machine.MaxInstrs = key.maxInstrs
 		rep, err := machine.RunIntermittent(ctx, sim.IntermittentConfig{
 			Trace:            tr,
@@ -957,27 +921,50 @@ func (s *Session) Optimize(ctx context.Context, opts Options) (*Report, error) {
 // optimize assembles one Report from the staged artifacts plus the
 // per-configuration tail (transform, optimized run, semantic check) —
 // each of which is itself memoized on the placement the solve chose.
+// The baseline run reads nothing the solve → model → transform →
+// optimized-run chain writes, and the baseline replay nothing the
+// optimized replay writes, so the two sides of each pair run side by
+// side with the semantics of a serial run (see beside).
 func (s *Session) optimize(ctx context.Context, key reportKey) (*Report, error) {
-	base, err := s.Measure(ctx, nil, key.traced, key.maxInstrs)
-	if err != nil {
-		return nil, err
-	}
-	res, err := s.solve(ctx, key.solve)
-	if err != nil {
-		return nil, err
-	}
-	mdl, err := s.model(ctx, key.solve.model)
-	if err != nil {
-		return nil, err
-	}
-
-	tkey := key.transform(res)
-	tf, err := s.transformFor(tkey, res.InRAM)
-	if err != nil {
-		return nil, err
-	}
-	img := tkey.image()
-	orun, err := s.run(ctx, &s.counters.optrun, errs.StageOptRun, runKey{image: img, traced: key.traced, maxInstrs: key.maxInstrs}, tf.image)
+	var (
+		base *Measurement
+		res  *placement.Result
+		mdl  *model.Model
+		tf   *transformed
+		img  imageKey
+		orun *Measurement
+	)
+	err := beside(func() (err error) {
+		base, err = s.Measure(ctx, nil, key.traced, key.maxInstrs)
+		return err
+	}, func(waitBase func() error) (err error) {
+		// A traced configuration's profiled estimate reads the baseline
+		// run through run's traced-entry peek, which only a finished
+		// traced run satisfies.
+		if key.traced && key.solve.model.freq.profiled {
+			if err := waitBase(); err != nil {
+				return err
+			}
+		}
+		if res, err = s.solve(ctx, key.solve); err != nil {
+			return err
+		}
+		if mdl, err = s.model(ctx, key.solve.model); err != nil {
+			return err
+		}
+		tkey := key.transform(res)
+		if tf, err = s.transformFor(tkey, res.InRAM); err != nil {
+			return err
+		}
+		img = tkey.image()
+		if img == (imageKey{}) {
+			if err := waitBase(); err != nil {
+				return err
+			}
+		}
+		orun, err = s.run(ctx, &s.counters.optrun, errs.StageOptRun, runKey{image: img, traced: key.traced, maxInstrs: key.maxInstrs}, tf.image)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -1023,13 +1010,22 @@ func (s *Session) optimize(ctx context.Context, key reportKey) (*Report, error) 
 	// oblivious solves that land on different placements measure
 	// separately, while identical images — the baseline included — share.
 	if is := key.intermittent; is.enabled {
-		ik := intermitKey{trace: is.trace, ckptCycles: is.ckptCycles, maxInstrs: key.maxInstrs}
-		baseRep, err := s.intermittentRun(ctx, ik, base.Image)
-		if err != nil {
-			return nil, err
-		}
-		ik.image = img
-		optRep, err := s.intermittentRun(ctx, ik, tf.img)
+		baseKey := intermitKey{trace: is.trace, ckptCycles: is.ckptCycles, maxInstrs: key.maxInstrs}
+		optKey := baseKey
+		optKey.image = img
+		var baseRep, optRep *sim.IntermittentReport
+		err := beside(func() (err error) {
+			baseRep, err = s.intermittentRun(ctx, baseKey, base.Image)
+			return err
+		}, func(waitBase func() error) (err error) {
+			if optKey == baseKey {
+				if err := waitBase(); err != nil {
+					return err
+				}
+			}
+			optRep, err = s.intermittentRun(ctx, optKey, tf.img)
+			return err
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -1044,6 +1040,39 @@ func (s *Session) optimize(ctx context.Context, key reportKey) (*Report, error) 
 		}
 	}
 	return rep, nil
+}
+
+// beside runs base on a new goroutine and opt on the calling one, and
+// reports what a serial run of base then opt would: base's error ahead of
+// opt's. opt calls waitBase at the points where it reaches what base
+// produces — a shared memo entry must be base's miss and opt's hit, as it
+// is serially. A failing side does not cancel the other, because the memo
+// would hand that cancellation to every waiter on the other side's key;
+// so when base fails, opt still runs until it finishes or fails, and its
+// stages stay in the ledger, which a serial run would not have started.
+// A panic in base, which no caller's isolation could catch on its own
+// goroutine, becomes an *errs.PanicError carrying its stack.
+func beside(base func() error, opt func(waitBase func() error) error) error {
+	done := make(chan struct{})
+	var baseErr error
+	go func() {
+		defer close(done)
+		defer func() {
+			if r := recover(); r != nil {
+				baseErr = &errs.PanicError{Value: r, Stack: debug.Stack()}
+			}
+		}()
+		baseErr = base()
+	}()
+	waitBase := func() error {
+		<-done
+		return baseErr
+	}
+	err := opt(waitBase)
+	if err := waitBase(); err != nil {
+		return err
+	}
+	return err
 }
 
 // snapshotGlobals captures the final bytes of every writable global so

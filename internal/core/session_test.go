@@ -10,8 +10,10 @@ import (
 
 	"repro/internal/beebs"
 	"repro/internal/core"
+	"repro/internal/isa"
 	"repro/internal/layout"
 	"repro/internal/mcc"
+	"repro/internal/power"
 	"repro/internal/sim"
 )
 
@@ -185,38 +187,46 @@ func TestSessionTracedBaselineServesUntraced(t *testing.T) {
 	}
 }
 
-// TestSessionMachineReuseMatchesFresh: the session runs its simulations
-// on one pooled sim.Machine retargeted across images via SetImage. Every
-// such run must be statistically indistinguishable from a machine
-// allocated fresh for that image — Stats down to the float bits and the
-// per-block profile.
+// TestSessionMachineReuseMatchesFresh: sessions run their simulations on
+// machines from one process-wide pool, retargeted across images and
+// profiles via SetImage. Every such run must be statistically
+// indistinguishable from a machine allocated fresh for that image and
+// profile — Stats down to the float bits and the per-block profile.
 func TestSessionMachineReuseMatchesFresh(t *testing.T) {
 	s := sessionForTest(t, "crc32", mcc.O2)
-	// Optimize runs the baseline and the optimized simulation in
-	// sequence; the second acquires the machine the first parked.
-	rep, err := s.Optimize(context.Background(), core.Options{})
+	// A second session under another board profile picks up the machines
+	// the first one parked.
+	prof := *s.Profile()
+	prof.FetchPower[power.Flash][isa.ClassLoad] *= 1.25
+	s2, err := core.NewSession(s.Program(), core.SessionConfig{Profile: &prof})
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := s.Measure(context.Background(), nil, false, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	check := func(name string, img *layout.Image, got *sim.Stats) {
-		t.Helper()
-		fresh := sim.New(img, s.Profile())
-		want, err := fresh.Run()
+	for _, s := range []*core.Session{s, s2} {
+		rep, err := s.Optimize(context.Background(), core.Options{})
 		if err != nil {
-			t.Fatalf("%s fresh run: %v", name, err)
+			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: pooled-machine stats diverge from fresh machine:\n got %+v\nwant %+v",
-				name, got, want)
+		base, err := s.Measure(context.Background(), nil, false, 0)
+		if err != nil {
+			t.Fatal(err)
 		}
+
+		check := func(name string, img *layout.Image, got *sim.Stats) {
+			t.Helper()
+			fresh := sim.New(img, s.Profile())
+			want, err := fresh.Run()
+			if err != nil {
+				t.Fatalf("%s fresh run: %v", name, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: pooled-machine stats diverge from fresh machine:\n got %+v\nwant %+v",
+					name, got, want)
+			}
+		}
+		check("baseline", base.Image, base.Stats)
+		check("optimized", rep.Image, rep.Optimized.Stats)
 	}
-	check("baseline", base.Image, base.Stats)
-	check("optimized", rep.Image, rep.Optimized.Stats)
 }
 
 // TestSessionProfileMismatch: a Session refuses Options that contradict

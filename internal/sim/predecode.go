@@ -76,8 +76,10 @@ type engine struct {
 	entries []int32
 
 	// epc is the energy charged per cycle (nJ), by fetch memory, class
-	// and data memory outcome (power.Flash, RAM, None).
-	epc [2][isa.NumClasses][3]float64
+	// and data memory outcome (power.Flash, RAM, None), computed from
+	// prof — the profile the tables were built for.
+	epc  [2][isa.NumClasses][3]float64
+	prof *power.Profile
 
 	// entry is the program entry address, valid iff entryOK.
 	entry   uint32
@@ -127,6 +129,7 @@ func (m *Machine) predecode() {
 	e.ram = resize(e.ram, int(e.ramLen+1)>>1)
 	e.blockCounts = resize(e.blockCounts, len(img.Blocks))
 	e.entry, e.entryOK = img.Symbols[img.Prog.Entry]
+	e.prof = prof
 
 	// Per (fetchMem, class, dataMem) energy table, shared by every uop
 	// with that outcome.

@@ -199,12 +199,15 @@ func New(img *layout.Image, prof *power.Profile) *Machine {
 
 // SetImage retargets the machine to an image, reusing the existing
 // flash/RAM arrays and predecode-table storage when capacities allow, and
-// resets to power-on state. Passing the image the machine already runs
-// skips the predecode rebuild (the table depends only on image and
-// profile). This is how core.Session reuses one machine across the
-// baseline and optimized runs instead of allocating per run.
+// resets to power-on state. The predecode tables depend only on the
+// image and the profile, so they are rebuilt when either differs from
+// what they were built for: retargeting to the same image under the same
+// Profile skips the rebuild, while a changed Profile field rebuilds even
+// for the same image. This is how the process-wide machine pool
+// (Acquire, Release) reuses machines across runs and sessions instead
+// of allocating per run.
 func (m *Machine) SetImage(img *layout.Image) {
-	rebuild := img != m.Img
+	rebuild := img != m.Img || m.Profile != m.eng.prof
 	m.Img = img
 	c := img.Config
 	m.flashBase, m.flashSize = c.FlashBase, uint32(c.FlashSize)

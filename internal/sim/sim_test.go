@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -724,58 +725,72 @@ func (r *recordingObserver) Event(e *Event) { r.events = append(r.events, *e) }
 func TestSetImageReuseMatchesFresh(t *testing.T) {
 	// One machine retargeted across images via SetImage must produce
 	// exactly the stats and event stream of a machine built fresh for each
-	// image — this is the contract core.Session's machine pool relies on.
-	progs := []struct {
-		p     *ir.Program
-		inRAM map[string]bool
+	// image and profile — this is the contract the machine pool (Acquire,
+	// Release) relies on. The last case keeps the image and swaps the
+	// profile: the energy tables must follow the profile, not just the
+	// image.
+	profA := power.STM32F100()
+	profB := new(power.Profile)
+	*profB = *profA
+	profB.FetchPower[power.Flash][isa.ClassALU] *= 1.5
+	flashImg := mustImage(t, ir.Figure2Program(), nil)
+	opt, _ := optimizedFigure2()
+	cases := []struct {
+		img  *layout.Image
+		prof *power.Profile
 	}{
-		{ir.Figure2Program(), nil},
-		{func() *ir.Program { p, _ := optimizedFigure2(); return p }(),
-			map[string]bool{"fn_loop": true, "fn_if": true}},
-		{ir.Figure2Program(), nil}, // distinct image: retarget back to all-flash
+		{flashImg, profA},
+		{mustImage(t, opt, map[string]bool{"fn_loop": true, "fn_if": true}), profA},
+		{mustImage(t, ir.Figure2Program(), nil), profA}, // distinct image: retarget back to all-flash
+		{flashImg, profA},
+		{flashImg, profB}, // same image, changed profile
 	}
-	reused := &Machine{Profile: power.STM32F100()}
-	for i, tc := range progs {
-		img := mustImage(t, tc.p, tc.inRAM)
-
-		fresh := New(img, power.STM32F100())
+	reused := &Machine{}
+	var energy []float64
+	for i, tc := range cases {
+		fresh := New(tc.img, tc.prof)
 		fObs := &recordingObserver{}
 		fresh.Attach(fObs)
 		fSt, err := fresh.Run()
 		if err != nil {
-			t.Fatalf("prog %d fresh: %v", i, err)
+			t.Fatalf("case %d fresh: %v", i, err)
 		}
 
-		reused.SetImage(img)
+		reused.Profile = tc.prof
+		reused.SetImage(tc.img)
 		rObs := &recordingObserver{}
 		reused.Attach(rObs)
 		rSt, err := reused.Run()
 		if err != nil {
-			t.Fatalf("prog %d reused: %v", i, err)
+			t.Fatalf("case %d reused: %v", i, err)
 		}
 
+		energy = append(energy, fSt.EnergyNJ)
 		if fSt.Instructions != rSt.Instructions || fSt.Cycles != rSt.Cycles ||
 			fSt.EnergyNJ != rSt.EnergyNJ || fSt.ContentionStalls != rSt.ContentionStalls ||
 			fSt.CyclesByMem != rSt.CyclesByMem {
-			t.Errorf("prog %d: reused stats %+v != fresh %+v", i, rSt, fSt)
+			t.Errorf("case %d: reused stats %+v != fresh %+v", i, rSt, fSt)
 		}
 		if len(fSt.BlockCounts) != len(rSt.BlockCounts) {
-			t.Errorf("prog %d: block count maps differ", i)
+			t.Errorf("case %d: block count maps differ", i)
 		}
 		for k, v := range fSt.BlockCounts {
 			if rSt.BlockCounts[k] != v {
-				t.Errorf("prog %d: BlockCounts[%s] = %d, want %d", i, k, rSt.BlockCounts[k], v)
+				t.Errorf("case %d: BlockCounts[%s] = %d, want %d", i, k, rSt.BlockCounts[k], v)
 			}
 		}
 		if len(fObs.events) != len(rObs.events) {
-			t.Fatalf("prog %d: %d events reused vs %d fresh", i, len(rObs.events), len(fObs.events))
+			t.Fatalf("case %d: %d events reused vs %d fresh", i, len(rObs.events), len(fObs.events))
 		}
 		for j := range fObs.events {
 			if fObs.events[j] != rObs.events[j] {
-				t.Fatalf("prog %d event %d: reused %+v != fresh %+v",
+				t.Fatalf("case %d event %d: reused %+v != fresh %+v",
 					i, j, rObs.events[j], fObs.events[j])
 			}
 		}
+	}
+	if energy[3] == energy[4] {
+		t.Fatal("precondition: the tweaked profile does not change the energy")
 	}
 }
 
@@ -875,4 +890,46 @@ func TestUnresolvedSymbolFaults(t *testing.T) {
 			}
 		})
 	}
+}
+
+// Release parks at most max(GOMAXPROCS, 2) machines with their per-run knobs
+// cleared, and Acquire prefers a parked machine that already holds the
+// image under the profile.
+func TestPoolBoundAndImagePreference(t *testing.T) {
+	pool.mu.Lock()
+	pool.free = nil
+	pool.mu.Unlock()
+	prof := power.STM32F100()
+	a := mustImage(t, ir.Figure2Program(), nil)
+	b := mustImage(t, ir.Figure2Program(), nil)
+
+	n := max(runtime.GOMAXPROCS(0), 2)
+	ms := make([]*Machine, n+2)
+	for i := range ms {
+		ms[i] = Acquire(a, prof)
+	}
+	for _, m := range ms {
+		m.Release()
+	}
+	if got := len(pool.free); got != n {
+		t.Fatalf("%d machines parked, want max(GOMAXPROCS, 2) = %d", got, n)
+	}
+
+	mb := Acquire(b, prof)
+	mb.MaxInstrs, mb.NoFuse = 7, true
+	mb.Attach(&recordingObserver{})
+	mb.Release()
+	if got := Acquire(a, prof); got == mb {
+		t.Error("Acquire(a) took the machine holding b over ones holding a")
+	} else {
+		got.Release()
+	}
+	got := Acquire(b, prof)
+	if got != mb {
+		t.Fatal("Acquire(b) did not take the machine holding b")
+	}
+	if got.MaxInstrs != 0 || got.NoFuse || got.obs != nil {
+		t.Errorf("released machine kept its knobs: MaxInstrs %d, NoFuse %v, observer %v", got.MaxInstrs, got.NoFuse, got.obs)
+	}
+	got.Release()
 }
