@@ -216,8 +216,8 @@ func compareMachinesFuzz(t *testing.T, fused, slot *Machine) {
 	f, s := &fused.stats, &slot.stats
 	if f.Instructions != s.Instructions || f.Cycles != s.Cycles ||
 		f.EnergyNJ != s.EnergyNJ || f.CyclesByMem != s.CyclesByMem ||
-		f.ContentionStalls != s.ContentionStalls {
-		t.Fatalf("stats divergence:\nfused: %+v\nslot:  %+v", f, s)
+		f.ContentionStalls != s.ContentionStalls || fused.led != slot.led {
+		t.Fatalf("stats divergence:\nfused: %+v %v\nslot:  %+v %v", f, fused.led, s, slot.led)
 	}
 	if fused.regs != slot.regs {
 		t.Fatalf("register divergence:\nfused: %v\nslot:  %v", fused.regs, slot.regs)

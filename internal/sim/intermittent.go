@@ -245,6 +245,7 @@ func (m *Machine) RunIntermittent(ctx context.Context, cfg IntermittentConfig) (
 				break // ran to completion
 			}
 			if !errors.Is(err, errStopCycles) {
+				m.settle()
 				return nil, err // fault, MaxInstrs, cancellation
 			}
 			pc = m.pausePC
@@ -274,6 +275,7 @@ func (m *Machine) RunIntermittent(ctx context.Context, cfg IntermittentConfig) (
 		// accounting restarts here, not at the (older) checkpoint.
 		snap.instrs = m.stats.Instructions
 	}
+	m.settle()
 	rep.Stats = m.stats
 	rep.Stats.BlockCounts = m.blockCountsMap()
 	rep.DownCycles = down

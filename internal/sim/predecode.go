@@ -20,9 +20,12 @@ import (
 //   - Stats, fault messages and the observer event stream depend only
 //     on the image and the program's inputs, never on how instructions
 //     are grouped into descriptors: fused and length-1 dispatch are
-//     byte-identical. Per-cycle energies are precomputed with one
-//     float64 expression per (fetch memory, class, data memory), so
-//     energy accumulates bit-for-bit the same way on every path.
+//     byte-identical. Every charge is an integer count of cycles in a
+//     (fetch memory, class, data memory) ledger cell (ledger.go), and
+//     energy is priced from the ledger once per run in a fixed order,
+//     so it is a pure function of those integers on every path. An
+//     observer event's energy is its cycles times its cell's per-cycle
+//     energy, precomputed here with one float64 expression per cell.
 //   - The tables are rebuilt on any image change (Machine.SetImage) and
 //     only then; Reset keeps them.
 
@@ -70,10 +73,11 @@ type engine struct {
 	// super holds the fused run descriptors, indexed by slot.sb. entries
 	// backs the descriptors' block-entry windows: first each uop's block
 	// ID in uops order (a length-1 window), then each fused run's
-	// compacted list. Rebuilt with the tables on
-	// SetImage.
+	// compacted list; charges backs their pre-aggregated ledger cells.
+	// Rebuilt with the tables on SetImage.
 	super   []superblock
 	entries []int32
+	charges []charge
 
 	// epc is the energy charged per cycle (nJ), by fetch memory, class
 	// and data memory outcome (power.Flash, RAM, None), computed from
@@ -131,8 +135,8 @@ func (m *Machine) predecode() {
 	e.entry, e.entryOK = img.Symbols[img.Prog.Entry]
 	e.prof = prof
 
-	// Per (fetchMem, class, dataMem) energy table, shared by every uop
-	// with that outcome.
+	// Per (fetchMem, class, dataMem) energy table: the price of a ledger
+	// cell's cycle.
 	for fm := power.Flash; fm <= power.RAM; fm++ {
 		for cl := isa.Class(0); cl < isa.NumClasses; cl++ {
 			for dm := 0; dm < 3; dm++ {
@@ -205,7 +209,7 @@ func (m *Machine) predecode() {
 				e.splits = append(e.splits, s.seqNext)
 			}
 			s.k, s.w = int32(len(e.uops)), 1
-			u := lower(in, s.fetchMem, litMem, &e.epc[s.fetchMem][isa.ClassOf(in.Op)], target, targetOK)
+			u := lower(in, s.fetchMem, litMem, target, targetOK)
 			if g, ok := guard(in, &u); ok {
 				s.w = 2
 				e.uops = append(e.uops, g)
@@ -226,7 +230,7 @@ func (m *Machine) predecode() {
 
 	// With every uop lowered, fuse straight-line runs into superblock
 	// descriptors and chain them.
-	e.super = e.super[:0]
+	e.super, e.charges = e.super[:0], e.charges[:0]
 	e.fuse(bounds[0], bounds[1], power.Flash)
 	e.fuse(bounds[1], bounds[2], power.RAM)
 	e.link()

@@ -12,7 +12,9 @@
 // instruction executes through one uop executor (superblock.go): fused
 // straight-line runs as one descriptor, everything else as length-1
 // descriptors. The run loop is a pure array-indexed dispatch with no map
-// lookups, closures or symbol resolution per instruction.
+// lookups, closures or symbol resolution per instruction. Charges are
+// integers: cycles per (fetch memory, class, data memory) cell of an
+// energy ledger (ledger.go), priced into Stats.EnergyNJ once per run.
 package sim
 
 import (
@@ -101,6 +103,12 @@ type Machine struct {
 	obs   Observer
 	ev    Event // reused event buffer when obs != nil
 	stats Stats
+	// led is the run's integer energy ledger (ledger.go); Stats.EnergyNJ
+	// and Stats.CyclesByMem are derived from it when the run ends. dyn
+	// holds the executing descriptor's dynamic load charges until its
+	// flush.
+	led ledger
+	dyn dynCharges
 
 	// one is the reused length-1 descriptor runFrom dispatches unfused
 	// instructions through; oc is the outcome of the executor's last
@@ -228,7 +236,7 @@ func (m *Machine) reset() {
 	clear(m.flash)
 	clear(m.ram)
 	clear(m.eng.blockCounts)
-	m.stats = Stats{}
+	m.stats, m.led = Stats{}, ledger{}
 	m.polls, m.unfused = 0, 0
 
 	// Initialize globals.
@@ -432,7 +440,9 @@ func (m *Machine) RunContext(ctx context.Context) (*Stats, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := m.runFrom(ctx, entry); err != nil {
+	err = m.runFrom(ctx, entry)
+	m.settle()
+	if err != nil {
 		return nil, err
 	}
 	st := m.stats

@@ -41,13 +41,12 @@ import (
 //     intermittent stop mark (the pause lands on the exact boundary).
 //
 // Stats do not depend on how instructions are grouped into descriptors:
-// energy is applied per uop in program order through a single running
-// float64 (float addition is not associative, so any reassociation would
-// drift by bits), while the integer stats — cycles and the per-class
-// split — are pre-aggregated per descriptor, which is exact because
-// uint64 addition is associative. Only the dynamic parts (load stalls,
-// conditional-terminal direction, failed predicates) are accounted at
-// run time.
+// every charge is an integer — cycles into the (fetch memory, class,
+// data memory) ledger (ledger.go) — so the static part pre-aggregates
+// per descriptor exactly, uint64 addition being associative. Only the
+// dynamic parts (a load hitting RAM and its stall, conditional-terminal
+// direction, failed predicates) are accounted at run time, and energy
+// is priced from the ledger once, when the run ends.
 
 // minFuse is the shortest run worth a precomputed descriptor; shorter
 // runs execute as length-1 descriptors.
@@ -155,8 +154,8 @@ const (
 )
 
 // Execution outcomes of one uop, which select its charge: the main
-// outcome (energy), the alternative (energy2: a load hitting RAM, a
-// conditional branch falling through) or a failed predicate. The
+// outcome (cyc at data memory dm), the alternative (a load hitting
+// flash, a conditional branch falling through) or a failed predicate. The
 // executor records the last dynamic choice in Machine.oc — a store on
 // the rare paths rather than a loop-carried local, which costs the fused
 // loop a register — and only the length-1 path reads it back, to build
@@ -168,9 +167,9 @@ const (
 )
 
 // uop is one lowered instruction (an IT-predicated one is two: its guard,
-// then itself): 32 bytes, stored contiguously in address order
+// then itself): 16 bytes, stored contiguously in address order
 // (engine.uops) so a fused run is a window of the array and the executor
-// streams it.
+// streams it. A uop carries no energy: its charges are ledger cells.
 type uop struct {
 	code uint8
 	cond uint8 // uGUARD, uBCC: condition code
@@ -181,13 +180,11 @@ type uop struct {
 	sz   uint8 // load/store access bytes; uPUSH register count
 	cyc  uint8 // cycles of the main outcome, stalls that are static included
 	cyc2 uint8 // cycles of the fall-through or failed-predicate outcome
-	cl   uint8 // isa.Class, for the CyclesByMem split
+	cl   uint8 // isa.Class: the ledger row of every charge
+	dm   uint8 // power.Memory the main outcome's data access hits (None if none)
 	fl   uint8 // fS | fSign | fStall | fLitRAM
 
 	imm uint32
-
-	energy  float64 // charge of the main outcome (taken / flash data)
-	energy2 float64 // charge of the fall-through / RAM-data outcome
 }
 
 // superblock is one dispatch descriptor: a fused run, or the length-1
@@ -208,15 +205,16 @@ type superblock struct {
 	// dispatch limit (poll mark, MaxInstrs) and stop mark permit. -1
 	// ends the chain.
 	nextSB int32
-	// staticCycles and perClass pre-aggregate every statically charged
+	// staticCycles and charges pre-aggregate every statically charged
 	// cycle of the run (a predicated instruction counts its executed
-	// cost; a failed guard corrects at run time); conditional terminals
-	// and load stalls are accounted at run time. perClass is a fixed
-	// array so the flush is branch-free adds (fetch memory is uniform
-	// across a run, so only the class dimension is needed); a length-1
-	// descriptor leaves it unused and charges its one uop's class.
+	// cost, a load its RAM-data outcome; a failed guard and a load
+	// hitting flash correct at run time); conditional terminals and load
+	// stalls are accounted at run time. charges lists the run's nonzero
+	// ledger cells (fetch memory is uniform across a run, so a cell is a
+	// class and a data memory); a length-1 descriptor leaves it unused
+	// and charges its one uop's cell.
 	staticCycles uint64
-	perClass     [isa.NumClasses]uint64
+	charges      []charge
 	// maxCycles is the worst-case cycle cost of one execution of the
 	// run. runFrom and the chain gate compare it against the
 	// intermittent stop mark — a run that could reach the mark is
@@ -236,9 +234,17 @@ func (u *uop) static() uint64 {
 	return uint64(u.cyc)
 }
 
+// charge is one pre-aggregated ledger cell of a fused run: cyc cycles
+// at class cl and data memory dm.
+type charge struct {
+	cl, dm uint8
+	cyc    uint32
+}
+
 // aggregate fills the descriptor's pre-aggregated cycle counts from its
-// uops.
-func (sb *superblock) aggregate() {
+// uops, appending its ledger cells to the engine's charge storage.
+func (sb *superblock) aggregate(charges *[]charge) {
+	var cells ledgerCells
 	for k := range sb.uops {
 		u := &sb.uops[k]
 		if u.code == uGUARD {
@@ -247,7 +253,7 @@ func (sb *superblock) aggregate() {
 		sb.n++
 		c := u.static()
 		sb.staticCycles += c
-		sb.perClass[u.cl] += c
+		cells[u.cl][u.dm] += c
 		// Worst case: the dearer direction of a conditional terminal,
 		// every stall-capable load stalling, failed predicates at their
 		// own cost when that is higher.
@@ -256,6 +262,15 @@ func (sb *superblock) aggregate() {
 			sb.maxCycles += isa.RAMContentionStall
 		}
 	}
+	c0 := len(*charges)
+	for cl := range cells {
+		for dm, c := range cells[cl] {
+			if c != 0 {
+				*charges = append(*charges, charge{cl: uint8(cl), dm: uint8(dm), cyc: uint32(c)})
+			}
+		}
+	}
+	sb.charges = (*charges)[c0:len(*charges):len(*charges)]
 }
 
 // forms maps an op to its immediate and register uop forms (the
@@ -278,18 +293,16 @@ var forms = [...][2]uint8{
 	isa.B:   {uB, uB}, isa.CBZ: {uCBZ, uCBZ}, isa.CBNZ: {uCBNZ, uCBNZ}, isa.BL: {uBL, uBL},
 }
 
-// lower translates one instruction to its uop. epc is the per-cycle
-// energy of the instruction's fetch memory and class, indexed by data
-// memory; target is its resolved branch target, ADR address or literal
-// value (valid iff targetOK); litMem is where an LDRLIT's pool word
-// lives.
-func lower(in *isa.Instr, fetchMem, litMem power.Memory, epc *[3]float64, target uint32, targetOK bool) uop {
+// lower translates one instruction to its uop. target is its resolved
+// branch target, ADR address or literal value (valid iff targetOK);
+// litMem is where an LDRLIT's pool word lives.
+func lower(in *isa.Instr, fetchMem, litMem power.Memory, target uint32, targetOK bool) uop {
 	cyc := isa.Cycles(in)
 	u := uop{
 		rd: uint8(in.Rd), rn: uint8(in.Rn),
 		cyc: uint8(cyc), cyc2: uint8(isa.CyclesNotTaken(in)),
-		cl:     uint8(isa.ClassOf(in.Op)),
-		energy: float64(cyc) * epc[power.None],
+		cl: uint8(isa.ClassOf(in.Op)),
+		dm: uint8(power.None),
 	}
 	if in.SetFlags {
 		u.fl |= fS
@@ -306,7 +319,7 @@ func lower(in *isa.Instr, fetchMem, litMem power.Memory, epc *[3]float64, target
 			u.fl |= fStall
 		}
 		u.cyc = uint8(cyc)
-		u.energy = float64(cyc) * epc[dataMem]
+		u.dm = uint8(dataMem)
 	}
 
 	switch in.Op {
@@ -389,18 +402,19 @@ func lower(in *isa.Instr, fetchMem, litMem power.Memory, epc *[3]float64, target
 		}
 		if in.Op.IsStore() {
 			// A successful store always hits RAM (stores to flash fault).
-			u.energy = float64(cyc) * epc[power.RAM]
+			u.dm = uint8(power.RAM)
 			break
 		}
-		u.energy = float64(cyc) * epc[power.Flash]
+		// The main outcome is RAM data — the stack and every writable
+		// global live there — with a RAM fetch's stall added at run time;
+		// a flash hit is the executor's alternative.
+		u.dm = uint8(power.RAM)
 		if fetchMem == power.RAM {
 			u.fl |= fStall
-			cyc += isa.RAMContentionStall
 		}
-		u.energy2 = float64(cyc) * epc[power.RAM]
 	case isa.PUSH:
 		u.code, u.imm, u.sz = uPUSH, uint32(in.RegList), uint8(bits.OnesCount16(in.RegList))
-		u.energy = float64(cyc) * epc[power.RAM]
+		u.dm = uint8(power.RAM)
 	case isa.POP:
 		u.code, u.imm = uPOP, uint32(in.RegList)
 		if in.RegList&(1<<isa.PC) != 0 {
@@ -416,7 +430,6 @@ func lower(in *isa.Instr, fetchMem, litMem power.Memory, epc *[3]float64, target
 		if in.Op == isa.B && in.Cond != isa.AL {
 			u.code, u.cond = uBCC, uint8(in.Cond)
 		}
-		u.energy2 = float64(u.cyc2) * epc[power.None]
 	case isa.BX, isa.BLX:
 		u.code, u.rm = uBX, uint8(in.Rm)
 		if in.Op == isa.BLX {
@@ -480,7 +493,7 @@ func (e *engine) fuse(lo, hi int, fetchMem power.Memory) {
 				}
 			}
 			sb.blocks = e.entries[b0:len(e.entries):len(e.entries)]
-			sb.aggregate()
+			sb.aggregate(&e.charges)
 			e.order[k].sb = int32(len(e.super))
 			e.super = append(e.super, sb)
 		}
@@ -512,8 +525,8 @@ func (e *engine) link() {
 
 // single returns the length-1 descriptor for s: a window onto the uops
 // the slot owns, in the machine's reused scratch descriptor. Its static
-// cycles all belong to the one instruction's class, so perClass stays
-// unused.
+// cycles all belong to the one instruction's ledger cell, so charges
+// stays unused.
 // It also does the length-1 path's bookkeeping, keeping the fused path
 // free of it: the unfused count and the pre-execution cycle and stall
 // counts the observer Event is derived from.
@@ -648,6 +661,8 @@ func (m *Machine) wildJump(pc uint32, last *slot) *Fault {
 // emit reports a length-1 dispatch to the observer. Everything dynamic
 // about the charge comes from the executor — the outcome m.oc and the
 // cycle and stall deltas since single; the rest is static in the uop.
+// The event's energy is its cycles at the per-cycle energy of the cell
+// they were charged to — the ledger's own product, one event at a time.
 func (m *Machine) emit(s *slot, pc uint32) {
 	u := m.eng.uopOf(s)
 	ev := Event{
@@ -660,18 +675,14 @@ func (m *Machine) emit(s *slot, pc uint32) {
 	op := u.code
 	switch m.oc {
 	case ocNT:
-		ev.EnergyNJ = m.eng.energyNT(s.fetchMem, u)
+		// A failed predicate: cyc2 cycles of no data access.
 	case ocAlt:
-		ev.EnergyNJ = u.energy2
 		if op == uLDRI || op == uLDRR {
-			ev.DataMem = power.RAM
+			ev.DataMem = power.Flash
 		}
 	default:
-		ev.EnergyNJ = u.energy
 		switch op {
-		case uLDRI, uLDRR:
-			ev.DataMem = power.Flash
-		case uSTRI, uSTRR, uPUSH, uPOP, uPOPPC:
+		case uLDRI, uLDRR, uSTRI, uSTRR, uPUSH, uPOP, uPOPPC:
 			ev.DataMem = power.RAM
 		case uLDL, uLDLPC:
 			ev.DataMem = power.Flash
@@ -681,6 +692,7 @@ func (m *Machine) emit(s *slot, pc uint32) {
 		}
 		ev.Taken = op >= uB
 	}
+	ev.EnergyNJ = float64(ev.Cycles) * m.eng.epc[s.fetchMem][u.cl][ev.DataMem]
 	m.ev = ev
 	m.obs.Event(&m.ev)
 }
@@ -691,20 +703,13 @@ func (e *engine) uopOf(s *slot) *uop {
 	return &e.uops[int(s.k)+int(s.w)-1]
 }
 
-// energyNT is the charge of a failed predicate: cyc2 cycles of no data
-// access at the uop's class.
-func (e *engine) energyNT(fetchMem power.Memory, u *uop) float64 {
-	return float64(u.cyc2) * e.epc[fetchMem][u.cl][power.None]
-}
-
 // runSuperblock executes one descriptor — and chains straight into
 // statically linked successor runs while the dispatch limit permits —
 // returning the next PC and the last executed instruction's slot, or a
-// located Fault when an instruction faults. Energy accumulates per uop
-// in program order through a single local; cycles
-// and the per-class split were pre-aggregated, so at run time only the
-// dynamic parts remain — load stalls, conditional-terminal direction,
-// failed predicates — and the hot per-uop tail is one float add.
+// located Fault when an instruction faults. Cycles and their ledger
+// cells were pre-aggregated, so at run time only the dynamic parts
+// remain — load stalls, loads hitting flash, conditional-terminal
+// direction, failed predicates — and the per-uop tail is empty.
 //
 // limit is the instruction count the chain must not cross: the nearer of
 // the re-armed cancellation poll mark and MaxInstrs. The caller polls or
@@ -714,15 +719,14 @@ func (e *engine) energyNT(fetchMem power.Memory, u *uop) float64 {
 // reach it ends the chain, mirroring runFrom's entry gate.
 func (m *Machine) runSuperblock(sb *superblock, limit, stop uint64) (uint32, *slot, *Fault) {
 	st := &m.stats
-	e := st.EnergyNJ
 	super, counts := m.eng.super, m.eng.blockCounts
 chain:
-	cbm := &st.CyclesByMem[sb.fetchMem]
-	// stallCyc counts dynamic load stall cycles (charged to ClassLoad),
-	// stallEv the stall events; tcyc is the conditional terminal's chosen
-	// cycle cost (zero when the run ends unconditionally — those cycles
-	// are in staticCycles).
-	var stallCyc, stallEv, tcyc uint64
+	lg := &m.led[sb.fetchMem]
+	// tcyc is the conditional terminal's chosen cycle cost (zero when
+	// the run ends unconditionally — those cycles are in staticCycles);
+	// the other dynamic charges accumulate in m.dyn.
+	var tcyc uint64
+	dyn := &m.dyn
 	next := sb.fall
 	uops := sb.uops
 	m.oc = ocMain
@@ -735,11 +739,11 @@ loop:
 			m.write(u, u.imm)
 		case uLDL:
 			// The stall cycle (if any) is static — the pool's memory is
-			// known — and already folded into u.cyc/u.energy; only the
-			// event counts.
+			// known — and already folded into u.cyc; only the event
+			// counts.
 			m.regs[u.rd] = u.imm
 			if u.fl&fStall != 0 {
-				stallEv++
+				dyn.stallEv++
 			}
 		case uMOVR:
 			m.write(u, m.regs[u.rm]<<u.sh)
@@ -900,32 +904,27 @@ loop:
 				addr = m.regs[u.rn] + m.regs[u.rm]<<u.sh
 			}
 			var v uint32
-			ram := false
-			if d := addr - m.flashBase; uint64(d)+uint64(u.sz) <= uint64(m.flashSize) {
-				v = readLE(m.flash[d:], int(u.sz))
-			} else if d := addr - m.ramBase; uint64(d)+uint64(u.sz) <= uint64(m.ramSize) {
+			flash := false
+			if d := addr - m.ramBase; uint64(d)+uint64(u.sz) <= uint64(m.ramSize) {
 				v = readLE(m.ram[d:], int(u.sz))
-				ram = true
+			} else if d := addr - m.flashBase; uint64(d)+uint64(u.sz) <= uint64(m.flashSize) {
+				v = readLE(m.flash[d:], int(u.sz))
+				flash = true
 			} else {
-				return 0, nil, m.flushFault(sb, i, stallCyc, stallEv, e,
-					m.accessFault("load", addr, int(u.sz)))
+				return 0, nil, m.flushFault(sb, i, m.accessFault("load", addr, int(u.sz)))
 			}
 			if u.fl&fSign != 0 {
 				shift := uint(32 - 8*u.sz)
 				v = uint32(int32(v<<shift) >> shift)
 			}
 			m.regs[u.rd] = v
-			if ram {
-				if u.fl&fStall != 0 {
-					stallCyc++
-					stallEv++
-				}
-				e += u.energy2
+			if flash {
+				dyn.flashCyc += uint64(u.cyc)
 				m.oc = ocAlt
-			} else {
-				e += u.energy
+			} else if u.fl&fStall != 0 {
+				dyn.stallCyc++
+				dyn.stallEv++
 			}
-			continue
 		case uSTRI, uSTRR:
 			addr := m.regs[u.rn] + u.imm
 			if u.code == uSTRR {
@@ -935,25 +934,24 @@ loop:
 				writeLE(m.ram[d:], m.regs[u.rd], int(u.sz))
 			} else if _, err := m.store(addr, m.regs[u.rd], int(u.sz)); err != nil {
 				// m.store re-derives the flash/unmapped/straddle fault.
-				return 0, nil, m.flushFault(sb, i, stallCyc, stallEv, e, err)
+				return 0, nil, m.flushFault(sb, i, err)
 			}
 		case uPUSH:
 			if err := m.push(u.imm, u.sz); err != nil {
-				return 0, nil, m.flushFault(sb, i, stallCyc, stallEv, e, err)
+				return 0, nil, m.flushFault(sb, i, err)
 			}
 		case uPOP, uPOPPC:
 			pc, err := m.pop(u.imm)
 			if err != nil {
-				return 0, nil, m.flushFault(sb, i, stallCyc, stallEv, e, err)
+				return 0, nil, m.flushFault(sb, i, err)
 			}
 			// The RAM-port stall is static (the stack is RAM) and folded
 			// into u.cyc; only the event counts.
 			if u.fl&fStall != 0 {
-				stallEv++
+				dyn.stallEv++
 			}
 			if u.code == uPOPPC {
 				next = pc
-				e += u.energy
 				break loop
 			}
 		case uGUARD:
@@ -969,82 +967,71 @@ loop:
 			if g.code == uCBZ || g.code == uCBNZ {
 				// Charged exactly like the branch not taken.
 				tcyc = uint64(g.cyc2)
-				e += g.energy2
 				break loop
 			}
-			// Correct the pre-aggregated executed cost on the spot
-			// (wrapping arithmetic: the correction may be negative, the
-			// committed totals never are).
-			d := uint64(g.cyc2) - uint64(g.cyc)
-			st.Cycles += d
-			cbm[g.cl] += d
-			e += m.eng.energyNT(sb.fetchMem, g)
+			// Move the pre-aggregated executed cost to the failed
+			// predicate's cell on the spot (wrapping arithmetic: a cell
+			// may dip below zero until the run's flush adds it back).
+			st.Cycles += uint64(g.cyc2) - uint64(g.cyc)
+			lg[g.cl][g.dm] -= uint64(g.cyc)
+			lg[g.cl][power.None] += uint64(g.cyc2)
 			continue
 		case uFAULT:
-			return 0, nil, m.flushFault(sb, i, stallCyc, stallEv, e, m.eng.faultOf(sb.slots[i]))
+			return 0, nil, m.flushFault(sb, i, m.eng.faultOf(sb.slots[i]))
 		// Terminals are always last: each charges itself and leaves the
 		// loop, so next and tcyc are never carried around it.
 		case uB:
 			next = u.imm
-			e += u.energy
 			break loop
 		case uBL:
 			next = u.imm
 			m.regs[isa.LR] = sb.fall
-			e += u.energy
 			break loop
 		case uLDLPC:
 			next = u.imm
 			if u.fl&fStall != 0 {
-				stallEv++
+				dyn.stallEv++
 			}
-			e += u.energy
 			break loop
 		case uBCC:
 			if isa.Cond(u.cond).Holds(m.n, m.z, m.c, m.v) {
 				next, tcyc = u.imm, uint64(u.cyc)
-				e += u.energy
 			} else {
 				tcyc = uint64(u.cyc2)
-				e += u.energy2
 				m.oc = ocAlt
 			}
 			break loop
 		case uCBZ, uCBNZ:
 			if (m.regs[u.rn] == 0) == (u.code == uCBZ) {
 				next, tcyc = u.imm, uint64(u.cyc)
-				e += u.energy
 			} else {
 				tcyc = uint64(u.cyc2)
-				e += u.energy2
 				m.oc = ocAlt
 			}
 			break loop
 		case uBX:
 			next = m.regs[u.rm] &^ 1
-			e += u.energy
 			break loop
 		case uBLX:
 			next = m.regs[u.rm] &^ 1
 			m.regs[isa.LR] = sb.fall
-			e += u.energy
 			break loop
 		}
-		e += u.energy
 	}
 	st.Instructions += sb.n
-	st.Cycles += sb.staticCycles + stallCyc + tcyc
-	// Dynamic charges land on fixed classes: load stalls on ClassLoad,
-	// a conditional terminal (tcyc is zero otherwise) on ClassBranch.
-	cbm[isa.ClassLoad] += stallCyc
-	cbm[isa.ClassBranch] += tcyc
-	st.ContentionStalls += stallEv
-	st.EnergyNJ = e
+	st.Cycles += sb.staticCycles + tcyc
+	// Dynamic charges land on fixed cells: a conditional terminal (tcyc
+	// is zero otherwise) on (branch, none), the loads' on theirs.
+	lg[isa.ClassBranch][power.None] += tcyc
+	if *dyn != (dynCharges{}) {
+		m.flushDyn(lg)
+	}
 	if sb.n == 1 {
-		cbm[uops[len(uops)-1].cl] += sb.staticCycles // one instruction, one class
+		u := &uops[len(uops)-1] // one instruction, one cell
+		lg[u.cl][u.dm] += sb.staticCycles
 	} else {
-		for cl := range sb.perClass {
-			cbm[cl] += sb.perClass[cl]
+		for _, c := range sb.charges {
+			lg[c.cl][c.dm] += uint64(c.cyc)
 		}
 	}
 	for _, id := range sb.blocks {
@@ -1071,13 +1058,13 @@ func (m *Machine) write(u *uop, v uint32) {
 // flushFault commits the exact partial stats of a descriptor that
 // faulted at uop i (the faulting instruction has charged nothing, but
 // its block entry counts) and returns the located fault. Cold path: it
-// reconstructs the prefix's static cycles and class split by walking
-// uops[:i] — energies and dynamic stalls were tracked in order by the
-// caller and arrive as arguments (failed-predicate corrections are
-// already committed).
-func (m *Machine) flushFault(sb *superblock, i int, stallCyc, stallEv uint64, e float64, err error) *Fault {
+// reconstructs the prefix's static cycles and ledger cells by walking
+// uops[:i] — the dynamic load charges were tracked by the caller and
+// arrive as arguments (failed-predicate corrections are already
+// committed).
+func (m *Machine) flushFault(sb *superblock, i int, err error) *Fault {
 	st := &m.stats
-	cbm := &st.CyclesByMem[sb.fetchMem]
+	lg := &m.led[sb.fetchMem]
 	var instrs, cycles uint64
 	for k := 0; k <= i; k++ {
 		u, s := &sb.uops[k], sb.slots[k]
@@ -1090,14 +1077,12 @@ func (m *Machine) flushFault(sb *superblock, i int, stallCyc, stallEv uint64, e 
 		if k < i {
 			instrs++
 			cycles += uint64(u.cyc)
-			cbm[u.cl] += uint64(u.cyc)
+			lg[u.cl][u.dm] += uint64(u.cyc)
 		}
 	}
 	st.Instructions += instrs
-	st.Cycles += cycles + stallCyc
-	cbm[isa.ClassLoad] += stallCyc
-	st.ContentionStalls += stallEv
-	st.EnergyNJ = e
+	st.Cycles += cycles
+	m.flushDyn(lg)
 	s := sb.slots[i]
 	f := &Fault{PC: s.pl.InstrAddrs[s.index], Reason: err.Error()}
 	f.locate(s.ref())

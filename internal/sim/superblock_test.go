@@ -44,6 +44,9 @@ func compareMachines(t *testing.T, fused, slot *Machine) {
 	if f.CyclesByMem != s.CyclesByMem {
 		t.Errorf("CyclesByMem: fused %v != slot %v", f.CyclesByMem, s.CyclesByMem)
 	}
+	if fused.led != slot.led {
+		t.Errorf("energy ledger: fused %v != slot %v", fused.led, slot.led)
+	}
 	if f.ContentionStalls != s.ContentionStalls {
 		t.Errorf("ContentionStalls: fused %d != slot %d", f.ContentionStalls, s.ContentionStalls)
 	}
