@@ -321,12 +321,18 @@ func SolveLadder(ctx context.Context, m *model.Model, budget Budget, warm *Warm)
 		defer cancel()
 	}
 	res, err := SolveILPWarm(solveCtx, m, budget, warm)
+	if ctx.Err() != nil {
+		// The caller itself is going away: propagate, never degrade. A
+		// solve that stopped on the cancellation with an incumbent in
+		// hand returns it without an error; that unproven placement is
+		// not an answer to memoize either.
+		if err == nil {
+			err = fmt.Errorf("placement: solve cancelled: %w", context.Cause(ctx))
+		}
+		return nil, err
+	}
 	if err == nil {
 		return res, nil
-	}
-	if ctx.Err() != nil {
-		// The caller itself is going away: propagate, never degrade.
-		return nil, err
 	}
 	if !errors.Is(err, errs.ErrBudget) && !errs.IsCancellation(err) {
 		return nil, err // a broken model, not an exhausted budget

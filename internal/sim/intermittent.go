@@ -25,6 +25,19 @@ import (
 // with fusion on or off: runFrom declines the fused path for any
 // superblock whose worst-case cycle bound could reach the mark, and the
 // boundary instructions dispatch as length-1 descriptors either way.
+//
+// Replay fast-forward. Every attempt that starts from the current
+// snapshot's state follows one deterministic trajectory — the machine
+// state is registers, flags and RAM, and an outage discards exactly what
+// a restore puts back — so every segment an outage loses since that
+// snapshot is a prefix of it. Each lost segment is recorded at its
+// outage (its state, pc and the integer delta of every run counter) in a
+// fixed ring of the two most recent. A segment that starts in the
+// snapshot state installs the longest record it would re-execute whole —
+// the record's cycles within the stop mark, its instructions within
+// MaxInstrs — and simulates on from there: the same instructions, the
+// same counters, at the cost of one RAM copy. Observer-attached runs
+// always simulate, since their event stream is per instruction.
 
 // errStopCycles is runFrom's internal pause signal: the executed-cycle
 // stop mark was reached at an instruction boundary. Machine.pausePC
@@ -130,35 +143,180 @@ func (r *IntermittentReport) TimeToCompletionS(clockHz float64) float64 {
 	return float64(r.WallCycles) / clockHz
 }
 
-// ckptSnapshot is the volatile state a checkpoint preserves. The RAM
-// image covers everything lost on an outage — data, stack and the
-// RAM-resident code the restore copies back from flash.
-type ckptSnapshot struct {
+// cpuState is the volatile state an outage discards, and the pc to
+// resume at. The RAM image covers data, stack and the RAM-resident code
+// the restore copies back from flash.
+type cpuState struct {
 	regs       [isa.NumRegs]uint32
 	n, z, c, v bool
 	ram        []byte
 	pc         uint32
-	// instrs is Stats.Instructions at snapshot time — the replay
-	// baseline for lost-work accounting.
-	instrs uint64
 }
 
-func (m *Machine) takeSnapshot(s *ckptSnapshot, pc uint32) {
-	s.regs = m.regs
+// runCounters are a run's integer counters other than its block counts:
+// Stats.Instructions, Cycles and ContentionStalls, the unfused count and
+// the energy ledger.
+type runCounters struct {
+	instrs, cycles, stalls, unfused uint64
+	led                             ledger
+}
+
+func (m *Machine) counters() runCounters {
+	return runCounters{m.stats.Instructions, m.stats.Cycles, m.stats.ContentionStalls, m.unfused, m.led}
+}
+
+func (m *Machine) setCounters(c *runCounters) {
+	m.stats.Instructions, m.stats.Cycles, m.stats.ContentionStalls = c.instrs, c.cycles, c.stalls
+	m.unfused, m.led = c.unfused, c.led
+}
+
+// add adds d to c, counter by counter.
+func (c *runCounters) add(d *runCounters) {
+	c.instrs += d.instrs
+	c.cycles += d.cycles
+	c.stalls += d.stalls
+	c.unfused += d.unfused
+	c.led.add(&d.led)
+}
+
+// sub subtracts o from c, counter by counter.
+func (c *runCounters) sub(o *runCounters) {
+	c.instrs -= o.instrs
+	c.cycles -= o.cycles
+	c.stalls -= o.stalls
+	c.unfused -= o.unfused
+	c.led.sub(&o.led)
+}
+
+// saveCPU copies the registers and flags into s, with the pc to resume
+// at; the RAM image is the caller's to move.
+func (m *Machine) saveCPU(s *cpuState, pc uint32) {
+	s.regs, s.pc = m.regs, pc
 	s.n, s.z, s.c, s.v = m.n, m.z, m.c, m.v
-	if cap(s.ram) < len(m.ram) {
-		s.ram = make([]byte, len(m.ram))
-	}
-	s.ram = s.ram[:len(m.ram)]
-	copy(s.ram, m.ram)
-	s.pc = pc
-	s.instrs = m.stats.Instructions
 }
 
-func (m *Machine) restoreSnapshot(s *ckptSnapshot) {
+func (m *Machine) loadCPU(s *cpuState) {
 	m.regs = s.regs
 	m.n, m.z, m.c, m.v = s.n, s.z, s.c, s.v
-	copy(m.ram, s.ram)
+}
+
+// ckptSnapshot is the state a checkpoint preserves, and the run's
+// counters when the machine was last in that state — at the checkpoint
+// or at the latest restore — which are the replay baseline for
+// lost-work accounting and the origin of every lost segment's delta.
+type ckptSnapshot struct {
+	cpuState
+	at       runCounters
+	atCounts []uint64 // dense block counts at the same moment
+}
+
+// lostSegment is an attempt an outage discarded: the state it reached
+// and its counter deltas from the snapshot state. instrs == 0 marks an
+// empty ring slot.
+type lostSegment struct {
+	cpuState
+	d      runCounters
+	counts []uint64
+}
+
+// atSnapshot reports whether the machine is still in the snapshot state:
+// nothing has executed or been installed since the checkpoint or the
+// restore.
+func (m *Machine) atSnapshot() bool { return m.stats.Instructions == m.snap.at.instrs }
+
+// takeSnapshot checkpoints the current state and empties the ring: the
+// recorded segments start from the previous snapshot's state.
+func (m *Machine) takeSnapshot(pc uint32) {
+	s := &m.snap
+	m.saveCPU(&s.cpuState, pc)
+	s.ram = grow(s.ram, len(m.ram))
+	copy(s.ram, m.ram)
+	m.markSnapshotState()
+	for i := range m.lost {
+		m.lost[i].d.instrs = 0
+	}
+}
+
+// markSnapshotState records the counters as the snapshot state's.
+func (m *Machine) markSnapshotState() {
+	s := &m.snap
+	s.at = m.counters()
+	s.atCounts = grow(s.atCounts, len(m.eng.blockCounts))
+	copy(s.atCounts, m.eng.blockCounts)
+}
+
+// recordLost files the attempt an outage just ended, stopped at pc, in
+// the older ring slot — unless a record of the same length exists, which
+// is the same prefix. The lost RAM image moves into the slot by a buffer
+// swap: the restore overwrites m.ram anyway.
+func (m *Machine) recordLost(pc uint32) {
+	s := &m.snap
+	d := m.counters()
+	d.sub(&s.at)
+	for i := range m.lost {
+		if m.lost[i].d.instrs == d.instrs {
+			return
+		}
+	}
+	r := &m.lost[m.lostNext]
+	m.lostNext ^= 1
+	m.saveCPU(&r.cpuState, pc)
+	r.d = d
+	r.ram = grow(r.ram, len(m.ram))
+	r.ram, m.ram = m.ram, r.ram
+	r.counts = grow(r.counts, len(m.eng.blockCounts))
+	for i, n := range m.eng.blockCounts {
+		r.counts[i] = n - s.atCounts[i]
+	}
+}
+
+// restore puts the snapshot's registers and flags back after an outage
+// and makes the current counters the snapshot state's. The RAM copy is
+// left to resume, which may install a recorded segment's RAM instead.
+func (m *Machine) restore() {
+	m.loadCPU(&m.snap.cpuState)
+	m.markSnapshotState()
+}
+
+// resume completes a restore at the start of the segment that runs up to
+// stop: it installs the longest recorded segment that segment would
+// re-execute whole — its cycles within the stop mark, its instructions
+// within the instruction limit — and returns the pc to simulate on from;
+// with no such record it copies the snapshot's RAM back and returns the
+// snapshot's pc.
+func (m *Machine) resume(stop uint64) uint32 {
+	cycles, instrs := stop-m.stats.Cycles, m.instrLimit()-m.stats.Instructions
+	var best *lostSegment
+	for i := range m.lost {
+		r := &m.lost[i]
+		if r.d.instrs != 0 && r.d.cycles <= cycles && r.d.instrs <= instrs &&
+			(best == nil || r.d.instrs > best.d.instrs) {
+			best = r
+		}
+	}
+	if best == nil {
+		copy(m.ram, m.snap.ram)
+		return m.snap.pc
+	}
+	copy(m.ram, best.ram)
+	m.loadCPU(&best.cpuState)
+	c := m.counters()
+	c.add(&best.d)
+	m.setCounters(&c)
+	for i, n := range best.counts {
+		m.eng.blockCounts[i] += n
+	}
+	m.ffwd += best.d.instrs
+	return best.pc
+}
+
+// grow returns s with length n, reallocating only when its capacity is
+// short; the contents are not cleared.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // checkpointFootprintWords is the journal size: RAM-resident code and
@@ -211,13 +369,19 @@ func (m *Machine) RunIntermittent(ctx context.Context, cfg IntermittentConfig) (
 	}
 
 	rep := &IntermittentReport{CheckpointIntervalCycles: interval}
-	var snap ckptSnapshot
 	// The implicit checkpoint zero is the power-on state: flash holds
 	// the whole image, so losing power before the first checkpoint just
 	// replays from reset at restore cost.
-	m.takeSnapshot(&snap, entry)
+	m.takeSnapshot(entry)
+	snap := &m.snap
+	// Traced runs always simulate: nothing is recorded, so nothing is
+	// installed.
+	record := m.obs == nil
 
 	pc := entry
+	// restoring is set from an outage that discarded work until the next
+	// segment starts: m.ram awaits the snapshot's (or a record's) image.
+	restoring := false
 	var extra, down uint64 // wall-clock cycles beyond executed: overhead, outage time
 	nextCkpt := interval
 	outIdx := 0
@@ -240,6 +404,9 @@ func (m *Machine) RunIntermittent(ctx context.Context, cfg IntermittentConfig) (
 		// A mark at or below the current count pauses with no execution
 		// (an instruction overshooting one stop can land past the next).
 		if stop > m.stats.Cycles {
+			if restoring {
+				pc, restoring = m.resume(stop), false
+			}
 			err := m.runSegment(ctx, pc, stop)
 			if err == nil {
 				break // ran to completion
@@ -256,24 +423,34 @@ func (m *Machine) RunIntermittent(ctx context.Context, cfg IntermittentConfig) (
 			rep.CheckpointOverheadCycles += cyc
 			rep.CheckpointEnergyNJ += nj
 			extra += cyc
-			m.takeSnapshot(&snap, pc)
+			// A checkpoint with nothing executed since the snapshot
+			// state journals that same state: the snapshot and the
+			// recorded segments stand.
+			if !m.atSnapshot() {
+				m.takeSnapshot(pc)
+			}
 			nextCkpt = m.stats.Cycles + interval
 			continue
 		}
 		o := trace.Outages[outIdx]
 		outIdx++
 		rep.Outages++
-		rep.ReplayedInstrs += m.stats.Instructions - snap.instrs
+		rep.ReplayedInstrs += m.stats.Instructions - snap.at.instrs
 		down += o.Down
-		m.restoreSnapshot(&snap)
+		if !m.atSnapshot() {
+			if record {
+				m.recordLost(pc)
+			}
+			// Work after this restore is a fresh attempt: lost-work
+			// accounting restarts here, not at the (older) checkpoint.
+			m.restore()
+			restoring = true
+		}
 		pc = snap.pc
 		cyc, nj := m.restoreCost()
 		rep.RestoreOverheadCycles += cyc
 		rep.RestoreEnergyNJ += nj
 		extra += cyc
-		// Work after this restore is a fresh attempt: lost-work
-		// accounting restarts here, not at the (older) checkpoint.
-		snap.instrs = m.stats.Instructions
 	}
 	m.settle()
 	rep.Stats = m.stats

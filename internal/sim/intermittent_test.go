@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -33,9 +34,11 @@ func longLoopProgram() *ir.Program {
 }
 
 // runIntermittentPair executes one program under the same trace+config on
-// fused and NoFuse (length-1 dispatch) machines and asserts the reports — stats, every
-// intermittent dimension, registers — are byte-identical. Returns the
-// fused report for further assertions.
+// fused and NoFuse (length-1 dispatch) machines, and on an
+// observer-attached one that simulates every replayed instruction instead
+// of fast-forwarding, and asserts the reports — stats, every intermittent
+// dimension, registers — are byte-identical. Returns the fused report for
+// further assertions.
 func runIntermittentPair(t *testing.T, p *ir.Program, inRAM map[string]bool, cfg IntermittentConfig) *IntermittentReport {
 	t.Helper()
 	img := mustImage(t, p, inRAM)
@@ -44,13 +47,20 @@ func runIntermittentPair(t *testing.T, p *ir.Program, inRAM map[string]bool, cfg
 	slot := New(img, power.STM32F100())
 	slot.NoFuse = true
 	sRep, sErr := slot.RunIntermittent(context.Background(), cfg)
-	if fErr != nil || sErr != nil {
-		t.Fatalf("unexpected faults: fused=%v slot=%v", fErr, sErr)
+	full := New(img, power.STM32F100())
+	full.Attach(discardObserver{})
+	tRep, tErr := full.RunIntermittent(context.Background(), cfg)
+	if fErr != nil || sErr != nil || tErr != nil {
+		t.Fatalf("unexpected faults: fused=%v slot=%v traced=%v", fErr, sErr, tErr)
 	}
 	if !reflect.DeepEqual(fRep, sRep) {
 		t.Fatalf("intermittent report divergence:\nfused: %+v\nslot:  %+v", fRep, sRep)
 	}
+	if !reflect.DeepEqual(fRep, tRep) {
+		t.Fatalf("intermittent report divergence:\nfused:  %+v\ntraced: %+v", fRep, tRep)
+	}
 	compareMachines(t, fused, slot)
+	compareMachines(t, fused, full)
 	return fRep
 }
 
@@ -153,6 +163,11 @@ func TestIntermittentOutageReplay(t *testing.T) {
 	}
 	if rep.DownCycles != 1000 {
 		t.Fatalf("DownCycles = %d, want 1000", rep.DownCycles)
+	}
+	// The replay re-executes the lost segment whole before anything can
+	// stop it, so all of it is installed rather than simulated.
+	if m.FastForwarded() != rep.ReplayedInstrs {
+		t.Fatalf("fast-forwarded %d of %d replayed instructions", m.FastForwarded(), rep.ReplayedInstrs)
 	}
 	if rep.RestoreOverheadCycles == 0 || rep.RestoreEnergyNJ == 0 {
 		t.Fatal("restore cost not charged")
@@ -330,5 +345,46 @@ func TestIntermittentRejectsInvalidTrace(t *testing.T) {
 	}
 	if m.stats.Instructions != 0 {
 		t.Fatal("machine ran before trace validation")
+	}
+}
+
+// The checkpoint snapshot and the lost-segment ring are the machine's:
+// a second RunIntermittent on a Reset machine allocates none of the
+// RAM-sized buffers (nor the block-count deltas) the first one did — the
+// saving a pooled machine gets on every replay.
+func TestIntermittentReusesMachineScratch(t *testing.T) {
+	img := mustImage(t, longLoopProgram(), nil)
+	m := New(img, power.STM32F100())
+	// Two outages between checkpoints fill both ring slots.
+	cfg := IntermittentConfig{
+		Trace:            &PowerTrace{Outages: []Outage{{At: 9_000, Down: 10}, {At: 13_000, Down: 10}, {At: 40_000, Down: 10}}},
+		CheckpointCycles: 25_000,
+	}
+	run := func() {
+		m.Reset()
+		rep, err := m.RunIntermittent(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Outages != 3 || m.FastForwarded() == 0 {
+			t.Fatalf("scenario not hit: %d outages, %d instructions fast-forwarded", rep.Outages, m.FastForwarded())
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	first := after.Mallocs - before.Mallocs
+	steady := testing.AllocsPerRun(5, run)
+	// The snapshot and both ring slots each hold a RAM image and a
+	// block-count array.
+	if steady > float64(first)-6 {
+		t.Fatalf("%v allocations per steady run, first run %d: the scratch buffers were reallocated", steady, first)
+	}
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	if b := after.TotalAlloc - before.TotalAlloc; b >= uint64(len(m.ram)) {
+		t.Fatalf("a steady run allocated %d bytes, at least a RAM image (%d)", b, len(m.ram))
 	}
 }

@@ -42,6 +42,28 @@ func (m *Machine) flushDyn(lg *ledgerCells) {
 	*d = dynCharges{}
 }
 
+// add adds o to the ledger, cell by cell.
+func (l *ledger) add(o *ledger) {
+	for fm := range l {
+		for cl := range l[fm] {
+			for dm := range l[fm][cl] {
+				l[fm][cl][dm] += o[fm][cl][dm]
+			}
+		}
+	}
+}
+
+// sub subtracts o from the ledger, cell by cell.
+func (l *ledger) sub(o *ledger) {
+	for fm := range l {
+		for cl := range l[fm] {
+			for dm := range l[fm][cl] {
+				l[fm][cl][dm] -= o[fm][cl][dm]
+			}
+		}
+	}
+}
+
 // energyNJ prices the ledger: every cell's cycles at its per-cycle
 // energy, summed in a fixed order (fetch memory, class, data memory).
 func (l *ledger) energyNJ(epc *[2][isa.NumClasses][3]float64) float64 {
@@ -49,9 +71,7 @@ func (l *ledger) energyNJ(epc *[2][isa.NumClasses][3]float64) float64 {
 	for fm := range l {
 		for cl := range l[fm] {
 			for dm, c := range l[fm][cl] {
-				if c != 0 {
-					e += float64(c) * epc[fm][cl][dm]
-				}
+				e += float64(c) * epc[fm][cl][dm]
 			}
 		}
 	}

@@ -133,8 +133,17 @@ type Machine struct {
 	polls uint64
 	// unfused counts instructions retired through length-1 descriptors
 	// this run; the rest retired fused (fusion-rate reporting; Stats stays
-	// byte-identical either way).
-	unfused uint64
+	// byte-identical either way). ffwd counts instructions installed by
+	// the intermittent replay fast-forward instead of simulated.
+	unfused, ffwd uint64
+
+	// Intermittent-run scratch (intermittent.go), kept across runs so a
+	// pooled machine reuses its RAM-sized buffers: the checkpoint
+	// snapshot and the ring of the two most recent lost segments, with
+	// lostNext the slot the next record overwrites.
+	snap     ckptSnapshot
+	lost     [2]lostSegment
+	lostNext int
 }
 
 // Stats aggregates one run.
@@ -237,7 +246,7 @@ func (m *Machine) reset() {
 	clear(m.ram)
 	clear(m.eng.blockCounts)
 	m.stats, m.led = Stats{}, ledger{}
-	m.polls, m.unfused = 0, 0
+	m.polls, m.unfused, m.ffwd = 0, 0, 0
 
 	// Initialize globals.
 	for _, g := range m.Img.Prog.Globals {
@@ -286,8 +295,18 @@ func (m *Machine) pokeWord(addr uint32, w uint32) {
 
 // FusedInstructions reports how many of the current run's instructions
 // retired through superblock descriptors — fusion-rate reporting only;
-// Stats is byte-identical with fusion on or off.
+// Stats is byte-identical with fusion on or off. A fast-forwarded
+// instruction counts as its recorded retirement did.
 func (m *Machine) FusedInstructions() uint64 { return m.stats.Instructions - m.unfused }
+
+// FastForwarded reports how many of the current run's instructions the
+// intermittent replay fast-forward installed from a recorded lost
+// segment instead of simulating them; Instructions − FastForwarded were
+// simulated. Each fast-forwarded instruction is also counted fused or
+// not, by how it retired when its segment was recorded, so
+// FusedInstructions spans both. Zero outside RunIntermittent and for
+// observer-attached runs.
+func (m *Machine) FastForwarded() uint64 { return m.ffwd }
 
 // Reg returns a register value (for tests and result extraction).
 func (m *Machine) Reg(r isa.Reg) uint32 { return m.regs[r] }

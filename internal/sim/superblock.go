@@ -44,9 +44,10 @@ import (
 // every charge is an integer — cycles into the (fetch memory, class,
 // data memory) ledger (ledger.go) — so the static part pre-aggregates
 // per descriptor exactly, uint64 addition being associative. Only the
-// dynamic parts (a load hitting RAM and its stall, conditional-terminal
-// direction, failed predicates) are accounted at run time, and energy
-// is priced from the ledger once, when the run ends.
+// dynamic parts (a load hitting flash, a RAM-port load stall,
+// conditional-terminal direction, failed predicates) are accounted at
+// run time, and energy is priced from the ledger once, when the run
+// ends.
 
 // minFuse is the shortest run worth a precomputed descriptor; shorter
 // runs execute as length-1 descriptors.
@@ -545,11 +546,16 @@ func (m *Machine) single(s *slot) *superblock {
 	return one
 }
 
-func (m *Machine) runFrom(ctx context.Context, entry uint32) error {
-	maxInstrs := m.MaxInstrs
-	if maxInstrs == 0 {
-		maxInstrs = 500_000_000
+// instrLimit is MaxInstrs, or its default when unset.
+func (m *Machine) instrLimit() uint64 {
+	if m.MaxInstrs == 0 {
+		return 500_000_000
 	}
+	return m.MaxInstrs
+}
+
+func (m *Machine) runFrom(ctx context.Context, entry uint32) error {
+	maxInstrs := m.instrLimit()
 	// stop is the executed-cycle pause mark (intermittent segments);
 	// zero means none and degrades to a never-reached sentinel so the
 	// hot loop pays one compare either way.
