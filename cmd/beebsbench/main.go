@@ -164,8 +164,7 @@ func main() {
 		step("select", func() error { return runSelect(ctx, sw, *asJSON, &doc) })
 	}
 	doc.WallMS = float64(time.Since(start).Microseconds()) / 1e3
-	st := sw.Stats()
-	solver := sw.SolverStats()
+	st, solver := sw.Stats()
 	if *noledger {
 		doc.WallMS, doc.Workers = 0, 0
 	} else {
@@ -185,7 +184,7 @@ func main() {
 	} else {
 		fmt.Printf("wall clock: %.0f ms with %d worker(s); %d compiles, %d stage reuses, %d simulator runs\n",
 			float64(time.Since(start).Microseconds())/1e3, *workers,
-			st.SessionMisses, st.Stages.Reuses(), st.Stages.SimRuns)
+			st.SessionMisses, st.Stages.Totals().Hits, st.Stages.SimRuns)
 	}
 
 	if *memProf != "" {

@@ -201,7 +201,7 @@ func checkFreshReplay(t *testing.T, name string, s *core.Session, img *layout.Im
 
 // The replay stage is in the ledger as `intermit`: absent until a power
 // trace touches it (always-powered documents keep their schema), then
-// summed by Add and counted by Reuses and Totals like every other stage.
+// summed by Add and counted by Totals like every other stage.
 func TestIntermitLedger(t *testing.T) {
 	s := sessionForTest(t, "crc32", mcc.O2)
 	ctx := context.Background()
@@ -233,8 +233,8 @@ func TestIntermitLedger(t *testing.T) {
 	}
 	withoutIntermit := st
 	withoutIntermit.Intermit = nil
-	if got, want := st.Reuses(), withoutIntermit.Reuses()+st.Intermit.Hits; got != want {
-		t.Errorf("Reuses = %d, want %d", got, want)
+	if got, want := st.Totals().Hits, withoutIntermit.Totals().Hits+st.Intermit.Hits; got != want {
+		t.Errorf("Totals hits = %d, want %d", got, want)
 	}
 	if got, want := st.Totals().Misses, withoutIntermit.Totals().Misses+st.Intermit.Misses; got != want {
 		t.Errorf("Totals misses = %d, want %d", got, want)

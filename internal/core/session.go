@@ -1143,16 +1143,7 @@ type SessionStats struct {
 	// and how many of those skipped simulation outright.
 	PruneChecked uint64 `json:"prune_checked"`
 	PruneSkipped uint64 `json:"prune_skipped"`
-	// WarmHits/WarmMisses ledger the warm-start registry: ILP solves
-	// that consumed carried neighbor state versus solves that ran cold
-	// (no usable neighbor, or the carried state was rejected).
-	WarmHits   uint64 `json:"warm_hits"`
-	WarmMisses uint64 `json:"warm_misses"`
 }
-
-// Reuses totals the stage hits: how many artifact computations the
-// session avoided.
-func (st SessionStats) Reuses() uint64 { return st.Totals().Hits }
 
 func (st *StageStats) add(o StageStats) {
 	st.Hits += o.Hits
@@ -1183,12 +1174,10 @@ func (st *SessionStats) Add(o SessionStats) {
 	st.CyclesSimulated += o.CyclesSimulated
 	st.PruneChecked += o.PruneChecked
 	st.PruneSkipped += o.PruneSkipped
-	st.WarmHits += o.WarmHits
-	st.WarmMisses += o.WarmMisses
 }
 
-// SolverStats is the solver-level warm-start ledger — finer grained
-// than SessionStats' hit/miss pair. `beebsbench -json` and the daemon's
+// SolverStats is the solver-level warm-start ledger, kept beside the
+// stage counters of SessionStats. `beebsbench -json` and the daemon's
 // /statsz emit it as the solver_stats section.
 type SolverStats struct {
 	// WarmHits counts ILP solves that consumed carried warm state;
@@ -1264,8 +1253,6 @@ func (s *Session) Stats() SessionStats {
 		CyclesSimulated: s.counters.cyclesSimulated.Load(),
 		PruneChecked:    s.counters.pruneChecked.Load(),
 		PruneSkipped:    s.counters.pruneSkipped.Load(),
-		WarmHits:        s.counters.warmHits.Load(),
-		WarmMisses:      s.counters.warmMisses.Load(),
 	}
 	if in := s.counters.intermit.snapshot(); in != (StageStats{}) {
 		st.Intermit = &in

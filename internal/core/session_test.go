@@ -111,7 +111,7 @@ func TestSessionConcurrentSolves(t *testing.T) {
 	if st.Baseline.Misses != 1 {
 		t.Errorf("baseline simulated %d times across all configurations, want 1", st.Baseline.Misses)
 	}
-	if st.Reuses() == 0 {
+	if st.Totals().Hits == 0 {
 		t.Error("shared session reported zero stage reuses")
 	}
 }

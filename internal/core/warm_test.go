@@ -132,20 +132,14 @@ func TestWarmSolveRungProvenance(t *testing.T) {
 }
 
 // TestWarmSolveSessionStats checks the session-level warm counters are
-// wired through SessionStats (the session ledger) as well as the
-// dedicated SolverStats document.
+// wired through the SolverStats document.
 func TestWarmSolveSessionStats(t *testing.T) {
 	const bench, level = "int_matmult", mcc.O2
 	s := warmSessionForTest(t, bench, level)
 	for _, rs := range []float64{1024, 512, 256} {
 		solveAt(t, s, rs, 1e9)
 	}
-	st := s.Stats()
 	ws := s.SolverStats()
-	if st.WarmHits != ws.WarmHits || st.WarmMisses != ws.WarmMisses {
-		t.Errorf("SessionStats warm counters %d/%d diverge from SolverStats %d/%d",
-			st.WarmHits, st.WarmMisses, ws.WarmHits, ws.WarmMisses)
-	}
 	if ws.WarmHits+ws.WarmMisses != 3 {
 		t.Errorf("ledger covers %d solves, want 3: %+v", ws.WarmHits+ws.WarmMisses, ws)
 	}

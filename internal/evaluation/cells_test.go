@@ -3,6 +3,8 @@ package evaluation
 import (
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -41,7 +43,7 @@ func TestRunCellsDeliversEveryCell(t *testing.T) {
 		}
 	}
 	// Cells 0 and 1 share a session (same bench+level, different knobs).
-	st := sw.Stats()
+	st, _ := sw.Stats()
 	if st.SessionMisses != 2 || st.SessionHits != 1 {
 		t.Fatalf("session ledger = %+v, want 2 misses / 1 hit", st)
 	}
@@ -103,7 +105,7 @@ func TestNewSweepStatsTotals(t *testing.T) {
 	var stages core.SessionStats
 	stages.Baseline = core.StageStats{Hits: 3, Misses: 1}
 	stages.Solve = core.StageStats{Hits: 5, Misses: 2}
-	st := NewSweepStats(4, 2, stages)
+	st := NewSweepStats(core.StoreStats{Cache: core.CacheStats{Hits: 4, Misses: 2}, Stages: stages})
 	wantHits := uint64(4 + 3 + 5)
 	wantMisses := uint64(2 + 1 + 2)
 	if st.Totals.Hits != wantHits || st.Totals.Misses != wantMisses {
@@ -113,8 +115,53 @@ func TestNewSweepStatsTotals(t *testing.T) {
 	if st.Totals.HitRate != wantRate {
 		t.Fatalf("hit rate = %v, want %v", st.Totals.HitRate, wantRate)
 	}
-	empty := NewSweepStats(0, 0, core.SessionStats{})
+	empty := NewSweepStats(core.StoreStats{})
 	if empty.Totals.HitRate != 0 {
 		t.Fatalf("empty ledger hit rate = %v, want 0", empty.Totals.HitRate)
+	}
+}
+
+// TestRunCellsInlineSourcesKeepTheirPrograms: two inline-source cells
+// left at the default name are different programs, so each runs on its
+// own compile. Sessions keyed on the name alone would hand the second
+// cell the first cell's program and baseline.
+func TestRunCellsInlineSourcesKeepTheirPrograms(t *testing.T) {
+	var cells []Cell
+	for _, f := range []string{"biquad.c", "checksum.c"} {
+		src, err := os.ReadFile(filepath.Join("..", "..", "examples", "kernels", f))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cell, err := (&Request{Source: string(src)}).Resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cells = append(cells, cell)
+	}
+	if cells[0].Bench.Name != cells[1].Bench.Name {
+		t.Fatalf("cells named %q and %q, want one shared default name", cells[0].Bench.Name, cells[1].Bench.Name)
+	}
+	ctx := context.Background()
+	got := make([]*Run, len(cells))
+	NewSweep(2).RunCells(ctx, cells, func(i int, r *Run, err error) {
+		if err != nil {
+			t.Errorf("cell %d: %v", i, err)
+		}
+		got[i] = r
+	})
+	if t.Failed() {
+		t.FailNow()
+	}
+	for i, cell := range cells {
+		alone, err := NewSweep(1).RunBenchmark(ctx, cell.Bench, cell.Level, cell.Opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g, w := got[i].Report.Baseline.Cycles, alone.Report.Baseline.Cycles; g != w {
+			t.Errorf("cell %d baseline = %d cycles in the sweep, %d alone", i, g, w)
+		}
+	}
+	if got[0].Report.Baseline.Cycles == got[1].Report.Baseline.Cycles {
+		t.Errorf("both programs report a %d-cycle baseline", got[0].Report.Baseline.Cycles)
 	}
 }

@@ -197,7 +197,7 @@ func TestFigure5PartialShape(t *testing.T) {
 		}
 	}
 	// No session should have been compiled for a sweep that never ran.
-	if st := sw.Stats(); st.SessionMisses != 0 {
+	if st, _ := sw.Stats(); st.SessionMisses != 0 {
 		t.Errorf("cancelled sweep compiled %d sessions", st.SessionMisses)
 	}
 }

@@ -3,6 +3,7 @@ package evaluation
 import (
 	"context"
 	"errors"
+	"math"
 	"runtime/debug"
 	"sort"
 	"sync"
@@ -15,8 +16,8 @@ import (
 )
 
 // Sweep carries the cross-run machinery shared by the experiment
-// drivers: the worker-pool width and a benchmark×level cache of
-// core.Session pipelines, so every experiment run through one Sweep
+// drivers: the worker-pool width and a store of core.Session pipelines,
+// one per program × level, so every experiment run through one Sweep
 // shares compiles, baseline simulations, CFGs, frequency estimates and
 // models instead of redoing them per configuration. The zero value (or
 // NewSweep(1)) runs serially.
@@ -39,14 +40,13 @@ type Sweep struct {
 	// simulated (see SessionStats.PruneChecked/PruneSkipped).
 	Prune bool
 
-	// Cache, when set, backs the sweep's sessions with a cross-request
-	// store: sessions are fetched through (and retained by) it, content-
-	// addressed on core.SessionKey(source, level) rather than scoped to
-	// this Sweep's lifetime. The daemon (internal/service) sets it so
-	// sweep requests and single-shot requests hit one shared memo. The
-	// sweep still tracks its own view of the sessions it touched, so
-	// Stats() reports the same shape either way.
-	Cache core.SessionCache
+	// Store holds the sweep's sessions, content-addressed on
+	// core.SessionKey(source, level): two cells share a session exactly
+	// when they compile the same program at the same level. The daemon
+	// (internal/service) sets its cross-request store so sweep requests
+	// and single-shot requests hit one shared memo; left nil, the sweep
+	// builds its own on first use, unbounded, so it never evicts.
+	Store *core.Store
 
 	// ColdSolve disables warm-started solves: the sweep's sessions are
 	// built without core.SessionConfig.WarmSolve, so every constraint
@@ -54,9 +54,8 @@ type Sweep struct {
 	// number are identical either way (warm starts only change solver
 	// effort); the flag exists so tests and `tradeoff -cold` can prove
 	// that byte-for-byte and so the warm speedup can be benchmarked
-	// against a true cold baseline. When Cache is set the store owns
-	// session construction and an already-cached warm session may be
-	// returned regardless; the daemon never mixes the two.
+	// against a true cold baseline. A session already in a shared Store
+	// is returned as it was built; the daemon never mixes the two.
 	ColdSolve bool
 
 	// NoFuse builds the sweep's sessions with superblock fusion disabled
@@ -64,9 +63,9 @@ type Sweep struct {
 	// instruction dispatches as a length-1 descriptor through the same
 	// executor. Outputs are byte-identical either way — the differential
 	// tests and `beebsbench -nofuse` exist to prove exactly that at the
-	// fusion boundaries. As with ColdSolve, a Cache-owned session may
-	// have been built with the other setting; the daemon never mixes
-	// the two.
+	// fusion boundaries. As with ColdSolve, a session already in a
+	// shared Store may have been built with the other setting; the
+	// daemon never mixes the two.
 	NoFuse bool
 
 	// Shard restricts the sweep drivers (Figure5, RunAggregate,
@@ -78,25 +77,11 @@ type Sweep struct {
 	// -merge`).
 	Shard Shard
 
-	mu       sync.Mutex
-	sessions map[sessionKey]*sessionEntry
-
-	sessionHits, sessionMisses atomic.Uint64
+	mu sync.Mutex // guards the lazy Store
 }
 
 // NewSweep returns a Sweep running at most workers jobs concurrently.
 func NewSweep(workers int) *Sweep { return &Sweep{Workers: workers} }
-
-type sessionKey struct {
-	bench string
-	level mcc.OptLevel
-}
-
-type sessionEntry struct {
-	once sync.Once
-	sess *core.Session
-	err  error
-}
 
 // NewSession compiles the benchmark at the given level and wraps the
 // program in a fresh staged pipeline with the default board profile and
@@ -126,29 +111,19 @@ func newSession(b *beebs.Benchmark, level mcc.OptLevel, warm, noFuse bool) (*cor
 // Session returns the sweep's shared pipeline for one benchmark×level
 // cell, compiling it on first use.
 func (sw *Sweep) Session(b *beebs.Benchmark, level mcc.OptLevel) (*core.Session, error) {
-	key := sessionKey{bench: b.Name, level: level}
+	return sw.store().GetSession(core.SessionKey(b.Source, level.String()),
+		func() (*core.Session, error) { return newSession(b, level, !sw.ColdSolve, sw.NoFuse) })
+}
+
+// store returns the sweep's session store, building an unbounded one on
+// first use.
+func (sw *Sweep) store() *core.Store {
 	sw.mu.Lock()
-	if sw.sessions == nil {
-		sw.sessions = make(map[sessionKey]*sessionEntry)
+	defer sw.mu.Unlock()
+	if sw.Store == nil {
+		sw.Store = core.NewStore(math.MaxInt)
 	}
-	e := sw.sessions[key]
-	if e == nil {
-		e = new(sessionEntry)
-		sw.sessions[key] = e
-		sw.sessionMisses.Add(1)
-	} else {
-		sw.sessionHits.Add(1)
-	}
-	sw.mu.Unlock()
-	e.once.Do(func() {
-		build := func() (*core.Session, error) { return newSession(b, level, !sw.ColdSolve, sw.NoFuse) }
-		if sw.Cache != nil {
-			e.sess, e.err = sw.Cache.GetSession(core.SessionKey(b.Source, level.String()), build)
-			return
-		}
-		e.sess, e.err = build()
-	})
-	return e.sess, e.err
+	return sw.Store
 }
 
 // SweepStats reports how much pipeline work a Sweep reused: the session
@@ -167,52 +142,24 @@ type SweepStats struct {
 	Totals core.CacheTotals `json:"totals"`
 }
 
-// NewSweepStats assembles the shared ledger from session-level lookup
-// counters and the aggregated stage counters behind them. Sweep.Stats
-// and the daemon's /statsz both build their documents through it.
-func NewSweepStats(sessionHits, sessionMisses uint64, stages core.SessionStats) SweepStats {
+// NewSweepStats assembles the shared ledger from one read of a session
+// store. Sweep.Stats and the daemon's /statsz both build their documents
+// through it.
+func NewSweepStats(st core.StoreStats) SweepStats {
 	return SweepStats{
-		SessionHits:   sessionHits,
-		SessionMisses: sessionMisses,
-		Stages:        stages,
-		Totals:        core.NewCacheTotals(sessionHits, sessionMisses, stages),
+		SessionHits:   st.Cache.Hits,
+		SessionMisses: st.Cache.Misses,
+		Stages:        st.Stages,
+		Totals:        st.Totals(),
 	}
 }
 
-// Stats snapshots the sweep's reuse counters.
-func (sw *Sweep) Stats() SweepStats {
-	sw.mu.Lock()
-	entries := make([]*sessionEntry, 0, len(sw.sessions))
-	for _, e := range sw.sessions {
-		entries = append(entries, e)
-	}
-	sw.mu.Unlock()
-	var stages core.SessionStats
-	for _, e := range entries {
-		if e.sess != nil {
-			stages.Add(e.sess.Stats())
-		}
-	}
-	return NewSweepStats(sw.sessionHits.Load(), sw.sessionMisses.Load(), stages)
-}
-
-// SolverStats aggregates the warm-start solver counters over every
-// session the sweep touched — the `solver_stats` ledger emitted by
-// `beebsbench -json` and the daemon's /statsz.
-func (sw *Sweep) SolverStats() core.SolverStats {
-	sw.mu.Lock()
-	entries := make([]*sessionEntry, 0, len(sw.sessions))
-	for _, e := range sw.sessions {
-		entries = append(entries, e)
-	}
-	sw.mu.Unlock()
-	var out core.SolverStats
-	for _, e := range entries {
-		if e.sess != nil {
-			out.Add(e.sess.SolverStats())
-		}
-	}
-	return out
+// Stats snapshots the sweep's reuse counters and the warm-start solver
+// ledger of its sessions — the `session_stats` and `solver_stats`
+// sections of `beebsbench -json`.
+func (sw *Sweep) Stats() (SweepStats, core.SolverStats) {
+	st := sw.store().Stats()
+	return NewSweepStats(st), st.Solver
 }
 
 // Isolated runs fn with the sweep workers' panic isolation: a panic is

@@ -156,7 +156,7 @@ func TestSweepSessionCache(t *testing.T) {
 	if s1 != s2 {
 		t.Fatal("same benchmark×level produced two distinct sessions")
 	}
-	st := sw.Stats()
+	st, _ := sw.Stats()
 	if st.SessionMisses != 1 || st.SessionHits != 1 {
 		t.Fatalf("session cache hits/misses = %d/%d, want 1/1", st.SessionHits, st.SessionMisses)
 	}
@@ -168,11 +168,11 @@ func TestSweepSessionCache(t *testing.T) {
 	if _, err := sw.RunBenchmark(context.Background(), b, testLevel, core.Options{UseProfile: true}); err != nil {
 		t.Fatal(err)
 	}
-	st = sw.Stats()
+	st, _ = sw.Stats()
 	if st.Stages.Baseline.Misses != 1 {
 		t.Fatalf("baseline simulated %d times across static+profiled, want 1", st.Stages.Baseline.Misses)
 	}
-	if st.Stages.Reuses() == 0 {
+	if st.Stages.Totals().Hits == 0 {
 		t.Fatal("static+profiled pair reported zero stage reuses")
 	}
 	if st.Stages.SimRuns != 2 {
@@ -200,7 +200,7 @@ func TestSweepConcurrentSessionCreation(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if st := sw.Stats(); st.SessionMisses != 1 {
+	if st, _ := sw.Stats(); st.SessionMisses != 1 {
 		t.Fatalf("concurrent Session calls compiled %d times, want 1", st.SessionMisses)
 	}
 }

@@ -82,15 +82,16 @@ func TestBestConfigPruningNeutral(t *testing.T) {
 		t.Error("pruning sweep simulated every candidate; want >= 1 pruned")
 	}
 
-	st := pruned.Stats().Stages
+	prunedStats, _ := pruned.Stats()
+	st := prunedStats.Stages
 	if st.PruneChecked == 0 || st.PruneSkipped == 0 {
 		t.Errorf("prune ledger empty: checked %d skipped %d", st.PruneChecked, st.PruneSkipped)
 	}
 	if st.PruneSkipped != uint64(prunedRows) {
 		t.Errorf("ledger skipped %d, rows pruned %d", st.PruneSkipped, prunedRows)
 	}
-	if ps := plain.Stats().Stages; ps.PruneChecked != 0 || ps.PruneSkipped != 0 {
-		t.Errorf("plain sweep touched the prune ledger: %+v", ps)
+	if ps, _ := plain.Stats(); ps.Stages.PruneChecked != 0 || ps.Stages.PruneSkipped != 0 {
+		t.Errorf("plain sweep touched the prune ledger: %+v", ps.Stages)
 	}
 	t.Logf("winner %q at %.0f nJ; pruned %d/%d candidates (checked %d)",
 		got.Winner, got.Report.Optimized.Stats.EnergyNJ, prunedRows, len(cands), st.PruneChecked)

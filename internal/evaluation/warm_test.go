@@ -38,7 +38,8 @@ func TestFigure6WarmColdByteIdentity(t *testing.T) {
 		if err := enc.Encode(NewFigure6JSON(data, mcc.O2.String(), true)); err != nil {
 			t.Fatal(err)
 		}
-		return buf.Bytes(), sw.SolverStats()
+		_, solver := sw.Stats()
+		return buf.Bytes(), solver
 	}
 
 	warmDoc, warmStats := run(false)

@@ -18,7 +18,7 @@ import (
 // produce byte-identical Report documents while executing every
 // pipeline stage exactly once. It runs under -race in CI.
 func TestCrossRequestMemoCorrectness(t *testing.T) {
-	store := NewStore(0)
+	store := core.NewStore(0)
 	b := beebs.Get("crc32")
 	key := core.SessionKey(b.Source, mcc.O2.String())
 	opts := core.Options{Xlimit: 1.5}
@@ -66,11 +66,11 @@ func TestCrossRequestMemoCorrectness(t *testing.T) {
 
 	// Exactly one execution of every stage: one compile (store miss) and
 	// one miss per stage memo; every other lookup a hit.
-	cs := store.CacheStats()
+	cs := store.Stats().Cache
 	if cs.Misses != 1 || cs.Hits != requests-1 {
 		t.Fatalf("store ledger = %+v, want 1 miss / %d hits", cs, requests-1)
 	}
-	st := store.StageStats()
+	st := store.Stats().Stages
 	// (The cfg counter covers two memos — graphs and the derived spare-RAM
 	// budget — so it is asserted via SimRuns below rather than here.)
 	for name, stage := range map[string]core.StageStats{

@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -424,6 +426,56 @@ func TestSweepEndpointStreamsInOrder(t *testing.T) {
 	}
 	if bytes.Equal(r0, mustMarshal(t, rows[3].Run)) {
 		t.Fatal("distinct cells produced the same document")
+	}
+}
+
+// TestSweepRowsMatchOptimize: every /v1/sweep row carries exactly the
+// document /v1/optimize returns for the same cell. The two inline
+// sources share the default name, so only content addressing tells
+// their sessions apart.
+func TestSweepRowsMatchOptimize(t *testing.T) {
+	_, ts := newTestServer(t)
+	var req SweepRequest
+	for _, f := range []string{"biquad.c", "checksum.c"} {
+		src, err := os.ReadFile(filepath.Join("..", "..", "examples", "kernels", f))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Cells = append(req.Cells, OptimizeRequest{Source: string(src)})
+	}
+	req.Cells = append(req.Cells, OptimizeRequest{Bench: "crc32", Level: "Os"})
+
+	status, body := postJSON(t, ts.URL+"/v1/sweep", req)
+	if status != http.StatusOK {
+		t.Fatalf("sweep status = %d: %s", status, body)
+	}
+	lines := bytes.Split(bytes.TrimSpace(body), []byte("\n"))
+	if len(lines) != len(req.Cells) {
+		t.Fatalf("got %d rows, want %d", len(lines), len(req.Cells))
+	}
+	for i, line := range lines {
+		var row struct {
+			Index int             `json:"index"`
+			Run   json.RawMessage `json:"run"`
+			Error string          `json:"error"`
+		}
+		if err := json.Unmarshal(line, &row); err != nil {
+			t.Fatalf("bad NDJSON line %q: %v", line, err)
+		}
+		if row.Index != i || row.Error != "" {
+			t.Fatalf("row %d = index %d, error %q", i, row.Index, row.Error)
+		}
+		status, doc := postJSON(t, ts.URL+"/v1/optimize", req.Cells[i])
+		if status != http.StatusOK {
+			t.Fatalf("cell %d: optimize status = %d: %s", i, status, doc)
+		}
+		var want bytes.Buffer
+		if err := json.Compact(&want, doc); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(row.Run, want.Bytes()) {
+			t.Errorf("cell %d: sweep row differs from /v1/optimize:\n%s\nvs\n%s", i, row.Run, want.Bytes())
+		}
 	}
 }
 

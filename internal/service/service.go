@@ -1,3 +1,19 @@
+// Package service is the placement-as-a-service subsystem: a
+// long-running HTTP/JSON daemon (cmd/flashramd) wrapping core.Session,
+// with one core.Store of sessions shared across requests and tenants,
+// an admission/worker layer reusing the evaluation sweep's panic
+// isolation, and a load-test harness that publishes the hit-rate/latency
+// ledger EXPERIMENTS.md records.
+//
+// The store content-addresses whole sessions on core.SessionKey(source,
+// level): a hash of the inputs that reach the compiler. Inside each
+// session the per-stage memos key on exactly the knobs that reach each
+// stage (placement, budgets, tracing). A request's effective stage key
+// is therefore (program hash, stage knobs), so identical stage inputs
+// from different requests, connections, tenants or sweep cells land on
+// one shared computation. /v1/sweep runs its cells through the same
+// store, so a sweep row and a single-shot request for the same cell
+// share one session.
 package service
 
 import (
@@ -22,7 +38,7 @@ type Config struct {
 	// request runs its cells through. 0 means max(2, GOMAXPROCS).
 	Workers int
 	// MaxSessions bounds the cross-request store (0 means
-	// DefaultMaxSessions).
+	// core.DefaultMaxSessions).
 	MaxSessions int
 	// DefaultTimeout is the per-request deadline applied when a request
 	// does not carry its own timeout_ms (0 = none). Expiry surfaces as
@@ -40,9 +56,6 @@ func (c *Config) fill() {
 			c.Workers = 2
 		}
 	}
-	if c.MaxSessions <= 0 {
-		c.MaxSessions = DefaultMaxSessions
-	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 4 << 20
 	}
@@ -53,7 +66,7 @@ func (c *Config) fill() {
 // New and serve its Handler.
 type Server struct {
 	cfg   Config
-	store *Store
+	store *core.Store
 	sem   chan struct{}
 	start time.Time
 
@@ -72,15 +85,11 @@ func New(cfg Config) *Server {
 	cfg.fill()
 	return &Server{
 		cfg:   cfg,
-		store: NewStore(cfg.MaxSessions),
+		store: core.NewStore(cfg.MaxSessions),
 		sem:   make(chan struct{}, cfg.Workers),
 		start: time.Now(),
 	}
 }
-
-// Store exposes the server's cross-request session store (the loadtest
-// harness reads its ledger directly when running in-process).
-func (s *Server) Store() *Store { return s.store }
 
 // StartDrain flips the server into drain mode: /healthz reports 503 so
 // load balancers stop routing here, and new optimization requests are
@@ -345,7 +354,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.release()
 
-	sw := &evaluation.Sweep{Workers: s.cfg.Workers, Cache: s.store}
+	sw := &evaluation.Sweep{Workers: s.cfg.Workers, Store: s.store}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
@@ -454,7 +463,7 @@ type RequestStats struct {
 
 // Stats snapshots the server's ledger (the /statsz document).
 func (s *Server) Stats() StatsDoc {
-	cs := s.store.CacheStats()
+	st := s.store.Stats()
 	return StatsDoc{
 		UptimeMS: float64(time.Since(s.start).Microseconds()) / 1e3,
 		Workers:  s.cfg.Workers,
@@ -470,9 +479,9 @@ func (s *Server) Stats() StatsDoc {
 			Rejected:    s.requests.rejected.Load(),
 			NotModified: s.requests.notModified.Load(),
 		},
-		Store:        cs,
-		SessionStats: evaluation.NewSweepStats(cs.Hits, cs.Misses, s.store.StageStats()),
-		SolverStats:  s.store.SolverStats(),
+		Store:        st.Cache,
+		SessionStats: evaluation.NewSweepStats(st),
+		SolverStats:  st.Solver,
 	}
 }
 

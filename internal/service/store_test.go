@@ -27,7 +27,7 @@ func buildSession(t *testing.T, bench string) func() (*core.Session, error) {
 }
 
 func TestStoreSingleFlight(t *testing.T) {
-	s := NewStore(8)
+	s := core.NewStore(8)
 	var builds atomic.Int32
 	inner := buildSession(t, "crc32")
 	build := func() (*core.Session, error) {
@@ -60,14 +60,14 @@ func TestStoreSingleFlight(t *testing.T) {
 			t.Fatalf("caller %d got a different session instance", i)
 		}
 	}
-	cs := s.CacheStats()
+	cs := s.Stats().Cache
 	if cs.Misses != 1 || cs.Hits != callers-1 || cs.Entries != 1 {
 		t.Fatalf("ledger = %+v, want 1 miss, %d hits, 1 entry", cs, callers-1)
 	}
 }
 
 func TestStoreLRUEviction(t *testing.T) {
-	s := NewStore(2)
+	s := core.NewStore(2)
 	get := func(key string) {
 		t.Helper()
 		if _, err := s.GetSession(key, buildSession(t, "crc32")); err != nil {
@@ -78,7 +78,7 @@ func TestStoreLRUEviction(t *testing.T) {
 	get("b")
 	get("a") // refresh a: b is now the LRU victim
 	get("c") // evicts b
-	cs := s.CacheStats()
+	cs := s.Stats().Cache
 	if cs.Entries != 2 || cs.Evictions != 1 {
 		t.Fatalf("ledger = %+v, want 2 entries and 1 eviction", cs)
 	}
@@ -86,7 +86,7 @@ func TestStoreLRUEviction(t *testing.T) {
 	before := cs
 	get("a")
 	get("b")
-	cs = s.CacheStats()
+	cs = s.Stats().Cache
 	if cs.Hits != before.Hits+1 {
 		t.Fatalf("a should have hit: %+v", cs)
 	}
@@ -101,7 +101,7 @@ func TestStoreLRUEviction(t *testing.T) {
 // TestStoreEvictionKeepsCumulativeStats: evicting a session must fold
 // its stage counters into the retained ledger, not lose them.
 func TestStoreEvictionKeepsCumulativeStats(t *testing.T) {
-	s := NewStore(1)
+	s := core.NewStore(1)
 	sess, err := s.GetSession("a", buildSession(t, "crc32"))
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +116,7 @@ func TestStoreEvictionKeepsCumulativeStats(t *testing.T) {
 	if _, err := s.GetSession("b", buildSession(t, "sha")); err != nil { // evicts a
 		t.Fatal(err)
 	}
-	agg := s.StageStats()
+	agg := s.Stats().Stages
 	if agg.Baseline.Misses < work.Baseline.Misses {
 		t.Fatalf("evicted session's stage counters vanished: agg=%+v work=%+v", agg, work)
 	}
@@ -127,7 +127,7 @@ func TestStoreEvictionKeepsCumulativeStats(t *testing.T) {
 // cumulative stats must not fold the live sessions into it — two reads
 // with no work in between agree.
 func TestStoreStageStatsIdempotentWithIntermit(t *testing.T) {
-	s := NewStore(1)
+	s := core.NewStore(1)
 	traced := func(key, bench string) {
 		t.Helper()
 		sess, err := s.GetSession(key, buildSession(t, bench))
@@ -144,7 +144,7 @@ func TestStoreStageStatsIdempotentWithIntermit(t *testing.T) {
 	// snapshots agree while both drift.
 	read := func() core.StageStats {
 		t.Helper()
-		st := s.StageStats()
+		st := s.Stats().Stages
 		if st.Intermit == nil {
 			t.Fatalf("intermit stage missing from the cumulative ledger: %+v", st)
 		}
@@ -153,7 +153,7 @@ func TestStoreStageStatsIdempotentWithIntermit(t *testing.T) {
 	first := read()
 	second := read()
 	if first != second {
-		t.Fatalf("StageStats drifted between reads: intermit %+v then %+v", first, second)
+		t.Fatalf("Stats drifted between reads: intermit %+v then %+v", first, second)
 	}
 	if first.Misses < 2 {
 		t.Fatalf("intermit misses = %d, want a replay from each session", first.Misses)
@@ -161,7 +161,7 @@ func TestStoreStageStatsIdempotentWithIntermit(t *testing.T) {
 }
 
 func TestStoreFailedBuildNotRetained(t *testing.T) {
-	s := NewStore(4)
+	s := core.NewStore(4)
 	boom := errors.New("boom")
 	var builds int
 	_, err := s.GetSession("k", func() (*core.Session, error) {
@@ -171,7 +171,7 @@ func TestStoreFailedBuildNotRetained(t *testing.T) {
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
-	if cs := s.CacheStats(); cs.Entries != 0 {
+	if cs := s.Stats().Cache; cs.Entries != 0 {
 		t.Fatalf("failed build was retained: %+v", cs)
 	}
 	// A later identical request retries the build instead of replaying
@@ -192,7 +192,7 @@ func TestStoreFailedBuildNotRetained(t *testing.T) {
 // capacity pressure: an entry mid-build is not an eviction candidate,
 // so a concurrent identical request can never start a second build.
 func TestStoreNeverEvictsInFlight(t *testing.T) {
-	s := NewStore(1)
+	s := core.NewStore(1)
 	release := make(chan struct{})
 	started := make(chan struct{})
 	var wg sync.WaitGroup
@@ -215,14 +215,14 @@ func TestStoreNeverEvictsInFlight(t *testing.T) {
 	close(release)
 	wg.Wait()
 	// The slow entry must have survived to completion: a lookup now hits.
-	before := s.CacheStats()
+	before := s.Stats().Cache
 	if _, err := s.GetSession("slow", func() (*core.Session, error) {
 		t.Error("in-flight entry was evicted: build ran twice")
 		return buildSession(t, "crc32")()
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if cs := s.CacheStats(); cs.Hits != before.Hits+1 {
+	if cs := s.Stats().Cache; cs.Hits != before.Hits+1 {
 		t.Fatalf("slow key did not hit after overflow: %+v", cs)
 	}
 }

@@ -10,11 +10,14 @@
 #      the CLI spelling each JSON field as its flag.
 #   3. A request-shaped failure is a 400 from the daemon and a non-zero
 #      `flashram` exit, both with the same message.
-#   4. `flashramd -selftest -target <url>` drives 64 concurrent mixed
+#   4. A /v1/sweep of two inline sources (examples/kernels/biquad.c and
+#      checksum.c, both under the default name) streams, for each cell,
+#      the same run document /v1/optimize returns for that cell.
+#   5. `flashramd -selftest -target <url>` drives 64 concurrent mixed
 #      requests against the running daemon: 0 dropped, 0 non-2xx, a
 #      nonzero cross-request hit rate (the harness exits non-zero
 #      otherwise).
-#   5. SIGTERM drains the daemon: it exits 0 on its own, no kill -9.
+#   6. SIGTERM drains the daemon: it exits 0 on its own, no kill -9.
 set -e
 cd "$(dirname "$0")/.."
 
@@ -97,6 +100,24 @@ if [ -z "$daemon_msg" ] || [ "$daemon_msg" != "$cli_msg" ]; then
     exit 1
 fi
 
+# Sweep rows equal single-shot responses. The two inline sources share
+# the default name "source"; only their content tells them apart.
+i=0
+for f in biquad checksum; do
+    jq -n --rawfile src "examples/kernels/$f.c" '{source: $src}' >"$tmp/cell$i.json"
+    i=$((i + 1))
+done
+jq -s '{cells: .}' "$tmp/cell0.json" "$tmp/cell1.json" >"$tmp/sweep.json"
+curl -fsS -X POST --data-binary @"$tmp/sweep.json" "$url/v1/sweep" >"$tmp/sweep.ndjson"
+for i in 0 1; do
+    jq -S -c "select(.index == $i) | .run" "$tmp/sweep.ndjson" >"$tmp/row$i.json"
+    curl -fsS -X POST --data-binary @"$tmp/cell$i.json" "$url/v1/optimize" | jq -S -c . >"$tmp/single$i.json"
+    if [ ! -s "$tmp/row$i.json" ] || ! cmp -s "$tmp/row$i.json" "$tmp/single$i.json"; then
+        echo "smoke_flashramd: sweep row $i differs from /v1/optimize for the same cell" >&2
+        exit 1
+    fi
+done
+
 # Concurrent mixed load against the live socket. The harness itself
 # enforces 0 dropped / 0 non-2xx / >50% hit rate on the repeated mix.
 "$tmp/flashramd" -selftest -target "$url" -n 64
@@ -115,4 +136,4 @@ grep -q 'drained' "$tmp/daemon.log" || {
     cat "$tmp/daemon.log" >&2
     exit 1
 }
-echo "smoke_flashramd: byte identity, knob-heavy identity, 400 mapping, CLI/daemon rejection parity, 64-way load and graceful drain all clean"
+echo "smoke_flashramd: byte identity, knob-heavy identity, 400 mapping, CLI/daemon rejection parity, sweep/optimize row identity, 64-way load and graceful drain all clean"
