@@ -63,7 +63,8 @@ type Session struct {
 	graphs     memo[struct{}, map[string]*cfg.Graph]
 	spare      memo[struct{}, float64]
 	freqs      memo[freqKey, freq.Estimate]
-	models     memo[modelKey, *model.Model]
+	families   memo[modelKey, *model.Model] // per modelKey.family(), off the ledger
+	models     memo[modelKey, *model.Model] // per point: WithBounds views of a family
 	solves     memo[solveKey, *placement.Result]
 	transforms memo[transformKey, *transformed]
 	reports    memo[reportKey, *Report]
@@ -150,6 +151,14 @@ type modelKey struct {
 	maxCandidates int
 	linkTime      bool
 	ckptNJPerByte float64
+}
+
+// family zeroes the constraint bounds: the key of the model family the
+// point belongs to, whose points share blocks, edges and ILP lowering
+// and differ only in the Eq. 7 and Eq. 9 right-hand sides.
+func (k modelKey) family() modelKey {
+	k.rspare, k.xlimit = 0, 0
+	return k
 }
 
 // solveKey is a modelKey plus the solver choice and its resource budget.
@@ -551,6 +560,10 @@ func (s *Session) Model(ctx context.Context, spec ModelSpec) (*model.Model, erro
 	return s.model(ctx, s.resolveModel(spec))
 }
 
+// model returns the point view of key's family: each point counts on
+// the model ledger (and reads the CFG and frequency stages, as a
+// stand-alone build would), while the family it shares is built once
+// per session and stays off the ledger.
 func (s *Session) model(ctx context.Context, key modelKey) (*model.Model, error) {
 	return s.models.do(&s.counters.model, key, func() (*model.Model, error) {
 		graphs, err := s.Graphs()
@@ -561,14 +574,26 @@ func (s *Session) model(ctx context.Context, key modelKey) (*model.Model, error)
 		if err != nil {
 			return nil, err
 		}
-		ef, er := s.profile.Coefficients()
-		mdl, err := model.Build(s.prog, graphs, est, model.Params{
-			EFlash: ef, ERAM: er,
-			Rspare: key.rspare, Xlimit: key.xlimit,
-			MaxCandidates:  key.maxCandidates,
-			IncludeLibrary: key.linkTime,
-			CkptNJPerByte:  key.ckptNJPerByte,
+		fam, err := s.families.do(nil, key.family(), func() (*model.Model, error) {
+			ef, er := s.profile.Coefficients()
+			// Built at the tightest valid point; every caller gets a
+			// WithBounds view.
+			mdl, err := model.Build(s.prog, graphs, est, model.Params{
+				EFlash: ef, ERAM: er,
+				Rspare: 0, Xlimit: 1,
+				MaxCandidates:  key.maxCandidates,
+				IncludeLibrary: key.linkTime,
+				CkptNJPerByte:  key.ckptNJPerByte,
+			})
+			if err != nil {
+				return nil, errs.Wrap(errs.StageModel, err)
+			}
+			return mdl, nil
 		})
+		if err != nil {
+			return nil, err
+		}
+		mdl, err := fam.WithBounds(key.rspare, key.xlimit)
 		if err != nil {
 			return nil, errs.Wrap(errs.StageModel, err)
 		}
@@ -646,7 +671,7 @@ func (s *Session) solve(ctx context.Context, key solveKey) (*placement.Result, e
 // constraint bounds — the model columns and objective are identical
 // across a family, which is exactly the precondition for warm reuse.
 type solveFamily struct {
-	model       modelKey // rspare and xlimit zeroed
+	model       modelKey // modelKey.family()
 	solver      Solver
 	exhaustiveK int
 	budget      placement.Budget
@@ -659,9 +684,7 @@ type solvePoint struct {
 }
 
 func familyOf(key solveKey) solveFamily {
-	mk := key.model
-	mk.rspare, mk.xlimit = 0, 0
-	return solveFamily{model: mk, solver: key.solver, exhaustiveK: key.exhaustiveK, budget: key.budget}
+	return solveFamily{model: key.model.family(), solver: key.solver, exhaustiveK: key.exhaustiveK, budget: key.budget}
 }
 
 // neighborWarm picks the carried state for a solve: the nearest
@@ -1219,8 +1242,19 @@ type stageCounter struct {
 	hits, misses atomic.Uint64
 }
 
-func (c *stageCounter) hit()  { c.hits.Add(1) }
-func (c *stageCounter) miss() { c.misses.Add(1) }
+// hit and miss count a memo lookup; a nil counter keeps a stage off
+// the ledger.
+func (c *stageCounter) hit() {
+	if c != nil {
+		c.hits.Add(1)
+	}
+}
+
+func (c *stageCounter) miss() {
+	if c != nil {
+		c.misses.Add(1)
+	}
+}
 
 func (c *stageCounter) snapshot() StageStats {
 	return StageStats{Hits: c.hits.Load(), Misses: c.misses.Load()}

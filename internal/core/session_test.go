@@ -4,15 +4,18 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"reflect"
 	"sync"
 	"testing"
 
 	"repro/internal/beebs"
 	"repro/internal/core"
+	"repro/internal/errs"
 	"repro/internal/isa"
 	"repro/internal/layout"
 	"repro/internal/mcc"
+	"repro/internal/model"
 	"repro/internal/power"
 	"repro/internal/sim"
 )
@@ -236,5 +239,44 @@ func TestSessionProfileMismatch(t *testing.T) {
 	other := *s.Profile()
 	if _, err := s.Optimize(context.Background(), core.Options{Profile: &other}); err == nil {
 		t.Fatal("mismatched profile accepted")
+	}
+}
+
+// TestModelPointsShareOneFamily: the constraint points of one model
+// family are views of one build — they share its blocks — while the
+// model ledger still counts one build per point, and a point with an
+// invalid bound fails at the model stage without disturbing the family.
+func TestModelPointsShareOneFamily(t *testing.T) {
+	s := sessionForTest(t, "crc32", mcc.O2)
+	ctx := context.Background()
+	points := []core.ModelSpec{
+		{Rspare: 0, Xlimit: 1.0},
+		{Rspare: 512, Xlimit: 1.2},
+		{Rspare: 512, Xlimit: 1e9},
+	}
+	var first *model.Model
+	for _, spec := range points {
+		m, err := s.Model(ctx, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Params.Rspare != spec.Rspare || m.Params.Xlimit != spec.Xlimit {
+			t.Errorf("point %+v: model bounds %v/%v", spec, m.Params.Rspare, m.Params.Xlimit)
+		}
+		if first == nil {
+			first = m
+		} else if &m.Blocks[0] != &first.Blocks[0] {
+			t.Errorf("point %+v rebuilt the family's blocks", spec)
+		}
+	}
+	var se *errs.Error
+	if _, err := s.Model(ctx, core.ModelSpec{Rspare: 16, Xlimit: 0.5}); !errors.As(err, &se) || se.Stage != errs.StageModel {
+		t.Errorf("Xlimit 0.5: err %v, want a model-stage error", err)
+	}
+	if m, err := s.Model(ctx, points[1]); err != nil || &m.Blocks[0] != &first.Blocks[0] {
+		t.Errorf("repeated point after a failed one: %v", err)
+	}
+	if st := s.Stats(); st.Model.Misses != 4 || st.Model.Hits != 1 {
+		t.Errorf("model ledger %+v, want 4 misses (one per point) and 1 hit", st.Model)
 	}
 }

@@ -139,6 +139,9 @@ func NewProblem(n int) *Problem {
 // NumVars returns the number of structural variables.
 func (p *Problem) NumVars() int { return p.n }
 
+// NumRows returns the number of constraint rows added so far.
+func (p *Problem) NumRows() int { return len(p.rowRel) }
+
 // fail records the first construction mistake as the sticky error.
 func (p *Problem) fail(format string, args ...any) {
 	if p.err == nil {
@@ -634,9 +637,10 @@ func (st *State) Copy(spare *State) *State {
 // Safety: any layout mismatch — dimensions, relations, the RHS sign
 // pattern (which decides slack/artificial allocation), or a changed RHS
 // on a slackless EQ row — falls back to the cold Solve, and a warm answer
-// must pass the optimality certificate (Certify) against THIS problem
-// before it is returned (cold fallback otherwise). A stale or foreign
-// state can cost time, never correctness.
+// must pass a certificate against THIS problem before it is returned: an
+// Optimal one the optimality certificate (Certify), an Infeasible one a
+// Farkas certificate built from the violated row (cold fallback
+// otherwise). A stale or foreign state can cost time, never correctness.
 func (p *Problem) SolveFromState(ctx context.Context, st *State) (*Solution, error) {
 	return p.Resume(ctx, st.Copy(nil))
 }
@@ -718,11 +722,14 @@ func (p *Problem) Resume(ctx context.Context, st *State) (*Solution, error) {
 		return sol, err
 	}
 
-	dst := dualSimplex(tb, cost, maxIter, &iters, done)
+	dst, row := dualSimplex(tb, cost, maxIter, &iters, done)
 	switch dst {
 	case stCanceled:
 		return nil, fmt.Errorf("lp: solve interrupted: %w", ctx.Err())
 	case Infeasible:
+		if p.farkas(tb, row) != nil {
+			return cold() // the verdict does not hold for this problem
+		}
 		return &Solution{Status: Infeasible, Iters: iters, Warmed: true}, nil
 	case Optimal:
 		// Primal feasible again; fall through to the clean-up pass.
@@ -771,6 +778,73 @@ func (p *Problem) Certify(sol *Solution) error {
 	return nil
 }
 
+// farkas checks a warm Infeasible verdict on tableau row r as a Farkas
+// certificate for p. The multipliers y are row r of the basis inverse,
+// read off the slack columns (signed so that yₖ ≥ 0 on LE rows and
+// yₖ ≤ 0 on GE rows); every point satisfying p's rows then satisfies
+// Σₖ yₖ·aₖx ≤ Σₖ yₖ·bₖ, so p is infeasible when the least value of the
+// left side over p's column bounds exceeds the right. The check reads
+// p's own rows and bounds, not the tableau's, so a stale or foreign
+// tableau cannot pass it. It returns nil when the certificate holds; a
+// problem with an EQ row has no slack column to read y from and never
+// passes.
+func (p *Problem) farkas(tb *tableau, r int) error {
+	if slices.Contains(p.rowRel, EQ) {
+		return errors.New("lp: farkas: an EQ row has no slack column")
+	}
+	if r < 0 || r >= len(tb.t) || len(tb.t) != len(p.rowRel) || tb.total < p.n+len(p.rowRel) {
+		return errors.New("lp: farkas: tableau does not match the problem's layout")
+	}
+	row := tb.t[r]
+	ymax := 0.0
+	for k := range p.rowRel {
+		ymax = max(ymax, row[p.n+k])
+	}
+	c := make([]float64, p.n)   // Σₖ yₖ·aₖ
+	mag := make([]float64, p.n) // Σₖ |yₖ·aₖ|, the scale of c's rounding
+	yb, scale := 0.0, 0.0
+	for k, rel := range p.rowRel {
+		y := row[p.n+k]
+		if y <= 1e-9*ymax {
+			// Rounding level, on either side of zero (the ratio test
+			// admits nothing below −eps). The check below validates
+			// whatever y remains, so dropping these can fail a
+			// certificate but never forge one.
+			continue
+		}
+		if rel == GE {
+			y = -y
+		}
+		for j, a := range p.rowCoef[k] {
+			if a != 0 {
+				c[j] += y * a
+				mag[j] += math.Abs(y * a)
+			}
+		}
+		yb += y * p.rowRHS[k]
+		scale += math.Abs(y * p.rowRHS[k])
+	}
+	least := 0.0
+	for j, cj := range c {
+		if math.Abs(cj) <= 1e-9*mag[j] {
+			continue // cancelled to rounding: the combination drops x_j
+		}
+		bound := p.lo[j]
+		if cj < 0 {
+			bound = p.hi[j]
+		}
+		if math.IsInf(bound, 0) {
+			return fmt.Errorf("lp: farkas: column %d is unbounded in the combined row", j)
+		}
+		least += cj * bound
+		scale += math.Abs(cj * bound)
+	}
+	if least-yb <= 1e-9*(1+scale) {
+		return fmt.Errorf("lp: farkas: combined row is satisfiable (%g ≤ %g)", least, yb)
+	}
+	return nil
+}
+
 // stDualStall is dual simplex's internal "a reduced cost is negative"
 // outcome: the supplied basis was not dual feasible (numerical drift or
 // caller misuse), so the dual method's invariant is broken and the
@@ -784,20 +858,21 @@ const stDualStall Status = -2
 // negative coefficients. Fixed columns never enter. Returns Optimal once
 // every basic value is within its bounds (primal feasible — not yet
 // re-certified optimal), Infeasible when a violated row has no candidate
-// column (no movable column can repair it), stDualStall when a candidate
-// column's reduced cost is negative, IterLimit or stCanceled.
-func dualSimplex(tb *tableau, cost []float64, maxIter int, iters *int, done <-chan struct{}) Status {
+// column (no movable column can repair it; that row comes back with the
+// status, -1 otherwise), stDualStall when a candidate column's reduced
+// cost is negative, IterLimit or stCanceled.
+func dualSimplex(tb *tableau, cost []float64, maxIter int, iters *int, done <-chan struct{}) (Status, int) {
 	t, basis, total := tb.t, tb.basis, tb.total
 	reduced := make([]float64, total)
 	tb.price(cost, reduced)
 	for {
 		if *iters >= maxIter {
-			return IterLimit
+			return IterLimit, -1
 		}
 		if done != nil && *iters%cancelCheckStride == 0 {
 			select {
 			case <-done:
-				return stCanceled
+				return stCanceled, -1
 			default:
 			}
 		}
@@ -815,7 +890,7 @@ func dualSimplex(tb *tableau, cost []float64, maxIter int, iters *int, done <-ch
 			}
 		}
 		if leave < 0 {
-			return Optimal // primal feasible
+			return Optimal, -1 // primal feasible
 		}
 		if t[leave][total] > 0 {
 			tb.complementBasic(leave, cost)
@@ -832,7 +907,7 @@ func dualSimplex(tb *tableau, cost []float64, maxIter int, iters *int, done <-ch
 			}
 			r := reduced[j]
 			if r < -1e-7 {
-				return stDualStall
+				return stDualStall, -1
 			}
 			ratio := max(r, 0) / -a
 			if ratio < bestRatio-eps || (ratio < bestRatio+eps && (enter < 0 || j < enter)) {
@@ -841,7 +916,7 @@ func dualSimplex(tb *tableau, cost []float64, maxIter int, iters *int, done <-ch
 			}
 		}
 		if enter < 0 {
-			return Infeasible
+			return Infeasible, leave
 		}
 		tb.pivotPriced(leave, enter, reduced)
 	}

@@ -2,6 +2,7 @@ package lp
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -314,5 +315,64 @@ func TestCopyIntoSpareAllocatesNothing(t *testing.T) {
 	}
 	if st.Copy(nil) == st || (*State)(nil).Copy(nil) != nil {
 		t.Error("Copy must return a new State, and nil for a nil one")
+	}
+}
+
+// TestResumeFarkasChecksWarmInfeasible holds a warm Infeasible verdict to
+// a Farkas certificate against the resumed problem's own rows. The donor
+// is x ≤ 5 solved at x = 5; raising x's lower bound to 6 leaves its row
+// with no column that can repair it, so the dual simplex declares the
+// problem infeasible. That holds for x ≤ 5 itself, but a foreign problem
+// with the same layout, −x ≤ 5, is feasible at x = 6: its verdict must
+// fail the certificate and fall back to the cold solve.
+func TestResumeFarkasChecksWarmInfeasible(t *testing.T) {
+	build := func(coef float64) *Problem {
+		p := NewProblem(1)
+		p.SetObj(0, -1)
+		p.AddRow(map[int]float64{0: coef}, LE, 5)
+		return p
+	}
+	donor := solve(t, build(1))
+	if donor.Status != Optimal || donor.X[0] != 5 {
+		t.Fatalf("donor: %v at %v, want optimal at x = 5", donor.Status, donor.X)
+	}
+
+	same := build(1)
+	same.SetBounds(0, 6, math.Inf(1))
+	warm, err := same.SolveFromState(context.Background(), donor.State)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm.Status != Infeasible || !warm.Warmed {
+		t.Errorf("x ≤ 5, x ≥ 6: got %v (warmed %v), want the certified warm Infeasible", warm.Status, warm.Warmed)
+	}
+
+	foreign := build(-1)
+	foreign.SetObj(0, 1)
+	foreign.SetBounds(0, 6, math.Inf(1))
+	got, err := foreign.SolveFromState(context.Background(), donor.State)
+	if err != nil {
+		t.Fatal(err)
+	}
+	certify(t, foreign, got)
+	if got.Status != Optimal || got.Warmed || !approx(got.Obj, 6) {
+		t.Errorf("−x ≤ 5, x ≥ 6 from a foreign state: got %v obj %v (warmed %v), want the cold optimum 6",
+			got.Status, got.Obj, got.Warmed)
+	}
+}
+
+// TestFarkasRejectsEQRows: an EQ row has no slack column, so no
+// multipliers can be read for it and the certificate never holds.
+func TestFarkasRejectsEQRows(t *testing.T) {
+	p := NewProblem(2)
+	p.SetObj(0, 1)
+	p.AddRow(map[int]float64{0: 1, 1: -1}, EQ, 0)
+	p.AddRow(map[int]float64{0: 1}, LE, 5)
+	sol := solve(t, p)
+	if sol.Status != Optimal {
+		t.Fatalf("status %v", sol.Status)
+	}
+	if err := p.farkas(&sol.State.tb, 1); err == nil {
+		t.Error("farkas accepted a problem with an EQ row")
 	}
 }

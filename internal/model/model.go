@@ -78,27 +78,58 @@ type BlockData struct {
 	Movable bool
 }
 
-// Model is the assembled optimization instance.
+// Model is one point of a cost-model family: the extracted blocks and
+// their ILP lowering, which depend only on the program, the frequency
+// estimate and the family parameters (energy coefficients, candidate
+// cap, link-time visibility, checkpoint term), plus the two constraint
+// bounds of Eq. 7 and Eq. 9 in Params.Rspare and Params.Xlimit. Build
+// assembles a family once; WithBounds derives further points of it that
+// share everything but the bounds. A Model and everything it hands out
+// (Blocks, Vars, the BlockData) are read-only.
 type Model struct {
 	Params Params
 	Blocks []*BlockData
 
-	byLabel map[string]*BlockData
 	// BaseCycles is Σ Fb·Cb: the all-flash weighted cycle count (the
 	// denominator of Eq. 9).
 	BaseCycles float64
 	// BaseEnergyNJ is Σ Fb·Cb·EFlash: the all-flash model energy.
 	BaseEnergyNJ float64
+
+	fam *family
 }
 
-// Build extracts the model from a program. graphs must come from
+// family is the bound-independent part of a model, shared by every
+// point WithBounds derives.
+type family struct {
+	byLabel map[string]int // block label → index into Blocks
+	succ    [][]int        // per block: its Edges as block indices
+
+	// vars and prob are the ILP lowering; ramRow and timeRow index the
+	// Eq. 7 and Eq. 9 rows of prob (-1 when the row is empty), the only
+	// rows whose right-hand side differs between points.
+	vars            *Vars
+	prob            *lp.Problem
+	ramRow, timeRow int
+}
+
+// checkBounds validates the constraint bounds of one model point.
+func checkBounds(rspare, xlimit float64) error {
+	if xlimit < 1 {
+		return fmt.Errorf("model: Xlimit %.3f < 1 can never be satisfied", xlimit)
+	}
+	if rspare < 0 {
+		return fmt.Errorf("model: negative Rspare %.0f", rspare)
+	}
+	return nil
+}
+
+// Build extracts the model from a program and lowers its ILP: the
+// family every WithBounds point shares. graphs must come from
 // cfg.BuildAll on the same program; est supplies Fb.
 func Build(p *ir.Program, graphs map[string]*cfg.Graph, est freq.Estimate, params Params) (*Model, error) {
-	if params.Xlimit < 1 {
-		return nil, fmt.Errorf("model: Xlimit %.3f < 1 can never be satisfied", params.Xlimit)
-	}
-	if params.Rspare < 0 {
-		return nil, fmt.Errorf("model: negative Rspare %.0f", params.Rspare)
+	if err := checkBounds(params.Rspare, params.Xlimit); err != nil {
+		return nil, err
 	}
 	if params.EFlash <= params.ERAM {
 		return nil, fmt.Errorf("model: EFlash %.3f ≤ ERAM %.3f leaves nothing to optimize",
@@ -111,10 +142,11 @@ func Build(p *ir.Program, graphs map[string]*cfg.Graph, est freq.Estimate, param
 		params.MaxCandidates = DefaultMaxCandidates
 	}
 
-	m := &Model{Params: params, byLabel: make(map[string]*BlockData)}
-	for _, f := range p.Funcs {
-		g := graphs[f.Name]
-		for _, b := range f.Blocks {
+	f := &family{byLabel: make(map[string]int)}
+	m := &Model{Params: params, fam: f}
+	for _, fn := range p.Funcs {
+		g := graphs[fn.Name]
+		for _, b := range fn.Blocks {
 			cost := transform.InstrumentationCost(b)
 			bd := &BlockData{
 				Block:   b,
@@ -124,17 +156,34 @@ func Build(p *ir.Program, graphs map[string]*cfg.Graph, est freq.Estimate, param
 				K:       float64(cost.Total()),
 				T:       float64(cost.Cycles),
 				L:       float64(b.LoadCount() * isa.RAMContentionStall),
-				Movable: (!f.Library || params.IncludeLibrary) && !pinned(b),
+				Movable: (!fn.Library || params.IncludeLibrary) && !pinned(b),
 			}
 			if g != nil {
 				bd.Edges = append(bd.Edges, g.Succs(b)...)
 				bd.Edges = append(bd.Edges, g.CallsOut[b]...)
 			}
+			f.byLabel[b.Label] = len(m.Blocks)
 			m.Blocks = append(m.Blocks, bd)
-			m.byLabel[b.Label] = bd
 			m.BaseCycles += bd.F * bd.C
 			m.BaseEnergyNJ += bd.F * bd.C * params.EFlash
 		}
+	}
+	nEdges := 0
+	for _, bd := range m.Blocks {
+		nEdges += len(bd.Edges)
+	}
+	f.succ = make([][]int, len(m.Blocks))
+	flat := make([]int, 0, nEdges)
+	for i, bd := range m.Blocks {
+		start := len(flat)
+		for _, s := range bd.Edges {
+			j, ok := f.byLabel[s.Label]
+			if !ok {
+				return nil, fmt.Errorf("model: %s: edge to %s, which is not a block of the program", bd.Block.Label, s.Label)
+			}
+			flat = append(flat, j)
+		}
+		f.succ[i] = flat[start:len(flat):len(flat)]
 	}
 
 	// Candidate cap: keep the blocks with the highest potential saving
@@ -153,7 +202,21 @@ func Build(p *ir.Program, graphs map[string]*cfg.Graph, est freq.Estimate, param
 			bd.Movable = false
 		}
 	}
+	m.lower()
 	return m, nil
+}
+
+// WithBounds returns the point of m's family at the given RAM budget and
+// execution-time limit, validated as Build validates them. The result
+// shares m's blocks, edge indices and ILP lowering; only Params.Rspare
+// and Params.Xlimit differ.
+func (m *Model) WithBounds(rspare, xlimit float64) (*Model, error) {
+	if err := checkBounds(rspare, xlimit); err != nil {
+		return nil, err
+	}
+	v := *m
+	v.Params.Rspare, v.Params.Xlimit = rspare, xlimit
+	return &v, nil
 }
 
 // pinned reports blocks that must stay in flash regardless of the model:
@@ -168,44 +231,77 @@ func pinned(b *ir.Block) bool {
 }
 
 // Data returns the extracted parameters for a block label.
-func (m *Model) Data(label string) *BlockData { return m.byLabel[label] }
-
-// Vars maps model variables to LP column indices.
-type Vars struct {
-	R map[string]int // block label → r variable
-	I map[string]int // block label → i variable
-	P map[string]int // block label → p variable
-	N int
+func (m *Model) Data(label string) *BlockData {
+	if i, ok := m.fam.byLabel[label]; ok {
+		return m.Blocks[i]
+	}
+	return nil
 }
 
-// BuildILP lowers the model to an LP relaxation plus the list of binary
-// (branching) variables — exactly what internal/ilp consumes.
-func (m *Model) BuildILP() (*lp.Problem, *Vars) {
-	vars := &Vars{R: map[string]int{}, I: map[string]int{}, P: map[string]int{}}
-	next := 0
-	alloc := func() int { n := next; next++; return n }
+// Vars maps model variables to LP column indices. R, I and P are indexed
+// like Model.Blocks; -1 marks a block without that variable.
+type Vars struct {
+	R []int // r_b: block b is placed in RAM
+	I []int // i_b: block b must be instrumented
+	P []int // p_b = r_b·i_b
+	// Binaries lists the r columns in ascending order: the branching
+	// variables internal/ilp consumes.
+	Binaries []int
+	N        int
+}
 
-	for _, bd := range m.Blocks {
+// BuildILP returns the model's LP relaxation plus its variable map —
+// exactly what internal/ilp consumes. The problem is a copy of the
+// family's lowering with this point's Eq. 7 and Eq. 9 right-hand sides;
+// the Vars are the family's and must not be modified.
+func (m *Model) BuildILP() (*lp.Problem, *Vars) {
+	f := m.fam
+	prob := f.prob.Clone()
+	if f.ramRow >= 0 {
+		prob.SetRHS(f.ramRow, m.Params.Rspare)
+	}
+	if f.timeRow >= 0 {
+		prob.SetRHS(f.timeRow, (m.Params.Xlimit-1)*m.BaseCycles)
+	}
+	return prob, f.vars
+}
+
+// lower builds the family's LP: the variables, objective, column bounds
+// and every row, with the Eq. 7 and Eq. 9 right-hand sides of m's own
+// point.
+func (m *Model) lower() {
+	f := m.fam
+	nb := len(m.Blocks)
+	vars := &Vars{R: make([]int, nb), I: make([]int, nb), P: make([]int, nb)}
+	for b := range m.Blocks {
+		vars.R[b], vars.I[b], vars.P[b] = -1, -1, -1
+	}
+	next := 0
+	for b, bd := range m.Blocks {
 		if bd.Movable {
-			vars.R[bd.Block.Label] = alloc()
+			vars.R[b] = next
+			vars.Binaries = append(vars.Binaries, next)
+			next++
 		}
 	}
 	// i variables for blocks with at least one edge that could cross:
 	// the block itself movable, or some edge target movable.
-	for _, bd := range m.Blocks {
-		need := bd.Movable && len(bd.Edges) > 0
+	for b, bd := range m.Blocks {
+		need := bd.Movable && len(f.succ[b]) > 0
 		if !need {
-			for _, s := range bd.Edges {
-				if sd := m.byLabel[s.Label]; sd != nil && sd.Movable {
+			for _, s := range f.succ[b] {
+				if m.Blocks[s].Movable {
 					need = true
 					break
 				}
 			}
 		}
 		if need {
-			vars.I[bd.Block.Label] = alloc()
+			vars.I[b] = next
+			next++
 			if bd.Movable {
-				vars.P[bd.Block.Label] = alloc()
+				vars.P[b] = next
+				next++
 			}
 		}
 	}
@@ -220,19 +316,18 @@ func (m *Model) BuildILP() (*lp.Problem, *Vars) {
 	// when they join the RAM footprint, i.e. on p). Q = 0 restores the
 	// paper's always-powered objective bit for bit.
 	q := m.Params.CkptNJPerByte
-	for _, bd := range m.Blocks {
-		lbl := bd.Block.Label
-		if j, ok := vars.R[lbl]; ok {
+	for b, bd := range m.Blocks {
+		if j := vars.R[b]; j >= 0 {
 			obj := bd.F * (bd.C*(er-ef) + bd.L*er)
 			if q != 0 {
 				obj += q * bd.S
 			}
 			prob.SetObj(j, obj)
 		}
-		if j, ok := vars.I[lbl]; ok {
+		if j := vars.I[b]; j >= 0 {
 			prob.SetObj(j, bd.F*bd.T*ef)
 		}
-		if j, ok := vars.P[lbl]; ok {
+		if j := vars.P[b]; j >= 0 {
 			obj := bd.F * bd.T * (er - ef)
 			if q != 0 {
 				obj += q * bd.K
@@ -243,30 +338,29 @@ func (m *Model) BuildILP() (*lp.Problem, *Vars) {
 
 	// Branching variables are bounded to [0, 1] as column bounds (no
 	// tableau rows); internal/ilp branches by editing them.
-	for _, j := range vars.R {
+	for _, j := range vars.Binaries {
 		prob.SetBounds(j, 0, 1)
 	}
 
 	// Eq. 5 edges: i_b ≥ r_b − r_s, i_b ≥ r_s − r_b.
-	for _, bd := range m.Blocks {
-		lbl := bd.Block.Label
-		iv, ok := vars.I[lbl]
-		if !ok {
+	for b := range m.Blocks {
+		iv := vars.I[b]
+		if iv < 0 {
 			continue
 		}
-		rb, hasRB := vars.R[lbl]
-		for _, s := range bd.Edges {
-			rs, hasRS := vars.R[s.Label]
-			if !hasRB && !hasRS {
+		rb := vars.R[b]
+		for _, s := range f.succ[b] {
+			rs := vars.R[s]
+			if rb < 0 && rs < 0 {
 				continue // both pinned to flash: never crosses
 			}
 			row1 := map[int]float64{iv: -1}
 			row2 := map[int]float64{iv: -1}
-			if hasRB {
+			if rb >= 0 {
 				row1[rb] = 1
 				row2[rb] = -1
 			}
-			if hasRS {
+			if rs >= 0 {
 				row1[rs] = row1[rs] - 1
 				row2[rs] = row2[rs] + 1
 			}
@@ -279,14 +373,12 @@ func (m *Model) BuildILP() (*lp.Problem, *Vars) {
 	// — row order must be deterministic or degenerate simplex ties (and
 	// with them the branch-and-bound node count) follow map iteration
 	// order.
-	for _, bd := range m.Blocks {
-		lbl := bd.Block.Label
-		pv, ok := vars.P[lbl]
-		if !ok {
+	for b := range m.Blocks {
+		pv := vars.P[b]
+		if pv < 0 {
 			continue
 		}
-		rv := vars.R[lbl]
-		iv := vars.I[lbl]
+		rv, iv := vars.R[b], vars.I[b]
 		prob.AddRow(map[int]float64{pv: 1, rv: -1}, lp.LE, 0)
 		prob.AddRow(map[int]float64{pv: 1, iv: -1}, lp.LE, 0)
 		prob.AddRow(map[int]float64{rv: 1, iv: 1, pv: -1}, lp.LE, 1)
@@ -294,35 +386,37 @@ func (m *Model) BuildILP() (*lp.Problem, *Vars) {
 
 	// Eq. 7: Σ S·r + K·p ≤ Rspare.
 	ramRow := map[int]float64{}
-	for _, bd := range m.Blocks {
-		lbl := bd.Block.Label
-		if j, ok := vars.R[lbl]; ok {
+	for b, bd := range m.Blocks {
+		if j := vars.R[b]; j >= 0 {
 			ramRow[j] += bd.S
 		}
-		if j, ok := vars.P[lbl]; ok {
+		if j := vars.P[b]; j >= 0 {
 			ramRow[j] += bd.K
 		}
 	}
+	f.ramRow = -1
 	if len(ramRow) > 0 {
+		f.ramRow = prob.NumRows()
 		prob.AddRow(ramRow, lp.LE, m.Params.Rspare)
 	}
 
 	// Eq. 9: Σ F(T·i + L·r) ≤ (Xlimit−1)·BaseCycles.
 	timeRow := map[int]float64{}
-	for _, bd := range m.Blocks {
-		lbl := bd.Block.Label
-		if j, ok := vars.R[lbl]; ok {
+	for b, bd := range m.Blocks {
+		if j := vars.R[b]; j >= 0 {
 			timeRow[j] += bd.F * bd.L
 		}
-		if j, ok := vars.I[lbl]; ok {
+		if j := vars.I[b]; j >= 0 {
 			timeRow[j] += bd.F * bd.T
 		}
 	}
+	f.timeRow = -1
 	if len(timeRow) > 0 {
+		f.timeRow = prob.NumRows()
 		prob.AddRow(timeRow, lp.LE, (m.Params.Xlimit-1)*m.BaseCycles)
 	}
 
-	return prob, vars
+	f.vars, f.prob = vars, prob
 }
 
 // Outcome is the model's prediction for one placement.
@@ -333,28 +427,36 @@ type Outcome struct {
 	Feasible bool    // within Rspare and Xlimit
 }
 
-// Evaluate computes the model's objective for an explicit placement —
-// used by the exhaustive solver, the greedy baseline and the Figure 6
-// point clouds. Blocks in inRAM that are not movable render the placement
-// infeasible.
+// Evaluate computes the model's objective for an explicit placement
+// given as a set of block labels. Labels that name no block of the
+// model, like blocks that are not movable, render the placement
+// infeasible; otherwise it is EvaluateIn of the same set.
 func (m *Model) Evaluate(inRAM map[string]bool) Outcome {
+	in, known := m.membership(inRAM)
+	out := m.EvaluateIn(in)
+	if !known {
+		out.Feasible = false
+	}
+	return out
+}
+
+// EvaluateIn computes the model's objective for an explicit placement —
+// used by the Figure 6 point clouds, the exhaustive solver and the ILP
+// rounder. in[b] reports whether m.Blocks[b] is in RAM (len(in) ==
+// len(m.Blocks)); a block in RAM that is not movable renders the
+// placement infeasible.
+func (m *Model) EvaluateIn(in []bool) Outcome {
 	var out Outcome
 	out.Feasible = true
-	for lbl := range inRAM {
-		if !inRAM[lbl] {
-			continue
-		}
-		bd := m.byLabel[lbl]
-		if bd == nil || !bd.Movable {
+	succ := m.fam.succ
+	for b, bd := range m.Blocks {
+		r := in[b]
+		if r && !bd.Movable {
 			out.Feasible = false
 		}
-	}
-	for _, bd := range m.Blocks {
-		lbl := bd.Block.Label
-		r := inRAM[lbl]
 		instrumented := false
-		for _, s := range bd.Edges {
-			if inRAM[s.Label] != r {
+		for _, s := range succ[b] {
+			if in[s] != r {
 				instrumented = true
 				break
 			}
@@ -397,12 +499,29 @@ func (m *Model) Evaluate(inRAM map[string]bool) Outcome {
 	return out
 }
 
+// membership converts a label set into the per-block vector EvaluateIn
+// reads; known is false when some label in RAM names no block.
+func (m *Model) membership(inRAM map[string]bool) (in []bool, known bool) {
+	in, known = make([]bool, len(m.Blocks)), true
+	for lbl, r := range inRAM {
+		if !r {
+			continue
+		}
+		if b, ok := m.fam.byLabel[lbl]; ok {
+			in[b] = true
+		} else {
+			known = false
+		}
+	}
+	return in, known
+}
+
 // PlacementFromX converts an ILP solution vector into the RAM block set.
 func (m *Model) PlacementFromX(vars *Vars, x []float64) map[string]bool {
 	inRAM := make(map[string]bool)
-	for lbl, j := range vars.R {
-		if x[j] > 0.5 {
-			inRAM[lbl] = true
+	for b, j := range vars.R {
+		if j >= 0 && x[j] > 0.5 {
+			inRAM[m.Blocks[b].Block.Label] = true
 		}
 	}
 	return inRAM
@@ -413,57 +532,67 @@ func (m *Model) PlacementFromX(vars *Vars, x []float64) map[string]bool {
 // feasible, and materializes a consistent full variable vector.
 func (m *Model) Rounder(vars *Vars) func(x []float64) ([]float64, bool) {
 	return func(x []float64) ([]float64, bool) {
-		inRAM := make(map[string]bool)
-		for lbl, j := range vars.R {
-			if x[j] >= 0.5 {
-				inRAM[lbl] = true
+		in := make([]bool, len(m.Blocks))
+		for b, j := range vars.R {
+			if j >= 0 && x[j] >= 0.5 {
+				in[b] = true
 			}
 		}
-		for !m.Evaluate(inRAM).Feasible {
+		for !m.EvaluateIn(in).Feasible {
 			// Drop the least beneficial selected block. Ties break on the
 			// label so the heuristic — and with it the branch-and-bound
-			// node count — is deterministic (map iteration order is not).
-			worst, worstVal := "", math.Inf(1)
-			for lbl := range inRAM {
-				bd := m.byLabel[lbl]
+			// node count — does not depend on block order.
+			worst, worstVal := -1, math.Inf(1)
+			for b, r := range in {
+				if !r {
+					continue
+				}
+				bd := m.Blocks[b]
 				v := bd.F * bd.C * (m.Params.EFlash - m.Params.ERAM)
-				if v < worstVal || (v == worstVal && (worst == "" || lbl < worst)) {
+				if v < worstVal || (v == worstVal && (worst < 0 || bd.Block.Label < m.Blocks[worst].Block.Label)) {
 					worstVal = v
-					worst = lbl
+					worst = b
 				}
 			}
-			if worst == "" {
+			if worst < 0 {
 				return nil, false
 			}
-			delete(inRAM, worst)
+			in[worst] = false
 		}
-		return m.MaterializeX(vars, inRAM), true
+		return m.materialize(vars, in), true
 	}
 }
 
 // MaterializeX builds the full LP vector (r, i, p) implied by a placement.
 func (m *Model) MaterializeX(vars *Vars, inRAM map[string]bool) []float64 {
+	in, _ := m.membership(inRAM)
+	return m.materialize(vars, in)
+}
+
+// materialize is MaterializeX over a per-block membership vector.
+func (m *Model) materialize(vars *Vars, in []bool) []float64 {
 	x := make([]float64, vars.N)
-	for lbl, j := range vars.R {
-		if inRAM[lbl] {
+	for b := range m.Blocks {
+		r := in[b]
+		if j := vars.R[b]; j >= 0 && r {
 			x[j] = 1
 		}
-	}
-	for lbl, iv := range vars.I {
-		bd := m.byLabel[lbl]
-		r := inRAM[lbl]
+		iv := vars.I[b]
+		if iv < 0 {
+			continue
+		}
 		cross := false
-		for _, s := range bd.Edges {
-			if inRAM[s.Label] != r {
+		for _, s := range m.fam.succ[b] {
+			if in[s] != r {
 				cross = true
 				break
 			}
 		}
 		if cross {
 			x[iv] = 1
-		}
-		if pv, ok := vars.P[lbl]; ok && cross && r {
-			x[pv] = 1
+			if pv := vars.P[b]; pv >= 0 && r {
+				x[pv] = 1
+			}
 		}
 	}
 	return x

@@ -303,7 +303,7 @@ func TestRounderProducesFeasible(t *testing.T) {
 
 	// A deliberately over-full fractional point: all r at 0.9.
 	x := make([]float64, vars.N)
-	for _, j := range vars.R {
+	for _, j := range vars.Binaries {
 		x[j] = 0.9
 	}
 	rx, ok := r(x)

@@ -176,11 +176,6 @@ func SolveILPWarm(ctx context.Context, m *model.Model, budget Budget, warm *Warm
 	if budget.MaxLPIter > 0 {
 		prob.MaxIter = budget.MaxLPIter
 	}
-	binaries := make([]int, 0, len(vars.R))
-	for _, j := range vars.R {
-		binaries = append(binaries, j)
-	}
-	sort.Ints(binaries)
 
 	var ws *ilp.WarmStart
 	carriedBound := false
@@ -203,7 +198,7 @@ func SolveILPWarm(ctx context.Context, m *model.Model, budget Budget, warm *Warm
 
 	solver := &ilp.Solver{
 		Base:     prob,
-		Binaries: binaries,
+		Binaries: vars.Binaries,
 		MaxNodes: budget.MaxNodes,
 		Rounder:  m.Rounder(vars),
 		Warm:     ws,
@@ -452,18 +447,33 @@ func SolveFunctionLevel(m *model.Model, p *ir.Program) *Result {
 
 // TopBlocks returns the k hottest movable blocks by F·C.
 func TopBlocks(m *model.Model, k int) []*model.BlockData {
-	var movable []*model.BlockData
-	for _, bd := range m.Blocks {
+	return blocksAt(m, topIndices(m, k))
+}
+
+// blocksAt returns the blocks at the given indices into m.Blocks.
+func blocksAt(m *model.Model, idx []int) []*model.BlockData {
+	blocks := make([]*model.BlockData, len(idx))
+	for i, b := range idx {
+		blocks[i] = m.Blocks[b]
+	}
+	return blocks
+}
+
+// topIndices is TopBlocks as indices into m.Blocks.
+func topIndices(m *model.Model, k int) []int {
+	var movable []int
+	for b, bd := range m.Blocks {
 		if bd.Movable {
-			movable = append(movable, bd)
+			movable = append(movable, b)
 		}
 	}
 	sort.Slice(movable, func(i, j int) bool {
-		wi, wj := movable[i].F*movable[i].C, movable[j].F*movable[j].C
+		bi, bj := m.Blocks[movable[i]], m.Blocks[movable[j]]
+		wi, wj := bi.F*bi.C, bj.F*bj.C
 		if wi != wj {
 			return wi > wj
 		}
-		return movable[i].Block.Label < movable[j].Block.Label
+		return bi.Block.Label < bj.Block.Label
 	})
 	if len(movable) > k {
 		movable = movable[:k]
@@ -483,19 +493,17 @@ type Point struct {
 // Enumerate evaluates every subset of the top-k hottest blocks under the
 // model (2^k points) — the "possible choices" cloud of Figure 6.
 func Enumerate(m *model.Model, k int) ([]Point, []*model.BlockData, error) {
-	blocks := TopBlocks(m, k)
-	if len(blocks) > 20 {
-		return nil, nil, fmt.Errorf("placement: refusing to enumerate 2^%d placements", len(blocks))
+	idx := topIndices(m, k)
+	if len(idx) > 20 {
+		return nil, nil, fmt.Errorf("placement: refusing to enumerate 2^%d placements", len(idx))
 	}
-	points := make([]Point, 0, 1<<len(blocks))
-	for mask := 0; mask < 1<<len(blocks); mask++ {
-		inRAM := map[string]bool{}
-		for i, bd := range blocks {
-			if mask&(1<<i) != 0 {
-				inRAM[bd.Block.Label] = true
-			}
+	points := make([]Point, 0, 1<<len(idx))
+	in := make([]bool, len(m.Blocks))
+	for mask := 0; mask < 1<<len(idx); mask++ {
+		for i, b := range idx {
+			in[b] = mask&(1<<i) != 0
 		}
-		out := m.Evaluate(inRAM)
+		out := m.EvaluateIn(in)
 		points = append(points, Point{
 			Mask:     mask,
 			EnergyNJ: out.EnergyNJ,
@@ -504,7 +512,7 @@ func Enumerate(m *model.Model, k int) ([]Point, []*model.BlockData, error) {
 			Feasible: out.Feasible,
 		})
 	}
-	return points, blocks, nil
+	return points, blocksAt(m, idx), nil
 }
 
 // SolveExhaustive finds the true model optimum over subsets of the top-k

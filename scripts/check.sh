@@ -41,12 +41,14 @@ if [ -n "$globals" ]; then
 fi
 
 # The solver stack threads warm state explicitly — lp.State flows
-# through ilp.WarmStart, placement.Warm and core.Session's memo. A
-# package-global cache there would alias tableaus across concurrent
-# sessions and break the byte-identity guarantee (DESIGN.md §6j).
-# Sentinel errors (`var Err...`) are the one legitimate package var.
+# through ilp.WarmStart, placement.Warm and core.Session's memo, and a
+# model family's shared ILP lowering lives on the Model the session
+# memoizes. A package-global cache there would alias tableaus or
+# lowerings across concurrent sessions and break the byte-identity
+# guarantee (DESIGN.md §6j). Sentinel errors (`var Err...`) are the one
+# legitimate package var.
 solverGlobals=$(grep -n '^var ' internal/lp/*.go internal/ilp/*.go \
-    internal/placement/*.go internal/core/*.go \
+    internal/placement/*.go internal/core/*.go internal/model/*.go \
     | grep -v '_test.go:' | grep -v ':var Err' || true)
 if [ -n "$solverGlobals" ]; then
     echo "solver packages grew package-global state (thread it through lp.State/ilp.WarmStart/placement.Warm instead):" >&2
