@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/beebs"
+	"repro/internal/core"
 	"repro/internal/mcc"
 )
 
@@ -99,4 +100,78 @@ func goldenLines(t *testing.T, path, flag string, update bool, got []string) ([]
 		want = append(want, sc.Text())
 	}
 	return want, true
+}
+
+var updateNodes = flag.Bool("update-nodes", false, "rewrite testdata/nodes.golden from the current solver")
+
+const nodesGolden = "testdata/nodes.golden"
+
+// figure6Nodes runs the Figure 6 sweep (k = 8) of every BEEBS benchmark
+// at O2 and Os, then reads each path point's branch-and-bound node count
+// back through its session's memoized core.Session.Solve: one line per
+// (benchmark, level, path), counts in the sweep's order.
+func figure6Nodes(t *testing.T, cold bool) []string {
+	t.Helper()
+	mode := "warm"
+	if cold {
+		mode = "cold"
+	}
+	var lines []string
+	for _, b := range beebs.All() {
+		for _, level := range []mcc.OptLevel{mcc.O2, mcc.Os} {
+			sw := NewSweep(1)
+			sw.ColdSolve = cold
+			if _, err := sw.Figure6(context.Background(), b.Name, level, 8, figure6RAMSweep, figure6XSweep); err != nil {
+				t.Fatalf("%s/%v cold=%v: %v", b.Name, level, cold, err)
+			}
+			sess, err := sw.Session(b, level)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spare, err := sess.SpareRAM()
+			if err != nil {
+				t.Fatal(err)
+			}
+			nodes := func(path string, sweep []float64, spec func(v float64) core.ModelSpec) {
+				counts := make([]int, len(sweep))
+				for i, v := range sweep {
+					res, err := sess.Solve(context.Background(), core.SolveSpec{ModelSpec: spec(v), Solver: core.SolverILP})
+					if err != nil {
+						t.Fatalf("%s/%v %s %v: %v", b.Name, level, path, v, err)
+					}
+					counts[i] = res.Nodes
+				}
+				lines = append(lines, fmt.Sprintf("%s %v %s %s %v", b.Name, level, mode, path, counts))
+			}
+			nodes("ram", figure6RAMSweep, func(rs float64) core.ModelSpec {
+				return core.ModelSpec{Rspare: rs, Xlimit: 1e9, MaxCandidates: 8}
+			})
+			nodes("time", figure6XSweep, func(xl float64) core.ModelSpec {
+				return core.ModelSpec{Rspare: spare, Xlimit: xl, MaxCandidates: 8}
+			})
+		}
+	}
+	return lines
+}
+
+// TestNodesGolden pins the branch-and-bound node count of every Figure 6
+// path point, warm-started and cold: a solver speedup that claims to
+// leave the search tree alone must leave each line unchanged.
+func TestNodesGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("20 full trade-off sweeps, twice")
+	}
+	got := append(figure6Nodes(t, false), figure6Nodes(t, true)...)
+	want, ok := goldenLines(t, nodesGolden, "-update-nodes", *updateNodes, got)
+	if !ok {
+		return
+	}
+	if len(got) != len(want) {
+		t.Fatalf("golden has %d lines, sweeps produced %d", len(want), len(got))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Errorf("node counts changed:\n got  %s\n want %s", got[i], want[i])
+		}
+	}
 }

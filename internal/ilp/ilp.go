@@ -94,8 +94,9 @@ type Solver struct {
 	// Warm, if set, seeds the search with state from a related solve.
 	Warm *WarmStart
 
-	// onLP, if set, sees every LP relaxation solved with its problem.
-	onLP func(*lp.Problem, *lp.Solution)
+	// onLP, if set, sees every LP relaxation solved with its problem and
+	// the cutoff it was resumed below (+Inf for none).
+	onLP func(p *lp.Problem, cutoff float64, sol *lp.Solution)
 }
 
 // Result of a solve.
@@ -251,8 +252,10 @@ func (s *Solver) Solve(ctx context.Context) (*Result, error) {
 	// solveNode solves one tree node. With an end state (a copy of the
 	// parent's or the donor's, or the parent's own once no other child
 	// needs it) the node resumes the dual simplex from that tableau in
-	// place, falling back to a cold solve internally on any mismatch.
-	solveNode := func(fixes []fix, from *lp.State) (*lp.Solution, error) {
+	// place, falling back to a cold solve internally on any mismatch; the
+	// resume stops early, as lp.Cutoff, once it proves the node's optimum
+	// reaches cutoff.
+	solveNode := func(fixes []fix, from *lp.State, cutoff float64) (*lp.Solution, error) {
 		p := root
 		if len(fixes) > 0 {
 			p = root.Clone()
@@ -261,7 +264,7 @@ func (s *Solver) Solve(ctx context.Context) (*Result, error) {
 			}
 		}
 		nodes++
-		sol, err := p.Resume(ctx, from)
+		sol, err := p.ResumeBelow(ctx, from, cutoff)
 		if err != nil {
 			return nil, err
 		}
@@ -269,7 +272,7 @@ func (s *Solver) Solve(ctx context.Context) (*Result, error) {
 			recycle(from)
 		}
 		if s.onLP != nil {
-			s.onLP(p, sol)
+			s.onLP(p, cutoff, sol)
 		}
 		return sol, nil
 	}
@@ -293,12 +296,14 @@ func (s *Solver) Solve(ctx context.Context) (*Result, error) {
 	}
 
 	// Root node: a donor end state resumes a copy of its tableau; the
-	// donor itself is shared with other solves and never written.
+	// donor itself is shared with other solves and never written. The root
+	// gets no cutoff: its end state is donated as RootState, so it must be
+	// solved to the end.
 	var donor *lp.State
 	if s.Warm != nil {
 		donor = s.Warm.State.Copy(nil)
 	}
-	rootSol, err := solveNode(nil, donor)
+	rootSol, err := solveNode(nil, donor, math.Inf(1))
 	if err != nil {
 		return nil, fmt.Errorf("ilp: root relaxation: %w", err)
 	}
@@ -389,7 +394,11 @@ func (s *Solver) Solve(ctx context.Context) (*Result, error) {
 		if !last {
 			from = from.Copy(spare())
 		}
-		sol, err := solveNode(nd.fixes, from)
+		// A child is cut off at the prune threshold below: a node that
+		// cannot beat the incumbent stops as soon as that is proven, and
+		// every other node is solved exactly as before, so the search tree
+		// does not change. Without an incumbent the cutoff is +Inf.
+		sol, err := solveNode(nd.fixes, from, incumbentObj-1e-9)
 		if err != nil {
 			if ctx.Err() != nil {
 				return stopResult(&errs.BudgetError{Resource: "deadline", Cause: ctx.Err()})
@@ -406,7 +415,7 @@ func (s *Solver) Solve(ctx context.Context) (*Result, error) {
 			continue
 		}
 		if sol.Status != lp.Optimal {
-			continue // infeasible or numerically stuck branch
+			continue // infeasible, cut off at the incumbent, or numerically stuck
 		}
 		if sol.Obj >= incumbentObj-1e-9 {
 			recycle(sol.State)
@@ -489,7 +498,7 @@ masks:
 			return nil, fmt.Errorf("ilp: exhaustive enumeration: %w", err)
 		}
 		if s.onLP != nil {
-			s.onLP(p, sol)
+			s.onLP(p, math.Inf(1), sol)
 		}
 		if sol.Status != lp.Optimal {
 			continue

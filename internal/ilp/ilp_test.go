@@ -28,17 +28,51 @@ func knapsack(t *testing.T, values, weights []float64, capacity float64) *Solver
 
 // certified makes every Optimal LP relaxation s solves (branch and bound
 // and exhaustive enumeration alike) carry a valid optimality certificate
-// for its node's problem.
+// for its node's problem, and holds every node cut off at the incumbent
+// to a cold solve: its bound must reach the cutoff, and the node must be
+// infeasible or have an optimum no lower than that bound.
 func certified(t *testing.T, s *Solver) *Solver {
-	s.onLP = func(p *lp.Problem, sol *lp.Solution) {
-		if sol.Status != lp.Optimal {
-			return
-		}
-		if err := p.Certify(sol); err != nil {
-			t.Errorf("LP relaxation: %v", err)
+	s.onLP = func(p *lp.Problem, cutoff float64, sol *lp.Solution) {
+		switch sol.Status {
+		case lp.Optimal:
+			if err := p.Certify(sol); err != nil {
+				t.Errorf("LP relaxation: %v", err)
+			}
+		case lp.Cutoff:
+			if !(sol.Obj >= cutoff) {
+				t.Errorf("cut off with bound %v below the cutoff %v", sol.Obj, cutoff)
+			}
+			cold, err := p.Clone().Solve(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch cold.Status {
+			case lp.Infeasible:
+			case lp.Optimal:
+				if cold.Obj < sol.Obj-1e-7*(1+math.Abs(sol.Obj)) {
+					t.Errorf("cut off with bound %v, but the cold optimum is %v", sol.Obj, cold.Obj)
+				}
+			default:
+				t.Errorf("cut off with bound %v, but the cold solve is %v", sol.Obj, cold.Status)
+			}
 		}
 	}
 	return s
+}
+
+// cutoffs counts the nodes of s that are cut off at the incumbent, on
+// top of whatever s's LP hook already checks.
+func cutoffs(s *Solver) *int {
+	n, hook := new(int), s.onLP
+	s.onLP = func(p *lp.Problem, cutoff float64, sol *lp.Solution) {
+		if sol.Status == lp.Cutoff {
+			*n++
+		}
+		if hook != nil {
+			hook(p, cutoff, sol)
+		}
+	}
+	return n
 }
 
 func TestKnapsackSmall(t *testing.T) {
@@ -165,10 +199,11 @@ func TestBranchAndBoundMatchesExhaustive(t *testing.T) {
 // TestBranchAndBoundMatchesExhaustiveMixed: random 0–1 programs over up
 // to 10 binaries with native [0,1] column bounds, plus bounded continuous
 // columns and mixed LE/GE rows. Branch and bound must match exhaustive
-// enumeration, and every Optimal relaxation either solves is certified.
+// enumeration, every Optimal relaxation either solves is certified, and
+// every node cut off at the incumbent is checked against a cold solve.
 func TestBranchAndBoundMatchesExhaustiveMixed(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
-	optimal := 0
+	optimal, cut := 0, 0
 	for trial := 0; trial < 150; trial++ {
 		k := 1 + rng.Intn(10)
 		n := k + rng.Intn(3)
@@ -191,10 +226,12 @@ func TestBranchAndBoundMatchesExhaustiveMixed(t *testing.T) {
 			p.AddDenseRow(row, lp.Rel(rng.Intn(2)), float64(rng.Intn(13)-4))
 		}
 		s := certified(t, &Solver{Base: p, Binaries: bins})
+		cutoffs := cutoffs(s)
 		got, err := s.Solve(context.Background())
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
+		cut += *cutoffs
 		want, err := s.SolveExhaustive(context.Background())
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
@@ -211,6 +248,9 @@ func TestBranchAndBoundMatchesExhaustiveMixed(t *testing.T) {
 	}
 	if optimal < 50 {
 		t.Errorf("only %d of 150 trials were feasible; the generator tests too little", optimal)
+	}
+	if cut == 0 {
+		t.Error("no node was cut off at the incumbent; the cutoff goes untested")
 	}
 }
 

@@ -163,7 +163,7 @@ func TestRootStateIsTheRootRelaxation(t *testing.T) {
 func TestRootRelaxationSolvedOnce(t *testing.T) {
 	s := branchingKnapsack(t, 60)
 	lps, unfixed := 0, 0
-	s.onLP = func(p *lp.Problem, _ *lp.Solution) {
+	s.onLP = func(p *lp.Problem, _ float64, _ *lp.Solution) {
 		lps++
 		for _, j := range s.Binaries {
 			if lo, hi := p.Bounds(j); lo == hi {
@@ -187,7 +187,7 @@ func TestTwoNodeBudgetSolvesAChild(t *testing.T) {
 	s := budgetKnapsack(t)
 	s.MaxNodes = 2
 	children := 0
-	s.onLP = func(p *lp.Problem, _ *lp.Solution) {
+	s.onLP = func(p *lp.Problem, _ float64, _ *lp.Solution) {
 		for _, j := range s.Binaries {
 			if lo, hi := p.Bounds(j); lo == hi {
 				children++

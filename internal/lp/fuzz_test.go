@@ -33,7 +33,10 @@ func (b *fuzzBytes) bound() (lo, hi float64) {
 // and, when Optimal, objectives within 1e-7 and valid certificates. The
 // native end state is then resumed under edited column bounds and RHS
 // values (signs kept) and must agree with a cold solve of the edited
-// problem.
+// problem; its carried reduced costs must be bit-equal to a fresh price.
+// Resumed once more below a decoded cutoff, it must either answer as
+// before or stop with a bound that reaches the cutoff and that the cold
+// optimum does not undercut.
 func FuzzBoundsVsRows(f *testing.F) {
 	f.Add([]byte{2, 1, 250, 253, 0, 1, 1, 4, 1, 2, 2, 0, 5})
 	f.Add([]byte{3, 2, 1, 2, 3, 0, 1, 2, 0, 1, 1, 4, 6, 5, 4, 0, 9, 1, 2, 3, 1, 7})
@@ -94,6 +97,7 @@ func FuzzBoundsVsRows(f *testing.F) {
 				q.SetRHS(i, math.Copysign(float64(in.next()%6), rhs))
 			}
 		}
+		checkCarriedPrice(t, q, a.State)
 		cold := solve(t, q.Clone())
 		warm, err := q.SolveFromState(context.Background(), a.State)
 		if err != nil {
@@ -106,5 +110,25 @@ func FuzzBoundsVsRows(f *testing.F) {
 			t.Fatalf("resumed obj %v, cold obj %v", warm.Obj, cold.Obj)
 		}
 		certify(t, q, warm)
+
+		cutoff := float64(in.next()%21-10) / 2
+		below, err := q.ResumeBelow(context.Background(), a.State.Copy(nil), cutoff)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if below.Status != Cutoff {
+			if below.Status != warm.Status || below.Obj != warm.Obj {
+				t.Fatalf("below cutoff %v: %v obj %v, without a cutoff %v obj %v", cutoff, below.Status, below.Obj, warm.Status, warm.Obj)
+			}
+			return
+		}
+		switch {
+		case below.Obj < cutoff:
+			t.Fatalf("cut off with bound %v below the cutoff %v", below.Obj, cutoff)
+		case cold.Status == Optimal && cold.Obj < below.Obj-1e-7*(1+math.Abs(below.Obj)):
+			t.Fatalf("cut off with bound %v, but the cold optimum is %v", below.Obj, cold.Obj)
+		case cold.Status != Optimal && cold.Status != Infeasible:
+			t.Fatalf("cut off with bound %v, but the cold solve is %v", below.Obj, cold.Status)
+		}
 	})
 }

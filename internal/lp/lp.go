@@ -19,6 +19,13 @@
 // leave at either bound. A 0/1 variable therefore costs no tableau row,
 // and a branching fix is a bound edit that leaves the tableau layout
 // untouched.
+//
+// A warm resume (ResumeBelow) may also be given a cutoff: once the dual
+// simplex proves, with a Lagrangian bound built from the problem's own
+// rows, that the optimum cannot fall below it, the resume stops with
+// Status Cutoff instead of solving the problem to the end. Branch and
+// bound passes its incumbent this way, so a node that can only be pruned
+// is not finished first.
 package lp
 
 import (
@@ -48,6 +55,8 @@ const (
 	Infeasible
 	Unbounded
 	IterLimit
+	// Cutoff: ResumeBelow proved the optimum is at least its cutoff.
+	Cutoff
 )
 
 func (s Status) String() string {
@@ -60,6 +69,8 @@ func (s Status) String() string {
 		return "unbounded"
 	case IterLimit:
 		return "iteration limit"
+	case Cutoff:
+		return "cutoff"
 	}
 	return fmt.Sprintf("status(%d)", int(s))
 }
@@ -93,7 +104,9 @@ type Problem struct {
 type Solution struct {
 	Status Status
 	X      []float64 // structural variable values (len = NumVars)
-	Obj    float64   // objective value cᵀx
+	// Obj is the objective value cᵀx; for Status Cutoff, the certified
+	// lower bound on the optimum (X and State are nil then).
+	Obj float64
 
 	// Iters is the number of simplex pivots and bound flips this solve
 	// performed (both phases).
@@ -121,6 +134,10 @@ type State struct {
 	rels   []Rel     // row relations at solve time
 	rhs    []float64 // row right-hand sides at solve time
 	lo, hi []float64 // column bounds at solve time
+	// reduced is the closing simplex's last fresh price of tb: a resume
+	// seeds its dual simplex with it instead of pricing again, since the
+	// RHS refresh leaves every column price reads untouched.
+	reduced []float64
 }
 
 // NewProblem returns a minimization problem with n structural variables,
@@ -328,6 +345,7 @@ func (p *Problem) Solve(ctx context.Context) (*Solution, error) {
 	maxIter := p.maxIters(m, total)
 	iters := 0
 	done := ctx.Done()
+	reduced := make([]float64, total)
 
 	// Phase 1: minimize sum of artificials.
 	if nArt > 0 {
@@ -335,7 +353,7 @@ func (p *Problem) Solve(ctx context.Context) (*Solution, error) {
 		for j := n + nSlack; j < total; j++ {
 			cost[j] = 1
 		}
-		status := simplex(tb, cost, maxIter, &iters, done)
+		status := simplex(tb, cost, reduced, maxIter, &iters, done)
 		if status == stCanceled {
 			return nil, fmt.Errorf("lp: solve interrupted: %w", ctx.Err())
 		}
@@ -385,15 +403,16 @@ func (p *Problem) Solve(ctx context.Context) (*Solution, error) {
 	}
 
 	// Phase 2: minimize the real objective.
-	status := simplex(tb, p.workCost(tb), maxIter, &iters, done)
-	return p.finish(ctx, st, status, iters, false)
+	status := simplex(tb, p.workCost(tb), reduced, maxIter, &iters, done)
+	return p.finish(ctx, st, status, reduced, iters, false)
 }
 
 // finish packages the outcome of the primal simplex pass that ends a
-// solve on st's tableau. The basis is feasible by then, so an IterLimit
-// trip hands back the point in hand instead of discarding the budget's
-// work; an Optimal one also donates st as its end state.
-func (p *Problem) finish(ctx context.Context, st *State, status Status, iters int, warmed bool) (*Solution, error) {
+// solve on st's tableau, whose reduced costs that pass left in reduced.
+// The basis is feasible by then, so an IterLimit trip hands back the
+// point in hand instead of discarding the budget's work; an Optimal one
+// also donates st as its end state.
+func (p *Problem) finish(ctx context.Context, st *State, status Status, reduced []float64, iters int, warmed bool) (*Solution, error) {
 	switch status {
 	case stCanceled:
 		return nil, fmt.Errorf("lp: solve interrupted: %w", ctx.Err())
@@ -408,6 +427,7 @@ func (p *Problem) finish(ctx context.Context, st *State, status Status, iters in
 		st.rhs = append(st.rhs[:0], p.rowRHS...)
 		st.lo = append(st.lo[:0], p.lo...)
 		st.hi = append(st.hi[:0], p.hi...)
+		st.reduced = reduced // fresh: simplex re-prices before it declares Optimal
 		sol.State = st
 	}
 	return sol, nil
@@ -623,6 +643,7 @@ func (st *State) Copy(spare *State) *State {
 	spare.rhs = append(spare.rhs[:0], st.rhs...)
 	spare.lo = append(spare.lo[:0], st.lo...)
 	spare.hi = append(spare.hi[:0], st.hi...)
+	spare.reduced = append(spare.reduced[:0], st.reduced...)
 	return spare
 }
 
@@ -650,13 +671,89 @@ func (p *Problem) SolveFromState(ctx context.Context, st *State) (*Solution, err
 // resume it again. A warm Optimal answer hands st back as its State; any
 // other outcome leaves st dead, its storage fit only to be a Copy spare.
 func (p *Problem) Resume(ctx context.Context, st *State) (*Solution, error) {
+	return p.ResumeBelow(ctx, st, math.Inf(1))
+}
+
+// ResumeBelow is Resume with an objective cutoff. Once the dual simplex
+// reaches a basis whose objective is at least cutoff, it builds a
+// Lagrangian bound from p's own rows and column bounds (cutBound); when
+// that bound reaches cutoff too, p's optimum cannot fall below cutoff and
+// the resume stops with Status Cutoff, Obj the certified bound, X and
+// State nil, and st dead. A bound that cannot be certified lets the dual
+// simplex go on as it would without a cutoff, so a stale or foreign state
+// can cost time, never a wrong Cutoff. An EQ row, or a cutoff of +Inf,
+// disables the check, and a cold fallback solves without it.
+func (p *Problem) ResumeBelow(ctx context.Context, st *State, cutoff float64) (*Solution, error) {
 	if p.err != nil {
 		return nil, p.err
 	}
+	cost, reduced, ok := p.refresh(st)
+	if !ok {
+		return p.Solve(ctx)
+	}
+	tb := &st.tb
+
+	// The cutoff check: the basis objective is an O(n+m) filter, and only
+	// a certified bound ends the resume.
+	var bound float64
+	var cut func() bool
+	if cutoff < math.Inf(1) && !slices.Contains(p.rowRel, EQ) {
+		cut = func() bool {
+			if p.basisObj(tb, cost) < cutoff {
+				return false
+			}
+			var ok bool
+			bound, ok = p.cutBound(tb, reduced)
+			return ok && bound >= cutoff
+		}
+	}
+
+	maxIter := p.maxIters(len(p.rowRel), tb.total)
+	iters := 0
+	done := ctx.Done()
+
+	cold := func() (*Solution, error) {
+		sol, err := p.Solve(ctx)
+		if sol != nil {
+			sol.Iters += iters
+		}
+		return sol, err
+	}
+
+	dst, row := dualSimplex(tb, cost, reduced, cut, maxIter, &iters, done)
+	switch dst {
+	case stCanceled:
+		return nil, fmt.Errorf("lp: solve interrupted: %w", ctx.Err())
+	case Cutoff:
+		return &Solution{Status: Cutoff, Obj: bound, Iters: iters, Warmed: true}, nil
+	case Infeasible:
+		if p.farkas(tb, row) != nil {
+			return cold() // the verdict does not hold for this problem
+		}
+		return &Solution{Status: Infeasible, Iters: iters, Warmed: true}, nil
+	case Optimal:
+		// Primal feasible again; fall through to the clean-up pass.
+	default:
+		return cold()
+	}
+
+	dst = simplex(tb, cost, reduced, maxIter, &iters, done)
+	sol, err := p.finish(ctx, st, dst, reduced, iters, true)
+	if err == nil && sol.Status == Optimal && p.Certify(sol) != nil {
+		return cold() // the donor state did not describe this problem after all
+	}
+	return sol, err
+}
+
+// refresh re-expresses st's tableau for p's RHS values and column bounds
+// and returns p's working cost with the tableau's reduced costs under it:
+// st's carried price when it has one, a fresh price otherwise. ok is
+// false, leaving st dead, when st's layout does not fit p.
+func (p *Problem) refresh(st *State) (cost, reduced []float64, ok bool) {
 	m := len(p.rowRel)
 	n := p.n
 	if st == nil || len(st.lo) != n || len(st.tb.t) != m || len(st.rels) != m {
-		return p.Solve(ctx)
+		return nil, nil, false
 	}
 	tb := &st.tb
 
@@ -668,12 +765,12 @@ func (p *Problem) Resume(ctx context.Context, st *State) (*Solution, error) {
 	slack := n
 	for k, rel := range p.rowRel {
 		if rel != st.rels[k] || (p.rowRHS[k] < 0) != (st.rhs[k] < 0) {
-			return p.Solve(ctx)
+			return nil, nil, false
 		}
 		d := p.rowRHS[k] - st.rhs[k]
 		if rel == EQ {
 			if d != 0 {
-				return p.Solve(ctx) // no slack column to read B⁻¹ from
+				return nil, nil, false // no slack column to read B⁻¹ from
 			}
 			continue
 		}
@@ -689,7 +786,18 @@ func (p *Problem) Resume(ctx context.Context, st *State) (*Solution, error) {
 	// the tableau column (for a basic column, that is its own row). A
 	// complemented column whose upper bound became infinite first returns
 	// to its old lower bound.
-	cost := p.workCost(tb)
+	//
+	// The carried price stays fresh through both refreshes: they move only
+	// the RHS column, which price does not read. Complementing a column
+	// changes that column's price, so then the tableau is priced again.
+	// (Negating the carried value would not do: where the price cancelled
+	// to an exact zero, price gives +0 either way.)
+	cost = p.workCost(tb)
+	reduced = st.reduced
+	fresh := len(reduced) == tb.total
+	if !fresh {
+		reduced = make([]float64, tb.total)
+	}
 	for j := 0; j < n; j++ {
 		lo, hi := p.lo[j], p.hi[j]
 		if lo == st.lo[j] && hi == st.hi[j] {
@@ -701,6 +809,7 @@ func (p *Problem) Resume(ctx context.Context, st *State) (*Solution, error) {
 			} else {
 				tb.complement(j, cost)
 			}
+			fresh = false
 		}
 		d := lo - st.lo[j]
 		if tb.flip[j] {
@@ -709,40 +818,10 @@ func (p *Problem) Resume(ctx context.Context, st *State) (*Solution, error) {
 		tb.shift(j, d)
 		tb.up[j] = hi - lo
 	}
-
-	maxIter := p.maxIters(m, tb.total)
-	iters := 0
-	done := ctx.Done()
-
-	cold := func() (*Solution, error) {
-		sol, err := p.Solve(ctx)
-		if sol != nil {
-			sol.Iters += iters
-		}
-		return sol, err
+	if !fresh {
+		tb.price(cost, reduced)
 	}
-
-	dst, row := dualSimplex(tb, cost, maxIter, &iters, done)
-	switch dst {
-	case stCanceled:
-		return nil, fmt.Errorf("lp: solve interrupted: %w", ctx.Err())
-	case Infeasible:
-		if p.farkas(tb, row) != nil {
-			return cold() // the verdict does not hold for this problem
-		}
-		return &Solution{Status: Infeasible, Iters: iters, Warmed: true}, nil
-	case Optimal:
-		// Primal feasible again; fall through to the clean-up pass.
-	default:
-		return cold()
-	}
-
-	dst = simplex(tb, cost, maxIter, &iters, done)
-	sol, err := p.finish(ctx, st, dst, iters, true)
-	if err == nil && sol.Status == Optimal && p.Certify(sol) != nil {
-		return cold() // the donor state did not describe this problem after all
-	}
-	return sol, err
+	return cost, reduced, true
 }
 
 // Certify checks an Optimal solution's final tableau as an optimality
@@ -845,6 +924,80 @@ func (p *Problem) farkas(tb *tableau, r int) error {
 	return nil
 }
 
+// basisObj is cᵀx at tb's basic solution, feasible or not, under p's
+// column bounds: nonbasic columns at the bound they sit on, basic columns
+// at their values (cost is tb's working cost, so a complemented column
+// counts down from its upper bound). On a dual-feasible basis it never
+// exceeds p's optimum, which is what makes it a cutoff filter.
+func (p *Problem) basisObj(tb *tableau, cost []float64) float64 {
+	v := 0.0
+	for j, c := range p.obj {
+		switch {
+		case c == 0:
+		case tb.flip[j]:
+			v += c * p.hi[j]
+		default:
+			v += c * p.lo[j]
+		}
+	}
+	for i, j := range tb.basis {
+		if j < p.n {
+			v += cost[j] * tb.t[i][tb.total]
+		}
+	}
+	return v
+}
+
+// cutBound builds a Lagrangian lower bound on p's optimum for a problem
+// without EQ rows. Row k's multiplier is read off its slack column, as
+// farkas reads y, from that column's reduced cost rₖ: yₖ = −rₖ on LE rows
+// and +rₖ on GE rows. Every point satisfying p's rows then has
+// cᵀx ≥ Σₖ yₖ·bₖ + Σⱼ dⱼ·xⱼ with dⱼ = cⱼ − Σₖ yₖ·aₖⱼ as long as no rₖ is
+// negative, so a multiplier of the wrong sign is dropped; the bound is
+// the least value of the right side over p's column bounds. It reads p's
+// own rows and bounds, not the tableau's, so a stale or foreign tableau
+// can weaken it but not forge it. ok is false when a column whose dⱼ is
+// negative has no upper bound. On a dual-feasible basis the bound equals
+// basisObj.
+func (p *Problem) cutBound(tb *tableau, reduced []float64) (bound float64, ok bool) {
+	d := slices.Clone(p.obj) // dⱼ
+	mag := make([]float64, p.n)
+	for j, c := range p.obj {
+		mag[j] = math.Abs(c) // with Σₖ |yₖ·aₖⱼ|, the scale of dⱼ's rounding
+	}
+	for k, rel := range p.rowRel {
+		r := reduced[p.n+k]
+		if !(r > 0 && r < math.Inf(1)) {
+			continue // zero, of the wrong sign, or not a number to trust
+		}
+		y := -r
+		if rel == GE {
+			y = r
+		}
+		for j, a := range p.rowCoef[k] {
+			if a != 0 {
+				d[j] -= y * a
+				mag[j] += math.Abs(y * a)
+			}
+		}
+		bound += y * p.rowRHS[k]
+	}
+	for j, dj := range d {
+		if math.Abs(dj) <= 1e-9*mag[j] {
+			continue // cancelled to rounding: the combination drops x_j
+		}
+		x := p.lo[j]
+		if dj < 0 {
+			x = p.hi[j]
+		}
+		if math.IsInf(x, 0) {
+			return math.Inf(-1), false
+		}
+		bound += dj * x
+	}
+	return bound, true
+}
+
 // stDualStall is dual simplex's internal "a reduced cost is negative"
 // outcome: the supplied basis was not dual feasible (numerical drift or
 // caller misuse), so the dual method's invariant is broken and the
@@ -860,12 +1013,16 @@ const stDualStall Status = -2
 // re-certified optimal), Infeasible when a violated row has no candidate
 // column (no movable column can repair it; that row comes back with the
 // status, -1 otherwise), stDualStall when a candidate column's reduced
-// cost is negative, IterLimit or stCanceled.
-func dualSimplex(tb *tableau, cost []float64, maxIter int, iters *int, done <-chan struct{}) (Status, int) {
+// cost is negative, IterLimit or stCanceled. reduced must hold the
+// tableau's reduced costs under cost on entry; each pivot updates them.
+// A non-nil cut is asked before every iteration whether the basis in
+// hand ends the walk; Cutoff when it does.
+func dualSimplex(tb *tableau, cost, reduced []float64, cut func() bool, maxIter int, iters *int, done <-chan struct{}) (Status, int) {
 	t, basis, total := tb.t, tb.basis, tb.total
-	reduced := make([]float64, total)
-	tb.price(cost, reduced)
 	for {
+		if cut != nil && cut() {
+			return Cutoff, -1
+		}
 		if *iters >= maxIter {
 			return IterLimit, -1
 		}
@@ -958,13 +1115,13 @@ const cancelCheckStride = 64
 // simplex optimizes the tableau in place for the given working-coordinate
 // cost vector. Returns Optimal, Unbounded, IterLimit or stCanceled.
 //
-// Reduced costs are priced once and then updated with each pivot's row;
-// before Optimal is declared they are re-priced from scratch, so the
-// verdict never rests on accumulated rounding.
-func simplex(tb *tableau, cost []float64, maxIter int, iters *int, done <-chan struct{}) Status {
+// Reduced costs are priced into reduced once and then updated with each
+// pivot's row; before Optimal is declared they are re-priced from
+// scratch, so the verdict never rests on accumulated rounding, and an
+// Optimal return leaves reduced holding that fresh price.
+func simplex(tb *tableau, cost, reduced []float64, maxIter int, iters *int, done <-chan struct{}) Status {
 	t, basis, total := tb.t, tb.basis, tb.total
 	m := len(t)
-	reduced := make([]float64, total)
 	tb.price(cost, reduced)
 	fresh := true
 	blandAfter := maxIter / 2
