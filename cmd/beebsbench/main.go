@@ -16,14 +16,9 @@
 // — using the schema shared with `flashram profile -json` and
 // `tradeoff -json`.
 //
-// Sweeps also shard across processes: `-shard i/n` runs only the cells
-// whose stable index j satisfies j%n == i and emits a mergeable JSON
-// fragment; `beebsbench -merge frag0.json … fragN-1.json` validates the
-// fragments form one partition and reassembles the exact unsharded
-// document. Merged documents are ledger-free, so compare them against an
-// unsharded `-noledger` run. `-nofuse` dispatches every simulated
-// instruction as a length-1 descriptor (identical output, no superblock
-// fusion — the differential-testing knob for the fusion boundaries).
+// `-nofuse` dispatches every simulated instruction as a length-1
+// descriptor (identical output, no superblock fusion — the
+// differential-testing knob for the fusion boundaries).
 package main
 
 import (
@@ -32,7 +27,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"repro/internal/core"
 	"runtime"
 	"runtime/pprof"
 	"time"
@@ -40,7 +34,7 @@ import (
 	"repro/internal/beebs"
 	"repro/internal/casestudy"
 	"repro/internal/cliutil"
-	"repro/internal/errs"
+	"repro/internal/core"
 	"repro/internal/evaluation"
 	"repro/internal/mcc"
 	"repro/internal/power"
@@ -50,10 +44,37 @@ import (
 // document is the `beebsbench -json` output: one optional section per
 // selected experiment, plus the sweep's pipeline-reuse counters (all the
 // sections run through one evaluation.Sweep, so e.g. -all pays for each
-// benchmark×level compile and baseline simulation once). The schema
-// lives in internal/evaluation so shard fragments merge against the
-// exact emitted shape.
-type document = evaluation.Document
+// benchmark×level compile and baseline simulation once).
+//
+// Field order is the emission order; changing it changes every golden
+// byte downstream.
+type document struct {
+	Fig5      []evaluation.Figure5RowJSON    `json:"fig5,omitempty"`
+	Aggregate *evaluation.AggregateJSON      `json:"aggregate,omitempty"`
+	Savers    []evaluation.SaversRowJSON     `json:"savers,omitempty"`
+	CaseStudy *evaluation.ScenarioJSON       `json:"casestudy,omitempty"`
+	Fig9      []evaluation.Figure9SeriesJSON `json:"fig9,omitempty"`
+	Selection []evaluation.BestJSON          `json:"selection,omitempty"`
+	// Intermittent is the harvested-power sweep (DESIGN.md §6l): each
+	// benchmark × level replayed under each harvest profile, checkpoint-
+	// oblivious and checkpoint-aware.
+	Intermittent []evaluation.IntermittentRowJSON `json:"intermittent,omitempty"`
+
+	// The ledgers describe the producing process, not the experiment:
+	// they differ per run, so `-noledger` omits them to make documents
+	// byte-comparable.
+	SessionStats *evaluation.SweepStats `json:"session_stats,omitempty"`
+	SolverStats  *core.SolverStats      `json:"solver_stats,omitempty"`
+	WallMS       float64                `json:"wall_ms,omitempty"`
+	Workers      int                    `json:"workers,omitempty"`
+
+	// Status is "incomplete" when any selected section was cut short —
+	// by -timeout, an interrupt, or a failing cell — in which case
+	// Errors lists what went wrong and the affected section rows carry
+	// incomplete markers. Absent on a clean run.
+	Status string   `json:"status,omitempty"`
+	Errors []string `json:"errors,omitempty"`
+}
 
 func main() {
 	var (
@@ -69,8 +90,6 @@ func main() {
 		workers   = flag.Int("workers", 1, "benchmark sweep worker goroutines")
 		top       = flag.Int("top", 3, "blocks per run in the -savers report")
 		asJSON    = flag.Bool("json", false, "emit the selected sections as one JSON document")
-		shardSpec = flag.String("shard", "", "run only sweep cells owned by shard `i/n` and emit a mergeable fragment (implies -json)")
-		merge     = flag.Bool("merge", false, "merge the shard fragment files given as arguments into the unsharded document and exit")
 		noledger  = flag.Bool("noledger", false, "omit the process ledgers (session_stats, solver_stats, wall_ms, workers) so documents are byte-comparable across runs")
 		noFuse    = flag.Bool("nofuse", false, "dispatch every simulated instruction on its own instead of in fused superblocks (identical output; differential-testing knob)")
 		timeout   = flag.Duration("timeout", 0, "overall wall-clock budget (0 = none); on expiry — or SIGINT — the sweep stops and the partial document is still emitted")
@@ -78,23 +97,9 @@ func main() {
 		memProf   = flag.String("memprofile", "", "write a heap profile to `file` on exit")
 	)
 	flag.Parse()
-	if *merge {
-		if err := runMerge(flag.Args()); err != nil {
-			fatal(err)
-		}
-		return
-	}
 	if !(*fig5 || *aggregate || *savers || *study || *fig9 || *intermit || *sel || *all) {
 		flag.Usage()
 		os.Exit(2)
-	}
-	var shard evaluation.Shard
-	if *shardSpec != "" {
-		var err error
-		if shard, err = evaluation.ParseShard(*shardSpec); err != nil {
-			fatal(err)
-		}
-		*asJSON = true
 	}
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
@@ -109,29 +114,12 @@ func main() {
 	}
 	sw := evaluation.NewSweep(*workers)
 	sw.NoFuse = *noFuse
-	sw.Shard = shard
 	ctx, stop := cliutil.Context(*timeout)
 	defer stop()
 
 	start := time.Now()
 	var doc document
 	doc.Workers = *workers
-	if shard.Count > 1 {
-		sections := []string{}
-		addSection := func(on bool, name string) {
-			if on {
-				sections = append(sections, name)
-			}
-		}
-		addSection(*fig5 || *all, "fig5")
-		addSection(*aggregate || *all, "aggregate")
-		addSection(*savers || *all, "savers")
-		addSection(*study || *all, "casestudy")
-		addSection(*fig9 || *all, "fig9")
-		addSection(*intermit || *all, "intermittent")
-		addSection(*sel || *all, "select")
-		doc.Shard = &evaluation.ShardJSON{Index: shard.Index, Count: shard.Count, Sections: sections}
-	}
 	// Each selected section runs to whatever extent the context allows;
 	// a failed or interrupted section contributes its partial rows and
 	// an entry in doc.Errors rather than aborting the document.
@@ -149,8 +137,7 @@ func main() {
 	if *savers || *all {
 		step("savers", func() error { return runSavers(ctx, sw, *asJSON, *top, &doc) })
 	}
-	if (*study || *all) && shard.Owns(0) {
-		// The case study is one cell (fdct O2); it belongs to shard 0.
+	if *study || *all {
 		step("casestudy", func() error { return runCaseStudy(ctx, sw, *asJSON, &doc) })
 	}
 	if *fig9 || *all {
@@ -402,10 +389,7 @@ func runSelect(ctx context.Context, sw *evaluation.Sweep, asJSON bool, doc *docu
 	if !asJSON {
 		fmt.Println("== best configuration per benchmark (O2) ==")
 	}
-	for i, b := range beebs.All() {
-		if !sw.Shard.Owns(i) {
-			continue
-		}
+	for _, b := range beebs.All() {
 		best, err := sw.BestConfig(ctx, b, mcc.O2, cands)
 		if err != nil {
 			if firstErr == nil {
@@ -430,32 +414,6 @@ func runSelect(ctx context.Context, sw *evaluation.Sweep, asJSON bool, doc *docu
 		fmt.Println()
 	}
 	return firstErr
-}
-
-// runMerge reassembles an unsharded document from one fragment file per
-// shard (evaluation.MergeShards validates they form one partition) and
-// writes it to stdout with the same encoder settings as a direct run.
-func runMerge(files []string) error {
-	if len(files) == 0 {
-		return errs.BadInput(fmt.Errorf("-merge: no fragment files given"))
-	}
-	frags := make([]evaluation.Document, len(files))
-	for i, f := range files {
-		data, err := os.ReadFile(f)
-		if err != nil {
-			return errs.BadInput(err)
-		}
-		if err := json.Unmarshal(data, &frags[i]); err != nil {
-			return errs.BadInput(fmt.Errorf("%s: %v", f, err))
-		}
-	}
-	doc, err := evaluation.MergeShards(frags, files)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
 }
 
 func fatal(err error) {

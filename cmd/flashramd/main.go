@@ -5,9 +5,6 @@
 // tenants are computed once and shared.
 //
 //	flashramd -addr :8377                 serve until SIGTERM/SIGINT
-//	flashramd -selftest                   boot in-process, fire the load
-//	                                      harness, print the ledger
-//	flashramd -selftest -target URL -n 64 load-test a running daemon
 //
 // Endpoints (see README "Run as a service" for curl examples):
 //
@@ -25,7 +22,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net/http"
@@ -44,20 +40,8 @@ func main() {
 		sessions = flag.Int("cache", 0, "max sessions in the cross-request store (0 = default 64)")
 		reqTO    = flag.Duration("reqtimeout", 0, "default per-request deadline (0 = none; requests may set timeout_ms)")
 		drain    = flag.Duration("drain", 15*time.Second, "graceful-drain bound after SIGTERM/SIGINT")
-
-		selftest = flag.Bool("selftest", false, "run the load-test harness instead of serving")
-		target   = flag.String("target", "", "selftest: load-test this base URL instead of booting in-process")
-		n        = flag.Int("n", 1000, "selftest: total requests")
-		conc     = flag.Int("concurrency", 0, "selftest: concurrent requests (0 = all at once)")
-		asJSON   = flag.Bool("json", false, "selftest: emit the ledger as JSON")
-		timeout  = flag.Duration("timeout", 0, "selftest: overall wall-clock budget (0 = none)")
 	)
 	flag.Parse()
-
-	if *selftest {
-		runSelftest(*target, *n, *conc, *workers, *sessions, *asJSON, *timeout)
-		return
-	}
 
 	srv := service.New(service.Config{
 		Workers:        *workers,
@@ -96,37 +80,6 @@ func main() {
 	st := srv.Stats()
 	fmt.Fprintf(os.Stderr, "flashramd: drained; served %d requests (%d ok), store %d hits / %d misses / %d evictions\n",
 		st.Requests.Total, st.Requests.OK, st.Store.Hits, st.Store.Misses, st.Store.Evictions)
-}
-
-// runSelftest boots the daemon in-process (or targets a running one),
-// fires the load harness, prints the ledger, and exits non-zero if the
-// acceptance bar — 0 dropped, 0 non-2xx, >50% cross-request hit rate on
-// the repeated mix, byte-identical cold/warm probes — is missed.
-func runSelftest(target string, n, conc, workers, sessions int, asJSON bool, timeout time.Duration) {
-	ctx, stop := cliutil.Context(timeout)
-	defer stop()
-	rep, err := service.LoadTest(ctx, service.LoadConfig{
-		N:           n,
-		Concurrency: conc,
-		BaseURL:     target,
-		Workers:     workers,
-		MaxSessions: sessions,
-	})
-	if err != nil {
-		fatal(err)
-	}
-	if asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			fatal(err)
-		}
-	} else {
-		fmt.Print(rep.String())
-	}
-	if err := rep.Check(); err != nil {
-		fatal(err)
-	}
 }
 
 func fatal(err error) {

@@ -74,13 +74,12 @@ type Figure5Row struct {
 // says which items failed and why.
 func (sw *Sweep) Figure5(ctx context.Context, levels []mcc.OptLevel) ([]Figure5Row, error) {
 	jobs := sweepJobs(levels)
-	own := sw.Shard.indices(len(jobs))
-	rows := make([]Figure5Row, len(own))
-	for i, j := range own {
-		rows[i] = Figure5Row{Bench: jobs[j].bench.Name, Level: jobs[j].level, Incomplete: true}
+	rows := make([]Figure5Row, len(jobs))
+	for i, j := range jobs {
+		rows[i] = Figure5Row{Bench: j.bench.Name, Level: j.level, Incomplete: true}
 	}
-	err := sw.forEach(ctx, len(own), func(i int) error {
-		j := jobs[own[i]]
+	err := sw.forEach(ctx, len(jobs), func(i int) error {
+		j := jobs[i]
 		static, err := sw.RunBenchmark(ctx, j.bench, j.level, core.Options{})
 		if err != nil {
 			return err
@@ -147,10 +146,9 @@ type Aggregate struct {
 func (sw *Sweep) RunAggregate(ctx context.Context, levels []mcc.OptLevel) (*Aggregate, error) {
 	agg := &Aggregate{Levels: levels}
 	jobs := sweepJobs(levels)
-	own := sw.Shard.indices(len(jobs))
-	runs := make([]*Run, len(own))
-	err := sw.forEach(ctx, len(own), func(i int) error {
-		r, err := sw.RunBenchmark(ctx, jobs[own[i]].bench, jobs[own[i]].level, core.Options{})
+	runs := make([]*Run, len(jobs))
+	err := sw.forEach(ctx, len(jobs), func(i int) error {
+		r, err := sw.RunBenchmark(ctx, jobs[i].bench, jobs[i].level, core.Options{})
 		if err != nil {
 			return err
 		}
@@ -206,13 +204,12 @@ type SaversRow struct {
 // failure every cell is still present, failed ones marked Incomplete.
 func (sw *Sweep) TopSavers(ctx context.Context, levels []mcc.OptLevel, n int) ([]SaversRow, error) {
 	jobs := sweepJobs(levels)
-	own := sw.Shard.indices(len(jobs))
-	rows := make([]SaversRow, len(own))
-	for i, j := range own {
-		rows[i] = SaversRow{Bench: jobs[j].bench.Name, Level: jobs[j].level, Incomplete: true}
+	rows := make([]SaversRow, len(jobs))
+	for i, j := range jobs {
+		rows[i] = SaversRow{Bench: j.bench.Name, Level: j.level, Incomplete: true}
 	}
-	err := sw.forEach(ctx, len(own), func(i int) error {
-		r, err := sw.RunBenchmark(ctx, jobs[own[i]].bench, jobs[own[i]].level, core.Options{Trace: true})
+	err := sw.forEach(ctx, len(jobs), func(i int) error {
+		r, err := sw.RunBenchmark(ctx, jobs[i].bench, jobs[i].level, core.Options{Trace: true})
 		if err != nil {
 			return err
 		}
@@ -370,10 +367,7 @@ type Figure9Series struct {
 // same Sweep has already paid for these cells.
 func (sw *Sweep) Figure9(ctx context.Context, level mcc.OptLevel, multiples []float64) ([]Figure9Series, error) {
 	var out []Figure9Series
-	for j, name := range []string{"fdct", "int_matmult", "2dfir"} {
-		if !sw.Shard.Owns(j) {
-			continue
-		}
+	for _, name := range []string{"fdct", "int_matmult", "2dfir"} {
 		r, err := sw.RunBenchmark(ctx, beebs.Get(name), level, core.Options{})
 		if err != nil {
 			// The completed series still stand; the error names the

@@ -59,7 +59,7 @@ func Scenarios(rows []IntermittentRow, clockHz float64) []casestudy.Intermittent
 
 // intermitCell is one cell of the intermittent sweep: a benchmark ×
 // level job under one harvest profile. Cells enumerate benchmark-major,
-// then level, then profile, so shard ownership is stable.
+// then level, then profile, which is the sweep's row order.
 type intermitCell struct {
 	job     sweepJob
 	profile string
@@ -84,14 +84,12 @@ func intermitCells(levels []mcc.OptLevel, profiles []string) []intermitCell {
 // On failure every cell is still present, failed ones marked Incomplete.
 func (sw *Sweep) Intermittent(ctx context.Context, levels []mcc.OptLevel, profiles []string) ([]IntermittentRow, error) {
 	cells := intermitCells(levels, profiles)
-	own := sw.Shard.indices(len(cells))
-	rows := make([]IntermittentRow, len(own))
-	for i, j := range own {
-		c := cells[j]
+	rows := make([]IntermittentRow, len(cells))
+	for i, c := range cells {
 		rows[i] = IntermittentRow{Bench: c.job.bench.Name, Level: c.job.level, Profile: c.profile, Incomplete: true}
 	}
-	err := sw.forEach(ctx, len(own), func(i int) error {
-		c := cells[own[i]]
+	err := sw.forEach(ctx, len(cells), func(i int) error {
+		c := cells[i]
 		opts := core.Options{PowerTrace: c.profile}
 		obl, err := sw.RunBenchmark(ctx, c.job.bench, c.job.level, opts)
 		if err != nil {

@@ -3,7 +3,6 @@ package evaluation
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"math/rand"
 	"reflect"
 	"repro/internal/core"
@@ -11,7 +10,6 @@ import (
 
 	"repro/internal/beebs"
 	"repro/internal/casestudy"
-	"repro/internal/errs"
 	"repro/internal/mcc"
 	"repro/internal/sim"
 )
@@ -71,45 +69,6 @@ func TestIntermittentSweepShape(t *testing.T) {
 	js := NewIntermittentRowsJSON(rows)
 	if js[0].BaselineWorkPerMJ != rows[0].Baseline.WorkPerMJ() {
 		t.Fatalf("JSON row diverges from sweep row")
-	}
-}
-
-// The intermittent section shards and merges like every other section:
-// hand-built fragments interleave back in cell order, and a non-partition
-// is rejected.
-func TestMergeShardsIntermittentSection(t *testing.T) {
-	row := func(bench, profile string) IntermittentRowJSON {
-		return IntermittentRowJSON{Bench: bench, Level: "O2", Profile: profile}
-	}
-	frags := []Document{
-		{
-			Shard:        &ShardJSON{Index: 0, Count: 2, Sections: []string{"intermittent"}},
-			Intermittent: []IntermittentRowJSON{row("a", "steady"), row("b", "steady")},
-		},
-		{
-			Shard:        &ShardJSON{Index: 1, Count: 2, Sections: []string{"intermittent"}},
-			Intermittent: []IntermittentRowJSON{row("a", "bursty")},
-		},
-	}
-	merged, err := MergeShards(frags, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []string
-	for _, r := range merged.Intermittent {
-		got = append(got, r.Bench+"/"+r.Profile)
-	}
-	want := []string{"a/steady", "a/bursty", "b/steady"}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("merged order %v, want %v", got, want)
-	}
-
-	// 3 cells sharded 2 ways must put 2 on shard 0; the reverse split is
-	// not one partition.
-	frags[0].Intermittent = frags[0].Intermittent[:1]
-	frags[1].Intermittent = []IntermittentRowJSON{row("a", "bursty"), row("b", "bursty")}
-	if _, err := MergeShards(frags, nil); !errors.Is(err, errs.ErrBadInput) {
-		t.Fatalf("non-partition merge = %v, want ErrBadInput", err)
 	}
 }
 

@@ -68,15 +68,6 @@ type Sweep struct {
 	// daemon never mixes the two.
 	NoFuse bool
 
-	// Shard restricts the sweep drivers (Figure5, RunAggregate,
-	// TopSavers, Figure9) to the cells this shard owns: cell j runs — and
-	// appears in the output — iff j % Shard.Count == Shard.Index, with
-	// cells enumerated in the driver's fixed order. The zero value runs
-	// everything. Fragments produced by complementary shards merge back
-	// into the exact unsharded document (MergeShards, `beebsbench
-	// -merge`).
-	Shard Shard
-
 	mu sync.Mutex // guards the lazy Store
 }
 

@@ -142,38 +142,42 @@ func TestSolveFromStateMatchesColdAfterBoundChange(t *testing.T) {
 
 // TestSolveFromStateRHSEditsOnNegatedAndEqualityRows: an RHS edit on a
 // row standard form negated resumes (the refresh reads the slack column
-// with the negation applied); an edit on an EQ row, which has no slack
-// column, falls back to a cold solve. Both answers match cold.
+// with the negation applied). A problem with an EQ row solves cold: an
+// edit on the EQ row, which has no slack column, cannot be refreshed,
+// and any other warm optimum has no EQ multiplier to bound it with.
+// Every answer matches cold.
 func TestSolveFromStateRHSEditsOnNegatedAndEqualityRows(t *testing.T) {
-	build := func(lower, sum float64) *Problem {
+	build := func(sumRel Rel, lower, sum float64) *Problem {
 		p := NewProblem(2)
 		p.SetObj(0, 1)
 		p.SetObj(1, 2)
 		p.AddRow(map[int]float64{0: -1}, LE, -lower)          // x0 ≥ lower, negated
-		p.AddRow(map[int]float64{0: 1, 1: 1}, EQ, sum)        // x0 + x1 = sum
+		p.AddRow(map[int]float64{0: 1, 1: 1}, sumRel, sum)    // x0 + x1 {≤,=} sum
 		p.AddRow(map[int]float64{0: 1, 1: -1}, LE, sum-lower) // keeps x1 ≥ 0 slack
 		return p
 	}
-	donor := solve(t, build(2, 5))
 	for _, tc := range []struct {
+		sumRel     Rel
 		lower, sum float64
 		warmed     bool
 	}{
-		{3, 5, true},  // negated row edited
-		{2, 6, false}, // EQ row edited
+		{LE, 3, 5, true},  // negated row edited
+		{EQ, 3, 5, false}, // negated row edited beside an EQ row
+		{EQ, 2, 6, false}, // EQ row edited
 	} {
-		p := build(tc.lower, tc.sum)
+		donor := solve(t, build(tc.sumRel, 2, 5))
+		p := build(tc.sumRel, tc.lower, tc.sum)
 		cold := solve(t, p.Clone())
 		warm, err := p.SolveFromState(context.Background(), donor.State)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if warm.Status != cold.Status || !approx(warm.Obj, cold.Obj) {
-			t.Errorf("lower %v sum %v: warm %v obj %v, cold %v obj %v",
-				tc.lower, tc.sum, warm.Status, warm.Obj, cold.Status, cold.Obj)
+			t.Errorf("rel %v lower %v sum %v: warm %v obj %v, cold %v obj %v",
+				tc.sumRel, tc.lower, tc.sum, warm.Status, warm.Obj, cold.Status, cold.Obj)
 		}
 		if warm.Warmed != tc.warmed {
-			t.Errorf("lower %v sum %v: warmed = %v, want %v", tc.lower, tc.sum, warm.Warmed, tc.warmed)
+			t.Errorf("rel %v lower %v sum %v: warmed = %v, want %v", tc.sumRel, tc.lower, tc.sum, warm.Warmed, tc.warmed)
 		}
 		certify(t, p, warm)
 	}

@@ -659,9 +659,10 @@ func (st *State) Copy(spare *State) *State {
 // pattern (which decides slack/artificial allocation), or a changed RHS
 // on a slackless EQ row — falls back to the cold Solve, and a warm answer
 // must pass a certificate against THIS problem before it is returned: an
-// Optimal one the optimality certificate (Certify), an Infeasible one a
-// Farkas certificate built from the violated row (cold fallback
-// otherwise). A stale or foreign state can cost time, never correctness.
+// Optimal one the optimality certificate (Certify), whose objective
+// bound needs a problem without EQ rows, an Infeasible one a Farkas
+// certificate built from the violated row (cold fallback otherwise). A
+// stale or foreign state can cost time, never correctness.
 func (p *Problem) SolveFromState(ctx context.Context, st *State) (*Solution, error) {
 	return p.Resume(ctx, st.Copy(nil))
 }
@@ -739,7 +740,7 @@ func (p *Problem) ResumeBelow(ctx context.Context, st *State, cutoff float64) (*
 
 	dst = simplex(tb, cost, reduced, maxIter, &iters, done)
 	sol, err := p.finish(ctx, st, dst, reduced, iters, true)
-	if err == nil && sol.Status == Optimal && p.Certify(sol) != nil {
+	if err == nil && sol.Status == Optimal && (slices.Contains(p.rowRel, EQ) || p.Certify(sol) != nil) {
 		return cold() // the donor state did not describe this problem after all
 	}
 	return sol, err
@@ -828,8 +829,15 @@ func (p *Problem) refresh(st *State) (cost, reduced []float64, ok bool) {
 // certificate for p: X satisfies p's rows and column bounds, and on the
 // tableau every reduced cost is ≥ 0 for a column at its lower bound, ≤ 0
 // for a column at its upper bound, and ≈ 0 for a basic column (fixed
-// columns may take either sign). It returns nil when the certificate
-// holds and a description of the first violation otherwise.
+// columns may take either sign). Those signs are priced on the tableau's
+// coefficients, which a state from another problem of the same layout
+// does not share, so for a problem without EQ rows X's objective must
+// also meet, within rounding, the Lagrangian bound cutBound builds from
+// p's own rows and column bounds. An EQ row has no slack column to read
+// its multiplier from, so there the certificate rests on the tableau
+// alone, and ResumeBelow never returns a warm Optimal answer to such a
+// problem. It returns nil when the certificate holds and a description
+// of the first violation otherwise.
 func (p *Problem) Certify(sol *Solution) error {
 	if sol == nil || sol.Status != Optimal || sol.State == nil {
 		return errors.New("lp: no optimal end state to certify")
@@ -853,6 +861,26 @@ func (p *Problem) Certify(sol *Solution) error {
 		if isBasic[j] && math.Abs(d) > tol || !isBasic[j] && tb.up[j] > 0 && d < -tol {
 			return fmt.Errorf("lp: certificate: column %d has reduced cost %g", j, d)
 		}
+	}
+	if slices.Contains(p.rowRel, EQ) {
+		return nil
+	}
+	// A row price at rounding level next to the largest (farkas' rule)
+	// is noise the sign check let pass; read as a multiplier it could
+	// leave a cancelled column unbounded in the bound.
+	slack := reduced[p.n : p.n+tb.nSlack]
+	ymax := 0.0
+	for _, r := range slack {
+		ymax = max(ymax, r)
+	}
+	for k, r := range slack {
+		if r <= 1e-9*ymax {
+			slack[k] = 0
+		}
+	}
+	bound, ok := p.cutBound(tb, reduced)
+	if obj := p.Objective(x); !ok || obj-bound > 1e-7*(1+math.Abs(obj)) {
+		return fmt.Errorf("lp: certificate: objective %g is above the problem's own bound %g", obj, bound)
 	}
 	return nil
 }

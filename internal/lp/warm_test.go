@@ -376,3 +376,33 @@ func TestFarkasRejectsEQRows(t *testing.T) {
 		t.Error("farkas accepted a problem with an EQ row")
 	}
 }
+
+// TestResumeRejectsForeignOptimum: a state from another problem of the
+// same layout leaves a tableau whose reduced costs all have the right
+// signs, so the sign check alone passes its point. From the end state of
+// min x s.t. x ≥ 3, resuming min x s.t. 2x ≥ 3 keeps x = 3, whose
+// objective is above the bound −7 this problem's own row gives, so the
+// warm answer is refused and the cold solve finds 1.5.
+func TestResumeRejectsForeignOptimum(t *testing.T) {
+	build := func(coef float64) *Problem {
+		p := NewProblem(1)
+		p.SetObj(0, 1)
+		p.SetBounds(0, 0, 10)
+		p.AddRow(map[int]float64{0: coef}, GE, 3)
+		return p
+	}
+	donor := solve(t, build(1))
+	if donor.Status != Optimal || !approx(donor.Obj, 3) {
+		t.Fatalf("donor: %v obj %v, want optimal 3", donor.Status, donor.Obj)
+	}
+	p := build(2)
+	got, err := p.SolveFromState(context.Background(), donor.State)
+	if err != nil {
+		t.Fatal(err)
+	}
+	certify(t, p, got)
+	if got.Status != Optimal || got.Warmed || !approx(got.Obj, 1.5) {
+		t.Errorf("2x ≥ 3 from the end state of x ≥ 3: got %v obj %v (warmed %v), want the cold optimum 1.5",
+			got.Status, got.Obj, got.Warmed)
+	}
+}

@@ -4,13 +4,13 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/beebs"
@@ -38,20 +38,27 @@ func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 
 func postJSON(t *testing.T, url string, body any) (int, []byte) {
 	t.Helper()
-	b, err := json.Marshal(body)
+	status, out, err := post(url, body)
 	if err != nil {
 		t.Fatal(err)
+	}
+	return status, out
+}
+
+// post is postJSON for goroutines other than the test's own, which
+// must not call t.Fatal.
+func post(url string, body any) (int, []byte, error) {
+	b, err := json.Marshal(body)
+	if err != nil {
+		return 0, nil, err
 	}
 	resp, err := http.Post(url, "application/json", bytes.NewReader(b))
 	if err != nil {
-		t.Fatal(err)
+		return 0, nil, err
 	}
 	defer resp.Body.Close()
 	out, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp.StatusCode, out
+	return resp.StatusCode, out, err
 }
 
 func TestOptimizeEndpoint(t *testing.T) {
@@ -529,41 +536,74 @@ func TestHealthzAndDrain(t *testing.T) {
 	}
 }
 
+// TestStatszLedger posts the same optimize repeats times to a fresh
+// server, one after another and then all at once, plus one bad request,
+// and holds /statsz to the exact ledger either way: single-flight builds
+// the session once (1 miss) and every other post hits it, and every
+// concurrent answer is byte-identical to the others.
 func TestStatszLedger(t *testing.T) {
-	_, ts := newTestServer(t)
-	const repeats = 6
-	for i := 0; i < repeats; i++ {
-		if status, body := postJSON(t, ts.URL+"/v1/optimize", OptimizeRequest{Bench: "crc32"}); status != http.StatusOK {
-			t.Fatalf("optimize = %d: %s", status, body)
+	for _, concurrent := range []bool{false, true} {
+		_, ts := newTestServer(t)
+		const repeats = 6
+		statuses := make([]int, repeats)
+		bodies := make([][]byte, repeats)
+		errs := make([]error, repeats)
+		var wg sync.WaitGroup
+		for i := 0; i < repeats; i++ {
+			send := func() { statuses[i], bodies[i], errs[i] = post(ts.URL+"/v1/optimize", OptimizeRequest{Bench: "crc32"}) }
+			if !concurrent {
+				send()
+				continue
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				send()
+			}()
 		}
-	}
-	postJSON(t, ts.URL+"/v1/optimize", OptimizeRequest{Bench: "nope"})
+		wg.Wait()
+		for i := range statuses {
+			if errs[i] != nil {
+				t.Fatal(errs[i])
+			}
+			if statuses[i] != http.StatusOK {
+				t.Fatalf("concurrent=%v: optimize = %d: %s", concurrent, statuses[i], bodies[i])
+			}
+			if !bytes.Equal(bodies[i], bodies[0]) {
+				t.Fatalf("concurrent=%v: optimize %d answered other bytes than optimize 0", concurrent, i)
+			}
+		}
+		postJSON(t, ts.URL+"/v1/optimize", OptimizeRequest{Bench: "nope"})
 
-	resp, err := http.Get(ts.URL + "/statsz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var doc StatsDoc
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		t.Fatal(err)
-	}
-	if doc.Requests.Total != repeats+1 || doc.Requests.OK != repeats || doc.Requests.ClientError != 1 {
-		t.Fatalf("request ledger = %+v", doc.Requests)
-	}
-	if doc.Store.Misses != 1 || doc.Store.Hits != repeats-1 || doc.Store.Entries != 1 {
-		t.Fatalf("store ledger = %+v", doc.Store)
-	}
-	// The service ledger carries the exact sweep-CLI schema: session
-	// hits/misses mirror the store and the totals fold in the stage memos.
-	if doc.SessionStats.SessionHits != doc.Store.Hits || doc.SessionStats.SessionMisses != doc.Store.Misses {
-		t.Fatalf("session_stats diverges from store: %+v vs %+v", doc.SessionStats, doc.Store)
-	}
-	if doc.SessionStats.Totals.HitRate <= 0.5 {
-		t.Fatalf("repeated identical requests should dominate the totals hit rate: %+v", doc.SessionStats.Totals)
-	}
-	if doc.Workers != 4 || doc.Draining {
-		t.Fatalf("service section = %+v", doc)
+		resp, err := http.Get(ts.URL + "/statsz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc StatsDoc
+		err = json.NewDecoder(resp.Body).Decode(&doc)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if doc.Requests.Total != repeats+1 || doc.Requests.OK != repeats || doc.Requests.ClientError != 1 {
+			t.Fatalf("concurrent=%v: request ledger = %+v", concurrent, doc.Requests)
+		}
+		// Single-flight builds the session once even when every post
+		// arrives at the same time: the others wait on it as hits.
+		if doc.Store.Misses != 1 || doc.Store.Hits != repeats-1 || doc.Store.Entries != 1 {
+			t.Fatalf("concurrent=%v: store ledger = %+v", concurrent, doc.Store)
+		}
+		// The service ledger carries the exact sweep-CLI schema: session
+		// hits/misses mirror the store and the totals fold in the stage memos.
+		if doc.SessionStats.SessionHits != doc.Store.Hits || doc.SessionStats.SessionMisses != doc.Store.Misses {
+			t.Fatalf("concurrent=%v: session_stats diverges from store: %+v vs %+v", concurrent, doc.SessionStats, doc.Store)
+		}
+		if doc.SessionStats.Totals.HitRate <= 0.5 {
+			t.Fatalf("concurrent=%v: repeated identical requests should dominate the totals hit rate: %+v", concurrent, doc.SessionStats.Totals)
+		}
+		if doc.Workers != 4 || doc.Draining {
+			t.Fatalf("concurrent=%v: service section = %+v", concurrent, doc)
+		}
 	}
 }
 
@@ -584,24 +624,5 @@ func TestMethodRouting(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("POST /nope = %d, want 404", resp.StatusCode)
-	}
-}
-
-func TestLoadTestHarness(t *testing.T) {
-	if testing.Short() {
-		t.Skip("load harness in -short mode")
-	}
-	rep, err := LoadTest(t.Context(), LoadConfig{N: 60, Concurrency: 12, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rep.Check(); err != nil {
-		t.Fatalf("%v\n%s", err, rep)
-	}
-	if rep.HitRate <= 0.5 {
-		t.Fatalf("hit rate %.2f on a repeated mix", rep.HitRate)
-	}
-	if fmt.Sprint(rep) == "" {
-		t.Fatal("empty ledger rendering")
 	}
 }

@@ -1,9 +1,8 @@
 // Package service is the placement-as-a-service subsystem: a
 // long-running HTTP/JSON daemon (cmd/flashramd) wrapping core.Session,
 // with one core.Store of sessions shared across requests and tenants,
-// an admission/worker layer reusing the evaluation sweep's panic
-// isolation, and a load-test harness that publishes the hit-rate/latency
-// ledger EXPERIMENTS.md records.
+// and an admission/worker layer reusing the evaluation sweep's panic
+// isolation.
 //
 // The store content-addresses whole sessions on core.SessionKey(source,
 // level): a hash of the inputs that reach the compiler. Inside each
@@ -26,6 +25,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/beebs"
 	"repro/internal/core"
 	"repro/internal/errs"
 	"repro/internal/evaluation"
@@ -124,6 +124,23 @@ func (s *Server) Handler() http.Handler {
 // flags fill the same fields — so its one validation, Resolve, runs
 // here before any pipeline work, and every rejection is a 400.
 type OptimizeRequest = evaluation.Request
+
+// DefaultMix is the standard repeated workload: all ten BEEBS
+// benchmarks at both paper levels, plus two knob variants that exercise
+// distinct stage keys inside shared sessions. pipebench's daemon-warm
+// workload draws its requests from it, and etag.golden pins its ETags.
+func DefaultMix() []OptimizeRequest {
+	var mix []OptimizeRequest
+	for _, b := range beebs.All() {
+		mix = append(mix,
+			OptimizeRequest{Bench: b.Name, Level: "O2"},
+			OptimizeRequest{Bench: b.Name, Level: "Os"})
+	}
+	mix = append(mix,
+		OptimizeRequest{Bench: "sha", Level: "O2", UseProfile: true},
+		OptimizeRequest{Bench: "crc32", Level: "O2", Rspare: 512})
+	return mix
+}
 
 // SweepRequest is the JSON body of /v1/sweep.
 type SweepRequest struct {

@@ -134,7 +134,7 @@ trap 'rm -f /tmp/flashram.check /tmp/flashram.race /tmp/powertrace.a.json /tmp/p
 
 # Determinism: an identical trace + configuration must reproduce the
 # document byte-for-byte (the replay contract the service's ETags and
-# the sharded sweeps rely on).
+# the byte-diffed sweep documents rely on).
 /tmp/flashram.check -bench 2dfir -powertrace adversarial -ckptaware -json > /tmp/powertrace.a.json
 /tmp/flashram.check -bench 2dfir -powertrace adversarial -ckptaware -json > /tmp/powertrace.b.json
 if ! cmp -s /tmp/powertrace.a.json /tmp/powertrace.b.json; then
