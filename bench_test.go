@@ -11,7 +11,16 @@
 package repro
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"io"
+	"math"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -25,6 +34,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/placement"
 	"repro/internal/power"
+	"repro/internal/service"
 	"repro/internal/sim"
 	"repro/internal/trace"
 
@@ -676,4 +686,121 @@ func BenchmarkTradeoffSweep(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkServiceMix measures the daemon's request path: an in-process
+// service over loopback, its store filled with service.DefaultMix, then
+// two closed-loop clients sharing b.N requests drawn in rounds of 200
+// like pipebench's daemon-warm: 169 full-document reads, 30
+// If-None-Match revalidations and one write with an Rspare no request
+// has used, which runs the model → solve → transform → simulate tail.
+// Every read must answer the fill's bytes; ns/op is per request.
+func BenchmarkServiceMix(b *testing.B) {
+	const clients = 2
+	mix := service.DefaultMix()
+	// Writes go to the mix's plain cells (bench × level), each with a new
+	// Rspare in [0.4, 1) of the cell's derived budget: below 0.4 single
+	// warm solves take seconds.
+	var cells []service.OptimizeRequest
+	var spare []float64
+	for _, req := range mix {
+		if req.UseProfile || req.Rspare != 0 {
+			continue
+		}
+		level, err := mcc.ParseOptLevel(req.Level)
+		if err != nil {
+			b.Fatal(err)
+		}
+		prog, err := mcc.Compile(beebs.Get(req.Bench).Source, level)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cells = append(cells, req)
+		spare = append(spare, float64(layout.SpareRAM(prog, layout.DefaultConfig())))
+	}
+	kinds := make([]int, 0, 200) // 0 read, 1 revalidate, 2 write
+	for kind, share := range []int{169, 30, 1} {
+		for j := 0; j < share; j++ {
+			kinds = append(kinds, kind)
+		}
+	}
+	rand.New(rand.NewSource(1)).Shuffle(len(kinds), func(i, j int) { kinds[i], kinds[j] = kinds[j], kinds[i] })
+
+	ts := httptest.NewServer(service.New(service.Config{Workers: clients}).Handler())
+	defer ts.Close()
+	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: clients, DisableCompression: true}}
+	defer client.CloseIdleConnections()
+	post := func(req service.OptimizeRequest, ifNoneMatch string) (int, string, []byte, error) {
+		body, err := json.Marshal(req)
+		if err != nil {
+			return 0, "", nil, err
+		}
+		hreq, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/optimize", bytes.NewReader(body))
+		if err != nil {
+			return 0, "", nil, err
+		}
+		if ifNoneMatch != "" {
+			hreq.Header.Set("If-None-Match", ifNoneMatch)
+		}
+		resp, err := client.Do(hreq)
+		if err != nil {
+			return 0, "", nil, err
+		}
+		defer resp.Body.Close()
+		doc, err := io.ReadAll(resp.Body)
+		return resp.StatusCode, resp.Header.Get("ETag"), doc, err
+	}
+	docs := make([][]byte, len(mix))
+	etags := make([]string, len(mix))
+	for k, req := range mix {
+		status, etag, doc, err := post(req, "")
+		if err != nil || status != http.StatusOK {
+			b.Fatalf("fill %d: status %d, %v", k, status, err)
+		}
+		docs[k], etags[k] = doc, etag
+	}
+
+	var next, writes atomic.Int64
+	var wg sync.WaitGroup
+	b.ReportAllocs()
+	b.ResetTimer()
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1) - 1)
+				if i >= b.N {
+					return
+				}
+				k := i * 7 % len(mix) // 7 is prime to len(mix): every entry in turn
+				switch kinds[i%len(kinds)] {
+				case 0:
+					status, etag, doc, err := post(mix[k], "")
+					if err != nil || status != http.StatusOK || etag != etags[k] || !bytes.Equal(doc, docs[k]) {
+						b.Errorf("read of mix %d: status %d, %v, or other bytes than the fill's", k, status, err)
+						return
+					}
+				case 1:
+					status, etag, _, err := post(mix[k], etags[k])
+					if err != nil || status != http.StatusNotModified || etag != etags[k] {
+						b.Errorf("revalidation of mix %d: status %d, %v", k, status, err)
+						return
+					}
+				default:
+					w := int(writes.Add(1) - 1)
+					cell := w % len(cells)
+					req := cells[cell]
+					// The golden-ratio sequence never repeats a fraction.
+					frac := 0.4 + 0.6*math.Mod(float64(w)*0.6180339887498949, 1)
+					req.Rspare = math.Round(frac * spare[cell])
+					if status, _, doc, err := post(req, ""); err != nil || status != http.StatusOK {
+						b.Errorf("write %d: status %d, %v: %s", w, status, err, doc)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -18,7 +18,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -99,13 +98,14 @@ func main() {
 	run := &evaluation.Run{Bench: cell.Bench.Name, Level: cell.Level, Report: rep}
 
 	if *asJSON {
-		// Exactly the document — and exactly the encoding — the flashramd
-		// service returns for the same request, so `flashram -json` and a
-		// /v1/optimize response are byte-comparable.
-		doc := evaluation.NewRunJSON(run)
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(doc); err != nil {
+		// The one encoder the flashramd service answers through, so
+		// `flashram -json` and a /v1/optimize response for the same
+		// request are the same bytes.
+		doc, err := evaluation.EncodeRun(run)
+		if err != nil {
+			fatal(err)
+		}
+		if _, err := os.Stdout.Write(doc); err != nil {
 			fatal(err)
 		}
 		return

@@ -6,7 +6,10 @@
 // reference implementation of the same kernel.
 package beebs
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Benchmark is one BEEBS program.
 type Benchmark struct {
@@ -21,25 +24,30 @@ type Benchmark struct {
 	UsesFloat bool
 }
 
-// All returns the ten benchmarks in the paper's Figure 5 order.
-func All() []*Benchmark {
-	return []*Benchmark{
-		{Name: "2dfir", Source: src2DFIR, ResultWords: 4, Validate: exact(ref2DFIR)},
-		{Name: "blowfish", Source: srcBlowfish, ResultWords: 4, Validate: exact(refBlowfish)},
-		{Name: "crc32", Source: srcCRC32, ResultWords: 2, Validate: exact(refCRC32)},
-		{Name: "cubic", Source: srcCubic, ResultWords: 4, Validate: near(refCubic, 3), UsesFloat: true},
-		{Name: "dijkstra", Source: srcDijkstra, ResultWords: 4, Validate: exact(refDijkstra)},
-		{Name: "fdct", Source: srcFDCT, ResultWords: 4, Validate: exact(refFDCT)},
-		{Name: "float_matmult", Source: srcFloatMatmult, ResultWords: 4, Validate: near(refFloatMatmult, 3), UsesFloat: true},
-		{Name: "int_matmult", Source: srcIntMatmult, ResultWords: 4, Validate: exact(refIntMatmult)},
-		{Name: "rijndael", Source: srcRijndael, ResultWords: 4, Validate: exact(refRijndael)},
-		{Name: "sha", Source: srcSHA, ResultWords: 5, Validate: exact(refSHA)},
-	}
+// registry holds the ten benchmarks, built once: their sources are
+// constants and their validators pure, so every caller can share them.
+var registry = []*Benchmark{
+	{Name: "2dfir", Source: src2DFIR, ResultWords: 4, Validate: exact(ref2DFIR)},
+	{Name: "blowfish", Source: srcBlowfish, ResultWords: 4, Validate: exact(refBlowfish)},
+	{Name: "crc32", Source: srcCRC32, ResultWords: 2, Validate: exact(refCRC32)},
+	{Name: "cubic", Source: srcCubic, ResultWords: 4, Validate: near(refCubic, 3), UsesFloat: true},
+	{Name: "dijkstra", Source: srcDijkstra, ResultWords: 4, Validate: exact(refDijkstra)},
+	{Name: "fdct", Source: srcFDCT, ResultWords: 4, Validate: exact(refFDCT)},
+	{Name: "float_matmult", Source: srcFloatMatmult, ResultWords: 4, Validate: near(refFloatMatmult, 3), UsesFloat: true},
+	{Name: "int_matmult", Source: srcIntMatmult, ResultWords: 4, Validate: exact(refIntMatmult)},
+	{Name: "rijndael", Source: srcRijndael, ResultWords: 4, Validate: exact(refRijndael)},
+	{Name: "sha", Source: srcSHA, ResultWords: 5, Validate: exact(refSHA)},
 }
 
-// Get returns the benchmark with the given name, or nil.
+// All returns the ten benchmarks in the paper's Figure 5 order: a fresh
+// slice of shared benchmarks, which callers must not modify.
+func All() []*Benchmark {
+	return slices.Clone(registry)
+}
+
+// Get returns the (shared) benchmark with the given name, or nil.
 func Get(name string) *Benchmark {
-	for _, b := range All() {
+	for _, b := range registry {
 		if b.Name == name {
 			return b
 		}

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/analysis"
@@ -179,6 +180,38 @@ type Report struct {
 	// thousand cycles against millions per run.
 	StartupCopyCycles   uint64
 	StartupCopyEnergyMJ float64
+
+	// rendered is the one document Encoded keeps for this report. It
+	// lives as long as the report, so whatever bounds the reports a
+	// session memoizes bounds it too.
+	rendered atomic.Pointer[renderedDoc]
+}
+
+// renderedDoc is an encoded document and the tag it was rendered under.
+type renderedDoc struct {
+	tag  string
+	body []byte
+}
+
+// Encoded returns the document render builds from this report under tag,
+// rendering it once and serving the stored bytes to every later call
+// with the same tag. The report keeps one document: a call under another
+// tag renders afresh and replaces it, so a report reached under many tags
+// holds one body, not one per tag. tag must name the document exactly —
+// render called under one tag must always give the same bytes — and
+// callers must not modify the slice. Concurrent first calls may each
+// render; they get identical bytes, and the last store wins. An error
+// from render is returned and nothing is stored.
+func (r *Report) Encoded(tag string, render func() ([]byte, error)) ([]byte, error) {
+	if d := r.rendered.Load(); d != nil && d.tag == tag {
+		return d.body, nil
+	}
+	body, err := render()
+	if err != nil {
+		return nil, err
+	}
+	r.rendered.Store(&renderedDoc{tag: tag, body: body})
+	return body, nil
 }
 
 // IntermittentComparison is the trace-driven half of a Report: both

@@ -168,3 +168,35 @@ func TestBesideOrdersErrorsAndReportsPanics(t *testing.T) {
 		t.Errorf("got %v, want the base side's panic with its stack", err)
 	}
 }
+
+// TestReportEncodedKeepsOneDocument: Encoded renders once per tag in a
+// row, replaces its one document when the tag changes, and stores
+// nothing when render fails.
+func TestReportEncodedKeepsOneDocument(t *testing.T) {
+	var rep Report
+	renders := 0
+	render := func(body string) func() ([]byte, error) {
+		return func() ([]byte, error) { renders++; return []byte(body), nil }
+	}
+	for _, step := range []struct {
+		tag, body, want string
+		renders         int
+	}{
+		{"a", "A", "A", 1},
+		{"a", "unused", "A", 1},
+		{"b", "B", "B", 2},
+		{"a", "A again", "A again", 3},
+		{"b", "B again", "B again", 4},
+	} {
+		got, err := rep.Encoded(step.tag, render(step.body))
+		if err != nil || string(got) != step.want || renders != step.renders {
+			t.Fatalf("tag %q: %q (err %v) after %d renders, want %q after %d", step.tag, got, err, renders, step.want, step.renders)
+		}
+	}
+	if _, err := rep.Encoded("c", func() ([]byte, error) { return nil, errors.New("no") }); err == nil {
+		t.Fatal("a failed render returned no error")
+	}
+	if got, _ := rep.Encoded("b", render("unused")); string(got) != "B again" {
+		t.Fatalf("a failed render replaced the kept document: %q", got)
+	}
+}

@@ -1,6 +1,8 @@
 package evaluation
 
 import (
+	"encoding/json"
+
 	"repro/internal/casestudy"
 	"repro/internal/core"
 	"repro/internal/placement"
@@ -66,6 +68,7 @@ type RunJSON struct {
 // NewRunJSON converts a Run.
 func NewRunJSON(r *Run) RunJSON {
 	rep := r.Report
+	moved := rep.MovedLabels()
 	out := RunJSON{
 		Bench:        r.Bench,
 		Level:        r.Level.String(),
@@ -74,8 +77,8 @@ func NewRunJSON(r *Run) RunJSON {
 		EnergyChange: rep.EnergyChange,
 		TimeChange:   rep.TimeChange,
 		PowerChange:  rep.PowerChange,
-		BlocksInRAM:  len(rep.MovedLabels()),
-		MovedBlocks:  rep.MovedLabels(),
+		BlocksInRAM:  len(moved),
+		MovedBlocks:  moved,
 	}
 	if rep.Strategy != "" && rep.Strategy != placement.StrategyILPOptimal &&
 		rep.Strategy != placement.StrategyWarmILPOptimal {
@@ -87,6 +90,18 @@ func NewRunJSON(r *Run) RunJSON {
 		out.Intermittent = &j
 	}
 	return out
+}
+
+// EncodeRun renders a run's document as `flashram -json` prints it and
+// /v1/optimize serves it: two-space indent, trailing newline. It is the
+// one encoder of that document, so the two surfaces are byte-identical by
+// construction. It fails only on a value JSON cannot carry (NaN, ±Inf).
+func EncodeRun(r *Run) ([]byte, error) {
+	b, err := json.MarshalIndent(NewRunJSON(r), "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	return append(b, '\n'), nil
 }
 
 // IntermittentReplayJSON is one image's replay under an injected power

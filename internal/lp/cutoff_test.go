@@ -209,3 +209,55 @@ func checkCarriedPrice(t *testing.T, p *Problem, st *State) {
 		}
 	}
 }
+
+// TestResumeBelowDropsRoundingLevelPrices resumes the explicit-rows
+// problem of FuzzBoundsVsRows corpus entry 8be18b7aa5605960 from its own
+// end state, with row 0's RHS lowered by one (the optimum stays −14).
+// That end state prices row 0's slack at 2.8e-17 beside prices of 1, and
+// x3 costs nothing, has no upper bound and sits in row 0. Read as a
+// multiplier, the rounding-level price gives x3 a dⱼ its cancel test
+// cannot absorb, so the bound would be refused and the resume would pivot
+// on to the optimum. Dropped, as farkas drops such prices, it leaves the
+// bound −14 at the first basis, and a cutoff of −15 stops the resume
+// there.
+func TestResumeBelowDropsRoundingLevelPrices(t *testing.T) {
+	build := func(rhs0 float64) *Problem {
+		p := NewProblem(5)
+		for j, c := range []float64{-1, -1, -1, 0, -1} {
+			p.SetObj(j, c)
+		}
+		p.AddDenseRow([]float64{-3, -1, 3, -3, 1}, LE, rhs0)
+		p.AddDenseRow([]float64{-2, -2, -2, -3, 3}, LE, -1)
+		p.AddDenseRow([]float64{3, 3, -3, -3, -3}, LE, -1)
+		for j := 0; j < 4; j++ {
+			p.AddRow(map[int]float64{j: 1}, LE, 3)
+		}
+		p.AddRow(map[int]float64{4: 1}, GE, 2)
+		p.AddRow(map[int]float64{4: 1}, LE, 5)
+		return p
+	}
+	donor := solve(t, build(-1))
+	if donor.Status != Optimal || !approx(donor.Obj, -14) {
+		t.Fatalf("donor: %v obj %v, want optimal −14", donor.Status, donor.Obj)
+	}
+	if r := donor.State.reduced[5]; !(r > 0 && r < 1e-12) {
+		t.Fatalf("row 0's slack price is %v; the test needs one at rounding level", r)
+	}
+
+	p := build(-2)
+	cold := solve(t, p.Clone())
+	if cold.Status != Optimal || !approx(cold.Obj, -14) {
+		t.Fatalf("cold: %v obj %v, want optimal −14", cold.Status, cold.Obj)
+	}
+	const cutoff = -15
+	got, err := p.ResumeBelow(context.Background(), donor.State.Copy(nil), cutoff)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Status != Cutoff || got.Iters != 0 {
+		t.Fatalf("cutoff %v: %v obj %v after %d iterations, want Cutoff at the first basis", cutoff, got.Status, got.Obj, got.Iters)
+	}
+	if got.Obj < cutoff || got.Obj > cold.Obj+1e-9*(1+math.Abs(cold.Obj)) {
+		t.Errorf("cutoff %v: bound %v outside [cutoff, optimum %v]", cutoff, got.Obj, cold.Obj)
+	}
+}

@@ -865,19 +865,6 @@ func (p *Problem) Certify(sol *Solution) error {
 	if slices.Contains(p.rowRel, EQ) {
 		return nil
 	}
-	// A row price at rounding level next to the largest (farkas' rule)
-	// is noise the sign check let pass; read as a multiplier it could
-	// leave a cancelled column unbounded in the bound.
-	slack := reduced[p.n : p.n+tb.nSlack]
-	ymax := 0.0
-	for _, r := range slack {
-		ymax = max(ymax, r)
-	}
-	for k, r := range slack {
-		if r <= 1e-9*ymax {
-			slack[k] = 0
-		}
-	}
 	bound, ok := p.cutBound(tb, reduced)
 	if obj := p.Objective(x); !ok || obj-bound > 1e-7*(1+math.Abs(obj)) {
 		return fmt.Errorf("lp: certificate: objective %g is above the problem's own bound %g", obj, bound)
@@ -981,22 +968,33 @@ func (p *Problem) basisObj(tb *tableau, cost []float64) float64 {
 // farkas reads y, from that column's reduced cost rₖ: yₖ = −rₖ on LE rows
 // and +rₖ on GE rows. Every point satisfying p's rows then has
 // cᵀx ≥ Σₖ yₖ·bₖ + Σⱼ dⱼ·xⱼ with dⱼ = cⱼ − Σₖ yₖ·aₖⱼ as long as no rₖ is
-// negative, so a multiplier of the wrong sign is dropped; the bound is
-// the least value of the right side over p's column bounds. It reads p's
-// own rows and bounds, not the tableau's, so a stale or foreign tableau
-// can weaken it but not forge it. ok is false when a column whose dⱼ is
-// negative has no upper bound. On a dual-feasible basis the bound equals
-// basisObj.
+// negative, so a multiplier of the wrong sign is dropped, and so is a
+// price at rounding level next to the largest (farkas' rule): read as a
+// multiplier, such noise gives a column whose terms cancel a dⱼ too small
+// to use and too large to call cancelled, and an unbounded column then
+// refuses the bound. The bound is the least value of the right side over
+// p's column bounds. It reads p's own rows and bounds, not the tableau's,
+// so a stale or foreign tableau can weaken it but not forge it. ok is
+// false when a column whose dⱼ is negative has no upper bound. On a
+// dual-feasible basis the bound equals basisObj. reduced is only read:
+// ResumeBelow passes the dual simplex's live buffer.
 func (p *Problem) cutBound(tb *tableau, reduced []float64) (bound float64, ok bool) {
 	d := slices.Clone(p.obj) // dⱼ
 	mag := make([]float64, p.n)
 	for j, c := range p.obj {
 		mag[j] = math.Abs(c) // with Σₖ |yₖ·aₖⱼ|, the scale of dⱼ's rounding
 	}
+	usable := func(r float64) bool { return r > 0 && r < math.Inf(1) }
+	rmax := 0.0
+	for k := range p.rowRel {
+		if r := reduced[p.n+k]; usable(r) {
+			rmax = max(rmax, r)
+		}
+	}
 	for k, rel := range p.rowRel {
 		r := reduced[p.n+k]
-		if !(r > 0 && r < math.Inf(1)) {
-			continue // zero, of the wrong sign, or not a number to trust
+		if !usable(r) || r <= 1e-9*rmax {
+			continue // zero, of the wrong sign, rounding noise, or not a number to trust
 		}
 		y := -r
 		if rel == GE {

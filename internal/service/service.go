@@ -244,13 +244,21 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	doc := evaluation.NewRunJSON(run)
+	// Byte-identity contract: this is exactly the document `flashram
+	// -json` writes for the same request, cold or warm — both surfaces
+	// encode through evaluation.EncodeRun. The ETag names the document,
+	// so the report keeps it rendered under that tag and a repeat
+	// request writes the stored bytes.
+	body, err := run.Report.Encoded(etag, func() ([]byte, error) { return evaluation.EncodeRun(run) })
+	if err != nil {
+		s.writeError(w, err)
+		return
+	}
 	s.countStatus(http.StatusOK)
 	w.Header().Set("ETag", etag)
-	// Byte-identity contract: this is exactly the document (and exactly
-	// the encoding — two-space indent, trailing newline) `flashram
-	// -json` writes for the same request, cold or warm.
-	writeJSON(w, http.StatusOK, doc)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(body) //nolint:errcheck // the connection owns delivery
 }
 
 // optimizeETag fingerprints a resolved /v1/optimize request into a
@@ -553,7 +561,7 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 }
 
 // writeJSON writes v with the CLIs' encoder settings (two-space indent,
-// trailing newline) — the byte-identity anchor for /v1/optimize.
+// trailing newline): error envelopes, /healthz and /statsz.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
