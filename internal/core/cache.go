@@ -151,8 +151,12 @@ func (s *Store) evictLocked() {
 		// Snapshot the evicted session's ledger so the cumulative totals
 		// survive the eviction. A request still holding the session
 		// finishes fine — sessions are self-contained — but work it does
-		// after this snapshot is not re-counted.
-		s.ledger.add(victim.sess)
+		// after this snapshot is not re-counted. The warm-state gauge is
+		// not carried over: the store no longer holds those states.
+		solver := victim.sess.SolverStats()
+		solver.WarmStateBytes = 0
+		s.ledger.Stages.Add(victim.sess.Stats())
+		s.ledger.Solver.Add(solver)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -54,10 +55,12 @@ type Session struct {
 	// inputs except the Rspare/Xlimit bounds, same solver and budget),
 	// the completed proven solves and their reusable state. A solve at
 	// one constraint point consults its nearest single-axis neighbor
-	// here before paying for a cold solve.
+	// here before paying for a cold solve. bytes is the storage of the
+	// distinct lp end states the registry holds (lp.State.Bytes).
 	warmIdx struct {
-		mu  sync.Mutex
-		idx map[solveFamily][]solvePoint
+		mu    sync.Mutex
+		idx   map[solveFamily][]solvePoint
+		bytes int
 	}
 
 	graphs     memo[struct{}, map[string]*cfg.Graph]
@@ -737,7 +740,13 @@ func (s *Session) recordWarm(key solveKey, warm *placement.Warm) {
 	if s.warmIdx.idx == nil {
 		s.warmIdx.idx = make(map[solveFamily][]solvePoint)
 	}
-	s.warmIdx.idx[fam] = append(s.warmIdx.idx[fam],
+	pts := s.warmIdx.idx[fam]
+	// A warm proof hands its donor's state through, and the donor is in
+	// the same family already: count each state once.
+	if st := warm.State; st != nil && !slices.ContainsFunc(pts, func(pt solvePoint) bool { return pt.warm.State == st }) {
+		s.warmIdx.bytes += st.Bytes()
+	}
+	s.warmIdx.idx[fam] = append(pts,
 		solvePoint{rspare: key.model.rspare, xlimit: key.model.xlimit, warm: warm})
 	s.warmIdx.mu.Unlock()
 }
@@ -1216,6 +1225,10 @@ type SolverStats struct {
 	// SimplexItersSaved estimates root-relaxation simplex pivots avoided
 	// across all warm solves.
 	SimplexItersSaved uint64 `json:"simplex_iters_saved"`
+	// WarmStateBytes is a gauge, not a counter: the bytes of the solver
+	// end states the warm-start registry holds now, each state counted
+	// once. Proven solves park their root state packed (lp.State.Pack).
+	WarmStateBytes uint64 `json:"warm_state_bytes"`
 }
 
 // Add accumulates another snapshot (for aggregating across sessions).
@@ -1225,6 +1238,7 @@ func (st *SolverStats) Add(o SolverStats) {
 	st.IncumbentsAccepted += o.IncumbentsAccepted
 	st.WarmProofs += o.WarmProofs
 	st.SimplexItersSaved += o.SimplexItersSaved
+	st.WarmStateBytes += o.WarmStateBytes
 }
 
 // SolverStats snapshots the session's warm-start solver counters.
@@ -1235,7 +1249,15 @@ func (s *Session) SolverStats() SolverStats {
 		IncumbentsAccepted: s.counters.warmIncumbents.Load(),
 		WarmProofs:         s.counters.warmProofs.Load(),
 		SimplexItersSaved:  s.counters.simplexItersSaved.Load(),
+		WarmStateBytes:     uint64(s.warmStateBytes()),
 	}
+}
+
+// warmStateBytes reads the warm registry's byte gauge.
+func (s *Session) warmStateBytes() int {
+	s.warmIdx.mu.Lock()
+	defer s.warmIdx.mu.Unlock()
+	return s.warmIdx.bytes
 }
 
 type stageCounter struct {

@@ -114,7 +114,8 @@ type Result struct {
 	// (zero when the root was never solved) and RootState its full end
 	// state — together the donor state for the next warm start. The
 	// search only ever copies RootState, so it describes the root
-	// relaxation exactly.
+	// relaxation exactly. It comes back packed (lp.State.Pack), except
+	// on a warm proof, where it is the warm start's own State.
 	RootIters int
 	RootState *lp.State
 	// WarmIncumbent reports that the warm start's incumbent was accepted
@@ -185,7 +186,14 @@ func (s *Solver) Solve(ctx context.Context) (*Result, error) {
 		warmInc      bool
 		warmRoot     bool
 	)
+	// stamp fills in the root's outcome as the solve returns. The root
+	// state outlives the solve as the donor of later warm starts, so it
+	// is parked packed; the warm-proof passthrough is the donor's own
+	// state, shared with other solves, and is handed on untouched.
 	stamp := func(r *Result) *Result {
+		if !r.WarmProof {
+			rootState.Pack()
+		}
 		r.RootIters = rootIters
 		r.RootState = rootState
 		r.WarmIncumbent = warmInc
@@ -233,8 +241,14 @@ func (s *Solver) Solve(ctx context.Context) (*Result, error) {
 
 	// free holds the dead end states of this search: nodes that ended
 	// without children, and resumes that did not hand their state back.
-	// Copies of a parent's state are built in their storage.
+	// Copies of a parent's state are built in their storage, and at exit
+	// their cell blocks go to lp's pool for later solves.
 	var free []*lp.State
+	defer func() {
+		for _, st := range free {
+			st.Release()
+		}
+	}()
 	recycle := func(st *lp.State) {
 		if st != nil {
 			free = append(free, st)

@@ -51,7 +51,14 @@ func sameBits(a, b reflect.Value) bool {
 	panic("sameBits: unhandled kind " + a.Kind().String())
 }
 
-func sameState(a, b *lp.State) bool { return sameBits(reflect.ValueOf(a), reflect.ValueOf(b)) }
+// sameState compares two states by their dense expansions, so a packed
+// state equals the dense state it was packed from.
+func sameState(a, b *lp.State) bool {
+	return sameBits(reflect.ValueOf(a.Copy(nil)), reflect.ValueOf(b.Copy(nil)))
+}
+
+// isPacked reports whether st holds fewer bytes than its dense copy.
+func isPacked(st *lp.State) bool { return st.Bytes() < st.Copy(nil).Bytes() }
 
 // branchingKnapsack is a 14-item knapsack whose root relaxation is
 // fractional at every capacity used below, so each solve branches.
@@ -65,6 +72,17 @@ func branchingKnapsack(t *testing.T, capacity float64) *Solver {
 		weights[j] = float64(5 + rng.Intn(30))
 	}
 	return knapsack(t, values, weights, capacity)
+}
+
+// groupedKnapsack is a 14-item knapsack whose items also come in seven
+// pairs, each pair under a capacity of its own. Each of its eight rows
+// touches few columns, so its root tableau is sparse enough to pack.
+func groupedKnapsack(t *testing.T, capacity float64) *Solver {
+	s := branchingKnapsack(t, capacity)
+	for j := 0; j < s.Base.NumVars(); j += 2 {
+		s.Base.AddRow(map[int]float64{j: 12, j + 1: 12}, lp.LE, 20)
+	}
+	return s
 }
 
 // mustBranch solves s and fails unless the search went past the root.
@@ -133,28 +151,45 @@ func TestDonorStateServesConcurrentSolves(t *testing.T) {
 // TestRootStateIsTheRootRelaxation: a branching solve's RootState is
 // bit-identical to a cold solve of the root relaxation alone (the search
 // below the root only ever copies it), and stays so across two later
-// solves that both resume it.
+// solves that both resume it. The grouped knapsack's RootState comes back
+// packed, the plain knapsack's (one dense row) stays dense.
 func TestRootStateIsTheRootRelaxation(t *testing.T) {
-	s := branchingKnapsack(t, 60)
-	res := mustBranch(t, s)
-	root := s.Base.Clone()
-	for _, j := range s.Binaries {
-		root.SetBounds(j, 0, 1)
-	}
-	want, err := root.Solve(context.Background())
-	if err != nil || want.Status != lp.Optimal {
-		t.Fatalf("root relaxation: %v %v", want, err)
-	}
-	if !sameState(res.RootState, want.State) {
-		t.Fatal("RootState differs from the root relaxation's end state")
-	}
-	for _, capacity := range []float64{45, 30} {
-		next := branchingKnapsack(t, capacity)
-		next.Warm = &WarmStart{State: res.RootState}
-		mustBranch(t, next)
-		if !sameState(res.RootState, want.State) {
-			t.Fatalf("capacity %v: resuming RootState wrote to it", capacity)
-		}
+	for _, tc := range []struct {
+		name   string
+		solver func(*testing.T, float64) *Solver
+		packed bool
+	}{
+		{"knapsack", branchingKnapsack, false},
+		{"grouped", groupedKnapsack, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := tc.solver(t, 60)
+			res := mustBranch(t, s)
+			if got := isPacked(res.RootState); got != tc.packed {
+				t.Fatalf("RootState packed = %v, want %v", got, tc.packed)
+			}
+			root := s.Base.Clone()
+			for _, j := range s.Binaries {
+				root.SetBounds(j, 0, 1)
+			}
+			want, err := root.Solve(context.Background())
+			if err != nil || want.Status != lp.Optimal {
+				t.Fatalf("root relaxation: %v %v", want, err)
+			}
+			if !sameState(res.RootState, want.State) {
+				t.Fatal("RootState differs from the root relaxation's end state")
+			}
+			for _, capacity := range []float64{45, 30} {
+				next := tc.solver(t, capacity)
+				next.Warm = &WarmStart{State: res.RootState}
+				if r := mustBranch(t, next); !r.WarmRoot {
+					t.Fatalf("capacity %v: the packed donor state was not resumed", capacity)
+				}
+				if !sameState(res.RootState, want.State) {
+					t.Fatalf("capacity %v: resuming RootState wrote to it", capacity)
+				}
+			}
+		})
 	}
 }
 
@@ -198,5 +233,32 @@ func TestTwoNodeBudgetSolvesAChild(t *testing.T) {
 	r := mustSolve(t, s)
 	if r.Nodes != 2 || children != 1 {
 		t.Fatalf("Nodes = %d with %d child solves, want 2 nodes and 1 child", r.Nodes, children)
+	}
+}
+
+// TestWarmProofPassesTheDonorThrough: a solve closed by the carried bound
+// alone returns the warm start's own State as its RootState, the same
+// pointer, neither packed nor written, whether the donor is packed (as
+// a RootState) or dense (another solver's end state, which concurrent
+// solves may be reading).
+func TestWarmProofPassesTheDonorThrough(t *testing.T) {
+	first := mustBranch(t, groupedKnapsack(t, 60))
+	if !isPacked(first.RootState) {
+		t.Fatal("the donor RootState is not packed")
+	}
+	for name, donor := range map[string]*lp.State{"packed": first.RootState, "dense": first.RootState.Copy(nil)} {
+		snapshot, bytes := donor.Copy(nil), donor.Bytes()
+		s := groupedKnapsack(t, 60)
+		s.Warm = &WarmStart{Incumbent: first.X, Bound: first.Obj, HasBound: true, State: donor}
+		r := mustSolve(t, s)
+		if !r.WarmProof || r.Nodes != 0 {
+			t.Fatalf("%s donor: WarmProof %v in %d nodes, want an instant proof", name, r.WarmProof, r.Nodes)
+		}
+		if r.RootState != donor {
+			t.Fatalf("%s donor: a warm proof did not hand the donor state through", name)
+		}
+		if donor.Bytes() != bytes || !sameState(donor, snapshot) {
+			t.Fatalf("%s donor: a warm proof wrote to the donor state", name)
+		}
 	}
 }

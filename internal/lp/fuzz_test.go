@@ -36,7 +36,9 @@ func (b *fuzzBytes) bound() (lo, hi float64) {
 // problem; its carried reduced costs must be bit-equal to a fresh price.
 // Resumed once more below a decoded cutoff, it must either answer as
 // before or stop with a bound that reaches the cutoff and that the cold
-// optimum does not undercut.
+// optimum does not undercut. Every resume runs a second time from a
+// Pack → Copy round trip of the same end state and must answer bit for
+// bit as the resume from a dense copy did.
 func FuzzBoundsVsRows(f *testing.F) {
 	f.Add([]byte{2, 1, 250, 253, 0, 1, 1, 4, 1, 2, 2, 0, 5})
 	f.Add([]byte{3, 2, 1, 2, 3, 0, 1, 2, 0, 1, 1, 4, 6, 5, 4, 0, 9, 1, 2, 3, 1, 7})
@@ -110,12 +112,14 @@ func FuzzBoundsVsRows(f *testing.F) {
 			t.Fatalf("resumed obj %v, cold obj %v", warm.Obj, cold.Obj)
 		}
 		certify(t, q, warm)
+		resumePacked(t, q, a.State, math.Inf(1), warm)
 
 		cutoff := float64(in.next()%21-10) / 2
 		below, err := q.ResumeBelow(context.Background(), a.State.Copy(nil), cutoff)
 		if err != nil {
 			t.Fatal(err)
 		}
+		resumePacked(t, q, a.State, cutoff, below)
 		if below.Status != Cutoff {
 			if below.Status != warm.Status || below.Obj != warm.Obj {
 				t.Fatalf("below cutoff %v: %v obj %v, without a cutoff %v obj %v", cutoff, below.Status, below.Obj, warm.Status, warm.Obj)
@@ -131,4 +135,48 @@ func FuzzBoundsVsRows(f *testing.F) {
 			t.Fatalf("cut off with bound %v, but the cold solve is %v", below.Obj, cold.Status)
 		}
 	})
+}
+
+// resumePacked resumes p below cutoff from a Pack → Copy round trip of
+// st, which must expand to st's cells bit for bit, and fails unless the
+// answer is bit-identical to want, the answer of the same resume from a
+// dense copy of st: status, objective, point, pivot count and, for an
+// Optimal answer, the carried price and end tableau.
+func resumePacked(t *testing.T, p *Problem, st *State, cutoff float64, want *Solution) {
+	t.Helper()
+	packed := st.Copy(nil)
+	packed.Pack()
+	rt := packed.Copy(nil)
+	if !sameFloats(rt.tb.cells, st.tb.cells) {
+		t.Fatal("a Pack → Copy round trip changed a tableau cell")
+	}
+	got, err := p.ResumeBelow(context.Background(), rt, cutoff)
+	if err != nil {
+		t.Fatal(err)
+	}
+	switch {
+	case got.Status != want.Status || got.Warmed != want.Warmed || got.Iters != want.Iters:
+		t.Fatalf("from the round trip %v (warmed %v) in %d iters, from the dense copy %v (warmed %v) in %d",
+			got.Status, got.Warmed, got.Iters, want.Status, want.Warmed, want.Iters)
+	case math.Float64bits(got.Obj) != math.Float64bits(want.Obj) || !sameFloats(got.X, want.X):
+		t.Fatalf("from the round trip obj %v x %v, from the dense copy obj %v x %v", got.Obj, got.X, want.Obj, want.X)
+	case (got.State == nil) != (want.State == nil):
+		t.Fatal("only one of the two resumes donated an end state")
+	case got.State != nil && (!sameFloats(got.State.reduced, want.State.reduced) ||
+		!sameFloats(got.State.tb.cells, want.State.tb.cells)):
+		t.Fatal("the two resumes ended on different tableaus or carried prices")
+	}
+}
+
+// sameFloats reports whether a and b hold the same values bit for bit.
+func sameFloats(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }

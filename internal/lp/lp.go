@@ -33,7 +33,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
+	"sync"
 )
 
 // Rel is a constraint relation.
@@ -447,6 +449,12 @@ func (p *Problem) finish(ctx context.Context, st *State, status Status, reduced 
 type tableau struct {
 	cells []float64   // the m × (total+1) cells, row-major, in one block
 	t     [][]float64 // the rows: capped views into cells
+	// mask and val are a packed tableau's cells (State.Pack): bit i%64 of
+	// mask[i/64] is set when cell i is nonzero, and val holds the nonzero
+	// cells in order. A packed tableau has no cells and no rows; only
+	// copyTo reads it.
+	mask  []uint64
+	val   []float64
 	basis []int
 	up    []float64 // per-column range hi − lo; +Inf for slack and artificial columns
 	flip  []bool    // per-column complement flag
@@ -491,8 +499,9 @@ func (p *Problem) newTableau() tableau {
 	}
 
 	total := n + nSlack + nArt
-	tb := tableau{cells: make([]float64, m*(total+1)), basis: make([]int, m),
+	tb := tableau{cells: getCells(m * (total + 1)), basis: make([]int, m),
 		nSlack: nSlack, nArt: nArt, total: total}
+	clear(tb.cells)
 	tb.rows(m)
 	basis := tb.basis
 	slack, art := n, n+nSlack
@@ -613,24 +622,73 @@ func (tb *tableau) complementBasic(r int, cost []float64) {
 	cost[l] = -cost[l]
 }
 
-// copyTo deep-copies tb into dst, building the copy in dst's own storage
-// wherever it is large enough.
+// cellPool parks dead tableau cell blocks for any later solve in the
+// process, the same idiom as sim's machine pool: a solve that ends, or a
+// state that is packed, hands its dense block back, and the next tableau
+// or copy of a fitting size takes it instead of allocating. It holds
+// storage only, never a value: every taker clears or fully overwrites
+// the block before reading it, so reuse cannot move a bit of any answer.
+// A block too small for its taker is dropped; pooling is an
+// optimization, never a correctness dependency.
+var cellPool sync.Pool
+
+// getCells returns a block of n cells, pooled or fresh. Its contents are
+// arbitrary: the caller clears or overwrites all of them.
+func getCells(n int) []float64 {
+	if b, _ := cellPool.Get().(*[]float64); b != nil && cap(*b) >= n {
+		return (*b)[:n]
+	}
+	return make([]float64, n)
+}
+
+// putCells parks a dead cell block in the pool. The caller must hold no
+// other reference to it.
+func putCells(c []float64) {
+	if cap(c) > 0 {
+		c = c[:0]
+		cellPool.Put(&c)
+	}
+}
+
+// copyTo deep-copies tb, dense or packed, into dst as a dense tableau,
+// building the copy in dst's own storage wherever it is large enough and
+// in pooled storage otherwise. A packed source expands bit for bit: every
+// cell its bitmap does not mark is +0.
 func (tb *tableau) copyTo(dst *tableau) {
 	c := *dst
 	*dst = *tb
-	dst.cells = append(c.cells[:0], tb.cells...)
+	m, size := len(tb.basis), len(tb.basis)*(tb.total+1)
+	dst.cells = c.cells[:0]
+	if cap(dst.cells) < size {
+		dst.cells = getCells(size)
+	}
+	dst.cells = dst.cells[:size]
+	if tb.mask == nil {
+		copy(dst.cells, tb.cells)
+	} else {
+		clear(dst.cells)
+		k := 0
+		for w, bits64 := range tb.mask {
+			for ; bits64 != 0; bits64 &= bits64 - 1 {
+				dst.cells[w<<6|bits.TrailingZeros64(bits64)] = tb.val[k]
+				k++
+			}
+		}
+	}
+	dst.mask, dst.val = nil, nil
 	dst.t = c.t
-	dst.rows(len(tb.t))
+	dst.rows(m)
 	dst.basis = append(c.basis[:0], tb.basis...)
 	dst.up = append(c.up[:0], tb.up...)
 	dst.flip = append(c.flip[:0], tb.flip...)
-	dst.nz = append(c.nz[:0], tb.nz...)
+	dst.nz = c.nz[:0] // pivot scratch: every pivot refills it before reading
 }
 
-// Copy returns a deep copy of st (nil for a nil st). The copy is built in
-// spare's storage wherever that is large enough, so a caller recycling
-// dead states copies without allocating; spare may be nil, and must not
-// be used again otherwise.
+// Copy returns a deep, dense copy of st (nil for a nil st), which may be
+// packed. The copy is built in spare's storage wherever that is large
+// enough, and in pooled storage otherwise, so a caller recycling dead
+// states copies without allocating; spare may be nil, and must not be
+// used again otherwise.
 func (st *State) Copy(spare *State) *State {
 	if st == nil {
 		return nil
@@ -646,6 +704,77 @@ func (st *State) Copy(spare *State) *State {
 	spare.reduced = append(spare.reduced[:0], st.reduced...)
 	return spare
 }
+
+// Pack parks st for a long wait: it keeps only the tableau's nonzero
+// cells, marked in a bitmap of one bit per cell, and hands the dense block
+// to the pool. A cell counts as nonzero unless its bits are those of +0,
+// so a −0 survives and Copy expands the state bit for bit. A state whose
+// bitmap and nonzero cells would not take fewer bytes than the dense
+// block stays dense. Copy is the only reader of a packed state, and it
+// leaves st itself untouched, so a packed state is safe to share; st
+// must not be resumed or certified any more (both would refuse its
+// missing rows). Pack does nothing to a nil or packed state.
+func (st *State) Pack() {
+	if st == nil || st.tb.mask != nil {
+		return
+	}
+	tb := &st.tb
+	n := len(tb.cells)
+	// The bitmap is built without a branch per cell: a fifth to a third of
+	// the cells are nonzero, scattered, so a branch would mispredict often.
+	// Only the nonzero cells are visited again.
+	mask := make([]uint64, (n+63)/64)
+	nnz := 0
+	for w := range mask {
+		var m uint64
+		for j, v := range tb.cells[w<<6 : min(w<<6+64, n)] {
+			b := math.Float64bits(v)
+			m |= (b | -b) >> 63 << j
+		}
+		mask[w] = m
+		nnz += bits.OnesCount64(m)
+	}
+	if len(mask)+nnz >= n {
+		return
+	}
+	val := make([]float64, nnz)
+	k := 0
+	for w, m := range mask {
+		for ; m != 0; m &= m - 1 {
+			val[k] = tb.cells[w<<6|bits.TrailingZeros64(m)]
+			k++
+		}
+	}
+	tb.mask, tb.val = mask, val
+	putCells(tb.cells)
+	tb.cells, tb.t, tb.nz = nil, nil, nil
+}
+
+// Release hands st's dense cell block to the pool. st must be dead: the
+// caller neither reads, copies nor resumes it again (a released state
+// has no rows, so a resume of it would solve cold). Releasing a nil,
+// packed or released state hands nothing back.
+func (st *State) Release() {
+	if st == nil {
+		return
+	}
+	putCells(st.tb.cells)
+	st.tb.cells, st.tb.t, st.tb.basis = nil, nil, nil
+}
+
+// Bytes is the storage st holds: its tableau cells, dense or packed, and
+// the per-row and per-column vectors beside them.
+func (st *State) Bytes() int {
+	tb := &st.tb
+	const word, header = 8, 24 // float64/int/Rel, and a row's slice header
+	return word*(cap(tb.cells)+cap(tb.mask)+cap(tb.val)+cap(tb.basis)+cap(tb.up)+cap(tb.nz)+
+		cap(st.rels)+cap(st.rhs)+cap(st.lo)+cap(st.hi)+cap(st.reduced)) +
+		cap(tb.flip) + header*cap(tb.t)
+}
+
+// Cells is the number of cells in st's tableau, m × (total+1), whether
+// it is held dense or packed; 8·Cells is its dense size in bytes.
+func (st *State) Cells() int { return len(st.tb.basis) * (st.tb.total + 1) }
 
 // SolveFromState re-solves the problem from the full end state of a
 // previous Optimal solve of a problem with identical coefficient rows,
