@@ -285,8 +285,9 @@ func BenchmarkLinkTimeExtension(b *testing.B) {
 	}
 }
 
-// BenchmarkILPSolve isolates the solver cost on the int_matmult model.
-func BenchmarkILPSolve(b *testing.B) {
+// intMatmultModel builds the int_matmult O2 placement model under the
+// given RAM budget, time limit and branching-variable cap.
+func intMatmultModel(b *testing.B, rspare, xlimit float64, maxCandidates int) *model.Model {
 	prog, err := mcc.Compile(beebs.Get("int_matmult").Source, mcc.O2)
 	if err != nil {
 		b.Fatal(err)
@@ -298,11 +299,18 @@ func BenchmarkILPSolve(b *testing.B) {
 	est := freq.Static(prog, graphs)
 	ef, er := power.STM32F100().Coefficients()
 	m, err := model.Build(prog, graphs, est, model.Params{
-		EFlash: ef, ERAM: er, Rspare: 1024, Xlimit: 1.2,
+		EFlash: ef, ERAM: er, Rspare: rspare, Xlimit: xlimit, MaxCandidates: maxCandidates,
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
+	return m
+}
+
+// solveILP times cold placement.SolveILP calls on m and reports the
+// branch-and-bound node count of the solve.
+func solveILP(b *testing.B, m *model.Model) {
+	b.ReportAllocs()
 	b.ResetTimer()
 	var nodes int
 	for i := 0; i < b.N; i++ {
@@ -313,6 +321,20 @@ func BenchmarkILPSolve(b *testing.B) {
 		nodes = res.Nodes
 	}
 	b.ReportMetric(float64(nodes), "bb-nodes")
+}
+
+// BenchmarkILPSolve isolates the solver cost on the int_matmult model.
+func BenchmarkILPSolve(b *testing.B) {
+	solveILP(b, intMatmultModel(b, 1024, 1.2, 0))
+}
+
+// BenchmarkBranchAndBound times a cold solve that branches: int_matmult
+// O2 with k = 8 branching variables under a 32-byte RAM budget, one of
+// the tight Figure 6 points, whose search takes 17 nodes. Its cost is
+// per-node work (node problems, resumes, certificates) more than root
+// pivots, which BenchmarkILPSolve's single-node solve measures.
+func BenchmarkBranchAndBound(b *testing.B) {
+	solveILP(b, intMatmultModel(b, 32, 1e9, 8))
 }
 
 // BenchmarkSimThroughput measures the simulator's sustained instruction

@@ -650,9 +650,15 @@ func (s *Session) solve(ctx context.Context, key solveKey) (*placement.Result, e
 				warm = s.neighborWarm(key)
 			}
 			res, err = placement.SolveLadder(ctx, mdl, key.budget, warm)
-			if err == nil && s.warmSolve {
+			switch {
+			case err == nil && s.warmSolve:
 				s.accountWarm(warm, res)
 				s.recordWarm(key, res.Warm)
+			case err == nil && res.Warm != nil:
+				// Only the warm registry reads a donated state: a cold
+				// session hands its storage back to the solver's pool.
+				res.Warm.State.Release()
+				res.Warm.State = nil
 			}
 		case SolverGreedy:
 			res = placement.SolveGreedy(mdl)
@@ -730,7 +736,10 @@ func (s *Session) neighborWarm(key solveKey) *placement.Warm {
 }
 
 // recordWarm registers a completed solve's donated state (nil for
-// unproven results — only proven optima may seed future solves).
+// unproven results — only proven optima may seed future solves). A new
+// state is parked packed (lp.State.Pack) for as long as the session
+// lives; a warm proof's passthrough is its donor's state, registered
+// already and shared with other solves, and is left as it is.
 func (s *Session) recordWarm(key solveKey, warm *placement.Warm) {
 	if warm == nil {
 		return
@@ -742,8 +751,9 @@ func (s *Session) recordWarm(key solveKey, warm *placement.Warm) {
 	}
 	pts := s.warmIdx.idx[fam]
 	// A warm proof hands its donor's state through, and the donor is in
-	// the same family already: count each state once.
+	// the same family already: pack and count each state once.
 	if st := warm.State; st != nil && !slices.ContainsFunc(pts, func(pt solvePoint) bool { return pt.warm.State == st }) {
+		st.Pack()
 		s.warmIdx.bytes += st.Bytes()
 	}
 	s.warmIdx.idx[fam] = append(pts,

@@ -122,11 +122,16 @@ func TestWarmSolveRungProvenance(t *testing.T) {
 		t.Errorf("memoized solve strategy rewritten to %q", again.Strategy)
 	}
 
-	// A cold session never records the warm rung.
+	// A cold session never records the warm rung, and keeps no donated
+	// state: only the warm registry would read it.
 	c := sessionForTest(t, bench, level)
 	for _, rs := range []float64{2048, 1024} {
-		if res := solveAt(t, c, rs, 1e9); res.Strategy == placement.StrategyWarmILPOptimal {
+		res := solveAt(t, c, rs, 1e9)
+		if res.Strategy == placement.StrategyWarmILPOptimal {
 			t.Errorf("cold solve at rspare %v recorded %q", rs, res.Strategy)
+		}
+		if res.Warm != nil && res.Warm.State != nil {
+			t.Errorf("cold solve at rspare %v kept its root state", rs)
 		}
 	}
 }

@@ -95,7 +95,9 @@ type Solver struct {
 	Warm *WarmStart
 
 	// onLP, if set, sees every LP relaxation solved with its problem and
-	// the cutoff it was resumed below (+Inf for none).
+	// the cutoff it was resumed below (+Inf for none). p is valid only
+	// during the call: Solve re-solves one node problem for every node,
+	// resetting its bounds in place, so a hook that keeps p must Clone it.
 	onLP func(p *lp.Problem, cutoff float64, sol *lp.Solution)
 }
 
@@ -114,8 +116,9 @@ type Result struct {
 	// (zero when the root was never solved) and RootState its full end
 	// state — together the donor state for the next warm start. The
 	// search only ever copies RootState, so it describes the root
-	// relaxation exactly. It comes back packed (lp.State.Pack), except
-	// on a warm proof, where it is the warm start's own State.
+	// relaxation exactly. It comes back dense, for the caller to pack
+	// (lp.State.Pack) if it keeps it, except on a warm proof, where it is
+	// the warm start's own State.
 	RootIters int
 	RootState *lp.State
 	// WarmIncumbent reports that the warm start's incumbent was accepted
@@ -186,14 +189,8 @@ func (s *Solver) Solve(ctx context.Context) (*Result, error) {
 		warmInc      bool
 		warmRoot     bool
 	)
-	// stamp fills in the root's outcome as the solve returns. The root
-	// state outlives the solve as the donor of later warm starts, so it
-	// is parked packed; the warm-proof passthrough is the donor's own
-	// state, shared with other solves, and is handed on untouched.
+	// stamp fills in the root's outcome as the solve returns.
 	stamp := func(r *Result) *Result {
-		if !r.WarmProof {
-			rootState.Pack()
-		}
 		r.RootIters = rootIters
 		r.RootState = rootState
 		r.WarmIncumbent = warmInc
@@ -268,11 +265,19 @@ func (s *Solver) Solve(ctx context.Context) (*Result, error) {
 	// needs it) the node resumes the dual simplex from that tableau in
 	// place, falling back to a cold solve internally on any mismatch; the
 	// resume stops early, as lp.Cutoff, once it proves the node's optimum
-	// reaches cutoff.
+	// reaches cutoff. Every node below the root is solved on nodeP, one
+	// clone of root whose bounds are reset to root's and given the node's
+	// fixes: rows never change, so that is the whole node problem, and it
+	// costs no allocation.
+	var nodeP *lp.Problem
 	solveNode := func(fixes []fix, from *lp.State, cutoff float64) (*lp.Solution, error) {
 		p := root
 		if len(fixes) > 0 {
-			p = root.Clone()
+			if nodeP == nil {
+				nodeP = root.Clone()
+			}
+			p = nodeP
+			p.CopyBounds(root)
 			for _, f := range fixes {
 				p.SetBounds(f.j, f.val, f.val)
 			}

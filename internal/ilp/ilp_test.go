@@ -28,7 +28,9 @@ func knapsack(t *testing.T, values, weights []float64, capacity float64) *Solver
 
 // certified makes every Optimal LP relaxation s solves (branch and bound
 // and exhaustive enumeration alike) carry a valid optimality certificate
-// for its node's problem, and holds every node cut off at the incumbent
+// for its node's problem by the public Certify, which prices the end
+// tableau afresh: a warm answer ResumeBelow certified on its closing
+// price must pass it too. It also holds every node cut off at the incumbent
 // to a cold solve: its bound must reach the cutoff, and the node must be
 // infeasible or have an optimum no lower than that bound.
 func certified(t *testing.T, s *Solver) *Solver {

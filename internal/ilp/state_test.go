@@ -118,7 +118,10 @@ func TestDonorStateIsOnlyRead(t *testing.T) {
 
 // TestDonorStateServesConcurrentSolves: solves on several goroutines at
 // once resume one shared donor, as placement.Warm shares it across sweep
-// workers; each gets the sequential answer and the donor is unchanged.
+// workers. Each gets the sequential answer, every relaxation is certified
+// (certified), nodes are cut off at the incumbent, and the donor is
+// unchanged. Run under -race, it also shows that the resumes' certificate
+// scratch and the solves' node problems are never shared.
 func TestDonorStateServesConcurrentSolves(t *testing.T) {
 	donor := mustBranch(t, branchingKnapsack(t, 80)).RootState
 	snapshot := donor.Copy(nil)
@@ -128,9 +131,11 @@ func TestDonorStateServesConcurrentSolves(t *testing.T) {
 		want[i] = mustSolve(t, branchingKnapsack(t, capacity)).Obj
 	}
 	var wg sync.WaitGroup
+	cut := make([]*int, len(capacities))
 	for i, capacity := range capacities {
 		s := branchingKnapsack(t, capacity)
 		s.Warm = &WarmStart{State: donor}
+		cut[i] = cutoffs(s)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -146,13 +151,21 @@ func TestDonorStateServesConcurrentSolves(t *testing.T) {
 	if !sameState(donor, snapshot) {
 		t.Fatal("concurrent solves wrote to their shared donor state")
 	}
+	total := 0
+	for _, n := range cut {
+		total += *n
+	}
+	if total == 0 {
+		t.Error("no node of the concurrent solves was cut off at the incumbent")
+	}
 }
 
-// TestRootStateIsTheRootRelaxation: a branching solve's RootState is
-// bit-identical to a cold solve of the root relaxation alone (the search
-// below the root only ever copies it), and stays so across two later
-// solves that both resume it. The grouped knapsack's RootState comes back
-// packed, the plain knapsack's (one dense row) stays dense.
+// TestRootStateIsTheRootRelaxation: a branching solve's RootState comes
+// back dense and bit-identical to a cold solve of the root relaxation
+// alone (the search below the root only ever copies it), and stays so,
+// packed as a keeper parks it, across two later solves that both resume
+// it. Packing keeps the plain knapsack's state (one dense row) dense and
+// packs the grouped knapsack's.
 func TestRootStateIsTheRootRelaxation(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -165,8 +178,12 @@ func TestRootStateIsTheRootRelaxation(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s := tc.solver(t, 60)
 			res := mustBranch(t, s)
+			if isPacked(res.RootState) {
+				t.Fatal("RootState came back packed")
+			}
+			res.RootState.Pack()
 			if got := isPacked(res.RootState); got != tc.packed {
-				t.Fatalf("RootState packed = %v, want %v", got, tc.packed)
+				t.Fatalf("packed RootState packed = %v, want %v", got, tc.packed)
 			}
 			root := s.Base.Clone()
 			for _, j := range s.Binaries {
@@ -239,14 +256,16 @@ func TestTwoNodeBudgetSolvesAChild(t *testing.T) {
 // TestWarmProofPassesTheDonorThrough: a solve closed by the carried bound
 // alone returns the warm start's own State as its RootState, the same
 // pointer, neither packed nor written, whether the donor is packed (as
-// a RootState) or dense (another solver's end state, which concurrent
-// solves may be reading).
+// a session's warm registry parks it) or dense (another solver's end
+// state, which concurrent solves may be reading).
 func TestWarmProofPassesTheDonorThrough(t *testing.T) {
 	first := mustBranch(t, groupedKnapsack(t, 60))
-	if !isPacked(first.RootState) {
-		t.Fatal("the donor RootState is not packed")
+	packed := first.RootState.Copy(nil)
+	packed.Pack()
+	if !isPacked(packed) {
+		t.Fatal("the donor state did not pack")
 	}
-	for name, donor := range map[string]*lp.State{"packed": first.RootState, "dense": first.RootState.Copy(nil)} {
+	for name, donor := range map[string]*lp.State{"packed": packed, "dense": first.RootState} {
 		snapshot, bytes := donor.Copy(nil), donor.Bytes()
 		s := groupedKnapsack(t, 60)
 		s.Warm = &WarmStart{Incumbent: first.X, Bound: first.Obj, HasBound: true, State: donor}

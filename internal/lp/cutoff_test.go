@@ -106,7 +106,7 @@ func TestResumeBelowForeignStateKeepsGoing(t *testing.T) {
 		if obj := tc.p.basisObj(&st.tb, cost); obj < tc.cutoff {
 			t.Fatalf("%s: basis objective %v: the quick check would not pass", tc.name, obj)
 		}
-		if bound, ok := tc.p.cutBound(&st.tb, reduced); ok && bound >= tc.cutoff {
+		if bound, ok := tc.p.cutBound(reduced, new(scratch)); ok && bound >= tc.cutoff {
 			t.Fatalf("%s: bound %v: the certificate would hold", tc.name, bound)
 		}
 

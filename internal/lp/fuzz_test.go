@@ -38,7 +38,11 @@ func (b *fuzzBytes) bound() (lo, hi float64) {
 // before or stop with a bound that reaches the cutoff and that the cold
 // optimum does not undercut. Every resume runs a second time from a
 // Pack → Copy round trip of the same end state and must answer bit for
-// bit as the resume from a dense copy did.
+// bit as the resume from a dense copy did. Every Optimal answer of a
+// resume, which ResumeBelow certified on its closing price, must also
+// pass the public Certify, which prices the end tableau afresh. Dense
+// rows may hold explicit zeros and −0 coefficients (a coefficient byte
+// of 3 mod 7 is a zero, and a −0 from 128 on).
 func FuzzBoundsVsRows(f *testing.F) {
 	f.Add([]byte{2, 1, 250, 253, 0, 1, 1, 4, 1, 2, 2, 0, 5})
 	f.Add([]byte{3, 2, 1, 2, 3, 0, 1, 2, 0, 1, 1, 4, 6, 5, 4, 0, 9, 1, 2, 3, 1, 7})
@@ -57,7 +61,11 @@ func FuzzBoundsVsRows(f *testing.F) {
 		for i := 0; i < m; i++ {
 			row := make([]float64, n)
 			for j := range row {
-				row[j] = float64(in.next()%7 - 3)
+				v := in.next()
+				row[j] = float64(v%7 - 3)
+				if v%7 == 3 && v >= 128 {
+					row[j] = math.Copysign(0, -1) // an explicit −0
+				}
 			}
 			rel := Rel(in.next() % 3)
 			rhs[i] = float64(in.next()%11 - 5)
@@ -119,6 +127,7 @@ func FuzzBoundsVsRows(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		certify(t, q, below)
 		resumePacked(t, q, a.State, cutoff, below)
 		if below.Status != Cutoff {
 			if below.Status != warm.Status || below.Obj != warm.Obj {
@@ -154,6 +163,7 @@ func resumePacked(t *testing.T, p *Problem, st *State, cutoff float64, want *Sol
 	if err != nil {
 		t.Fatal(err)
 	}
+	certify(t, p, got)
 	switch {
 	case got.Status != want.Status || got.Warmed != want.Warmed || got.Iters != want.Iters:
 		t.Fatalf("from the round trip %v (warmed %v) in %d iters, from the dense copy %v (warmed %v) in %d",

@@ -86,9 +86,19 @@ type Problem struct {
 	// lo and hi are the column bounds: lo finite, hi possibly +Inf.
 	lo, hi []float64
 
-	rowCoef [][]float64 // dense row coefficients, length n
+	// rowCoef holds each row's coefficients densely, length n, and rowNZ
+	// its nonzero columns (c != 0: an explicit zero and −0 are left out,
+	// a NaN kept) in ascending order. Rows never change once added, so a
+	// Clone shares both. Every pass over a row's coefficients walks rowNZ:
+	// most placement rows hold two or three nonzeros out of dozens.
+	rowCoef [][]float64
+	rowNZ   [][]int
 	rowRel  []Rel
 	rowRHS  []float64
+	// negZero records that some row holds a −0 coefficient: a tableau row
+	// is then laid out from the dense coefficients, so the cell keeps the
+	// −0 the coefficient has.
+	negZero bool
 
 	// MaxIter bounds total simplex pivots and bound flips (both phases).
 	// Zero means the default (50 per row+column, at least 10000).
@@ -96,7 +106,8 @@ type Problem struct {
 
 	// err records the first construction mistake (negative variable
 	// count, out-of-range variable or row, dense-row length mismatch,
-	// empty or non-finite bounds). Builders stay chainable — the error
+	// empty or non-finite bounds, bounds copied from a problem of another
+	// size). Builders stay chainable — the error
 	// sticks and Solve reports it at entry, wrapped around ErrBadProblem,
 	// instead of panicking mid-build.
 	err error
@@ -218,9 +229,7 @@ func (p *Problem) AddRow(coeffs map[int]float64, rel Rel, rhs float64) {
 		}
 		row[j] = c
 	}
-	p.rowCoef = append(p.rowCoef, row)
-	p.rowRel = append(p.rowRel, rel)
-	p.rowRHS = append(p.rowRHS, rhs)
+	p.addRow(row, rel, rhs)
 }
 
 // AddDenseRow adds a constraint from a dense coefficient slice (length
@@ -231,7 +240,27 @@ func (p *Problem) AddDenseRow(coeffs []float64, rel Rel, rhs float64) {
 		p.fail("dense row length %d, want %d", len(coeffs), p.n)
 		return
 	}
-	p.rowCoef = append(p.rowCoef, append([]float64(nil), coeffs...))
+	p.addRow(append([]float64(nil), coeffs...), rel, rhs)
+}
+
+// addRow appends a row the problem owns, recording its nonzero columns.
+func (p *Problem) addRow(row []float64, rel Rel, rhs float64) {
+	k := 0
+	for _, c := range row {
+		if c != 0 {
+			k++
+		} else if math.Signbit(c) {
+			p.negZero = true
+		}
+	}
+	nz := make([]int, 0, k)
+	for j, c := range row {
+		if c != 0 {
+			nz = append(nz, j)
+		}
+	}
+	p.rowCoef = append(p.rowCoef, row)
+	p.rowNZ = append(p.rowNZ, nz)
 	p.rowRel = append(p.rowRel, rel)
 	p.rowRHS = append(p.rowRHS, rhs)
 }
@@ -256,20 +285,39 @@ func (p *Problem) SetRHS(i int, rhs float64) {
 }
 
 // Clone copies the problem so bounds, RHS values or rows can be edited
-// per branch-and-bound node without disturbing the base relaxation. Row
-// coefficients never change once added, so the copy shares them.
+// without disturbing the original. Row coefficients, their nonzero
+// column lists and relations never change once added, so the copy shares
+// them, capped at their length: a row added to either problem appends to
+// storage of its own.
 func (p *Problem) Clone() *Problem {
+	m := len(p.rowRel)
 	return &Problem{
 		n:       p.n,
 		obj:     slices.Clone(p.obj),
 		lo:      slices.Clone(p.lo),
 		hi:      slices.Clone(p.hi),
-		rowCoef: slices.Clone(p.rowCoef),
-		rowRel:  slices.Clone(p.rowRel),
+		rowCoef: p.rowCoef[:m:m],
+		rowNZ:   p.rowNZ[:m:m],
+		rowRel:  p.rowRel[:m:m],
 		rowRHS:  slices.Clone(p.rowRHS),
+		negZero: p.negZero,
 		MaxIter: p.MaxIter,
 		err:     p.err,
 	}
+}
+
+// CopyBounds sets every column bound of p to q's, in place: branch and
+// bound resets one node problem to its root this way instead of cloning
+// the root per node. q must have p's variable count; a mismatch records
+// a sticky ErrBadProblem (reported by Solve) and leaves the bounds
+// unchanged.
+func (p *Problem) CopyBounds(q *Problem) {
+	if q.n != p.n {
+		p.fail("bounds of %d variables copied onto %d", q.n, p.n)
+		return
+	}
+	copy(p.lo, q.lo)
+	copy(p.hi, q.hi)
 }
 
 // Feasible reports whether x satisfies every row and column bound
@@ -282,10 +330,8 @@ func (p *Problem) Feasible(x []float64, tol float64) bool {
 	}
 	for i, row := range p.rowCoef {
 		v := 0.0
-		for j, c := range row {
-			if c != 0 {
-				v += c * x[j]
-			}
+		for _, j := range p.rowNZ[i] {
+			v += row[j] * x[j]
 		}
 		switch p.rowRel[i] {
 		case LE:
@@ -477,9 +523,9 @@ func (p *Problem) newTableau() tableau {
 	nSlack, nArt := 0, 0
 	for i, row := range p.rowCoef {
 		start[i] = p.rowRHS[i]
-		for j, c := range row {
-			if c != 0 && p.lo[j] != 0 {
-				start[i] -= c * p.lo[j]
+		for _, j := range p.rowNZ[i] {
+			if p.lo[j] != 0 {
+				start[i] -= row[j] * p.lo[j]
 			}
 		}
 		if start[i] < 0 {
@@ -511,8 +557,16 @@ func (p *Problem) newTableau() tableau {
 		if start[i] < 0 {
 			sign = -1.0
 		}
-		for j, c := range row {
-			ti[j] = sign * c
+		if sign < 0 || p.negZero {
+			// A zero coefficient lays out as a signed zero here: −0 when
+			// the row is negated or the coefficient is −0 itself.
+			for j, c := range row {
+				ti[j] = sign * c
+			}
+		} else {
+			for _, j := range p.rowNZ[i] {
+				ti[j] = sign * row[j]
+			}
 		}
 		ti[total] = sign * start[i]
 		switch rels[i] {
@@ -822,18 +876,20 @@ func (p *Problem) ResumeBelow(ctx context.Context, st *State, cutoff float64) (*
 		return p.Solve(ctx)
 	}
 	tb := &st.tb
+	var sc scratch
+	hasEQ := slices.Contains(p.rowRel, EQ)
 
 	// The cutoff check: the basis objective is an O(n+m) filter, and only
 	// a certified bound ends the resume.
 	var bound float64
 	var cut func() bool
-	if cutoff < math.Inf(1) && !slices.Contains(p.rowRel, EQ) {
+	if cutoff < math.Inf(1) && !hasEQ {
 		cut = func() bool {
 			if p.basisObj(tb, cost) < cutoff {
 				return false
 			}
 			var ok bool
-			bound, ok = p.cutBound(tb, reduced)
+			bound, ok = p.cutBound(reduced, &sc)
 			return ok && bound >= cutoff
 		}
 	}
@@ -857,7 +913,7 @@ func (p *Problem) ResumeBelow(ctx context.Context, st *State, cutoff float64) (*
 	case Cutoff:
 		return &Solution{Status: Cutoff, Obj: bound, Iters: iters, Warmed: true}, nil
 	case Infeasible:
-		if p.farkas(tb, row) != nil {
+		if p.farkas(tb, row, &sc) != nil {
 			return cold() // the verdict does not hold for this problem
 		}
 		return &Solution{Status: Infeasible, Iters: iters, Warmed: true}, nil
@@ -867,12 +923,34 @@ func (p *Problem) ResumeBelow(ctx context.Context, st *State, cutoff float64) (*
 		return cold()
 	}
 
+	// An Optimal close leaves reduced holding simplex's fresh price of the
+	// end tableau under cost, which is p's working cost for it: the very
+	// pair Certify would price again, so the certificate is checked on it.
 	dst = simplex(tb, cost, reduced, maxIter, &iters, done)
 	sol, err := p.finish(ctx, st, dst, reduced, iters, true)
-	if err == nil && sol.Status == Optimal && (slices.Contains(p.rowRel, EQ) || p.Certify(sol) != nil) {
+	if err == nil && sol.Status == Optimal && (hasEQ || p.certify(sol.X, tb, cost, reduced, &sc) != nil) {
 		return cold() // the donor state did not describe this problem after all
 	}
 	return sol, err
+}
+
+// scratch is one resume's working storage for its certificates:
+// cutBound's dⱼ or farkas' combined row, and their rounding scales. It is
+// taken once per resume, when a check first runs, never per dual
+// iteration, and it stays out of tableau and State: a tableau is copied
+// by value (copyTo's *dst = *tb), which would share it between a donor
+// and its copies.
+type scratch struct {
+	d, mag []float64
+}
+
+// floats returns the two length-n vectors d and mag, contents arbitrary.
+func (sc *scratch) floats(n int) (d, mag []float64) {
+	if len(sc.d) != n {
+		buf := make([]float64, 2*n)
+		sc.d, sc.mag = buf[:n:n], buf[n:]
+	}
+	return sc.d, sc.mag
 }
 
 // refresh re-expresses st's tableau for p's RHS values and column bounds
@@ -967,20 +1045,30 @@ func (p *Problem) refresh(st *State) (cost, reduced []float64, ok bool) {
 // alone, and ResumeBelow never returns a warm Optimal answer to such a
 // problem. It returns nil when the certificate holds and a description
 // of the first violation otherwise.
+//
+// Certify prices the tableau itself. ResumeBelow checks the same
+// certificate on the price its closing simplex pass has just computed
+// (certify), which holds the same bits.
 func (p *Problem) Certify(sol *Solution) error {
 	if sol == nil || sol.Status != Optimal || sol.State == nil {
 		return errors.New("lp: no optimal end state to certify")
 	}
-	tb, x := &sol.State.tb, sol.X
+	tb := &sol.State.tb
 	if len(sol.State.lo) != p.n || len(tb.t) != len(p.rowRel) {
 		return errors.New("lp: end state does not match the problem's layout")
-	}
-	if !p.Feasible(x, 1e-6) {
-		return errors.New("lp: certificate: point violates a row or bound")
 	}
 	cost := p.workCost(tb)
 	reduced := make([]float64, tb.total)
 	tb.price(cost, reduced)
+	return p.certify(sol.X, tb, cost, reduced, new(scratch))
+}
+
+// certify checks Certify's certificate for the point x on tableau tb,
+// whose reduced costs under p's working cost for it are reduced.
+func (p *Problem) certify(x []float64, tb *tableau, cost, reduced []float64, sc *scratch) error {
+	if !p.Feasible(x, 1e-6) {
+		return errors.New("lp: certificate: point violates a row or bound")
+	}
 	isBasic := make([]bool, tb.total)
 	for _, j := range tb.basis {
 		isBasic[j] = true
@@ -994,7 +1082,7 @@ func (p *Problem) Certify(sol *Solution) error {
 	if slices.Contains(p.rowRel, EQ) {
 		return nil
 	}
-	bound, ok := p.cutBound(tb, reduced)
+	bound, ok := p.cutBound(reduced, sc)
 	if obj := p.Objective(x); !ok || obj-bound > 1e-7*(1+math.Abs(obj)) {
 		return fmt.Errorf("lp: certificate: objective %g is above the problem's own bound %g", obj, bound)
 	}
@@ -1011,7 +1099,7 @@ func (p *Problem) Certify(sol *Solution) error {
 // tableau cannot pass it. It returns nil when the certificate holds; a
 // problem with an EQ row has no slack column to read y from and never
 // passes.
-func (p *Problem) farkas(tb *tableau, r int) error {
+func (p *Problem) farkas(tb *tableau, r int, sc *scratch) error {
 	if slices.Contains(p.rowRel, EQ) {
 		return errors.New("lp: farkas: an EQ row has no slack column")
 	}
@@ -1023,8 +1111,9 @@ func (p *Problem) farkas(tb *tableau, r int) error {
 	for k := range p.rowRel {
 		ymax = max(ymax, row[p.n+k])
 	}
-	c := make([]float64, p.n)   // Σₖ yₖ·aₖ
-	mag := make([]float64, p.n) // Σₖ |yₖ·aₖ|, the scale of c's rounding
+	c, mag := sc.floats(p.n) // Σₖ yₖ·aₖ, and Σₖ |yₖ·aₖ|, the scale of c's rounding
+	clear(c)
+	clear(mag)
 	yb, scale := 0.0, 0.0
 	for k, rel := range p.rowRel {
 		y := row[p.n+k]
@@ -1038,11 +1127,10 @@ func (p *Problem) farkas(tb *tableau, r int) error {
 		if rel == GE {
 			y = -y
 		}
-		for j, a := range p.rowCoef[k] {
-			if a != 0 {
-				c[j] += y * a
-				mag[j] += math.Abs(y * a)
-			}
+		row := p.rowCoef[k]
+		for _, j := range p.rowNZ[k] {
+			c[j] += y * row[j]
+			mag[j] += math.Abs(y * row[j])
 		}
 		yb += y * p.rowRHS[k]
 		scale += math.Abs(y * p.rowRHS[k])
@@ -1106,10 +1194,11 @@ func (p *Problem) basisObj(tb *tableau, cost []float64) float64 {
 // so a stale or foreign tableau can weaken it but not forge it. ok is
 // false when a column whose dⱼ is negative has no upper bound. On a
 // dual-feasible basis the bound equals basisObj. reduced is only read:
-// ResumeBelow passes the dual simplex's live buffer.
-func (p *Problem) cutBound(tb *tableau, reduced []float64) (bound float64, ok bool) {
-	d := slices.Clone(p.obj) // dⱼ
-	mag := make([]float64, p.n)
+// ResumeBelow passes the dual simplex's live buffer. dⱼ and its rounding
+// scale are built in sc's storage.
+func (p *Problem) cutBound(reduced []float64, sc *scratch) (bound float64, ok bool) {
+	d, mag := sc.floats(p.n) // dⱼ
+	copy(d, p.obj)
 	for j, c := range p.obj {
 		mag[j] = math.Abs(c) // with Σₖ |yₖ·aₖⱼ|, the scale of dⱼ's rounding
 	}
@@ -1129,11 +1218,10 @@ func (p *Problem) cutBound(tb *tableau, reduced []float64) (bound float64, ok bo
 		if rel == GE {
 			y = r
 		}
-		for j, a := range p.rowCoef[k] {
-			if a != 0 {
-				d[j] -= y * a
-				mag[j] += math.Abs(y * a)
-			}
+		row := p.rowCoef[k]
+		for _, j := range p.rowNZ[k] {
+			d[j] -= y * row[j]
+			mag[j] += math.Abs(y * row[j])
 		}
 		bound += y * p.rowRHS[k]
 	}

@@ -372,7 +372,7 @@ func TestFarkasRejectsEQRows(t *testing.T) {
 	if sol.Status != Optimal {
 		t.Fatalf("status %v", sol.Status)
 	}
-	if err := p.farkas(&sol.State.tb, 1); err == nil {
+	if err := p.farkas(&sol.State.tb, 1, new(scratch)); err == nil {
 		t.Error("farkas accepted a problem with an EQ row")
 	}
 }
