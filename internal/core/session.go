@@ -17,6 +17,7 @@ import (
 	"repro/internal/freq"
 	"repro/internal/ir"
 	"repro/internal/layout"
+	"repro/internal/lp"
 	"repro/internal/model"
 	"repro/internal/placement"
 	"repro/internal/power"
@@ -38,8 +39,8 @@ import (
 //
 // Every artifact handed out is treated as immutable once built: models,
 // graphs and estimates are read-only to the solvers, the baseline
-// machine state is snapshotted into plain bytes, and each Optimize call
-// transforms a fresh clone of the program. That makes concurrent solves
+// machine state is snapshotted into plain bytes, and each placement is
+// transformed on a fresh clone of the program. That makes concurrent solves
 // over one Session safe (the evaluation sweeps run them across a worker
 // pool under the race detector).
 type Session struct {
@@ -53,10 +54,11 @@ type Session struct {
 
 	// warmIdx is the warm-start registry: per solve family (same model
 	// inputs except the Rspare/Xlimit bounds, same solver and budget),
-	// the completed proven solves and their reusable state. A solve at
-	// one constraint point consults its nearest single-axis neighbor
-	// here before paying for a cold solve. bytes is the storage of the
-	// distinct lp end states the registry holds (lp.State.Bytes).
+	// the last warmDonors completed proven solves and their reusable
+	// state. A solve at one constraint point consults its nearest
+	// single-axis neighbor here before paying for a cold solve. bytes is
+	// the storage of the distinct lp end states the registry holds
+	// (lp.State.Bytes).
 	warmIdx struct {
 		mu    sync.Mutex
 		idx   map[solveFamily][]solvePoint
@@ -69,7 +71,8 @@ type Session struct {
 	families   memo[modelKey, *model.Model] // per modelKey.family(), off the ledger
 	models     memo[modelKey, *model.Model] // per point: WithBounds views of a family
 	solves     memo[solveKey, *placement.Result]
-	transforms memo[transformKey, *transformed]
+	placements memo[transformKey, *placed]      // per transformKey.placed(), off the ledger
+	transforms memo[transformKey, *transformed] // per budget: analyses of a shared placement
 	reports    memo[reportKey, *Report]
 	// runs, intermits and brackets key on the image they read, not on the
 	// configuration that asked: the baseline and every configuration whose
@@ -197,15 +200,23 @@ type intermittentSpec struct {
 	aware      bool
 }
 
-// transformKey identifies a transformed program: the chosen placement,
-// the transform mode, and the RAM budget the static analysis verifies
-// against. Two solves that pick the same block set — common between the
-// static and profiled Figure 5 variants, which also share the derived
-// budget — share one transformed program and analysis.
+// transformKey identifies a verified transformed program: the chosen
+// placement, the transform mode, and the RAM budget the static analysis
+// verifies against. Two solves that pick the same block set — common
+// between the static and profiled Figure 5 variants, which also share the
+// derived budget — share one analysis; budgets that differ share the
+// transformed program and image underneath (placed).
 type transformKey struct {
 	placement string
 	linkTime  bool
 	rspare    float64
+}
+
+// placed zeroes the RAM budget: the key of the transformed program and
+// image, which only the analysis on top of them reads the budget against.
+func (k transformKey) placed() transformKey {
+	k.rspare = 0
+	return k
 }
 
 // transform is the transform key of the placement the configuration's
@@ -227,7 +238,7 @@ const (
 
 // imageKey identifies one laid-out image: the placement and its form.
 // The empty placement is the all-flash baseline in every form (the
-// transform leaves the program untouched, which transformFor checks), so
+// transform leaves the program untouched, which placeFor checks), so
 // it normalizes to the zero key.
 type imageKey struct {
 	placement string
@@ -650,14 +661,18 @@ func (s *Session) solve(ctx context.Context, key solveKey) (*placement.Result, e
 				warm = s.neighborWarm(key)
 			}
 			res, err = placement.SolveLadder(ctx, mdl, key.budget, warm)
-			switch {
-			case err == nil && s.warmSolve:
+			if err == nil && s.warmSolve {
 				s.accountWarm(warm, res)
-				s.recordWarm(key, res.Warm)
-			case err == nil && res.Warm != nil:
-				// Only the warm registry reads a donated state: a cold
-				// session hands its storage back to the solver's pool.
-				res.Warm.State.Release()
+			}
+			if err == nil && res.Warm != nil {
+				// Only the warm registry reads a donated state, and it
+				// takes the state over: the memoized result keeps none. A
+				// cold session hands its storage back to the solver's pool.
+				if s.warmSolve {
+					s.recordWarm(key, *res.Warm)
+				} else {
+					res.Warm.State.Release()
+				}
 				res.Warm.State = nil
 			}
 		case SolverGreedy:
@@ -696,6 +711,13 @@ func familyOf(key solveKey) solveFamily {
 	return solveFamily{model: key.model.family(), solver: key.solver, exhaustiveK: key.exhaustiveK, budget: key.budget}
 }
 
+// warmDonors is how many completed solves the registry keeps per family.
+// A sweep walks its path loosest first, so the point a solve consults is
+// the one registered just before it; a daemon's scattered Rspare writes
+// would otherwise park one state per distinct budget for the session's
+// whole life.
+const warmDonors = 4
+
 // neighborWarm picks the carried state for a solve: the nearest
 // completed solve in the same family that differs on exactly one
 // constraint axis. Preference order is deterministic for a fixed
@@ -705,8 +727,8 @@ func familyOf(key solveKey) solveFamily {
 func (s *Session) neighborWarm(key solveKey) *placement.Warm {
 	fam := familyOf(key)
 	s.warmIdx.mu.Lock()
+	defer s.warmIdx.mu.Unlock()
 	pts := s.warmIdx.idx[fam]
-	s.warmIdx.mu.Unlock()
 
 	best := -1
 	bestAxis, bestDist, bestVal := 2, 0.0, 0.0
@@ -735,30 +757,40 @@ func (s *Session) neighborWarm(key solveKey) *placement.Warm {
 	return pts[best].warm
 }
 
-// recordWarm registers a completed solve's donated state (nil for
-// unproven results — only proven optima may seed future solves). A new
-// state is parked packed (lp.State.Pack) for as long as the session
-// lives; a warm proof's passthrough is its donor's state, registered
-// already and shared with other solves, and is left as it is.
-func (s *Session) recordWarm(key solveKey, warm *placement.Warm) {
-	if warm == nil {
-		return
-	}
+// recordWarm registers a proven solve's donation and takes its state
+// over: the registry keeps its own copy of warm. A new state is parked
+// packed (lp.State.Pack); a warm proof's passthrough is its donor's
+// state, registered already and shared with other solves, and is left as
+// it is. A full family drops its oldest point. The dropped state is
+// never written or pooled — a solve that consulted it may still be
+// copying it — so the collector takes it once nothing reads it, and the
+// byte gauge lets go of it unless a remaining point shares it.
+func (s *Session) recordWarm(key solveKey, warm placement.Warm) {
 	fam := familyOf(key)
 	s.warmIdx.mu.Lock()
+	defer s.warmIdx.mu.Unlock()
 	if s.warmIdx.idx == nil {
 		s.warmIdx.idx = make(map[solveFamily][]solvePoint)
 	}
 	pts := s.warmIdx.idx[fam]
+	holds := func(st *lp.State) bool {
+		return slices.ContainsFunc(pts, func(pt solvePoint) bool { return pt.warm.State == st })
+	}
+	if len(pts) == warmDonors {
+		old := pts[0].warm.State
+		pts = append(pts[:0], pts[1:]...)
+		if old != nil && !holds(old) {
+			s.warmIdx.bytes -= old.Bytes()
+		}
+	}
 	// A warm proof hands its donor's state through, and the donor is in
 	// the same family already: pack and count each state once.
-	if st := warm.State; st != nil && !slices.ContainsFunc(pts, func(pt solvePoint) bool { return pt.warm.State == st }) {
+	if st := warm.State; st != nil && !holds(st) {
 		st.Pack()
 		s.warmIdx.bytes += st.Bytes()
 	}
 	s.warmIdx.idx[fam] = append(pts,
-		solvePoint{rspare: key.model.rspare, xlimit: key.model.xlimit, warm: warm})
-	s.warmIdx.mu.Unlock()
+		solvePoint{rspare: key.model.rspare, xlimit: key.model.xlimit, warm: &warm})
 }
 
 // accountWarm ledgers one ILP solve's warm outcome.
@@ -786,23 +818,60 @@ func absf(v float64) float64 {
 	return v
 }
 
-// transformed is the placement-determined artifact set: the transformed
-// program clone, the transformation report, the optimized image, and its
-// static analysis. All immutable after construction.
-type transformed struct {
+// placed is the placement-determined artifact set: the transformed
+// program clone, the transformation report and the optimized image. The
+// Figure 4 transform reads only the block set and the transform mode, so
+// every RAM budget that lands on one placement shares one. All immutable
+// after construction.
+type placed struct {
 	prog *ir.Program
 	trep *transform.Report
 	img  *layout.Image
+}
+
+// transformed is one budget's view of a placement: the shared placed
+// artifacts and the static analysis verified against that budget.
+type transformed struct {
+	*placed
 	ares *analysis.Result
 }
 
 func (tf *transformed) image() (*layout.Image, error) { return tf.img, nil }
 
-// transformFor clones, transforms, lays out and statically verifies the
-// program for one placement. res.InRAM must canonicalize to
-// key.placement.
+// transformFor statically verifies the placement's image against the
+// key's RAM budget, on top of placeFor's shared transform. res.InRAM
+// must canonicalize to key.placement. The transform ledger counts one
+// lookup per budget, as the analysis is what each budget adds.
 func (s *Session) transformFor(key transformKey, inRAM map[string]bool) (*transformed, error) {
 	return s.transforms.do(&s.counters.transform, key, func() (*transformed, error) {
+		pl, err := s.placeFor(key.placed(), inRAM)
+		if err != nil {
+			return nil, err
+		}
+		// Static verification of the transformed artifact: every branch in
+		// range, every cross-memory edge instrumented with a dead scratch,
+		// the CFG preserved, the memory map sound, the stack bounded, the
+		// RAM code within the budget (MM005, the only pass that reads it).
+		// Error diagnostics abort the run before simulation can mask them.
+		ares, err := analysis.Analyze(&analysis.Context{
+			Original: s.prog, Prog: pl.prog, InRAM: inRAM,
+			Config: s.layout, Image: pl.img, Rspare: key.rspare,
+		})
+		if err != nil {
+			return nil, errs.Wrap(errs.StageAnalysis, err)
+		}
+		if n := len(ares.Errors()); n > 0 {
+			return nil, errs.Wrap(errs.StageAnalysis, fmt.Errorf("found %d error(s):\n%s", n, ares))
+		}
+		return &transformed{placed: pl, ares: ares}, nil
+	})
+}
+
+// placeFor clones, transforms and lays out the program for one placement
+// and transform mode (key.rspare is zero), once per session and off the
+// ledger, like the model families.
+func (s *Session) placeFor(key transformKey, inRAM map[string]bool) (*placed, error) {
+	return s.placements.do(nil, key, func() (*placed, error) {
 		// Transformation on a clone: the shared session program stays
 		// pristine for every other configuration.
 		opt := s.prog.Clone()
@@ -824,22 +893,7 @@ func (s *Session) transformFor(key transformKey, inRAM map[string]bool) (*transf
 		if err != nil {
 			return nil, errs.Wrap(errs.StageLayout, err)
 		}
-
-		// Static verification of the transformed artifact: every branch in
-		// range, every cross-memory edge instrumented with a dead scratch,
-		// the CFG preserved, the memory map sound, the stack bounded. Error
-		// diagnostics abort the run before simulation can mask them.
-		ares, err := analysis.Analyze(&analysis.Context{
-			Original: s.prog, Prog: opt, InRAM: inRAM,
-			Config: s.layout, Image: optImg, Rspare: key.rspare,
-		})
-		if err != nil {
-			return nil, errs.Wrap(errs.StageAnalysis, err)
-		}
-		if n := len(ares.Errors()); n > 0 {
-			return nil, errs.Wrap(errs.StageAnalysis, fmt.Errorf("found %d error(s):\n%s", n, ares))
-		}
-		return &transformed{prog: opt, trep: trep, img: optImg, ares: ares}, nil
+		return &placed{prog: opt, trep: trep, img: optImg}, nil
 	})
 }
 

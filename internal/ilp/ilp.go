@@ -133,19 +133,38 @@ type Result struct {
 
 const intTol = 1e-6
 
+// node is an open subproblem: the node it branched from plus one more
+// fix. Its fixes are the chain up to the root's children.
 type node struct {
 	bound float64
-	fixes []fix
+	fix   fix
+	up    *node // the branched node; nil for the root's children
 	// from is the parent relaxation's end state. Because fixes are
 	// column-bound edits, the parent's tableau stays dual feasible in
 	// every child and seeds a dual-simplex re-solve.
 	from *parent
 }
 
+// fixTo applies nd's fixes to p in the order the branching made them,
+// root first.
+func (nd *node) fixTo(p *lp.Problem) {
+	if nd.up != nil {
+		nd.up.fixTo(p)
+	}
+	p.SetBounds(nd.fix.j, nd.fix.val, nd.fix.val)
+}
+
 // parent is a branched node's end state, shared by its children.
 type parent struct {
 	state *lp.State
 	open  int // children not yet popped; the last one takes state over
+}
+
+// branching is all one branched node allocates: the end state its
+// children share, and the children.
+type branching struct {
+	parent
+	kids [2]node
 }
 
 type fix struct {
@@ -265,22 +284,20 @@ func (s *Solver) Solve(ctx context.Context) (*Result, error) {
 	// needs it) the node resumes the dual simplex from that tableau in
 	// place, falling back to a cold solve internally on any mismatch; the
 	// resume stops early, as lp.Cutoff, once it proves the node's optimum
-	// reaches cutoff. Every node below the root is solved on nodeP, one
-	// clone of root whose bounds are reset to root's and given the node's
-	// fixes: rows never change, so that is the whole node problem, and it
-	// costs no allocation.
+	// reaches cutoff. Every node below the root (nd nil) is solved on
+	// nodeP, one clone of root whose bounds are reset to root's and given
+	// the node's fixes: rows never change, so that is the whole node
+	// problem, and it costs no allocation.
 	var nodeP *lp.Problem
-	solveNode := func(fixes []fix, from *lp.State, cutoff float64) (*lp.Solution, error) {
+	solveNode := func(nd *node, from *lp.State, cutoff float64) (*lp.Solution, error) {
 		p := root
-		if len(fixes) > 0 {
+		if nd != nil {
 			if nodeP == nil {
 				nodeP = root.Clone()
 			}
 			p = nodeP
 			p.CopyBounds(root)
-			for _, f := range fixes {
-				p.SetBounds(f.j, f.val, f.val)
-			}
+			nd.fixTo(p)
 		}
 		nodes++
 		sol, err := p.ResumeBelow(ctx, from, cutoff)
@@ -352,18 +369,15 @@ func (s *Solver) Solve(ctx context.Context) (*Result, error) {
 		return stamp(&Result{Status: Optimal, X: incumbent, Obj: incumbentObj, Nodes: nodes}), nil
 	}
 
-	// branch opens both children, on variable j, of the node with the
-	// given fixes solved to sol. They share its end state: each copies it
-	// except the last to be popped, which takes it over.
+	// branch opens both children, on variable j, of node nd (nil for the
+	// root) solved to sol. They share its end state: each copies it except
+	// the last to be popped, which takes it over.
 	open := &nodeHeap{}
-	branch := func(fixes []fix, sol *lp.Solution, j int) {
-		from := &parent{state: sol.State, open: 2}
-		for _, v := range [2]float64{0, 1} {
-			heap.Push(open, &node{
-				bound: sol.Obj,
-				fixes: append(append([]fix(nil), fixes...), fix{j, v}),
-				from:  from,
-			})
+	branch := func(nd *node, sol *lp.Solution, j int) {
+		b := &branching{parent: parent{state: sol.State, open: 2}}
+		for v := range b.kids {
+			b.kids[v] = node{bound: sol.Obj, fix: fix{j, float64(v)}, up: nd, from: &b.parent}
+			heap.Push(open, &b.kids[v])
 		}
 	}
 	branch(nil, rootSol, s.mostFractional(rootSol.X))
@@ -417,7 +431,7 @@ func (s *Solver) Solve(ctx context.Context) (*Result, error) {
 		// cannot beat the incumbent stops as soon as that is proven, and
 		// every other node is solved exactly as before, so the search tree
 		// does not change. Without an incumbent the cutoff is +Inf.
-		sol, err := solveNode(nd.fixes, from, incumbentObj-1e-9)
+		sol, err := solveNode(nd, from, incumbentObj-1e-9)
 		if err != nil {
 			if ctx.Err() != nil {
 				return stopResult(&errs.BudgetError{Resource: "deadline", Cause: ctx.Err()})
@@ -446,7 +460,7 @@ func (s *Solver) Solve(ctx context.Context) (*Result, error) {
 			recycle(sol.State)
 			continue // integral; tryIncumbent already recorded it
 		}
-		branch(nd.fixes, sol, j)
+		branch(nd, sol, j)
 	}
 
 	if incumbent == nil {

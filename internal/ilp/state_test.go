@@ -57,8 +57,8 @@ func sameState(a, b *lp.State) bool {
 	return sameBits(reflect.ValueOf(a.Copy(nil)), reflect.ValueOf(b.Copy(nil)))
 }
 
-// isPacked reports whether st holds fewer bytes than its dense copy.
-func isPacked(st *lp.State) bool { return st.Bytes() < st.Copy(nil).Bytes() }
+// isPacked reports whether st holds its tableau packed.
+func isPacked(st *lp.State) bool { return st.Packed() }
 
 // branchingKnapsack is a 14-item knapsack whose root relaxation is
 // fractional at every capacity used below, so each solve branches.

@@ -504,7 +504,7 @@ type tableau struct {
 	basis []int
 	up    []float64 // per-column range hi − lo; +Inf for slack and artificial columns
 	flip  []bool    // per-column complement flag
-	nz    []int     // pivot scratch: the pivot row's nonzero columns
+	nz    []int     // pivot scratch: the pivot row's nonzero columns, cap total+1
 
 	nSlack, nArt, total int
 }
@@ -545,8 +545,8 @@ func (p *Problem) newTableau() tableau {
 	}
 
 	total := n + nSlack + nArt
-	tb := tableau{cells: getCells(m * (total + 1)), basis: make([]int, m),
-		nSlack: nSlack, nArt: nArt, total: total}
+	tb := tableau{basis: make([]int, m), nSlack: nSlack, nArt: nArt, total: total}
+	tb.cells, tb.nz = getStorage(m*(total+1), total+1)
 	clear(tb.cells)
 	tb.rows(m)
 	basis := tb.basis
@@ -676,31 +676,46 @@ func (tb *tableau) complementBasic(r int, cost []float64) {
 	cost[l] = -cost[l]
 }
 
-// cellPool parks dead tableau cell blocks for any later solve in the
+// cellPool parks dead tableau storage for any later solve in the
 // process, the same idiom as sim's machine pool: a solve that ends, or a
-// state that is packed, hands its dense block back, and the next tableau
-// or copy of a fitting size takes it instead of allocating. It holds
-// storage only, never a value: every taker clears or fully overwrites
-// the block before reading it, so reuse cannot move a bit of any answer.
-// A block too small for its taker is dropped; pooling is an
-// optimization, never a correctness dependency.
+// state that is packed, hands its dense block and pivot scratch back, and
+// the next tableau or copy of a fitting size takes them instead of
+// allocating. It holds storage only, never a value: every taker clears
+// or fully overwrites the block before reading it, and every pivot
+// refills the scratch, so reuse cannot move a bit of any answer. Storage
+// too small for its taker is dropped; pooling is an optimization, never
+// a correctness dependency.
 var cellPool sync.Pool
 
-// getCells returns a block of n cells, pooled or fresh. Its contents are
-// arbitrary: the caller clears or overwrites all of them.
-func getCells(n int) []float64 {
-	if b, _ := cellPool.Get().(*[]float64); b != nil && cap(*b) >= n {
-		return (*b)[:n]
-	}
-	return make([]float64, n)
+// storage is one pooled entry: a cell block and the pivot scratch of the
+// tableau that held it.
+type storage struct {
+	cells []float64
+	nz    []int
 }
 
-// putCells parks a dead cell block in the pool. The caller must hold no
-// other reference to it.
-func putCells(c []float64) {
-	if cap(c) > 0 {
-		c = c[:0]
-		cellPool.Put(&c)
+// getStorage returns a block of n cells and an empty pivot scratch of
+// capacity at least w, pooled or fresh. The cells' contents are
+// arbitrary: the caller clears or overwrites all of them.
+func getStorage(n, w int) ([]float64, []int) {
+	var b storage
+	if p, _ := cellPool.Get().(*storage); p != nil {
+		b = *p
+	}
+	if cap(b.cells) < n {
+		b.cells = make([]float64, n)
+	}
+	if cap(b.nz) < w {
+		b.nz = make([]int, 0, w)
+	}
+	return b.cells[:n], b.nz[:0]
+}
+
+// putStorage parks a dead tableau's cell block and pivot scratch in the
+// pool. The caller must hold no other reference to either.
+func putStorage(cells []float64, nz []int) {
+	if cap(cells) > 0 {
+		cellPool.Put(&storage{cells: cells[:0], nz: nz[:0]})
 	}
 }
 
@@ -712,9 +727,14 @@ func (tb *tableau) copyTo(dst *tableau) {
 	c := *dst
 	*dst = *tb
 	m, size := len(tb.basis), len(tb.basis)*(tb.total+1)
-	dst.cells = c.cells[:0]
+	// The pivot scratch is sized once, for a pivot row's total+1
+	// columns: every pivot refills it before reading.
+	dst.cells, dst.nz = c.cells[:0], c.nz[:0]
 	if cap(dst.cells) < size {
-		dst.cells = getCells(size)
+		dst.cells, dst.nz = getStorage(size, tb.total+1)
+	}
+	if cap(dst.nz) <= tb.total {
+		dst.nz = make([]int, 0, tb.total+1)
 	}
 	dst.cells = dst.cells[:size]
 	if tb.mask == nil {
@@ -735,7 +755,6 @@ func (tb *tableau) copyTo(dst *tableau) {
 	dst.basis = append(c.basis[:0], tb.basis...)
 	dst.up = append(c.up[:0], tb.up...)
 	dst.flip = append(c.flip[:0], tb.flip...)
-	dst.nz = c.nz[:0] // pivot scratch: every pivot refills it before reading
 }
 
 // Copy returns a deep, dense copy of st (nil for a nil st), which may be
@@ -800,7 +819,7 @@ func (st *State) Pack() {
 		}
 	}
 	tb.mask, tb.val = mask, val
-	putCells(tb.cells)
+	putStorage(tb.cells, tb.nz)
 	tb.cells, tb.t, tb.nz = nil, nil, nil
 }
 
@@ -812,8 +831,8 @@ func (st *State) Release() {
 	if st == nil {
 		return
 	}
-	putCells(st.tb.cells)
-	st.tb.cells, st.tb.t, st.tb.basis = nil, nil, nil
+	putStorage(st.tb.cells, st.tb.nz)
+	st.tb.cells, st.tb.t, st.tb.basis, st.tb.nz = nil, nil, nil, nil
 }
 
 // Bytes is the storage st holds: its tableau cells, dense or packed, and
@@ -825,6 +844,9 @@ func (st *State) Bytes() int {
 		cap(st.rels)+cap(st.rhs)+cap(st.lo)+cap(st.hi)+cap(st.reduced)) +
 		cap(tb.flip) + header*cap(tb.t)
 }
+
+// Packed reports whether st holds its tableau packed (see Pack).
+func (st *State) Packed() bool { return st.tb.mask != nil }
 
 // Cells is the number of cells in st's tableau, m × (total+1), whether
 // it is held dense or packed; 8·Cells is its dense size in bytes.

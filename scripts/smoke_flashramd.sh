@@ -10,15 +10,19 @@
 #      the CLI spelling each JSON field as its flag.
 #   3. A request-shaped failure is a 400 from the daemon and a non-zero
 #      `flashram` exit, both with the same message.
-#   4. A /v1/sweep of two inline sources (examples/kernels/biquad.c and
+#   4. 40 writes of int_matmult O2, each at a new rspare and in a fixed
+#      shuffled order, run warm solves through one session while its
+#      warm-start registry evicts donors; every 8th answer equals
+#      `flashram -json -rspare X` byte for byte.
+#   5. A /v1/sweep of two inline sources (examples/kernels/biquad.c and
 #      checksum.c, both under the default name) streams, for each cell,
 #      the same run document /v1/optimize returns for that cell.
-#   5. 64 concurrent requests cycling over the daemon's standard mix
+#   6. 64 concurrent requests cycling over the daemon's standard mix
 #      (service.DefaultMix: every benchmark at O2 and Os, sha O2
 #      profiled, crc32 O2 at rspare 512) each answer byte-identical to
 #      that body's serial answer; every one of them hits the session
 #      store, and none is a 5xx.
-#   6. SIGTERM drains the daemon: it exits 0 on its own, no kill -9.
+#   7. SIGTERM drains the daemon: it exits 0 on its own, no kill -9.
 set -e
 cd "$(dirname "$0")/.."
 
@@ -101,6 +105,26 @@ if [ -z "$daemon_msg" ] || [ "$daemon_msg" != "$cli_msg" ]; then
     exit 1
 fi
 
+# Distinct-rspare writes through one warm session: rspare 40 + 50k for
+# k = 17i mod 40, a fixed shuffle of 40 budgets over 13 placements.
+# The session keeps a few warm donors per solve family, so all but the
+# first write solve warm while older donors are evicted; what a write
+# answers must not depend on which donor it found.
+i=0
+while [ "$i" -lt 40 ]; do
+    rspare=$((40 + 50 * (17 * i % 40)))
+    curl -fsS -X POST -d "{\"bench\":\"int_matmult\",\"level\":\"O2\",\"rspare\":$rspare}" \
+        "$url/v1/optimize" >"$tmp/write$i.json"
+    if [ $((i % 8)) = 0 ]; then
+        "$tmp/flashram" -bench int_matmult -O O2 -rspare "$rspare" -json >"$tmp/write_cli$i.json"
+        cmp "$tmp/write$i.json" "$tmp/write_cli$i.json" || {
+            echo "smoke_flashramd: warm write at rspare $rspare differs from flashram -json" >&2
+            exit 1
+        }
+    fi
+    i=$((i + 1))
+done
+
 # Sweep rows equal single-shot responses. The two inline sources share
 # the default name "source"; only their content tells them apart.
 i=0
@@ -169,4 +193,4 @@ grep -q 'drained' "$tmp/daemon.log" || {
     cat "$tmp/daemon.log" >&2
     exit 1
 }
-echo "smoke_flashramd: byte identity, knob-heavy identity, 400 mapping, CLI/daemon rejection parity, sweep/optimize row identity, 64-way concurrent identity and graceful drain all clean"
+echo "smoke_flashramd: byte identity, knob-heavy identity, 400 mapping, CLI/daemon rejection parity, warm-write identity, sweep/optimize row identity, 64-way concurrent identity and graceful drain all clean"
