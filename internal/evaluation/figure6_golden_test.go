@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 	"testing"
@@ -172,6 +173,86 @@ func TestNodesGolden(t *testing.T) {
 	for i := range got {
 		if got[i] != want[i] {
 			t.Errorf("node counts changed:\n got  %s\n want %s", got[i], want[i])
+		}
+	}
+}
+
+var updateRoots = flag.Bool("update-roots", false, "rewrite testdata/roots.golden from the current solver")
+
+const rootsGolden = "testdata/roots.golden"
+
+// figure6Roots runs the Figure 6 sweep (k = 8) of every BEEBS benchmark
+// at O2 and Os, then reads each path point's root relaxation back through
+// its session's memoized core.Session.Solve, as figure6Nodes reads its
+// node count: one line per (benchmark, level, path), each point as its
+// root pivot count and the bits of the objective it donates
+// (placement.Warm.RootIters and Obj), "-" for a point that donates none.
+func figure6Roots(t *testing.T, cold bool) []string {
+	t.Helper()
+	mode := "warm"
+	if cold {
+		mode = "cold"
+	}
+	var lines []string
+	for _, b := range beebs.All() {
+		for _, level := range []mcc.OptLevel{mcc.O2, mcc.Os} {
+			sw := NewSweep(1)
+			sw.ColdSolve = cold
+			if _, err := sw.Figure6(context.Background(), b.Name, level, 8, figure6RAMSweep, figure6XSweep); err != nil {
+				t.Fatalf("%s/%v cold=%v: %v", b.Name, level, cold, err)
+			}
+			sess, err := sw.Session(b, level)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spare, err := sess.SpareRAM()
+			if err != nil {
+				t.Fatal(err)
+			}
+			roots := func(path string, sweep []float64, spec func(v float64) core.ModelSpec) {
+				points := make([]string, len(sweep))
+				for i, v := range sweep {
+					res, err := sess.Solve(context.Background(), core.SolveSpec{ModelSpec: spec(v), Solver: core.SolverILP})
+					if err != nil {
+						t.Fatalf("%s/%v %s %v: %v", b.Name, level, path, v, err)
+					}
+					points[i] = "-"
+					if w := res.Warm; w != nil {
+						points[i] = fmt.Sprintf("%d:%016x", w.RootIters, math.Float64bits(w.Obj))
+					}
+				}
+				lines = append(lines, fmt.Sprintf("%s %v %s %s %v", b.Name, level, mode, path, points))
+			}
+			roots("ram", figure6RAMSweep, func(rs float64) core.ModelSpec {
+				return core.ModelSpec{Rspare: rs, Xlimit: 1e9, MaxCandidates: 8}
+			})
+			roots("time", figure6XSweep, func(xl float64) core.ModelSpec {
+				return core.ModelSpec{Rspare: spare, Xlimit: xl, MaxCandidates: 8}
+			})
+		}
+	}
+	return lines
+}
+
+// TestRootsGolden pins the root relaxation of every Figure 6 path point,
+// warm-started and cold: its pivot count and its objective to the bit. A
+// change to the simplex's pivot path shows here even where the search
+// tree, and so nodes.golden, happens to come out the same.
+func TestRootsGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("20 full trade-off sweeps, twice")
+	}
+	got := append(figure6Roots(t, false), figure6Roots(t, true)...)
+	want, ok := goldenLines(t, rootsGolden, "-update-roots", *updateRoots, got)
+	if !ok {
+		return
+	}
+	if len(got) != len(want) {
+		t.Fatalf("golden has %d lines, sweeps produced %d", len(want), len(got))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Errorf("root relaxations changed:\n got  %s\n want %s", got[i], want[i])
 		}
 	}
 }
