@@ -288,7 +288,12 @@ func BenchmarkLinkTimeExtension(b *testing.B) {
 // intMatmultModel builds the int_matmult O2 placement model under the
 // given RAM budget, time limit and branching-variable cap.
 func intMatmultModel(b *testing.B, rspare, xlimit float64, maxCandidates int) *model.Model {
-	prog, err := mcc.Compile(beebs.Get("int_matmult").Source, mcc.O2)
+	return intMatmultModelAt(b, mcc.O2, rspare, xlimit, maxCandidates)
+}
+
+// intMatmultModelAt is intMatmultModel at another optimization level.
+func intMatmultModelAt(b *testing.B, level mcc.OptLevel, rspare, xlimit float64, maxCandidates int) *model.Model {
+	prog, err := mcc.Compile(beebs.Get("int_matmult").Source, level)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -335,6 +340,29 @@ func BenchmarkILPSolve(b *testing.B) {
 // pivots, which BenchmarkILPSolve's single-node solve measures.
 func BenchmarkBranchAndBound(b *testing.B) {
 	solveILP(b, intMatmultModel(b, 32, 1e9, 8))
+}
+
+// BenchmarkRunawayNodes times the cell whose branch and bound runs away,
+// int_matmult O0 under Rspare 512 and Xlimit 1.2, cut off by a 500-node
+// budget: the solve degrades to its best incumbent. Every open node
+// parks its parent's end state, so besides B/op it reports the bytes
+// one dense end state of the cell holds (B/state, lp.State.Bytes of the
+// root relaxation's), the unit the search's memory grows in.
+func BenchmarkRunawayNodes(b *testing.B) {
+	m := intMatmultModelAt(b, mcc.O0, 512, 1.2, 0)
+	prob, _ := m.BuildILP()
+	root, err := prob.Solve(context.Background())
+	if err != nil || root.State == nil {
+		b.Fatalf("root relaxation: %v, %v", root, err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := placement.SolveILP(context.Background(), m, placement.Budget{MaxNodes: 500}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(root.State.Bytes()), "B/state")
 }
 
 // BenchmarkSimThroughput measures the simulator's sustained instruction

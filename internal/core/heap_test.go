@@ -4,7 +4,9 @@ import (
 	"context"
 	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/beebs"
 	"repro/internal/mcc"
@@ -65,4 +67,56 @@ func liveHeap() int64 {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	return int64(ms.HeapAlloc)
+}
+
+// TestRunawayCellHeap runs the cell whose branch and bound runs away,
+// int_matmult O0 under Rspare 512 and Xlimit 1.2, with a 2000-node solve
+// budget, and samples the heap in use while it solves. Every open node
+// holds its parent's end state, so the peak is set by how many tableau
+// cells a state keeps: with one cell per column and row, m × (n+m+1),
+// the process peaked at 495 MB; the dictionary form's m × (n+1) cells
+// bring it near 200 MB. The ceiling is 300 MB.
+func TestRunawayCellHeap(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("a 2000-node solve of the runaway cell")
+	}
+	prog, err := mcc.Compile(beebs.Get("int_matmult").Source, mcc.O0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewSession(prog, SessionConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	var peak uint64
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		tick := time.NewTicker(5 * time.Millisecond)
+		defer tick.Stop()
+		var ms runtime.MemStats
+		for {
+			runtime.ReadMemStats(&ms)
+			peak = max(peak, ms.HeapInuse)
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+			}
+		}
+	}()
+	rep, err := s.Optimize(context.Background(), Options{Rspare: 512, Xlimit: 1.2, SolveMaxNodes: 2000})
+	close(stop)
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("strategy %s: heap in use peaked at %.1f MB", rep.Strategy, float64(peak)/(1<<20))
+	const ceiling = 300 << 20
+	if peak > ceiling {
+		t.Errorf("heap in use peaked at %d bytes, want at most %d", peak, ceiling)
+	}
 }

@@ -761,8 +761,8 @@ func (s *Session) neighborWarm(key solveKey) *placement.Warm {
 // over: the registry keeps its own copy of warm. A new state is parked
 // packed (lp.State.Pack); a warm proof's passthrough is its donor's
 // state, registered already and shared with other solves, and is left as
-// it is. A full family drops its oldest point. The dropped state is
-// never written or pooled — a solve that consulted it may still be
+// it is. A full family drops the point evictee picks. The dropped state
+// is never written or pooled — a solve that consulted it may still be
 // copying it — so the collector takes it once nothing reads it, and the
 // byte gauge lets go of it unless a remaining point shares it.
 func (s *Session) recordWarm(key solveKey, warm placement.Warm) {
@@ -777,8 +777,9 @@ func (s *Session) recordWarm(key solveKey, warm placement.Warm) {
 		return slices.ContainsFunc(pts, func(pt solvePoint) bool { return pt.warm.State == st })
 	}
 	if len(pts) == warmDonors {
-		old := pts[0].warm.State
-		pts = append(pts[:0], pts[1:]...)
+		i := evictee(pts, key.model.rspare, key.model.xlimit)
+		old := pts[i].warm.State
+		pts = slices.Delete(pts, i, i+1)
 		if old != nil && !holds(old) {
 			s.warmIdx.bytes -= old.Bytes()
 		}
@@ -791,6 +792,45 @@ func (s *Session) recordWarm(key solveKey, warm placement.Warm) {
 	}
 	s.warmIdx.idx[fam] = append(pts,
 		solvePoint{rspare: key.model.rspare, xlimit: key.model.xlimit, warm: &warm})
+}
+
+// evictee picks the point a full family, pts in registration order,
+// drops to admit a new point at (rspare, xlimit): the older point of the
+// closest pair on a shared constraint line, the new point included, so
+// the donors stay spread along each line. Pairs are ranked as
+// neighborWarm ranks neighbors, rspare lines before xlimit lines, then
+// by bound distance; ties go to the older point. With no two points on
+// one line it is the oldest point. The new point is never the older of
+// a pair, so the point a sweep consults next, the last one solved, is
+// never dropped.
+func evictee(pts []solvePoint, rspare, xlimit float64) int {
+	at := func(i int) (float64, float64) {
+		if i == len(pts) {
+			return rspare, xlimit
+		}
+		return pts[i].rspare, pts[i].xlimit
+	}
+	best, bestAxis, bestDist := 0, 2, 0.0
+	for a := range pts {
+		ra, xa := at(a)
+		for b := a + 1; b <= len(pts); b++ {
+			rb, xb := at(b)
+			var axis int // 0 = a shared xlimit (an rspare line), 1 = a shared rspare
+			var dist float64
+			switch {
+			case xa == xb:
+				axis, dist = 0, absf(ra-rb)
+			case ra == rb:
+				axis, dist = 1, absf(xa-xb)
+			default:
+				continue
+			}
+			if axis < bestAxis || axis == bestAxis && dist < bestDist {
+				best, bestAxis, bestDist = a, axis, dist
+			}
+		}
+	}
+	return best
 }
 
 // accountWarm ledgers one ILP solve's warm outcome.

@@ -22,7 +22,8 @@ func (b *fuzzBytes) next() int {
 
 // FuzzBranchAndBoundVsExhaustive decodes a 0–1 program over k ≤ 10
 // binaries — integer objective, knapsack rows shaped like the placement
-// model's RAM row (non-negative sizes under a capacity), the odd cover or
+// model's RAM row (non-negative sizes under a capacity), the odd cover
+// row (written −Σ a·x ≤ −r with the constant on a column fixed at 1) or
 // mixed-sign row, and random fixes in the column bounds — and solves it
 // by branch and bound and by exhaustive enumeration. Statuses must agree;
 // an Optimal point must be integral and feasible, with an objective
@@ -43,16 +44,16 @@ func FuzzBranchAndBoundVsExhaustive(f *testing.F) {
 			obj[j] = float64(in.next()%41 - 20)
 		}
 		type row struct {
-			coef []float64
-			rel  lp.Rel
-			rhs  float64
+			coef  []float64
+			cover bool // Σ coef·x ≥ rhs
+			rhs   float64
 		}
 		rows := make([]row, nRows)
 		for i := range rows {
-			r := row{coef: make([]float64, k), rel: lp.LE}
+			r := row{coef: make([]float64, k+1)}
 			kind := in.next() % 4
 			total := 0.0
-			for j := range r.coef {
+			for j := range r.coef[:k] {
 				if kind == 3 { // mixed signs
 					r.coef[j] = float64(in.next()%9 - 4)
 				} else { // non-negative sizes
@@ -63,7 +64,7 @@ func FuzzBranchAndBoundVsExhaustive(f *testing.F) {
 			// The right-hand side is a byte's share of the row's total.
 			r.rhs = math.Floor(total * float64(in.next()) / 255)
 			if kind == 2 { // a cover row: at least that much must be chosen
-				r.rel, r.rhs = lp.GE, math.Floor(r.rhs/2)
+				r.cover, r.rhs = true, math.Floor(r.rhs/2)
 			}
 			rows[i] = r
 		}
@@ -74,7 +75,8 @@ func FuzzBranchAndBoundVsExhaustive(f *testing.F) {
 		slack := float64(in.next() % 4 * 8) // the sibling's extra capacity; 0 = no warm start
 
 		build := func(extra float64) *Solver {
-			p := lp.NewProblem(k)
+			p := lp.NewProblem(k + 1)
+			p.SetBounds(k, 1, 1) // column one, for the cover rows' constants
 			bins := make([]int, k)
 			for j := range bins {
 				bins[j] = j
@@ -89,11 +91,11 @@ func FuzzBranchAndBoundVsExhaustive(f *testing.F) {
 				}
 			}
 			for _, r := range rows {
-				rhs := r.rhs
-				if r.rel == lp.LE {
-					rhs += extra
+				if r.cover {
+					addLE(p, negated(r.coef), -r.rhs, k)
+				} else {
+					p.AddDenseRow(r.coef, r.rhs+extra)
 				}
-				p.AddDenseRow(r.coef, r.rel, rhs)
 			}
 			return certified(t, &Solver{Base: p, Binaries: bins})
 		}

@@ -22,7 +22,7 @@ func knapsack(t *testing.T, values, weights []float64, capacity float64) *Solver
 		w[j] = weights[j]
 		bins[j] = j
 	}
-	p.AddRow(w, lp.LE, capacity)
+	p.AddRow(w, capacity)
 	return certified(t, &Solver{Base: p, Binaries: bins})
 }
 
@@ -95,11 +95,34 @@ func TestKnapsackSmall(t *testing.T) {
 	}
 }
 
+// addLE adds Σ coef·x ≤ rhs for a rhs of either sign, in lp's ≤ class
+// with right-hand sides ≥ 0: a negative rhs goes onto column one, which
+// the problem fixes at [1, 1], as the coefficient −rhs. A ≥ row is added
+// as its negation.
+func addLE(p *lp.Problem, coef []float64, rhs float64, one int) {
+	row := append([]float64(nil), coef...)
+	if rhs < 0 {
+		row[one] -= rhs
+		rhs = 0
+	}
+	p.AddDenseRow(row, rhs)
+}
+
+// negated returns −coef.
+func negated(coef []float64) []float64 {
+	neg := make([]float64, len(coef))
+	for j, c := range coef {
+		neg[j] = -c
+	}
+	return neg
+}
+
 func TestInfeasibleILP(t *testing.T) {
-	p := lp.NewProblem(2)
-	p.AddRow(map[int]float64{0: 1, 1: 1}, lp.GE, 3) // impossible for two binaries
-	p.AddRow(map[int]float64{0: 1}, lp.LE, 1)
-	p.AddRow(map[int]float64{1: 1}, lp.LE, 1)
+	p := lp.NewProblem(3)
+	p.SetBounds(2, 1, 1)                         // column one
+	addLE(p, negated([]float64{1, 1, 0}), -3, 2) // x0 + x1 ≥ 3: impossible for two binaries
+	p.AddRow(map[int]float64{0: 1}, 1)
+	p.AddRow(map[int]float64{1: 1}, 1)
 	s := certified(t, &Solver{Base: p, Binaries: []int{0, 1}})
 	r, err := s.Solve(context.Background())
 	if err != nil {
@@ -109,6 +132,53 @@ func TestInfeasibleILP(t *testing.T) {
 		t.Fatalf("status = %v, want infeasible", r.Status)
 	}
 }
+
+// TestFixAtOneStartsFromLowerBounds: the exhaustive enumeration fixes
+// x0 at 1 and x1, x2 at 0, which makes row x0 − x1 − x2 − y ≤ 0 start at
+// −1, outside the slack basis, so the cold solve reaches a feasible basis
+// from lower bounds of 0 through the dual simplex (y, continuous, rises
+// to 1). Every relaxation it solves must pass Certify, and branch and
+// bound must agree with the enumeration.
+func TestFixAtOneStartsFromLowerBounds(t *testing.T) {
+	p := lp.NewProblem(4)
+	for j, c := range []float64{-5, 2, 3, 4} {
+		p.SetObj(j, c)
+	}
+	p.SetBounds(3, 0, 1)                                    // y
+	p.AddRow(map[int]float64{0: 1, 1: -1, 2: -1, 3: -1}, 0) // x0 needs x1, x2 or y
+	p.AddRow(map[int]float64{1: 1, 2: 1}, 1)
+	s := certified(t, &Solver{Base: p, Binaries: []int{0, 1, 2}})
+	shifted := 0
+	hook := s.onLP
+	s.onLP = func(p *lp.Problem, cutoff float64, sol *lp.Solution) {
+		lo0, _ := p.Bounds(0)
+		lo1, _ := p.Bounds(1)
+		lo2, _ := p.Bounds(2)
+		if lo0-lo1-lo2 > 0 && sol.Status == lp.Optimal {
+			shifted++
+			if !approx(sol.Obj, -1) {
+				t.Errorf("x0 = 1, x1 = x2 = 0: obj %v at %v, want −1 with y = 1", sol.Obj, sol.X)
+			}
+		}
+		hook(p, cutoff, sol)
+	}
+	want, err := s.SolveExhaustive(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if shifted == 0 {
+		t.Fatal("no relaxation started outside the slack basis; the path goes untested")
+	}
+	if want.Status != Optimal || want.Obj != -3 || math.Round(want.X[0]) != 1 || math.Round(want.X[1]) != 1 {
+		t.Fatalf("exhaustive: %v obj %v at %v, want optimal −3 at x0 = x1 = 1", want.Status, want.Obj, want.X)
+	}
+	got := mustSolve(t, s)
+	if got.Status != Optimal || got.Obj != want.Obj {
+		t.Errorf("branch and bound: %v obj %v, exhaustive %v obj %v", got.Status, got.Obj, want.Status, want.Obj)
+	}
+}
+
+func approx(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
 // TestBinaryBoundsRoundInward: a binary's own column bounds are rounded
 // inward to integers, so [0, 0.5] pins it to 0 and [0.2, 0.8] admits no
@@ -132,7 +202,7 @@ func TestIntegralRootShortCircuits(t *testing.T) {
 	// min -x0 s.t. x0 <= 1: LP root is already integral.
 	p := lp.NewProblem(1)
 	p.SetObj(0, -1)
-	p.AddRow(map[int]float64{0: 1}, lp.LE, 1)
+	p.AddRow(map[int]float64{0: 1}, 1)
 	s := certified(t, &Solver{Base: p, Binaries: []int{0}})
 	r, err := s.Solve(context.Background())
 	if err != nil {
@@ -147,7 +217,7 @@ func TestUnboundedILP(t *testing.T) {
 	// Continuous variable x1 unbounded below drives the relaxation down.
 	p := lp.NewProblem(2)
 	p.SetObj(1, -1)
-	p.AddRow(map[int]float64{0: 1}, lp.LE, 1)
+	p.AddRow(map[int]float64{0: 1}, 1)
 	s := certified(t, &Solver{Base: p, Binaries: []int{0}})
 	r, err := s.Solve(context.Background())
 	if err != nil {
@@ -179,7 +249,7 @@ func TestBranchAndBoundMatchesExhaustive(t *testing.T) {
 			for j := 0; j < n; j++ {
 				row[j] = float64(rng.Intn(5))
 			}
-			s.Base.AddRow(row, lp.LE, float64(3+rng.Intn(12)))
+			s.Base.AddRow(row, float64(3+rng.Intn(12)))
 		}
 		got, err := s.Solve(context.Background())
 		if err != nil {
@@ -200,16 +270,18 @@ func TestBranchAndBoundMatchesExhaustive(t *testing.T) {
 
 // TestBranchAndBoundMatchesExhaustiveMixed: random 0–1 programs over up
 // to 10 binaries with native [0,1] column bounds, plus bounded continuous
-// columns and mixed LE/GE rows. Branch and bound must match exhaustive
-// enumeration, every Optimal relaxation either solves is certified, and
-// every node cut off at the incumbent is checked against a cold solve.
+// columns and mixed ≤/≥ rows with right-hand sides of either sign
+// (addLE). Branch and bound must match exhaustive enumeration, every
+// Optimal relaxation either solves is certified, and every node cut off
+// at the incumbent is checked against a cold solve.
 func TestBranchAndBoundMatchesExhaustiveMixed(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	optimal, cut := 0, 0
 	for trial := 0; trial < 150; trial++ {
 		k := 1 + rng.Intn(10)
 		n := k + rng.Intn(3)
-		p := lp.NewProblem(n)
+		p := lp.NewProblem(n + 1)
+		p.SetBounds(n, 1, 1) // column one
 		bins := make([]int, k)
 		for j := 0; j < n; j++ {
 			p.SetObj(j, float64(rng.Intn(21)-10))
@@ -221,11 +293,15 @@ func TestBranchAndBoundMatchesExhaustiveMixed(t *testing.T) {
 			}
 		}
 		for i := 1 + rng.Intn(4); i > 0; i-- {
-			row := make([]float64, n)
-			for j := range row {
+			row := make([]float64, n+1)
+			for j := range row[:n] {
 				row[j] = float64(rng.Intn(9) - 4)
 			}
-			p.AddDenseRow(row, lp.Rel(rng.Intn(2)), float64(rng.Intn(13)-4))
+			ge, rhs := rng.Intn(2) == 1, float64(rng.Intn(13)-4)
+			if ge {
+				row, rhs = negated(row), -rhs
+			}
+			addLE(p, row, rhs, n)
 		}
 		s := certified(t, &Solver{Base: p, Binaries: bins})
 		cutoffs := cutoffs(s)
@@ -316,7 +392,7 @@ func TestExhaustiveRefusesLargeK(t *testing.T) {
 	bins := make([]int, 30)
 	for j := range bins {
 		bins[j] = j
-		p.AddRow(map[int]float64{j: 1}, lp.LE, 1)
+		p.AddRow(map[int]float64{j: 1}, 1)
 	}
 	s := &Solver{Base: p, Binaries: bins}
 	if _, err := s.SolveExhaustive(context.Background()); err == nil {

@@ -80,7 +80,7 @@ func branchingKnapsack(t *testing.T, capacity float64) *Solver {
 func groupedKnapsack(t *testing.T, capacity float64) *Solver {
 	s := branchingKnapsack(t, capacity)
 	for j := 0; j < s.Base.NumVars(); j += 2 {
-		s.Base.AddRow(map[int]float64{j: 12, j + 1: 12}, lp.LE, 20)
+		s.Base.AddRow(map[int]float64{j: 12, j + 1: 12}, 20)
 	}
 	return s
 }

@@ -9,8 +9,8 @@ import (
 
 // TestColumnBounds solves small problems whose answers sit on column
 // bounds: bound flips, a basic column leaving at its upper bound, a
-// negative lower bound, a fixed column, and a lower bound that makes
-// standard form negate a row.
+// lower bound above zero, a fixed column, and a lower bound that makes
+// the slack basis infeasible.
 func TestColumnBounds(t *testing.T) {
 	inf := math.Inf(1)
 	type bound struct{ lo, hi float64 }
@@ -19,34 +19,33 @@ func TestColumnBounds(t *testing.T) {
 		obj    []float64
 		bounds []bound
 		rows   []map[int]float64
-		rels   []Rel
 		rhs    []float64
 		want   Status
 		wantX  []float64
 	}{
-		{"upper bound without a row", []float64{-1}, []bound{{1, 3}}, nil, nil, nil,
+		{"upper bound without a row", []float64{-1}, []bound{{1, 3}}, nil, nil,
 			Optimal, []float64{3}},
-		{"negative lower bound", []float64{1}, []bound{{-5, 2}}, nil, nil, nil,
-			Optimal, []float64{-5}},
+		{"lower bound above zero", []float64{1}, []bound{{2, 5}}, nil, nil,
+			Optimal, []float64{2}},
 		{"fixed column", []float64{-1, -1}, []bound{{2, 2}, {0, inf}},
-			[]map[int]float64{{0: 1, 1: 1}}, []Rel{LE}, []float64{5},
+			[]map[int]float64{{0: 1, 1: 1}}, []float64{5},
 			Optimal, []float64{2, 3}},
-		{"lower bound negates a row", []float64{1, 1}, []bound{{3, 10}, {0, inf}},
-			[]map[int]float64{{0: 1, 1: -1}}, []Rel{LE}, []float64{1},
+		{"lower bound makes the slack basis infeasible", []float64{1, 1}, []bound{{3, 10}, {0, inf}},
+			[]map[int]float64{{0: 1, 1: -1}}, []float64{1},
 			Optimal, []float64{3, 2}},
 		{"knapsack relaxation by bound flips", []float64{-5, -4, -3}, []bound{{0, 1}, {0, 1}, {0, 1}},
-			[]map[int]float64{{0: 2, 1: 3, 2: 1}}, []Rel{LE}, []float64{5},
+			[]map[int]float64{{0: 2, 1: 3, 2: 1}}, []float64{5},
 			Optimal, []float64{1, 2.0 / 3.0, 1}},
 		{"basic column leaves at its upper bound", []float64{-1, -0.1}, []bound{{0, 1}, {0, 2}},
-			[]map[int]float64{{0: 1, 1: -1}}, []Rel{LE}, []float64{0},
+			[]map[int]float64{{0: 1, 1: -1}}, []float64{0},
 			Optimal, []float64{1, 2}},
-		{"equality over bounded columns", []float64{1, 2}, []bound{{0, 1}, {0, 4}},
-			[]map[int]float64{{0: 1, 1: 1}}, []Rel{EQ}, []float64{3},
-			Optimal, []float64{1, 2}},
-		{"unbounded above", []float64{-1}, []bound{{2, inf}}, nil, nil, nil,
+		{"equality over bounded columns", []float64{1, 2, 0}, []bound{{0, 1}, {0, 4}, {1, 1}},
+			[]map[int]float64{{0: 1, 1: 1}, {0: -1, 1: -1, 2: 3}}, []float64{3, 0},
+			Optimal, []float64{1, 2, 1}},
+		{"unbounded above", []float64{-1}, []bound{{2, inf}}, nil, nil,
 			Unbounded, nil},
 		{"bounds contradict a row", []float64{1}, []bound{{2, 3}},
-			[]map[int]float64{{0: 1}}, []Rel{LE}, []float64{1},
+			[]map[int]float64{{0: 1}}, []float64{1},
 			Infeasible, nil},
 	}
 	for _, tc := range cases {
@@ -56,7 +55,7 @@ func TestColumnBounds(t *testing.T) {
 			p.SetBounds(j, tc.bounds[j].lo, tc.bounds[j].hi)
 		}
 		for i, row := range tc.rows {
-			p.AddRow(row, tc.rels[i], tc.rhs[i])
+			p.AddRow(row, tc.rhs[i])
 		}
 		s := solve(t, p)
 		if s.Status != tc.want {
@@ -82,7 +81,7 @@ func boundedKnapsack(c, w, lo, hi []float64, budget float64) *Problem {
 		p.SetBounds(j, lo[j], hi[j])
 		row[j] = w[j]
 	}
-	p.AddRow(row, LE, budget)
+	p.AddRow(row, budget)
 	return p
 }
 
@@ -141,29 +140,32 @@ func TestSolveFromStateMatchesColdAfterBoundChange(t *testing.T) {
 }
 
 // TestSolveFromStateRHSEditsOnNegatedAndEqualityRows: an RHS edit on a
-// row standard form negated resumes (the refresh reads the slack column
-// with the negation applied). A problem with an EQ row solves cold: an
-// edit on the EQ row, which has no slack column, cannot be refreshed,
-// and any other warm optimum has no EQ multiplier to bound it with.
-// Every answer matches cold.
+// row of a problem whose lower limit starts it outside the slack basis,
+// and an edit on an equality written as its two ≤ rows, both resume:
+// every row has a slack column to read the refresh and the certificates
+// from. Every answer matches cold.
 func TestSolveFromStateRHSEditsOnNegatedAndEqualityRows(t *testing.T) {
-	build := func(sumRel Rel, lower, sum float64) *Problem {
-		p := NewProblem(2)
+	// x0 ≥ lower and, for an equality, x0 + x1 ≥ sum carry the constant
+	// 10 on column one, so lower and sum stay right-hand sides.
+	build := func(sumRel rel, lower, sum float64) *Problem {
+		p, one := withOne(2)
 		p.SetObj(0, 1)
 		p.SetObj(1, 2)
-		p.AddRow(map[int]float64{0: -1}, LE, -lower)          // x0 ≥ lower, negated
-		p.AddRow(map[int]float64{0: 1, 1: 1}, sumRel, sum)    // x0 + x1 {≤,=} sum
-		p.AddRow(map[int]float64{0: 1, 1: -1}, LE, sum-lower) // keeps x1 ≥ 0 slack
+		p.AddRow(map[int]float64{0: -1, one: 10}, 10-lower) // x0 ≥ lower
+		p.AddRow(map[int]float64{0: 1, 1: 1}, sum)          // x0 + x1 ≤ sum
+		if sumRel == eq {
+			p.AddRow(map[int]float64{0: -1, 1: -1, one: 10}, 10-sum) // x0 + x1 ≥ sum
+		}
+		p.AddRow(map[int]float64{0: 1, 1: -1}, sum-lower) // keeps x1 ≥ 0 slack
 		return p
 	}
 	for _, tc := range []struct {
-		sumRel     Rel
+		sumRel     rel
 		lower, sum float64
-		warmed     bool
 	}{
-		{LE, 3, 5, true},  // negated row edited
-		{EQ, 3, 5, false}, // negated row edited beside an EQ row
-		{EQ, 2, 6, false}, // EQ row edited
+		{le, 3, 5}, // the lower limit's row edited
+		{eq, 3, 5}, // the lower limit's row edited beside an equality
+		{eq, 2, 6}, // the equality's rows edited
 	} {
 		donor := solve(t, build(tc.sumRel, 2, 5))
 		p := build(tc.sumRel, tc.lower, tc.sum)
@@ -176,8 +178,8 @@ func TestSolveFromStateRHSEditsOnNegatedAndEqualityRows(t *testing.T) {
 			t.Errorf("rel %v lower %v sum %v: warm %v obj %v, cold %v obj %v",
 				tc.sumRel, tc.lower, tc.sum, warm.Status, warm.Obj, cold.Status, cold.Obj)
 		}
-		if warm.Warmed != tc.warmed {
-			t.Errorf("rel %v lower %v sum %v: warmed = %v, want %v", tc.sumRel, tc.lower, tc.sum, warm.Warmed, tc.warmed)
+		if !warm.Warmed {
+			t.Errorf("rel %v lower %v sum %v: fell back to a cold solve", tc.sumRel, tc.lower, tc.sum)
 		}
 		certify(t, p, warm)
 	}

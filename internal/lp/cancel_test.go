@@ -14,13 +14,13 @@ func randomFeasibleLP(seed int64, n int) *Problem {
 	p := NewProblem(n)
 	for j := 0; j < n; j++ {
 		p.SetObj(j, -float64(1+rng.Intn(20)))
-		p.AddRow(map[int]float64{j: 1}, LE, 1)
+		p.AddRow(map[int]float64{j: 1}, 1)
 	}
 	row := make(map[int]float64, n)
 	for j := 0; j < n; j++ {
 		row[j] = float64(1 + rng.Intn(9))
 	}
-	p.AddRow(row, LE, float64(n))
+	p.AddRow(row, float64(n))
 	return p
 }
 

@@ -64,18 +64,23 @@ func TestResumeBelowStopsAtTheCutoff(t *testing.T) {
 //   - The donor solved min x s.t. x ≥ 3 at x = 3; the resumed problem is
 //     min x s.t. 2x ≥ 3, x ≤ 2.5, optimum 1.5. The donor's basis reads
 //     objective 3, but the row's own coefficient gives the bound
-//     3 − 2.5 = 0.5.
+//     3 − 2.5 = 0.5. (A lower limit x ≥ b is written −x + 10·x_one ≤
+//     10 − b, column one fixed at 1.)
 //   - The donor solved min −x s.t. x ≤ 5 at x = 5; the resumed problem is
 //     min x under the same row, optimum 0, resumed without the carried
 //     price so that it is priced under its own objective. The basis reads
 //     objective 5 and the slack's reduced cost is −1: taken as a
 //     multiplier, that wrong sign would certify the bound 5.
 func TestResumeBelowForeignStateKeepsGoing(t *testing.T) {
-	build := func(obj, coef float64, rel Rel, rhs, hi float64) *Problem {
-		p := NewProblem(1)
+	build := func(obj, coef float64, r rel, rhs, hi float64) *Problem {
+		p, one := withOne(1)
 		p.SetObj(0, obj)
 		p.SetBounds(0, 0, hi)
-		p.AddRow(map[int]float64{0: coef}, rel, rhs)
+		if r == ge {
+			p.AddRow(map[int]float64{0: -coef, one: 10}, 10-rhs)
+		} else {
+			p.AddRow(map[int]float64{0: coef}, rhs)
+		}
 		return p
 	}
 	for _, tc := range []struct {
@@ -84,8 +89,8 @@ func TestResumeBelowForeignStateKeepsGoing(t *testing.T) {
 		dropPrice   bool
 		cutoff, opt float64
 	}{
-		{"another row coefficient", build(1, 1, GE, 3, 10), build(1, 2, GE, 3, 2.5), false, 2, 1.5},
-		{"a multiplier of the wrong sign", build(-1, 1, LE, 5, 10), build(1, 1, LE, 5, 10), true, 3, 0},
+		{"another row coefficient", build(1, 1, ge, 3, 10), build(1, 2, ge, 3, 2.5), false, 2, 1.5},
+		{"a multiplier of the wrong sign", build(-1, 1, le, 5, 10), build(1, 1, le, 5, 10), true, 3, 0},
 	} {
 		donor := solve(t, tc.donor)
 		if donor.Status != Optimal {
@@ -146,42 +151,38 @@ func TestCarriedPriceIsFresh(t *testing.T) {
 	lifted := map[bool]int{} // by whether the column was basic
 	for trial := 0; trial < 2000; trial++ {
 		n, m := 1+rng.Intn(5), rng.Intn(5)
-		p := NewProblem(n)
+		p, one := withOne(n)
 		for j := 0; j < n; j++ {
 			p.SetObj(j, float64(rng.Intn(11)-5))
 			lo, hi := bound()
 			p.SetBounds(j, lo, hi)
 		}
 		for i := 0; i < m; i++ {
-			row := make([]float64, n)
-			for j := range row {
+			row := make([]float64, n+1)
+			for j := range row[:n] {
 				row[j] = float64(rng.Intn(7) - 3)
 			}
-			p.AddDenseRow(row, Rel(rng.Intn(3)), float64(rng.Intn(11)-5))
+			addRel(p, row, rel(rng.Intn(3)), float64(rng.Intn(11)-5), one)
 		}
 		sol := solve(t, p)
 		if sol.Status != Optimal {
 			continue
 		}
 		q := p.Clone()
-		for j := 0; j < n; j++ {
+		for j := 0; j < n; j++ { // column one stays fixed at 1
 			lo, _ := q.Bounds(j)
 			switch {
 			case sol.State.tb.flip[j] && rng.Intn(2) == 0:
 				q.SetBounds(j, lo, math.Inf(1))
-				basic := false
-				for _, b := range sol.State.tb.basis {
-					basic = basic || b == j
-				}
-				lifted[basic]++
+				lifted[sol.State.tb.pos[j] >= n+1]++
 			case rng.Intn(2) == 0:
 				lo, hi := bound()
 				q.SetBounds(j, lo, hi)
 			}
 		}
-		for i := 0; i < m; i++ {
+		for i := range p.rowRHS {
 			if rng.Intn(3) == 0 {
-				q.SetRHS(i, math.Copysign(float64(rng.Intn(6)), p.rowRHS[i]))
+				q.SetRHS(i, float64(rng.Intn(6)))
 			}
 		}
 		checkCarriedPrice(t, q, sol.State)
@@ -222,25 +223,25 @@ func checkCarriedPrice(t *testing.T, p *Problem, st *State) {
 // there.
 func TestResumeBelowDropsRoundingLevelPrices(t *testing.T) {
 	build := func(rhs0 float64) *Problem {
-		p := NewProblem(5)
+		p, one := withOne(5)
 		for j, c := range []float64{-1, -1, -1, 0, -1} {
 			p.SetObj(j, c)
 		}
-		p.AddDenseRow([]float64{-3, -1, 3, -3, 1}, LE, rhs0)
-		p.AddDenseRow([]float64{-2, -2, -2, -3, 3}, LE, -1)
-		p.AddDenseRow([]float64{3, 3, -3, -3, -3}, LE, -1)
+		p.AddDenseRow([]float64{-3, -1, 3, -3, 1, 10}, 10+rhs0)
+		p.AddDenseRow([]float64{-2, -2, -2, -3, 3, 1}, 0)
+		p.AddDenseRow([]float64{3, 3, -3, -3, -3, 1}, 0)
 		for j := 0; j < 4; j++ {
-			p.AddRow(map[int]float64{j: 1}, LE, 3)
+			p.AddRow(map[int]float64{j: 1}, 3)
 		}
-		p.AddRow(map[int]float64{4: 1}, GE, 2)
-		p.AddRow(map[int]float64{4: 1}, LE, 5)
+		p.AddRow(map[int]float64{4: -1, one: 2}, 0)
+		p.AddRow(map[int]float64{4: 1}, 5)
 		return p
 	}
 	donor := solve(t, build(-1))
 	if donor.Status != Optimal || !approx(donor.Obj, -14) {
 		t.Fatalf("donor: %v obj %v, want optimal −14", donor.Status, donor.Obj)
 	}
-	if r := donor.State.reduced[5]; !(r > 0 && r < 1e-12) {
+	if r := donor.State.reduced[6]; !(r > 0 && r < 1e-12) {
 		t.Fatalf("row 0's slack price is %v; the test needs one at rounding level", r)
 	}
 

@@ -29,10 +29,13 @@ func (b *fuzzBytes) bound() (lo, hi float64) {
 
 // FuzzBoundsVsRows decodes a small LP from the input and solves it twice:
 // with native column bounds, and with the same bounds written as explicit
-// rows over default [0, +Inf) columns. Both must report the same status
-// and, when Optimal, objectives within 1e-7 and valid certificates. The
-// native end state is then resumed under edited column bounds and RHS
-// values (signs kept) and must agree with a cold solve of the edited
+// rows over default [0, +Inf) columns. Rows are ≤, ≥ or = with a
+// right-hand side of either sign, written into the ≤ class with constants
+// on column one, which both problems fix at 1 (addRel); an explicit lower
+// bound x ≥ lo is the row −x + lo·x_one ≤ 0. Both must report the same
+// status and, when Optimal, objectives within 1e-7 and valid
+// certificates. The native end state is then resumed under edited column
+// bounds and RHS values and must agree with a cold solve of the edited
 // problem; its carried reduced costs must be bit-equal to a fresh price.
 // Resumed once more below a decoded cutoff, it must either answer as
 // before or stop with a bound that reaches the cutoff and that the cold
@@ -51,35 +54,35 @@ func FuzzBoundsVsRows(f *testing.F) {
 		in := fuzzBytes(data)
 		n := 1 + in.next()%5
 		m := in.next() % 5
-		native, explicit := NewProblem(n), NewProblem(n)
-		rhs := make([]float64, m)
+		native, one := withOne(n)
+		explicit, _ := withOne(n)
 		for j := 0; j < n; j++ {
 			c := float64(in.next()%11 - 5)
 			native.SetObj(j, c)
 			explicit.SetObj(j, c)
 		}
 		for i := 0; i < m; i++ {
-			row := make([]float64, n)
-			for j := range row {
+			row := make([]float64, n+1)
+			for j := range row[:n] {
 				v := in.next()
 				row[j] = float64(v%7 - 3)
 				if v%7 == 3 && v >= 128 {
 					row[j] = math.Copysign(0, -1) // an explicit −0
 				}
 			}
-			rel := Rel(in.next() % 3)
-			rhs[i] = float64(in.next()%11 - 5)
-			native.AddDenseRow(row, rel, rhs[i])
-			explicit.AddDenseRow(row, rel, rhs[i])
+			r := rel(in.next() % 3)
+			rhs := float64(in.next()%11 - 5)
+			addRel(native, row, r, rhs, one)
+			addRel(explicit, row, r, rhs, one)
 		}
 		for j := 0; j < n; j++ {
 			lo, hi := in.bound()
 			native.SetBounds(j, lo, hi)
 			if lo > 0 {
-				explicit.AddRow(map[int]float64{j: 1}, GE, lo)
+				explicit.AddRow(map[int]float64{j: -1, one: lo}, 0)
 			}
 			if !math.IsInf(hi, 1) {
-				explicit.AddRow(map[int]float64{j: 1}, LE, hi)
+				explicit.AddRow(map[int]float64{j: 1}, hi)
 			}
 		}
 
@@ -102,9 +105,9 @@ func FuzzBoundsVsRows(f *testing.F) {
 				q.SetBounds(j, lo, hi)
 			}
 		}
-		for i, rhs := range rhs {
+		for i := 0; i < q.NumRows(); i++ {
 			if in.next()%3 == 0 {
-				q.SetRHS(i, math.Copysign(float64(in.next()%6), rhs))
+				q.SetRHS(i, float64(in.next()%6))
 			}
 		}
 		checkCarriedPrice(t, q, a.State)

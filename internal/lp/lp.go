@@ -1,24 +1,29 @@
-// Package lp implements a dense two-phase primal simplex solver for linear
-// programs in the form
+// Package lp implements a primal simplex solver for the linear programs
+// the placement model poses:
 //
 //	minimize    cᵀx
-//	subject to  aᵢᵀx {≤,=,≥} bᵢ
-//	            loⱼ ≤ xⱼ ≤ hiⱼ
+//	subject to  aᵢᵀx ≤ bᵢ,  bᵢ ≥ 0
+//	            loⱼ ≤ xⱼ ≤ hiⱼ,  loⱼ ≥ 0
 //
 // It stands in for the GNU Linear Programming Kit the paper integrates
 // (§4.3): the placement ILP's relaxations are solved here, driven by the
 // branch-and-bound in internal/ilp.
 //
-// The implementation is a textbook full-tableau method: phase 1 minimizes
-// the sum of artificial variables to find a basic feasible solution, phase
-// 2 optimizes the real objective. Dantzig's rule selects entering columns,
-// falling back to Bland's rule when progress stalls so cycling cannot
-// occur. Column bounds never become rows: the upper-bounding technique
-// keeps every nonbasic column at one of its bounds, lets the ratio test
-// flip a column between them without a pivot, and lets a basic column
-// leave at either bound. A 0/1 variable therefore costs no tableau row,
-// and a branching fix is a bound edit that leaves the tableau layout
-// untouched.
+// Every row is ≤ with a non-negative right-hand side, so at lower bounds
+// of 0 the slack basis is feasible and no phase 1 is needed. The tableau
+// is kept in dictionary (condensed) form: one column per nonbasic column
+// and one for the basic values, m × (n+1) cells for m rows over n
+// structural columns, since the m basic columns are unit vectors and need
+// not be stored. A pivot swaps the entering and the leaving column's
+// labels. Dantzig's rule selects entering columns, falling back to
+// Bland's rule when progress stalls so cycling cannot occur. Column
+// bounds never become rows: the upper-bounding technique keeps every
+// nonbasic column at one of its bounds, lets the ratio test flip a column
+// between them without a pivot, and lets a basic column leave at either
+// bound. A 0/1 variable therefore costs no tableau row, and a branching
+// fix is a bound edit that leaves the tableau layout untouched. Lower
+// bounds that make the slack basis infeasible are reached through the
+// dual simplex from lower bounds of 0.
 //
 // A warm resume (ResumeBelow) may also be given a cutoff: once the dual
 // simplex proves, with a Lagrangian bound built from the problem's own
@@ -36,16 +41,6 @@ import (
 	"math/bits"
 	"slices"
 	"sync"
-)
-
-// Rel is a constraint relation.
-type Rel int
-
-// Constraint relations.
-const (
-	LE Rel = iota // aᵀx ≤ b
-	GE            // aᵀx ≥ b
-	EQ            // aᵀx = b
 )
 
 // Status reports the outcome of a solve.
@@ -83,7 +78,7 @@ type Problem struct {
 	n   int // structural variables
 	obj []float64
 
-	// lo and hi are the column bounds: lo finite, hi possibly +Inf.
+	// lo and hi are the column bounds: lo finite and ≥ 0, hi possibly +Inf.
 	lo, hi []float64
 
 	// rowCoef holds each row's coefficients densely, length n, and rowNZ
@@ -93,23 +88,18 @@ type Problem struct {
 	// most placement rows hold two or three nonzeros out of dozens.
 	rowCoef [][]float64
 	rowNZ   [][]int
-	rowRel  []Rel
 	rowRHS  []float64
-	// negZero records that some row holds a −0 coefficient: a tableau row
-	// is then laid out from the dense coefficients, so the cell keeps the
-	// −0 the coefficient has.
-	negZero bool
 
-	// MaxIter bounds total simplex pivots and bound flips (both phases).
-	// Zero means the default (50 per row+column, at least 10000).
+	// MaxIter bounds total simplex pivots and bound flips. Zero means the
+	// default (50 per row+column, at least 10000).
 	MaxIter int
 
 	// err records the first construction mistake (negative variable
 	// count, out-of-range variable or row, dense-row length mismatch,
-	// empty or non-finite bounds, bounds copied from a problem of another
-	// size). Builders stay chainable — the error
-	// sticks and Solve reports it at entry, wrapped around ErrBadProblem,
-	// instead of panicking mid-build.
+	// empty, non-finite or negative lower bounds, a negative right-hand
+	// side, bounds copied from a problem of another size). Builders stay
+	// chainable — the error sticks and Solve reports it at entry, wrapped
+	// around ErrBadProblem, instead of panicking mid-build.
 	err error
 }
 
@@ -122,7 +112,7 @@ type Solution struct {
 	Obj float64
 
 	// Iters is the number of simplex pivots and bound flips this solve
-	// performed (both phases).
+	// performed.
 	Iters int
 	// Warmed reports that SolveFromState resumed the carried state — it
 	// was genuinely consumed, not discarded for a cold fallback.
@@ -137,14 +127,13 @@ type Solution struct {
 
 // State is the complete end state of an Optimal solve: the final simplex
 // tableau, its basis, which nonbasic columns sit at their upper bound,
-// and the rows and bounds it was solved under. A later solve of a problem
-// with identical coefficient rows, columns and objective but (possibly)
-// changed RHS values or column bounds resumes from it via
+// and the right-hand sides and bounds it was solved under. A later solve
+// of a problem with identical coefficient rows, columns and objective
+// but (possibly) changed RHS values or column bounds resumes from it via
 // SolveFromState. The zero value is useless; States come only from
 // Solution.State.
 type State struct {
 	tb     tableau
-	rels   []Rel     // row relations at solve time
 	rhs    []float64 // row right-hand sides at solve time
 	lo, hi []float64 // column bounds at solve time
 	// reduced is the closing simplex's last fresh price of tb: a resume
@@ -170,7 +159,7 @@ func NewProblem(n int) *Problem {
 func (p *Problem) NumVars() int { return p.n }
 
 // NumRows returns the number of constraint rows added so far.
-func (p *Problem) NumRows() int { return len(p.rowRel) }
+func (p *Problem) NumRows() int { return len(p.rowRHS) }
 
 // fail records the first construction mistake as the sticky error.
 func (p *Problem) fail(format string, args ...any) {
@@ -190,8 +179,9 @@ func (p *Problem) SetObj(j int, c float64) {
 }
 
 // SetBounds sets variable j's bounds to [lo, hi]; hi may be +Inf. An
-// out-of-range variable, a non-finite lo, or lo > hi records a sticky
-// ErrBadProblem (reported by Solve) and leaves the bounds unchanged.
+// out-of-range variable, a lower bound that is negative or not finite,
+// or lo > hi records a sticky ErrBadProblem (reported by Solve) and
+// leaves the bounds unchanged.
 //
 // Bound edits, like RHS edits, are a warm-restart move: SolveFromState
 // refreshes a carried tableau for them without re-deriving the basis.
@@ -201,6 +191,8 @@ func (p *Problem) SetBounds(j int, lo, hi float64) {
 		p.fail("variable %d out of range [0,%d)", j, p.n)
 	case math.IsInf(lo, 0) || math.IsNaN(lo):
 		p.fail("variable %d lower bound %v not finite", j, lo)
+	case lo < 0:
+		p.fail("variable %d lower bound %v negative", j, lo)
 	case !(lo <= hi):
 		p.fail("variable %d bounds [%v,%v] empty", j, lo, hi)
 	default:
@@ -217,10 +209,11 @@ func (p *Problem) Bounds(j int) (lo, hi float64) {
 	return p.lo[j], p.hi[j]
 }
 
-// AddRow adds the constraint Σ coeffs[j]·x_j rel rhs. Variables absent
-// from coeffs have coefficient zero. An out-of-range variable records a
-// sticky ErrBadProblem (reported by Solve) and drops the row.
-func (p *Problem) AddRow(coeffs map[int]float64, rel Rel, rhs float64) {
+// AddRow adds the constraint Σ coeffs[j]·x_j ≤ rhs. Variables absent
+// from coeffs have coefficient zero. An out-of-range variable or a rhs
+// that is negative or NaN records a sticky ErrBadProblem (reported by
+// Solve) and drops the row.
+func (p *Problem) AddRow(coeffs map[int]float64, rhs float64) {
 	row := make([]float64, p.n)
 	for j, c := range coeffs {
 		if j < 0 || j >= p.n {
@@ -229,28 +222,30 @@ func (p *Problem) AddRow(coeffs map[int]float64, rel Rel, rhs float64) {
 		}
 		row[j] = c
 	}
-	p.addRow(row, rel, rhs)
+	p.addRow(row, rhs)
 }
 
-// AddDenseRow adds a constraint from a dense coefficient slice (length
-// must equal NumVars; a mismatch records a sticky ErrBadProblem and
-// drops the row).
-func (p *Problem) AddDenseRow(coeffs []float64, rel Rel, rhs float64) {
+// AddDenseRow adds the constraint Σ coeffs[j]·x_j ≤ rhs from a dense
+// coefficient slice. A length other than NumVars, or a rhs that is
+// negative or NaN, records a sticky ErrBadProblem and drops the row.
+func (p *Problem) AddDenseRow(coeffs []float64, rhs float64) {
 	if len(coeffs) != p.n {
 		p.fail("dense row length %d, want %d", len(coeffs), p.n)
 		return
 	}
-	p.addRow(append([]float64(nil), coeffs...), rel, rhs)
+	p.addRow(append([]float64(nil), coeffs...), rhs)
 }
 
 // addRow appends a row the problem owns, recording its nonzero columns.
-func (p *Problem) addRow(row []float64, rel Rel, rhs float64) {
+func (p *Problem) addRow(row []float64, rhs float64) {
+	if !(rhs >= 0) {
+		p.fail("row %d right-hand side %v not ≥ 0", len(p.rowRHS), rhs)
+		return
+	}
 	k := 0
 	for _, c := range row {
 		if c != 0 {
 			k++
-		} else if math.Signbit(c) {
-			p.negZero = true
 		}
 	}
 	nz := make([]int, 0, k)
@@ -261,36 +256,34 @@ func (p *Problem) addRow(row []float64, rel Rel, rhs float64) {
 	}
 	p.rowCoef = append(p.rowCoef, row)
 	p.rowNZ = append(p.rowNZ, nz)
-	p.rowRel = append(p.rowRel, rel)
 	p.rowRHS = append(p.rowRHS, rhs)
 }
 
-// SetRHS replaces row i's right-hand side. An out-of-range row records a
-// sticky ErrBadProblem (reported by Solve).
+// SetRHS replaces row i's right-hand side. An out-of-range row, or a rhs
+// that is negative or NaN, records a sticky ErrBadProblem (reported by
+// Solve).
 //
 // RHS-only edits are a warm-restart move: a tableau from a previous
 // Optimal solve stays dual feasible under them, so SolveFromState can
-// repair the solution with a few dual pivots. One caveat — the
-// standard-form layout negates rows with negative RHS, so an edit that
-// flips a row's RHS sign changes the tableau's column meaning and a
-// carried state will (safely) fall back to a cold solve. Callers chasing
-// warm restarts should formulate rows so edited RHS values keep their
-// sign.
+// repair the solution with a few dual pivots.
 func (p *Problem) SetRHS(i int, rhs float64) {
-	if i < 0 || i >= len(p.rowRHS) {
+	switch {
+	case i < 0 || i >= len(p.rowRHS):
 		p.fail("row %d out of range [0,%d)", i, len(p.rowRHS))
-		return
+	case !(rhs >= 0):
+		p.fail("row %d right-hand side %v not ≥ 0", i, rhs)
+	default:
+		p.rowRHS[i] = rhs
 	}
-	p.rowRHS[i] = rhs
 }
 
 // Clone copies the problem so bounds, RHS values or rows can be edited
-// without disturbing the original. Row coefficients, their nonzero
-// column lists and relations never change once added, so the copy shares
-// them, capped at their length: a row added to either problem appends to
-// storage of its own.
+// without disturbing the original. Row coefficients and their nonzero
+// column lists never change once added, so the copy shares them, capped
+// at their length: a row added to either problem appends to storage of
+// its own.
 func (p *Problem) Clone() *Problem {
-	m := len(p.rowRel)
+	m := len(p.rowRHS)
 	return &Problem{
 		n:       p.n,
 		obj:     slices.Clone(p.obj),
@@ -298,9 +291,7 @@ func (p *Problem) Clone() *Problem {
 		hi:      slices.Clone(p.hi),
 		rowCoef: p.rowCoef[:m:m],
 		rowNZ:   p.rowNZ[:m:m],
-		rowRel:  p.rowRel[:m:m],
 		rowRHS:  slices.Clone(p.rowRHS),
-		negZero: p.negZero,
 		MaxIter: p.MaxIter,
 		err:     p.err,
 	}
@@ -333,19 +324,8 @@ func (p *Problem) Feasible(x []float64, tol float64) bool {
 		for _, j := range p.rowNZ[i] {
 			v += row[j] * x[j]
 		}
-		switch p.rowRel[i] {
-		case LE:
-			if v > p.rowRHS[i]+tol {
-				return false
-			}
-		case GE:
-			if v < p.rowRHS[i]-tol {
-				return false
-			}
-		case EQ:
-			if math.Abs(v-p.rowRHS[i]) > tol {
-				return false
-			}
+		if v > p.rowRHS[i]+tol {
+			return false
 		}
 	}
 	return true
@@ -367,90 +347,68 @@ const eps = 1e-9
 // ErrBadProblem reports a structurally invalid problem.
 var ErrBadProblem = errors.New("lp: invalid problem")
 
-// Solve runs two-phase simplex and returns the solution. Status
-// Infeasible and Unbounded are reported in Solution.Status with a nil
-// error. A phase-2 iteration-limit trip reports Status IterLimit with
-// the current basic feasible point in X — primal simplex never leaves
-// the feasible region once phase 1 finds it, so the point in hand is a
+// Solve runs the primal simplex from the slack basis and returns the
+// solution. Status Infeasible and Unbounded are reported in
+// Solution.Status with a nil error. An iteration-limit trip reports
+// Status IterLimit with the current basic feasible point in X — primal
+// simplex never leaves the feasible region, so the point in hand is a
 // valid (merely unproven) answer and discarding it would throw away the
-// whole budget's work. A phase-1 trip has no feasible point and reports
-// IterLimit with a nil X. Errors report either a construction mistake —
-// the first one recorded by a builder, wrapping ErrBadProblem — or
-// cancellation: when ctx is cancelled or its deadline expires, Solve
-// stops within a few pivots and returns the context error wrapped.
+// whole budget's work. Where lower bounds make the slack basis
+// infeasible, the solve first reaches a feasible basis by the dual
+// simplex (see solveShifted); a trip there has no feasible point and
+// reports IterLimit with a nil X. Errors report either a construction
+// mistake — the first one recorded by a builder, wrapping ErrBadProblem
+// — or cancellation: when ctx is cancelled or its deadline expires,
+// Solve stops within a few pivots and returns the context error wrapped.
 func (p *Problem) Solve(ctx context.Context) (*Solution, error) {
 	if p.err != nil {
 		return nil, p.err
 	}
-	m := len(p.rowRel)
-	n := p.n
-
-	st := &State{tb: p.newTableau()}
+	st := &State{tb: p.newTableau(p.lo)}
 	tb := &st.tb
-	t, basis := tb.t, tb.basis
-	nSlack, nArt, total := tb.nSlack, tb.nArt, tb.total
-
-	maxIter := p.maxIters(m, total)
-	iters := 0
-	done := ctx.Done()
-	reduced := make([]float64, total)
-
-	// Phase 1: minimize sum of artificials.
-	if nArt > 0 {
-		cost := make([]float64, total)
-		for j := n + nSlack; j < total; j++ {
-			cost[j] = 1
-		}
-		status := simplex(tb, cost, reduced, maxIter, &iters, done)
-		if status == stCanceled {
-			return nil, fmt.Errorf("lp: solve interrupted: %w", ctx.Err())
-		}
-		if status == IterLimit {
-			// No feasible basis yet: nothing worth returning.
-			return &Solution{Status: IterLimit}, nil
-		}
-		// Compute phase-1 objective value.
-		v := 0.0
-		for i := 0; i < m; i++ {
-			if basis[i] >= n+nSlack {
-				v += t[i][total]
-			}
-		}
-		if v > 1e-6 {
-			return &Solution{Status: Infeasible}, nil
-		}
-		// Pivot remaining artificials out of the basis where possible.
-		for i := 0; i < m; i++ {
-			if basis[i] < n+nSlack {
-				continue
-			}
-			pivoted := false
-			for j := 0; j < n+nSlack; j++ {
-				if math.Abs(t[i][j]) > 1e-7 {
-					tb.pivot(i, j)
-					pivoted = true
-					break
-				}
-			}
-			if !pivoted {
-				// Redundant row; artificial stays basic at zero. Zero the
-				// row so it cannot interfere.
-				for j := 0; j < n+nSlack; j++ {
-					t[i][j] = 0
-				}
-			}
-		}
-		// Forbid artificial columns from re-entering: zero them out.
-		for i := 0; i < m; i++ {
-			for j := n + nSlack; j < total; j++ {
-				if basis[i] != j {
-					t[i][j] = 0
-				}
-			}
+	for _, row := range tb.t {
+		if row[tb.n] < 0 {
+			st.Release()
+			return p.solveShifted(ctx)
 		}
 	}
+	iters := 0
+	reduced := make([]float64, tb.total)
+	status := simplex(tb, p.workCost(tb), reduced, p.maxIters(), &iters, ctx.Done())
+	return p.finish(ctx, st, status, reduced, iters, false)
+}
 
-	// Phase 2: minimize the real objective.
+// solveShifted solves p when its lower bounds make the slack basis
+// infeasible (some bᵢ − aᵢᵀlo < 0). The tableau is laid out at lower
+// bounds of 0, where the slack basis is feasible, and the real bounds
+// are then applied as a warm resume applies a bound edit, by shifting
+// the basic values; the dual simplex repairs them. It runs under a zero
+// objective, for which every basis is dual feasible, so it cannot stall
+// on a negative reduced cost and needs no bounded relaxation to start
+// from. The primal simplex then optimizes the real objective from the
+// feasible basis it reaches. Every step works on p's own rows, so the
+// verdicts need no certificate, and nothing falls back to another solve.
+func (p *Problem) solveShifted(ctx context.Context) (*Solution, error) {
+	st := &State{tb: p.newTableau(make([]float64, p.n))}
+	tb := &st.tb
+	for j, lo := range p.lo {
+		tb.shift(j, lo)
+	}
+	maxIter, iters, done := p.maxIters(), 0, ctx.Done()
+	zero := make([]float64, 2*tb.total) // cost and reduced costs
+	switch dst, _ := dualSimplex(tb, zero[:tb.total], zero[tb.total:], nil, maxIter, &iters, done); dst {
+	case stCanceled:
+		return nil, fmt.Errorf("lp: solve interrupted: %w", ctx.Err())
+	case Infeasible:
+		st.Release()
+		return &Solution{Status: Infeasible, Iters: iters}, nil
+	case Optimal:
+		// Primal feasible: optimize the real objective from here.
+	default:
+		st.Release()
+		return &Solution{Status: IterLimit, Iters: iters}, nil // no feasible point yet
+	}
+	reduced := zero[tb.total:]
 	status := simplex(tb, p.workCost(tb), reduced, maxIter, &iters, done)
 	return p.finish(ctx, st, status, reduced, iters, false)
 }
@@ -471,7 +429,6 @@ func (p *Problem) finish(ctx context.Context, st *State, status Status, reduced 
 	sol := &Solution{Status: status, X: x, Obj: obj, Iters: iters, Warmed: warmed}
 	if status == Optimal {
 		// The tableau is taken over, not copied: the solve is done with it.
-		st.rels = append(st.rels[:0], p.rowRel...)
 		st.rhs = append(st.rhs[:0], p.rowRHS...)
 		st.lo = append(st.lo[:0], p.lo...)
 		st.hi = append(st.hi[:0], p.hi...)
@@ -481,105 +438,70 @@ func (p *Problem) finish(ctx context.Context, st *State, status Status, reduced 
 	return sol, nil
 }
 
-// tableau is the dense simplex working state: m rows × (total+1) columns
-// (last column RHS) with the current basis column per row.
+// tableau is the simplex working state in dictionary form: m rows ×
+// (n+1) cells, one column per nonbasic column and, last, the basic
+// values.
+//
+// Columns are known by label: a structural column j < n by j, row i's
+// slack by n+i. The basic columns are unit vectors and are not stored;
+// the n stored columns are the nonbasic ones. nonb[q] is the label of the
+// column stored at position q, basis[i] the label basic in row i, and
+// pos[j] where label j is: its position q < n when nonbasic, n+i when
+// basic in row i. A pivot stores the leaving column where the entering
+// one was and swaps the two labels.
 //
 // Every column works in shifted coordinates in which its lower bound is
 // 0 and its upper bound up[j]: column j's working value is x_j − lo_j,
 // or hi_j − x_j when the column is complemented (flip[j]). Nonbasic
 // columns always sit at working value 0 — at their lower bound, or at
-// their upper bound when complemented — so the RHS column holds the
+// their upper bound when complemented — so the last column holds the
 // basic values and pivots are plain Gauss-Jordan steps. Moving a column
 // to its other bound complements it: its tableau column and cost change
 // sign and the basic values absorb the move.
 type tableau struct {
-	cells []float64   // the m × (total+1) cells, row-major, in one block
+	cells []float64   // the m × (n+1) cells, row-major, in one block
 	t     [][]float64 // the rows: capped views into cells
 	// mask and val are a packed tableau's cells (State.Pack): bit i%64 of
 	// mask[i/64] is set when cell i is nonzero, and val holds the nonzero
 	// cells in order. A packed tableau has no cells and no rows; only
 	// copyTo reads it.
-	mask  []uint64
-	val   []float64
-	basis []int
-	up    []float64 // per-column range hi − lo; +Inf for slack and artificial columns
-	flip  []bool    // per-column complement flag
-	nz    []int     // pivot scratch: the pivot row's nonzero columns, cap total+1
-
-	nSlack, nArt, total int
+	mask []uint64
+	val  []float64
+	// lab is one block holding nonb (lab[:n]), basis (lab[n:total]) and
+	// pos (lab[total:]); the three are views into it.
+	lab              []int
+	nonb, basis, pos []int
+	up               []float64 // per label: range hi − lo; +Inf for slack columns
+	flip             []bool    // per label: complement flag
+	nz               []int     // pivot scratch: the pivot row's nonzero positions, cap n+1
+	n, total         int       // positions (also the basic values' cell), labels n+m
 }
 
-// newTableau lays out the standard-form tableau: columns [0,n) are
-// structural, [n, n+nSlack) slack/surplus, [n+nSlack, total) artificial.
-// Structural columns start nonbasic at their lower bounds, so row i's
-// initial value is bᵢ − aᵢᵀlo; rows where that is negative are negated
-// (flipping their relation) so every initial value is non-negative. The
-// initial basis is the slack (LE rows) or artificial (GE/EQ rows) column
-// of each row.
-func (p *Problem) newTableau() tableau {
-	m, n := len(p.rowRel), p.n
-	start := make([]float64, m)
-	rels := append([]Rel(nil), p.rowRel...)
-	nSlack, nArt := 0, 0
-	for i, row := range p.rowCoef {
-		start[i] = p.rowRHS[i]
-		for _, j := range p.rowNZ[i] {
-			if p.lo[j] != 0 {
-				start[i] -= row[j] * p.lo[j]
-			}
-		}
-		if start[i] < 0 {
-			switch rels[i] {
-			case LE:
-				rels[i] = GE
-			case GE:
-				rels[i] = LE
-			}
-		}
-		if rels[i] != EQ {
-			nSlack++
-		}
-		if rels[i] != LE {
-			nArt++
-		}
-	}
-
-	total := n + nSlack + nArt
-	tb := tableau{basis: make([]int, m), nSlack: nSlack, nArt: nArt, total: total}
-	tb.cells, tb.nz = getStorage(m*(total+1), total+1)
+// newTableau lays out the slack-basis tableau with every structural
+// column nonbasic at lo: row i's basic value is bᵢ − aᵢᵀlo, its slack
+// n+i is basic, and structural column j is stored at position j.
+func (p *Problem) newTableau(lo []float64) tableau {
+	m, n := len(p.rowRHS), p.n
+	total := n + m
+	tb := tableau{n: n, total: total}
+	tb.cells, tb.nz = getStorage(m*(n+1), n+1)
 	clear(tb.cells)
 	tb.rows(m)
-	basis := tb.basis
-	slack, art := n, n+nSlack
 	for i, row := range p.rowCoef {
 		ti := tb.t[i]
-		sign := 1.0
-		if start[i] < 0 {
-			sign = -1.0
-		}
-		if sign < 0 || p.negZero {
-			// A zero coefficient lays out as a signed zero here: −0 when
-			// the row is negated or the coefficient is −0 itself.
-			for j, c := range row {
-				ti[j] = sign * c
-			}
-		} else {
-			for _, j := range p.rowNZ[i] {
-				ti[j] = sign * row[j]
+		v := p.rowRHS[i]
+		for _, j := range p.rowNZ[i] {
+			ti[j] = row[j]
+			if lo[j] != 0 {
+				v -= row[j] * lo[j]
 			}
 		}
-		ti[total] = sign * start[i]
-		switch rels[i] {
-		case LE:
-			ti[slack], basis[i] = 1, slack
-			slack++
-		case GE:
-			ti[slack], ti[art], basis[i] = -1, 1, art
-			slack, art = slack+1, art+1
-		case EQ:
-			ti[art], basis[i] = 1, art
-			art++
-		}
+		ti[n] = v
+	}
+	tb.lab = make([]int, 2*total)
+	tb.views()
+	for j := 0; j < total; j++ {
+		tb.lab[j], tb.pos[j] = j, j
 	}
 	tb.up = make([]float64, total)
 	for j := range tb.up {
@@ -592,20 +514,24 @@ func (p *Problem) newTableau() tableau {
 	return tb
 }
 
-// rows points the m row views at consecutive (total+1)-cell stretches of
+// rows points the m row views at consecutive (n+1)-cell stretches of
 // cells, each capped so no row can grow into the next.
 func (tb *tableau) rows(m int) {
-	w := tb.total + 1
+	w := tb.n + 1
 	tb.t = slices.Grow(tb.t[:0], m)[:m]
 	for i := range tb.t {
 		tb.t[i] = tb.cells[i*w : (i+1)*w : (i+1)*w]
 	}
 }
 
-// workCost returns the phase-2 objective in the tableau's working
-// coordinates: a complemented column runs downward from its upper bound,
-// so its cost changes sign; artificial columns cost +Inf so they never
-// re-enter.
+// views points nonb, basis and pos into lab.
+func (tb *tableau) views() {
+	tb.nonb, tb.basis, tb.pos = tb.lab[:tb.n], tb.lab[tb.n:tb.total], tb.lab[tb.total:]
+}
+
+// workCost returns the objective in the tableau's working coordinates: a
+// complemented column runs downward from its upper bound, so its cost
+// changes sign.
 func (p *Problem) workCost(tb *tableau) []float64 {
 	cost := make([]float64, tb.total)
 	for j := 0; j < p.n; j++ {
@@ -614,36 +540,33 @@ func (p *Problem) workCost(tb *tableau) []float64 {
 			cost[j] = -cost[j]
 		}
 	}
-	for j := p.n + tb.nSlack; j < tb.total; j++ {
-		cost[j] = math.Inf(1)
-	}
 	return cost
 }
 
-// maxIters resolves the pivot budget for a tableau of m rows and total
-// columns.
-func (p *Problem) maxIters(m, total int) int {
+// maxIters resolves the pivot budget.
+func (p *Problem) maxIters() int {
 	maxIter := p.MaxIter
 	if maxIter == 0 {
-		maxIter = 50 * (m + total)
-		if maxIter < 10000 {
-			maxIter = 10000
-		}
+		maxIter = max(50*(len(p.rowRHS)+p.n+len(p.rowRHS)), 10000)
 	}
 	return maxIter
 }
 
-// shift moves the basic values as raising nonbasic column j's working
-// value by d would: by −d times the column (for a basic column, which is
-// a unit vector, that re-expresses its own value against a bound moved
-// by d).
+// shift moves the basic values as raising column j's working value by d
+// would: by −d times its column (for a basic column, a unit vector, that
+// re-expresses its own value against a bound moved by d).
 func (tb *tableau) shift(j int, d float64) {
 	if d == 0 {
 		return
 	}
+	q := tb.pos[j]
+	if q >= tb.n {
+		tb.t[q-tb.n][tb.n] -= d
+		return
+	}
 	for _, row := range tb.t {
-		if a := row[j]; a != 0 {
-			row[tb.total] -= a * d
+		if a := row[q]; a != 0 {
+			row[tb.n] -= a * d
 		}
 	}
 }
@@ -652,8 +575,9 @@ func (tb *tableau) shift(j int, d float64) {
 // absorb the move of up[j], and the column and its cost change sign.
 func (tb *tableau) complement(j int, cost []float64) {
 	tb.shift(j, tb.up[j])
+	q := tb.pos[j]
 	for _, row := range tb.t {
-		row[j] = -row[j]
+		row[q] = -row[q]
 	}
 	tb.flip[j] = !tb.flip[j]
 	cost[j] = -cost[j]
@@ -661,19 +585,28 @@ func (tb *tableau) complement(j int, cost []float64) {
 
 // complementBasic re-expresses the basic column of row r against its
 // other bound, so a column that leaves the basis at its upper bound
-// leaves at working value 0 like any other. Its tableau column stays the
-// unit vector; the rest of row r and the cost change sign together, so
-// every reduced cost is unchanged.
+// leaves at working value 0 like any other. Its column stays the unit
+// vector; the rest of row r and the cost change sign together, so every
+// reduced cost is unchanged.
 func (tb *tableau) complementBasic(r int, cost []float64) {
 	l, row := tb.basis[r], tb.t[r]
-	for j := 0; j < tb.total; j++ {
-		if j != l {
-			row[j] = -row[j]
-		}
+	for q := range row[:tb.n] {
+		row[q] = -row[q]
 	}
-	row[tb.total] = tb.up[l] - row[tb.total]
+	row[tb.n] = tb.up[l] - row[tb.n]
 	tb.flip[l] = !tb.flip[l]
 	cost[l] = -cost[l]
+}
+
+// cell is row r's entry in label j's column, basic columns included.
+func (tb *tableau) cell(r, j int) float64 {
+	switch q := tb.pos[j]; {
+	case q < tb.n:
+		return tb.t[r][q]
+	case q-tb.n == r:
+		return 1
+	}
+	return 0
 }
 
 // cellPool parks dead tableau storage for any later solve in the
@@ -726,15 +659,16 @@ func putStorage(cells []float64, nz []int) {
 func (tb *tableau) copyTo(dst *tableau) {
 	c := *dst
 	*dst = *tb
-	m, size := len(tb.basis), len(tb.basis)*(tb.total+1)
-	// The pivot scratch is sized once, for a pivot row's total+1
-	// columns: every pivot refills it before reading.
+	m := len(tb.basis)
+	size := m * (tb.n + 1)
+	// The pivot scratch is sized once, for a pivot row's n+1 positions:
+	// every pivot refills it before reading.
 	dst.cells, dst.nz = c.cells[:0], c.nz[:0]
 	if cap(dst.cells) < size {
-		dst.cells, dst.nz = getStorage(size, tb.total+1)
+		dst.cells, dst.nz = getStorage(size, tb.n+1)
 	}
-	if cap(dst.nz) <= tb.total {
-		dst.nz = make([]int, 0, tb.total+1)
+	if cap(dst.nz) <= tb.n {
+		dst.nz = make([]int, 0, tb.n+1)
 	}
 	dst.cells = dst.cells[:size]
 	if tb.mask == nil {
@@ -752,7 +686,8 @@ func (tb *tableau) copyTo(dst *tableau) {
 	dst.mask, dst.val = nil, nil
 	dst.t = c.t
 	dst.rows(m)
-	dst.basis = append(c.basis[:0], tb.basis...)
+	dst.lab = append(c.lab[:0], tb.lab...)
+	dst.views()
 	dst.up = append(c.up[:0], tb.up...)
 	dst.flip = append(c.flip[:0], tb.flip...)
 }
@@ -770,7 +705,6 @@ func (st *State) Copy(spare *State) *State {
 		spare = new(State)
 	}
 	st.tb.copyTo(&spare.tb)
-	spare.rels = append(spare.rels[:0], st.rels...)
 	spare.rhs = append(spare.rhs[:0], st.rhs...)
 	spare.lo = append(spare.lo[:0], st.lo...)
 	spare.hi = append(spare.hi[:0], st.hi...)
@@ -832,25 +766,26 @@ func (st *State) Release() {
 		return
 	}
 	putStorage(st.tb.cells, st.tb.nz)
-	st.tb.cells, st.tb.t, st.tb.basis, st.tb.nz = nil, nil, nil, nil
+	tb := &st.tb
+	tb.cells, tb.t, tb.nz, tb.lab, tb.nonb, tb.basis, tb.pos = nil, nil, nil, nil, nil, nil, nil
 }
 
 // Bytes is the storage st holds: its tableau cells, dense or packed, and
 // the per-row and per-column vectors beside them.
 func (st *State) Bytes() int {
 	tb := &st.tb
-	const word, header = 8, 24 // float64/int/Rel, and a row's slice header
-	return word*(cap(tb.cells)+cap(tb.mask)+cap(tb.val)+cap(tb.basis)+cap(tb.up)+cap(tb.nz)+
-		cap(st.rels)+cap(st.rhs)+cap(st.lo)+cap(st.hi)+cap(st.reduced)) +
+	const word, header = 8, 24 // float64/int, and a row's slice header
+	return word*(cap(tb.cells)+cap(tb.mask)+cap(tb.val)+cap(tb.lab)+cap(tb.up)+cap(tb.nz)+
+		cap(st.rhs)+cap(st.lo)+cap(st.hi)+cap(st.reduced)) +
 		cap(tb.flip) + header*cap(tb.t)
 }
 
 // Packed reports whether st holds its tableau packed (see Pack).
 func (st *State) Packed() bool { return st.tb.mask != nil }
 
-// Cells is the number of cells in st's tableau, m × (total+1), whether
-// it is held dense or packed; 8·Cells is its dense size in bytes.
-func (st *State) Cells() int { return len(st.tb.basis) * (st.tb.total + 1) }
+// Cells is the number of cells in st's tableau, m × (n+1), whether it is
+// held dense or packed; 8·Cells is its dense size in bytes.
+func (st *State) Cells() int { return len(st.tb.basis) * (st.tb.n + 1) }
 
 // SolveFromState re-solves the problem from the full end state of a
 // previous Optimal solve of a problem with identical coefficient rows,
@@ -860,14 +795,12 @@ func (st *State) Cells() int { return len(st.tb.basis) * (st.tb.total + 1) }
 // RHS or bound; the dual simplex then repairs primal feasibility and a
 // primal clean-up pass restores optimality. st itself is only read.
 //
-// Safety: any layout mismatch — dimensions, relations, the RHS sign
-// pattern (which decides slack/artificial allocation), or a changed RHS
-// on a slackless EQ row — falls back to the cold Solve, and a warm answer
-// must pass a certificate against THIS problem before it is returned: an
-// Optimal one the optimality certificate (Certify), whose objective
-// bound needs a problem without EQ rows, an Infeasible one a Farkas
-// certificate built from the violated row (cold fallback otherwise). A
-// stale or foreign state can cost time, never correctness.
+// Safety: a state of another row or column count falls back to the cold
+// Solve, and a warm answer must pass a certificate against THIS problem
+// before it is returned: an Optimal one the optimality certificate
+// (Certify), an Infeasible one a Farkas certificate built from the
+// violated row (cold fallback otherwise). A stale or foreign state can
+// cost time, never correctness.
 func (p *Problem) SolveFromState(ctx context.Context, st *State) (*Solution, error) {
 	return p.Resume(ctx, st.Copy(nil))
 }
@@ -887,8 +820,8 @@ func (p *Problem) Resume(ctx context.Context, st *State) (*Solution, error) {
 // the resume stops with Status Cutoff, Obj the certified bound, X and
 // State nil, and st dead. A bound that cannot be certified lets the dual
 // simplex go on as it would without a cutoff, so a stale or foreign state
-// can cost time, never a wrong Cutoff. An EQ row, or a cutoff of +Inf,
-// disables the check, and a cold fallback solves without it.
+// can cost time, never a wrong Cutoff. A cutoff of +Inf disables the
+// check, and a cold fallback solves without it.
 func (p *Problem) ResumeBelow(ctx context.Context, st *State, cutoff float64) (*Solution, error) {
 	if p.err != nil {
 		return nil, p.err
@@ -899,13 +832,12 @@ func (p *Problem) ResumeBelow(ctx context.Context, st *State, cutoff float64) (*
 	}
 	tb := &st.tb
 	var sc scratch
-	hasEQ := slices.Contains(p.rowRel, EQ)
 
 	// The cutoff check: the basis objective is an O(n+m) filter, and only
 	// a certified bound ends the resume.
 	var bound float64
 	var cut func() bool
-	if cutoff < math.Inf(1) && !hasEQ {
+	if cutoff < math.Inf(1) {
 		cut = func() bool {
 			if p.basisObj(tb, cost) < cutoff {
 				return false
@@ -916,7 +848,7 @@ func (p *Problem) ResumeBelow(ctx context.Context, st *State, cutoff float64) (*
 		}
 	}
 
-	maxIter := p.maxIters(len(p.rowRel), tb.total)
+	maxIter := p.maxIters()
 	iters := 0
 	done := ctx.Done()
 
@@ -950,7 +882,7 @@ func (p *Problem) ResumeBelow(ctx context.Context, st *State, cutoff float64) (*
 	// pair Certify would price again, so the certificate is checked on it.
 	dst = simplex(tb, cost, reduced, maxIter, &iters, done)
 	sol, err := p.finish(ctx, st, dst, reduced, iters, true)
-	if err == nil && sol.Status == Optimal && (hasEQ || p.certify(sol.X, tb, cost, reduced, &sc) != nil) {
+	if err == nil && sol.Status == Optimal && p.certify(sol.X, tb, cost, reduced, &sc) != nil {
 		return cold() // the donor state did not describe this problem after all
 	}
 	return sol, err
@@ -978,37 +910,19 @@ func (sc *scratch) floats(n int) (d, mag []float64) {
 // refresh re-expresses st's tableau for p's RHS values and column bounds
 // and returns p's working cost with the tableau's reduced costs under it:
 // st's carried price when it has one, a fresh price otherwise. ok is
-// false, leaving st dead, when st's layout does not fit p.
+// false, leaving st dead, when st's row or column count does not fit p.
 func (p *Problem) refresh(st *State) (cost, reduced []float64, ok bool) {
-	m := len(p.rowRel)
-	n := p.n
-	if st == nil || len(st.lo) != n || len(st.tb.t) != m || len(st.rels) != m {
+	if !st.fits(p) {
 		return nil, nil, false
 	}
+	n := p.n
 	tb := &st.tb
 
 	// Refresh the basic values for every changed RHS. Row k's slack
-	// column started as ±eₖ, so its current column is ±B⁻¹eₖ — exactly
-	// the direction the basic values move when b_k changes. (Standard
-	// form's row negation flips both the RHS change and the slack's
-	// sign, so only the relation decides the step's sign.)
-	slack := n
-	for k, rel := range p.rowRel {
-		if rel != st.rels[k] || (p.rowRHS[k] < 0) != (st.rhs[k] < 0) {
-			return nil, nil, false
-		}
-		d := p.rowRHS[k] - st.rhs[k]
-		if rel == EQ {
-			if d != 0 {
-				return nil, nil, false // no slack column to read B⁻¹ from
-			}
-			continue
-		}
-		if rel == LE {
-			d = -d // a slack column enters with +1, a surplus column with −1
-		}
-		tb.shift(slack, d)
-		slack++
+	// column started as eₖ, so its current column is B⁻¹eₖ, and raising
+	// b_k by d moves the basic values as lowering the slack by d would.
+	for k, rhs := range p.rowRHS {
+		tb.shift(n+k, st.rhs[k]-rhs)
 	}
 
 	// Refresh for every changed column bound: moving a column's bound by
@@ -1018,7 +932,7 @@ func (p *Problem) refresh(st *State) (cost, reduced []float64, ok bool) {
 	// to its old lower bound.
 	//
 	// The carried price stays fresh through both refreshes: they move only
-	// the RHS column, which price does not read. Complementing a column
+	// the basic values, which price does not read. Complementing a column
 	// changes that column's price, so then the tableau is priced again.
 	// (Negating the carried value would not do: where the price cancelled
 	// to an exact zero, price gives +0 either way.)
@@ -1034,8 +948,8 @@ func (p *Problem) refresh(st *State) (cost, reduced []float64, ok bool) {
 			continue
 		}
 		if tb.flip[j] && math.IsInf(hi, 1) {
-			if r := slices.Index(tb.basis, j); r >= 0 {
-				tb.complementBasic(r, cost)
+			if q := tb.pos[j]; q >= tb.n {
+				tb.complementBasic(q-tb.n, cost)
 			} else {
 				tb.complement(j, cost)
 			}
@@ -1054,19 +968,22 @@ func (p *Problem) refresh(st *State) (cost, reduced []float64, ok bool) {
 	return cost, reduced, true
 }
 
+// fits reports whether st is a dense state of p's row and column counts.
+func (st *State) fits(p *Problem) bool {
+	m := len(p.rowRHS)
+	return st != nil && len(st.lo) == p.n && len(st.rhs) == m && len(st.tb.t) == m && len(st.tb.pos) == p.n+m
+}
+
 // Certify checks an Optimal solution's final tableau as an optimality
 // certificate for p: X satisfies p's rows and column bounds, and on the
 // tableau every reduced cost is ≥ 0 for a column at its lower bound, ≤ 0
 // for a column at its upper bound, and ≈ 0 for a basic column (fixed
 // columns may take either sign). Those signs are priced on the tableau's
 // coefficients, which a state from another problem of the same layout
-// does not share, so for a problem without EQ rows X's objective must
-// also meet, within rounding, the Lagrangian bound cutBound builds from
-// p's own rows and column bounds. An EQ row has no slack column to read
-// its multiplier from, so there the certificate rests on the tableau
-// alone, and ResumeBelow never returns a warm Optimal answer to such a
-// problem. It returns nil when the certificate holds and a description
-// of the first violation otherwise.
+// does not share, so X's objective must also meet, within rounding, the
+// Lagrangian bound cutBound builds from p's own rows and column bounds.
+// It returns nil when the certificate holds and a description of the
+// first violation otherwise.
 //
 // Certify prices the tableau itself. ResumeBelow checks the same
 // certificate on the price its closing simplex pass has just computed
@@ -1075,10 +992,10 @@ func (p *Problem) Certify(sol *Solution) error {
 	if sol == nil || sol.Status != Optimal || sol.State == nil {
 		return errors.New("lp: no optimal end state to certify")
 	}
-	tb := &sol.State.tb
-	if len(sol.State.lo) != p.n || len(tb.t) != len(p.rowRel) {
+	if !sol.State.fits(p) {
 		return errors.New("lp: end state does not match the problem's layout")
 	}
+	tb := &sol.State.tb
 	cost := p.workCost(tb)
 	reduced := make([]float64, tb.total)
 	tb.price(cost, reduced)
@@ -1091,18 +1008,11 @@ func (p *Problem) certify(x []float64, tb *tableau, cost, reduced []float64, sc 
 	if !p.Feasible(x, 1e-6) {
 		return errors.New("lp: certificate: point violates a row or bound")
 	}
-	isBasic := make([]bool, tb.total)
-	for _, j := range tb.basis {
-		isBasic[j] = true
-	}
-	for j, d := range reduced[:p.n+tb.nSlack] {
+	for j, d := range reduced {
 		tol := 1e-7 * (1 + math.Abs(cost[j]))
-		if isBasic[j] && math.Abs(d) > tol || !isBasic[j] && tb.up[j] > 0 && d < -tol {
+		if basic := tb.pos[j] >= tb.n; basic && math.Abs(d) > tol || !basic && tb.up[j] > 0 && d < -tol {
 			return fmt.Errorf("lp: certificate: column %d has reduced cost %g", j, d)
 		}
-	}
-	if slices.Contains(p.rowRel, EQ) {
-		return nil
 	}
 	bound, ok := p.cutBound(reduced, sc)
 	if obj := p.Objective(x); !ok || obj-bound > 1e-7*(1+math.Abs(obj)) {
@@ -1113,32 +1023,27 @@ func (p *Problem) certify(x []float64, tb *tableau, cost, reduced []float64, sc 
 
 // farkas checks a warm Infeasible verdict on tableau row r as a Farkas
 // certificate for p. The multipliers y are row r of the basis inverse,
-// read off the slack columns (signed so that yₖ ≥ 0 on LE rows and
-// yₖ ≤ 0 on GE rows); every point satisfying p's rows then satisfies
+// read off the slack columns (a slack basic in row r reads 1, one basic
+// in another row 0); every point satisfying p's rows then satisfies
 // Σₖ yₖ·aₖx ≤ Σₖ yₖ·bₖ, so p is infeasible when the least value of the
 // left side over p's column bounds exceeds the right. The check reads
 // p's own rows and bounds, not the tableau's, so a stale or foreign
-// tableau cannot pass it. It returns nil when the certificate holds; a
-// problem with an EQ row has no slack column to read y from and never
-// passes.
+// tableau cannot pass it. It returns nil when the certificate holds.
 func (p *Problem) farkas(tb *tableau, r int, sc *scratch) error {
-	if slices.Contains(p.rowRel, EQ) {
-		return errors.New("lp: farkas: an EQ row has no slack column")
-	}
-	if r < 0 || r >= len(tb.t) || len(tb.t) != len(p.rowRel) || tb.total < p.n+len(p.rowRel) {
+	m := len(p.rowRHS)
+	if r < 0 || r >= len(tb.t) || len(tb.t) != m || tb.total != p.n+m {
 		return errors.New("lp: farkas: tableau does not match the problem's layout")
 	}
-	row := tb.t[r]
 	ymax := 0.0
-	for k := range p.rowRel {
-		ymax = max(ymax, row[p.n+k])
+	for k := 0; k < m; k++ {
+		ymax = max(ymax, tb.cell(r, p.n+k))
 	}
 	c, mag := sc.floats(p.n) // Σₖ yₖ·aₖ, and Σₖ |yₖ·aₖ|, the scale of c's rounding
 	clear(c)
 	clear(mag)
 	yb, scale := 0.0, 0.0
-	for k, rel := range p.rowRel {
-		y := row[p.n+k]
+	for k, rhs := range p.rowRHS {
+		y := tb.cell(r, p.n+k)
 		if y <= 1e-9*ymax {
 			// Rounding level, on either side of zero (the ratio test
 			// admits nothing below −eps). The check below validates
@@ -1146,16 +1051,13 @@ func (p *Problem) farkas(tb *tableau, r int, sc *scratch) error {
 			// certificate but never forge one.
 			continue
 		}
-		if rel == GE {
-			y = -y
-		}
 		row := p.rowCoef[k]
 		for _, j := range p.rowNZ[k] {
 			c[j] += y * row[j]
 			mag[j] += math.Abs(y * row[j])
 		}
-		yb += y * p.rowRHS[k]
-		scale += math.Abs(y * p.rowRHS[k])
+		yb += y * rhs
+		scale += math.Abs(y * rhs)
 	}
 	least := 0.0
 	for j, cj := range c {
@@ -1196,28 +1098,27 @@ func (p *Problem) basisObj(tb *tableau, cost []float64) float64 {
 	}
 	for i, j := range tb.basis {
 		if j < p.n {
-			v += cost[j] * tb.t[i][tb.total]
+			v += cost[j] * tb.t[i][tb.n]
 		}
 	}
 	return v
 }
 
-// cutBound builds a Lagrangian lower bound on p's optimum for a problem
-// without EQ rows. Row k's multiplier is read off its slack column, as
-// farkas reads y, from that column's reduced cost rₖ: yₖ = −rₖ on LE rows
-// and +rₖ on GE rows. Every point satisfying p's rows then has
-// cᵀx ≥ Σₖ yₖ·bₖ + Σⱼ dⱼ·xⱼ with dⱼ = cⱼ − Σₖ yₖ·aₖⱼ as long as no rₖ is
-// negative, so a multiplier of the wrong sign is dropped, and so is a
-// price at rounding level next to the largest (farkas' rule): read as a
-// multiplier, such noise gives a column whose terms cancel a dⱼ too small
-// to use and too large to call cancelled, and an unbounded column then
-// refuses the bound. The bound is the least value of the right side over
-// p's column bounds. It reads p's own rows and bounds, not the tableau's,
-// so a stale or foreign tableau can weaken it but not forge it. ok is
-// false when a column whose dⱼ is negative has no upper bound. On a
-// dual-feasible basis the bound equals basisObj. reduced is only read:
-// ResumeBelow passes the dual simplex's live buffer. dⱼ and its rounding
-// scale are built in sc's storage.
+// cutBound builds a Lagrangian lower bound on p's optimum. Row k's
+// multiplier is read off its slack column, as farkas reads y, from that
+// column's reduced cost rₖ: yₖ = −rₖ. Every point satisfying p's rows
+// then has cᵀx ≥ Σₖ yₖ·bₖ + Σⱼ dⱼ·xⱼ with dⱼ = cⱼ − Σₖ yₖ·aₖⱼ as long as
+// no rₖ is negative, so a multiplier of the wrong sign is dropped, and so
+// is a price at rounding level next to the largest (farkas' rule): read
+// as a multiplier, such noise gives a column whose terms cancel a dⱼ too
+// small to use and too large to call cancelled, and an unbounded column
+// then refuses the bound. The bound is the least value of the right side
+// over p's column bounds. It reads p's own rows and bounds, not the
+// tableau's, so a stale or foreign tableau can weaken it but not forge
+// it. ok is false when a column whose dⱼ is negative has no upper bound.
+// On a dual-feasible basis the bound equals basisObj. reduced is only
+// read: ResumeBelow passes the dual simplex's live buffer. dⱼ and its
+// rounding scale are built in sc's storage.
 func (p *Problem) cutBound(reduced []float64, sc *scratch) (bound float64, ok bool) {
 	d, mag := sc.floats(p.n) // dⱼ
 	copy(d, p.obj)
@@ -1226,26 +1127,23 @@ func (p *Problem) cutBound(reduced []float64, sc *scratch) (bound float64, ok bo
 	}
 	usable := func(r float64) bool { return r > 0 && r < math.Inf(1) }
 	rmax := 0.0
-	for k := range p.rowRel {
+	for k := range p.rowRHS {
 		if r := reduced[p.n+k]; usable(r) {
 			rmax = max(rmax, r)
 		}
 	}
-	for k, rel := range p.rowRel {
+	for k, rhs := range p.rowRHS {
 		r := reduced[p.n+k]
 		if !usable(r) || r <= 1e-9*rmax {
 			continue // zero, of the wrong sign, rounding noise, or not a number to trust
 		}
 		y := -r
-		if rel == GE {
-			y = r
-		}
 		row := p.rowCoef[k]
 		for _, j := range p.rowNZ[k] {
 			d[j] -= y * row[j]
 			mag[j] += math.Abs(y * row[j])
 		}
-		bound += y * p.rowRHS[k]
+		bound += y * rhs
 	}
 	for j, dj := range d {
 		if math.Abs(dj) <= 1e-9*mag[j] {
@@ -1283,7 +1181,7 @@ const stDualStall Status = -2
 // A non-nil cut is asked before every iteration whether the basis in
 // hand ends the walk; Cutoff when it does.
 func dualSimplex(tb *tableau, cost, reduced []float64, cut func() bool, maxIter int, iters *int, done <-chan struct{}) (Status, int) {
-	t, basis, total := tb.t, tb.basis, tb.total
+	t, basis, n := tb.t, tb.basis, tb.n
 	for {
 		if cut != nil && cut() {
 			return Cutoff, -1
@@ -1303,7 +1201,7 @@ func dualSimplex(tb *tableau, cost, reduced []float64, cut func() bool, maxIter 
 		leave := -1
 		worst := 1e-7
 		for i, row := range t {
-			v := row[total]
+			v := row[n]
 			if -v > worst {
 				worst, leave = -v, i
 			}
@@ -1314,17 +1212,23 @@ func dualSimplex(tb *tableau, cost, reduced []float64, cut func() bool, maxIter 
 		if leave < 0 {
 			return Optimal, -1 // primal feasible
 		}
-		if t[leave][total] > 0 {
+		if t[leave][n] > 0 {
 			tb.complementBasic(leave, cost)
 		}
 
-		// Dual ratio test: minimize reduced[j] / |t[leave][j]| over the
-		// leaving row's negative coefficients; lowest column index breaks
-		// ties (Bland, so the dual walk cannot cycle).
+		// Dual ratio test: minimize reduced[j] / |a_j| over the leaving
+		// row's negative coefficients, walked in label order; lowest label
+		// breaks ties (Bland, so the dual walk cannot cycle), and which
+		// candidates count as tied depends on that order.
+		row := t[leave]
 		enter := -1
 		bestRatio := math.Inf(1)
-		for j, a := range t[leave][:total] {
-			if a >= -eps || math.IsInf(cost[j], 1) || tb.up[j] == 0 {
+		for j, q := range tb.pos {
+			if q >= n {
+				continue // basic: its cell is 1 in its own row, 0 here
+			}
+			a := row[q]
+			if a >= -eps || tb.up[j] == 0 {
 				continue
 			}
 			r := reduced[j]
@@ -1357,7 +1261,7 @@ func (p *Problem) extract(tb *tableau) ([]float64, float64) {
 	}
 	for i, j := range tb.basis {
 		if j < p.n {
-			if y := tb.t[i][tb.total]; tb.flip[j] {
+			if y := tb.t[i][tb.n]; tb.flip[j] {
 				x[j] = p.hi[j] - y
 			} else {
 				x[j] = p.lo[j] + y
@@ -1385,32 +1289,32 @@ const cancelCheckStride = 64
 // scratch, so the verdict never rests on accumulated rounding, and an
 // Optimal return leaves reduced holding that fresh price.
 func simplex(tb *tableau, cost, reduced []float64, maxIter int, iters *int, done <-chan struct{}) Status {
-	t, basis, total := tb.t, tb.basis, tb.total
-	m := len(t)
+	t, basis, n := tb.t, tb.basis, tb.n
 	tb.price(cost, reduced)
 	fresh := true
 	blandAfter := maxIter / 2
 
-	// entering picks the most negative reduced cost (Dantzig), or the
-	// lowest-index negative column (Bland) once we are past the
-	// midpoint, which guarantees termination. Fixed columns cannot move
-	// and never enter.
+	// entering picks the most negative reduced cost, lowest label on exact
+	// ties (Dantzig), or the lowest-label negative column (Bland) once we
+	// are past the midpoint, which guarantees termination. Basic columns
+	// price at 0 and are not visited; fixed columns cannot move and never
+	// enter.
 	entering := func() int {
+		enter, best := -1, -eps
 		if *iters < blandAfter {
-			enter, best := -1, -eps
-			for j, d := range reduced {
-				if d < best && tb.up[j] != 0 {
+			for _, j := range tb.nonb {
+				if d := reduced[j]; (d < best || d == best && j < enter) && tb.up[j] != 0 {
 					enter, best = j, d
 				}
 			}
 			return enter
 		}
-		for j, d := range reduced {
-			if d < -eps && tb.up[j] != 0 {
-				return j
+		for _, j := range tb.nonb {
+			if reduced[j] < -eps && tb.up[j] != 0 && (enter < 0 || j < enter) {
+				enter = j
 			}
 		}
-		return -1
+		return enter
 	}
 
 	for {
@@ -1440,17 +1344,18 @@ func simplex(tb *tableau, cost, reduced []float64, maxIter int, iters *int, done
 		// lower bound, a basic value rising to its upper bound, and the
 		// entering column reaching its own upper bound (a bound flip,
 		// preferred on ties since it needs no pivot). Bland tie-break on
-		// basis index among rows.
+		// basis label among rows.
+		q := tb.pos[enter]
 		leave, toUpper := -1, false
 		bestRatio := tb.up[enter]
-		for i := 0; i < m; i++ {
-			a := t[i][enter]
+		for i, row := range t {
+			a := row[q]
 			var ratio float64
 			switch {
 			case a > eps:
-				ratio = t[i][total] / a
+				ratio = row[n] / a
 			case a < -eps && !math.IsInf(tb.up[basis[i]], 1):
-				ratio = (tb.up[basis[i]] - t[i][total]) / -a
+				ratio = (tb.up[basis[i]] - row[n]) / -a
 			default:
 				continue
 			}
@@ -1476,65 +1381,72 @@ func simplex(tb *tableau, cost, reduced []float64, maxIter int, iters *int, done
 	}
 }
 
-// price computes every column's reduced cost c_j − Σ c_basis[i]·t[i][j]
-// into reduced, accumulated row-major. An infinite-cost column may still
-// be basic (artificial at zero); it never enters, and a finite
-// subtraction leaves its +Inf reduced cost intact.
+// price computes every column's reduced cost c_j − Σ c_basis[i]·a_ij into
+// reduced, accumulated row-major: a basic column's own unit cell is
+// counted in its row, so it prices at 0.
 func (tb *tableau) price(cost, reduced []float64) {
 	copy(reduced, cost[:tb.total])
 	for i, ti := range tb.t {
 		cb := cost[tb.basis[i]]
-		if math.IsInf(cb, 1) || cb == 0 {
-			continue // an +Inf-cost basic column is an artificial at value 0
+		if cb == 0 {
+			continue
 		}
-		for j, a := range ti[:tb.total] {
+		reduced[tb.basis[i]] -= cb
+		for q, a := range ti[:tb.n] {
 			if a != 0 {
-				reduced[j] -= cb * a
+				reduced[tb.nonb[q]] -= cb * a
 			}
 		}
 	}
 }
 
-// pivot performs a Gauss-Jordan pivot on t[row][col], making col basic
-// in row. Only the pivot row's nonzero entries are eliminated — the
-// placement tableaus are mostly zeros.
+// pivot performs a Gauss-Jordan pivot on row and label col's column,
+// making col basic in row. Only the pivot row's nonzero entries are
+// eliminated — the placement tableaus are mostly zeros. The leaving
+// column takes col's position: its unit vector becomes 1/a in the pivot
+// row and −f/a in every other row, the cells the full tableau computes
+// for it.
 func (tb *tableau) pivot(row, col int) {
-	t, total := tb.t, tb.total
+	t, n := tb.t, tb.n
+	q := tb.pos[col]
 	pr := t[row]
-	inv := 1.0 / pr[col]
+	inv := 1.0 / pr[q]
 	nz := tb.nz[:0]
-	for j := 0; j <= total; j++ {
-		if pr[j] != 0 {
-			pr[j] *= inv
+	for j, a := range pr {
+		if a != 0 {
+			pr[j] = a * inv
 			nz = append(nz, j)
 		}
 	}
-	pr[col] = 1 // exact
+	pr[q] = inv // the leaving column's unit cell, 1·inv
 	for i, ti := range t {
 		if i == row {
 			continue
 		}
-		f := ti[col]
+		f := ti[q]
 		if f == 0 {
 			continue
 		}
+		ti[q] = 0 // the leaving column's zero cell, less f·inv below
 		for _, j := range nz {
 			ti[j] -= f * pr[j]
 		}
-		ti[col] = 0 // exact
 	}
 	tb.nz = nz
-	tb.basis[row] = col
+	old := tb.basis[row]
+	tb.basis[row], tb.nonb[q] = col, old
+	tb.pos[col], tb.pos[old] = n+row, q
 }
 
-// pivotPriced pivots on t[row][col] and carries the reduced costs along:
-// each changes by the entering column's times the new pivot row.
+// pivotPriced pivots on row and label col and carries the reduced costs
+// along: each changes by the entering column's times the new pivot row.
 func (tb *tableau) pivotPriced(row, col int, reduced []float64) {
 	dq := reduced[col]
 	tb.pivot(row, col)
-	for _, j := range tb.nz {
-		if j < tb.total {
-			reduced[j] -= dq * tb.t[row][j]
+	pr := tb.t[row]
+	for _, q := range tb.nz {
+		if q < tb.n {
+			reduced[tb.nonb[q]] -= dq * pr[q]
 		}
 	}
 	reduced[col] = 0

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -39,9 +40,9 @@ func TestSimpleMin(t *testing.T) {
 	p := NewProblem(2)
 	p.SetObj(0, -1)
 	p.SetObj(1, -2)
-	p.AddRow(map[int]float64{0: 1, 1: 1}, LE, 4)
-	p.AddRow(map[int]float64{0: 1}, LE, 2)
-	p.AddRow(map[int]float64{1: 1}, LE, 3)
+	p.AddRow(map[int]float64{0: 1, 1: 1}, 4)
+	p.AddRow(map[int]float64{0: 1}, 2)
+	p.AddRow(map[int]float64{1: 1}, 3)
 	s := solve(t, p)
 	if s.Status != Optimal {
 		t.Fatalf("status = %v", s.Status)
@@ -51,13 +52,71 @@ func TestSimpleMin(t *testing.T) {
 	}
 }
 
+// The helpers below write rows of any relation and right-hand-side sign
+// into the ≤ class with right-hand sides ≥ 0. A constant a row needs goes
+// onto column one, which the problem fixes at [1, 1]: aᵀx ≤ b with b < 0
+// becomes aᵀx − b·x_one ≤ 0. A solve whose rows need one starts outside
+// the slack basis and reaches a feasible one through its lower bounds.
+
+// rel is a row relation, as the tests' generators draw them.
+type rel int
+
+const (
+	le rel = iota // aᵀx ≤ b
+	ge            // aᵀx ≥ b
+	eq            // aᵀx = b
+)
+
+// withOne returns a problem of n columns plus column one = n fixed at 1.
+func withOne(n int) (p *Problem, one int) {
+	p = NewProblem(n + 1)
+	p.SetBounds(n, 1, 1)
+	return p, n
+}
+
+// addLE adds Σ coef·x ≤ rhs for a rhs of either sign.
+func addLE(p *Problem, coef []float64, rhs float64, one int) {
+	row := append([]float64(nil), coef...)
+	if rhs < 0 {
+		row[one] -= rhs
+		rhs = 0
+	}
+	p.AddDenseRow(row, rhs)
+}
+
+// addRel adds Σ coef·x r rhs: a ≥ row as its negation, an = row as both.
+func addRel(p *Problem, coef []float64, r rel, rhs float64, one int) {
+	neg := make([]float64, len(coef))
+	for j, c := range coef {
+		neg[j] = -c
+	}
+	switch r {
+	case le:
+		addLE(p, coef, rhs, one)
+	case ge:
+		addLE(p, neg, -rhs, one)
+	case eq:
+		addLE(p, coef, rhs, one)
+		addLE(p, neg, -rhs, one)
+	}
+}
+
+// dense spreads a sparse row over n columns.
+func dense(n int, coeffs map[int]float64) []float64 {
+	row := make([]float64, n)
+	for j, c := range coeffs {
+		row[j] = c
+	}
+	return row
+}
+
 func TestGEAndEQRows(t *testing.T) {
 	// min x + y s.t. x + y >= 2, x = 0.5 → x=0.5, y=1.5, obj 2.
-	p := NewProblem(2)
+	p, one := withOne(2)
 	p.SetObj(0, 1)
 	p.SetObj(1, 1)
-	p.AddRow(map[int]float64{0: 1, 1: 1}, GE, 2)
-	p.AddRow(map[int]float64{0: 1}, EQ, 0.5)
+	addRel(p, dense(3, map[int]float64{0: 1, 1: 1}), ge, 2, one)
+	addRel(p, dense(3, map[int]float64{0: 1}), eq, 0.5, one)
 	s := solve(t, p)
 	if s.Status != Optimal || !approx(s.Obj, 2) || !approx(s.X[0], 0.5) {
 		t.Errorf("got %v obj=%v x=%v", s.Status, s.Obj, s.X)
@@ -65,9 +124,9 @@ func TestGEAndEQRows(t *testing.T) {
 }
 
 func TestInfeasible(t *testing.T) {
-	p := NewProblem(1)
-	p.AddRow(map[int]float64{0: 1}, GE, 2)
-	p.AddRow(map[int]float64{0: 1}, LE, 1)
+	p, one := withOne(1)
+	addRel(p, []float64{1, 0}, ge, 2, one)
+	addRel(p, []float64{1, 0}, le, 1, one)
 	s := solve(t, p)
 	if s.Status != Infeasible {
 		t.Fatalf("status = %v, want infeasible", s.Status)
@@ -81,22 +140,48 @@ func TestUnbounded(t *testing.T) {
 	if s.Status != Unbounded {
 		t.Fatalf("status = %v, want unbounded", s.Status)
 	}
+	// Unbounded, too, where a lower bound starts the solve outside the
+	// slack basis: x ≥ 1 + y, y ≥ 1, min −x.
+	q := NewProblem(2)
+	q.SetObj(0, -1)
+	q.SetBounds(1, 1, math.Inf(1))
+	q.AddRow(map[int]float64{0: -1, 1: 1}, 0)
+	if s := solve(t, q); s.Status != Unbounded {
+		t.Fatalf("from lower bounds: status = %v, want unbounded", s.Status)
+	}
 }
 
+// TestNegativeRHS: a negative right-hand side is refused as a sticky
+// ErrBadProblem, from AddRow, AddDenseRow and SetRHS; the rows it wrote
+// take a lower bound or the fixed column instead.
 func TestNegativeRHS(t *testing.T) {
+	for name, build := range map[string]func(p *Problem){
+		"AddRow":      func(p *Problem) { p.AddRow(map[int]float64{0: -1}, -3) },
+		"AddDenseRow": func(p *Problem) { p.AddDenseRow([]float64{-1}, -3) },
+		"SetRHS": func(p *Problem) {
+			p.AddRow(map[int]float64{0: -1}, 3)
+			p.SetRHS(0, -3)
+		},
+	} {
+		p := NewProblem(1)
+		build(p)
+		if _, err := p.Solve(context.Background()); !errors.Is(err, ErrBadProblem) {
+			t.Errorf("%s: Solve error = %v, want ErrBadProblem", name, err)
+		}
+	}
 	// min x s.t. -x <= -3 (i.e. x >= 3) → x=3.
-	p := NewProblem(1)
+	p, one := withOne(1)
 	p.SetObj(0, 1)
-	p.AddRow(map[int]float64{0: -1}, LE, -3)
+	addLE(p, []float64{-1, 0}, -3, one)
 	s := solve(t, p)
 	if s.Status != Optimal || !approx(s.X[0], 3) {
 		t.Errorf("got %v x=%v, want x=3", s.Status, s.X)
 	}
 	// min x s.t. -x >= -3 (x <= 3), x >= 1 → x=1.
-	q := NewProblem(1)
+	q, one := withOne(1)
 	q.SetObj(0, 1)
-	q.AddRow(map[int]float64{0: -1}, GE, -3)
-	q.AddRow(map[int]float64{0: 1}, GE, 1)
+	addRel(q, []float64{-1, 0}, ge, -3, one)
+	addRel(q, []float64{1, 0}, ge, 1, one)
 	s = solve(t, q)
 	if s.Status != Optimal || !approx(s.X[0], 1) {
 		t.Errorf("got %v x=%v, want x=1", s.Status, s.X)
@@ -112,9 +197,9 @@ func TestDegenerateKnapsackRelaxation(t *testing.T) {
 	p.SetObj(0, -5)
 	p.SetObj(1, -4)
 	p.SetObj(2, -3)
-	p.AddRow(map[int]float64{0: 2, 1: 3, 2: 1}, LE, 5)
+	p.AddRow(map[int]float64{0: 2, 1: 3, 2: 1}, 5)
 	for j := 0; j < 3; j++ {
-		p.AddRow(map[int]float64{j: 1}, LE, 1)
+		p.AddRow(map[int]float64{j: 1}, 1)
 	}
 	s := solve(t, p)
 	want := -5.0 - 3.0 - 8.0/3.0
@@ -125,11 +210,11 @@ func TestDegenerateKnapsackRelaxation(t *testing.T) {
 
 func TestEqualityOnly(t *testing.T) {
 	// min 2x+3y s.t. x+y=10, x-y=2 → x=6,y=4, obj 24.
-	p := NewProblem(2)
+	p, one := withOne(2)
 	p.SetObj(0, 2)
 	p.SetObj(1, 3)
-	p.AddRow(map[int]float64{0: 1, 1: 1}, EQ, 10)
-	p.AddRow(map[int]float64{0: 1, 1: -1}, EQ, 2)
+	addRel(p, []float64{1, 1, 0}, eq, 10, one)
+	addRel(p, []float64{1, -1, 0}, eq, 2, one)
 	s := solve(t, p)
 	if s.Status != Optimal || !approx(s.X[0], 6) || !approx(s.X[1], 4) {
 		t.Errorf("got %v x=%v", s.Status, s.X)
@@ -137,13 +222,13 @@ func TestEqualityOnly(t *testing.T) {
 }
 
 func TestRedundantRows(t *testing.T) {
-	// Duplicate equality rows leave a redundant artificial; solver must cope.
-	p := NewProblem(2)
+	// Duplicate equality rows leave a degenerate basis; solver must cope.
+	p, one := withOne(2)
 	p.SetObj(0, 1)
 	p.SetObj(1, 1)
-	p.AddRow(map[int]float64{0: 1, 1: 1}, EQ, 3)
-	p.AddRow(map[int]float64{0: 1, 1: 1}, EQ, 3)
-	p.AddRow(map[int]float64{0: 1}, GE, 1)
+	addRel(p, []float64{1, 1, 0}, eq, 3, one)
+	addRel(p, []float64{1, 1, 0}, eq, 3, one)
+	addRel(p, []float64{1, 0, 0}, ge, 1, one)
 	s := solve(t, p)
 	if s.Status != Optimal || !approx(s.Obj, 3) {
 		t.Errorf("got %v obj=%v", s.Status, s.Obj)
@@ -153,7 +238,7 @@ func TestRedundantRows(t *testing.T) {
 func TestDenseRow(t *testing.T) {
 	p := NewProblem(2)
 	p.SetObj(0, -1)
-	p.AddDenseRow([]float64{1, 1}, LE, 1)
+	p.AddDenseRow([]float64{1, 1}, 1)
 	s := solve(t, p)
 	if !approx(s.X[0], 1) {
 		t.Errorf("x = %v, want x0=1", s.X)
@@ -173,18 +258,21 @@ func TestBadProblemSurfacedBySolve(t *testing.T) {
 		{"negative variable count", NewProblem(-1)},
 		{"out-of-range variable", func() *Problem {
 			p := NewProblem(1)
-			p.AddRow(map[int]float64{5: 1}, LE, 1)
+			p.AddRow(map[int]float64{5: 1}, 1)
 			return p
 		}()},
 		{"dense row length mismatch", func() *Problem {
 			p := NewProblem(2)
-			p.AddDenseRow([]float64{1}, LE, 1)
+			p.AddDenseRow([]float64{1}, 1)
 			return p
 		}()},
+		{"negative right-hand side", build(1, func(p *Problem) { p.AddRow(map[int]float64{0: 1}, -1) })},
+		{"NaN right-hand side", build(1, func(p *Problem) { p.AddDenseRow([]float64{1}, math.NaN()) })},
+		{"negative lower bound", build(1, func(p *Problem) { p.SetBounds(0, -1, 1) })},
 		{"objective of out-of-range variable", build(2, func(p *Problem) { p.SetObj(2, 1) })},
 		{"objective on negative variable count", build(-1, func(p *Problem) { p.SetObj(0, 1) })},
 		{"rhs of out-of-range row", build(1, func(p *Problem) {
-			p.AddRow(map[int]float64{0: 1}, LE, 1)
+			p.AddRow(map[int]float64{0: 1}, 1)
 			p.SetRHS(1, 2)
 		})},
 		{"bounds of out-of-range variable", build(1, func(p *Problem) { p.SetBounds(-1, 0, 1) })},
@@ -209,7 +297,7 @@ func TestBadProblemSurfacedBySolve(t *testing.T) {
 // bruteForceBinary finds the optimal 0/1 assignment of a problem whose
 // variables are all additionally constrained to {0,1}; used as an oracle:
 // the LP relaxation value must lower-bound it.
-func bruteForceBinary(obj []float64, rows [][]float64, rels []Rel, rhs []float64) (float64, bool) {
+func bruteForceBinary(obj []float64, rows [][]float64, rels []rel, rhs []float64) (float64, bool) {
 	n := len(obj)
 	best := math.Inf(1)
 	found := false
@@ -223,11 +311,11 @@ func bruteForceBinary(obj []float64, rows [][]float64, rels []Rel, rhs []float64
 				}
 			}
 			switch rels[r] {
-			case LE:
+			case le:
 				ok = ok && v <= rhs[r]+1e-9
-			case GE:
+			case ge:
 				ok = ok && v >= rhs[r]-1e-9
-			case EQ:
+			case eq:
 				ok = ok && math.Abs(v-rhs[r]) < 1e-9
 			}
 		}
@@ -262,27 +350,27 @@ func TestRelaxationLowerBounds(t *testing.T) {
 			obj[j] = float64(rng.Intn(21) - 10)
 		}
 		rows := make([][]float64, m)
-		rels := make([]Rel, m)
+		rels := make([]rel, m)
 		rhs := make([]float64, m)
 		for r := 0; r < m; r++ {
 			rows[r] = make([]float64, n)
 			for j := 0; j < n; j++ {
 				rows[r][j] = float64(rng.Intn(7) - 3)
 			}
-			rels[r] = Rel(rng.Intn(2)) // LE or GE; EQ rarely binary-feasible
+			rels[r] = rel(rng.Intn(2)) // le or ge; eq rarely binary-feasible
 			rhs[r] = float64(rng.Intn(11) - 5)
 		}
 		intBest, feasible := bruteForceBinary(obj, rows, rels, rhs)
 		if !feasible {
 			continue
 		}
-		p := NewProblem(n)
+		p, one := withOne(n)
 		for j := 0; j < n; j++ {
 			p.SetObj(j, obj[j])
-			p.AddRow(map[int]float64{j: 1}, LE, 1)
+			p.AddRow(map[int]float64{j: 1}, 1)
 		}
 		for r := 0; r < m; r++ {
-			p.AddDenseRow(rows[r], rels[r], rhs[r])
+			addRel(p, append(slices.Clone(rows[r]), 0), rels[r], rhs[r], one)
 		}
 		s, err := p.Solve(context.Background())
 		if err != nil {
@@ -302,11 +390,11 @@ func TestRelaxationLowerBounds(t *testing.T) {
 				v += rows[r][j] * s.X[j]
 			}
 			switch rels[r] {
-			case LE:
+			case le:
 				if v > rhs[r]+1e-6 {
 					t.Fatalf("trial %d: row %d violated: %v > %v", trial, r, v, rhs[r])
 				}
-			case GE:
+			case ge:
 				if v < rhs[r]-1e-6 {
 					t.Fatalf("trial %d: row %d violated: %v < %v", trial, r, v, rhs[r])
 				}
@@ -323,7 +411,7 @@ func TestRelaxationLowerBounds(t *testing.T) {
 func TestIterLimit(t *testing.T) {
 	p := NewProblem(3)
 	p.SetObj(0, -1)
-	p.AddRow(map[int]float64{0: 1, 1: 1, 2: 1}, LE, 10)
+	p.AddRow(map[int]float64{0: 1, 1: 1, 2: 1}, 10)
 	p.MaxIter = 1
 	s := solve(t, p)
 	if s.Status != IterLimit && s.Status != Optimal {

@@ -27,19 +27,8 @@ func denseFeasible(p *Problem, x []float64, tol float64) bool {
 				v += c * x[j]
 			}
 		}
-		switch p.rowRel[i] {
-		case LE:
-			if v > p.rowRHS[i]+tol {
-				return false
-			}
-		case GE:
-			if v < p.rowRHS[i]-tol {
-				return false
-			}
-		case EQ:
-			if math.Abs(v-p.rowRHS[i]) > tol {
-				return false
-			}
+		if v > p.rowRHS[i]+tol {
+			return false
 		}
 	}
 	return true
@@ -63,20 +52,17 @@ func denseCutBound(p *Problem, reduced []float64) (bound float64, ok bool) {
 	}
 	usable := func(r float64) bool { return r > 0 && r < math.Inf(1) }
 	rmax := 0.0
-	for k := range p.rowRel {
+	for k := range p.rowRHS {
 		if r := reduced[p.n+k]; usable(r) {
 			rmax = max(rmax, r)
 		}
 	}
-	for k, rel := range p.rowRel {
+	for k := range p.rowRHS {
 		r := reduced[p.n+k]
 		if !usable(r) || r <= 1e-9*rmax {
 			continue
 		}
 		y := -r
-		if rel == GE {
-			y = r
-		}
 		for j, a := range p.rowCoef[k] {
 			if a != 0 {
 				d[j] -= y * a
@@ -102,27 +88,21 @@ func denseCutBound(p *Problem, reduced []float64) (bound float64, ok bool) {
 }
 
 func denseFarkas(p *Problem, tb *tableau, r int) error {
-	if slices.Contains(p.rowRel, EQ) {
-		return errors.New("lp: farkas: an EQ row has no slack column")
-	}
-	if r < 0 || r >= len(tb.t) || len(tb.t) != len(p.rowRel) || tb.total < p.n+len(p.rowRel) {
+	m := len(p.rowRHS)
+	if r < 0 || r >= len(tb.t) || len(tb.t) != m || tb.total != p.n+m {
 		return errors.New("lp: farkas: tableau does not match the problem's layout")
 	}
-	row := tb.t[r]
 	ymax := 0.0
-	for k := range p.rowRel {
-		ymax = max(ymax, row[p.n+k])
+	for k := 0; k < m; k++ {
+		ymax = max(ymax, tb.cell(r, p.n+k))
 	}
 	c := make([]float64, p.n)
 	mag := make([]float64, p.n)
 	yb, scale := 0.0, 0.0
-	for k, rel := range p.rowRel {
-		y := row[p.n+k]
+	for k := 0; k < m; k++ {
+		y := tb.cell(r, p.n+k)
 		if y <= 1e-9*ymax {
 			continue
-		}
-		if rel == GE {
-			y = -y
 		}
 		for j, a := range p.rowCoef[k] {
 			if a != 0 {
@@ -155,58 +135,25 @@ func denseFarkas(p *Problem, tb *tableau, r int) error {
 }
 
 func denseNewTableau(p *Problem) tableau {
-	m, n := len(p.rowRel), p.n
-	start := make([]float64, m)
-	rels := append([]Rel(nil), p.rowRel...)
-	nSlack, nArt := 0, 0
-	for i, row := range p.rowCoef {
-		start[i] = p.rowRHS[i]
-		for j, c := range row {
-			if c != 0 && p.lo[j] != 0 {
-				start[i] -= c * p.lo[j]
-			}
-		}
-		if start[i] < 0 {
-			switch rels[i] {
-			case LE:
-				rels[i] = GE
-			case GE:
-				rels[i] = LE
-			}
-		}
-		if rels[i] != EQ {
-			nSlack++
-		}
-		if rels[i] != LE {
-			nArt++
-		}
-	}
-	total := n + nSlack + nArt
-	tb := tableau{cells: make([]float64, m*(total+1)), basis: make([]int, m),
-		nSlack: nSlack, nArt: nArt, total: total}
+	m, n := len(p.rowRHS), p.n
+	total := n + m
+	tb := tableau{cells: make([]float64, m*(n+1)), lab: make([]int, 2*total), n: n, total: total}
 	tb.rows(m)
-	slack, art := n, n+nSlack
+	tb.views()
 	for i, row := range p.rowCoef {
 		ti := tb.t[i]
-		sign := 1.0
-		if start[i] < 0 {
-			sign = -1.0
-		}
+		ti[n] = p.rowRHS[i]
 		for j, c := range row {
-			ti[j] = sign * c
+			if c != 0 {
+				ti[j] = c
+				if p.lo[j] != 0 {
+					ti[n] -= c * p.lo[j]
+				}
+			}
 		}
-		ti[total] = sign * start[i]
-		switch rels[i] {
-		case LE:
-			ti[slack], tb.basis[i] = 1, slack
-			slack++
-		case GE:
-			ti[slack], ti[art], tb.basis[i] = -1, 1, art
-			slack, art = slack+1, art+1
-		case EQ:
-			ti[art], tb.basis[i] = 1, art
-			art++
-		}
+	}
+	for j := 0; j < total; j++ {
+		tb.lab[j], tb.pos[j] = j, j
 	}
 	tb.up = make([]float64, total)
 	for j := range tb.up {
@@ -263,7 +210,7 @@ func sparseProblem(rng *rand.Rand) *Problem {
 		if rng.Intn(3) > 0 {
 			p.SetObj(j, sparseCoef(rng))
 		}
-		lo := float64(rng.Intn(5)-2) / 2
+		lo := float64(rng.Intn(3)) / 2
 		hi := math.Inf(1)
 		if rng.Intn(3) > 0 {
 			hi = lo + float64(rng.Intn(4))
@@ -271,13 +218,13 @@ func sparseProblem(rng *rand.Rand) *Problem {
 		p.SetBounds(j, lo, hi)
 	}
 	for i := 0; i < m; i++ {
-		rel, rhs := Rel(rng.Intn(3)), float64(rng.Intn(21)-10)/2
+		rhs := float64(rng.Intn(11)) / 2
 		if rng.Intn(3) > 0 {
 			row := make([]float64, n)
 			for j := range row {
 				row[j] = sparseCoef(rng)
 			}
-			p.AddDenseRow(row, rel, rhs)
+			p.AddDenseRow(row, rhs)
 		} else {
 			row := map[int]float64{}
 			for j := 0; j < n; j++ {
@@ -285,7 +232,7 @@ func sparseProblem(rng *rand.Rand) *Problem {
 					row[j] = sparseCoef(rng)
 				}
 			}
-			p.AddRow(row, rel, rhs)
+			p.AddRow(row, rhs)
 		}
 	}
 	if p.err != nil {
@@ -297,8 +244,8 @@ func sparseProblem(rng *rand.Rand) *Problem {
 // sameTableau reports whether two tableaus have the same layout, basis,
 // ranges and flags, and the same cells bit for bit.
 func sameTableau(a, b *tableau) bool {
-	return a.nSlack == b.nSlack && a.nArt == b.nArt && a.total == b.total &&
-		slices.Equal(a.basis, b.basis) && slices.Equal(a.flip, b.flip) &&
+	return a.n == b.n && a.total == b.total &&
+		slices.Equal(a.lab, b.lab) && slices.Equal(a.flip, b.flip) &&
 		sameFloats(a.up, b.up) && sameFloats(a.cells, b.cells)
 }
 
@@ -312,7 +259,7 @@ func TestSparseRowsMatchDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for trial := 0; trial < 3000; trial++ {
 		p := sparseProblem(rng)
-		n, m := p.n, len(p.rowRel)
+		n, m := p.n, len(p.rowRHS)
 		for i, row := range p.rowCoef {
 			for _, j := range p.rowNZ[i] {
 				if row[j] == 0 {
@@ -321,7 +268,7 @@ func TestSparseRowsMatchDense(t *testing.T) {
 			}
 		}
 
-		got, want := p.newTableau(), denseNewTableau(p)
+		got, want := p.newTableau(p.lo), denseNewTableau(p)
 		if !sameTableau(&got, &want) {
 			t.Fatalf("trial %d: newTableau differs from the dense layout\ngot  %v\nwant %v", trial, got.cells, want.cells)
 		}
@@ -373,18 +320,18 @@ func TestSparseRowsMatchDense(t *testing.T) {
 // row or RHS edit on either side never shows on the other.
 func TestCloneAddsRowsOfItsOwn(t *testing.T) {
 	p := NewProblem(2)
-	p.AddRow(map[int]float64{0: 1}, LE, 1)
+	p.AddRow(map[int]float64{0: 1}, 1)
 	q := p.Clone()
-	q.AddRow(map[int]float64{1: 2}, GE, 2)
-	p.AddDenseRow([]float64{3, 0}, EQ, 3)
+	q.AddRow(map[int]float64{1: 2}, 2)
+	p.AddDenseRow([]float64{3, 0}, 3)
 	q.SetRHS(0, 5)
 	switch {
 	case p.NumRows() != 2 || q.NumRows() != 2:
 		t.Fatalf("%d and %d rows, want 2 each", p.NumRows(), q.NumRows())
-	case p.rowRel[1] != EQ || p.rowCoef[1][0] != 3 || !slices.Equal(p.rowNZ[1], []int{0}):
-		t.Fatalf("original's second row %v %v %v, want EQ [3 0] [0]", p.rowRel[1], p.rowCoef[1], p.rowNZ[1])
-	case q.rowRel[1] != GE || q.rowCoef[1][1] != 2 || !slices.Equal(q.rowNZ[1], []int{1}):
-		t.Fatalf("clone's second row %v %v %v, want GE [0 2] [1]", q.rowRel[1], q.rowCoef[1], q.rowNZ[1])
+	case p.rowRHS[1] != 3 || p.rowCoef[1][0] != 3 || !slices.Equal(p.rowNZ[1], []int{0}):
+		t.Fatalf("original's second row %v %v ≤ %v, want [3 0] [0] ≤ 3", p.rowCoef[1], p.rowNZ[1], p.rowRHS[1])
+	case q.rowRHS[1] != 2 || q.rowCoef[1][1] != 2 || !slices.Equal(q.rowNZ[1], []int{1}):
+		t.Fatalf("clone's second row %v %v ≤ %v, want [0 2] [1] ≤ 2", q.rowCoef[1], q.rowNZ[1], q.rowRHS[1])
 	case p.rowRHS[0] != 1 || q.rowRHS[0] != 5:
 		t.Fatalf("row 0 RHS %v and %v, want 1 and 5", p.rowRHS[0], q.rowRHS[0])
 	}
@@ -396,7 +343,7 @@ func TestCloneAddsRowsOfItsOwn(t *testing.T) {
 func TestCopyBounds(t *testing.T) {
 	p, q := NewProblem(2), NewProblem(2)
 	q.SetBounds(0, 1, 1)
-	q.SetBounds(1, -2, 3)
+	q.SetBounds(1, 2, 3)
 	p.CopyBounds(q)
 	for j := 0; j < 2; j++ {
 		plo, phi := p.Bounds(j)
@@ -406,7 +353,7 @@ func TestCopyBounds(t *testing.T) {
 		}
 	}
 	p.CopyBounds(NewProblem(3))
-	if lo, hi := p.Bounds(1); lo != -2 || hi != 3 {
+	if lo, hi := p.Bounds(1); lo != 2 || hi != 3 {
 		t.Fatalf("a mismatched copy changed column 1 to [%v,%v]", lo, hi)
 	}
 	if _, err := p.Solve(context.Background()); !errors.Is(err, ErrBadProblem) {

@@ -14,13 +14,13 @@ func sweepProblem(n int, c, w []float64, budget float64) *Problem {
 	p := NewProblem(n)
 	for j := 0; j < n; j++ {
 		p.SetObj(j, -c[j])
-		p.AddRow(map[int]float64{j: 1}, LE, 1)
+		p.AddRow(map[int]float64{j: 1}, 1)
 	}
 	row := make(map[int]float64, n)
 	for j := 0; j < n; j++ {
 		row[j] = w[j]
 	}
-	p.AddRow(row, LE, budget)
+	p.AddRow(row, budget)
 	return p
 }
 
@@ -77,7 +77,7 @@ func TestSolveFromMatchesColdAfterRHSChange(t *testing.T) {
 
 func TestSolveFromStickyError(t *testing.T) {
 	p := NewProblem(1)
-	p.AddRow(map[int]float64{2: 1}, LE, 1) // out of range: poisons the problem
+	p.AddRow(map[int]float64{2: 1}, 1) // out of range: poisons the problem
 	if _, err := p.SolveFromState(context.Background(), nil); err == nil {
 		t.Fatal("want sticky construction error from SolveFromState")
 	}
@@ -181,11 +181,12 @@ func TestSolveFromStateSharedDonorServesTwoReceivers(t *testing.T) {
 }
 
 func TestSolveFromStateDetectsInfeasible(t *testing.T) {
+	// x ≥ 2 on column one, x ≤ budget: budget 1 is infeasible.
 	build := func(budget float64) *Problem {
-		p := NewProblem(1)
+		p, one := withOne(1)
 		p.SetObj(0, 1)
-		p.AddRow(map[int]float64{0: 1}, GE, 2)
-		p.AddRow(map[int]float64{0: 1}, LE, budget)
+		addRel(p, []float64{1, 0}, ge, 2, one)
+		p.AddRow(map[int]float64{0: 1}, budget)
 		return p
 	}
 	sol := solve(t, build(5))
@@ -198,16 +199,16 @@ func TestSolveFromStateDetectsInfeasible(t *testing.T) {
 	}
 }
 
-// TestSolveFromDetectsInfeasible writes the lower limit as a negated LE
-// row (-x ≤ -2), which standard form re-negates, and resumes from the
-// feasible budget's state.
+// TestSolveFromDetectsInfeasible writes the lower limit as a column
+// bound (x ≥ 2), which starts the donor's solve outside the slack basis,
+// and resumes from the feasible budget's state.
 func TestSolveFromDetectsInfeasible(t *testing.T) {
-	// x ≥ 2 via -x ≤ -2 plus x ≤ budget: budget 1 is infeasible.
+	// x ≥ 2 plus x ≤ budget: budget 1 is infeasible.
 	build := func(budget float64) *Problem {
 		p := NewProblem(1)
 		p.SetObj(0, 1)
-		p.AddRow(map[int]float64{0: -1}, LE, -2)
-		p.AddRow(map[int]float64{0: 1}, LE, budget)
+		p.SetBounds(0, 2, math.Inf(1))
+		p.AddRow(map[int]float64{0: 1}, budget)
 		return p
 	}
 	sol := solve(t, build(5))
@@ -249,20 +250,20 @@ func TestSolveFromStateLayoutMismatchFallsBackToCold(t *testing.T) {
 
 	// Different dimensions.
 	foreign(func() *Problem { return sweepProblem(2, c[:2], w[:2], 2.5) })
-	// Same shape, one relation changed.
+	// Same columns, one row more.
 	foreign(func() *Problem {
 		p := sweepProblem(3, c, w, 2.5)
-		p.AddRow(map[int]float64{0: 1}, GE, 0)
+		p.AddRow(map[int]float64{0: -1}, 0)
 		return p
 	})
-	// RHS sign flipped on an existing row (layout re-negates the row).
+	// Same rows, one column more.
 	foreign(func() *Problem {
-		p := NewProblem(3)
+		p := NewProblem(4)
 		for j := 0; j < 3; j++ {
 			p.SetObj(j, -c[j])
-			p.AddRow(map[int]float64{j: 1}, LE, 1)
+			p.AddRow(map[int]float64{j: 1}, 1)
 		}
-		p.AddRow(map[int]float64{0: w[0], 1: w[1], 2: w[2]}, LE, -1)
+		p.AddRow(map[int]float64{0: w[0], 1: w[1], 2: w[2], 3: 1}, 2.5)
 		return p
 	})
 	// nil state.
@@ -329,7 +330,7 @@ func TestResumeFarkasChecksWarmInfeasible(t *testing.T) {
 	build := func(coef float64) *Problem {
 		p := NewProblem(1)
 		p.SetObj(0, -1)
-		p.AddRow(map[int]float64{0: coef}, LE, 5)
+		p.AddRow(map[int]float64{0: coef}, 5)
 		return p
 	}
 	donor := solve(t, build(1))
@@ -361,19 +362,23 @@ func TestResumeFarkasChecksWarmInfeasible(t *testing.T) {
 	}
 }
 
-// TestFarkasRejectsEQRows: an EQ row has no slack column, so no
-// multipliers can be read for it and the certificate never holds.
+// TestFarkasRejectsEQRows: an equality written as its two ≤ rows holds a
+// feasible problem, and farkas certifies none of its rows infeasible,
+// whatever the multipliers the end tableau's row gives.
 func TestFarkasRejectsEQRows(t *testing.T) {
 	p := NewProblem(2)
 	p.SetObj(0, 1)
-	p.AddRow(map[int]float64{0: 1, 1: -1}, EQ, 0)
-	p.AddRow(map[int]float64{0: 1}, LE, 5)
+	p.AddRow(map[int]float64{0: 1, 1: -1}, 0)
+	p.AddRow(map[int]float64{0: -1, 1: 1}, 0)
+	p.AddRow(map[int]float64{0: 1}, 5)
 	sol := solve(t, p)
 	if sol.Status != Optimal {
 		t.Fatalf("status %v", sol.Status)
 	}
-	if err := p.farkas(&sol.State.tb, 1, new(scratch)); err == nil {
-		t.Error("farkas accepted a problem with an EQ row")
+	for r := 0; r < p.NumRows(); r++ {
+		if err := p.farkas(&sol.State.tb, r, new(scratch)); err == nil {
+			t.Errorf("farkas certified row %d of a feasible problem infeasible", r)
+		}
 	}
 }
 
@@ -385,10 +390,10 @@ func TestFarkasRejectsEQRows(t *testing.T) {
 // warm answer is refused and the cold solve finds 1.5.
 func TestResumeRejectsForeignOptimum(t *testing.T) {
 	build := func(coef float64) *Problem {
-		p := NewProblem(1)
+		p, one := withOne(1)
 		p.SetObj(0, 1)
 		p.SetBounds(0, 0, 10)
-		p.AddRow(map[int]float64{0: coef}, GE, 3)
+		p.AddRow(map[int]float64{0: -coef, one: 10}, 7) // coef·x ≥ 3
 		return p
 	}
 	donor := solve(t, build(1))

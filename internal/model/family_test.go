@@ -1,6 +1,7 @@
 package model_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/cfg"
 	"repro/internal/freq"
 	"repro/internal/layout"
+	"repro/internal/lp"
 	"repro/internal/mcc"
 	"repro/internal/model"
 	"repro/internal/placement"
@@ -195,4 +197,42 @@ func evaluateByLabel(m *model.Model, inRAM map[string]bool) model.Outcome {
 		out.Feasible = false
 	}
 	return out
+}
+
+// TestRootStateCells: on every BEEBS benchmark at O0, O2 and Os, in
+// three families, the root relaxation's end state holds m × (n+1)
+// tableau cells for m rows over n columns — one per nonbasic column and
+// row, and one per row for the basic values, none for the slack columns.
+func TestRootStateCells(t *testing.T) {
+	ef, er := power.STM32F100().Coefficients()
+	for _, b := range beebs.All() {
+		for _, level := range []mcc.OptLevel{mcc.O0, mcc.O2, mcc.Os} {
+			prog, err := mcc.Compile(b.Source, level)
+			if err != nil {
+				t.Fatalf("%s %v: %v", b.Name, level, err)
+			}
+			graphs, err := cfg.BuildAll(prog)
+			if err != nil {
+				t.Fatal(err)
+			}
+			est := freq.Static(prog, graphs)
+			derived := float64(layout.SpareRAM(prog, layout.DefaultConfig()))
+			for fi, fp := range []model.Params{{MaxCandidates: 8}, {}, {IncludeLibrary: true}} {
+				fp.EFlash, fp.ERAM, fp.Rspare, fp.Xlimit = ef, er, derived, 1.2
+				m, err := model.Build(prog, graphs, est, fp)
+				if err != nil {
+					t.Fatal(err)
+				}
+				prob, _ := m.BuildILP()
+				sol, err := prob.Solve(context.Background())
+				if err != nil || sol.Status != lp.Optimal {
+					t.Fatalf("%s/%v/family%d: root %v, %v", b.Name, level, fi, sol, err)
+				}
+				if got, want := sol.State.Cells(), prob.NumRows()*(prob.NumVars()+1); got != want {
+					t.Errorf("%s/%v/family%d: %d cells, want %d rows × (%d columns + 1) = %d",
+						b.Name, level, fi, got, prob.NumRows(), prob.NumVars(), want)
+				}
+			}
+		}
+	}
 }

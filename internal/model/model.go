@@ -364,8 +364,8 @@ func (m *Model) lower() {
 				row1[rs] = row1[rs] - 1
 				row2[rs] = row2[rs] + 1
 			}
-			prob.AddRow(row1, lp.LE, 0) // r_b − r_s − i_b ≤ 0
-			prob.AddRow(row2, lp.LE, 0) // r_s − r_b − i_b ≤ 0
+			prob.AddRow(row1, 0) // r_b − r_s − i_b ≤ 0
+			prob.AddRow(row2, 0) // r_s − r_b − i_b ≤ 0
 		}
 	}
 
@@ -379,9 +379,9 @@ func (m *Model) lower() {
 			continue
 		}
 		rv, iv := vars.R[b], vars.I[b]
-		prob.AddRow(map[int]float64{pv: 1, rv: -1}, lp.LE, 0)
-		prob.AddRow(map[int]float64{pv: 1, iv: -1}, lp.LE, 0)
-		prob.AddRow(map[int]float64{rv: 1, iv: 1, pv: -1}, lp.LE, 1)
+		prob.AddRow(map[int]float64{pv: 1, rv: -1}, 0)
+		prob.AddRow(map[int]float64{pv: 1, iv: -1}, 0)
+		prob.AddRow(map[int]float64{rv: 1, iv: 1, pv: -1}, 1)
 	}
 
 	// Eq. 7: Σ S·r + K·p ≤ Rspare.
@@ -397,7 +397,7 @@ func (m *Model) lower() {
 	f.ramRow = -1
 	if len(ramRow) > 0 {
 		f.ramRow = prob.NumRows()
-		prob.AddRow(ramRow, lp.LE, m.Params.Rspare)
+		prob.AddRow(ramRow, m.Params.Rspare)
 	}
 
 	// Eq. 9: Σ F(T·i + L·r) ≤ (Xlimit−1)·BaseCycles.
@@ -413,7 +413,7 @@ func (m *Model) lower() {
 	f.timeRow = -1
 	if len(timeRow) > 0 {
 		f.timeRow = prob.NumRows()
-		prob.AddRow(timeRow, lp.LE, (m.Params.Xlimit-1)*m.BaseCycles)
+		prob.AddRow(timeRow, (m.Params.Xlimit-1)*m.BaseCycles)
 	}
 
 	f.vars, f.prob = vars, prob
