@@ -63,8 +63,8 @@ func TestNodeBudgetKeepsIncumbent(t *testing.T) {
 }
 
 // TestIterBudgetRoundsPhase2Point: a simplex pivot budget that trips in
-// phase 2 leaves a feasible fractional point; the solver must round it
-// into an incumbent instead of erroring out.
+// the primal pass leaves a feasible fractional point; the solver must
+// round it into an incumbent instead of erroring out.
 func TestIterBudgetRoundsPhase2Point(t *testing.T) {
 	sawFeasible := false
 	for maxIter := 1; maxIter <= 20; maxIter++ {
@@ -72,8 +72,8 @@ func TestIterBudgetRoundsPhase2Point(t *testing.T) {
 		s.Base.MaxIter = maxIter
 		r, err := s.Solve(context.Background())
 		if err != nil {
-			// Phase 1 tripped: no feasible point existed, so an error
-			// matching the budget sentinel is the correct outcome.
+			// No feasible point existed when the budget tripped, so an
+			// error matching the budget sentinel is the correct outcome.
 			if !errors.Is(err, errs.ErrBudget) {
 				t.Fatalf("maxIter=%d: error %v does not match ErrBudget", maxIter, err)
 			}
@@ -93,7 +93,7 @@ func TestIterBudgetRoundsPhase2Point(t *testing.T) {
 		}
 	}
 	if !sawFeasible {
-		t.Fatal("no pivot budget produced a rounded phase-2 incumbent; the regression path never ran")
+		t.Fatal("no pivot budget produced a rounded primal-pass incumbent; the regression path never ran")
 	}
 }
 

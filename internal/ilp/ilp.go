@@ -352,9 +352,9 @@ func (s *Solver) Solve(ctx context.Context) (*Result, error) {
 	case lp.Unbounded:
 		return stamp(&Result{Status: Unbounded, Nodes: nodes}), nil
 	case lp.IterLimit:
-		// The pivot budget ran out at the root. A phase-2 trip still
-		// carries a feasible point — round it into an incumbent rather
-		// than abandoning the solve.
+		// The pivot budget ran out at the root. A trip of the primal
+		// pass still carries a feasible point — round it into an
+		// incumbent rather than abandoning the solve.
 		if rootSol.X != nil {
 			tryIncumbent(rootSol.X)
 		}

@@ -8,7 +8,7 @@ import (
 )
 
 // randomFeasibleLP builds a bounded, feasible minimization with enough
-// structure that phase 2 needs several pivots.
+// structure that the primal simplex needs several pivots.
 func randomFeasibleLP(seed int64, n int) *Problem {
 	rng := rand.New(rand.NewSource(seed))
 	p := NewProblem(n)
@@ -25,9 +25,9 @@ func randomFeasibleLP(seed int64, n int) *Problem {
 }
 
 // TestIterLimitReturnsFeasiblePoint pins the fix for the discarded
-// phase-2 point: once phase 1 has found a feasible basis, an iteration-
-// limit trip must surface the current basic feasible solution rather
-// than an empty one.
+// primal-pass point: once the solve holds a feasible basis, an
+// iteration-limit trip must surface the current basic feasible solution
+// rather than an empty one.
 func TestIterLimitReturnsFeasiblePoint(t *testing.T) {
 	sawPartial := false
 	for seed := int64(0); seed < 8; seed++ {
@@ -48,7 +48,7 @@ func TestIterLimitReturnsFeasiblePoint(t *testing.T) {
 				continue
 			}
 			if s.X == nil {
-				continue // phase-1 trip: no feasible point exists yet
+				continue // no feasible point exists yet
 			}
 			sawPartial = true
 			if !q.Feasible(s.X, 1e-6) {
@@ -61,7 +61,7 @@ func TestIterLimitReturnsFeasiblePoint(t *testing.T) {
 		}
 	}
 	if !sawPartial {
-		t.Fatal("no configuration tripped the iteration limit in phase 2; the fix is untested")
+		t.Fatal("no configuration tripped the iteration limit in the primal pass; the fix is untested")
 	}
 }
 

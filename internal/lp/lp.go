@@ -543,13 +543,14 @@ func (p *Problem) workCost(tb *tableau) []float64 {
 	return cost
 }
 
-// maxIters resolves the pivot budget.
+// maxIters resolves the pivot budget: by default 50 per row and per
+// column, slack columns included.
 func (p *Problem) maxIters() int {
-	maxIter := p.MaxIter
-	if maxIter == 0 {
-		maxIter = max(50*(len(p.rowRHS)+p.n+len(p.rowRHS)), 10000)
+	if p.MaxIter != 0 {
+		return p.MaxIter
 	}
-	return maxIter
+	m := len(p.rowRHS)
+	return max(50*(m+p.n+m), 10000)
 }
 
 // shift moves the basic values as raising column j's working value by d
@@ -1403,9 +1404,9 @@ func (tb *tableau) price(cost, reduced []float64) {
 // pivot performs a Gauss-Jordan pivot on row and label col's column,
 // making col basic in row. Only the pivot row's nonzero entries are
 // eliminated — the placement tableaus are mostly zeros. The leaving
-// column takes col's position: its unit vector becomes 1/a in the pivot
-// row and −f/a in every other row, the cells the full tableau computes
-// for it.
+// column takes col's position with the cells the pivot makes of its unit
+// vector, computed as they would be on a stored one: 1·inv in the pivot
+// row and 0 − f·inv in every other row.
 func (tb *tableau) pivot(row, col int) {
 	t, n := tb.t, tb.n
 	q := tb.pos[col]

@@ -418,3 +418,56 @@ func TestIterLimit(t *testing.T) {
 		t.Fatalf("status = %v", s.Status)
 	}
 }
+
+// TestDualRatioTestWalksLabels: the dual ratio test's ±eps tie rule
+// depends on the order it visits its candidates, so it walks them in
+// label order, as a tableau storing every column would, not in the
+// order the dictionary stores them. Here labels 0, 1 and 2 are stored
+// at positions 0, 2 and 1 and price at ratios 1.8, 1.2 and 0.6 (×1e-9)
+// against the violated row. In label order 2 undercuts 0 by more than
+// eps and wins; in storage order 1 would tie with 2 and take it on the
+// lower label.
+func TestDualRatioTestWalksLabels(t *testing.T) {
+	tb := tableau{n: 3, total: 4}
+	tb.cells, tb.nz = make([]float64, 4), make([]int, 0, 4)
+	tb.rows(1)
+	copy(tb.t[0], []float64{-1, -1, -1, -1}) // three coefficients, then the basic value
+	tb.lab = make([]int, 8)
+	tb.views()
+	copy(tb.lab, []int{0, 2, 1, 3}) // nonb, then slack 3 basic in row 0
+	copy(tb.pos, []int{0, 2, 1, 3})
+	tb.up = []float64{math.Inf(1), math.Inf(1), math.Inf(1), math.Inf(1)}
+	tb.flip = make([]bool, 4)
+	reduced := []float64{1.8e-9, 1.2e-9, 0.6e-9, 0}
+	iters := 0
+	st, _ := dualSimplex(&tb, make([]float64, 4), reduced, nil, 10, &iters, nil)
+	if st != Optimal || tb.basis[0] != 2 {
+		t.Errorf("dual simplex %v with label %d entering, want optimal with label 2", st, tb.basis[0])
+	}
+}
+
+// TestEnteringRulesBreakTiesByLabel: Dantzig's rule takes the lowest
+// label among exactly tied most negative reduced costs, and Bland's rule
+// the lowest label, whatever order the dictionary stores the columns in.
+// Labels 0 and 1 cost −1 each and are stored at positions 1 and 0; the
+// first pivot must enter label 0 under both rules (Bland's from the
+// start, with a budget of one pivot).
+func TestEnteringRulesBreakTiesByLabel(t *testing.T) {
+	for _, maxIter := range []int{4, 1} {
+		tb := tableau{n: 2, total: 3}
+		tb.cells, tb.nz = make([]float64, 3), make([]int, 0, 3)
+		tb.rows(1)
+		copy(tb.t[0], []float64{1, 1, 5})
+		tb.lab = make([]int, 6)
+		tb.views()
+		copy(tb.lab, []int{1, 0, 2})
+		copy(tb.pos, []int{1, 0, 2})
+		tb.up = []float64{math.Inf(1), math.Inf(1), math.Inf(1)}
+		tb.flip = make([]bool, 3)
+		iters := 0
+		simplex(&tb, []float64{-1, -1, 0}, make([]float64, 3), maxIter, &iters, nil)
+		if tb.basis[0] != 0 {
+			t.Errorf("budget %d: label %d entered first, want label 0", maxIter, tb.basis[0])
+		}
+	}
+}

@@ -321,9 +321,9 @@ func TestCopyIntoSpareAllocatesNothing(t *testing.T) {
 
 // TestResumeFarkasChecksWarmInfeasible holds a warm Infeasible verdict to
 // a Farkas certificate against the resumed problem's own rows. The donor
-// is x ≤ 5 solved at x = 5; raising x's lower bound to 6 leaves its row
-// with no column that can repair it, so the dual simplex declares the
-// problem infeasible. That holds for x ≤ 5 itself, but a foreign problem
+// is x ≤ 5 solved at x = 5 (and, once more, at x = 0 with its slack
+// basic); raising x's lower bound to 6 leaves its row with no column that
+// can repair it, so the dual simplex declares the problem infeasible. That holds for x ≤ 5 itself, but a foreign problem
 // with the same layout, −x ≤ 5, is feasible at x = 6: its verdict must
 // fail the certificate and fall back to the cold solve.
 func TestResumeFarkasChecksWarmInfeasible(t *testing.T) {
@@ -346,6 +346,21 @@ func TestResumeFarkasChecksWarmInfeasible(t *testing.T) {
 	}
 	if warm.Status != Infeasible || !warm.Warmed {
 		t.Errorf("x ≤ 5, x ≥ 6: got %v (warmed %v), want the certified warm Infeasible", warm.Status, warm.Warmed)
+	}
+
+	// The same verdict where the violated row's basic column is its own
+	// slack: min x leaves x at 0 and the slack basic, so its multiplier
+	// is read off a basic column, as 1.
+	low := build(1)
+	low.SetObj(0, 1)
+	lowDonor := solve(t, low.Clone())
+	low.SetBounds(0, 6, math.Inf(1))
+	warm, err = low.SolveFromState(context.Background(), lowDonor.State)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm.Status != Infeasible || !warm.Warmed {
+		t.Errorf("x ≤ 5, x ≥ 6 from x = 0: got %v (warmed %v), want the certified warm Infeasible", warm.Status, warm.Warmed)
 	}
 
 	foreign := build(-1)
