@@ -85,7 +85,6 @@ func main() {
 		fig9      = flag.Bool("fig9", false, "regenerate Figure 9")
 		intermit  = flag.Bool("intermittent", false, "harvested-power sweep: replay every benchmark under each harvest profile, checkpoint-oblivious and checkpoint-aware")
 		sel       = flag.Bool("select", false, "pick the best configuration per benchmark (static vs profiled vs all-flash)")
-		prune     = flag.Bool("prune", false, "let -select skip candidates dominated by their static energy lower bound (output-neutral; see session_stats prune counters)")
 		all       = flag.Bool("all", false, "run everything")
 		workers   = flag.Int("workers", 1, "benchmark sweep worker goroutines")
 		top       = flag.Int("top", 3, "blocks per run in the -savers report")
@@ -147,7 +146,6 @@ func main() {
 		step("intermittent", func() error { return runIntermittent(ctx, sw, *asJSON, &doc) })
 	}
 	if *sel || *all {
-		sw.Prune = *prune
 		step("select", func() error { return runSelect(ctx, sw, *asJSON, &doc) })
 	}
 	doc.WallMS = float64(time.Since(start).Microseconds()) / 1e3
@@ -375,10 +373,9 @@ func runIntermittent(ctx context.Context, sw *evaluation.Sweep, asJSON bool, doc
 
 // runSelect picks the lowest-energy configuration per benchmark at O2
 // among the static estimate, the profiled-frequency variant, and the
-// all-flash ablation (Rspare 1 byte — nothing placeable). With -prune
-// the sweep consults the static energy lower bound first and skips
-// candidates that provably cannot win; the winners are identical either
-// way, only session_stats' prune_checked/prune_skipped move.
+// all-flash ablation (Rspare 1 byte — nothing placeable). The
+// all-flash candidate keeps the empty placement, whose image is the
+// baseline's, so its runs are memo hits in the benchmark's session.
 func runSelect(ctx context.Context, sw *evaluation.Sweep, asJSON bool, doc *document) error {
 	cands := []evaluation.Candidate{
 		{Name: "static", Opts: core.Options{}},
@@ -401,14 +398,8 @@ func runSelect(ctx context.Context, sw *evaluation.Sweep, asJSON bool, doc *docu
 			doc.Selection = append(doc.Selection, evaluation.NewBestJSON(best))
 			continue
 		}
-		fmt.Printf("%-15s %-9s %8.1f uJ (%+.1f%%)", best.Bench, best.Winner,
+		fmt.Printf("%-15s %-9s %8.1f uJ (%+.1f%%)\n", best.Bench, best.Winner,
 			best.Report.Optimized.Stats.EnergyNJ/1e3, 100*best.Report.EnergyChange)
-		for _, r := range best.Rows {
-			if r.Pruned {
-				fmt.Printf("  [pruned %s: bound %.1f uJ]", r.Name, r.LowerBoundNJ/1e3)
-			}
-		}
-		fmt.Println()
 	}
 	if !asJSON {
 		fmt.Println()

@@ -1,12 +1,12 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
 	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/evaluation"
@@ -45,28 +45,16 @@ func TestSelectionGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v (run with -update-selection to create it)", err)
 	}
-	compareLines(t, got.Bytes(), want)
-}
-
-// compareLines reports every line where got and want differ.
-func compareLines(t *testing.T, got, want []byte) {
-	t.Helper()
-	g, w := lines(got), lines(want)
-	if len(g) != len(w) {
-		t.Errorf("%d lines, golden has %d", len(g), len(w))
+	if bytes.Equal(got.Bytes(), want) {
+		return
 	}
+	g, w := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
 	for i := 0; i < len(g) && i < len(w); i++ {
 		if g[i] != w[i] {
 			t.Errorf("line %d changed:\n got  %s\n want %s", i+1, g[i], w[i])
 		}
 	}
-}
-
-func lines(b []byte) []string {
-	var out []string
-	sc := bufio.NewScanner(bytes.NewReader(b))
-	for sc.Scan() {
-		out = append(out, sc.Text())
+	if len(g) != len(w) {
+		t.Errorf("%d lines, golden has %d", len(g), len(w))
 	}
-	return out
 }

@@ -157,12 +157,16 @@ func boundsCell(ctx context.Context, b *beebs.Benchmark, lv mcc.OptLevel) (*boun
 		return nil, err
 	}
 	row := &boundsRow{Bench: b.Name, Level: lv.String()}
-
-	baseBr, err := sess.BaselineBounds()
+	graphs, err := sess.Graphs()
 	if err != nil {
 		return nil, err
 	}
+
 	baseM, err := sess.Baseline(ctx)
+	if err != nil {
+		return nil, err
+	}
+	baseBr, err := bounds.Compute(prog, graphs, baseM.Image, sess.Profile())
 	if err != nil {
 		return nil, err
 	}
@@ -171,11 +175,11 @@ func boundsCell(ctx context.Context, b *beebs.Benchmark, lv mcc.OptLevel) (*boun
 		row.Violations = append(row.Violations, fmt.Sprintf("baseline: %v", err))
 	}
 
-	optBr, err := sess.StaticBounds(ctx, core.Options{})
+	rep, err := sess.Optimize(ctx, core.Options{})
 	if err != nil {
 		return nil, err
 	}
-	rep, err := sess.Optimize(ctx, core.Options{})
+	optBr, err := bounds.Compute(prog, graphs, rep.Image, sess.Profile())
 	if err != nil {
 		return nil, err
 	}

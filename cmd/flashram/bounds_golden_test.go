@@ -1,12 +1,12 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
 	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/beebs"
@@ -51,14 +51,11 @@ func TestBoundsGolden(t *testing.T) {
 	if bytes.Equal(got.Bytes(), want) {
 		return
 	}
-	g, w := bufio.NewScanner(&got), bufio.NewScanner(bytes.NewReader(want))
-	for n := 1; ; n++ {
-		gok, wok := g.Scan(), w.Scan()
-		if !gok || !wok {
-			t.Fatalf("output and golden differ in length at line %d", n)
-		}
-		if g.Text() != w.Text() {
-			t.Fatalf("line %d changed:\n got  %s\n want %s", n, g.Text(), w.Text())
+	g, w := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(g) && i < len(w); i++ {
+		if g[i] != w[i] {
+			t.Fatalf("line %d changed:\n got  %s\n want %s", i+1, g[i], w[i])
 		}
 	}
+	t.Fatalf("%d lines, golden has %d", len(g), len(w))
 }

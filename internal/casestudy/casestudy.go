@@ -78,11 +78,6 @@ func (s Scenario) EnergyRatio(T float64) float64 {
 	return s.OptimizedEnergy(T) / s.BaselineEnergy(T)
 }
 
-// SavingPercent returns the percentage of energy saved for the period.
-func (s Scenario) SavingPercent(T float64) float64 {
-	return 100 * (1 - s.EnergyRatio(T))
-}
-
 // BatteryLifeExtension returns the fractional battery-life increase for
 // a fixed battery capacity: periods-per-charge scale inversely with
 // energy-per-period, so the extension is E/E' − 1.

@@ -233,7 +233,7 @@ func (st SessionStats) Totals() CacheTotals {
 	var t CacheTotals
 	for _, s := range []StageStats{
 		st.Baseline, st.CFG, st.Freq, st.Model, st.Solve,
-		st.Transform, st.OptRun, st.Optimize, st.Bounds,
+		st.Transform, st.OptRun, st.Optimize,
 	} {
 		t.add(s)
 	}

@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/analysis"
-	"repro/internal/analysis/bounds"
 	"repro/internal/cfg"
 	"repro/internal/errs"
 	"repro/internal/freq"
@@ -74,13 +73,12 @@ type Session struct {
 	placements memo[transformKey, *placed]      // per transformKey.placed(), off the ledger
 	transforms memo[transformKey, *transformed] // per budget: analyses of a shared placement
 	reports    memo[reportKey, *Report]
-	// runs, intermits and brackets key on the image they read, not on the
+	// runs and intermits key on the image they read, not on the
 	// configuration that asked: the baseline and every configuration whose
 	// solve lands on the empty placement share one entry, and so do two
 	// configurations that differ only in Rspare.
 	runs      memo[runKey, *Measurement]
 	intermits memo[intermitKey, *sim.IntermittentReport]
-	brackets  memo[imageKey, *bounds.Result]
 }
 
 // SessionConfig fixes the per-session invariants. Zero values mean the
@@ -970,74 +968,6 @@ func (s *Session) intermittentRun(ctx context.Context, key intermitKey, img *lay
 	})
 }
 
-// boundsFor brackets (once per image) a placed image's energy and cycles
-// without simulating it. Structure (CFG, loops, calls) always comes from
-// the pristine session program; costs from the placed blocks.
-func (s *Session) boundsFor(key imageKey, image func() (*layout.Image, error)) (*bounds.Result, error) {
-	return s.brackets.do(&s.counters.bounds, key, func() (*bounds.Result, error) {
-		graphs, err := s.Graphs()
-		if err != nil {
-			return nil, err
-		}
-		img, err := image()
-		if err != nil {
-			return nil, err
-		}
-		br, err := bounds.Compute(s.prog, graphs, img, s.profile)
-		if err != nil {
-			return nil, errs.Wrap(errs.StageAnalysis, err)
-		}
-		return br, nil
-	})
-}
-
-// BaselineBounds brackets the all-in-flash baseline image statically —
-// no simulation runs.
-func (s *Session) BaselineBounds() (*bounds.Result, error) {
-	return s.boundsFor(imageKey{}, s.rawImage(nil))
-}
-
-// StaticBounds runs the static half of the pipeline for one
-// configuration — solve, transform, layout, verification, but no
-// simulation — and brackets the resulting image. This is the sweep
-// pruning primitive: an O(blocks) estimate of a cell that a simulated
-// run can never undercut.
-func (s *Session) StaticBounds(ctx context.Context, opts Options) (*bounds.Result, error) {
-	key, err := s.resolve(ctx, opts)
-	if err != nil {
-		return nil, err
-	}
-	res, err := s.solve(ctx, key.solve)
-	if err != nil {
-		return nil, err
-	}
-	tkey := key.transform(res)
-	tf, err := s.transformFor(tkey, res.InRAM)
-	if err != nil {
-		return nil, err
-	}
-	return s.boundsFor(tkey.image(), tf.image)
-}
-
-// PruneAgainst decides admissible pruning for one configuration: true
-// when its static lower energy bound already exceeds incumbentNJ (the
-// simulated optimized energy, in nanojoules, of the best configuration
-// seen so far), so simulating the cell provably cannot produce a new
-// winner. Every decision lands in the session ledger
-// (SessionStats.PruneChecked / PruneSkipped).
-func (s *Session) PruneAgainst(ctx context.Context, opts Options, incumbentNJ float64) (bool, error) {
-	br, err := s.StaticBounds(ctx, opts)
-	if err != nil {
-		return false, err
-	}
-	s.counters.pruneChecked.Add(1)
-	if br.Whole.LoEnergyNJ > incumbentNJ {
-		s.counters.pruneSkipped.Add(1)
-		return true, nil
-	}
-	return false, nil
-}
-
 // Optimize runs the full pipeline for one configuration, reusing every
 // stage the session has already materialized. Identical configurations
 // return the same (immutable) Report. Cancelling ctx aborts the run at
@@ -1256,7 +1186,9 @@ type StageStats struct {
 
 // SessionStats is a snapshot of how much work a Session (or a set of
 // sessions, via Add) performed versus reused. `beebsbench -json` emits
-// it so the sweep-level saving is observable.
+// it so the sweep-level saving is observable. It ledgers the pipeline's
+// stages only; static energy brackets (`flashram bounds`) are computed
+// outside the session.
 type SessionStats struct {
 	Baseline  StageStats `json:"baseline"`
 	CFG       StageStats `json:"cfg"`
@@ -1266,7 +1198,6 @@ type SessionStats struct {
 	Transform StageStats `json:"transform"`
 	OptRun    StageStats `json:"opt_run"`
 	Optimize  StageStats `json:"optimize"`
-	Bounds    StageStats `json:"bounds"`
 	// Intermit is the trace-driven replay memo; nil when the stage was
 	// never touched, so always-powered documents keep their schema.
 	Intermit *StageStats `json:"intermit,omitempty"`
@@ -1274,11 +1205,6 @@ type SessionStats struct {
 	// (baseline + optimized, deduplicated by the memo).
 	SimRuns         uint64 `json:"sim_runs"`
 	CyclesSimulated uint64 `json:"cycles_simulated"`
-	// PruneChecked/PruneSkipped ledger the admissible static-bound
-	// pruning decisions: how many cells were tested against an incumbent
-	// and how many of those skipped simulation outright.
-	PruneChecked uint64 `json:"prune_checked"`
-	PruneSkipped uint64 `json:"prune_skipped"`
 }
 
 func (st *StageStats) add(o StageStats) {
@@ -1296,7 +1222,6 @@ func (st *SessionStats) Add(o SessionStats) {
 	st.Transform.add(o.Transform)
 	st.OptRun.add(o.OptRun)
 	st.Optimize.add(o.Optimize)
-	st.Bounds.add(o.Bounds)
 	if o.Intermit != nil {
 		// Copy on write: a struct copy of st shares its Intermit pointer,
 		// so summing in place would change the copy's source too.
@@ -1308,8 +1233,6 @@ func (st *SessionStats) Add(o SessionStats) {
 	}
 	st.SimRuns += o.SimRuns
 	st.CyclesSimulated += o.CyclesSimulated
-	st.PruneChecked += o.PruneChecked
-	st.PruneSkipped += o.PruneSkipped
 }
 
 // SolverStats is the solver-level warm-start ledger, kept beside the
@@ -1387,11 +1310,9 @@ func (c *stageCounter) snapshot() StageStats {
 }
 
 type sessionCounters struct {
-	baseline, cfg, freq, model, solve, transform, optrun, optimize stageCounter
-	bounds, intermit                                               stageCounter
+	baseline, cfg, freq, model, solve, transform, optrun, optimize, intermit stageCounter
 
-	simRuns, cyclesSimulated   atomic.Uint64
-	pruneChecked, pruneSkipped atomic.Uint64
+	simRuns, cyclesSimulated atomic.Uint64
 
 	warmHits, warmMisses, warmIncumbents atomic.Uint64
 	warmProofs, simplexItersSaved        atomic.Uint64
@@ -1408,11 +1329,8 @@ func (s *Session) Stats() SessionStats {
 		Transform:       s.counters.transform.snapshot(),
 		OptRun:          s.counters.optrun.snapshot(),
 		Optimize:        s.counters.optimize.snapshot(),
-		Bounds:          s.counters.bounds.snapshot(),
 		SimRuns:         s.counters.simRuns.Load(),
 		CyclesSimulated: s.counters.cyclesSimulated.Load(),
-		PruneChecked:    s.counters.pruneChecked.Load(),
-		PruneSkipped:    s.counters.pruneSkipped.Load(),
 	}
 	if in := s.counters.intermit.snapshot(); in != (StageStats{}) {
 		st.Intermit = &in

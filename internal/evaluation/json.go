@@ -450,13 +450,8 @@ func NewFigure6JSON(d *Figure6Data, level string, withPoints bool) Figure6JSON {
 
 // SelectionRowJSON is one candidate's outcome in a BestConfig selection.
 type SelectionRowJSON struct {
-	Name string `json:"name"`
-	// Pruned candidates were skipped by the admissible static bound:
-	// lower_bound_nj exceeded the incumbent's simulated energy, so no
-	// simulation ran and energy_nj is absent.
-	Pruned       bool    `json:"pruned,omitempty"`
-	LowerBoundNJ float64 `json:"lower_bound_nj,omitempty"`
-	EnergyNJ     float64 `json:"energy_nj,omitempty"`
+	Name     string  `json:"name"`
+	EnergyNJ float64 `json:"energy_nj,omitempty"`
 }
 
 // BestJSON is one benchmark × level winner-selection outcome.
@@ -479,12 +474,7 @@ func NewBestJSON(b *Best) BestJSON {
 		EnergyChange: b.Report.EnergyChange,
 	}
 	for _, r := range b.Rows {
-		out.Candidates = append(out.Candidates, SelectionRowJSON{
-			Name:         r.Name,
-			Pruned:       r.Pruned,
-			LowerBoundNJ: r.LowerBoundNJ,
-			EnergyNJ:     r.EnergyNJ,
-		})
+		out.Candidates = append(out.Candidates, SelectionRowJSON{Name: r.Name, EnergyNJ: r.EnergyNJ})
 	}
 	return out
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/errs"
 	"repro/internal/mcc"
@@ -77,19 +78,30 @@ func TestForEachPanicIsolatedParallel(t *testing.T) {
 
 // TestForEachPanicAndErrorMixed: a panic below an ordinary failure is
 // still reported, the ordinary failure still stops dispatch, and both
-// arrive in index order inside one SweepError.
+// arrive in index order inside one SweepError. Jobs above the failing
+// one wait until the failure is published, so which jobs run does not
+// depend on how the workers are scheduled: all of 0..failAt, and above
+// it at most the one job each worker already had in flight.
 func TestForEachPanicAndErrorMixed(t *testing.T) {
-	sw := NewSweep(2)
+	const workers, n, failAt = 2, 500, 3
+	sw := NewSweep(workers)
+	published := make(chan struct{})
+	sw.failPublished = func() { close(published) }
 	boom := errors.New("boom")
-	const n = 500
-	var ran atomic.Int64
+	ran := make([]atomic.Bool, n)
 	err := sw.forEach(context.Background(), n, func(i int) error {
-		ran.Add(1)
-		switch i {
-		case 1:
+		ran[i].Store(true)
+		switch {
+		case i == 1:
 			panic("panicked before the failure")
-		case 3:
+		case i == failAt:
 			return boom
+		case i > failAt:
+			select {
+			case <-published:
+			case <-time.After(time.Minute):
+				t.Errorf("job %d: the failure at %d was never published", i, failAt)
+			}
 		}
 		return nil
 	})
@@ -110,8 +122,17 @@ func TestForEachPanicAndErrorMixed(t *testing.T) {
 				se.Items[j-1].Index, se.Items[j].Index)
 		}
 	}
-	if got := ran.Load(); got > 10 {
-		t.Errorf("%d of %d jobs ran; the ordinary error should have stopped dispatch", got, n)
+	above := 0
+	for i := range ran {
+		switch {
+		case i <= failAt && !ran[i].Load():
+			t.Errorf("job %d, not above the failure, never ran", i)
+		case i > failAt && ran[i].Load():
+			above++
+		}
+	}
+	if above > workers {
+		t.Errorf("%d jobs above the failure ran, want at most %d (one in flight per worker)", above, workers)
 	}
 }
 

@@ -33,13 +33,6 @@ type Sweep struct {
 	// worker count.
 	Workers int
 
-	// Prune lets BestConfig skip simulating candidates whose static
-	// lower energy bound already exceeds the incumbent's simulated
-	// energy. Off by default; the bound is admissible, so enabling it
-	// never changes which configuration wins — only how many cells are
-	// simulated (see SessionStats.PruneChecked/PruneSkipped).
-	Prune bool
-
 	// Store holds the sweep's sessions, content-addressed on
 	// core.SessionKey(source, level): two cells share a session exactly
 	// when they compile the same program at the same level. The daemon
@@ -67,6 +60,10 @@ type Sweep struct {
 	// shared Store may have been built with the other setting; the
 	// daemon never mixes the two.
 	NoFuse bool
+
+	// failPublished, if set, is called by the parallel forEach each time
+	// a worker has published a new lowest ordinarily-failing index.
+	failPublished func()
 
 	mu sync.Mutex // guards the lazy Store
 }
@@ -244,7 +241,13 @@ func (sw *Sweep) forEach(ctx context.Context, n int, fn func(i int) error) error
 				}
 				for {
 					cur := firstFail.Load()
-					if int64(i) >= cur || firstFail.CompareAndSwap(cur, int64(i)) {
+					if int64(i) >= cur {
+						break
+					}
+					if firstFail.CompareAndSwap(cur, int64(i)) {
+						if sw.failPublished != nil {
+							sw.failPublished()
+						}
 						break
 					}
 				}

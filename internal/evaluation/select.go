@@ -20,13 +20,6 @@ type Candidate struct {
 // SelectionRow records one candidate's outcome in a BestConfig run.
 type SelectionRow struct {
 	Name string
-	// Pruned marks a candidate whose static lower energy bound already
-	// exceeded the incumbent's simulated energy, so it was never
-	// simulated. Its Report is nil and EnergyNJ is zero.
-	Pruned bool
-	// LowerBoundNJ is the candidate's whole-program static lower energy
-	// bound; only set when pruning was enabled and consulted.
-	LowerBoundNJ float64
 	// EnergyNJ is the simulated optimized energy of the candidate.
 	EnergyNJ float64
 	Report   *core.Report
@@ -45,13 +38,8 @@ type Best struct {
 
 // BestConfig simulates the candidate configurations in order and returns
 // the one with the lowest optimized energy (ties keep the earliest
-// candidate). With sw.Prune set, a candidate whose whole-program static
-// lower energy bound (internal/analysis/bounds, an O(blocks) analysis —
-// no simulation) exceeds the incumbent's simulated energy is skipped:
-// the bound is admissible, lower ≤ simulated, so the skipped cell
-// provably cannot win and the selected winner — and its numbers — are
-// identical with pruning on or off. Only the session's
-// prune_checked/prune_skipped ledger and the Pruned rows differ.
+// candidate). The candidates share one session, so a candidate whose
+// placement repeats an earlier one's image reuses its simulated runs.
 func (sw *Sweep) BestConfig(ctx context.Context, b *beebs.Benchmark, level mcc.OptLevel, cands []Candidate) (*Best, error) {
 	if len(cands) == 0 {
 		return nil, fmt.Errorf("evaluation: BestConfig needs at least one candidate")
@@ -61,34 +49,15 @@ func (sw *Sweep) BestConfig(ctx context.Context, b *beebs.Benchmark, level mcc.O
 		return nil, errs.AtBench(b.Name, level.String(), errs.Wrap(errs.StageCompile, err))
 	}
 	best := &Best{Bench: b.Name, Level: level}
-	incumbent := 0.0
 	for _, c := range cands {
-		row := SelectionRow{Name: c.Name}
-		if sw.Prune && best.Report != nil {
-			br, err := sess.StaticBounds(ctx, c.Opts)
-			if err != nil {
-				return nil, errs.AtBench(b.Name, level.String(), err)
-			}
-			row.LowerBoundNJ = br.Whole.LoEnergyNJ
-			pruned, err := sess.PruneAgainst(ctx, c.Opts, incumbent)
-			if err != nil {
-				return nil, errs.AtBench(b.Name, level.String(), err)
-			}
-			if pruned {
-				row.Pruned = true
-				best.Rows = append(best.Rows, row)
-				continue
-			}
-		}
 		rep, err := sess.Optimize(ctx, c.Opts)
 		if err != nil {
 			return nil, errs.AtBench(b.Name, level.String(), err)
 		}
-		row.EnergyNJ = rep.Optimized.Stats.EnergyNJ
-		row.Report = rep
+		row := SelectionRow{Name: c.Name, EnergyNJ: rep.Optimized.Stats.EnergyNJ, Report: rep}
 		best.Rows = append(best.Rows, row)
-		if best.Report == nil || row.EnergyNJ < incumbent {
-			best.Winner, best.Report, incumbent = c.Name, rep, row.EnergyNJ
+		if best.Report == nil || row.EnergyNJ < best.Report.Optimized.Stats.EnergyNJ {
+			best.Winner, best.Report = c.Name, rep
 		}
 	}
 	return best, nil

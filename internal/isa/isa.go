@@ -245,9 +245,6 @@ func (o Op) IsBranch() bool {
 	return false
 }
 
-// IsCall reports whether the operation is a subroutine call.
-func (o Op) IsCall() bool { return o == BL || o == BLX }
-
 // IsLoad reports whether the operation reads data memory.
 func (o Op) IsLoad() bool {
 	switch o {

@@ -1,7 +1,6 @@
 package mcc
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 )
@@ -79,19 +78,6 @@ func (it *Interp) ReadGlobal(name string, n int) ([]byte, error) {
 	}
 	out := make([]byte, n)
 	copy(out, it.mem[a:])
-	return out, nil
-}
-
-// ReadGlobalWords reads n little-endian words of a global.
-func (it *Interp) ReadGlobalWords(name string, n int) ([]uint32, error) {
-	b, err := it.ReadGlobal(name, 4*n)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]uint32, n)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint32(b[4*i:])
-	}
 	return out, nil
 }
 

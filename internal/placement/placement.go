@@ -153,9 +153,6 @@ type Budget struct {
 	Timeout time.Duration
 }
 
-// IsZero reports whether the budget imposes no caller bound.
-func (b Budget) IsZero() bool { return b == Budget{} }
-
 // SolveILP runs the paper's formulation through branch and bound under
 // the given budget. A tripped budget degrades the result rather than
 // failing it: the Strategy field records whether the placement is the

@@ -311,9 +311,6 @@ func (m *Machine) FastForwarded() uint64 { return m.ffwd }
 // Reg returns a register value (for tests and result extraction).
 func (m *Machine) Reg(r isa.Reg) uint32 { return m.regs[r] }
 
-// SetReg sets a register before a run (argument passing in tests).
-func (m *Machine) SetReg(r isa.Reg, v uint32) { m.regs[r] = v }
-
 // ReadWord reads a 32-bit little-endian word from simulated memory.
 func (m *Machine) ReadWord(addr uint32) (uint32, error) {
 	var w uint32
@@ -438,7 +435,7 @@ func (m *Machine) Reset() { m.reset() }
 
 // Run executes the program from its entry function until it returns, and
 // returns the collected statistics. The machine must be freshly created or
-// Reset; register values planted with SetReg are preserved.
+// Reset.
 func (m *Machine) Run() (*Stats, error) {
 	return m.RunContext(context.Background())
 }
