@@ -6,42 +6,77 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/bounds"
 	"repro/internal/beebs"
-	"repro/internal/cfg"
 	"repro/internal/cliutil"
-	"repro/internal/freq"
-	"repro/internal/ir"
-	"repro/internal/layout"
-	"repro/internal/mcc"
-	"repro/internal/model"
-	"repro/internal/placement"
-	"repro/internal/power"
-	"repro/internal/transform"
+	"repro/internal/evaluation"
 )
+
+// analyzeFlags is the command line of `flashram analyze`: the subset of
+// flashram's request flags that reaches the static half of the pipeline,
+// resolved the same way, plus the target and output switches.
+type analyzeFlags struct {
+	requestFlags
+	all, baseline, bounds, json, verbose bool
+}
+
+// addAnalyzeFlags registers the analyze flags on fs.
+func addAnalyzeFlags(fs *flag.FlagSet) *analyzeFlags {
+	f := &analyzeFlags{}
+	r := &f.req
+	fs.StringVar(&r.Bench, "bench", "", "built-in BEEBS benchmark name")
+	fs.StringVar(&f.src, "src", "", "mcc source file to compile")
+	fs.BoolVar(&f.all, "all", false, "analyze every built-in benchmark")
+	fs.StringVar(&r.Level, "O", "O2", "optimization level: O0 O1 O2 O3 Os")
+	fs.StringVar(&r.Solver, "solver", "ilp", "placement solver: ilp greedy function exhaustive")
+	fs.Float64Var(&r.Xlimit, "xlimit", 0, "max execution-time ratio (0 = default 2.0)")
+	fs.Float64Var(&r.Rspare, "rspare", 0, "RAM budget for code in bytes (0 = derive)")
+	fs.BoolVar(&r.LinkTime, "linktime", false, "link-time mode: library code becomes placeable")
+	fs.BoolVar(&f.baseline, "baseline", false, "lint the untransformed program instead")
+	fs.BoolVar(&f.bounds, "bounds", false, "also run the energy-bounds pass (EB diagnostics)")
+	fs.BoolVar(&f.json, "json", false, "emit diagnostics as a JSON array of result objects")
+	fs.BoolVar(&f.verbose, "v", false, "print a per-pass summary even when clean")
+	fs.DurationVar(&f.timeout, "timeout", 0, "overall wall-clock budget (0 = none); SIGINT also cancels")
+	return f
+}
+
+// cells resolves the programs the flags name with requestFlags.resolve,
+// flashram's own validation, before anything compiles. Every rejection
+// matches errs.ErrBadInput. No cells and no error means no program was
+// named. -all names every benchmark and overrides -bench and -src.
+func (f *analyzeFlags) cells() ([]evaluation.Cell, error) {
+	if !f.all {
+		if f.req.Bench == "" && f.src == "" {
+			return nil, nil
+		}
+		cell, err := f.resolve()
+		if err != nil {
+			return nil, err
+		}
+		return []evaluation.Cell{cell}, nil
+	}
+	var cells []evaluation.Cell
+	for _, b := range beebs.All() {
+		r := f.requestFlags
+		r.req.Bench, r.src = b.Name, ""
+		cell, err := r.resolve()
+		if err != nil {
+			return nil, err
+		}
+		cells = append(cells, cell)
+	}
+	return cells, nil
+}
 
 // runAnalyze implements the `flashram analyze` subcommand: compile, place,
 // transform and then lint the result with the full static-analysis suite —
 // no simulation. Exits 1 when any pass reports an error diagnostic.
 func runAnalyze(args []string) {
 	fs := flag.NewFlagSet("analyze", flag.ExitOnError)
-	var (
-		benchName = fs.String("bench", "", "built-in BEEBS benchmark name")
-		srcFile   = fs.String("src", "", "mcc source file to compile")
-		all       = fs.Bool("all", false, "analyze every built-in benchmark")
-		level     = fs.String("O", "O2", "optimization level: O0 O1 O2 O3 Os")
-		solver    = fs.String("solver", "ilp", "placement solver: ilp greedy function exhaustive")
-		xlimit    = fs.Float64("xlimit", 0, "max execution-time ratio (0 = default 2.0)")
-		rspare    = fs.Float64("rspare", 0, "RAM budget for code in bytes (0 = derive)")
-		linktime  = fs.Bool("linktime", false, "link-time mode: library code becomes placeable")
-		baseline  = fs.Bool("baseline", false, "lint the untransformed program instead")
-		bounds_   = fs.Bool("bounds", false, "also run the energy-bounds pass (EB diagnostics)")
-		jsonOut   = fs.Bool("json", false, "emit diagnostics as a JSON array of result objects")
-		verbose   = fs.Bool("v", false, "print a per-pass summary even when clean")
-		timeout   = fs.Duration("timeout", 0, "overall wall-clock budget (0 = none); SIGINT also cancels")
-	)
+	f := addAnalyzeFlags(fs)
 	fs.Usage = func() {
 		fmt.Fprintln(os.Stderr, `usage: flashram analyze [-bench name | -src file | -all] [flags]
 
@@ -54,61 +89,42 @@ objects) and exits 1 if any error-severity diagnostic is found.`)
 	}
 	fs.Parse(args)
 
-	optLevel, err := mcc.ParseOptLevel(*level)
+	cells, err := f.cells()
 	if err != nil {
 		fatal(err)
 	}
-
-	type target struct{ name, source string }
-	var targets []target
-	switch {
-	case *all:
-		for _, b := range beebs.All() {
-			targets = append(targets, target{b.Name, b.Source})
-		}
-	case *benchName != "":
-		b := beebs.Get(*benchName)
-		if b == nil {
-			fatal(fmt.Errorf("unknown benchmark %q (use flashram -list)", *benchName))
-		}
-		targets = []target{{b.Name, b.Source}}
-	case *srcFile != "":
-		data, err := os.ReadFile(*srcFile)
-		if err != nil {
-			fatal(err)
-		}
-		targets = []target{{*srcFile, string(data)}}
-	default:
+	if len(cells) == 0 {
 		fs.Usage()
 		os.Exit(2)
 	}
 
-	ctx, stop := cliutil.Context(*timeout)
+	ctx, stop := cliutil.Context(f.timeout)
 	defer stop()
 
 	failed := 0
 	var docs []analysis.ResultJSON
-	for _, t := range targets {
-		res, err := analyzeOne(ctx, t.source, optLevel, *solver, *xlimit, *rspare, *linktime, *baseline, *bounds_)
+	for _, cell := range cells {
+		name := cell.Bench.Name
+		res, err := analyzeCell(ctx, cell, f.baseline, f.bounds)
 		if err != nil {
-			fatal(fmt.Errorf("%s: %w", t.name, err))
+			fatal(fmt.Errorf("%s: %w", name, err))
 		}
-		if *jsonOut {
-			docs = append(docs, analysis.NewResultJSON(t.name, optLevel.String(), res))
+		if f.json {
+			docs = append(docs, analysis.NewResultJSON(name, cell.Level.String(), res))
 		} else {
 			for _, d := range res.Diags {
-				fmt.Printf("%s: %s\n", t.name, d)
+				fmt.Printf("%s: %s\n", name, d)
 			}
 		}
 		nerr := len(res.Errors())
 		if nerr > 0 {
 			failed++
 		}
-		if !*jsonOut && (*verbose || nerr > 0) {
-			fmt.Printf("%s at %v: %s\n", t.name, optLevel, res.Summary())
+		if !f.json && (f.verbose || nerr > 0) {
+			fmt.Printf("%s at %v: %s\n", name, cell.Level, res.Summary())
 		}
 	}
-	if *jsonOut {
+	if f.json {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(docs); err != nil {
@@ -117,79 +133,42 @@ objects) and exits 1 if any error-severity diagnostic is found.`)
 	}
 	if failed > 0 {
 		fmt.Fprintf(os.Stderr, "flashram analyze: %d of %d program(s) failed verification\n",
-			failed, len(targets))
+			failed, len(cells))
 		os.Exit(1)
 	}
 }
 
-// analyzeOne runs compile → model → placement → transform → analysis for
-// one source, mirroring core.Optimize without the simulations. withBounds
-// appends the energy-bounds pass to the default suite — it is not a
-// default pass, so the pipeline's own verification stays the 5-pass gate.
-func analyzeOne(ctx context.Context, source string, level mcc.OptLevel, solver string, xlimit, rspare float64, linktime, baseline, withBounds bool) (*analysis.Result, error) {
-	passes := analysis.DefaultPasses()
+// analyzeCell lints one cell. By default it is the static half of the
+// session pipeline (Session.Verify): the default suite's verdict on the
+// transformed program, which fails on an error diagnostic as Optimize
+// does. withBounds adds the energy-bounds pass over the same artifacts —
+// it is not a default pass, so the pipeline's own gate stays the
+// five-pass suite. baseline lints the untransformed program instead.
+func analyzeCell(ctx context.Context, cell evaluation.Cell, baseline, withBounds bool) (*analysis.Result, error) {
+	sess, err := evaluation.NewSession(cell.Bench, cell.Level)
+	if err != nil {
+		return nil, err
+	}
+	var extra []analysis.Pass
 	if withBounds {
-		passes = append(passes, bounds.Pass{})
+		extra = append(extra, bounds.Pass{})
 	}
-	prog, err := mcc.Compile(source, level)
-	if err != nil {
-		return nil, err
-	}
-	if err := ir.Verify(prog); err != nil {
-		return nil, err
-	}
-	cfgLayout := layout.DefaultConfig()
 	if baseline {
-		return analysis.Run(&analysis.Context{Prog: prog, Config: cfgLayout}, passes...)
+		return analysis.Run(&analysis.Context{Prog: sess.Program(), Config: sess.LayoutConfig()},
+			append(analysis.DefaultPasses(), extra...)...)
 	}
-
-	graphs, err := cfg.BuildAll(prog)
+	actx, res, err := sess.Verify(ctx, cell.Opts)
+	if err != nil || len(extra) == 0 {
+		return res, err
+	}
+	more, err := analysis.Run(actx, extra...)
 	if err != nil {
 		return nil, err
 	}
-	est := freq.Static(prog, graphs)
-	if rspare == 0 {
-		rspare = float64(layout.SpareRAM(prog, cfgLayout))
-	}
-	if xlimit == 0 {
-		xlimit = 2.0
-	}
-	ef, er := power.STM32F100().Coefficients()
-	mdl, err := model.Build(prog, graphs, est, model.Params{
-		EFlash: ef, ERAM: er, Rspare: rspare, Xlimit: xlimit,
-		IncludeLibrary: linktime,
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	var res *placement.Result
-	switch solver {
-	case "ilp":
-		res, err = placement.SolveILP(ctx, mdl, placement.Budget{})
-	case "greedy":
-		res = placement.SolveGreedy(mdl)
-	case "function":
-		res = placement.SolveFunctionLevel(mdl, prog)
-	case "exhaustive":
-		res, err = placement.SolveExhaustive(mdl, 12)
-	default:
-		return nil, fmt.Errorf("unknown solver %q", solver)
-	}
-	if err != nil {
-		return nil, err
-	}
-
-	opt := prog.Clone()
-	applyFn := transform.Apply
-	if linktime {
-		applyFn = transform.ApplyLinkTime
-	}
-	if _, err := applyFn(opt, res.InRAM); err != nil {
-		return nil, err
-	}
-	return analysis.Run(&analysis.Context{
-		Original: prog, Prog: opt, InRAM: res.InRAM,
-		Config: cfgLayout, Rspare: rspare,
-	}, passes...)
+	// The extra passes sort after the default ones, so appending keeps
+	// Run's order. res is the session's memoized verdict: extend a copy.
+	return &analysis.Result{
+		Diags:  append(slices.Clone(res.Diags), more.Diags...),
+		Passes: append(slices.Clone(res.Passes), more.Passes...),
+	}, nil
 }

@@ -11,6 +11,7 @@ import (
 	"repro/internal/beebs"
 	"repro/internal/cliutil"
 	"repro/internal/core"
+	"repro/internal/evaluation"
 	"repro/internal/mcc"
 )
 
@@ -148,14 +149,11 @@ type boundsRow struct {
 // cell through a shared session, collecting any bracket violations
 // instead of failing fast.
 func boundsCell(ctx context.Context, b *beebs.Benchmark, lv mcc.OptLevel) (*boundsRow, error) {
-	prog, err := mcc.Compile(b.Source, lv)
+	sess, err := evaluation.NewSession(b, lv)
 	if err != nil {
 		return nil, err
 	}
-	sess, err := core.NewSession(prog, core.SessionConfig{})
-	if err != nil {
-		return nil, err
-	}
+	prog := sess.Program()
 	row := &boundsRow{Bench: b.Name, Level: lv.String()}
 	graphs, err := sess.Graphs()
 	if err != nil {

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -132,5 +133,42 @@ func TestSubMillisecondBudgetRejected(t *testing.T) {
 	}
 	if _, err := knobs.resolve(); !errors.Is(err, errs.ErrBadInput) {
 		t.Fatalf("-solvetimeout 500us: error %v, want errs.ErrBadInput", err)
+	}
+}
+
+// flashram analyze validates its knobs with the same Request.Resolve:
+// the rows TestFlagsAndDaemonAgree rejects for a bad knob are rejected
+// here too, as errs.ErrBadInput from cells (which compiles nothing), and
+// the command fails with flashram's own message.
+func TestAnalyzeRejectsBadKnobs(t *testing.T) {
+	rows := []struct {
+		name string
+		args []string
+	}{
+		{"unsatisfiable xlimit", []string{"-xlimit", "0.5"}},
+		{"negative rspare", []string{"-rspare", "-5"}},
+		{"unknown solver", []string{"-solver", "bogus"}},
+		{"unknown level", []string{"-O", "O9"}},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			for _, target := range [][]string{{"-bench", "crc32"}, {"-all"}} {
+				args := append(slices.Clone(target), row.args...)
+				fs := flag.NewFlagSet("analyze", flag.ContinueOnError)
+				f := addAnalyzeFlags(fs)
+				if err := fs.Parse(args); err != nil {
+					t.Fatal(err)
+				}
+				if cells, err := f.cells(); !errors.Is(err, errs.ErrBadInput) {
+					t.Errorf("analyze %v: %d cells, error %v, want errs.ErrBadInput", args, len(cells), err)
+				}
+			}
+			args := append([]string{"-bench", "crc32"}, row.args...)
+			_, stderr, code := runFlashram(t, append([]string{"analyze"}, args...)...)
+			_, want, wantCode := runFlashram(t, args...)
+			if code != 1 || wantCode != 1 || stderr != want {
+				t.Errorf("analyze exit %d, stderr %q; flashram exit %d, stderr %q", code, stderr, wantCode, want)
+			}
+		})
 	}
 }

@@ -32,7 +32,7 @@ func TestConcurrentSidesKeepLedgerDeterministic(t *testing.T) {
 	seqs := []struct {
 		name string
 		opts []core.Options
-		// solveFirst runs SolveAndTransform before each Optimize, so the
+		// solveFirst runs Verify before each Optimize, so the
 		// optimized side finds solve and transform memoized and reaches
 		// its run while the baseline side is still starting.
 		solveFirst bool
@@ -52,7 +52,7 @@ func TestConcurrentSidesKeepLedgerDeterministic(t *testing.T) {
 		// Options.Rspare 0 derives the budget, so the smallest literal
 		// budget stands in for none: nothing fits, the placement is empty,
 		// and the optimized run and replay are the baseline's. The second
-		// SolveAndTransform resolves the trace, hence the third baseline
+		// Verify resolves the trace, hence the third baseline
 		// hit.
 		{"no-budget", []core.Options{{Rspare: 1}, {Rspare: 1, PowerTrace: adv}}, true,
 			runLedger{2, core.StageStats{Hits: 3, Misses: 1}, core.StageStats{Hits: 2}, core.StageStats{Hits: 1, Misses: 1}}},
@@ -65,7 +65,7 @@ func TestConcurrentSidesKeepLedgerDeterministic(t *testing.T) {
 				s := sessionForTest(t, "crc32", mcc.O2)
 				for _, o := range seq.opts {
 					if seq.solveFirst {
-						if err := s.SolveAndTransform(context.Background(), o); err != nil {
+						if _, _, err := s.Verify(context.Background(), o); err != nil {
 							t.Fatal(err)
 						}
 					}

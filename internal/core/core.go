@@ -39,13 +39,12 @@ const (
 	SolverExhaustive Solver = "exhaustive" // true optimum over the hottest blocks
 )
 
-// Options configures a pipeline run. The zero value means: STM32F100
-// profile, default memory map, Rspare derived statically from the data
-// and stack budget, Xlimit 2.0, static frequency estimate, ILP solver.
+// Options configures one pipeline run over a Session. The board profile
+// and memory map are not options: they are the session's invariants
+// (SessionConfig). The zero value means: Rspare derived statically from
+// the data and stack budget, Xlimit 2.0, static frequency estimate, ILP
+// solver, no injected power trace.
 type Options struct {
-	Profile *power.Profile
-	Layout  layout.Config
-
 	// Rspare caps RAM used for code, in bytes. 0 derives it statically
 	// (RAM − data − stack reserve), as §4.1 suggests.
 	Rspare float64
@@ -59,8 +58,6 @@ type Options struct {
 	Solver Solver
 	// MaxCandidates caps ILP branching variables (0 = model default).
 	MaxCandidates int
-	// ExhaustiveK bounds the exhaustive solver's block set (0 = 12).
-	ExhaustiveK int
 	// LinkTime enables the paper's §8 future-work mode: the optimizer
 	// sees library code (soft-float runtime) and may place it in RAM,
 	// as if the pass ran in the linker with a full view of the program.
@@ -106,20 +103,11 @@ type Options struct {
 }
 
 func (o *Options) fill() {
-	if o.Profile == nil {
-		o.Profile = power.STM32F100()
-	}
-	if o.Layout == (layout.Config{}) {
-		o.Layout = layout.DefaultConfig()
-	}
 	if o.Xlimit == 0 {
 		o.Xlimit = 2.0
 	}
 	if o.Solver == "" {
 		o.Solver = SolverILP
-	}
-	if o.ExhaustiveK == 0 {
-		o.ExhaustiveK = 12
 	}
 }
 
@@ -258,8 +246,7 @@ func Optimize(p *ir.Program, opts Options) (*Report, error) {
 // cancelled or deadline-expired context stops the pipeline within their
 // poll windows with an error matching the context error.
 func OptimizeContext(ctx context.Context, p *ir.Program, opts Options) (*Report, error) {
-	opts.fill()
-	s, err := NewSession(p, SessionConfig{Profile: opts.Profile, Layout: opts.Layout})
+	s, err := NewSession(p, SessionConfig{})
 	if err != nil {
 		return nil, err
 	}

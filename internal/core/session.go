@@ -82,8 +82,7 @@ type Session struct {
 }
 
 // SessionConfig fixes the per-session invariants. Zero values mean the
-// pipeline defaults (STM32F100 profile, default memory map) — the same
-// defaults Options.fill applies.
+// pipeline defaults (STM32F100 profile, default memory map).
 type SessionConfig struct {
 	Profile *power.Profile
 	Layout  layout.Config
@@ -169,10 +168,9 @@ func (k modelKey) family() modelKey {
 // The budget is part of the key: a budget-degraded placement must never
 // be served to a caller that asked for the exact solve, and vice versa.
 type solveKey struct {
-	model       modelKey
-	solver      Solver
-	exhaustiveK int
-	budget      placement.Budget
+	model  modelKey
+	solver Solver
+	budget placement.Budget
 }
 
 // reportKey identifies a full Optimize outcome: the solve plus the
@@ -290,19 +288,12 @@ func canonicalPlacement(inRAM map[string]bool) string {
 	return strings.Join(labels, "\x00")
 }
 
-// resolve normalizes Options into stage keys, filling the same defaults
-// the monolithic path fills, so that e.g. Xlimit 0 and Xlimit 2.0 hit
-// the same cache slot. With PowerTrace set, resolution includes the
+// resolve normalizes Options into stage keys, filling the pipeline
+// defaults, so that e.g. Xlimit 0 and Xlimit 2.0 hit the same cache
+// slot. With PowerTrace set, resolution includes the
 // baseline run (memoized — it is the trace horizon and the checkpoint
 // term's event-count basis), which is why it takes a context.
 func (s *Session) resolve(ctx context.Context, opts Options) (reportKey, error) {
-	if opts.Profile != nil && opts.Profile != s.profile {
-		return reportKey{}, fmt.Errorf("core: session profile mismatch (build a new Session for a different board)")
-	}
-	if opts.Layout != (layout.Config{}) && opts.Layout != s.layout {
-		return reportKey{}, fmt.Errorf("core: session layout mismatch (build a new Session for a different memory map)")
-	}
-	opts.Profile, opts.Layout = s.profile, s.layout
 	opts.fill()
 	rspare := opts.Rspare
 	if rspare == 0 {
@@ -330,8 +321,7 @@ func (s *Session) resolve(ctx context.Context, opts Options) (reportKey, error) 
 				linkTime:      opts.LinkTime,
 				ckptNJPerByte: ckptNJ,
 			},
-			solver:      opts.Solver,
-			exhaustiveK: opts.ExhaustiveK,
+			solver: opts.Solver,
 			budget: placement.Budget{
 				MaxNodes:  opts.SolveMaxNodes,
 				MaxLPIter: opts.SolveMaxLPIter,
@@ -617,8 +607,6 @@ func (s *Session) model(ctx context.Context, key modelKey) (*model.Model, error)
 type SolveSpec struct {
 	ModelSpec
 	Solver Solver
-	// ExhaustiveK bounds the exhaustive solver's block set (0 = 12).
-	ExhaustiveK int
 	// Budget bounds the ILP solve; when any of its limits trips, the
 	// degradation ladder (placement.SolveLadder) steps down and the
 	// result's Strategy records the rung. The zero budget is the exact
@@ -631,16 +619,16 @@ func (s *Session) Solve(ctx context.Context, spec SolveSpec) (*placement.Result,
 	if spec.Solver == "" {
 		spec.Solver = SolverILP
 	}
-	if spec.ExhaustiveK == 0 {
-		spec.ExhaustiveK = 12
-	}
 	return s.solve(ctx, solveKey{
-		model:       s.resolveModel(spec.ModelSpec),
-		solver:      spec.Solver,
-		exhaustiveK: spec.ExhaustiveK,
-		budget:      spec.Budget,
+		model:  s.resolveModel(spec.ModelSpec),
+		solver: spec.Solver,
+		budget: spec.Budget,
 	})
 }
+
+// exhaustiveK is how many of the hottest blocks SolverExhaustive
+// enumerates every placement of.
+const exhaustiveK = 12
 
 func (s *Session) solve(ctx context.Context, key solveKey) (*placement.Result, error) {
 	return s.solves.do(&s.counters.solve, key, func() (*placement.Result, error) {
@@ -678,7 +666,7 @@ func (s *Session) solve(ctx context.Context, key solveKey) (*placement.Result, e
 		case SolverFunction:
 			res = placement.SolveFunctionLevel(mdl, s.prog)
 		case SolverExhaustive:
-			res, err = placement.SolveExhaustive(mdl, key.exhaustiveK)
+			res, err = placement.SolveExhaustive(mdl, exhaustiveK)
 		default:
 			return nil, fmt.Errorf("core: unknown solver %q", key.solver)
 		}
@@ -693,10 +681,9 @@ func (s *Session) solve(ctx context.Context, key solveKey) (*placement.Result, e
 // constraint bounds — the model columns and objective are identical
 // across a family, which is exactly the precondition for warm reuse.
 type solveFamily struct {
-	model       modelKey // modelKey.family()
-	solver      Solver
-	exhaustiveK int
-	budget      placement.Budget
+	model  modelKey // modelKey.family()
+	solver Solver
+	budget placement.Budget
 }
 
 // solvePoint is one completed proven solve within a family.
@@ -706,7 +693,7 @@ type solvePoint struct {
 }
 
 func familyOf(key solveKey) solveFamily {
-	return solveFamily{model: key.model.family(), solver: key.solver, exhaustiveK: key.exhaustiveK, budget: key.budget}
+	return solveFamily{model: key.model.family(), solver: key.solver, budget: key.budget}
 }
 
 // warmDonors is how many completed solves the registry keeps per family.
@@ -982,6 +969,34 @@ func (s *Session) Optimize(ctx context.Context, opts Options) (*Report, error) {
 	return s.reports.do(&s.counters.optimize, key, func() (*Report, error) {
 		return s.optimize(ctx, key)
 	})
+}
+
+// Verify runs the static half of Optimize for one configuration:
+// resolve, solve, transform and layout, then the default analysis suite,
+// without simulating. Every stage is the memoized one Optimize uses, so a
+// later Optimize of the configuration finds them done. It returns the
+// suite's result and the context the suite ran on, so a caller can run
+// further passes over the same artifacts. The result is the session's
+// memoized one: callers must not modify it. An error diagnostic fails the
+// call as a StageAnalysis error, as it fails Optimize.
+func (s *Session) Verify(ctx context.Context, opts Options) (*analysis.Context, *analysis.Result, error) {
+	key, err := s.resolve(ctx, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := s.solve(ctx, key.solve)
+	if err != nil {
+		return nil, nil, err
+	}
+	tkey := key.transform(res)
+	tf, err := s.transformFor(tkey, res.InRAM)
+	if err != nil {
+		return nil, nil, err
+	}
+	return &analysis.Context{
+		Original: s.prog, Prog: tf.prog, InRAM: res.InRAM,
+		Config: s.layout, Image: tf.img, Rspare: tkey.rspare,
+	}, tf.ares, nil
 }
 
 // optimize assembles one Report from the staged artifacts plus the

@@ -232,16 +232,6 @@ func TestSessionMachineReuseMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestSessionProfileMismatch: a Session refuses Options that contradict
-// its fixed board profile instead of silently ignoring them.
-func TestSessionProfileMismatch(t *testing.T) {
-	s := sessionForTest(t, "crc32", mcc.O2)
-	other := *s.Profile()
-	if _, err := s.Optimize(context.Background(), core.Options{Profile: &other}); err == nil {
-		t.Fatal("mismatched profile accepted")
-	}
-}
-
 // TestModelPointsShareOneFamily: the constraint points of one model
 // family are views of one build — they share its blocks — while the
 // model ledger still counts one build per point, and a point with an

@@ -151,28 +151,3 @@ func callees(f *ir.Function) []string {
 	}
 	return out
 }
-
-// DeriveRspare computes the model's RAM budget entirely statically, the
-// way §4.1 proposes: total RAM − data − analyzed worst-case stack − a
-// safety margin. Falls back to the configured StackReserve when the
-// analysis cannot bound the stack (recursion, unresolved indirect calls).
-func DeriveRspare(p *ir.Program, cfg Config, margin int) (int, *StackAnalysis, error) {
-	an, err := AnalyzeStack(p)
-	if err != nil {
-		return SpareRAM(p, cfg), nil, err
-	}
-	data := 0
-	for _, g := range p.Globals {
-		if !g.RO {
-			data += g.Size
-			if data%4 != 0 {
-				data += 4 - data%4
-			}
-		}
-	}
-	spare := cfg.RAMSize - data - an.MaxDepth - margin
-	if spare < 0 {
-		spare = 0
-	}
-	return spare, an, nil
-}

@@ -130,41 +130,3 @@ func TestAnalyzeStackClobberedLiteralReg(t *testing.T) {
 		t.Fatalf("err = %v, want unresolvable after clobber", err)
 	}
 }
-
-func TestDeriveRspare(t *testing.T) {
-	p := ir.Figure2Program() // 4 data bytes, 8 stack bytes
-	cfg := DefaultConfig()
-	spare, an, err := DeriveRspare(p, cfg, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := cfg.RAMSize - 4 - 8 - 64
-	if spare != want {
-		t.Errorf("DeriveRspare = %d, want %d", spare, want)
-	}
-	if an == nil || an.MaxDepth != 8 {
-		t.Errorf("analysis = %+v", an)
-	}
-	// The statically derived budget exceeds the fixed-reserve heuristic
-	// (which holds back a whole KiB).
-	if spare <= SpareRAM(p, cfg) {
-		t.Errorf("derived %d should beat heuristic %d for this tiny program",
-			spare, SpareRAM(p, cfg))
-	}
-}
-
-func TestDeriveRspareFallsBack(t *testing.T) {
-	p := ir.NewProgram()
-	f := p.AddFunc(&ir.Function{Name: "main"})
-	b := f.AddBlock("main_entry")
-	ir.Build(b).Push(isa.R4, isa.LR).Bl("main").Pop(isa.R4, isa.PC) // recursive
-	p.Reindex()
-	cfg := DefaultConfig()
-	spare, _, err := DeriveRspare(p, cfg, 64)
-	if err == nil {
-		t.Fatal("expected recursion error alongside the fallback")
-	}
-	if spare != SpareRAM(p, cfg) {
-		t.Errorf("fallback spare = %d, want heuristic %d", spare, SpareRAM(p, cfg))
-	}
-}
