@@ -662,11 +662,7 @@ func BenchmarkTradeoffSweep(b *testing.B) {
 		bench := beebs.Get("int_matmult")
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			newSess := evaluation.NewSession
-			if warm {
-				newSess = evaluation.NewWarmSession
-			}
-			sess, err := newSess(bench, mcc.O2)
+			sess, err := (&evaluation.Sweep{ColdSolve: !warm}).Session(bench, mcc.O2)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -701,7 +697,7 @@ func BenchmarkTradeoffSweep(b *testing.B) {
 		b.ReportAllocs()
 		bench := beebs.Get("int_matmult")
 		solve := func(rspare, xlimit float64) {
-			sess, err := evaluation.NewSession(bench, mcc.O2)
+			sess, err := (&evaluation.Sweep{ColdSolve: true}).Session(bench, mcc.O2)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -713,7 +709,7 @@ func BenchmarkTradeoffSweep(b *testing.B) {
 			}
 		}
 		for i := 0; i < b.N; i++ {
-			sess, err := evaluation.NewSession(bench, mcc.O2)
+			sess, err := (&evaluation.Sweep{ColdSolve: true}).Session(bench, mcc.O2)
 			if err != nil {
 				b.Fatal(err)
 			}

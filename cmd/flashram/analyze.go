@@ -101,11 +101,12 @@ objects) and exits 1 if any error-severity diagnostic is found.`)
 	ctx, stop := cliutil.Context(f.timeout)
 	defer stop()
 
+	sw := evaluation.NewSweep(1)
 	failed := 0
 	var docs []analysis.ResultJSON
 	for _, cell := range cells {
 		name := cell.Bench.Name
-		res, err := analyzeCell(ctx, cell, f.baseline, f.bounds)
+		res, err := analyzeCell(ctx, sw, cell, f.baseline, f.bounds)
 		if err != nil {
 			fatal(fmt.Errorf("%s: %w", name, err))
 		}
@@ -144,8 +145,8 @@ objects) and exits 1 if any error-severity diagnostic is found.`)
 // does. withBounds adds the energy-bounds pass over the same artifacts —
 // it is not a default pass, so the pipeline's own gate stays the
 // five-pass suite. baseline lints the untransformed program instead.
-func analyzeCell(ctx context.Context, cell evaluation.Cell, baseline, withBounds bool) (*analysis.Result, error) {
-	sess, err := evaluation.NewSession(cell.Bench, cell.Level)
+func analyzeCell(ctx context.Context, sw *evaluation.Sweep, cell evaluation.Cell, baseline, withBounds bool) (*analysis.Result, error) {
+	sess, err := sw.Session(cell.Bench, cell.Level)
 	if err != nil {
 		return nil, err
 	}

@@ -74,12 +74,13 @@ could not bound some loop or call.`)
 	ctx, stop := cliutil.Context(*timeout)
 	defer stop()
 
+	sw := evaluation.NewSweep(1)
 	var rows []boundsRow
 	violations := 0
 	finite := 0
 	for _, b := range benches {
 		for _, lv := range levels {
-			row, err := boundsCell(ctx, b, lv)
+			row, err := boundsCell(ctx, sw, b, lv)
 			if err != nil {
 				fatal(fmt.Errorf("%s %v: %w", b.Name, lv, err))
 			}
@@ -148,8 +149,8 @@ type boundsRow struct {
 // boundsCell brackets and simulates both images of one benchmark × level
 // cell through a shared session, collecting any bracket violations
 // instead of failing fast.
-func boundsCell(ctx context.Context, b *beebs.Benchmark, lv mcc.OptLevel) (*boundsRow, error) {
-	sess, err := evaluation.NewSession(b, lv)
+func boundsCell(ctx context.Context, sw *evaluation.Sweep, b *beebs.Benchmark, lv mcc.OptLevel) (*boundsRow, error) {
+	sess, err := sw.Session(b, lv)
 	if err != nil {
 		return nil, err
 	}

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/beebs"
+	"repro/internal/evaluation"
 	"repro/internal/mcc"
 )
 
@@ -22,10 +23,11 @@ const boundsGolden = "testdata/bounds.golden"
 // benchmarks at O2 and Os. A deliberate change to the bounds analysis or
 // the pipeline regenerates the file with -update-bounds and says why.
 func TestBoundsGolden(t *testing.T) {
+	sw := evaluation.NewSweep(1)
 	var rows []boundsRow
 	for _, b := range beebs.All() {
 		for _, lv := range []mcc.OptLevel{mcc.O2, mcc.Os} {
-			row, err := boundsCell(context.Background(), b, lv)
+			row, err := boundsCell(context.Background(), sw, b, lv)
 			if err != nil {
 				t.Fatalf("%s %v: %v", b.Name, lv, err)
 			}

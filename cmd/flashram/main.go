@@ -84,18 +84,16 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	// One session per invocation: with -profile the frequency estimate
-	// reuses the baseline run the report measures anyway, so the program
-	// is simulated twice (baseline + optimized), not three times.
-	sess, err := evaluation.NewSession(cell.Bench, cell.Level)
+	// The cell runs through the daemon's own runner, so a pipeline
+	// failure reads as /v1/optimize reports it. With -profile the
+	// frequency estimate reuses the baseline run the report measures
+	// anyway, so the program is simulated twice (baseline + optimized),
+	// not three times.
+	run, err := evaluation.NewSweep(1).RunBenchmark(ctx, cell.Bench, cell.Level, cell.Opts)
 	if err != nil {
 		fatal(err)
 	}
-	rep, err := sess.Optimize(ctx, cell.Opts)
-	if err != nil {
-		fatal(err)
-	}
-	run := &evaluation.Run{Bench: cell.Bench.Name, Level: cell.Level, Report: rep}
+	rep := run.Report
 
 	if *asJSON {
 		// The one encoder the flashramd service answers through, so

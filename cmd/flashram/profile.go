@@ -57,24 +57,21 @@ ILP cost model disagrees with the measured attribution.`)
 	if err != nil {
 		fatal(err)
 	}
-	// The traced run comes out of a session so the -profile frequency
-	// estimate shares the baseline simulation with the report itself.
-	sess, err := evaluation.NewSession(cell.Bench, cell.Level)
-	if err != nil {
-		fatal(err)
-	}
+	// The traced run goes through flashram's own cell runner, so the
+	// -profile frequency estimate shares the baseline simulation with the
+	// report itself.
 	ctx, stop := cliutil.Context(knobs.timeout)
 	defer stop()
 	cell.Opts.Trace = true
-	rep, err := sess.Optimize(ctx, cell.Opts)
+	run, err := evaluation.NewSweep(1).RunBenchmark(ctx, cell.Bench, cell.Level, cell.Opts)
 	if err != nil {
 		fatal(err)
 	}
+	rep := run.Report
 
 	diff := trace.ModelDiff(rep.OptimizedTrace, rep.Model, rep.Placement.InRAM,
 		trace.DiffOptions{OutlierRelErr: *outlier})
 	savers := rep.BlockSavings(*top)
-	run := &evaluation.Run{Bench: cell.Bench.Name, Level: cell.Level, Report: rep}
 
 	if *asJSON {
 		doc := profileDoc{

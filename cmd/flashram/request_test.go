@@ -172,3 +172,35 @@ func TestAnalyzeRejectsBadKnobs(t *testing.T) {
 		})
 	}
 }
+
+// TestCompileFailureReadsLikeTheDaemon: flashram runs its cell through
+// the daemon's runner, so source that does not compile fails with the
+// message /v1/optimize answers for the same request, source named by
+// its path, and flashram profile fails the same way.
+func TestCompileFailureReadsLikeTheDaemon(t *testing.T) {
+	src := filepath.Join(t.TempDir(), "broken.c")
+	if err := os.WriteFile(src, []byte("int main( {\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	body, _ := json.Marshal(evaluation.Request{Source: "int main( {\n", Name: src})
+	ts := httptest.NewServer(service.New(service.Config{Workers: 2}).Handler())
+	defer ts.Close()
+	resp, err := http.Post(ts.URL+"/v1/optimize", "application/json", strings.NewReader(string(body)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Error string `json:"error"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&doc)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("daemon answered %d (%v), want a 400 envelope", resp.StatusCode, err)
+	}
+	for _, args := range [][]string{{"-src", src, "-json"}, {"profile", "-src", src}} {
+		_, stderr, code := runFlashram(t, args...)
+		if want := "flashram: " + doc.Error + "\n"; code != 1 || stderr != want {
+			t.Errorf("flashram %s: exit %d, stderr %q; want exit 1, %q", strings.Join(args, " "), code, stderr, want)
+		}
+	}
+}

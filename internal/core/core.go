@@ -102,15 +102,6 @@ type Options struct {
 	CkptAware bool
 }
 
-func (o *Options) fill() {
-	if o.Xlimit == 0 {
-		o.Xlimit = 2.0
-	}
-	if o.Solver == "" {
-		o.Solver = SolverILP
-	}
-}
-
 // RunMetrics captures one simulated execution.
 type RunMetrics struct {
 	EnergyMJ     float64

@@ -288,13 +288,14 @@ func canonicalPlacement(inRAM map[string]bool) string {
 	return strings.Join(labels, "\x00")
 }
 
-// resolve normalizes Options into stage keys, filling the pipeline
-// defaults, so that e.g. Xlimit 0 and Xlimit 2.0 hit the same cache
-// slot. With PowerTrace set, resolution includes the
+// resolve normalizes Options into stage keys. It derives the Rspare a
+// zero Options.Rspare asks for and the checkpoint term, then keys the
+// solve through resolveSolve, the defaults Solve and Model apply, so
+// that e.g. Xlimit 0 and Xlimit 2.0 hit the same cache slot from either
+// entry point. With PowerTrace set, resolution includes the
 // baseline run (memoized — it is the trace horizon and the checkpoint
 // term's event-count basis), which is why it takes a context.
 func (s *Session) resolve(ctx context.Context, opts Options) (reportKey, error) {
-	opts.fill()
 	rspare := opts.Rspare
 	if rspare == 0 {
 		var err error
@@ -303,31 +304,28 @@ func (s *Session) resolve(ctx context.Context, opts Options) (reportKey, error) 
 			return reportKey{}, err
 		}
 	}
-	mc := opts.MaxCandidates
-	if mc == 0 {
-		mc = model.DefaultMaxCandidates
-	}
 	ispec, ckptNJ, err := s.resolveIntermittent(ctx, opts)
 	if err != nil {
 		return reportKey{}, err
 	}
 	return reportKey{
-		solve: solveKey{
-			model: modelKey{
-				freq:          freqKey{profiled: opts.UseProfile, maxInstrs: profiledMaxInstrs(opts.UseProfile, opts.MaxInstrs)},
-				rspare:        rspare,
-				xlimit:        opts.Xlimit,
-				maxCandidates: mc,
-				linkTime:      opts.LinkTime,
-				ckptNJPerByte: ckptNJ,
+		solve: resolveSolve(SolveSpec{
+			ModelSpec: ModelSpec{
+				UseProfile:    opts.UseProfile,
+				Rspare:        rspare,
+				Xlimit:        opts.Xlimit,
+				MaxCandidates: opts.MaxCandidates,
+				LinkTime:      opts.LinkTime,
+				MaxInstrs:     opts.MaxInstrs,
+				CkptNJPerByte: ckptNJ,
 			},
-			solver: opts.Solver,
-			budget: placement.Budget{
+			Solver: opts.Solver,
+			Budget: placement.Budget{
 				MaxNodes:  opts.SolveMaxNodes,
 				MaxLPIter: opts.SolveMaxLPIter,
 				Timeout:   opts.SolveTimeout,
 			},
-		},
+		}),
 		traced:       opts.Trace,
 		maxInstrs:    opts.MaxInstrs,
 		intermittent: ispec,
@@ -540,7 +538,8 @@ type ModelSpec struct {
 	CkptNJPerByte float64
 }
 
-func (s *Session) resolveModel(spec ModelSpec) modelKey {
+// resolveModel keys a ModelSpec, filling the pipeline defaults.
+func resolveModel(spec ModelSpec) modelKey {
 	if spec.Xlimit == 0 {
 		spec.Xlimit = 2.0
 	}
@@ -559,7 +558,7 @@ func (s *Session) resolveModel(spec ModelSpec) modelKey {
 
 // Model assembles (or reuses) the Eq. 1–9 cost model for the spec.
 func (s *Session) Model(ctx context.Context, spec ModelSpec) (*model.Model, error) {
-	return s.model(ctx, s.resolveModel(spec))
+	return s.model(ctx, resolveModel(spec))
 }
 
 // model returns the point view of key's family: each point counts on
@@ -616,14 +615,16 @@ type SolveSpec struct {
 
 // Solve runs (or reuses) the placement solver on the spec's model.
 func (s *Session) Solve(ctx context.Context, spec SolveSpec) (*placement.Result, error) {
+	return s.solve(ctx, resolveSolve(spec))
+}
+
+// resolveSolve keys a SolveSpec, filling the pipeline defaults: the ILP
+// solver and resolveModel's.
+func resolveSolve(spec SolveSpec) solveKey {
 	if spec.Solver == "" {
 		spec.Solver = SolverILP
 	}
-	return s.solve(ctx, solveKey{
-		model:  s.resolveModel(spec.ModelSpec),
-		solver: spec.Solver,
-		budget: spec.Budget,
-	})
+	return solveKey{model: resolveModel(spec.ModelSpec), solver: spec.Solver, budget: spec.Budget}
 }
 
 // exhaustiveK is how many of the hottest blocks SolverExhaustive

@@ -2,11 +2,9 @@ package evaluation
 
 import (
 	"context"
-	"errors"
 
 	"repro/internal/beebs"
 	"repro/internal/core"
-	"repro/internal/errs"
 	"repro/internal/mcc"
 )
 
@@ -19,48 +17,38 @@ type Cell struct {
 	Opts  core.Options
 }
 
-// RunCells runs every cell across the sweep's bounded, panic-isolated
-// worker pool and delivers each outcome through done. Unlike the figure
-// drivers — where the lowest-indexed ordinary failure stops dispatch —
-// cells are independent requests: every one is attempted, a failing or
-// panicking cell forfeits only its own result, and its error reaches
+// RunCells runs every cell across the sweep's bounded worker pool and
+// delivers each outcome through done. Unlike the figure drivers — where
+// the lowest-indexed ordinary failure stops dispatch — cells are
+// independent requests: every one is attempted, and each job runs its
+// cell through RunBenchmark under its own panic isolation, so a failing
+// or panicking cell forfeits only its own result and its error reaches
 // done instead of the other cells.
 //
-// done is called exactly once per cell. Calls for completed cells come
+// done is called exactly once per cell. Calls for dispatched cells come
 // from worker goroutines, possibly concurrently (callers synchronize or
 // funnel into a channel); cells the pool never dispatched — the context
-// was cancelled first — receive their cancellation error sequentially
+// was cancelled first — receive the cancellation error sequentially
 // after the pool has drained. When done is invoked, the cell's result is
 // fully built, so publishing it (e.g. streaming the row) is safe.
 func (sw *Sweep) RunCells(ctx context.Context, cells []Cell, done func(i int, r *Run, err error)) {
-	delivered := make([]bool, len(cells))
-	err := sw.forEach(ctx, len(cells), func(i int) error {
-		r, rerr := sw.RunBenchmark(ctx, cells[i].Bench, cells[i].Level, cells[i].Opts)
-		delivered[i] = true
-		done(i, r, rerr)
+	dispatched := make([]bool, len(cells))
+	// Every job delivers its own outcome and returns nil, so the pool's
+	// aggregate error holds nothing done has not seen, or will see below:
+	// the cancellation that stopped dispatch.
+	_ = sw.forEach(ctx, len(cells), func(i int) error {
+		dispatched[i] = true
+		var r *Run
+		err := Isolated(func() (err error) {
+			r, err = sw.RunBenchmark(ctx, cells[i].Bench, cells[i].Level, cells[i].Opts)
+			return err
+		})
+		done(i, r, err)
 		return nil
 	})
-	// Cells the pool never completed still owe a callback: ones skipped
-	// by cancellation, and ones whose worker panicked before the job
-	// could deliver (the pool converted that to an *errs.PanicError).
-	perItem := make(map[int]error)
-	var se *errs.SweepError
-	if errors.As(err, &se) {
-		for _, it := range se.Items {
-			perItem[it.Index] = it.Err
-		}
-	}
 	for i := range cells {
-		if delivered[i] {
-			continue
+		if !dispatched[i] {
+			done(i, nil, ctx.Err())
 		}
-		e := perItem[i]
-		if e == nil {
-			e = ctx.Err()
-		}
-		if e == nil {
-			e = context.Canceled
-		}
-		done(i, nil, e)
 	}
 }

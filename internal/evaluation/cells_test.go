@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/beebs"
 	"repro/internal/core"
+	"repro/internal/errs"
 	"repro/internal/mcc"
 )
 
@@ -98,6 +99,41 @@ func TestRunCellsBadCellForfeitsOnlyItself(t *testing.T) {
 	}
 	if len(errsByCell) != 1 || errsByCell[1] == nil {
 		t.Fatalf("failure map = %v, want exactly cell 1", errsByCell)
+	}
+}
+
+// TestRunCellsPanickingCellForfeitsOnlyItself: a cell whose run panics
+// (here a cell with no program, which a Request can never resolve to)
+// is delivered once, as an *errs.PanicError from its own job, and the
+// other cells still run.
+func TestRunCellsPanickingCellForfeitsOnlyItself(t *testing.T) {
+	cells := []Cell{
+		{Bench: beebs.Get("crc32"), Level: mcc.O2},
+		{Level: mcc.O2},
+		{Bench: beebs.Get("sha"), Level: mcc.O2},
+	}
+	for _, workers := range []int{1, 2} {
+		var mu sync.Mutex
+		calls := make([]int, len(cells))
+		errsByCell := make([]error, len(cells))
+		NewSweep(workers).RunCells(context.Background(), cells, func(i int, r *Run, err error) {
+			mu.Lock()
+			defer mu.Unlock()
+			calls[i]++
+			errsByCell[i] = err
+		})
+		for i := range cells {
+			if calls[i] != 1 {
+				t.Fatalf("workers=%d: cell %d called back %d times, want 1", workers, i, calls[i])
+			}
+		}
+		var pe *errs.PanicError
+		if !errors.As(errsByCell[1], &pe) {
+			t.Fatalf("workers=%d: cell 1 error = %v, want an *errs.PanicError", workers, errsByCell[1])
+		}
+		if errsByCell[0] != nil || errsByCell[2] != nil {
+			t.Fatalf("workers=%d: healthy cells failed: %v, %v", workers, errsByCell[0], errsByCell[2])
+		}
 	}
 }
 

@@ -34,12 +34,14 @@ type Run struct {
 // RunBenchmark executes the full pipeline for one benchmark at one level,
 // reusing the sweep's session for the cell (compile, baseline run, CFG,
 // frequency and model stages are shared with every other configuration of
-// the same cell). Errors carry the benchmark × level attribution
-// (errs.Error) on top of the failing stage's own.
+// the same cell). It is the one cell runner: flashram, flashram profile,
+// /v1/optimize and every /v1/sweep row run their cell through it, so a
+// failure reads the same on every surface. Errors carry the benchmark ×
+// level attribution (errs.Error) on top of the failing stage's own.
 func (sw *Sweep) RunBenchmark(ctx context.Context, b *beebs.Benchmark, level mcc.OptLevel, opts core.Options) (*Run, error) {
 	sess, err := sw.Session(b, level)
 	if err != nil {
-		return nil, errs.AtBench(b.Name, level.String(), errs.Wrap(errs.StageCompile, err))
+		return nil, errs.AtBench(b.Name, level.String(), err)
 	}
 	rep, err := sess.Optimize(ctx, opts)
 	if err != nil {
@@ -259,7 +261,7 @@ func (sw *Sweep) Figure6(ctx context.Context, benchName string, level mcc.OptLev
 	}
 	sess, err := sw.Session(b, level)
 	if err != nil {
-		return nil, errs.AtBench(benchName, level.String(), errs.Wrap(errs.StageCompile, err))
+		return nil, errs.AtBench(benchName, level.String(), err)
 	}
 	spare, err := sess.SpareRAM()
 	if err != nil {

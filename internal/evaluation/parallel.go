@@ -71,36 +71,21 @@ type Sweep struct {
 // NewSweep returns a Sweep running at most workers jobs concurrently.
 func NewSweep(workers int) *Sweep { return &Sweep{Workers: workers} }
 
-// NewSession compiles the benchmark at the given level and wraps the
-// program in a fresh staged pipeline with the default board profile and
-// memory map. Solves are cold: single-shot callers have no constraint
-// sweep to chain warm state across.
-func NewSession(b *beebs.Benchmark, level mcc.OptLevel) (*core.Session, error) {
-	return newSession(b, level, false, false)
-}
-
-// NewWarmSession is NewSession with warm-started solves enabled: solves
-// at neighbouring constraint points reuse each other's optima, bounds
-// and bases (see core.SessionConfig.WarmSolve). The sweep drivers and
-// the daemon build their sessions through it; placements and reported
-// numbers match NewSession's exactly.
-func NewWarmSession(b *beebs.Benchmark, level mcc.OptLevel) (*core.Session, error) {
-	return newSession(b, level, true, false)
-}
-
-func newSession(b *beebs.Benchmark, level mcc.OptLevel, warm, noFuse bool) (*core.Session, error) {
-	prog, err := mcc.Compile(b.Source, level)
-	if err != nil {
-		return nil, err
-	}
-	return core.NewSession(prog, core.SessionConfig{WarmSolve: warm, NoFuse: noFuse})
-}
-
 // Session returns the sweep's shared pipeline for one benchmark×level
-// cell, compiling it on first use.
+// cell, compiling it on first use. It is the one place a program from
+// mcc source becomes a session, so it is the one place a compile failure
+// is classified: source that does not compile is errs.ErrBadInput (the
+// request asked for something the pipeline can never run), while a
+// compiled program that fails ir.Verify is the compiler's fault and
+// stays a server fault.
 func (sw *Sweep) Session(b *beebs.Benchmark, level mcc.OptLevel) (*core.Session, error) {
-	return sw.store().GetSession(core.SessionKey(b.Source, level.String()),
-		func() (*core.Session, error) { return newSession(b, level, !sw.ColdSolve, sw.NoFuse) })
+	return sw.store().GetSession(core.SessionKey(b.Source, level.String()), func() (*core.Session, error) {
+		prog, err := mcc.Compile(b.Source, level)
+		if err != nil {
+			return nil, errs.BadInput(errs.Wrap(errs.StageCompile, err))
+		}
+		return core.NewSession(prog, core.SessionConfig{WarmSolve: !sw.ColdSolve, NoFuse: sw.NoFuse})
+	})
 }
 
 // store returns the sweep's session store, building an unbounded one on

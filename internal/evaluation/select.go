@@ -46,7 +46,7 @@ func (sw *Sweep) BestConfig(ctx context.Context, b *beebs.Benchmark, level mcc.O
 	}
 	sess, err := sw.Session(b, level)
 	if err != nil {
-		return nil, errs.AtBench(b.Name, level.String(), errs.Wrap(errs.StageCompile, err))
+		return nil, errs.AtBench(b.Name, level.String(), err)
 	}
 	best := &Best{Bench: b.Name, Level: level}
 	for _, c := range cands {

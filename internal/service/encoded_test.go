@@ -15,19 +15,15 @@ import (
 )
 
 // freshDocument is the `flashram -json` document for req: a fresh
-// compile and session, no store, through the one encoder.
+// compile and session in a sweep of its own, through the one encoder.
 func freshDocument(t *testing.T, req OptimizeRequest) []byte {
 	t.Helper()
 	cell := mustResolve(t, req)
-	sess, err := evaluation.NewSession(cell.Bench, cell.Level)
+	run, err := evaluation.NewSweep(1).RunBenchmark(t.Context(), cell.Bench, cell.Level, cell.Opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := sess.Optimize(t.Context(), cell.Opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc, err := evaluation.EncodeRun(&evaluation.Run{Bench: cell.Bench.Name, Level: cell.Level, Report: rep})
+	doc, err := evaluation.EncodeRun(run)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +49,8 @@ func optimizeWithTag(url string, req OptimizeRequest) (int, string, []byte, erro
 // servedReport returns the memoized report srv answers req from.
 func servedReport(t *testing.T, srv *Server, req OptimizeRequest) *core.Report {
 	t.Helper()
-	run, err := srv.runCell(t.Context(), mustResolve(t, req))
+	cell := mustResolve(t, req)
+	run, err := srv.sweep.RunBenchmark(t.Context(), cell.Bench, cell.Level, cell.Opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,11 +174,7 @@ func TestInlineNamesShareOneSlot(t *testing.T) {
 	srv, ts := newTestServer(t)
 	base := OptimizeRequest{Source: tinySource, Level: "O2"}
 	cell := mustResolve(t, base)
-	sess, err := evaluation.NewSession(cell.Bench, cell.Level)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := sess.Optimize(t.Context(), cell.Opts)
+	fresh, err := evaluation.NewSweep(1).RunBenchmark(t.Context(), cell.Bench, cell.Level, cell.Opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +189,7 @@ func TestInlineNamesShareOneSlot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := evaluation.EncodeRun(&evaluation.Run{Bench: req.Name, Level: cell.Level, Report: fresh})
+		want, err := evaluation.EncodeRun(&evaluation.Run{Bench: req.Name, Level: cell.Level, Report: fresh.Report})
 		if err != nil {
 			t.Fatal(err)
 		}

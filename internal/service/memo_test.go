@@ -19,8 +19,8 @@ import (
 // pipeline stage exactly once. It runs under -race in CI.
 func TestCrossRequestMemoCorrectness(t *testing.T) {
 	store := core.NewStore(0)
+	sw := &evaluation.Sweep{Store: store}
 	b := beebs.Get("crc32")
-	key := core.SessionKey(b.Source, mcc.O2.String())
 	opts := core.Options{Xlimit: 1.5}
 
 	const requests = 8
@@ -30,9 +30,7 @@ func TestCrossRequestMemoCorrectness(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			sess, err := store.GetSession(key, func() (*core.Session, error) {
-				return evaluation.NewSession(b, mcc.O2)
-			})
+			sess, err := sw.Session(b, mcc.O2)
 			if err != nil {
 				t.Errorf("request %d: %v", i, err)
 				return

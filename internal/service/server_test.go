@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -12,9 +13,11 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/beebs"
 	"repro/internal/core"
+	"repro/internal/errs"
 	"repro/internal/evaluation"
 	"repro/internal/mcc"
 )
@@ -87,20 +90,17 @@ func TestOptimizeEndpoint(t *testing.T) {
 	}
 
 	// CLI identity: the exact bytes `flashram -json` would emit for the
-	// same request — same document, same encoder settings.
-	b := beebs.Get("crc32")
-	sess, err := evaluation.NewSession(b, mcc.O2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := sess.Optimize(t.Context(), core.Options{})
+	// same request — same document, same encoder settings — here from a
+	// session that solves cold.
+	coldSweep := &evaluation.Sweep{ColdSolve: true}
+	run, err := coldSweep.RunBenchmark(t.Context(), beebs.Get("crc32"), mcc.O2, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var cli bytes.Buffer
 	enc := json.NewEncoder(&cli)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(evaluation.NewRunJSON(&evaluation.Run{Bench: "crc32", Level: mcc.O2, Report: rep})); err != nil {
+	if err := enc.Encode(evaluation.NewRunJSON(run)); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(cold, cli.Bytes()) {
@@ -483,6 +483,102 @@ func TestSweepRowsMatchOptimize(t *testing.T) {
 		if !bytes.Equal(row.Run, want.Bytes()) {
 			t.Errorf("cell %d: sweep row differs from /v1/optimize:\n%s\nvs\n%s", i, row.Run, want.Bytes())
 		}
+	}
+}
+
+// TestSweepCompileFailureMatchesOptimize: source that does not compile
+// is bad input wherever it is posted. /v1/optimize and a /v1/sweep row
+// run the cell through one runner, so the row carries the status and
+// the message the single-shot request answers with, and its neighbour
+// still runs.
+func TestSweepCompileFailureMatchesOptimize(t *testing.T) {
+	_, ts := newTestServer(t)
+	bad := OptimizeRequest{Source: "int main( {"}
+	status, body := postJSON(t, ts.URL+"/v1/optimize", bad)
+	var ed errorDoc
+	if err := json.Unmarshal(body, &ed); err != nil || status != http.StatusBadRequest || ed.Error == "" {
+		t.Fatalf("optimize = %d %s, want a 400 envelope", status, body)
+	}
+
+	status, body = postJSON(t, ts.URL+"/v1/sweep", SweepRequest{Cells: []OptimizeRequest{bad, {Bench: "crc32"}}})
+	if status != http.StatusOK {
+		t.Fatalf("sweep status = %d: %s", status, body)
+	}
+	var rows []sweepRow
+	for _, line := range bytes.Split(bytes.TrimSpace(body), []byte("\n")) {
+		var row sweepRow
+		if err := json.Unmarshal(line, &row); err != nil {
+			t.Fatalf("bad NDJSON line %q: %v", line, err)
+		}
+		rows = append(rows, row)
+	}
+	if len(rows) != 2 {
+		t.Fatalf("got %d rows, want 2", len(rows))
+	}
+	if rows[0].Status != http.StatusBadRequest || rows[0].Error != ed.Error {
+		t.Errorf("sweep row = %d %q, want /v1/optimize's %d %q", rows[0].Status, rows[0].Error, http.StatusBadRequest, ed.Error)
+	}
+	if rows[1].Run == nil || rows[1].Error != "" {
+		t.Errorf("healthy neighbour row = %+v", rows[1])
+	}
+}
+
+// TestSessionBuildFaultIsNot400: only a compile failure makes a session
+// build the request's fault. Any other build failure — here an ir.Verify
+// rejection, which means the compiler emitted a broken program — is the
+// server's, on /v1/optimize as on /v1/sweep. The request joins a build
+// flight already under way for its cell, so it receives that flight's
+// failure.
+func TestSessionBuildFaultIsNot400(t *testing.T) {
+	for _, path := range []string{"/v1/optimize", "/v1/sweep"} {
+		t.Run(strings.TrimPrefix(path, "/v1/"), func(t *testing.T) {
+			srv, ts := newTestServer(t)
+			req := OptimizeRequest{Source: tinySource}
+			cell := mustResolve(t, req)
+			store := srv.sweep.Store
+			building, release := make(chan struct{}), make(chan struct{})
+			go store.GetSession(core.SessionKey(cell.Bench.Source, cell.Level.String()), func() (*core.Session, error) {
+				close(building)
+				<-release
+				return nil, errs.Wrap(errs.StageVerify, errors.New("block b3 falls off the end of main"))
+			})
+			<-building
+			hits := store.Stats().Cache.Hits
+
+			var body any = req
+			if path == "/v1/sweep" {
+				body = SweepRequest{Cells: []OptimizeRequest{req}}
+			}
+			type answer struct {
+				status int
+				body   []byte
+				err    error
+			}
+			done := make(chan answer, 1)
+			go func() {
+				status, out, err := post(ts.URL+path, body)
+				done <- answer{status, out, err}
+			}()
+			// Release the flight once the request has joined it.
+			for store.Stats().Cache.Hits == hits {
+				time.Sleep(time.Millisecond)
+			}
+			close(release)
+			got := <-done
+			if got.err != nil {
+				t.Fatal(got.err)
+			}
+			var doc struct {
+				Error  string `json:"error"`
+				Status int    `json:"status"`
+			}
+			if err := json.Unmarshal(bytes.TrimSpace(got.body), &doc); err != nil {
+				t.Fatalf("bad answer %s: %v", got.body, err)
+			}
+			if doc.Status != http.StatusInternalServerError || !strings.Contains(doc.Error, "verify: block b3") {
+				t.Fatalf("answer = %d %s, want a 500 naming the verify failure", got.status, got.body)
+			}
+		})
 	}
 }
 

@@ -1,8 +1,9 @@
 // Package service is the placement-as-a-service subsystem: a
-// long-running HTTP/JSON daemon (cmd/flashramd) wrapping core.Session,
-// with one core.Store of sessions shared across requests and tenants,
-// and an admission/worker layer reusing the evaluation sweep's panic
-// isolation.
+// long-running HTTP/JSON daemon (cmd/flashramd) wrapping one
+// evaluation.Sweep, whose core.Store of sessions is shared across
+// requests and tenants, and an admission layer in front of it. Every
+// cell, single-shot or sweep row, runs through Sweep.RunBenchmark under
+// the sweep's panic isolation — the runner the flashram CLI uses.
 //
 // The store content-addresses whole sessions on core.SessionKey(source,
 // level): a hash of the inputs that reach the compiler. Inside each
@@ -65,8 +66,11 @@ func (c *Config) fill() {
 // admission gate, and the request ledger behind /statsz. Build one with
 // New and serve its Handler.
 type Server struct {
-	cfg   Config
-	store *core.Store
+	cfg Config
+	// sweep runs every cell — each /v1/optimize request and each
+	// /v1/sweep row — through Sweep.RunBenchmark, over the cross-request
+	// store of warm sessions.
+	sweep *evaluation.Sweep
 	sem   chan struct{}
 	start time.Time
 
@@ -85,7 +89,7 @@ func New(cfg Config) *Server {
 	cfg.fill()
 	return &Server{
 		cfg:   cfg,
-		store: core.NewStore(cfg.MaxSessions),
+		sweep: &evaluation.Sweep{Workers: cfg.Workers, Store: core.NewStore(cfg.MaxSessions)},
 		sem:   make(chan struct{}, cfg.Workers),
 		start: time.Now(),
 	}
@@ -228,18 +232,19 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.requestContext(r, req.TimeoutMS)
 	defer cancel()
 
-	if s.draining.Load() {
-		s.requests.rejected.Add(1)
-		s.writeError(w, fmt.Errorf("server is draining: %w", errs.ErrUnavailable))
-		return
-	}
 	if err := s.admit(ctx); err != nil {
 		s.writeError(w, err)
 		return
 	}
 	defer s.release()
 
-	run, err := s.runCell(ctx, cell)
+	// The cell runs under the sweep workers' panic isolation: a
+	// panicking request costs one 500, never the process.
+	var run *evaluation.Run
+	err = evaluation.Isolated(func() (err error) {
+		run, err = s.sweep.RunBenchmark(ctx, cell.Bench, cell.Level, cell.Opts)
+		return err
+	})
 	if err != nil {
 		s.writeError(w, err)
 		return
@@ -303,38 +308,6 @@ func etagMatches(header, etag string) bool {
 	return false
 }
 
-// runCell executes one pipeline run against the shared store, under the
-// sweep workers' panic isolation: a panicking request costs one 500,
-// never the process.
-func (s *Server) runCell(ctx context.Context, cell evaluation.Cell) (*evaluation.Run, error) {
-	var run *evaluation.Run
-	err := evaluation.Isolated(func() error {
-		// The daemon's sessions solve warm: requests at neighbouring
-		// constraints (a client walking a trade-off curve) reuse each
-		// other's solve state, and the emitted documents are identical
-		// either way.
-		sess, err := s.store.GetSession(
-			core.SessionKey(cell.Bench.Source, cell.Level.String()),
-			func() (*core.Session, error) { return evaluation.NewWarmSession(cell.Bench, cell.Level) })
-		if err != nil {
-			// The session build is compile + verify: its failures are
-			// request-shaped (the source does not compile), not server
-			// faults.
-			return errs.BadInput(err)
-		}
-		rep, err := sess.Optimize(ctx, cell.Opts)
-		if err != nil {
-			return err
-		}
-		run = &evaluation.Run{Bench: cell.Bench.Name, Level: cell.Level, Report: rep}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return run, nil
-}
-
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	s.requests.total.Add(1)
 	s.requests.inFlight.Add(1)
@@ -365,21 +338,15 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.requestContext(r, timeoutMS)
 	defer cancel()
 
-	if s.draining.Load() {
-		s.requests.rejected.Add(1)
-		s.writeError(w, fmt.Errorf("server is draining: %w", errs.ErrUnavailable))
-		return
-	}
 	// One admission slot per sweep request; the cells then fan out over
-	// the sweep's own bounded pool, whose sessions come from — and stay
-	// in — the cross-request store.
+	// the server's sweep pool, whose sessions come from — and stay in —
+	// the cross-request store.
 	if err := s.admit(ctx); err != nil {
 		s.writeError(w, err)
 		return
 	}
 	defer s.release()
 
-	sw := &evaluation.Sweep{Workers: s.cfg.Workers, Store: s.store}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
@@ -394,7 +361,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	results := make(chan doneMsg)
 	go func() {
-		sw.RunCells(ctx, cells, func(i int, run *evaluation.Run, err error) {
+		s.sweep.RunCells(ctx, cells, func(i int, run *evaluation.Run, err error) {
 			results <- doneMsg{i: i, run: run, err: err}
 		})
 		close(results)
@@ -488,7 +455,7 @@ type RequestStats struct {
 
 // Stats snapshots the server's ledger (the /statsz document).
 func (s *Server) Stats() StatsDoc {
-	st := s.store.Stats()
+	st := s.sweep.Store.Stats()
 	return StatsDoc{
 		UptimeMS: float64(time.Since(s.start).Microseconds()) / 1e3,
 		Workers:  s.cfg.Workers,

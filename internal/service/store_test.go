@@ -23,7 +23,7 @@ func buildSession(t *testing.T, bench string) func() (*core.Session, error) {
 	if b == nil {
 		t.Fatalf("benchmark %q missing", bench)
 	}
-	return func() (*core.Session, error) { return evaluation.NewSession(b, mcc.O2) }
+	return func() (*core.Session, error) { return evaluation.NewSweep(1).Session(b, mcc.O2) }
 }
 
 func TestStoreSingleFlight(t *testing.T) {

@@ -9,7 +9,10 @@
 #      The same holds for a request setting every pipeline knob, with
 #      the CLI spelling each JSON field as its flag.
 #   3. A request-shaped failure is a 400 from the daemon and a non-zero
-#      `flashram` exit, both with the same message.
+#      `flashram` exit, both with the same message. So is a pipeline-stage
+#      one: a source file that does not compile is a 400 from
+#      /v1/optimize, a status-400 row from /v1/sweep and a non-zero
+#      `flashram -src` exit, all three with one message.
 #   4. 40 writes of int_matmult O2, each at a new rspare and in a fixed
 #      shuffled order, run warm solves through one session while its
 #      warm-start registry evicts donors; every 8th answer equals
@@ -105,6 +108,35 @@ if [ -z "$daemon_msg" ] || [ "$daemon_msg" != "$cli_msg" ]; then
     exit 1
 fi
 
+# A pipeline-stage rejection: source that does not compile. The daemon
+# requests name the source by its path, as `flashram -src` does, so the
+# three surfaces must answer with one message.
+printf 'int main( {\n' >"$tmp/broken.c"
+jq -n --rawfile src "$tmp/broken.c" --arg name "$tmp/broken.c" '{source: $src, name: $name}' >"$tmp/broken.json"
+code=$(curl -s -o "$tmp/broken_opt.json" -w '%{http_code}' -X POST --data-binary @"$tmp/broken.json" "$url/v1/optimize")
+if [ "$code" != 400 ]; then
+    echo "smoke_flashramd: uncompilable source returned $code from /v1/optimize, want 400" >&2
+    exit 1
+fi
+jq '{cells: [.]}' "$tmp/broken.json" >"$tmp/broken_sweep.json"
+curl -fsS -X POST --data-binary @"$tmp/broken_sweep.json" "$url/v1/sweep" >"$tmp/broken_row.ndjson"
+row_status=$(jq .status "$tmp/broken_row.ndjson")
+if [ "$row_status" != 400 ]; then
+    echo "smoke_flashramd: uncompilable source gave a /v1/sweep row with status $row_status, want 400" >&2
+    exit 1
+fi
+if "$tmp/flashram" -src "$tmp/broken.c" -json >/dev/null 2>"$tmp/broken_cli.txt"; then
+    echo "smoke_flashramd: flashram accepted an uncompilable source" >&2
+    exit 1
+fi
+opt_msg=$(jq -r .error "$tmp/broken_opt.json")
+row_msg=$(jq -r .error "$tmp/broken_row.ndjson")
+cli_msg=$(sed 's/^flashram: //' "$tmp/broken_cli.txt")
+if [ -z "$opt_msg" ] || [ "$opt_msg" != "$row_msg" ] || [ "$opt_msg" != "$cli_msg" ]; then
+    echo "smoke_flashramd: compile-failure messages differ: optimize '$opt_msg', sweep row '$row_msg', flashram '$cli_msg'" >&2
+    exit 1
+fi
+
 # Distinct-rspare writes through one warm session: rspare 40 + 50k for
 # k = 17i mod 40, a fixed shuffle of 40 budgets over 13 placements.
 # The session keeps a few warm donors per solve family, so all but the
@@ -193,4 +225,4 @@ grep -q 'drained' "$tmp/daemon.log" || {
     cat "$tmp/daemon.log" >&2
     exit 1
 }
-echo "smoke_flashramd: byte identity, knob-heavy identity, 400 mapping, CLI/daemon rejection parity, warm-write identity, sweep/optimize row identity, 64-way concurrent identity and graceful drain all clean"
+echo "smoke_flashramd: byte identity, knob-heavy identity, 400 mapping, CLI/daemon rejection parity (request and compile stage), warm-write identity, sweep/optimize row identity, 64-way concurrent identity and graceful drain all clean"
