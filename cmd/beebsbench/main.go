@@ -26,6 +26,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -117,37 +118,12 @@ func main() {
 	defer stop()
 
 	start := time.Now()
-	var doc document
+	doc := runSections(ctx, sw, sections{
+		fig5: *fig5 || *all, aggregate: *aggregate || *all, savers: *savers || *all,
+		study: *study || *all, fig9: *fig9 || *all, intermit: *intermit || *all,
+		sel: *sel || *all,
+	}, *asJSON, *top)
 	doc.Workers = *workers
-	// Each selected section runs to whatever extent the context allows;
-	// a failed or interrupted section contributes its partial rows and
-	// an entry in doc.Errors rather than aborting the document.
-	step := func(name string, f func() error) {
-		if err := f(); err != nil {
-			doc.Errors = append(doc.Errors, fmt.Sprintf("%s: %v", name, err))
-		}
-	}
-	if *fig5 || *all {
-		step("fig5", func() error { return runFig5(ctx, sw, *asJSON, &doc) })
-	}
-	if *aggregate || *all {
-		step("aggregate", func() error { return runAggregate(ctx, sw, *asJSON, &doc) })
-	}
-	if *savers || *all {
-		step("savers", func() error { return runSavers(ctx, sw, *asJSON, *top, &doc) })
-	}
-	if *study || *all {
-		step("casestudy", func() error { return runCaseStudy(ctx, sw, *asJSON, &doc) })
-	}
-	if *fig9 || *all {
-		step("fig9", func() error { return runFig9(ctx, sw, *asJSON, &doc) })
-	}
-	if *intermit || *all {
-		step("intermittent", func() error { return runIntermittent(ctx, sw, *asJSON, &doc) })
-	}
-	if *sel || *all {
-		step("select", func() error { return runSelect(ctx, sw, *asJSON, &doc) })
-	}
 	doc.WallMS = float64(time.Since(start).Microseconds()) / 1e3
 	st, solver := sw.Stats()
 	if *noledger {
@@ -156,14 +132,8 @@ func main() {
 		doc.SessionStats = &st
 		doc.SolverStats = &solver
 	}
-	if len(doc.Errors) > 0 {
-		doc.Status = "incomplete"
-	}
-
 	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(doc); err != nil {
+		if err := writeDocument(os.Stdout, doc); err != nil {
 			fatal(err)
 		}
 	} else {
@@ -190,6 +160,46 @@ func main() {
 		}
 		os.Exit(1)
 	}
+}
+
+// sections selects which parts of the evaluation runSections runs.
+type sections struct {
+	fig5, aggregate, savers, study, fig9, intermit, sel bool
+}
+
+// runSections runs the selected sections through sw in the document's
+// order. Each runs to whatever extent the context allows; a failed or
+// interrupted section contributes its partial rows and an entry in
+// doc.Errors rather than aborting the document. The process ledgers
+// (session_stats, solver_stats, wall_ms, workers) are left to the caller.
+func runSections(ctx context.Context, sw *evaluation.Sweep, s sections, asJSON bool, top int) document {
+	var doc document
+	step := func(on bool, name string, f func() error) {
+		if !on {
+			return
+		}
+		if err := f(); err != nil {
+			doc.Errors = append(doc.Errors, fmt.Sprintf("%s: %v", name, err))
+		}
+	}
+	step(s.fig5, "fig5", func() error { return runFig5(ctx, sw, asJSON, &doc) })
+	step(s.aggregate, "aggregate", func() error { return runAggregate(ctx, sw, asJSON, &doc) })
+	step(s.savers, "savers", func() error { return runSavers(ctx, sw, asJSON, top, &doc) })
+	step(s.study, "casestudy", func() error { return runCaseStudy(ctx, sw, asJSON, &doc) })
+	step(s.fig9, "fig9", func() error { return runFig9(ctx, sw, asJSON, &doc) })
+	step(s.intermit, "intermittent", func() error { return runIntermittent(ctx, sw, asJSON, &doc) })
+	step(s.sel, "select", func() error { return runSelect(ctx, sw, asJSON, &doc) })
+	if len(doc.Errors) > 0 {
+		doc.Status = "incomplete"
+	}
+	return doc
+}
+
+// writeDocument writes doc as the indented JSON `-json` prints.
+func writeDocument(w io.Writer, doc document) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(doc)
 }
 
 func runFig5(ctx context.Context, sw *evaluation.Sweep, asJSON bool, doc *document) error {
