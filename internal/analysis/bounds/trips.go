@@ -387,9 +387,6 @@ func (s *evalState) operand2(in *isa.Instr) val {
 	if in.HasImm {
 		return val{kind: vConst, c: int64(in.Imm)}
 	}
-	if in.Shift != 0 {
-		return val{}
-	}
 	return s.reg(in.Rm)
 }
 

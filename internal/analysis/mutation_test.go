@@ -181,19 +181,13 @@ func TestMutationBranchRange(t *testing.T) {
 
 	t.Run("BR004 unencodable instruction", func(t *testing.T) {
 		m := buildSplitMutant(t, "crc32", mcc.O2)
-		var g string
-		for _, gl := range m.opt.Globals {
-			g = gl.Name
-			break
-		}
 		seeded := false
 		for _, pl := range m.img.Blocks {
 			if pl.InRAM || len(pl.Block.Instrs) < 2 {
 				continue
 			}
-			// adr reaches 1020 bytes forward within flash; a RAM global
-			// is unencodably far behind it.
-			pl.Block.Instrs[0] = isa.Instr{Op: isa.ADR, Rd: isa.R0, Sym: g}
+			// Loads and stores encode non-negative offsets only.
+			pl.Block.Instrs[0] = isa.Instr{Op: isa.LDR, Rd: isa.R0, Rn: isa.R1, Mode: isa.AddrOffset, Imm: -4}
 			seeded = true
 			break
 		}

@@ -140,12 +140,6 @@ func decodeNarrow(h uint16, addr uint32) (*Decoded, error) {
 		d.HasImm = true
 		return d, nil
 
-	case h&0xF800 == 0xA000: // ADR
-		d := mk(isa.ADR, 2)
-		d.Rd = reg(h >> 8 & 7)
-		d.Target = ((addr + 4) &^ 3) + uint32(h&0xFF)*4
-		return d, nil
-
 	case h&0xF800 == 0x2800: // CMP rn, #imm8
 		d := mk(isa.CMP, 2)
 		d.Rn = reg(h >> 8 & 7)
@@ -157,26 +151,6 @@ func decodeNarrow(h uint16, addr uint32) (*Decoded, error) {
 		d := mk(isa.CMP, 2)
 		d.Rn = reg(h&7 | h>>4&8)
 		d.Rm = reg(h >> 3 & 15)
-		return d, nil
-
-	case h&0xF800 == 0x0000 && h&0xFFC0 != 0x0000,
-		h&0xF800 == 0x0800, h&0xF800 == 0x1000:
-		// LSL/LSR/ASR rd, rm, #imm5 (LSL #0 with zero imm handled as MOV
-		// by real tools; we never emit it).
-		var op isa.Op
-		switch h >> 11 & 3 {
-		case 0:
-			op = isa.LSL
-		case 1:
-			op = isa.LSR
-		default:
-			op = isa.ASR
-		}
-		d := mk(op, 2)
-		d.Rd = reg(h & 7)
-		d.Rm = reg(h >> 3 & 7)
-		d.Imm = int32(h >> 6 & 31)
-		d.HasImm = true
 		return d, nil
 
 	case h&0xFC00 == 0x4000: // data-processing register (T1)
@@ -230,15 +204,6 @@ func decodeNarrow(h uint16, addr uint32) (*Decoded, error) {
 		d.Rn = isa.SP
 		d.Imm = int32(h&0xFF) * 4
 		d.HasImm = true
-		return d, nil
-
-	case h&0xF000 == 0x5000: // load/store register offset
-		ops := [8]isa.Op{isa.STR, isa.STRH, isa.STRB, isa.LDRSB,
-			isa.LDR, isa.LDRH, isa.LDRB, isa.LDRSH}
-		d := mk(ops[h>>9&7], 2)
-		d.Rd = reg(h & 7)
-		d.Rn = reg(h >> 3 & 7)
-		d.Rm = reg(h >> 6 & 7)
 		return d, nil
 
 	case h&0xFF00 == 0xB200: // SXTH/SXTB/UXTH/UXTB
@@ -300,19 +265,22 @@ func decodeNarrow(h uint16, addr uint32) (*Decoded, error) {
 	return nil, fmt.Errorf("decode: unrecognized 16-bit encoding %04X", h)
 }
 
+// decodeALU decodes the 16-bit data-processing register group (T1). The
+// six slots outside the modeled set are zero here and do not decode.
 func decodeALU(h uint16) (*Decoded, error) {
 	ops := [16]isa.Op{
-		isa.AND, isa.EOR, isa.LSL, isa.LSR, isa.ASR, isa.ADC, isa.SBC,
-		isa.ROR, isa.TST, isa.RSB, isa.CMP, isa.CMN, isa.ORR, isa.MUL,
-		isa.BIC, isa.MVN,
+		0: isa.AND, 1: isa.EOR, 2: isa.LSL, 3: isa.LSR, 4: isa.ASR,
+		9: isa.RSB, 10: isa.CMP, 12: isa.ORR, 13: isa.MUL, 15: isa.MVN,
 	}
-	code := h >> 6 & 0xF
-	op := ops[code]
+	op := ops[h>>6&0xF]
+	if op == isa.NOP {
+		return nil, fmt.Errorf("decode: unrecognized 16-bit encoding %04X", h)
+	}
 	d := mk(op, 2)
 	rdn := reg(h & 7)
 	rm := reg(h >> 3 & 7)
 	switch op {
-	case isa.TST, isa.CMP, isa.CMN:
+	case isa.CMP:
 		d.Rn, d.Rm = rdn, rm
 	case isa.MVN:
 		d.Rd, d.Rm = rdn, rm
@@ -376,54 +344,34 @@ func decodeWide(hw1, hw2 uint16, addr uint32) (*Decoded, error) {
 		d.HasImm = true
 		return d, nil
 
-	case hw1&0xFFE0 == 0xEB00, hw1&0xFFE0 == 0xEBA0, hw1&0xFFE0 == 0xEBC0,
-		hw1&0xFFE0 == 0xEA00, hw1&0xFFE0 == 0xEA40, hw1&0xFFE0 == 0xEA80,
-		hw1&0xFFE0 == 0xEA20, hw1&0xFFE0 == 0xEB40, hw1&0xFFE0 == 0xEB60:
-		var op isa.Op
+	case hw1&0xFFE0 == 0xEB00, hw1&0xFFE0 == 0xEBA0, hw1&0xFFE0 == 0xEA00,
+		hw1&0xFFE0 == 0xEA40, hw1&0xFFE0 == 0xEA80:
+		// Register forms (T2/T3) with an unshifted rm: a shifted operand
+		// or rn = pc (mov.w and its shifts) is not in the modeled set.
+		if hw2&0x70F0 != 0 || hw1&0xF == 0xF {
+			return nil, fmt.Errorf("decode: unrecognized 32-bit encoding %04X %04X", hw1, hw2)
+		}
+		op := isa.ADD
 		switch hw1 & 0xFFE0 {
-		case 0xEB00:
-			op = isa.ADD
 		case 0xEBA0:
 			op = isa.SUB
-		case 0xEBC0:
-			op = isa.RSB
 		case 0xEA00:
 			op = isa.AND
 		case 0xEA40:
 			op = isa.ORR
 		case 0xEA80:
 			op = isa.EOR
-		case 0xEA20:
-			op = isa.BIC
-		case 0xEB40:
-			op = isa.ADC
-		case 0xEB60:
-			op = isa.SBC
 		}
 		d := mk(op, 4)
 		d.Rn = reg(hw1)
 		d.Rd = reg(hw2 >> 8)
 		d.Rm = reg(hw2)
-		d.Imm = int32(hw2>>12&7)<<2 | int32(hw2>>6&3)
 		return d, nil
 
 	case hw1 == 0xEA6F: // MVN.W
 		d := mk(isa.MVN, 4)
 		d.Rd = reg(hw2 >> 8)
 		d.Rm = reg(hw2)
-		return d, nil
-
-	case hw1 == 0xEA4F: // MOV.W rd, rm, shift (our wide shift-immediate)
-		ty := hw2 >> 4 & 3
-		ops := [3]isa.Op{isa.LSL, isa.LSR, isa.ASR}
-		if ty > 2 {
-			return nil, fmt.Errorf("decode: unsupported shift type %d", ty)
-		}
-		d := mk(ops[ty], 4)
-		d.Rd = reg(hw2 >> 8)
-		d.Rm = reg(hw2)
-		d.Imm = int32(hw2>>12&7)<<2 | int32(hw2>>6&3)
-		d.HasImm = true
 		return d, nil
 
 	case (hw1&0xFFE0 == 0xFA00 || hw1&0xFFE0 == 0xFA20 || hw1&0xFFE0 == 0xFA40) &&
@@ -444,13 +392,6 @@ func decodeWide(hw1, hw2 uint16, addr uint32) (*Decoded, error) {
 		d.Rm = reg(hw2)
 		return d, nil
 
-	case hw1&0xFFF0 == 0xFB00: // MLA
-		d := mk(isa.MLA, 4)
-		d.Rn = reg(hw1)
-		d.Rd = reg(hw2 >> 8)
-		d.Rm = reg(hw2)
-		return d, nil
-
 	case hw1&0xFFF0 == 0xFB90: // SDIV
 		d := mk(isa.SDIV, 4)
 		d.Rn = reg(hw1)
@@ -460,12 +401,6 @@ func decodeWide(hw1, hw2 uint16, addr uint32) (*Decoded, error) {
 	case hw1&0xFFF0 == 0xFBB0: // UDIV
 		d := mk(isa.UDIV, 4)
 		d.Rn = reg(hw1)
-		d.Rd = reg(hw2 >> 8)
-		d.Rm = reg(hw2)
-		return d, nil
-
-	case hw1&0xFFF0 == 0xFAB0: // CLZ
-		d := mk(isa.CLZ, 4)
 		d.Rd = reg(hw2 >> 8)
 		d.Rm = reg(hw2)
 		return d, nil
@@ -533,10 +468,6 @@ func decodeWideMem(hw1, hw2 uint16) (*Decoded, error) {
 		0xF8D0: isa.LDR, 0xF8C0: isa.STR, 0xF890: isa.LDRB, 0xF880: isa.STRB,
 		0xF8B0: isa.LDRH, 0xF8A0: isa.STRH, 0xF990: isa.LDRSB, 0xF9B0: isa.LDRSH,
 	}
-	regForm := map[uint16]isa.Op{
-		0xF850: isa.LDR, 0xF840: isa.STR, 0xF810: isa.LDRB, 0xF800: isa.STRB,
-		0xF830: isa.LDRH, 0xF820: isa.STRH, 0xF910: isa.LDRSB, 0xF930: isa.LDRSH,
-	}
 	base := hw1 & 0xFFF0
 	if op, ok := immForm[base]; ok {
 		d := mk(op, 4)
@@ -544,14 +475,6 @@ func decodeWideMem(hw1, hw2 uint16) (*Decoded, error) {
 		d.Rd = reg(hw2 >> 12)
 		d.Imm = int32(hw2 & 0xFFF)
 		d.HasImm = true
-		return d, nil
-	}
-	if op, ok := regForm[base]; ok && hw2&0x0FC0&^0x30 == 0 {
-		d := mk(op, 4)
-		d.Rn = reg(hw1)
-		d.Rd = reg(hw2 >> 12)
-		d.Rm = reg(hw2)
-		d.Imm = int32(hw2 >> 4 & 3) // shift amount
 		return d, nil
 	}
 	return nil, fmt.Errorf("decode: unrecognized memory encoding %04X %04X", hw1, hw2)

@@ -23,6 +23,9 @@ func EncodeInstr(img *layout.Image, pl *layout.Placed, idx int) ([]byte, error) 
 	addr := pl.InstrAddrs[idx]
 	size := pl.InstrSize(idx)
 
+	if !isa.Emitted(in) {
+		return nil, fmt.Errorf("encode: %s at %#x: outside the modeled instruction set", in.String(), addr)
+	}
 	enc := &encoder{img: img, pl: pl, idx: idx, in: in, addr: addr, wide: size == 4}
 	hw, err := enc.encode()
 	if err != nil {
@@ -127,36 +130,23 @@ func (e *encoder) encode() ([]uint16, error) {
 		}
 		return e.narrow(0x4500 | (n&8)<<4 | uint16(in.Rm)<<3 | (n & 7)), nil
 
-	case isa.CMN, isa.TST:
-		op := uint16(0x42C0) // CMN T1
-		if in.Op == isa.TST {
-			op = 0x4200
-		}
-		if in.HasImm {
-			return nil, fmt.Errorf("%v immediate not supported by the encoder", in.Op)
-		}
-		return e.narrow(op | lo3(in.Rm)<<3 | lo3(in.Rn)), nil
-
-	case isa.AND, isa.ORR, isa.EOR, isa.BIC, isa.ADC, isa.SBC, isa.ROR:
-		return e.aluRegOrWide()
+	case isa.AND, isa.ORR, isa.EOR:
+		return e.logic()
 
 	case isa.LSL, isa.LSR, isa.ASR:
 		return e.shift()
 
 	case isa.RSB:
-		if in.HasImm && in.Imm == 0 && !e.wide {
+		if in.Imm == 0 && !e.wide {
 			return e.narrow(0x4240 | lo3(in.Rn)<<3 | lo3(in.Rd)), nil // NEGS
 		}
-		if in.HasImm {
-			imm, ok := thumbExpandImm(uint32(in.Imm))
-			if !ok {
-				return nil, fmt.Errorf("rsb immediate %d not encodable", in.Imm)
-			}
-			hw1 := uint16(0xF1C0) | uint16(imm>>11&1)<<10 | r4(in.Rn)
-			hw2 := uint16(imm>>8&7)<<12 | r4(in.Rd)<<8 | uint16(imm&0xFF)
-			return e.pair(hw1, hw2), nil
+		imm, ok := thumbExpandImm(uint32(in.Imm))
+		if !ok {
+			return nil, fmt.Errorf("rsb immediate %d not encodable", in.Imm)
 		}
-		return e.pair(0xEBC0|r4(in.Rn), r4(in.Rd)<<8|r4(in.Rm)), nil
+		hw1 := uint16(0xF1C0) | uint16(imm>>11&1)<<10 | r4(in.Rn)
+		hw2 := uint16(imm>>8&7)<<12 | r4(in.Rd)<<8 | uint16(imm&0xFF)
+		return e.pair(hw1, hw2), nil
 
 	case isa.MVN:
 		if !e.wide {
@@ -170,18 +160,10 @@ func (e *encoder) encode() ([]uint16, error) {
 		}
 		return e.pair(0xFB00|r4(in.Rn), 0xF000|r4(in.Rd)<<8|r4(in.Rm)), nil
 
-	case isa.MLA:
-		// rd = rd + rn*rm: accumulator Ra is Rd by our convention.
-		return e.pair(0xFB00|r4(in.Rn), r4(in.Rd)<<12|r4(in.Rd)<<8|r4(in.Rm)), nil
-
 	case isa.SDIV:
 		return e.pair(0xFB90|r4(in.Rn), 0xF0F0|r4(in.Rd)<<8|r4(in.Rm)), nil
 	case isa.UDIV:
 		return e.pair(0xFBB0|r4(in.Rn), 0xF0F0|r4(in.Rd)<<8|r4(in.Rm)), nil
-
-	case isa.CLZ:
-		m := r4(in.Rm)
-		return e.pair(0xFAB0|m, 0xF080|r4(in.Rd)<<8|m), nil
 
 	case isa.SXTB, isa.SXTH, isa.UXTB, isa.UXTH:
 		return e.extend()
@@ -192,18 +174,6 @@ func (e *encoder) encode() ([]uint16, error) {
 
 	case isa.LDRLIT:
 		return e.literal()
-
-	case isa.ADR:
-		tgt, err := e.targetAddr(e.in.Sym)
-		if err != nil {
-			return nil, err
-		}
-		base := (e.addr + 4) &^ 3
-		off := int64(tgt) - int64(base)
-		if off < 0 || off > 1020 || off%4 != 0 {
-			return nil, fmt.Errorf("adr offset %d out of range", off)
-		}
-		return e.narrow(0xA000 | lo3(in.Rd)<<8 | uint16(off/4)), nil
 
 	case isa.PUSH:
 		list := in.RegList
@@ -324,65 +294,29 @@ func (e *encoder) addSub() ([]uint16, error) {
 	if !isAdd {
 		hw1 = 0xEBA0 | r4(in.Rn)
 	}
-	sh := uint16(in.Shift)
-	hw2 := (sh>>2)<<12 | r4(in.Rd)<<8 | (sh&3)<<6 | r4(in.Rm)
-	return e.pair(hw1, hw2), nil
+	return e.pair(hw1, r4(in.Rd)<<8|r4(in.Rm)), nil
 }
 
-var aluT1 = map[isa.Op]uint16{
-	isa.AND: 0x4000, isa.EOR: 0x4040, isa.ADC: 0x4140, isa.SBC: 0x4180,
-	isa.ROR: 0x41C0, isa.ORR: 0x4300, isa.BIC: 0x4380,
-}
-
-var aluWide = map[isa.Op]uint16{
-	isa.AND: 0xEA00, isa.ORR: 0xEA40, isa.EOR: 0xEA80, isa.BIC: 0xEA20,
-	isa.ADC: 0xEB40, isa.SBC: 0xEB60,
-}
-
-func (e *encoder) aluRegOrWide() ([]uint16, error) {
+// logic encodes the register forms of and, orr and eor: T1 for the
+// narrow rdn form, T2 otherwise.
+func (e *encoder) logic() ([]uint16, error) {
 	in := e.in
-	if in.HasImm {
-		imm, ok := thumbExpandImm(uint32(in.Imm))
-		if !ok {
-			return nil, fmt.Errorf("%v immediate %d not encodable", in.Op, in.Imm)
-		}
-		base := map[isa.Op]uint16{
-			isa.AND: 0xF000, isa.ORR: 0xF040, isa.EOR: 0xF080, isa.BIC: 0xF020,
-		}[in.Op]
-		if base == 0 {
-			return nil, fmt.Errorf("%v immediate not supported", in.Op)
-		}
-		hw1 := base | uint16(imm>>11&1)<<10 | r4(in.Rn)
-		hw2 := uint16(imm>>8&7)<<12 | r4(in.Rd)<<8 | uint16(imm&0xFF)
-		return e.pair(hw1, hw2), nil
+	t1, t2 := uint16(0x4000), uint16(0xEA00) // AND
+	switch in.Op {
+	case isa.ORR:
+		t1, t2 = 0x4300, 0xEA40
+	case isa.EOR:
+		t1, t2 = 0x4040, 0xEA80
 	}
 	if !e.wide {
-		op, ok := aluT1[in.Op]
-		if !ok {
-			return nil, fmt.Errorf("%v has no narrow form", in.Op)
-		}
-		return e.narrow(op | lo3(in.Rm)<<3 | lo3(in.Rd)), nil
+		return e.narrow(t1 | lo3(in.Rm)<<3 | lo3(in.Rd)), nil
 	}
-	op, ok := aluWide[in.Op]
-	if !ok {
-		return nil, fmt.Errorf("%v has no wide register form", in.Op)
-	}
-	return e.pair(op|r4(in.Rn), r4(in.Rd)<<8|r4(in.Rm)), nil
+	return e.pair(t2|r4(in.Rn), r4(in.Rd)<<8|r4(in.Rm)), nil
 }
 
+// shift encodes lsl, lsr and asr by a register.
 func (e *encoder) shift() ([]uint16, error) {
 	in := e.in
-	if in.HasImm {
-		if !e.wide {
-			base := map[isa.Op]uint16{isa.LSL: 0x0000, isa.LSR: 0x0800, isa.ASR: 0x1000}[in.Op]
-			return e.narrow(base | uint16(in.Imm&31)<<6 | lo3(in.Rm)<<3 | lo3(in.Rd)), nil
-		}
-		// MOV.W rd, rm, <shift> #imm (T3).
-		ty := map[isa.Op]uint16{isa.LSL: 0, isa.LSR: 1, isa.ASR: 2}[in.Op]
-		sh := uint16(in.Imm & 31)
-		hw2 := (sh>>2)<<12 | r4(in.Rd)<<8 | (sh&3)<<6 | ty<<4 | r4(in.Rm)
-		return e.pair(0xEA4F, hw2), nil
-	}
 	if !e.wide {
 		base := map[isa.Op]uint16{isa.LSL: 0x4080, isa.LSR: 0x40C0, isa.ASR: 0x4100}[in.Op]
 		return e.narrow(base | lo3(in.Rm)<<3 | lo3(in.Rd)), nil
@@ -407,111 +341,66 @@ func (e *encoder) extend() ([]uint16, error) {
 
 func (e *encoder) memory() ([]uint16, error) {
 	in := e.in
-	switch in.Mode {
-	case isa.AddrOffset:
-		imm := uint32(in.Imm)
-		if in.Imm < 0 {
-			return nil, fmt.Errorf("negative memory offset %d not supported", in.Imm)
-		}
-		if !e.wide {
-			switch in.Op {
-			case isa.LDR, isa.STR:
-				if in.Rn == isa.SP {
-					base := uint16(0x9800)
-					if in.Op == isa.STR {
-						base = 0x9000
-					}
-					return e.narrow(base | lo3(in.Rd)<<8 | uint16(imm/4)), nil
-				}
-				base := uint16(0x6800)
+	if in.Imm < 0 {
+		return nil, fmt.Errorf("negative memory offset %d not supported", in.Imm)
+	}
+	imm := uint32(in.Imm)
+	if !e.wide {
+		switch in.Op {
+		case isa.LDR, isa.STR:
+			if in.Rn == isa.SP {
+				base := uint16(0x9800)
 				if in.Op == isa.STR {
-					base = 0x6000
+					base = 0x9000
 				}
-				return e.narrow(base | uint16(imm/4)<<6 | lo3(in.Rn)<<3 | lo3(in.Rd)), nil
-			case isa.LDRB, isa.STRB:
-				base := uint16(0x7800)
-				if in.Op == isa.STRB {
-					base = 0x7000
-				}
-				return e.narrow(base | uint16(imm)<<6 | lo3(in.Rn)<<3 | lo3(in.Rd)), nil
-			case isa.LDRH, isa.STRH:
-				base := uint16(0x8800)
-				if in.Op == isa.STRH {
-					base = 0x8000
-				}
-				return e.narrow(base | uint16(imm/2)<<6 | lo3(in.Rn)<<3 | lo3(in.Rd)), nil
+				return e.narrow(base | lo3(in.Rd)<<8 | uint16(imm/4)), nil
 			}
-			return nil, fmt.Errorf("%v has no narrow immediate form", in.Op)
+			base := uint16(0x6800)
+			if in.Op == isa.STR {
+				base = 0x6000
+			}
+			return e.narrow(base | uint16(imm/4)<<6 | lo3(in.Rn)<<3 | lo3(in.Rd)), nil
+		case isa.LDRB, isa.STRB:
+			base := uint16(0x7800)
+			if in.Op == isa.STRB {
+				base = 0x7000
+			}
+			return e.narrow(base | uint16(imm)<<6 | lo3(in.Rn)<<3 | lo3(in.Rd)), nil
+		case isa.LDRH, isa.STRH:
+			base := uint16(0x8800)
+			if in.Op == isa.STRH {
+				base = 0x8000
+			}
+			return e.narrow(base | uint16(imm/2)<<6 | lo3(in.Rn)<<3 | lo3(in.Rd)), nil
 		}
-		if imm > 4095 {
-			return nil, fmt.Errorf("memory offset %d not encodable", imm)
-		}
-		hw1, ok := wideMemOpcode(in.Op)
-		if !ok {
-			return nil, fmt.Errorf("%v not supported wide", in.Op)
-		}
-		return e.pair(hw1|r4(in.Rn), r4(in.Rd)<<12|uint16(imm)), nil
-
-	case isa.AddrReg, isa.AddrRegLSL:
-		if !e.wide {
-			base := map[isa.Op]uint16{
-				isa.STR: 0x5000, isa.STRH: 0x5200, isa.STRB: 0x5400,
-				isa.LDRSB: 0x5600, isa.LDR: 0x5800, isa.LDRH: 0x5A00,
-				isa.LDRB: 0x5C00, isa.LDRSH: 0x5E00,
-			}[in.Op]
-			return e.narrow(base | lo3(in.Rm)<<6 | lo3(in.Rn)<<3 | lo3(in.Rd)), nil
-		}
-		hw1, ok := wideMemRegOpcode(in.Op)
-		if !ok {
-			return nil, fmt.Errorf("%v not supported wide (register)", in.Op)
-		}
-		return e.pair(hw1|r4(in.Rn), r4(in.Rd)<<12|uint16(in.Shift&3)<<4|r4(in.Rm)), nil
+		return nil, fmt.Errorf("%v has no narrow immediate form", in.Op)
 	}
-	return nil, fmt.Errorf("addressing mode %d unsupported", in.Mode)
+	if imm > 4095 {
+		return nil, fmt.Errorf("memory offset %d not encodable", imm)
+	}
+	return e.pair(wideMemOpcode(in.Op)|r4(in.Rn), r4(in.Rd)<<12|uint16(imm)), nil
 }
 
-func wideMemOpcode(op isa.Op) (uint16, bool) {
+// wideMemOpcode is the first halfword of a load or store's T3
+// (imm12) encoding, register fields clear.
+func wideMemOpcode(op isa.Op) uint16 {
 	switch op {
 	case isa.LDR:
-		return 0xF8D0, true
+		return 0xF8D0
 	case isa.STR:
-		return 0xF8C0, true
+		return 0xF8C0
 	case isa.LDRB:
-		return 0xF890, true
+		return 0xF890
 	case isa.STRB:
-		return 0xF880, true
+		return 0xF880
 	case isa.LDRH:
-		return 0xF8B0, true
+		return 0xF8B0
 	case isa.STRH:
-		return 0xF8A0, true
+		return 0xF8A0
 	case isa.LDRSB:
-		return 0xF990, true
-	case isa.LDRSH:
-		return 0xF9B0, true
+		return 0xF990
 	}
-	return 0, false
-}
-
-func wideMemRegOpcode(op isa.Op) (uint16, bool) {
-	switch op {
-	case isa.LDR:
-		return 0xF850, true
-	case isa.STR:
-		return 0xF840, true
-	case isa.LDRB:
-		return 0xF810, true
-	case isa.STRB:
-		return 0xF800, true
-	case isa.LDRH:
-		return 0xF830, true
-	case isa.STRH:
-		return 0xF820, true
-	case isa.LDRSB:
-		return 0xF910, true
-	case isa.LDRSH:
-		return 0xF930, true
-	}
-	return 0, false
+	return 0xF9B0 // LDRSH
 }
 
 // literal encodes ldr rd, [pc, #off] against the instruction's assigned

@@ -75,9 +75,9 @@ func TestKnownEncodings(t *testing.T) {
 		{isa.Instr{Op: isa.AND, Rd: isa.R0, Rn: isa.R0, Rm: isa.R1}, []uint16{0x4008}},
 		{isa.Instr{Op: isa.EOR, Rd: isa.R2, Rn: isa.R2, Rm: isa.R3}, []uint16{0x405A}},
 		{isa.Instr{Op: isa.ORR, Rd: isa.R1, Rn: isa.R1, Rm: isa.R4}, []uint16{0x4321}},
-		{isa.Instr{Op: isa.LSL, Rd: isa.R0, Rm: isa.R1, Imm: 4, HasImm: true}, []uint16{0x0108}},
-		{isa.Instr{Op: isa.LSR, Rd: isa.R2, Rm: isa.R3, Imm: 8, HasImm: true}, []uint16{0x0A1A}},
-		{isa.Instr{Op: isa.ASR, Rd: isa.R4, Rm: isa.R5, Imm: 1, HasImm: true}, []uint16{0x106C}},
+		{isa.Instr{Op: isa.LSL, Rd: isa.R0, Rn: isa.R0, Rm: isa.R1}, []uint16{0x4088}},
+		{isa.Instr{Op: isa.LSR, Rd: isa.R2, Rn: isa.R2, Rm: isa.R3}, []uint16{0x40DA}},
+		{isa.Instr{Op: isa.ASR, Rd: isa.R4, Rn: isa.R4, Rm: isa.R5}, []uint16{0x412C}},
 		{isa.Instr{Op: isa.LDR, Rd: isa.R0, Rn: isa.R1, Mode: isa.AddrOffset, Imm: 4},
 			[]uint16{0x6848}},
 		{isa.Instr{Op: isa.STR, Rd: isa.R2, Rn: isa.R3, Mode: isa.AddrOffset, Imm: 0},
@@ -88,8 +88,6 @@ func TestKnownEncodings(t *testing.T) {
 			[]uint16{0x9001}},
 		{isa.Instr{Op: isa.LDRB, Rd: isa.R0, Rn: isa.R1, Mode: isa.AddrOffset, Imm: 3},
 			[]uint16{0x78C8}},
-		{isa.Instr{Op: isa.LDR, Rd: isa.R4, Rn: isa.R1, Mode: isa.AddrReg, Rm: isa.R2},
-			[]uint16{0x588C}},
 		{isa.Instr{Op: isa.SXTB, Rd: isa.R0, Rm: isa.R1}, []uint16{0xB248}},
 		{isa.Instr{Op: isa.UXTH, Rd: isa.R2, Rm: isa.R3}, []uint16{0xB29A}},
 		{isa.Instr{Op: isa.PUSH, RegList: 1<<isa.R4 | 1<<isa.LR}, []uint16{0xB510}},
@@ -112,6 +110,46 @@ func TestKnownEncodings(t *testing.T) {
 				t.Errorf("%s: encoded % 04X, want % 04X", c.in.String(), got, c.want)
 				break
 			}
+		}
+	}
+}
+
+// TestDecodeRejectsUnmodeledEncodings: the encodings of instructions
+// outside isa.OpForms — which the encoder never emits — do not decode.
+func TestDecodeRejectsUnmodeledEncodings(t *testing.T) {
+	cases := []struct {
+		name string
+		hw   []uint16
+	}{
+		{"adr r0, #4", []uint16{0xA001}},
+		{"lsls r0, r1, #4", []uint16{0x0108}},
+		{"lsrs r2, r3, #8", []uint16{0x0A1A}},
+		{"asrs r4, r5, #1", []uint16{0x106C}},
+		{"adcs r0, r1", []uint16{0x4148}},
+		{"sbcs r0, r1", []uint16{0x4188}},
+		{"rors r0, r1", []uint16{0x41C8}},
+		{"tst r0, r1", []uint16{0x4208}},
+		{"cmn r0, r1", []uint16{0x42C8}},
+		{"bics r0, r1", []uint16{0x4388}},
+		{"ldr r4, [r1, r2]", []uint16{0x588C}},
+		{"strb r0, [r1, r2]", []uint16{0x5488}},
+		{"ldr.w r0, [r1, r2, lsl #2]", []uint16{0xF851, 0x0022}},
+		{"add.w r0, r1, r2, lsl #1", []uint16{0xEB01, 0x0042}},
+		{"rsb.w r0, r1, r2", []uint16{0xEBC1, 0x0002}},
+		{"bic.w r0, r1, r2", []uint16{0xEA21, 0x0002}},
+		{"adc.w r0, r1, r2", []uint16{0xEB41, 0x0002}},
+		{"sbc.w r0, r1, r2", []uint16{0xEB61, 0x0002}},
+		{"mov.w r0, r1, lsl #3", []uint16{0xEA4F, 0x00C1}},
+		{"mla r0, r1, r2, r3", []uint16{0xFB01, 0x3002}},
+		{"clz r0, r1", []uint16{0xFAB1, 0xF081}},
+	}
+	for _, c := range cases {
+		buf := make([]byte, 2*len(c.hw))
+		for i, h := range c.hw {
+			binary.LittleEndian.PutUint16(buf[2*i:], h)
+		}
+		if d, err := Decode(buf, 0x100); err == nil {
+			t.Errorf("%s (% 04X) decoded as %v", c.name, c.hw, d.Op)
 		}
 	}
 }

@@ -29,7 +29,14 @@ func synthProgram(data []byte) *ir.Program {
 	lo := func(b byte) isa.Reg { return isa.Reg(b & 7) }   // r0..r7
 	mid := func(b byte) isa.Reg { return isa.Reg(b % 13) } // r0..r12
 	imm8 := func(b byte) int32 { return int32(b) }         // 0..255
-	shamt := func(b byte) int32 { return int32(b%31) + 1 } // 1..31
+	// shift draws a narrow (rdn, low registers) or a wide shape.
+	shift := func(o isa.Op, op, a, b byte) {
+		if op&64 != 0 {
+			bb.Op3(o, mid(op), mid(a), mid(b))
+		} else {
+			bb.Op3(o, lo(a), lo(a), lo(b))
+		}
+	}
 	list := func(b byte) []isa.Reg {
 		var regs []isa.Reg
 		for r := isa.R0; r <= isa.R7; r++ {
@@ -78,13 +85,13 @@ func synthProgram(data []byte) *ir.Program {
 		case 12:
 			bb.Op3(isa.EOR, lo(a), lo(a), lo(b))
 		case 13:
-			bb.Op3(isa.BIC, lo(a), lo(a), lo(b))
+			bb.OpImm(isa.RSB, lo(a), lo(b), 0)
 		case 14:
-			bb.OpImm(isa.LSL, lo(a), lo(b), shamt(op))
+			shift(isa.LSL, op, a, b)
 		case 15:
-			bb.OpImm(isa.LSR, lo(a), lo(b), shamt(op))
+			shift(isa.LSR, op, a, b)
 		case 16:
-			bb.OpImm(isa.ASR, lo(a), lo(b), shamt(op))
+			shift(isa.ASR, op, a, b)
 		case 17:
 			bb.Op3(isa.MVN, lo(a), isa.NoReg, lo(b))
 		case 18:
@@ -98,7 +105,7 @@ func synthProgram(data []byte) *ir.Program {
 		case 22:
 			bb.Op3(isa.SDIV, mid(op), mid(a), mid(b))
 		case 23:
-			bb.Op3(isa.MLA, mid(op), mid(a), mid(b))
+			bb.Op3(isa.SXTH, lo(a), isa.NoReg, lo(b))
 		case 24:
 			bb.Ldr(lo(a), lo(b), int32(op%32)*4)
 		case 25:
@@ -108,7 +115,8 @@ func synthProgram(data []byte) *ir.Program {
 		case 27:
 			bb.OpMem(isa.STRH, lo(a), lo(b), int32(op%32)*2)
 		case 28:
-			bb.LdrIdx(lo(a), lo(b), lo(op), (a>>4)&3)
+			mem := []isa.Op{isa.LDRH, isa.LDRSB, isa.LDRSH, isa.STRB}[a>>6]
+			bb.OpMem(mem, lo(a), lo(b), int32(op%32)*2)
 		case 29:
 			bb.LdrConst(lo(a), int32(a)<<8|int32(b))
 		case 30:

@@ -93,24 +93,6 @@ func (bb *BlockBuilder) OpMem(op isa.Op, rd, rn isa.Reg, off int32) *BlockBuilde
 	return bb.emit(isa.Instr{Op: op, Rd: rd, Rn: rn, Mode: isa.AddrOffset, Imm: off})
 }
 
-// LdrIdx emits ldr rd, [rn, rm, lsl #shift].
-func (bb *BlockBuilder) LdrIdx(rd, rn, rm isa.Reg, shift uint8) *BlockBuilder {
-	m := isa.AddrReg
-	if shift != 0 {
-		m = isa.AddrRegLSL
-	}
-	return bb.emit(isa.Instr{Op: isa.LDR, Rd: rd, Rn: rn, Rm: rm, Mode: m, Shift: shift})
-}
-
-// StrIdx emits str rd, [rn, rm, lsl #shift].
-func (bb *BlockBuilder) StrIdx(rd, rn, rm isa.Reg, shift uint8) *BlockBuilder {
-	m := isa.AddrReg
-	if shift != 0 {
-		m = isa.AddrRegLSL
-	}
-	return bb.emit(isa.Instr{Op: isa.STR, Rd: rd, Rn: rn, Rm: rm, Mode: m, Shift: shift})
-}
-
 // LdrLit emits ldr rd, =sym (address of a symbol via the literal pool).
 func (bb *BlockBuilder) LdrLit(rd isa.Reg, sym string) *BlockBuilder {
 	return bb.emit(isa.Instr{Op: isa.LDRLIT, Rd: rd, Sym: sym})

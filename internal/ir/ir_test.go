@@ -164,6 +164,37 @@ func TestVerifyCatchesBadPrograms(t *testing.T) {
 	}
 }
 
+// TestVerifyRejectsUnmodeledInstructions: one instruction of each kind
+// outside isa.OpForms — an immediate operand on a multiply, divide, logic
+// op or shift; an immediate on a unary op other than mov; a register
+// rsb; a load or store without its [rn, #imm] addressing; an operand-less
+// branch; an opcode past the table — is rejected, wherever it sits.
+func TestVerifyRejectsUnmodeledInstructions(t *testing.T) {
+	imm := func(op isa.Op) isa.Instr {
+		return isa.Instr{Op: op, Rd: isa.R0, Rn: isa.R1, Imm: 3, HasImm: true}
+	}
+	unary := func(op isa.Op) isa.Instr { return isa.Instr{Op: op, Rd: isa.R0, Imm: 3, HasImm: true} }
+	cases := []isa.Instr{
+		imm(isa.MUL), imm(isa.SDIV), imm(isa.UDIV),
+		imm(isa.AND), imm(isa.ORR), imm(isa.EOR),
+		imm(isa.LSL), imm(isa.LSR), imm(isa.ASR),
+		unary(isa.MVN), unary(isa.SXTB), unary(isa.SXTH), unary(isa.UXTB), unary(isa.UXTH),
+		{Op: isa.RSB, Rd: isa.R0, Rn: isa.R1, Rm: isa.R2},
+		{Op: isa.LDR, Rd: isa.R0, Rn: isa.R1, Rm: isa.R2},
+		{Op: isa.STRB, Rd: isa.R0, Rn: isa.R1, Rm: isa.R2},
+		{Op: isa.B},
+		{Op: isa.Op(200), Rd: isa.R0, Rn: isa.R1, Rm: isa.R2},
+	}
+	for _, in := range cases {
+		p := Figure2Program()
+		b := p.Func("fn").Block("fn_init")
+		b.Instrs = append(b.Instrs, in)
+		if err := Verify(p); err == nil || !strings.Contains(err.Error(), "outside the modeled instruction set") {
+			t.Errorf("%s (%v form): Verify = %v, want it outside the modeled set", in.String(), isa.FormOf(&in), err)
+		}
+	}
+}
+
 func TestVerifyBranchRangeAndBackPointers(t *testing.T) {
 	expect := func(t *testing.T, p *Program, want string) {
 		t.Helper()

@@ -8,6 +8,8 @@ import (
 
 // Verify checks structural invariants of a program:
 //
+//   - every instruction's (op, form) pair is in the modeled instruction
+//     set (isa.OpForms)
 //   - every block label is unique program-wide
 //   - every branch target (b/cbz/cbnz, ldr pc,=label, conditional ldr
 //     =label used by instrumentation) resolves to a block label; every bl
@@ -85,6 +87,10 @@ func Verify(p *Program) error {
 			for ii := range b.Instrs {
 				in := &b.Instrs[ii]
 				last := ii == len(b.Instrs)-1
+				if !isa.Emitted(in) {
+					return fmt.Errorf("ir: %s/%s: %q is outside the modeled instruction set (%v, %v form)",
+						f.Name, b.Label, in.String(), in.Op, isa.FormOf(in))
+				}
 				switch in.Op {
 				case isa.B, isa.CBZ, isa.CBNZ:
 					if !last {

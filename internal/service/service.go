@@ -368,7 +368,10 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}()
 	pending := make(map[int]doneMsg, len(cells))
 	next := 0
-	failures := 0
+	// ledger is the status the sweep is ledgered under: its most severe
+	// row's, so a 5xx row makes it a server error and otherwise a 4xx
+	// row a client error.
+	ledger := http.StatusOK
 	for msg := range results {
 		pending[msg.i] = msg
 		for {
@@ -379,9 +382,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			delete(pending, next)
 			row := sweepRow{Index: m.i}
 			if m.err != nil {
-				failures++
 				row.Error = m.err.Error()
 				row.Status = errs.HTTPStatus(m.err)
+				ledger = max(ledger, row.Status)
 			} else {
 				doc := evaluation.NewRunJSON(m.run)
 				row.Run = &doc
@@ -399,11 +402,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	// The stream already committed a 200 header; the per-row statuses
 	// carry the failures. The ledger still records how the sweep went.
-	if failures == 0 {
-		s.countStatus(http.StatusOK)
-	} else {
-		s.countStatus(http.StatusInternalServerError)
-	}
+	s.countStatus(ledger)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -42,7 +42,6 @@ func synthExecProgram(data []byte) (*ir.Program, map[string]bool) {
 
 	lo := func(b byte) isa.Reg { return isa.Reg(b & 7) }
 	imm8 := func(b byte) int32 { return int32(b) }
-	shamt := func(b byte) int32 { return int32(b%31) + 1 }
 
 	conds := []isa.Cond{isa.EQ, isa.NE, isa.LT, isa.GE, isa.GT, isa.LE, isa.HI, isa.LS}
 	// pred emits an IT block of one instruction under condition c.
@@ -102,13 +101,13 @@ func synthExecProgram(data []byte) (*ir.Program, map[string]bool) {
 		case 11:
 			bb.Op3(isa.EOR, lo(a), lo(a), lo(b))
 		case 12:
-			bb.Op3(isa.BIC, lo(a), lo(a), lo(b))
+			bb.OpImm(isa.RSB, lo(a), lo(b), 0)
 		case 13:
-			bb.OpImm(isa.LSL, lo(a), lo(b), shamt(op))
+			bb.Op3(isa.LSL, lo(a), lo(a), lo(b))
 		case 14:
-			bb.OpImm(isa.LSR, lo(a), lo(b), shamt(op))
+			bb.Op3(isa.LSR, lo(a), lo(a), lo(b))
 		case 15:
-			bb.OpImm(isa.ASR, lo(a), lo(b), shamt(op))
+			bb.Op3(isa.ASR, lo(a), lo(a), lo(b))
 		case 16:
 			bb.Op3(isa.MVN, lo(a), isa.NoReg, lo(b))
 		case 17:

@@ -20,8 +20,7 @@ func longLoopProgram() *ir.Program {
 	p := ir.NewProgram()
 	f := p.AddFunc(&ir.Function{Name: "main"})
 	ir.Build(f.AddBlock("entry")).
-		MovImm(isa.R0, 200).
-		OpImm(isa.LSL, isa.R0, isa.R0, 6). // 200<<6 = 12800 iterations
+		MovImm(isa.R0, 12800). // iterations
 		MovImm(isa.R1, 0)
 	ir.Build(f.AddBlock("loop")).
 		AddImm(isa.R1, isa.R1, 1).

@@ -165,8 +165,8 @@ func (m *Machine) predecode() {
 
 	// Lower every instruction in address order, region by region, and
 	// collect the statically known entry points: resolved branch targets,
-	// call-return addresses, ADR results and symbol-valued LDRLIT results
-	// (potential computed jumps), and the entry point. Value-only LDRLIT
+	// call-return addresses, symbol-valued LDRLIT results (potential
+	// computed jumps), and the entry point. Value-only LDRLIT
 	// constants are excluded — they are data, and splitting at whatever
 	// code address they happen to alias would chop runs for nothing.
 	e.uops, e.order, e.entries = resize(e.uops, n)[:0], resize(e.order, n)[:0], resize(e.entries, n)[:0]
@@ -183,7 +183,7 @@ func (m *Machine) predecode() {
 			var targetOK bool
 			litMem := s.fetchMem
 			switch in.Op {
-			case isa.B, isa.CBZ, isa.CBNZ, isa.BL, isa.ADR:
+			case isa.B, isa.CBZ, isa.CBNZ, isa.BL:
 				target, targetOK = img.Symbols[in.Sym]
 				if targetOK {
 					e.splits = append(e.splits, target)

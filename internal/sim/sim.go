@@ -490,20 +490,6 @@ func (m *Machine) blockCountsMap() map[string]uint64 {
 // TimeSeconds converts collected cycles to seconds at this profile's clock.
 func (m *Machine) TimeSeconds(s *Stats) float64 { return s.timeSeconds(m.Profile.ClockHz) }
 
-func (m *Machine) setNZ(v uint32) {
-	m.n = int32(v) < 0
-	m.z = v == 0
-}
-
-func (m *Machine) setAddFlags(a, b, carry uint32) {
-	r64 := uint64(a) + uint64(b) + uint64(carry)
-	r := uint32(r64)
-	m.n = int32(r) < 0
-	m.z = r == 0
-	m.c = r64 > 0xFFFFFFFF
-	m.v = (a^r)&(b^r)&0x80000000 != 0
-}
-
 func (m *Machine) setSubFlags(a, b uint32) {
 	r := a - b
 	m.n = int32(r) < 0
@@ -550,14 +536,6 @@ func shiftAR(a, b uint32) uint32 {
 		s = 31
 	}
 	return uint32(int32(a) >> s)
-}
-
-func rotR(a, b uint32) uint32 {
-	s := b & 31
-	if s == 0 {
-		return a
-	}
-	return a>>s | a<<(32-s)
 }
 
 // AveragePowerMW returns the run's average power in milliwatts:

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -301,13 +302,13 @@ func TestArithmeticOps(t *testing.T) {
 	bb.Str(isa.R2, isa.R7, 0)
 	bb.Op3(isa.UDIV, isa.R2, isa.R0, isa.R1) // 14
 	bb.Str(isa.R2, isa.R7, 4)
-	bb.OpImm(isa.LSL, isa.R2, isa.R0, 3) // 800
+	bb.MovImm(isa.R3, 3).Op3(isa.LSL, isa.R2, isa.R0, isa.R3) // 800
 	bb.Str(isa.R2, isa.R7, 8)
-	bb.OpImm(isa.ASR, isa.R2, isa.R0, 2) // 25
+	bb.MovImm(isa.R3, 2).Op3(isa.ASR, isa.R2, isa.R0, isa.R3) // 25
 	bb.Str(isa.R2, isa.R7, 12)
 	bb.Op3(isa.EOR, isa.R2, isa.R0, isa.R1) // 99
 	bb.Str(isa.R2, isa.R7, 16)
-	bb.Op3(isa.BIC, isa.R2, isa.R0, isa.R1) // 100 &^ 7 = 96
+	bb.Op3(isa.AND, isa.R2, isa.R0, isa.R1) // 100 & 7 = 4
 	bb.Str(isa.R2, isa.R7, 20)
 	bb.OpImm(isa.RSB, isa.R2, isa.R1, 0) // -7
 	bb.Str(isa.R2, isa.R7, 24)
@@ -321,7 +322,7 @@ func TestArithmeticOps(t *testing.T) {
 
 	m, _ := run(t, p, nil)
 	base := m.Img.Symbols["out"]
-	wants := []uint32{14, 14, 800, 25, 99, 96, uint32(0xFFFFFFF9), 0}
+	wants := []uint32{14, 14, 800, 25, 99, 4, uint32(0xFFFFFFF9), 0}
 	for i, w := range wants {
 		got, err := m.ReadWord(base + uint32(4*i))
 		if err != nil {
@@ -333,42 +334,101 @@ func TestArithmeticOps(t *testing.T) {
 	}
 }
 
-// TestISAOracle pins the edge cases of the instruction semantics with
-// hand-computed expected values, so the executor is checked against an
-// oracle independent of any second implementation. Each case loads its
-// input registers from literal constants, runs its body (r7 points at a
-// scratch buffer initialized from mem), returns, and is checked on
+// oracleCase is one TestISAOracle program: its input registers are
+// loaded from literal constants, r7 points at a scratch buffer
+// initialized from mem, body runs, then blocks (each its own basic block,
+// in order), then a final "done" block returns. leaf, when set, is the
+// body of a function "leaf" for calls to target. The run is checked on
 // registers, the NZCV flags and the buffer.
-func TestISAOracle(t *testing.T) {
+type oracleCase struct {
+	name   string
+	in     map[isa.Reg]uint32
+	body   []isa.Instr
+	blocks [][]isa.Instr
+	leaf   []isa.Instr
+	want   map[isa.Reg]uint32
+	nzcv   string         // expected flags as "NZCV" bits, "" = unchecked
+	mem    []byte         // initial scratch buffer
+	words  map[int]uint32 // expected buffer words by byte offset
+}
+
+// oracleCases pins the edge cases of the instruction semantics with
+// hand-computed expected values, so the executor is checked against an
+// oracle independent of any second implementation. Between them the
+// cases execute every (op, form) pair of isa.OpForms
+// (TestISAOracleCoversEveryForm).
+func oracleCases() []oracleCase {
 	const (
-		r0, r1, r2, r3, r7 = isa.R0, isa.R1, isa.R2, isa.R3, isa.R7
+		r0, r1, r2, r3, r4, r7 = isa.R0, isa.R1, isa.R2, isa.R3, isa.R4, isa.R7
 	)
 	rrr := func(op isa.Op, rd, rn, rm isa.Reg) isa.Instr {
 		return isa.Instr{Op: op, Rd: rd, Rn: rn, Rm: rm}
 	}
-	s := func(in isa.Instr) isa.Instr { in.SetFlags = true; return in }
+	rri := func(op isa.Op, rd, rn isa.Reg, imm int32) isa.Instr {
+		return isa.Instr{Op: op, Rd: rd, Rn: rn, Imm: imm, HasImm: true}
+	}
 	cmp := func(rn, rm isa.Reg) isa.Instr { return isa.Instr{Op: isa.CMP, Rn: rn, Rm: rm} }
-	cmn := func(rn, rm isa.Reg) isa.Instr { return isa.Instr{Op: isa.CMN, Rn: rn, Rm: rm} }
+	cmpi := func(rn isa.Reg, imm int32) isa.Instr {
+		return isa.Instr{Op: isa.CMP, Rn: rn, Imm: imm, HasImm: true}
+	}
+	movi := func(rd isa.Reg, imm int32) isa.Instr {
+		return isa.Instr{Op: isa.MOV, Rd: rd, Imm: imm, HasImm: true}
+	}
 	unary := func(op isa.Op, rd, rm isa.Reg) isa.Instr {
 		return isa.Instr{Op: op, Rd: rd, Rn: isa.NoReg, Rm: rm}
 	}
 	mem := func(op isa.Op, rd isa.Reg, off int32) isa.Instr {
 		return isa.Instr{Op: op, Rd: rd, Rn: r7, Mode: isa.AddrOffset, Imm: off}
 	}
+	list := func(op isa.Op, regs ...isa.Reg) isa.Instr {
+		in := isa.Instr{Op: op}
+		for _, r := range regs {
+			in.RegList |= 1 << r
+		}
+		return in
+	}
+	sym := func(op isa.Op, rn isa.Reg, label string) isa.Instr {
+		return isa.Instr{Op: op, Rn: rn, Sym: label}
+	}
+	lit := func(rd isa.Reg, label string) isa.Instr { return isa.Instr{Op: isa.LDRLIT, Rd: rd, Sym: label} }
 	pred := func(c isa.Cond, in isa.Instr) isa.Instr { in.Cond = c; return in }
 	it := func(c isa.Cond) isa.Instr { return isa.Instr{Op: isa.IT, Cond: c} }
-	type regs map[isa.Reg]uint32
+	// skipped is a block that sets r1 to 7 unless branched around.
+	skipped := [][]isa.Instr{{movi(r1, 7)}}
+	addOne := []isa.Instr{rri(isa.ADD, r1, r1, 1), {Op: isa.BX, Rm: isa.LR}}
+	type regs = map[isa.Reg]uint32
 	const intMin = 0x80000000
 
-	cases := []struct {
-		name  string
-		in    regs
-		body  []isa.Instr
-		want  regs
-		nzcv  string         // expected flags as "NZCV" bits, "" = unchecked
-		mem   []byte         // initial scratch buffer
-		words map[int]uint32 // expected buffer words by byte offset
-	}{
+	return []oracleCase{
+		{name: "nop", in: regs{r0: 5}, body: []isa.Instr{{Op: isa.NOP}}, want: regs{r0: 5}},
+		{name: "mov immediate and register", in: regs{r0: 0xDEADBEEF},
+			body: []isa.Instr{movi(r1, 200), {Op: isa.MOV, Rd: r2, Rm: r0}},
+			want: regs{r1: 200, r2: 0xDEADBEEF}},
+		{name: "mvn", in: regs{r0: 0x0F0F0F0F},
+			body: []isa.Instr{unary(isa.MVN, r1, r0)}, want: regs{r1: 0xF0F0F0F0}},
+
+		// Data processing never sets flags (only cmp does): each case
+		// starts from NZCV clear and must leave it so.
+		{name: "add signed overflow", in: regs{r0: 0x7FFFFFFF, r1: 1},
+			body: []isa.Instr{rrr(isa.ADD, r2, r0, r1)}, want: regs{r2: intMin}, nzcv: "0000"},
+		{name: "add unsigned wrap", in: regs{r0: 0xFFFFFFFF, r1: 1},
+			body: []isa.Instr{rrr(isa.ADD, r2, r0, r1)}, want: regs{r2: 0}, nzcv: "0000"},
+		{name: "add both overflow", in: regs{r0: intMin, r1: intMin},
+			body: []isa.Instr{rrr(isa.ADD, r2, r0, r1)}, want: regs{r2: 0}, nzcv: "0000"},
+		{name: "sub signed overflow", in: regs{r0: intMin, r1: 1},
+			body: []isa.Instr{rrr(isa.SUB, r2, r0, r1)}, want: regs{r2: 0x7FFFFFFF}, nzcv: "0000"},
+		{name: "sub borrow", in: regs{r0: 0, r1: 1},
+			body: []isa.Instr{rrr(isa.SUB, r2, r0, r1)}, want: regs{r2: 0xFFFFFFFF}, nzcv: "0000"},
+		{name: "add/sub immediate", in: regs{r0: 10},
+			body: []isa.Instr{rri(isa.ADD, r1, r0, 5), rri(isa.SUB, r2, r0, 12)},
+			want: regs{r1: 15, r2: 0xFFFFFFFE}},
+		{name: "rsb negate 1", in: regs{r0: 1},
+			body: []isa.Instr{rri(isa.RSB, r2, r0, 0)}, want: regs{r2: 0xFFFFFFFF}, nzcv: "0000"},
+		{name: "rsb negate INT_MIN", in: regs{r0: intMin},
+			body: []isa.Instr{rri(isa.RSB, r2, r0, 0)}, want: regs{r2: intMin}, nzcv: "0000"},
+
+		{name: "mul wraps", in: regs{r0: 0x10000, r1: 0x10001},
+			body: []isa.Instr{rrr(isa.MUL, r2, r0, r1)}, want: regs{r2: 0x10000}},
 		{name: "sdiv INT_MIN/-1", in: regs{r0: intMin, r1: 0xFFFFFFFF},
 			body: []isa.Instr{rrr(isa.SDIV, r2, r0, r1)}, want: regs{r2: intMin}},
 		{name: "sdiv by zero", in: regs{r0: 0xFFFFFF9C, r1: 0, r2: 7},
@@ -380,6 +440,9 @@ func TestISAOracle(t *testing.T) {
 		{name: "udiv unsigned", in: regs{r0: 0xFFFFFFFE, r1: 2},
 			body: []isa.Instr{rrr(isa.UDIV, r2, r0, r1)}, want: regs{r2: 0x7FFFFFFF}},
 
+		{name: "and/orr/eor", in: regs{r0: 0xFF00FF00, r1: 0x0FF00FF0},
+			body: []isa.Instr{rrr(isa.AND, r2, r0, r1), rrr(isa.ORR, r3, r0, r1), rrr(isa.EOR, r4, r0, r1)},
+			want: regs{r2: 0x0F000F00, r3: 0xFFF0FFF0, r4: 0xF0F0F0F0}},
 		{name: "lsl by reg 0/31/32/255/256", in: regs{r0: 0x80000001, r1: 0, r2: 31, r3: 32, isa.R4: 255, isa.R5: 256},
 			body: []isa.Instr{rrr(isa.LSL, r1, r0, r1), rrr(isa.LSL, r2, r0, r2), rrr(isa.LSL, r3, r0, r3),
 				rrr(isa.LSL, isa.R4, r0, isa.R4), rrr(isa.LSL, isa.R5, r0, isa.R5)},
@@ -392,62 +455,43 @@ func TestISAOracle(t *testing.T) {
 			body: []isa.Instr{rrr(isa.ASR, r1, r0, r1), rrr(isa.ASR, r2, r0, r2), rrr(isa.ASR, r3, r0, r3),
 				rrr(isa.ASR, isa.R4, r0, isa.R4), rrr(isa.ASR, isa.R6, isa.R5, isa.R6)},
 			want: regs{r1: 0x80000001, r2: 0xFFFFFFFF, r3: 0xFFFFFFFF, isa.R4: 0xFFFFFFFF, isa.R6: 0}},
-		{name: "ror by reg 0/1/32", in: regs{r0: 0x80000001, r1: 0, r2: 1, r3: 32},
-			body: []isa.Instr{rrr(isa.ROR, r1, r0, r1), rrr(isa.ROR, r2, r0, r2), rrr(isa.ROR, r3, r0, r3)},
-			want: regs{r1: 0x80000001, r2: 0xC0000000, r3: 0x80000001}},
 
-		// cmp r0, r0 sets C (no borrow); cmp r3, r0 with r3 < r0 clears it.
-		{name: "adc carry set", in: regs{r0: 5, r1: 10, r2: 20},
-			body: []isa.Instr{cmp(r0, r0), rrr(isa.ADC, r3, r1, r2)}, want: regs{r3: 31}},
-		{name: "adc carry clear", in: regs{r0: 5, r1: 10, r2: 20, r3: 0},
-			body: []isa.Instr{cmp(r3, r0), rrr(isa.ADC, r3, r1, r2)}, want: regs{r3: 30}},
-		{name: "sbc carry set", in: regs{r0: 5, r1: 10, r2: 3},
-			body: []isa.Instr{cmp(r0, r0), rrr(isa.SBC, r3, r1, r2)}, want: regs{r3: 7}},
-		{name: "sbc carry clear", in: regs{r0: 5, r1: 10, r2: 3, r3: 0},
-			body: []isa.Instr{cmp(r3, r0), rrr(isa.SBC, r3, r1, r2)}, want: regs{r3: 6}},
-		{name: "adcs carry out", in: regs{r0: 5, r1: 0xFFFFFFFF, r2: 0},
-			body: []isa.Instr{cmp(r0, r0), s(rrr(isa.ADC, r3, r1, r2))}, want: regs{r3: 0}, nzcv: "0110"},
-
-		{name: "adds signed overflow", in: regs{r0: 0x7FFFFFFF, r1: 1},
-			body: []isa.Instr{s(rrr(isa.ADD, r2, r0, r1))}, want: regs{r2: intMin}, nzcv: "1001"},
-		{name: "adds unsigned wrap", in: regs{r0: 0xFFFFFFFF, r1: 1},
-			body: []isa.Instr{s(rrr(isa.ADD, r2, r0, r1))}, want: regs{r2: 0}, nzcv: "0110"},
-		{name: "adds both overflow", in: regs{r0: intMin, r1: intMin},
-			body: []isa.Instr{s(rrr(isa.ADD, r2, r0, r1))}, want: regs{r2: 0}, nzcv: "0111"},
-		{name: "subs signed overflow", in: regs{r0: intMin, r1: 1},
-			body: []isa.Instr{s(rrr(isa.SUB, r2, r0, r1))}, want: regs{r2: 0x7FFFFFFF}, nzcv: "0011"},
-		{name: "subs borrow", in: regs{r0: 0, r1: 1},
-			body: []isa.Instr{s(rrr(isa.SUB, r2, r0, r1))}, want: regs{r2: 0xFFFFFFFF}, nzcv: "1000"},
-		{name: "rsbs borrow", in: regs{r0: 1},
-			body: []isa.Instr{s(isa.Instr{Op: isa.RSB, Rd: r2, Rn: r0, HasImm: true})}, want: regs{r2: 0xFFFFFFFF}, nzcv: "1000"},
-		{name: "rsbs negate INT_MIN", in: regs{r0: intMin},
-			body: []isa.Instr{s(isa.Instr{Op: isa.RSB, Rd: r2, Rn: r0, HasImm: true})}, want: regs{r2: intMin}, nzcv: "1001"},
-		{name: "cmn signed overflow", in: regs{r0: 0x7FFFFFFF, r1: 1},
-			body: []isa.Instr{cmn(r0, r1)}, nzcv: "1001"},
-		{name: "cmn unsigned wrap", in: regs{r0: 0xFFFFFFFF, r1: 1},
-			body: []isa.Instr{cmn(r0, r1)}, nzcv: "0110"},
 		{name: "cmp equal", in: regs{r0: 5, r1: 5}, body: []isa.Instr{cmp(r0, r1)}, nzcv: "0110"},
 		{name: "cmp signed overflow", in: regs{r0: intMin, r1: 1}, body: []isa.Instr{cmp(r0, r1)}, nzcv: "0011"},
 		{name: "cmp borrow", in: regs{r0: 0, r1: 1}, body: []isa.Instr{cmp(r0, r1)}, nzcv: "1000"},
+		{name: "cmp immediate equal", in: regs{r0: 5}, body: []isa.Instr{cmpi(r0, 5)}, nzcv: "0110"},
+		{name: "cmp immediate borrow", in: regs{r0: 3}, body: []isa.Instr{cmpi(r0, 4)}, nzcv: "1000"},
 
-		{name: "sxth/uxth/clz of 0", in: regs{r0: 0, r1: 9, r2: 9, r3: 9},
-			body: []isa.Instr{unary(isa.SXTH, r1, r0), unary(isa.UXTH, r2, r0), unary(isa.CLZ, r3, r0)},
-			want: regs{r1: 0, r2: 0, r3: 32}},
-		{name: "sxth/uxth/clz of INT_MIN", in: regs{r0: intMin},
-			body: []isa.Instr{unary(isa.SXTH, r1, r0), unary(isa.UXTH, r2, r0), unary(isa.CLZ, r3, r0)},
-			want: regs{r1: 0, r2: 0, r3: 0}},
+		{name: "sxtb/uxtb of 0x12345680", in: regs{r0: 0x12345680},
+			body: []isa.Instr{unary(isa.SXTB, r1, r0), unary(isa.UXTB, r2, r0)},
+			want: regs{r1: 0xFFFFFF80, r2: 0x80}},
+		{name: "sxth/uxth of 0", in: regs{r0: 0, r1: 9, r2: 9},
+			body: []isa.Instr{unary(isa.SXTH, r1, r0), unary(isa.UXTH, r2, r0)},
+			want: regs{r1: 0, r2: 0}},
+		{name: "sxth/uxth of INT_MIN", in: regs{r0: intMin},
+			body: []isa.Instr{unary(isa.SXTH, r1, r0), unary(isa.UXTH, r2, r0)},
+			want: regs{r1: 0, r2: 0}},
 		{name: "sxth/uxth of 0xffff8000", in: regs{r0: 0xFFFF8000},
 			body: []isa.Instr{unary(isa.SXTH, r1, r0), unary(isa.UXTH, r2, r0)},
 			want: regs{r1: 0xFFFF8000, r2: 0x8000}},
-		{name: "clz immediate", body: []isa.Instr{{Op: isa.CLZ, Rd: r1, Rn: isa.NoReg, Imm: 0x00010000, HasImm: true}},
-			want: regs{r1: 15}},
 
+		{name: "ldr word", mem: []byte{0x01, 0x02, 0x03, 0x04},
+			body: []isa.Instr{mem(isa.LDR, r0, 0)}, want: regs{r0: 0x04030201}},
 		{name: "ldrsb/ldrsh sign extension", mem: []byte{0x80, 0x7F, 0x00, 0x80, 0xFF, 0x7F, 0, 0},
 			body: []isa.Instr{mem(isa.LDRSB, r0, 0), mem(isa.LDRSB, r1, 1), mem(isa.LDRSH, r2, 2), mem(isa.LDRSH, r3, 4)},
 			want: regs{r0: 0xFFFFFF80, r1: 0x7F, r2: 0xFFFF8000, r3: 0x7FFF}},
 		{name: "ldrb/ldrh zero extension", mem: []byte{0x80, 0x7F, 0x00, 0x80, 0, 0, 0, 0},
 			body: []isa.Instr{mem(isa.LDRB, r0, 0), mem(isa.LDRH, r2, 2)},
 			want: regs{r0: 0x80, r2: 0x8000}},
+		{name: "str/strb/strh store the low bytes", in: regs{r0: 0x11223344}, mem: make([]byte, 12),
+			body:  []isa.Instr{mem(isa.STR, r0, 0), mem(isa.STRB, r0, 4), mem(isa.STRH, r0, 8)},
+			words: map[int]uint32{0: 0x11223344, 4: 0x44, 8: 0x3344}},
+		{name: "ldr =const and =sym", mem: []byte{0x78, 0x56, 0x34, 0x12},
+			body: []isa.Instr{{Op: isa.LDRLIT, Rd: r1, Imm: -2, HasImm: true}, lit(r2, "scratch"), {Op: isa.LDR, Rd: r3, Rn: r2, Mode: isa.AddrOffset}},
+			want: regs{r1: 0xFFFFFFFE, r3: 0x12345678}},
+		{name: "push/pop registers", in: regs{r0: 1, r1: 2},
+			body: []isa.Instr{list(isa.PUSH, r0, r1), list(isa.POP, r2, r3)},
+			want: regs{r2: 1, r3: 2}},
 
 		// cmp r0, r0 sets Z: the ne-predicated access must not happen.
 		{name: "predicated load fails", in: regs{r0: 1, r1: 0x1234}, mem: []byte{0xEF, 0xBE, 0xAD, 0xDE},
@@ -459,8 +503,31 @@ func TestISAOracle(t *testing.T) {
 		{name: "predicated load passes", in: regs{r0: 1, r1: 0x1234}, mem: []byte{0xEF, 0xBE, 0xAD, 0xDE},
 			body: []isa.Instr{cmp(r0, r0), it(isa.EQ), pred(isa.EQ, mem(isa.LDR, r1, 0))},
 			want: regs{r1: 0xDEADBEEF}},
+
+		{name: "b skips a block", in: regs{r1: 1},
+			body: []isa.Instr{sym(isa.B, isa.NoReg, "done")}, blocks: skipped, want: regs{r1: 1}},
+		{name: "beq taken", in: regs{r1: 1},
+			body: []isa.Instr{cmp(r0, r0), pred(isa.EQ, sym(isa.B, isa.NoReg, "done"))}, blocks: skipped, want: regs{r1: 1}},
+		{name: "bne falls through", in: regs{r1: 1},
+			body: []isa.Instr{cmp(r0, r0), pred(isa.NE, sym(isa.B, isa.NoReg, "done"))}, blocks: skipped, want: regs{r1: 7}},
+		{name: "cbz taken", in: regs{r0: 0, r1: 1},
+			body: []isa.Instr{sym(isa.CBZ, r0, "done")}, blocks: skipped, want: regs{r1: 1}},
+		{name: "cbnz falls through", in: regs{r0: 0, r1: 1},
+			body: []isa.Instr{sym(isa.CBNZ, r0, "done")}, blocks: skipped, want: regs{r1: 7}},
+		{name: "ldr pc, =label", in: regs{r1: 1},
+			body: []isa.Instr{lit(isa.PC, "done")}, blocks: skipped, want: regs{r1: 1}},
+		{name: "bl and bx lr", in: regs{r1: 1, r4: 9},
+			body: []isa.Instr{list(isa.PUSH, r4, isa.LR), sym(isa.BL, isa.NoReg, "leaf"), list(isa.POP, r4, isa.PC)},
+			leaf: addOne, want: regs{r1: 2, r4: 9}},
+		{name: "blx", in: regs{r1: 1},
+			body: []isa.Instr{list(isa.PUSH, r4, isa.LR), lit(r4, "leaf"), {Op: isa.BLX, Rm: r4}, list(isa.POP, r4, isa.PC)},
+			leaf: addOne, want: regs{r1: 2}},
 	}
-	for _, tc := range cases {
+}
+
+// TestISAOracle runs every oracle case.
+func TestISAOracle(t *testing.T) {
+	for _, tc := range oracleCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			p := ir.NewProgram()
 			f := p.AddFunc(&ir.Function{Name: "main"})
@@ -476,12 +543,19 @@ func TestISAOracle(t *testing.T) {
 				buf = make([]byte, 4)
 			}
 			p.AddGlobal(&ir.Global{Name: "scratch", Size: len(buf), Init: buf})
-			bb.LdrLit(r7, "scratch")
-			for _, in := range tc.body {
-				b.Append(in)
+			bb.LdrLit(isa.R7, "scratch")
+			b.Instrs = append(b.Instrs, tc.body...)
+			for i, instrs := range tc.blocks {
+				f.AddBlock(fmt.Sprintf("b%d", i)).Instrs = instrs
 			}
-			bb.Ret()
+			ir.Build(f.AddBlock("done")).Ret()
+			if tc.leaf != nil {
+				p.AddFunc(&ir.Function{Name: "leaf"}).AddBlock("leaf_entry").Instrs = tc.leaf
+			}
 			p.Reindex()
+			if err := ir.Verify(p); err != nil {
+				t.Fatal(err)
+			}
 
 			m, _ := run(t, p, nil)
 			for r, w := range tc.want {
@@ -508,6 +582,27 @@ func TestISAOracle(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestISAOracleCoversEveryForm: every (op, form) pair of the modeled
+// instruction set is executed by some oracle case, outside the harness's
+// own input loads.
+func TestISAOracleCoversEveryForm(t *testing.T) {
+	seen := map[isa.OpForm]bool{}
+	for _, tc := range oracleCases() {
+		instrs := append(append([]isa.Instr(nil), tc.body...), tc.leaf...)
+		for _, blk := range tc.blocks {
+			instrs = append(instrs, blk...)
+		}
+		for i := range instrs {
+			seen[isa.OpForm{Op: instrs[i].Op, Form: isa.FormOf(&instrs[i])}] = true
+		}
+	}
+	for _, of := range isa.OpForms() {
+		if !seen[of] {
+			t.Errorf("no oracle case executes %v in %v form", of.Op, of.Form)
+		}
 	}
 }
 
@@ -837,8 +932,7 @@ func TestPredicationCostsOneCycle(t *testing.T) {
 
 // TestUnresolvedSymbolFaults pins the fault contract for symbols the
 // image cannot resolve: a direct branch charges like a taken branch and
-// then faults at itself, while adr and a literal load fault before
-// charging. Fused, length-1 and observed runs must agree.
+// then faults at itself, while a literal load faults before charging. Fused, length-1 and observed runs must agree.
 func TestUnresolvedSymbolFaults(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -849,7 +943,6 @@ func TestUnresolvedSymbolFaults(t *testing.T) {
 		{"b", isa.Instr{Op: isa.B, Sym: "nowhere"}, `branch to unresolved "nowhere"`, 2},
 		{"bl", isa.Instr{Op: isa.BL, Sym: "nowhere"}, `branch to unresolved "nowhere"`, 2},
 		{"b<cond> taken", isa.Instr{Op: isa.B, Cond: isa.NE, Sym: "nowhere"}, `branch to unresolved "nowhere"`, 2},
-		{"adr", isa.Instr{Op: isa.ADR, Rd: isa.R1, Sym: "nowhere"}, `unresolved adr "nowhere"`, 1},
 		{"ldr =sym", isa.Instr{Op: isa.LDRLIT, Rd: isa.R1, Sym: "nowhere"}, `unresolved literal "nowhere"`, 1},
 		{"ldr pc", isa.Instr{Op: isa.LDRLIT, Rd: isa.PC, Sym: "nowhere"}, `unresolved literal "nowhere"`, 1},
 	}

@@ -29,8 +29,8 @@ import (
 //     instructions before it and reports the same Fault a length-1
 //     dispatch would.
 //   - A superblock is entered only at its head. Statically known entry
-//     points — branch targets, call-return addresses, ADR and
-//     symbol-valued LDRLIT results (potential computed-jump targets),
+//     points — branch targets, call-return addresses, symbol-valued
+//     LDRLIT results (potential computed-jump targets),
 //     the program entry — split runs so those entries land on a head. A
 //     dynamic entry mid-run dispatches length-1 descriptors until it
 //     reaches a head: slower, never different.
@@ -66,9 +66,8 @@ const maxFuse = cancelCheckMask + 1
 const unresolvedPC = 0xFFFFFFFF
 
 // uop opcodes. Operand forms are specialized at lowering time (…I takes
-// u.imm, …R takes m.regs[u.rm] << u.sh) so the executor never tests
-// HasImm or Shift. Unary immediate forms (mov/mvn/sxtb/… #imm, adr,
-// value-known LDRLIT) all fold to uMOVI with a precomputed imm.
+// u.imm, …R takes m.regs[u.rm]) so the executor never tests HasImm;
+// value-known LDRLIT loads its precomputed imm.
 const (
 	uNOP = iota
 	uMOVI
@@ -79,51 +78,24 @@ const (
 	uSXTHR
 	uUXTBR
 	uUXTHR
-	uCLZR
 	uADDI
 	uADDR
-	uADCI
-	uADCR
 	uSUBI
 	uSUBR
-	uSBCI
-	uSBCR
 	uRSBI
-	uRSBR
-	uMULI
 	uMULR
-	uMLAI
-	uMLAR
-	uSDIVI
 	uSDIVR
-	uUDIVI
 	uUDIVR
-	uANDI
 	uANDR
-	uORRI
 	uORRR
-	uEORI
 	uEORR
-	uBICI
-	uBICR
-	uLSLI
 	uLSLR
-	uLSRI
 	uLSRR
-	uASRI
 	uASRR
-	uRORI
-	uRORR
 	uCMPI
 	uCMPR
-	uCMNI
-	uCMNR
-	uTSTI
-	uTSTR
-	uLDRI // load [rn, #imm]
-	uLDRR // load [rn, rm, lsl #sh]
-	uSTRI
-	uSTRR
+	uLDR  // load [rn, #imm]
+	uSTR  // store [rn, #imm]
 	uPUSH // push {imm}: sz registers, ascending
 	uPOP  // pop {imm} without pc
 	// uGUARD precedes the uop of an IT-predicated instruction and is no
@@ -131,8 +103,8 @@ const (
 	// when it fails the guarded instruction charges its cyc2 cycles of no
 	// data access at its own class, has no effects and is skipped.
 	uGUARD
-	// uFAULT faults when reached, charging nothing: unresolved ADR and
-	// LDRLIT symbols, unimplemented ops.
+	// uFAULT faults when reached, charging nothing: unresolved LDRLIT
+	// symbols, instructions outside isa.OpForms.
 	uFAULT
 	// Terminal uops — always last in a run.
 	uB     // pc = imm
@@ -148,8 +120,7 @@ const (
 
 // uop flag bits.
 const (
-	fS      = 1 << iota // apply the instruction's SetFlags rule
-	fSign               // load sign-extends
+	fSign   = 1 << iota // load sign-extends
 	fStall              // RAM-resident fetch: a RAM data access stalls
 	fLitRAM             // uLDL/uLDLPC: the literal pool lives in RAM
 )
@@ -177,13 +148,12 @@ type uop struct {
 	rd   uint8
 	rn   uint8
 	rm   uint8
-	sh   uint8 // operand/address shift amount (…R forms)
 	sz   uint8 // load/store access bytes; uPUSH register count
 	cyc  uint8 // cycles of the main outcome, stalls that are static included
 	cyc2 uint8 // cycles of the fall-through or failed-predicate outcome
 	cl   uint8 // isa.Class: the ledger row of every charge
 	dm   uint8 // power.Memory the main outcome's data access hits (None if none)
-	fl   uint8 // fS | fSign | fStall | fLitRAM
+	fl   uint8 // fSign | fStall | fLitRAM
 
 	imm uint32
 }
@@ -259,7 +229,7 @@ func (sb *superblock) aggregate(charges *[]charge) {
 		// every stall-capable load stalling, failed predicates at their
 		// own cost when that is higher.
 		sb.maxCycles += max(uint64(u.cyc), uint64(u.cyc2))
-		if (u.code == uLDRI || u.code == uLDRR) && u.fl&fStall != 0 {
+		if u.code == uLDR && u.fl&fStall != 0 {
 			sb.maxCycles += isa.RAMContentionStall
 		}
 	}
@@ -274,29 +244,24 @@ func (sb *superblock) aggregate(charges *[]charge) {
 	sb.charges = (*charges)[c0:len(*charges):len(*charges)]
 }
 
-// forms maps an op to its immediate and register uop forms (the
-// immediate unary forms fold to uMOVI instead; direct branches have one).
-var forms = [...][2]uint8{
-	isa.MOV: {uMOVI, uMOVR}, isa.MVN: {uMOVI, uMVNR},
-	isa.SXTB: {uMOVI, uSXTBR}, isa.SXTH: {uMOVI, uSXTHR},
-	isa.UXTB: {uMOVI, uUXTBR}, isa.UXTH: {uMOVI, uUXTHR}, isa.CLZ: {uMOVI, uCLZR},
-	isa.ADD: {uADDI, uADDR}, isa.ADC: {uADCI, uADCR},
-	isa.SUB: {uSUBI, uSUBR}, isa.SBC: {uSBCI, uSBCR},
-	isa.RSB: {uRSBI, uRSBR},
-	isa.MUL: {uMULI, uMULR}, isa.MLA: {uMLAI, uMLAR},
-	isa.SDIV: {uSDIVI, uSDIVR}, isa.UDIV: {uUDIVI, uUDIVR},
-	isa.AND: {uANDI, uANDR}, isa.ORR: {uORRI, uORRR},
-	isa.EOR: {uEORI, uEORR}, isa.BIC: {uBICI, uBICR},
-	isa.LSL: {uLSLI, uLSLR}, isa.LSR: {uLSRI, uLSRR},
-	isa.ASR: {uASRI, uASRR}, isa.ROR: {uRORI, uRORR},
-	isa.CMP: {uCMPI, uCMPR}, isa.CMN: {uCMNI, uCMNR},
-	isa.TST: {uTSTI, uTSTR},
-	isa.B:   {uB, uB}, isa.CBZ: {uCBZ, uCBZ}, isa.CBNZ: {uCBNZ, uCBNZ}, isa.BL: {uBL, uBL},
+// forms maps a data-processing op to its uop by operand form (zero where
+// isa.OpForms has no such pair).
+var forms = [...][isa.FormImm + 1]uint8{
+	isa.MOV: {uMOVR, uMOVI}, isa.MVN: {uMVNR},
+	isa.SXTB: {uSXTBR}, isa.SXTH: {uSXTHR}, isa.UXTB: {uUXTBR}, isa.UXTH: {uUXTHR},
+	isa.ADD: {uADDR, uADDI}, isa.SUB: {uSUBR, uSUBI}, isa.RSB: {isa.FormImm: uRSBI},
+	isa.MUL: {uMULR}, isa.SDIV: {uSDIVR}, isa.UDIV: {uUDIVR},
+	isa.AND: {uANDR}, isa.ORR: {uORRR}, isa.EOR: {uEORR},
+	isa.LSL: {uLSLR}, isa.LSR: {uLSRR}, isa.ASR: {uASRR},
+	isa.CMP: {uCMPR, uCMPI},
 }
 
+// branches maps a direct branch op to its uop.
+var branches = [...]uint8{isa.B: uB, isa.CBZ: uCBZ, isa.CBNZ: uCBNZ, isa.BL: uBL}
+
 // lower translates one instruction to its uop. target is its resolved
-// branch target, ADR address or literal value (valid iff targetOK);
-// litMem is where an LDRLIT's pool word lives.
+// branch target or literal value (valid iff targetOK); litMem is where an
+// LDRLIT's pool word lives.
 func lower(in *isa.Instr, fetchMem, litMem power.Memory, target uint32, targetOK bool) uop {
 	cyc := isa.Cycles(in)
 	u := uop{
@@ -305,13 +270,10 @@ func lower(in *isa.Instr, fetchMem, litMem power.Memory, target uint32, targetOK
 		cl: uint8(isa.ClassOf(in.Op)),
 		dm: uint8(power.None),
 	}
-	if in.SetFlags {
-		u.fl |= fS
+	if !isa.Emitted(in) {
+		u.code = uFAULT
+		return u
 	}
-	setRM := func() {
-		u.rm, u.sh = uint8(in.Rm), in.Shift
-	}
-	// operand2 of the immediate forms, for lowering-time folding.
 	imm := uint32(in.Imm)
 	// A RAM-fetched access to RAM data stalls the single RAM port.
 	stallIf := func(dataMem power.Memory) {
@@ -325,50 +287,12 @@ func lower(in *isa.Instr, fetchMem, litMem power.Memory, target uint32, targetOK
 
 	switch in.Op {
 	case isa.NOP, isa.IT:
-		u.code, u.fl = uNOP, u.fl&^fS
-	case isa.MOV, isa.MVN, isa.SXTB, isa.SXTH, isa.UXTB, isa.UXTH, isa.CLZ:
-		if in.HasImm {
-			// Fold the unary op over the constant operand now.
-			u.code = uMOVI
-			switch in.Op {
-			case isa.MOV:
-				u.imm = imm
-			case isa.MVN:
-				u.imm = ^imm
-			case isa.SXTB:
-				u.imm = uint32(int32(int8(imm)))
-			case isa.SXTH:
-				u.imm = uint32(int32(int16(imm)))
-			case isa.UXTB:
-				u.imm = imm & 0xFF
-			case isa.UXTH:
-				u.imm = imm & 0xFFFF
-			case isa.CLZ:
-				u.imm = uint32(bits.LeadingZeros32(imm))
-			}
-		} else {
-			setRM()
-			u.code = forms[in.Op][1]
-		}
-	case isa.ADD, isa.ADC, isa.SUB, isa.SBC, isa.RSB,
-		isa.MUL, isa.MLA, isa.SDIV, isa.UDIV,
-		isa.AND, isa.ORR, isa.EOR, isa.BIC,
-		isa.LSL, isa.LSR, isa.ASR, isa.ROR,
-		isa.CMP, isa.CMN, isa.TST:
-		if in.HasImm {
-			u.code, u.imm = forms[in.Op][0], imm
-		} else {
-			u.code = forms[in.Op][1]
-			setRM()
-		}
-	case isa.ADR:
-		// ADR ignores SetFlags; so must the fold.
-		u.code, u.imm, u.fl = uMOVI, target, u.fl&^fS
-		if !targetOK {
-			u.code = uFAULT
-		}
+		u.code = uNOP
+	case isa.MOV, isa.MVN, isa.SXTB, isa.SXTH, isa.UXTB, isa.UXTH,
+		isa.ADD, isa.SUB, isa.RSB, isa.MUL, isa.SDIV, isa.UDIV,
+		isa.AND, isa.ORR, isa.EOR, isa.LSL, isa.LSR, isa.ASR, isa.CMP:
+		u.code, u.rm, u.imm = forms[in.Op][isa.FormOf(in)], uint8(in.Rm), imm
 	case isa.LDRLIT:
-		u.fl &^= fS
 		stallIf(litMem)
 		if litMem == power.RAM {
 			u.fl |= fLitRAM
@@ -382,19 +306,9 @@ func lower(in *isa.Instr, fetchMem, litMem power.Memory, target uint32, targetOK
 		}
 	case isa.LDR, isa.LDRB, isa.LDRH, isa.LDRSB, isa.LDRSH,
 		isa.STR, isa.STRB, isa.STRH:
-		u.code = uLDRI
+		u.code, u.imm = uLDR, imm
 		if in.Op.IsStore() {
-			u.code = uSTRI
-		}
-		switch in.Mode {
-		case isa.AddrOffset:
-			u.imm = imm
-		case isa.AddrReg:
-			u.code++ // the …R form follows its …I form
-			u.rm = uint8(in.Rm)
-		case isa.AddrRegLSL:
-			u.code++
-			setRM()
+			u.code = uSTR
 		}
 		size, signed := memWidth(in.Op)
 		u.sz = uint8(size)
@@ -423,7 +337,7 @@ func lower(in *isa.Instr, fetchMem, litMem power.Memory, target uint32, targetOK
 		}
 		stallIf(power.RAM)
 	case isa.B, isa.CBZ, isa.CBNZ, isa.BL:
-		u.code = forms[in.Op][1]
+		u.code = branches[in.Op]
 		u.imm = target
 		if !targetOK {
 			u.imm = unresolvedPC
@@ -436,8 +350,6 @@ func lower(in *isa.Instr, fetchMem, litMem power.Memory, target uint32, targetOK
 		if in.Op == isa.BLX {
 			u.code = uBLX
 		}
-	default:
-		u.code = uFAULT
 	}
 	return u
 }
@@ -683,12 +595,12 @@ func (m *Machine) emit(s *slot, pc uint32) {
 	case ocNT:
 		// A failed predicate: cyc2 cycles of no data access.
 	case ocAlt:
-		if op == uLDRI || op == uLDRR {
+		if op == uLDR {
 			ev.DataMem = power.Flash
 		}
 	default:
 		switch op {
-		case uLDRI, uLDRR, uSTRI, uSTRR, uPUSH, uPOP, uPOPPC:
+		case uLDR, uSTR, uPUSH, uPOP, uPOPPC:
 			ev.DataMem = power.RAM
 		case uLDL, uLDLPC:
 			ev.DataMem = power.Flash
@@ -742,7 +654,7 @@ loop:
 		switch u.code {
 		case uNOP:
 		case uMOVI:
-			m.write(u, u.imm)
+			m.regs[u.rd] = u.imm
 		case uLDL:
 			// The stall cycle (if any) is static — the pool's memory is
 			// known — and already folded into u.cyc; only the event
@@ -752,163 +664,54 @@ loop:
 				dyn.stallEv++
 			}
 		case uMOVR:
-			m.write(u, m.regs[u.rm]<<u.sh)
+			m.regs[u.rd] = m.regs[u.rm]
 		case uMVNR:
-			m.write(u, ^(m.regs[u.rm] << u.sh))
+			m.regs[u.rd] = ^m.regs[u.rm]
 		case uSXTBR:
-			m.write(u, uint32(int32(int8(m.regs[u.rm]<<u.sh))))
+			m.regs[u.rd] = uint32(int32(int8(m.regs[u.rm])))
 		case uSXTHR:
-			m.write(u, uint32(int32(int16(m.regs[u.rm]<<u.sh))))
+			m.regs[u.rd] = uint32(int32(int16(m.regs[u.rm])))
 		case uUXTBR:
-			m.write(u, (m.regs[u.rm]<<u.sh)&0xFF)
+			m.regs[u.rd] = m.regs[u.rm] & 0xFF
 		case uUXTHR:
-			m.write(u, (m.regs[u.rm]<<u.sh)&0xFFFF)
-		case uCLZR:
-			m.write(u, uint32(bits.LeadingZeros32(m.regs[u.rm]<<u.sh)))
+			m.regs[u.rd] = m.regs[u.rm] & 0xFFFF
 		case uADDI:
-			a := m.regs[u.rn]
-			v := a + u.imm
-			if u.fl&fS != 0 {
-				m.setAddFlags(a, u.imm, 0)
-			}
-			m.regs[u.rd] = v
+			m.regs[u.rd] = m.regs[u.rn] + u.imm
 		case uADDR:
-			a, b := m.regs[u.rn], m.regs[u.rm]<<u.sh
-			v := a + b
-			if u.fl&fS != 0 {
-				m.setAddFlags(a, b, 0)
-			}
-			m.regs[u.rd] = v
-		case uADCI:
-			a := m.regs[u.rn]
-			carry := uint32(0)
-			if m.c {
-				carry = 1
-			}
-			v := a + u.imm + carry
-			if u.fl&fS != 0 {
-				m.setAddFlags(a, u.imm, carry)
-			}
-			m.regs[u.rd] = v
-		case uADCR:
-			a, b := m.regs[u.rn], m.regs[u.rm]<<u.sh
-			carry := uint32(0)
-			if m.c {
-				carry = 1
-			}
-			v := a + b + carry
-			if u.fl&fS != 0 {
-				m.setAddFlags(a, b, carry)
-			}
-			m.regs[u.rd] = v
+			m.regs[u.rd] = m.regs[u.rn] + m.regs[u.rm]
 		case uSUBI:
-			a := m.regs[u.rn]
-			v := a - u.imm
-			if u.fl&fS != 0 {
-				m.setSubFlags(a, u.imm)
-			}
-			m.regs[u.rd] = v
+			m.regs[u.rd] = m.regs[u.rn] - u.imm
 		case uSUBR:
-			a, b := m.regs[u.rn], m.regs[u.rm]<<u.sh
-			v := a - b
-			if u.fl&fS != 0 {
-				m.setSubFlags(a, b)
-			}
-			m.regs[u.rd] = v
-		case uSBCI:
-			borrow := uint32(1)
-			if m.c {
-				borrow = 0
-			}
-			m.write(u, m.regs[u.rn]-u.imm-borrow)
-		case uSBCR:
-			borrow := uint32(1)
-			if m.c {
-				borrow = 0
-			}
-			m.write(u, m.regs[u.rn]-m.regs[u.rm]<<u.sh-borrow)
+			m.regs[u.rd] = m.regs[u.rn] - m.regs[u.rm]
 		case uRSBI:
-			a := m.regs[u.rn]
-			v := u.imm - a
-			if u.fl&fS != 0 {
-				m.setSubFlags(u.imm, a)
-			}
-			m.regs[u.rd] = v
-		case uRSBR:
-			a, b := m.regs[u.rn], m.regs[u.rm]<<u.sh
-			v := b - a
-			if u.fl&fS != 0 {
-				m.setSubFlags(b, a)
-			}
-			m.regs[u.rd] = v
-		case uMULI:
-			m.write(u, m.regs[u.rn]*u.imm)
+			m.regs[u.rd] = u.imm - m.regs[u.rn]
 		case uMULR:
-			m.write(u, m.regs[u.rn]*(m.regs[u.rm]<<u.sh))
-		case uMLAI:
-			m.write(u, m.regs[u.rd]+m.regs[u.rn]*u.imm)
-		case uMLAR:
-			m.write(u, m.regs[u.rd]+m.regs[u.rn]*(m.regs[u.rm]<<u.sh))
-		case uSDIVI:
-			m.write(u, sdiv(m.regs[u.rn], u.imm))
+			m.regs[u.rd] = m.regs[u.rn] * m.regs[u.rm]
 		case uSDIVR:
-			m.write(u, sdiv(m.regs[u.rn], m.regs[u.rm]<<u.sh))
-		case uUDIVI:
-			m.write(u, udiv(m.regs[u.rn], u.imm))
+			m.regs[u.rd] = sdiv(m.regs[u.rn], m.regs[u.rm])
 		case uUDIVR:
-			m.write(u, udiv(m.regs[u.rn], m.regs[u.rm]<<u.sh))
-		case uANDI:
-			m.write(u, m.regs[u.rn]&u.imm)
+			m.regs[u.rd] = udiv(m.regs[u.rn], m.regs[u.rm])
 		case uANDR:
-			m.write(u, m.regs[u.rn]&(m.regs[u.rm]<<u.sh))
-		case uORRI:
-			m.write(u, m.regs[u.rn]|u.imm)
+			m.regs[u.rd] = m.regs[u.rn] & m.regs[u.rm]
 		case uORRR:
-			m.write(u, m.regs[u.rn]|m.regs[u.rm]<<u.sh)
-		case uEORI:
-			m.write(u, m.regs[u.rn]^u.imm)
+			m.regs[u.rd] = m.regs[u.rn] | m.regs[u.rm]
 		case uEORR:
-			m.write(u, m.regs[u.rn]^m.regs[u.rm]<<u.sh)
-		case uBICI:
-			m.write(u, m.regs[u.rn]&^u.imm)
-		case uBICR:
-			m.write(u, m.regs[u.rn]&^(m.regs[u.rm]<<u.sh))
-		case uLSLI:
-			m.write(u, shiftL(m.regs[u.rn], u.imm))
+			m.regs[u.rd] = m.regs[u.rn] ^ m.regs[u.rm]
 		case uLSLR:
-			m.write(u, shiftL(m.regs[u.rn], m.regs[u.rm]<<u.sh))
-		case uLSRI:
-			m.write(u, shiftR(m.regs[u.rn], u.imm))
+			m.regs[u.rd] = shiftL(m.regs[u.rn], m.regs[u.rm])
 		case uLSRR:
-			m.write(u, shiftR(m.regs[u.rn], m.regs[u.rm]<<u.sh))
-		case uASRI:
-			m.write(u, shiftAR(m.regs[u.rn], u.imm))
+			m.regs[u.rd] = shiftR(m.regs[u.rn], m.regs[u.rm])
 		case uASRR:
-			m.write(u, shiftAR(m.regs[u.rn], m.regs[u.rm]<<u.sh))
-		case uRORI:
-			m.write(u, rotR(m.regs[u.rn], u.imm))
-		case uRORR:
-			m.write(u, rotR(m.regs[u.rn], m.regs[u.rm]<<u.sh))
+			m.regs[u.rd] = shiftAR(m.regs[u.rn], m.regs[u.rm])
 		case uCMPI:
 			m.setSubFlags(m.regs[u.rn], u.imm)
 		case uCMPR:
-			m.setSubFlags(m.regs[u.rn], m.regs[u.rm]<<u.sh)
-		case uCMNI:
-			m.setAddFlags(m.regs[u.rn], u.imm, 0)
-		case uCMNR:
-			m.setAddFlags(m.regs[u.rn], m.regs[u.rm]<<u.sh, 0)
-		case uTSTI:
-			m.setNZ(m.regs[u.rn] & u.imm)
-		case uTSTR:
-			m.setNZ(m.regs[u.rn] & (m.regs[u.rm] << u.sh))
-		case uLDRI, uLDRR:
+			m.setSubFlags(m.regs[u.rn], m.regs[u.rm])
+		case uLDR:
 			// m.load open-coded (it is beyond the inlining budget and
 			// this is every load's path): same bounds rule, same fault,
 			// same sign extension.
 			addr := m.regs[u.rn] + u.imm
-			if u.code == uLDRR {
-				addr = m.regs[u.rn] + m.regs[u.rm]<<u.sh
-			}
 			var v uint32
 			flash := false
 			if d := addr - m.ramBase; uint64(d)+uint64(u.sz) <= uint64(m.ramSize) {
@@ -931,11 +734,8 @@ loop:
 				dyn.stallCyc++
 				dyn.stallEv++
 			}
-		case uSTRI, uSTRR:
+		case uSTR:
 			addr := m.regs[u.rn] + u.imm
-			if u.code == uSTRR {
-				addr = m.regs[u.rn] + m.regs[u.rm]<<u.sh
-			}
 			if d := addr - m.ramBase; uint64(d)+uint64(u.sz) <= uint64(m.ramSize) {
 				writeLE(m.ram[d:], m.regs[u.rd], int(u.sz))
 			} else if _, err := m.store(addr, m.regs[u.rd], int(u.sz)); err != nil {
@@ -1052,15 +852,6 @@ loop:
 	return next, sb.slots[len(uops)-1], nil
 }
 
-// write sets the uop's destination register to v and applies the
-// N/Z rule of its SetFlags bit.
-func (m *Machine) write(u *uop, v uint32) {
-	m.regs[u.rd] = v
-	if u.fl&fS != 0 {
-		m.setNZ(v)
-	}
-}
-
 // flushFault commits the exact partial stats of a descriptor that
 // faulted at uop i (the faulting instruction has charged nothing, but
 // its block entry counts) and returns the located fault. Cold path: it
@@ -1136,13 +927,10 @@ func (m *Machine) pop(list uint32) (pc uint32, err error) {
 // faultOf is the error a uFAULT raises, by the instruction it lowers.
 func (e *engine) faultOf(s *slot) error {
 	in := &s.pl.Block.Instrs[s.index]
-	switch in.Op {
-	case isa.LDRLIT:
-		return fmt.Errorf("unresolved literal %q", in.Sym)
-	case isa.ADR:
-		return fmt.Errorf("unresolved adr %q", in.Sym)
+	if !isa.Emitted(in) {
+		return fmt.Errorf("%q is outside the modeled instruction set", in.String())
 	}
-	return fmt.Errorf("unimplemented op %v", in.Op)
+	return fmt.Errorf("unresolved literal %q", in.Sym)
 }
 
 func sdiv(a, b uint32) uint32 {

@@ -4,11 +4,20 @@ import (
 	"context"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/ir"
 	"repro/internal/isa"
 	"repro/internal/power"
 )
+
+// TestUopIs16Bytes: the executor streams uops from one contiguous array,
+// four to a cache line.
+func TestUopIs16Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(uop{}); n != 16 {
+		t.Errorf("uop is %d bytes, want 16", n)
+	}
+}
 
 // runPair executes one program on two fresh machines — fused dispatch and
 // length-1 dispatch only (the beebsbench -nofuse knob) — and returns both

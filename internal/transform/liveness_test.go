@@ -159,7 +159,7 @@ func TestScavengeRespectsLiveRegisters(t *testing.T) {
 	sink := f.AddBlock("sink")
 	sb := ir.Build(sink).LdrLit(isa.R8, "out")
 	for r := isa.R0; r <= isa.R7; r++ {
-		sb.StrIdx(r, isa.R8, isa.R8, 0) // consume every low register
+		sb.Str(r, isa.R8, 0) // consume every low register
 	}
 	sb.Ret()
 	p.AddGlobal(&ir.Global{Name: "out", Size: 4})
