@@ -75,20 +75,28 @@ func TestAnalyzeGolden(t *testing.T) {
 		}
 		fmt.Fprintf(&got, "$ flashram %s\n%s", strings.Join(args, " "), stdout)
 	}
-	if *updateAnalyze {
-		if err := os.WriteFile(analyzeGolden, got.Bytes(), 0o644); err != nil {
+	checkGolden(t, analyzeGolden, got.Bytes(), *updateAnalyze, "-update-analyze")
+}
+
+// checkGolden compares got with the golden file at path, or rewrites the
+// file when update is set. A mismatch reports the first changed line, or
+// the line counts when one document is a prefix of the other.
+func checkGolden(t *testing.T, path string, got []byte, update bool, updateFlag string) {
+	t.Helper()
+	if update {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	want, err := os.ReadFile(analyzeGolden)
+	want, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("%v (run with -update-analyze to create it)", err)
+		t.Fatalf("%v (run with %s to create it)", err, updateFlag)
 	}
-	if bytes.Equal(got.Bytes(), want) {
+	if bytes.Equal(got, want) {
 		return
 	}
-	g, w := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	g, w := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
 	for i := 0; i < len(g) && i < len(w); i++ {
 		if g[i] != w[i] {
 			t.Fatalf("line %d changed:\n got  %s\n want %s", i+1, g[i], w[i])

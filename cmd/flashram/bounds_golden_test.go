@@ -5,8 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
-	"os"
-	"strings"
 	"testing"
 
 	"repro/internal/beebs"
@@ -40,24 +38,5 @@ func TestBoundsGolden(t *testing.T) {
 	if err := enc.Encode(rows); err != nil {
 		t.Fatal(err)
 	}
-	if *updateBounds {
-		if err := os.WriteFile(boundsGolden, got.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(boundsGolden)
-	if err != nil {
-		t.Fatalf("%v (run with -update-bounds to create it)", err)
-	}
-	if bytes.Equal(got.Bytes(), want) {
-		return
-	}
-	g, w := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
-	for i := 0; i < len(g) && i < len(w); i++ {
-		if g[i] != w[i] {
-			t.Fatalf("line %d changed:\n got  %s\n want %s", i+1, g[i], w[i])
-		}
-	}
-	t.Fatalf("%d lines, golden has %d", len(g), len(w))
+	checkGolden(t, boundsGolden, got.Bytes(), *updateBounds, "-update-bounds")
 }
