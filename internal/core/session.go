@@ -653,12 +653,9 @@ func (s *Session) solve(ctx context.Context, key solveKey) (*placement.Result, e
 			}
 			if err == nil && res.Warm != nil {
 				// Only the warm registry reads a donated state, and it
-				// takes the state over: the memoized result keeps none. A
-				// cold session hands its storage back to the solver's pool.
+				// takes the state over: the memoized result keeps none.
 				if s.warmSolve {
 					s.recordWarm(key, *res.Warm)
-				} else {
-					res.Warm.State.Release()
 				}
 				res.Warm.State = nil
 			}
@@ -744,11 +741,10 @@ func (s *Session) neighborWarm(key solveKey) *placement.Warm {
 }
 
 // recordWarm registers a proven solve's donation and takes its state
-// over: the registry keeps its own copy of warm. A new state is parked
-// packed (lp.State.Pack); a warm proof's passthrough is its donor's
-// state, registered already and shared with other solves, and is left as
-// it is. A full family drops the point evictee picks. The dropped state
-// is never written or pooled — a solve that consulted it may still be
+// over: the registry keeps its own copy of warm. A warm proof's
+// passthrough is its donor's state, registered already and shared with
+// other solves. A full family drops the point evictee picks. The dropped
+// state is never written — a solve that consulted it may still be
 // copying it — so the collector takes it once nothing reads it, and the
 // byte gauge lets go of it unless a remaining point shares it.
 func (s *Session) recordWarm(key solveKey, warm placement.Warm) {
@@ -771,9 +767,8 @@ func (s *Session) recordWarm(key solveKey, warm placement.Warm) {
 		}
 	}
 	// A warm proof hands its donor's state through, and the donor is in
-	// the same family already: pack and count each state once.
+	// the same family already: count each state once.
 	if st := warm.State; st != nil && !holds(st) {
-		st.Pack()
 		s.warmIdx.bytes += st.Bytes()
 	}
 	s.warmIdx.idx[fam] = append(pts,
@@ -1270,7 +1265,7 @@ type SolverStats struct {
 	SimplexItersSaved uint64 `json:"simplex_iters_saved"`
 	// WarmStateBytes is a gauge, not a counter: the bytes of the solver
 	// end states the warm-start registry holds now, each state counted
-	// once. Proven solves park their root state packed (lp.State.Pack).
+	// once.
 	WarmStateBytes uint64 `json:"warm_state_bytes"`
 }
 

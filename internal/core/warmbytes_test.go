@@ -12,12 +12,12 @@ import (
 	"repro/internal/mcc"
 )
 
-// TestWarmRegistryHoldsPackedStates runs 200 optimizes of int_matmult O2
+// TestWarmRegistryHoldsDenseStates runs 200 optimizes of int_matmult O2
 // at distinct Rspare values through one warm session, as a daemon's
 // writes do. Every answer must equal a cold session's, and the warm
-// registry must hold its end states packed, at most warmDonors per
+// registry must hold whole dense end states, at most warmDonors per
 // family, with warm_state_bytes the bytes of its distinct states.
-func TestWarmRegistryHoldsPackedStates(t *testing.T) {
+func TestWarmRegistryHoldsDenseStates(t *testing.T) {
 	prog, err := mcc.Compile(beebs.Get("int_matmult").Source, mcc.O2)
 	if err != nil {
 		t.Fatal(err)
@@ -62,22 +62,22 @@ func TestWarmRegistryHoldsPackedStates(t *testing.T) {
 	held, dense := heldStates(t, warm)
 	stats := warm.SolverStats()
 	got := stats.WarmStateBytes
-	t.Logf("%d distinct states held, %d warm proofs: warm_state_bytes %d, dense tableaus %d (%.1f%%)",
-		len(held), stats.WarmProofs, got, dense, 100*float64(got)/float64(dense))
+	t.Logf("%d distinct states held, %d warm proofs: warm_state_bytes %d, tableau cells %d bytes",
+		len(held), stats.WarmProofs, got, dense)
 	if len(held) == 0 || stats.WarmProofs == 0 {
 		t.Fatalf("%d states held and %d warm proofs, want both", len(held), stats.WarmProofs)
 	}
 	for st := range held {
-		if !st.Packed() {
-			t.Errorf("registry holds a dense state of %d bytes", st.Bytes())
+		if st.Bytes() < 8*st.Cells() {
+			t.Errorf("registry holds a state of %d bytes, fewer than its %d tableau cells take", st.Bytes(), st.Cells())
 		}
 	}
 }
 
 // heldStates checks the warm registry's invariants — at most warmDonors
 // points per family, and a byte gauge equal to the bytes of the distinct
-// states the points hold — and returns those states with their dense
-// size in bytes.
+// states the points hold — and returns those states with the bytes of
+// their tableau cells.
 func heldStates(t *testing.T, s *Session) (map[*lp.State]bool, int) {
 	t.Helper()
 	held, bytes, dense := map[*lp.State]bool{}, 0, 0

@@ -5,9 +5,10 @@
 //
 // Only a designated subset of variables is branched on. The placement
 // model exploits this: given an integral assignment of the r_b ("block b
-// in RAM") variables, the auxiliary i_b (instrumented) and p_b (product)
-// variables are automatically integral at any LP optimum, so branching is
-// restricted to the r_b variables and the search tree stays small.
+// in RAM") variables, its instrumentation variables i^f_b and i^r_b
+// (instrumented in flash, instrumented in RAM) may take their integral
+// lower bounds at an LP optimum, so branching is restricted to the r_b
+// variables and the search tree stays small.
 package ilp
 
 import (
@@ -116,9 +117,8 @@ type Result struct {
 	// (zero when the root was never solved) and RootState its full end
 	// state — together the donor state for the next warm start. The
 	// search only ever copies RootState, so it describes the root
-	// relaxation exactly. It comes back dense, for the caller to pack
-	// (lp.State.Pack) if it keeps it, except on a warm proof, where it is
-	// the warm start's own State.
+	// relaxation exactly. On a warm proof it is the warm start's own
+	// State.
 	RootIters int
 	RootState *lp.State
 	// WarmIncumbent reports that the warm start's incumbent was accepted
@@ -257,14 +257,8 @@ func (s *Solver) Solve(ctx context.Context) (*Result, error) {
 
 	// free holds the dead end states of this search: nodes that ended
 	// without children, and resumes that did not hand their state back.
-	// Copies of a parent's state are built in their storage, and at exit
-	// their cell blocks go to lp's pool for later solves.
+	// Copies of a parent's state are built in their storage.
 	var free []*lp.State
-	defer func() {
-		for _, st := range free {
-			st.Release()
-		}
-	}()
 	recycle := func(st *lp.State) {
 		if st != nil {
 			free = append(free, st)

@@ -51,14 +51,10 @@ func sameBits(a, b reflect.Value) bool {
 	panic("sameBits: unhandled kind " + a.Kind().String())
 }
 
-// sameState compares two states by their dense expansions, so a packed
-// state equals the dense state it was packed from.
+// sameState compares two states bit for bit, through copies of each.
 func sameState(a, b *lp.State) bool {
 	return sameBits(reflect.ValueOf(a.Copy(nil)), reflect.ValueOf(b.Copy(nil)))
 }
-
-// isPacked reports whether st holds its tableau packed.
-func isPacked(st *lp.State) bool { return st.Packed() }
 
 // branchingKnapsack is a 14-item knapsack whose root relaxation is
 // fractional at every capacity used below, so each solve branches.
@@ -75,8 +71,8 @@ func branchingKnapsack(t *testing.T, capacity float64) *Solver {
 }
 
 // groupedKnapsack is a 14-item knapsack whose items also come in seven
-// pairs, each pair under a capacity of its own. Each of its eight rows
-// touches few columns, so its root tableau is sparse enough to pack.
+// pairs, each pair under a capacity of its own, so its root tableau has
+// eight rows where the plain knapsack's has one.
 func groupedKnapsack(t *testing.T, capacity float64) *Solver {
 	s := branchingKnapsack(t, capacity)
 	for j := 0; j < s.Base.NumVars(); j += 2 {
@@ -160,31 +156,21 @@ func TestDonorStateServesConcurrentSolves(t *testing.T) {
 	}
 }
 
-// TestRootStateIsTheRootRelaxation: a branching solve's RootState comes
-// back dense and bit-identical to a cold solve of the root relaxation
-// alone (the search below the root only ever copies it), and stays so,
-// packed as a keeper parks it, across two later solves that both resume
-// it. Packing keeps the plain knapsack's state (one dense row) dense and
-// packs the grouped knapsack's.
+// TestRootStateIsTheRootRelaxation: a branching solve's RootState is
+// bit-identical to a cold solve of the root relaxation alone (the search
+// below the root only ever copies it), and stays so across two later
+// solves that both resume it.
 func TestRootStateIsTheRootRelaxation(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		solver func(*testing.T, float64) *Solver
-		packed bool
 	}{
-		{"knapsack", branchingKnapsack, false},
-		{"grouped", groupedKnapsack, true},
+		{"knapsack", branchingKnapsack},
+		{"grouped", groupedKnapsack},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := tc.solver(t, 60)
 			res := mustBranch(t, s)
-			if isPacked(res.RootState) {
-				t.Fatal("RootState came back packed")
-			}
-			res.RootState.Pack()
-			if got := isPacked(res.RootState); got != tc.packed {
-				t.Fatalf("packed RootState packed = %v, want %v", got, tc.packed)
-			}
 			root := s.Base.Clone()
 			for _, j := range s.Binaries {
 				root.SetBounds(j, 0, 1)
@@ -200,7 +186,7 @@ func TestRootStateIsTheRootRelaxation(t *testing.T) {
 				next := tc.solver(t, capacity)
 				next.Warm = &WarmStart{State: res.RootState}
 				if r := mustBranch(t, next); !r.WarmRoot {
-					t.Fatalf("capacity %v: the packed donor state was not resumed", capacity)
+					t.Fatalf("capacity %v: the donor state was not resumed", capacity)
 				}
 				if !sameState(res.RootState, want.State) {
 					t.Fatalf("capacity %v: resuming RootState wrote to it", capacity)
@@ -255,29 +241,22 @@ func TestTwoNodeBudgetSolvesAChild(t *testing.T) {
 
 // TestWarmProofPassesTheDonorThrough: a solve closed by the carried bound
 // alone returns the warm start's own State as its RootState, the same
-// pointer, neither packed nor written, whether the donor is packed (as
-// a session's warm registry parks it) or dense (another solver's end
-// state, which concurrent solves may be reading).
+// pointer, unwritten: another solver's end state, which concurrent solves
+// may be reading.
 func TestWarmProofPassesTheDonorThrough(t *testing.T) {
 	first := mustBranch(t, groupedKnapsack(t, 60))
-	packed := first.RootState.Copy(nil)
-	packed.Pack()
-	if !isPacked(packed) {
-		t.Fatal("the donor state did not pack")
+	donor := first.RootState
+	snapshot, bytes := donor.Copy(nil), donor.Bytes()
+	s := groupedKnapsack(t, 60)
+	s.Warm = &WarmStart{Incumbent: first.X, Bound: first.Obj, HasBound: true, State: donor}
+	r := mustSolve(t, s)
+	if !r.WarmProof || r.Nodes != 0 {
+		t.Fatalf("WarmProof %v in %d nodes, want an instant proof", r.WarmProof, r.Nodes)
 	}
-	for name, donor := range map[string]*lp.State{"packed": packed, "dense": first.RootState} {
-		snapshot, bytes := donor.Copy(nil), donor.Bytes()
-		s := groupedKnapsack(t, 60)
-		s.Warm = &WarmStart{Incumbent: first.X, Bound: first.Obj, HasBound: true, State: donor}
-		r := mustSolve(t, s)
-		if !r.WarmProof || r.Nodes != 0 {
-			t.Fatalf("%s donor: WarmProof %v in %d nodes, want an instant proof", name, r.WarmProof, r.Nodes)
-		}
-		if r.RootState != donor {
-			t.Fatalf("%s donor: a warm proof did not hand the donor state through", name)
-		}
-		if donor.Bytes() != bytes || !sameState(donor, snapshot) {
-			t.Fatalf("%s donor: a warm proof wrote to the donor state", name)
-		}
+	if r.RootState != donor {
+		t.Fatal("a warm proof did not hand the donor state through")
+	}
+	if donor.Bytes() != bytes || !sameState(donor, snapshot) {
+		t.Fatal("a warm proof wrote to the donor state")
 	}
 }

@@ -40,8 +40,9 @@ func (b *fuzzBytes) bound() (lo, hi float64) {
 // Resumed once more below a decoded cutoff, it must either answer as
 // before or stop with a bound that reaches the cutoff and that the cold
 // optimum does not undercut. Every resume runs a second time from a
-// Pack → Copy round trip of the same end state and must answer bit for
-// bit as the resume from a dense copy did. Every Optimal answer of a
+// copy of the same end state built in a dead state's storage, as branch
+// and bound recycles it, and must answer bit for bit as the resume from
+// a fresh copy did. Every Optimal answer of a
 // resume, which ResumeBelow certified on its closing price, must also
 // pass the public Certify, which prices the end tableau afresh. Dense
 // rows may hold explicit zeros and −0 coefficients (a coefficient byte
@@ -123,7 +124,7 @@ func FuzzBoundsVsRows(f *testing.F) {
 			t.Fatalf("resumed obj %v, cold obj %v", warm.Obj, cold.Obj)
 		}
 		certify(t, q, warm)
-		resumePacked(t, q, a.State, math.Inf(1), warm)
+		resumeCopy(t, q, a.State, math.Inf(1), warm)
 
 		cutoff := float64(in.next()%21-10) / 2
 		below, err := q.ResumeBelow(context.Background(), a.State.Copy(nil), cutoff)
@@ -131,7 +132,7 @@ func FuzzBoundsVsRows(f *testing.F) {
 			t.Fatal(err)
 		}
 		certify(t, q, below)
-		resumePacked(t, q, a.State, cutoff, below)
+		resumeCopy(t, q, a.State, cutoff, below)
 		if below.Status != Cutoff {
 			if below.Status != warm.Status || below.Obj != warm.Obj {
 				t.Fatalf("below cutoff %v: %v obj %v, without a cutoff %v obj %v", cutoff, below.Status, below.Obj, warm.Status, warm.Obj)
@@ -149,18 +150,21 @@ func FuzzBoundsVsRows(f *testing.F) {
 	})
 }
 
-// resumePacked resumes p below cutoff from a Pack → Copy round trip of
-// st, which must expand to st's cells bit for bit, and fails unless the
-// answer is bit-identical to want, the answer of the same resume from a
-// dense copy of st: status, objective, point, pivot count and, for an
-// Optimal answer, the carried price and end tableau.
-func resumePacked(t *testing.T, p *Problem, st *State, cutoff float64, want *Solution) {
+// resumeCopy resumes p below cutoff from a copy of st built in the
+// storage of a dead state whose every cell was scribbled over first. The
+// copy must hold st's cells bit for bit, and the answer must be
+// bit-identical to want, the answer of the same resume from a fresh copy
+// of st: status, objective, point, pivot count and, for an Optimal
+// answer, the carried price and end tableau.
+func resumeCopy(t *testing.T, p *Problem, st *State, cutoff float64, want *Solution) {
 	t.Helper()
-	packed := st.Copy(nil)
-	packed.Pack()
-	rt := packed.Copy(nil)
+	dead := st.Copy(nil)
+	for i := range dead.tb.cells {
+		dead.tb.cells[i] = math.NaN()
+	}
+	rt := st.Copy(dead)
 	if !sameFloats(rt.tb.cells, st.tb.cells) {
-		t.Fatal("a Pack → Copy round trip changed a tableau cell")
+		t.Fatal("a copy into recycled storage changed a tableau cell")
 	}
 	got, err := p.ResumeBelow(context.Background(), rt, cutoff)
 	if err != nil {
@@ -169,10 +173,10 @@ func resumePacked(t *testing.T, p *Problem, st *State, cutoff float64, want *Sol
 	certify(t, p, got)
 	switch {
 	case got.Status != want.Status || got.Warmed != want.Warmed || got.Iters != want.Iters:
-		t.Fatalf("from the round trip %v (warmed %v) in %d iters, from the dense copy %v (warmed %v) in %d",
+		t.Fatalf("from the recycled copy %v (warmed %v) in %d iters, from a fresh copy %v (warmed %v) in %d",
 			got.Status, got.Warmed, got.Iters, want.Status, want.Warmed, want.Iters)
 	case math.Float64bits(got.Obj) != math.Float64bits(want.Obj) || !sameFloats(got.X, want.X):
-		t.Fatalf("from the round trip obj %v x %v, from the dense copy obj %v x %v", got.Obj, got.X, want.Obj, want.X)
+		t.Fatalf("from the recycled copy obj %v x %v, from a fresh copy obj %v x %v", got.Obj, got.X, want.Obj, want.X)
 	case (got.State == nil) != (want.State == nil):
 		t.Fatal("only one of the two resumes donated an end state")
 	case got.State != nil && (!sameFloats(got.State.reduced, want.State.reduced) ||

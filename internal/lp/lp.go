@@ -38,9 +38,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/bits"
 	"slices"
-	"sync"
 )
 
 // Status reports the outcome of a solve.
@@ -364,12 +362,11 @@ func (p *Problem) Solve(ctx context.Context) (*Solution, error) {
 	if p.err != nil {
 		return nil, p.err
 	}
-	st := &State{tb: p.newTableau(p.lo)}
+	st := &State{tb: p.newTableau()}
 	tb := &st.tb
 	for _, row := range tb.t {
 		if row[tb.n] < 0 {
-			st.Release()
-			return p.solveShifted(ctx)
+			return p.solveShifted(ctx, st)
 		}
 	}
 	iters := 0
@@ -378,34 +375,28 @@ func (p *Problem) Solve(ctx context.Context) (*Solution, error) {
 	return p.finish(ctx, st, status, reduced, iters, false)
 }
 
-// solveShifted solves p when its lower bounds make the slack basis
-// infeasible (some bᵢ − aᵢᵀlo < 0). The tableau is laid out at lower
-// bounds of 0, where the slack basis is feasible, and the real bounds
-// are then applied as a warm resume applies a bound edit, by shifting
-// the basic values; the dual simplex repairs them. It runs under a zero
+// solveShifted solves p from st, its slack-basis tableau, when p's lower
+// bounds make that basis infeasible (some bᵢ − aᵢᵀlo < 0). The basic
+// values are those of a layout at lower bounds of 0, where the slack
+// basis is feasible, shifted to the real bounds as a warm resume applies
+// a bound edit; the dual simplex repairs them. It runs under a zero
 // objective, for which every basis is dual feasible, so it cannot stall
 // on a negative reduced cost and needs no bounded relaxation to start
 // from. The primal simplex then optimizes the real objective from the
 // feasible basis it reaches. Every step works on p's own rows, so the
 // verdicts need no certificate, and nothing falls back to another solve.
-func (p *Problem) solveShifted(ctx context.Context) (*Solution, error) {
-	st := &State{tb: p.newTableau(make([]float64, p.n))}
+func (p *Problem) solveShifted(ctx context.Context, st *State) (*Solution, error) {
 	tb := &st.tb
-	for j, lo := range p.lo {
-		tb.shift(j, lo)
-	}
 	maxIter, iters, done := p.maxIters(), 0, ctx.Done()
 	zero := make([]float64, 2*tb.total) // cost and reduced costs
 	switch dst, _ := dualSimplex(tb, zero[:tb.total], zero[tb.total:], nil, maxIter, &iters, done); dst {
 	case stCanceled:
 		return nil, fmt.Errorf("lp: solve interrupted: %w", ctx.Err())
 	case Infeasible:
-		st.Release()
 		return &Solution{Status: Infeasible, Iters: iters}, nil
 	case Optimal:
 		// Primal feasible: optimize the real objective from here.
 	default:
-		st.Release()
 		return &Solution{Status: IterLimit, Iters: iters}, nil // no feasible point yet
 	}
 	reduced := zero[tb.total:]
@@ -461,12 +452,6 @@ func (p *Problem) finish(ctx context.Context, st *State, status Status, reduced 
 type tableau struct {
 	cells []float64   // the m × (n+1) cells, row-major, in one block
 	t     [][]float64 // the rows: capped views into cells
-	// mask and val are a packed tableau's cells (State.Pack): bit i%64 of
-	// mask[i/64] is set when cell i is nonzero, and val holds the nonzero
-	// cells in order. A packed tableau has no cells and no rows; only
-	// copyTo reads it.
-	mask []uint64
-	val  []float64
 	// lab is one block holding nonb (lab[:n]), basis (lab[n:total]) and
 	// pos (lab[total:]); the three are views into it.
 	lab              []int
@@ -478,14 +463,17 @@ type tableau struct {
 }
 
 // newTableau lays out the slack-basis tableau with every structural
-// column nonbasic at lo: row i's basic value is bᵢ − aᵢᵀlo, its slack
-// n+i is basic, and structural column j is stored at position j.
-func (p *Problem) newTableau(lo []float64) tableau {
+// column nonbasic at its lower bound: row i's basic value is bᵢ − aᵢᵀlo,
+// its slack n+i is basic, and structural column j is stored at position
+// j. The basic values are subtracted column by column in ascending
+// order, exactly as shifting a layout at lower bounds of 0 by each lo_j
+// in turn would, bit for bit.
+func (p *Problem) newTableau() tableau {
+	lo := p.lo
 	m, n := len(p.rowRHS), p.n
 	total := n + m
 	tb := tableau{n: n, total: total}
-	tb.cells, tb.nz = getStorage(m*(n+1), n+1)
-	clear(tb.cells)
+	tb.cells, tb.nz = make([]float64, m*(n+1)), make([]int, 0, n+1)
 	tb.rows(m)
 	for i, row := range p.rowCoef {
 		ti := tb.t[i]
@@ -610,81 +598,19 @@ func (tb *tableau) cell(r, j int) float64 {
 	return 0
 }
 
-// cellPool parks dead tableau storage for any later solve in the
-// process, the same idiom as sim's machine pool: a solve that ends, or a
-// state that is packed, hands its dense block and pivot scratch back, and
-// the next tableau or copy of a fitting size takes them instead of
-// allocating. It holds storage only, never a value: every taker clears
-// or fully overwrites the block before reading it, and every pivot
-// refills the scratch, so reuse cannot move a bit of any answer. Storage
-// too small for its taker is dropped; pooling is an optimization, never
-// a correctness dependency.
-var cellPool sync.Pool
-
-// storage is one pooled entry: a cell block and the pivot scratch of the
-// tableau that held it.
-type storage struct {
-	cells []float64
-	nz    []int
-}
-
-// getStorage returns a block of n cells and an empty pivot scratch of
-// capacity at least w, pooled or fresh. The cells' contents are
-// arbitrary: the caller clears or overwrites all of them.
-func getStorage(n, w int) ([]float64, []int) {
-	var b storage
-	if p, _ := cellPool.Get().(*storage); p != nil {
-		b = *p
-	}
-	if cap(b.cells) < n {
-		b.cells = make([]float64, n)
-	}
-	if cap(b.nz) < w {
-		b.nz = make([]int, 0, w)
-	}
-	return b.cells[:n], b.nz[:0]
-}
-
-// putStorage parks a dead tableau's cell block and pivot scratch in the
-// pool. The caller must hold no other reference to either.
-func putStorage(cells []float64, nz []int) {
-	if cap(cells) > 0 {
-		cellPool.Put(&storage{cells: cells[:0], nz: nz[:0]})
-	}
-}
-
-// copyTo deep-copies tb, dense or packed, into dst as a dense tableau,
-// building the copy in dst's own storage wherever it is large enough and
-// in pooled storage otherwise. A packed source expands bit for bit: every
-// cell its bitmap does not mark is +0.
+// copyTo deep-copies tb into dst, building the copy in dst's own storage
+// wherever it is large enough.
 func (tb *tableau) copyTo(dst *tableau) {
 	c := *dst
 	*dst = *tb
 	m := len(tb.basis)
-	size := m * (tb.n + 1)
 	// The pivot scratch is sized once, for a pivot row's n+1 positions:
 	// every pivot refills it before reading.
-	dst.cells, dst.nz = c.cells[:0], c.nz[:0]
-	if cap(dst.cells) < size {
-		dst.cells, dst.nz = getStorage(size, tb.n+1)
-	}
+	dst.cells = append(c.cells[:0], tb.cells...)
+	dst.nz = c.nz[:0]
 	if cap(dst.nz) <= tb.n {
 		dst.nz = make([]int, 0, tb.n+1)
 	}
-	dst.cells = dst.cells[:size]
-	if tb.mask == nil {
-		copy(dst.cells, tb.cells)
-	} else {
-		clear(dst.cells)
-		k := 0
-		for w, bits64 := range tb.mask {
-			for ; bits64 != 0; bits64 &= bits64 - 1 {
-				dst.cells[w<<6|bits.TrailingZeros64(bits64)] = tb.val[k]
-				k++
-			}
-		}
-	}
-	dst.mask, dst.val = nil, nil
 	dst.t = c.t
 	dst.rows(m)
 	dst.lab = append(c.lab[:0], tb.lab...)
@@ -693,11 +619,10 @@ func (tb *tableau) copyTo(dst *tableau) {
 	dst.flip = append(c.flip[:0], tb.flip...)
 }
 
-// Copy returns a deep, dense copy of st (nil for a nil st), which may be
-// packed. The copy is built in spare's storage wherever that is large
-// enough, and in pooled storage otherwise, so a caller recycling dead
-// states copies without allocating; spare may be nil, and must not be
-// used again otherwise.
+// Copy returns a deep copy of st (nil for a nil st). The copy is built in
+// spare's storage wherever that is large enough, so a caller recycling
+// dead states copies without allocating; spare may be nil, and must not
+// be used again otherwise.
 func (st *State) Copy(spare *State) *State {
 	if st == nil {
 		return nil
@@ -713,79 +638,18 @@ func (st *State) Copy(spare *State) *State {
 	return spare
 }
 
-// Pack parks st for a long wait: it keeps only the tableau's nonzero
-// cells, marked in a bitmap of one bit per cell, and hands the dense block
-// to the pool. A cell counts as nonzero unless its bits are those of +0,
-// so a −0 survives and Copy expands the state bit for bit. A state whose
-// bitmap and nonzero cells would not take fewer bytes than the dense
-// block stays dense. Copy is the only reader of a packed state, and it
-// leaves st itself untouched, so a packed state is safe to share; st
-// must not be resumed or certified any more (both would refuse its
-// missing rows). Pack does nothing to a nil or packed state.
-func (st *State) Pack() {
-	if st == nil || st.tb.mask != nil {
-		return
-	}
-	tb := &st.tb
-	n := len(tb.cells)
-	// The bitmap is built without a branch per cell: a fifth to a third of
-	// the cells are nonzero, scattered, so a branch would mispredict often.
-	// Only the nonzero cells are visited again.
-	mask := make([]uint64, (n+63)/64)
-	nnz := 0
-	for w := range mask {
-		var m uint64
-		for j, v := range tb.cells[w<<6 : min(w<<6+64, n)] {
-			b := math.Float64bits(v)
-			m |= (b | -b) >> 63 << j
-		}
-		mask[w] = m
-		nnz += bits.OnesCount64(m)
-	}
-	if len(mask)+nnz >= n {
-		return
-	}
-	val := make([]float64, nnz)
-	k := 0
-	for w, m := range mask {
-		for ; m != 0; m &= m - 1 {
-			val[k] = tb.cells[w<<6|bits.TrailingZeros64(m)]
-			k++
-		}
-	}
-	tb.mask, tb.val = mask, val
-	putStorage(tb.cells, tb.nz)
-	tb.cells, tb.t, tb.nz = nil, nil, nil
-}
-
-// Release hands st's dense cell block to the pool. st must be dead: the
-// caller neither reads, copies nor resumes it again (a released state
-// has no rows, so a resume of it would solve cold). Releasing a nil,
-// packed or released state hands nothing back.
-func (st *State) Release() {
-	if st == nil {
-		return
-	}
-	putStorage(st.tb.cells, st.tb.nz)
-	tb := &st.tb
-	tb.cells, tb.t, tb.nz, tb.lab, tb.nonb, tb.basis, tb.pos = nil, nil, nil, nil, nil, nil, nil
-}
-
-// Bytes is the storage st holds: its tableau cells, dense or packed, and
-// the per-row and per-column vectors beside them.
+// Bytes is the storage st holds: its tableau cells and the per-row and
+// per-column vectors beside them.
 func (st *State) Bytes() int {
 	tb := &st.tb
 	const word, header = 8, 24 // float64/int, and a row's slice header
-	return word*(cap(tb.cells)+cap(tb.mask)+cap(tb.val)+cap(tb.lab)+cap(tb.up)+cap(tb.nz)+
+	return word*(cap(tb.cells)+cap(tb.lab)+cap(tb.up)+cap(tb.nz)+
 		cap(st.rhs)+cap(st.lo)+cap(st.hi)+cap(st.reduced)) +
 		cap(tb.flip) + header*cap(tb.t)
 }
 
-// Packed reports whether st holds its tableau packed (see Pack).
-func (st *State) Packed() bool { return st.tb.mask != nil }
-
-// Cells is the number of cells in st's tableau, m × (n+1), whether it is
-// held dense or packed; 8·Cells is its dense size in bytes.
+// Cells is the number of cells in st's tableau, m × (n+1); 8·Cells is
+// its size in bytes.
 func (st *State) Cells() int { return len(st.tb.basis) * (st.tb.n + 1) }
 
 // SolveFromState re-solves the problem from the full end state of a

@@ -268,7 +268,7 @@ func TestSparseRowsMatchDense(t *testing.T) {
 			}
 		}
 
-		got, want := p.newTableau(p.lo), denseNewTableau(p)
+		got, want := p.newTableau(), denseNewTableau(p)
 		if !sameTableau(&got, &want) {
 			t.Fatalf("trial %d: newTableau differs from the dense layout\ngot  %v\nwant %v", trial, got.cells, want.cells)
 		}

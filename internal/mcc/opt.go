@@ -12,7 +12,7 @@ const (
 	O1                 // constant folding, copy propagation, DCE, regalloc
 	O2                 // + local CSE, strength reduction, CFG cleanup
 	O3                 // + inlining of small functions
-	Os                 // O2 pipeline with size-biased codegen
+	Os                 // O2 pipeline and codegen: the same program as O2
 )
 
 // ParseOptLevel parses "O0".."Os".

@@ -3,6 +3,7 @@ package model_test
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -199,11 +200,10 @@ func evaluateByLabel(m *model.Model, inRAM map[string]bool) model.Outcome {
 	return out
 }
 
-// TestRootStateCells: on every BEEBS benchmark at O0, O2 and Os, in
-// three families, the root relaxation's end state holds m × (n+1)
-// tableau cells for m rows over n columns — one per nonbasic column and
-// row, and one per row for the basic values, none for the slack columns.
-func TestRootStateCells(t *testing.T) {
+// forEachRootModel calls f with every BEEBS benchmark at O0, O2 and Os
+// in three families, at the derived RAM budget and Xlimit 1.2.
+func forEachRootModel(t *testing.T, f func(name string, m *model.Model)) {
+	t.Helper()
 	ef, er := power.STM32F100().Coefficients()
 	for _, b := range beebs.All() {
 		for _, level := range []mcc.OptLevel{mcc.O0, mcc.O2, mcc.Os} {
@@ -223,16 +223,48 @@ func TestRootStateCells(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				prob, _ := m.BuildILP()
-				sol, err := prob.Solve(context.Background())
-				if err != nil || sol.Status != lp.Optimal {
-					t.Fatalf("%s/%v/family%d: root %v, %v", b.Name, level, fi, sol, err)
-				}
-				if got, want := sol.State.Cells(), prob.NumRows()*(prob.NumVars()+1); got != want {
-					t.Errorf("%s/%v/family%d: %d cells, want %d rows × (%d columns + 1) = %d",
-						b.Name, level, fi, got, prob.NumRows(), prob.NumVars(), want)
-				}
+				f(fmt.Sprintf("%s/%v/family%d", b.Name, level, fi), m)
 			}
 		}
 	}
+}
+
+// solveRoot solves prob's relaxation and fails unless it is Optimal.
+func solveRoot(t *testing.T, name string, prob *lp.Problem) *lp.Solution {
+	t.Helper()
+	sol, err := prob.Solve(context.Background())
+	if err != nil || sol.Status != lp.Optimal {
+		t.Fatalf("%s: root %v, %v", name, sol, err)
+	}
+	return sol
+}
+
+// TestRootStateCells: on every root model (forEachRootModel), the root
+// relaxation's end state holds m × (n+1) tableau cells for m rows over n
+// columns — one per nonbasic column and row, and one per row for the
+// basic values, none for the slack columns.
+func TestRootStateCells(t *testing.T) {
+	forEachRootModel(t, func(name string, m *model.Model) {
+		prob, _ := m.BuildILP()
+		sol := solveRoot(t, name, prob)
+		if got, want := sol.State.Cells(), prob.NumRows()*(prob.NumVars()+1); got != want {
+			t.Errorf("%s: %d cells, want %d rows × (%d columns + 1) = %d",
+				name, got, prob.NumRows(), prob.NumVars(), want)
+		}
+	})
+}
+
+// TestSplitRootIsAtLeastMcCormick: on every root model, the root
+// relaxation of the split lowering is at least that of the McCormick
+// reference lowering (model.McCormickILP), as the package comment
+// argues, up to rounding.
+func TestSplitRootIsAtLeastMcCormick(t *testing.T) {
+	forEachRootModel(t, func(name string, m *model.Model) {
+		prob, _ := m.BuildILP()
+		split := solveRoot(t, name, prob).Obj
+		ref := solveRoot(t, name+" (McCormick)", model.McCormickILP(m)).Obj
+		if split < ref-1e-9*(1+math.Abs(ref)) {
+			t.Errorf("%s: split root %v below the McCormick root %v", name, split, ref)
+		}
+	})
 }

@@ -2,24 +2,44 @@
 // formulation (§4): per-block parameters Sb, Cb, Fb, Kb, Tb, Lb and
 // Succ(b) are extracted from the program, and the minimization of Eq. 1
 // under the RAM constraint (Eq. 7) and the execution-time constraint
-// (Eq. 9) is linearized over binary variables
+// (Eq. 9) is linearized over the variables
 //
-//	r_b  — block b is placed in RAM        (the set R)
-//	i_b  — block b must be instrumented    (the set I, Eq. 5)
-//	p_b  — r_b·i_b                         (product linearization)
+//	r_b    — block b is placed in RAM                 (the set R)
+//	i^f_b  — block b is instrumented and in flash     (I ∖ R)
+//	i^r_b  — block b is instrumented and in RAM       (I ∩ R)
 //
-// Eq. 5's "b ∈ I iff some successor is in a different memory" becomes
-// i_b ≥ r_b − r_s and i_b ≥ r_s − r_b per control-flow edge (including
-// call edges, which also cannot span the flash↔RAM distance); because
-// i_b and p_b only make the minimized objective and the ≤ constraints
-// worse, they settle at their lower bounds and the encoding is exact.
-// Only the r_b variables need to be branched on: with r integral, the
-// optimal i and p are automatically integral.
+// Eq. 5's "b ∈ I iff some successor is in a different memory" becomes,
+// per distinct successor s ≠ b (call edges included, since a call cannot
+// span the flash↔RAM distance either), i^f_b ≥ r_s − r_b and
+// i^r_b ≥ r_b − r_s. Instrumentation is priced by the memory it runs
+// from: F·T·E_flash on i^f and F·T·E_RAM on i^r in the objective,
+// K·i^r in Eq. 7 (only code in RAM takes RAM) and F·T·(i^f + i^r) in
+// Eq. 9.
+//
+// Exactness: E_flash > E_RAM ≥ 0 (Build rejects anything else), so every
+// coefficient of i^f and i^r is ≥ 0 in the minimized objective and in
+// the ≤ rows of Eq. 7 and Eq. 9, and −1 in the Eq. 5 rows that bound
+// them from below. Lowering one to its bound keeps a point feasible and
+// does not raise the objective, so an optimum may take i^f_b =
+// max(0, max_s r_s − r_b) and i^r_b = max(0, max_s r_b − r_s). With r
+// integral these are 0/1 and say exactly whether b is instrumented in
+// flash or in RAM. Only the r_b variables need to be branched on.
+//
+// The relaxation is at least as tight as the McCormick one, which gives
+// each block one i_b ≥ |r_b − r_s| plus a product p_b = r_b·i_b tied to
+// r_b and i_b by p ≤ r, p ≤ i and p ≥ r + i − 1. Per block, i = i^f + i^r
+// and p = i^r with both at their bounds above satisfy those rows
+// (i^r ≤ r_b, and r_b + i^f ≤ 1 since r_s ≤ 1) and give the McCormick
+// objective term and Eq. 7/9 terms exactly the split's, so the McCormick
+// root can only be lower. It can be strictly lower: at r_b = ½ with one
+// successor in RAM and one in flash, the split charges
+// ½·F·T·(E_flash + E_RAM) where p = i = ½ charges only ½·F·T·E_RAM.
 package model
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/cfg"
@@ -135,6 +155,9 @@ func Build(p *ir.Program, graphs map[string]*cfg.Graph, est freq.Estimate, param
 		return nil, fmt.Errorf("model: EFlash %.3f ≤ ERAM %.3f leaves nothing to optimize",
 			params.EFlash, params.ERAM)
 	}
+	if params.ERAM < 0 {
+		return nil, fmt.Errorf("model: negative ERAM %.3f", params.ERAM)
+	}
 	if params.CkptNJPerByte < 0 {
 		return nil, fmt.Errorf("model: negative checkpoint cost %.3f nJ/byte", params.CkptNJPerByte)
 	}
@@ -227,12 +250,12 @@ func (m *Model) Data(label string) *BlockData {
 	return nil
 }
 
-// Vars maps model variables to LP column indices. R, I and P are indexed
-// like Model.Blocks; -1 marks a block without that variable.
+// Vars maps model variables to LP column indices. R, IF and IR are
+// indexed like Model.Blocks; -1 marks a block without that variable.
 type Vars struct {
-	R []int // r_b: block b is placed in RAM
-	I []int // i_b: block b must be instrumented
-	P []int // p_b = r_b·i_b
+	R  []int // r_b: block b is placed in RAM
+	IF []int // i^f_b: block b is instrumented and in flash
+	IR []int // i^r_b: block b is instrumented and in RAM
 	// Binaries lists the r columns in ascending order: the branching
 	// variables internal/ilp consumes.
 	Binaries []int
@@ -261,37 +284,30 @@ func (m *Model) BuildILP() (*lp.Problem, *Vars) {
 func (m *Model) lower() {
 	f := m.fam
 	nb := len(m.Blocks)
-	vars := &Vars{R: make([]int, nb), I: make([]int, nb), P: make([]int, nb)}
-	for b := range m.Blocks {
-		vars.R[b], vars.I[b], vars.P[b] = -1, -1, -1
-	}
+	vars := &Vars{R: make([]int, nb), IF: make([]int, nb), IR: make([]int, nb)}
 	next := 0
 	for b, bd := range m.Blocks {
+		vars.R[b], vars.IF[b], vars.IR[b] = -1, -1, -1
 		if bd.Movable {
 			vars.R[b] = next
 			vars.Binaries = append(vars.Binaries, next)
 			next++
 		}
 	}
-	// i variables for blocks with at least one edge that could cross:
-	// the block itself movable, or some edge target movable.
+	// i^f for a block with a movable successor other than itself (only
+	// that successor can be in RAM while the block is in flash), i^r for
+	// a movable block with any successor other than itself.
 	for b, bd := range m.Blocks {
-		need := bd.Movable && len(f.succ[b]) > 0
-		if !need {
-			for _, s := range f.succ[b] {
-				if m.Blocks[s].Movable {
-					need = true
-					break
-				}
+		for _, s := range f.succ[b] {
+			if s != b && m.Blocks[s].Movable {
+				vars.IF[b] = next
+				next++
+				break
 			}
 		}
-		if need {
-			vars.I[b] = next
+		if bd.Movable && slices.ContainsFunc(f.succ[b], func(s int) bool { return s != b }) {
+			vars.IR[b] = next
 			next++
-			if bd.Movable {
-				vars.P[b] = next
-				next++
-			}
 		}
 	}
 	vars.N = next
@@ -299,10 +315,10 @@ func (m *Model) lower() {
 	prob := lp.NewProblem(next)
 	ef, er := m.Params.EFlash, m.Params.ERAM
 
-	// Objective: Σ F[C(Er−Ef)r + T·Ef·i + T(Er−Ef)p + L·Er·r], plus the
-	// checkpoint term Σ Q(S·r + K·p) — Q nJ per RAM-placed byte of
+	// Objective: Σ F[C(Er−Ef)r + L·Er·r + T(Ef·i^f + Er·i^r)], plus the
+	// checkpoint term Σ Q(S·r + K·i^r) — Q nJ per RAM-placed byte of
 	// journal traffic (instrumentation bytes join the journal exactly
-	// when they join the RAM footprint, i.e. on p). Q = 0 restores the
+	// when they join the RAM footprint, i.e. on i^r). Q = 0 restores the
 	// paper's always-powered objective bit for bit.
 	q := m.Params.CkptNJPerByte
 	for b, bd := range m.Blocks {
@@ -313,11 +329,11 @@ func (m *Model) lower() {
 			}
 			prob.SetObj(j, obj)
 		}
-		if j := vars.I[b]; j >= 0 {
+		if j := vars.IF[b]; j >= 0 {
 			prob.SetObj(j, bd.F*bd.T*ef)
 		}
-		if j := vars.P[b]; j >= 0 {
-			obj := bd.F * bd.T * (er - ef)
+		if j := vars.IR[b]; j >= 0 {
+			obj := bd.F * bd.T * er
 			if q != 0 {
 				obj += q * bd.K
 			}
@@ -331,55 +347,45 @@ func (m *Model) lower() {
 		prob.SetBounds(j, 0, 1)
 	}
 
-	// Eq. 5 edges: i_b ≥ r_b − r_s, i_b ≥ r_s − r_b.
+	// Eq. 5, per distinct successor s ≠ b, in block and edge order — row
+	// order must be deterministic or degenerate simplex ties (and with
+	// them the branch-and-bound node count) follow map iteration order:
+	// i^f_b ≥ r_s − r_b when s is movable, and i^r_b ≥ r_b − r_s when b
+	// is. Every flash-pinned s gives the same i^r_b ≥ r_b, added once.
+	seen := make([]int, nb) // b+1 once s is seen among b's successors
 	for b := range m.Blocks {
-		iv := vars.I[b]
-		if iv < 0 {
-			continue
-		}
-		rb := vars.R[b]
+		rb, pinned := vars.R[b], false
 		for _, s := range f.succ[b] {
+			if s == b || seen[s] == b+1 {
+				continue
+			}
+			seen[s] = b + 1
 			rs := vars.R[s]
-			if rb < 0 && rs < 0 {
-				continue // both pinned to flash: never crosses
+			if rs < 0 {
+				if rb >= 0 && !pinned {
+					pinned = true
+					prob.AddRow(map[int]float64{rb: 1, vars.IR[b]: -1}, 0)
+				}
+				continue
 			}
-			row1 := map[int]float64{iv: -1}
-			row2 := map[int]float64{iv: -1}
+			row := map[int]float64{rs: 1, vars.IF[b]: -1}
 			if rb >= 0 {
-				row1[rb] = 1
-				row2[rb] = -1
+				row[rb] = -1
 			}
-			if rs >= 0 {
-				row1[rs] = row1[rs] - 1
-				row2[rs] = row2[rs] + 1
+			prob.AddRow(row, 0) // r_s − r_b − i^f_b ≤ 0
+			if rb >= 0 {
+				prob.AddRow(map[int]float64{rb: 1, rs: -1, vars.IR[b]: -1}, 0) // r_b − r_s − i^r_b ≤ 0
 			}
-			prob.AddRow(row1, 0) // r_b − r_s − i_b ≤ 0
-			prob.AddRow(row2, 0) // r_s − r_b − i_b ≤ 0
 		}
 	}
 
-	// Product linearization: p ≤ r, p ≤ i, p ≥ r + i − 1, in block order
-	// — row order must be deterministic or degenerate simplex ties (and
-	// with them the branch-and-bound node count) follow map iteration
-	// order.
-	for b := range m.Blocks {
-		pv := vars.P[b]
-		if pv < 0 {
-			continue
-		}
-		rv, iv := vars.R[b], vars.I[b]
-		prob.AddRow(map[int]float64{pv: 1, rv: -1}, 0)
-		prob.AddRow(map[int]float64{pv: 1, iv: -1}, 0)
-		prob.AddRow(map[int]float64{rv: 1, iv: 1, pv: -1}, 1)
-	}
-
-	// Eq. 7: Σ S·r + K·p ≤ Rspare.
+	// Eq. 7: Σ S·r + K·i^r ≤ Rspare.
 	ramRow := map[int]float64{}
 	for b, bd := range m.Blocks {
 		if j := vars.R[b]; j >= 0 {
 			ramRow[j] += bd.S
 		}
-		if j := vars.P[b]; j >= 0 {
+		if j := vars.IR[b]; j >= 0 {
 			ramRow[j] += bd.K
 		}
 	}
@@ -389,14 +395,16 @@ func (m *Model) lower() {
 		prob.AddRow(ramRow, m.Params.Rspare)
 	}
 
-	// Eq. 9: Σ F(T·i + L·r) ≤ (Xlimit−1)·BaseCycles.
+	// Eq. 9: Σ F(L·r + T(i^f + i^r)) ≤ (Xlimit−1)·BaseCycles.
 	timeRow := map[int]float64{}
 	for b, bd := range m.Blocks {
 		if j := vars.R[b]; j >= 0 {
 			timeRow[j] += bd.F * bd.L
 		}
-		if j := vars.I[b]; j >= 0 {
-			timeRow[j] += bd.F * bd.T
+		for _, j := range []int{vars.IF[b], vars.IR[b]} {
+			if j >= 0 {
+				timeRow[j] += bd.F * bd.T
+			}
 		}
 	}
 	f.timeRow = -1
@@ -470,7 +478,7 @@ func (m *Model) EvaluateIn(in []bool) Outcome {
 			}
 			// Checkpoint term, mirroring the ILP objective: RAM-placed
 			// bytes are journaled, instrumentation bytes included iff
-			// they are materialized (instrumented ∧ RAM, the p variable).
+			// they are materialized (instrumented ∧ RAM, the i^r variable).
 			if q := m.Params.CkptNJPerByte; q != 0 {
 				out.EnergyNJ += q * bd.S
 				if instrumented {
@@ -552,7 +560,8 @@ func (m *Model) Rounder(vars *Vars) func(x []float64) ([]float64, bool) {
 	}
 }
 
-// MaterializeX builds the full LP vector (r, i, p) implied by a placement.
+// MaterializeX builds the full LP vector (r, i^f, i^r) implied by a
+// placement.
 func (m *Model) MaterializeX(vars *Vars, inRAM map[string]bool) []float64 {
 	in, _ := m.membership(inRAM)
 	return m.materialize(vars, in)
@@ -566,22 +575,15 @@ func (m *Model) materialize(vars *Vars, in []bool) []float64 {
 		if j := vars.R[b]; j >= 0 && r {
 			x[j] = 1
 		}
-		iv := vars.I[b]
-		if iv < 0 {
+		if !slices.ContainsFunc(m.fam.succ[b], func(s int) bool { return in[s] != r }) {
 			continue
 		}
-		cross := false
-		for _, s := range m.fam.succ[b] {
-			if in[s] != r {
-				cross = true
-				break
-			}
+		iv := vars.IF[b]
+		if r {
+			iv = vars.IR[b]
 		}
-		if cross {
+		if iv >= 0 {
 			x[iv] = 1
-			if pv := vars.P[b]; pv >= 0 && r {
-				x[pv] = 1
-			}
 		}
 	}
 	return x

@@ -41,6 +41,7 @@ func TestBuildRejectsBadParams(t *testing.T) {
 		{Params{EFlash: 1, ERAM: 0.5, Xlimit: 0.9, Rspare: 100}, "Xlimit"},
 		{Params{EFlash: 1, ERAM: 0.5, Xlimit: 1.1, Rspare: -1}, "Rspare"},
 		{Params{EFlash: 0.5, ERAM: 1, Xlimit: 1.1, Rspare: 100}, "nothing to optimize"},
+		{Params{EFlash: 1, ERAM: -0.5, Xlimit: 1.1, Rspare: 100}, "negative ERAM"},
 		{Params{EFlash: 1, ERAM: 0.5, Xlimit: 1.1, Rspare: 100, CkptNJPerByte: -0.1}, "checkpoint"},
 	}
 	for _, c := range cases {
@@ -120,27 +121,38 @@ func TestLibraryBlocksNotMovable(t *testing.T) {
 
 func TestEvaluateMatchesILPObjective(t *testing.T) {
 	p := ir.Figure2Program()
-	m := buildModel(t, p, defaultParams())
-	prob, vars := m.BuildILP()
-
 	// For several placements: Evaluate energy − base == LP objective at
-	// the materialized point.
+	// the materialized point, always powered and with a checkpoint term,
+	// which also prices the K bytes of an instrumented block in RAM.
 	placements := []map[string]bool{
 		{},
 		{"fn_loop": true},
 		{"fn_loop": true, "fn_if": true},
 		{"fn_init": true, "fn_loop": true, "fn_if": true, "fn_iftrue": true, "fn_return": true},
 	}
-	for _, inRAM := range placements {
-		x := m.MaterializeX(vars, inRAM)
-		obj := prob.Objective(x)
-		ev := m.Evaluate(inRAM)
-		if math.Abs((ev.EnergyNJ-m.BaseEnergyNJ)-obj) > 1e-6 {
-			t.Errorf("placement %v: Evaluate−base = %v, LP obj = %v",
-				inRAM, ev.EnergyNJ-m.BaseEnergyNJ, obj)
+	for _, q := range []float64{0, 0.75} {
+		params := defaultParams()
+		params.CkptNJPerByte = q
+		m := buildModel(t, p, params)
+		prob, vars := m.BuildILP()
+		chargedK := false
+		for _, inRAM := range placements {
+			x := m.MaterializeX(vars, inRAM)
+			obj := prob.Objective(x)
+			ev := m.Evaluate(inRAM)
+			if math.Abs((ev.EnergyNJ-m.BaseEnergyNJ)-obj) > 1e-6 {
+				t.Errorf("Q %v, placement %v: Evaluate−base = %v, LP obj = %v",
+					q, inRAM, ev.EnergyNJ-m.BaseEnergyNJ, obj)
+			}
+			if !prob.Feasible(x, 1e-6) && ev.Feasible {
+				t.Errorf("Q %v, placement %v: Evaluate feasible but LP rows violated", q, inRAM)
+			}
+			for b, j := range vars.IR {
+				chargedK = chargedK || j >= 0 && x[j] == 1 && m.Blocks[b].K > 0
+			}
 		}
-		if !prob.Feasible(x, 1e-6) && ev.Feasible {
-			t.Errorf("placement %v: Evaluate feasible but LP rows violated", inRAM)
+		if !chargedK {
+			t.Errorf("Q %v: no placement instruments a block with K > 0 in RAM", q)
 		}
 	}
 }
