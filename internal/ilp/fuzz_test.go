@@ -30,7 +30,9 @@ func (b *fuzzBytes) next() int {
 // bit-equal to the exhaustive one once both points are rounded.
 // Optionally the solve is warm-started from the root end state of a
 // looser sibling, so the search also branches below a resumed root.
-// Every Optimal relaxation either solve meets is certified.
+// Every Optimal relaxation either solve meets is certified, and every
+// penalty of a fractional binary at a branch-and-bound node is held to a
+// cold solve of its child (penaltiesHold).
 func FuzzBranchAndBoundVsExhaustive(f *testing.F) {
 	f.Add([]byte{5, 0, 3, 250, 7, 1, 9, 1, 0, 4, 8, 12, 3, 6, 9, 40, 2, 2, 2, 2, 2, 0})
 	f.Add([]byte{8, 1, 10, 251, 3, 4, 5, 6, 248, 7, 2, 0, 11, 5, 7, 13, 2, 9, 4, 3, 1, 60, 1, 1, 3, 5, 7, 2, 8, 1, 3, 9, 20, 4, 4, 4, 4, 4, 4, 4, 4, 1, 15})
@@ -101,6 +103,7 @@ func FuzzBranchAndBoundVsExhaustive(f *testing.F) {
 		}
 
 		s := build(0)
+		penaltiesHold(t, s)
 		if slack > 0 {
 			sib, err := build(slack).Solve(context.Background())
 			if err != nil {

@@ -9,6 +9,14 @@
 // (instrumented in flash, instrumented in RAM) may take their integral
 // lower bounds at an LP optimum, so branching is restricted to the r_b
 // variables and the search tree stays small.
+//
+// The search is best-first. It branches on the fractional binary with
+// the largest Driebeek–Tomlin penalty — GLPK's default rule, read off
+// the node's tableau row (lp.State.Penalties) — and, once an incumbent
+// exists, fixes every free nonbasic binary whose reduced cost exceeds
+// the gap to it (lp.State.Reduced) in both children. Neither prunes a
+// node: that stays with the certified cutoff bound, Farkas verdicts and
+// optimality certificates of internal/lp.
 package ilp
 
 import (
@@ -134,7 +142,8 @@ type Result struct {
 const intTol = 1e-6
 
 // node is an open subproblem: the node it branched from plus one more
-// fix. Its fixes are the chain up to the root's children.
+// fix. Its fixes are the chain up to the root's children, each branched
+// node on it adding its reduced-cost fixes before its branching fix.
 type node struct {
 	bound float64
 	fix   fix
@@ -146,18 +155,24 @@ type node struct {
 }
 
 // fixTo applies nd's fixes to p in the order the branching made them,
-// root first.
+// root first: at each branched node its reduced-cost fixes, then the
+// branching fix.
 func (nd *node) fixTo(p *lp.Problem) {
 	if nd.up != nil {
 		nd.up.fixTo(p)
 	}
+	for _, f := range nd.from.fixes {
+		p.SetBounds(f.j, f.val, f.val)
+	}
 	p.SetBounds(nd.fix.j, nd.fix.val, nd.fix.val)
 }
 
-// parent is a branched node's end state, shared by its children.
+// parent is a branched node's end state, shared by its children, and the
+// reduced-cost fixes both children inherit from it.
 type parent struct {
 	state *lp.State
 	open  int // children not yet popped; the last one takes state over
+	fixes []fix
 }
 
 // branching is all one branched node allocates: the end state its
@@ -364,17 +379,40 @@ func (s *Solver) Solve(ctx context.Context) (*Result, error) {
 	}
 
 	// branch opens both children, on variable j, of node nd (nil for the
-	// root) solved to sol. They share its end state: each copies it except
-	// the last to be popped, which takes it over.
+	// root) solved to sol on p. They share its end state: each copies it
+	// except the last to be popped, which takes it over.
+	//
+	// With an incumbent, both children also inherit the reduced-cost fixes
+	// of nd: a binary that is free in p, nonbasic, and whose reduced cost
+	// exceeds the gap to the prune threshold could only leave its bound
+	// for a point the incumbent already beats, so it is fixed where it
+	// sits. The fixes are bound edits of the children's problems alone;
+	// p and root are never touched.
 	open := &nodeHeap{}
-	branch := func(nd *node, sol *lp.Solution, j int) {
+	branch := func(nd *node, sol *lp.Solution, p *lp.Problem, j int) {
 		b := &branching{parent: parent{state: sol.State, open: 2}}
+		if incumbent != nil {
+			gap := incumbentObj - 1e-9 - sol.Obj
+			for _, k := range s.Binaries {
+				lo, hi := p.Bounds(k)
+				d, at := sol.State.Reduced(k)
+				if lo == hi || !(d > gap) {
+					continue
+				}
+				switch at {
+				case lp.AtLower:
+					b.fixes = append(b.fixes, fix{k, lo})
+				case lp.AtUpper:
+					b.fixes = append(b.fixes, fix{k, hi})
+				}
+			}
+		}
 		for v := range b.kids {
 			b.kids[v] = node{bound: sol.Obj, fix: fix{j, float64(v)}, up: nd, from: &b.parent}
 			heap.Push(open, &b.kids[v])
 		}
 	}
-	branch(nil, rootSol, s.mostFractional(rootSol.X))
+	branch(nil, rootSol, root, s.branchVar(rootSol))
 	done := ctx.Done()
 
 	// stopResult ends the search on a tripped budget: the incumbent is
@@ -449,12 +487,12 @@ func (s *Solver) Solve(ctx context.Context) (*Result, error) {
 			continue
 		}
 		tryIncumbent(sol.X)
-		j := s.mostFractional(sol.X)
+		j := s.branchVar(sol)
 		if j < 0 {
 			recycle(sol.State)
 			continue // integral; tryIncumbent already recorded it
 		}
-		branch(nd, sol, j)
+		branch(nd, sol, nodeP, j)
 	}
 
 	if incumbent == nil {
@@ -474,20 +512,22 @@ func (s *Solver) integral(x []float64) bool {
 	return true
 }
 
-// mostFractional returns the branching variable whose value is closest to
-// 0.5, or -1 if all are integral.
-func (s *Solver) mostFractional(x []float64) int {
-	best, bestDist := -1, math.Inf(1)
+// branchVar returns the fractional binary of sol to branch on, or -1 if
+// all are integral: the one whose weaker child is pushed furthest up by
+// its Driebeek penalty (lp.State.Penalties), the larger penalty breaking
+// ties and then the earlier place in Binaries. The penalties only choose
+// the variable; the search never prunes on them.
+func (s *Solver) branchVar(sol *lp.Solution) int {
+	best, bestMin, bestMax := -1, 0.0, 0.0
 	for _, j := range s.Binaries {
-		f := x[j]
-		frac := math.Abs(f - math.Round(f))
-		if frac <= intTol {
+		f := sol.X[j]
+		if math.Abs(f-math.Round(f)) <= intTol {
 			continue
 		}
-		d := math.Abs(f - 0.5)
-		if d < bestDist {
-			bestDist = d
-			best = j
+		down, up := sol.State.Penalties(j)
+		lo, hi := min(down, up), max(down, up)
+		if best < 0 || lo > bestMin || lo == bestMin && hi > bestMax {
+			best, bestMin, bestMax = j, lo, hi
 		}
 	}
 	return best

@@ -77,6 +77,55 @@ func cutoffs(s *Solver) *int {
 	return n
 }
 
+// penaltiesHold holds the Driebeek penalties of every Optimal node s
+// solves to cold solves of the node's two children on each fractional
+// binary, on top of whatever s's LP hook already checks: a child's
+// optimum must reach the node's objective plus the child's penalty, and
+// a child whose penalty is +Inf must be infeasible. It counts the
+// children checked.
+func penaltiesHold(t *testing.T, s *Solver) *int {
+	n, hook := new(int), s.onLP
+	s.onLP = func(p *lp.Problem, cutoff float64, sol *lp.Solution) {
+		if hook != nil {
+			hook(p, cutoff, sol)
+		}
+		if sol.Status != lp.Optimal {
+			return
+		}
+		for _, j := range s.Binaries {
+			x := sol.X[j]
+			if math.Abs(x-math.Round(x)) <= intTol {
+				continue
+			}
+			down, up := sol.State.Penalties(j)
+			lo, hi := p.Bounds(j)
+			for _, child := range []struct {
+				lo, hi, penalty float64
+			}{{lo, math.Floor(x), down}, {math.Ceil(x), hi, up}} {
+				c := p.Clone()
+				c.SetBounds(j, child.lo, child.hi)
+				cold, err := c.Solve(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				*n++
+				bound := sol.Obj + child.penalty
+				switch {
+				case cold.Status == lp.Infeasible:
+				case cold.Status != lp.Optimal:
+					t.Errorf("column %d bounded to [%v, %v]: the cold solve is %v", j, child.lo, child.hi, cold.Status)
+				case math.IsInf(child.penalty, 1):
+					t.Errorf("column %d bounded to [%v, %v]: penalty +Inf, but the cold optimum is %v", j, child.lo, child.hi, cold.Obj)
+				case cold.Obj < bound-1e-7*(1+math.Abs(bound)):
+					t.Errorf("column %d bounded to [%v, %v]: node %v plus penalty %v is %v, but the cold optimum is %v",
+						j, child.lo, child.hi, sol.Obj, child.penalty, bound, cold.Obj)
+				}
+			}
+		}
+	}
+	return n
+}
+
 func TestKnapsackSmall(t *testing.T) {
 	// Classic: values 60,100,120 weights 10,20,30 cap 50 → take 2+3 = 220.
 	s := knapsack(t, []float64{60, 100, 120}, []float64{10, 20, 30}, 50)
@@ -272,11 +321,12 @@ func TestBranchAndBoundMatchesExhaustive(t *testing.T) {
 // to 10 binaries with native [0,1] column bounds, plus bounded continuous
 // columns and mixed ≤/≥ rows with right-hand sides of either sign
 // (addLE). Branch and bound must match exhaustive enumeration, every
-// Optimal relaxation either solves is certified, and every node cut off
-// at the incumbent is checked against a cold solve.
+// Optimal relaxation either solves is certified, every node cut off at
+// the incumbent is checked against a cold solve, and every penalty of a
+// fractional binary against its child's (penaltiesHold).
 func TestBranchAndBoundMatchesExhaustiveMixed(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
-	optimal, cut := 0, 0
+	optimal, cut, children := 0, 0, 0
 	for trial := 0; trial < 150; trial++ {
 		k := 1 + rng.Intn(10)
 		n := k + rng.Intn(3)
@@ -305,11 +355,13 @@ func TestBranchAndBoundMatchesExhaustiveMixed(t *testing.T) {
 		}
 		s := certified(t, &Solver{Base: p, Binaries: bins})
 		cutoffs := cutoffs(s)
+		checked := penaltiesHold(t, s)
 		got, err := s.Solve(context.Background())
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		cut += *cutoffs
+		children += *checked
 		want, err := s.SolveExhaustive(context.Background())
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
@@ -329,6 +381,9 @@ func TestBranchAndBoundMatchesExhaustiveMixed(t *testing.T) {
 	}
 	if cut == 0 {
 		t.Error("no node was cut off at the incumbent; the cutoff goes untested")
+	}
+	if children == 0 {
+		t.Error("no fractional node was met; the penalties go untested")
 	}
 }
 

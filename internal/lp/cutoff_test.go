@@ -211,46 +211,49 @@ func checkCarriedPrice(t *testing.T, p *Problem, st *State) {
 	}
 }
 
-// TestResumeBelowDropsRoundingLevelPrices resumes the explicit-rows
-// problem of FuzzBoundsVsRows corpus entry 8be18b7aa5605960 from its own
-// end state, with row 0's RHS lowered by one (the optimum stays −14).
-// That end state prices row 0's slack at 2.8e-17 beside prices of 1, and
-// x3 costs nothing, has no upper bound and sits in row 0. Read as a
+// TestResumeBelowDropsRoundingLevelPrices takes an explicit-rows problem
+// of the kind FuzzBoundsVsRows builds, column bounds written as rows, and
+// resumes it from its own end state with row 3's RHS lowered by one (the
+// optimum stays −30). That end
+// state prices row 3's slack at 2.2e-16 beside prices of up to 4, and x3
+// costs nothing, has no upper bound and sits in row 3. Read as a
 // multiplier, the rounding-level price gives x3 a dⱼ its cancel test
 // cannot absorb, so the bound would be refused and the resume would pivot
 // on to the optimum. Dropped, as farkas drops such prices, it leaves the
-// bound −14 at the first basis, and a cutoff of −15 stops the resume
+// bound −30 at the first basis, and a cutoff of −31 stops the resume
 // there.
 func TestResumeBelowDropsRoundingLevelPrices(t *testing.T) {
-	build := func(rhs0 float64) *Problem {
-		p, one := withOne(5)
-		for j, c := range []float64{-1, -1, -1, 0, -1} {
+	build := func(rhs3 float64) *Problem {
+		p, one := withOne(4)
+		for j, c := range []float64{-2, -2, -4, 0} {
 			p.SetObj(j, c)
 		}
-		p.AddDenseRow([]float64{-3, -1, 3, -3, 1, 10}, 10+rhs0)
-		p.AddDenseRow([]float64{-2, -2, -2, -3, 3, 1}, 0)
-		p.AddDenseRow([]float64{3, 3, -3, -3, -3, 1}, 0)
-		for j := 0; j < 4; j++ {
-			p.AddRow(map[int]float64{j: 1}, 3)
+		p.AddDenseRow([]float64{-2, 3, 0, 0, 0}, 1)
+		p.AddDenseRow([]float64{0, -3, -2, 1, 5}, 0)
+		p.AddDenseRow([]float64{0, -1, 0, -3, 2}, 0)
+		p.AddDenseRow([]float64{3, -1, 2, -3, 0}, rhs3)
+		for j, b := range []struct{ lo, hi float64 }{{1, 4}, {2, 3}, {2, 4}, {2, math.Inf(1)}} {
+			p.AddRow(map[int]float64{j: -1, one: b.lo}, 0)
+			if !math.IsInf(b.hi, 1) {
+				p.AddRow(map[int]float64{j: 1}, b.hi)
+			}
 		}
-		p.AddRow(map[int]float64{4: -1, one: 2}, 0)
-		p.AddRow(map[int]float64{4: 1}, 5)
 		return p
 	}
-	donor := solve(t, build(-1))
-	if donor.Status != Optimal || !approx(donor.Obj, -14) {
-		t.Fatalf("donor: %v obj %v, want optimal −14", donor.Status, donor.Obj)
+	donor := solve(t, build(3))
+	if donor.Status != Optimal || !approx(donor.Obj, -30) {
+		t.Fatalf("donor: %v obj %v, want optimal −30", donor.Status, donor.Obj)
 	}
-	if r := donor.State.reduced[6]; !(r > 0 && r < 1e-12) {
-		t.Fatalf("row 0's slack price is %v; the test needs one at rounding level", r)
+	if r := donor.State.reduced[8]; !(r > 0 && r < 1e-12) {
+		t.Fatalf("row 3's slack price is %v; the test needs one at rounding level", r)
 	}
 
-	p := build(-2)
+	p := build(2)
 	cold := solve(t, p.Clone())
-	if cold.Status != Optimal || !approx(cold.Obj, -14) {
-		t.Fatalf("cold: %v obj %v, want optimal −14", cold.Status, cold.Obj)
+	if cold.Status != Optimal || !approx(cold.Obj, -30) {
+		t.Fatalf("cold: %v obj %v, want optimal −30", cold.Status, cold.Obj)
 	}
-	const cutoff = -15
+	const cutoff = -31
 	got, err := p.ResumeBelow(context.Background(), donor.State.Copy(nil), cutoff)
 	if err != nil {
 		t.Fatal(err)

@@ -382,14 +382,16 @@ func (p *Problem) Solve(ctx context.Context) (*Solution, error) {
 // a bound edit; the dual simplex repairs them. It runs under a zero
 // objective, for which every basis is dual feasible, so it cannot stall
 // on a negative reduced cost and needs no bounded relaxation to start
-// from. The primal simplex then optimizes the real objective from the
-// feasible basis it reaches. Every step works on p's own rows, so the
-// verdicts need no certificate, and nothing falls back to another solve.
+// from. Every ratio ties at 0 there, so the pass leaves by the lowest
+// label (Bland's rule for the dual), which cannot cycle. The primal
+// simplex then optimizes the real objective from the feasible basis it
+// reaches. Every step works on p's own rows, so the verdicts need no
+// certificate, and nothing falls back to another solve.
 func (p *Problem) solveShifted(ctx context.Context, st *State) (*Solution, error) {
 	tb := &st.tb
 	maxIter, iters, done := p.maxIters(), 0, ctx.Done()
 	zero := make([]float64, 2*tb.total) // cost and reduced costs
-	switch dst, _ := dualSimplex(tb, zero[:tb.total], zero[tb.total:], nil, maxIter, &iters, done); dst {
+	switch dst, _ := dualSimplex(tb, zero[:tb.total], zero[tb.total:], nil, true, maxIter, &iters, done); dst {
 	case stCanceled:
 		return nil, fmt.Errorf("lp: solve interrupted: %w", ctx.Err())
 	case Infeasible:
@@ -652,6 +654,86 @@ func (st *State) Bytes() int {
 // its size in bytes.
 func (st *State) Cells() int { return len(st.tb.basis) * (st.tb.n + 1) }
 
+// Bound says where a structural column sits in an end state.
+type Bound int
+
+// Column positions.
+const (
+	// Basic: in the basis, anywhere within its bounds.
+	Basic Bound = iota
+	// AtLower: nonbasic at its lower bound.
+	AtLower
+	// AtUpper: nonbasic at its upper bound.
+	AtUpper
+)
+
+// Reduced returns structural column j's reduced cost in st, and where
+// the column sits. The cost is signed for the way the column can move:
+// the objective of st's problem rises by at least d for every unit the
+// column moves off the bound it sits on, so at an optimum d ≥ 0 up to
+// rounding (a fixed column's may take either sign). A basic column's is
+// 0. st is only read.
+func (st *State) Reduced(j int) (d float64, at Bound) {
+	tb := &st.tb
+	switch {
+	case tb.pos[j] >= tb.n:
+		return 0, Basic
+	case tb.flip[j]:
+		return st.reduced[j], AtUpper
+	}
+	return st.reduced[j], AtLower
+}
+
+// Penalties returns Driebeek's penalties for structural column j, basic
+// in st at a fractional value: the objective rise the first dual simplex
+// pivot would certify if the column were bounded down to the floor of
+// its value, and if it were bounded up to its ceiling. Each is the
+// distance the basic value must move times the least ratio of reduced
+// cost to coefficient over the columns of its tableau row that can move
+// it that way, so +Inf when none can. A column at a bound reads 0, 0.
+// The penalties are a heuristic's estimate of the children's bounds, not
+// a certificate of them. st is only read.
+func (st *State) Penalties(j int) (down, up float64) {
+	tb := &st.tb
+	q := tb.pos[j]
+	if q < tb.n {
+		return 0, 0
+	}
+	row := tb.t[q-tb.n]
+	// In working coordinates the basic value w falls as a column with a
+	// positive coefficient enters and rises as one with a negative
+	// coefficient does; x_j moves with w unless it is complemented.
+	w := row[tb.n]
+	x := st.lo[j] + w
+	if tb.flip[j] {
+		x = st.hi[j] - w
+	}
+	fall, rise := math.Inf(1), math.Inf(1) // least ratios that lower and raise w
+	for p, a := range row[:tb.n] {
+		l := tb.nonb[p]
+		if tb.up[l] == 0 {
+			continue // fixed: it cannot enter
+		}
+		r := max(st.reduced[l], 0)
+		switch {
+		case a > eps:
+			fall = min(fall, r/a)
+		case a < -eps:
+			rise = min(rise, r/-a)
+		}
+	}
+	if tb.flip[j] {
+		fall, rise = rise, fall
+	}
+	penalty := func(dist, ratio float64) float64 {
+		if dist == 0 {
+			return 0
+		}
+		return dist * ratio
+	}
+	return penalty(x-math.Floor(x), fall), penalty(math.Ceil(x)-x, rise)
+}
+
 // SolveFromState re-solves the problem from the full end state of a
 // previous Optimal solve of a problem with identical coefficient rows,
 // columns and objective but (possibly) changed RHS values and column
@@ -725,7 +807,7 @@ func (p *Problem) ResumeBelow(ctx context.Context, st *State, cutoff float64) (*
 		return sol, err
 	}
 
-	dst, row := dualSimplex(tb, cost, reduced, cut, maxIter, &iters, done)
+	dst, row := dualSimplex(tb, cost, reduced, cut, false, maxIter, &iters, done)
 	switch dst {
 	case stCanceled:
 		return nil, fmt.Errorf("lp: solve interrupted: %w", ctx.Err())
@@ -1033,7 +1115,8 @@ func (p *Problem) cutBound(reduced []float64, sc *scratch) (bound float64, ok bo
 const stDualStall Status = -2
 
 // dualSimplex restores primal feasibility of a dual-feasible basis: the
-// leaving row is the basic value furthest outside its bounds (a value
+// leaving row is the basic value furthest outside its bounds, or with
+// bland the one outside whose basic column has the lowest label (a value
 // above its upper bound is complemented first, so it reads as below
 // zero), the entering column the dual ratio test over that row's
 // negative coefficients. Fixed columns never enter. Returns Optimal once
@@ -1045,7 +1128,12 @@ const stDualStall Status = -2
 // tableau's reduced costs under cost on entry; each pivot updates them.
 // A non-nil cut is asked before every iteration whether the basis in
 // hand ends the walk; Cutoff when it does.
-func dualSimplex(tb *tableau, cost, reduced []float64, cut func() bool, maxIter int, iters *int, done <-chan struct{}) (Status, int) {
+//
+// The ratio test breaks ties on the lowest label, so with bland the walk
+// is Bland's rule for the dual and cannot cycle. Without it a degenerate
+// walk can: under a zero objective every ratio ties at 0, and the most
+// violated row may return to a basis already seen.
+func dualSimplex(tb *tableau, cost, reduced []float64, cut func() bool, bland bool, maxIter int, iters *int, done <-chan struct{}) (Status, int) {
 	t, basis, n := tb.t, tb.basis, tb.n
 	for {
 		if cut != nil && cut() {
@@ -1067,6 +1155,12 @@ func dualSimplex(tb *tableau, cost, reduced []float64, cut func() bool, maxIter 
 		worst := 1e-7
 		for i, row := range t {
 			v := row[n]
+			if bland {
+				if (-v > worst || v-tb.up[basis[i]] > worst) && (leave < 0 || basis[i] < basis[leave]) {
+					leave = i
+				}
+				continue
+			}
 			if -v > worst {
 				worst, leave = -v, i
 			}
@@ -1083,8 +1177,8 @@ func dualSimplex(tb *tableau, cost, reduced []float64, cut func() bool, maxIter 
 
 		// Dual ratio test: minimize reduced[j] / |a_j| over the leaving
 		// row's negative coefficients, walked in label order; lowest label
-		// breaks ties (Bland, so the dual walk cannot cycle), and which
-		// candidates count as tied depends on that order.
+		// breaks ties, and which candidates count as tied depends on that
+		// order.
 		row := t[leave]
 		enter := -1
 		bestRatio := math.Inf(1)

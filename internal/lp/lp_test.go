@@ -440,7 +440,7 @@ func TestDualRatioTestWalksLabels(t *testing.T) {
 	tb.flip = make([]bool, 4)
 	reduced := []float64{1.8e-9, 1.2e-9, 0.6e-9, 0}
 	iters := 0
-	st, _ := dualSimplex(&tb, make([]float64, 4), reduced, nil, 10, &iters, nil)
+	st, _ := dualSimplex(&tb, make([]float64, 4), reduced, nil, false, 10, &iters, nil)
 	if st != Optimal || tb.basis[0] != 2 {
 		t.Errorf("dual simplex %v with label %d entering, want optimal with label 2", st, tb.basis[0])
 	}

@@ -268,3 +268,48 @@ func TestSplitRootIsAtLeastMcCormick(t *testing.T) {
 		}
 	})
 }
+
+// TestPenaltiesBoundRootChildren: on every root model, each fractional
+// r_b of the root relaxation is held to its two children, the root with
+// r_b fixed at 0 and at 1, each solved cold. A child's optimum must reach
+// the root objective plus the child's Driebeek penalty
+// (lp.State.Penalties), up to rounding, and a child whose penalty is
+// +Inf must be infeasible. Branch and bound branches on these penalties.
+func TestPenaltiesBoundRootChildren(t *testing.T) {
+	children := 0
+	forEachRootModel(t, func(name string, m *model.Model) {
+		prob, vars := m.BuildILP()
+		root := solveRoot(t, name, prob)
+		for _, j := range vars.Binaries {
+			x := root.X[j]
+			if math.Abs(x-math.Round(x)) <= 1e-6 {
+				continue
+			}
+			down, up := root.State.Penalties(j)
+			for v, penalty := range []float64{down, up} {
+				c := prob.Clone()
+				c.SetBounds(j, float64(v), float64(v))
+				cold, err := c.Solve(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				children++
+				bound := root.Obj + penalty
+				switch {
+				case cold.Status == lp.Infeasible:
+				case cold.Status != lp.Optimal:
+					t.Errorf("%s: r column %d at %d: the cold solve is %v", name, j, v, cold.Status)
+				case math.IsInf(penalty, 1):
+					t.Errorf("%s: r column %d at %d: penalty +Inf, but the cold optimum is %v", name, j, v, cold.Obj)
+				case cold.Obj < bound-1e-7*(1+math.Abs(bound)):
+					t.Errorf("%s: r column %d at %d: root %v plus penalty %v is %v, but the cold optimum is %v",
+						name, j, v, root.Obj, penalty, bound, cold.Obj)
+				}
+			}
+		}
+	})
+	if children == 0 {
+		t.Error("no root relaxation was fractional; the penalties go untested")
+	}
+	t.Logf("%d children checked", children)
+}
