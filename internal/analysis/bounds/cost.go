@@ -100,8 +100,6 @@ func (c *computer) instrCost(pl *layout.Placed, i int, fetchMem power.Memory) In
 		} else {
 			iv = charge(cy, power.None).Union(charge(isa.CyclesNotTaken(in), power.None))
 		}
-	case isa.CBZ, isa.CBNZ:
-		iv = charge(cy, power.None).Union(charge(isa.CyclesNotTaken(in), power.None))
 	case isa.LDR, isa.LDRB, isa.LDRH, isa.LDRSB, isa.LDRSH:
 		if in.Mode == isa.AddrOffset && in.Rn == isa.SP {
 			// Stack access: the stack lives in RAM by construction.

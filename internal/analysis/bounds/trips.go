@@ -414,7 +414,7 @@ func (s *evalState) run(instrs []isa.Instr) {
 				continue
 			}
 		case isa.ADD, isa.SUB:
-			if in.Cond == isa.AL && in.Rd != isa.SP && in.Rn != isa.SP {
+			if in.Rd != isa.SP && in.Rn != isa.SP {
 				a := s.reg(in.Rn)
 				b := s.operand2(in)
 				neg := int64(1)
@@ -431,22 +431,22 @@ func (s *evalState) run(instrs []isa.Instr) {
 				}
 			}
 		case isa.LDRLIT:
-			if in.Cond == isa.AL && in.Sym == "" {
+			if in.Sym == "" {
 				s.setReg(in.Rd, val{kind: vConst, c: int64(in.Imm)})
 				continue
 			}
 		case isa.LDR:
-			if in.Cond == isa.AL && in.Mode == isa.AddrOffset && in.Rn == isa.SP {
+			if in.Mode == isa.AddrOffset && in.Rn == isa.SP {
 				s.setReg(in.Rd, s.loc(loc{slot: true, off: int32(in.Imm)}))
 				continue
 			}
 		case isa.STR, isa.STRB, isa.STRH:
 			if in.Mode == isa.AddrOffset && in.Rn == isa.SP {
-				if in.Op == isa.STR && in.Cond == isa.AL {
+				if in.Op == isa.STR {
 					s.slots[int32(in.Imm)] = s.reg(in.Rd)
 				} else {
-					// Partial or predicated store: the slot's word value
-					// is no longer known.
+					// Partial store: the slot's word value is no longer
+					// known.
 					s.slots[int32(in.Imm)] = val{}
 				}
 				continue

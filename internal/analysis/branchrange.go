@@ -18,7 +18,6 @@ import (
 // Codes:
 //
 //	BR001  direct branch displacement does not fit its encoding
-//	BR002  cbz/cbnz displacement outside the forward 0..126 range
 //	BR003  literal load without a pool slot, or slot out of ldr reach
 //	BR004  instruction fails to encode or its bytes fail to decode
 //	BR005  decoded target address disagrees with the symbol address
@@ -103,19 +102,6 @@ func (p BranchRangePass) Run(ctx *Context) ([]Diagnostic, error) {
 						in.String(), in.Sym, delta, widthName(wide), lo, hi)
 					continue
 				}
-			case isa.CBZ, isa.CBNZ:
-				tgt, ok := img.Symbols[in.Sym]
-				if !ok {
-					report("BR005", Error, pl, i, "%s targets unknown symbol %q", in.Op, in.Sym)
-					continue
-				}
-				delta := int64(tgt) - int64(addr+4)
-				if delta < 0 || delta > 126 || delta%2 != 0 {
-					report("BR002", Error, pl, i,
-						"%s to %q spans %d bytes, outside the forward 0..126 range",
-						in.String(), in.Sym, delta)
-					continue
-				}
 			case isa.LDRLIT:
 				slot := pl.LitAddrs[i]
 				if slot == 0 {
@@ -164,7 +150,7 @@ func (p BranchRangePass) Run(ctx *Context) ([]Diagnostic, error) {
 				continue
 			}
 			switch in.Op {
-			case isa.B, isa.BL, isa.CBZ, isa.CBNZ:
+			case isa.B, isa.BL:
 				if want := img.Symbols[in.Sym]; d.Target != want {
 					report("BR005", Error, pl, i,
 						"decoded target %#x, want %s = %#x (displacement truncated)",

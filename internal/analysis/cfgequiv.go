@@ -105,11 +105,6 @@ func successorSet(f *ir.Function, bi int, b *ir.Block) map[string]bool {
 		if t.Cond != isa.AL && next != "" {
 			out[next] = true
 		}
-	case isa.CBZ, isa.CBNZ:
-		out[t.Sym] = true
-		if next != "" {
-			out[next] = true
-		}
 	case isa.LDRLIT:
 		if t.Rd == isa.PC {
 			out[t.Sym] = true
@@ -169,17 +164,6 @@ func compareComputation(ob, tb *ir.Block) string {
 	oBody := stripTerminator(ob)
 	tBody := stripTerminator(tb)
 
-	// A rewritten cbz/cbnz leaves a trailing cmp rn, #0 in the transformed
-	// body that stands in for the original terminator's comparison.
-	if ot := ob.Terminator(); ot != nil && (ot.Op == isa.CBZ || ot.Op == isa.CBNZ) {
-		if len(tBody) == len(oBody)+1 {
-			last := tBody[len(tBody)-1]
-			if last.Op == isa.CMP && last.HasImm && last.Imm == 0 && last.Rn == ot.Rn {
-				tBody = tBody[:len(tBody)-1]
-			}
-		}
-	}
-
 	oi, ti := 0, 0
 	for oi < len(oBody) && ti < len(tBody) {
 		o, t := oBody[oi], tBody[ti]
@@ -215,7 +199,7 @@ func stripTerminator(b *ir.Block) []isa.Instr {
 	}
 	t := &b.Instrs[n-1]
 	switch t.Op {
-	case isa.B, isa.CBZ, isa.CBNZ:
+	case isa.B:
 		return b.Instrs[:n-1]
 	case isa.LDRLIT:
 		if t.Rd == isa.PC {

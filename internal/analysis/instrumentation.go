@@ -19,7 +19,7 @@ import (
 // Codes:
 //
 //	IC001  direct call (bl) crosses between flash and RAM
-//	IC002  direct branch (b/cbz/cbnz) crosses between flash and RAM
+//	IC002  direct branch (b) crosses between flash and RAM
 //	IC003  fall-through edge crosses between flash and RAM
 //	IC004  instrumentation scratch register is live at the rewrite point
 //	IC005  malformed long-branch sequence (it/ldr/ldr/bx shape broken)
@@ -141,7 +141,7 @@ func (p InstrumentationPass) Run(ctx *Context) ([]Diagnostic, error) {
 			if t := b.Terminator(); t != nil {
 				ti := len(b.Instrs) - 1
 				switch t.Op {
-				case isa.B, isa.CBZ, isa.CBNZ:
+				case isa.B:
 					if ctx.memOf(t.Sym) != myRAM {
 						diag("IC002", ti,
 							"direct %s %s crosses %s→%s; needs ldr pc / it-ldr-ldr-bx instrumentation",

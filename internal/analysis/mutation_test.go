@@ -140,24 +140,6 @@ func TestMutationBranchRange(t *testing.T) {
 		runPass(t, m.ctx(), BranchRangePass{}, "BR001")
 	})
 
-	t.Run("BR002 backward cbz", func(t *testing.T) {
-		p := ir.NewProgram()
-		f := p.AddFunc(&ir.Function{Name: "main"})
-		ir.Build(f.AddBlock("m0")).Cbz(isa.R0, "m2")
-		ir.Build(f.AddBlock("m1")).Nop()
-		ir.Build(f.AddBlock("m2")).Ret()
-		p.Reindex()
-		img, err := layout.New(p, layout.DefaultConfig(), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Retarget the already-laid-out cbz at its own block: a backward
-		// displacement no cbz/cbnz encoding can express.
-		f.Block("m0").Instrs[0].Sym = "m0"
-		ctx := &Context{Prog: p, Config: layout.DefaultConfig(), Image: img}
-		runPass(t, ctx, BranchRangePass{}, "BR002")
-	})
-
 	t.Run("BR003 literal slot dropped", func(t *testing.T) {
 		m := buildMutant(t, "crc32", mcc.O2)
 		seeded := false

@@ -68,7 +68,7 @@ func Build(p *ir.Program, f *ir.Function) (*Graph, error) {
 		t := b.Terminator()
 		if t != nil {
 			switch t.Op {
-			case isa.B, isa.CBZ, isa.CBNZ:
+			case isa.B:
 				tgt, ok := labels[t.Sym]
 				if !ok {
 					return nil, fmt.Errorf("cfg: %s: branch to unknown label %q", b.Label, t.Sym)

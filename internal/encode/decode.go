@@ -229,17 +229,6 @@ func decodeNarrow(h uint16, addr uint32) (*Decoded, error) {
 		}
 		return d, nil
 
-	case h&0xF500 == 0xB100: // CBZ/CBNZ
-		op := isa.CBZ
-		if h&0x0800 != 0 {
-			op = isa.CBNZ
-		}
-		d := mk(op, 2)
-		d.Rn = reg(h & 7)
-		off := uint32(h>>3&0x1F)*2 + uint32(h>>9&1)<<6
-		d.Target = addr + 4 + off
-		return d, nil
-
 	case h&0xFF80 == 0x4700: // BX
 		d := mk(isa.BX, 2)
 		d.Rm = reg(h >> 3 & 15)

@@ -81,12 +81,8 @@ func (e *encoder) encode() ([]uint16, error) {
 		switch in.ITMask {
 		case "":
 			mask = 0b1000
-		case "e":
+		default: // "e"; isa.Emitted admits no other mask
 			mask = ((cond&1)^1)<<3 | 0b0100
-		case "t":
-			mask = (cond&1)<<3 | 0b0100
-		default:
-			return nil, fmt.Errorf("unsupported IT mask %q", in.ITMask)
 		}
 		return e.narrow(0xBF00 | cond<<4 | mask), nil
 
@@ -201,22 +197,6 @@ func (e *encoder) encode() ([]uint16, error) {
 
 	case isa.B:
 		return e.branch()
-
-	case isa.CBZ, isa.CBNZ:
-		tgt, err := e.targetAddr(in.Sym)
-		if err != nil {
-			return nil, err
-		}
-		off := int64(tgt) - int64(e.addr+4)
-		if off < 0 || off > 126 || off%2 != 0 {
-			return nil, fmt.Errorf("cbz offset %d out of range", off)
-		}
-		h := uint16(0xB100)
-		if in.Op == isa.CBNZ {
-			h = 0xB900
-		}
-		imm := uint16(off / 2) // i:imm5
-		return e.narrow(h | (imm>>5)<<9 | (imm&0x1F)<<3 | lo3(in.Rn)), nil
 
 	case isa.BL:
 		tgt, err := e.targetAddr(in.Sym)

@@ -142,6 +142,8 @@ func TestDecodeRejectsUnmodeledEncodings(t *testing.T) {
 		{"mov.w r0, r1, lsl #3", []uint16{0xEA4F, 0x00C1}},
 		{"mla r0, r1, r2, r3", []uint16{0xFB01, 0x3002}},
 		{"clz r0, r1", []uint16{0xFAB1, 0xF081}},
+		{"cbz r0, #4", []uint16{0xB100}},
+		{"cbnz r3, #8", []uint16{0xB923}},
 	}
 	for _, c := range cases {
 		buf := make([]byte, 2*len(c.hw))

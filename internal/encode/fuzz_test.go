@@ -11,8 +11,10 @@ import (
 // synthProgram deterministically builds a verifiable program from fuzz
 // bytes: every 3 bytes pick one instruction from a table of encodable
 // shapes, the final byte picks the terminator. The generator only emits
-// combinations the encoder documents support for, so any layout or
-// encode failure on the result is a finding, not noise.
+// forms some producer emits — the predicated ones are mcc's it<c>;
+// mov<c> rd, #imm and the Figure 4 it<c>e; ldr<c> rS, =l; ldr<c'> rS,
+// =l'; bx rS terminator — so any layout or encode failure on the result
+// is a finding, not noise.
 func synthProgram(data []byte) *ir.Program {
 	if len(data) < 4 {
 		return nil
@@ -50,7 +52,8 @@ func synthProgram(data []byte) *ir.Program {
 		return regs
 	}
 
-	// Cap the body so a cbz terminator can still reach the next block.
+	// The body cap keeps older corpus entries building the programs they
+	// were minimized for.
 	n := (len(data) - 1) / 3
 	if n > 25 {
 		n = 25
@@ -133,19 +136,31 @@ func synthProgram(data []byte) *ir.Program {
 		}
 	}
 
-	// m1 gives a cbz/cbnz something to skip: a branch to the adjacent
-	// block would need offset −2, below the encoding's forward-only range.
-	switch t := data[len(data)-1]; t % 5 {
+	t := data[len(data)-1]
+	cond := []isa.Cond{isa.EQ, isa.NE, isa.LT, isa.GE, isa.GT, isa.LE, isa.HI, isa.LS}[t%8]
+	switch t % 5 {
 	case 0:
 		bb.Ret()
 	case 1:
 		bb.B("m2")
 	case 2:
-		bb.Bcond([]isa.Cond{isa.EQ, isa.NE, isa.LT, isa.GE, isa.GT, isa.LE, isa.HI, isa.LS}[t%8], "m2")
+		bb.Bcond(cond, "m2")
 	case 3:
-		bb.Cbz(lo(t), "m2")
+		// The Figure 4 sequence, through a scavenged low register or
+		// r12 (wide literal loads inside the IT block).
+		rs := isa.R5
+		if t >= 128 {
+			rs = isa.R12
+		}
+		body.Append(isa.Instr{Op: isa.IT, Cond: cond, ITMask: "e"})
+		body.Append(isa.Instr{Op: isa.LDRLIT, Cond: cond, Rd: rs, Sym: "m2"})
+		body.Append(isa.Instr{Op: isa.LDRLIT, Cond: cond.Invert(), Rd: rs, Sym: "m1"})
+		body.Append(isa.Instr{Op: isa.BX, Rm: rs})
 	case 4:
-		bb.Cbnz(lo(t), "m2")
+		// mcc's comparison used as a value.
+		body.Append(isa.Instr{Op: isa.IT, Cond: cond})
+		body.Append(isa.Instr{Op: isa.MOV, Cond: cond, Rd: lo(t), Imm: 1, HasImm: true})
+		bb.Ret()
 	}
 	ir.Build(f.AddBlock("m1")).Nop()
 	ir.Build(f.AddBlock("m2")).Ret()

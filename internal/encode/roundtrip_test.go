@@ -45,7 +45,7 @@ func checkRoundTrip(img *layout.Image, pl *layout.Placed, idx int) error {
 		if d.Target != want {
 			return mismatch("target", d.Target, want)
 		}
-	case isa.BL, isa.CBZ, isa.CBNZ:
+	case isa.BL:
 		if d.Op != in.Op {
 			return mismatch("op", d.Op, in.Op)
 		}

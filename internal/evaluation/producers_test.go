@@ -42,21 +42,30 @@ int main() {
 }
 `
 
+// setccSource uses comparisons as values, which mcc lowers to
+// it<c>; mov<c> rd, #1 — a form no benchmark or kernel reaches.
+const setccSource = `
+int r[8];
+
+int main() {
+    int i, a = 3;
+    for (i = 0; i < 8; i++) {
+        r[i] = (a < i) + (a == i) * 2;
+    }
+    return 0;
+}
+`
+
 // TestProducersEmitTheModeledISA pins isa.OpForms to what the system
-// emits. It collects every (op, form) pair of: every BEEBS benchmark,
-// every examples/kernels source and widthsSource compiled at every level
-// (the soft-float runtime comes in with the float benchmarks), each as
-// compiled and transformed under an all-RAM and three seeded random
-// placements; the Figure 1 micro-programs; and Figure 2's program. The
-// collected set must equal isa.OpForms minus kept: a pair nothing
-// produces has no place in the model, and a produced pair outside it
+// emits. It collects every (op, form, predicated) triple of: every BEEBS
+// benchmark, every examples/kernels source, widthsSource and setccSource
+// compiled at every level (the soft-float runtime comes in with the float
+// benchmarks), each as compiled and transformed under an all-RAM and
+// three seeded random placements; the Figure 1 micro-programs; and Figure
+// 2's program. The collected set must equal isa.OpForms: a triple nothing
+// produces has no place in the model, and a produced triple outside it
 // fails ir.Verify before it gets here.
 func TestProducersEmitTheModeledISA(t *testing.T) {
-	// kept are the modeled pairs no producer emits today.
-	kept := map[isa.OpForm]string{
-		{Op: isa.CBZ, Form: isa.FormSym}:  "transform's ShapeShortCond, layout's checkShortBranches, ir.Verify's range check and analysis rule BR002 still model it",
-		{Op: isa.CBNZ, Form: isa.FormSym}: "as cbz",
-	}
 	if testing.Short() {
 		t.Skip("compiles and transforms every source at every level")
 	}
@@ -65,7 +74,8 @@ func TestProducersEmitTheModeledISA(t *testing.T) {
 		for _, f := range p.Funcs {
 			for _, b := range f.Blocks {
 				for i := range b.Instrs {
-					seen[isa.OpForm{Op: b.Instrs[i].Op, Form: isa.FormOf(&b.Instrs[i])}] = true
+					in := &b.Instrs[i]
+					seen[isa.OpForm{Op: in.Op, Form: isa.FormOf(in), Pred: in.Cond != isa.AL}] = true
 				}
 			}
 		}
@@ -79,7 +89,7 @@ func TestProducersEmitTheModeledISA(t *testing.T) {
 		collect(q)
 	}
 
-	sources := map[string]string{"widths": widthsSource}
+	sources := map[string]string{"widths": widthsSource, "setcc": setccSource}
 	for _, b := range beebs.All() {
 		sources[b.Name] = b.Source
 	}
@@ -130,24 +140,13 @@ func TestProducersEmitTheModeledISA(t *testing.T) {
 	modeled := map[isa.OpForm]bool{}
 	for _, of := range isa.OpForms() {
 		modeled[of] = true
-		if _, ok := kept[of]; ok {
-			if seen[of] {
-				t.Errorf("%v in %v form is produced now; drop it from kept", of.Op, of.Form)
-			}
-			continue
-		}
 		if !seen[of] {
-			t.Errorf("no producer emits %v in %v form; delete it from the modeled set", of.Op, of.Form)
+			t.Errorf("no producer emits %v in %v form (predicated %v); delete it from the modeled set", of.Op, of.Form, of.Pred)
 		}
 	}
 	for of := range seen {
 		if !modeled[of] {
-			t.Errorf("%v in %v form is produced but outside isa.OpForms", of.Op, of.Form)
-		}
-	}
-	for of := range kept {
-		if !modeled[of] {
-			t.Errorf("kept pair %v in %v form is not modeled", of.Op, of.Form)
+			t.Errorf("%v in %v form (predicated %v) is produced but outside isa.OpForms", of.Op, of.Form, of.Pred)
 		}
 	}
 }

@@ -81,7 +81,10 @@ type WarmStart struct {
 	// any number of solves, concurrent ones included.
 	State *lp.State
 	// RootIters is the simplex iteration count of the donor's root solve,
-	// used by callers to account iterations saved. Not read by Solve.
+	// used by callers to account iterations saved. Solve reads it only on
+	// a warm proof, which passes it (with State) through as the result's
+	// RootIters, so a chain of instant proofs keeps the count with the
+	// state.
 	RootIters int
 }
 

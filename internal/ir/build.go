@@ -113,16 +113,6 @@ func (bb *BlockBuilder) Bcond(cond isa.Cond, label string) *BlockBuilder {
 	return bb.emit(isa.Instr{Op: isa.B, Cond: cond, Sym: label})
 }
 
-// Cbz emits cbz rn, label.
-func (bb *BlockBuilder) Cbz(rn isa.Reg, label string) *BlockBuilder {
-	return bb.emit(isa.Instr{Op: isa.CBZ, Rn: rn, Sym: label})
-}
-
-// Cbnz emits cbnz rn, label.
-func (bb *BlockBuilder) Cbnz(rn isa.Reg, label string) *BlockBuilder {
-	return bb.emit(isa.Instr{Op: isa.CBNZ, Rn: rn, Sym: label})
-}
-
 // Bl emits a direct call.
 func (bb *BlockBuilder) Bl(fn string) *BlockBuilder {
 	return bb.emit(isa.Instr{Op: isa.BL, Sym: fn})

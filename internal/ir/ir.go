@@ -168,7 +168,7 @@ func (b *Block) Terminator() *isa.Instr {
 // (excluding calls, which return to the next instruction).
 func isControlTransfer(in *isa.Instr) bool {
 	switch in.Op {
-	case isa.B, isa.CBZ, isa.CBNZ, isa.BX:
+	case isa.B, isa.BX:
 		return true
 	case isa.LDRLIT:
 		return in.Rd == isa.PC
@@ -186,16 +186,7 @@ func (b *Block) FallsThrough() bool {
 	if t == nil {
 		return true
 	}
-	switch t.Op {
-	case isa.B:
-		return t.Cond != isa.AL
-	case isa.CBZ, isa.CBNZ:
-		return true // taken edge plus fall-through edge
-	case isa.LDRLIT:
-		return t.Cond != isa.AL
-	default:
-		return false // bx / pop {pc}
-	}
+	return t.Op == isa.B && t.Cond != isa.AL // not b, bx, ldr pc or pop {pc}
 }
 
 // IsReturn reports whether the block ends the function (bx lr or pop{..,pc}).

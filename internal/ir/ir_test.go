@@ -168,7 +168,10 @@ func TestVerifyCatchesBadPrograms(t *testing.T) {
 // outside isa.OpForms — an immediate operand on a multiply, divide, logic
 // op or shift; an immediate on a unary op other than mov; a register
 // rsb; a load or store without its [rn, #imm] addressing; an operand-less
-// branch; an opcode past the table — is rejected, wherever it sits.
+// branch; an opcode past the table; a condition on any form but b, mov
+// #imm, ldr =sym into a register other than pc and it; an it without a
+// condition or with a mask other than "" and "e" — is rejected, wherever
+// it sits.
 func TestVerifyRejectsUnmodeledInstructions(t *testing.T) {
 	imm := func(op isa.Op) isa.Instr {
 		return isa.Instr{Op: op, Rd: isa.R0, Rn: isa.R1, Imm: 3, HasImm: true}
@@ -184,6 +187,16 @@ func TestVerifyRejectsUnmodeledInstructions(t *testing.T) {
 		{Op: isa.STRB, Rd: isa.R0, Rn: isa.R1, Rm: isa.R2},
 		{Op: isa.B},
 		{Op: isa.Op(200), Rd: isa.R0, Rn: isa.R1, Rm: isa.R2},
+		{Op: isa.ADD, Cond: isa.EQ, Rd: isa.R0, Rn: isa.R1, Imm: 3, HasImm: true},
+		{Op: isa.MOV, Cond: isa.EQ, Rd: isa.R0, Rm: isa.R1},
+		{Op: isa.LDR, Cond: isa.NE, Rd: isa.R0, Rn: isa.R1, Mode: isa.AddrOffset},
+		{Op: isa.STR, Cond: isa.NE, Rd: isa.R0, Rn: isa.R1, Mode: isa.AddrOffset},
+		{Op: isa.LDRLIT, Cond: isa.NE, Rd: isa.R0, Imm: 7, HasImm: true},
+		{Op: isa.LDRLIT, Cond: isa.NE, Rd: isa.PC, Sym: "fn_loop"},
+		{Op: isa.BL, Cond: isa.LT, Sym: "fn"},
+		{Op: isa.BX, Cond: isa.LT, Rm: isa.LR},
+		{Op: isa.IT, Cond: isa.EQ, ITMask: "t"},
+		{Op: isa.IT},
 	}
 	for _, in := range cases {
 		p := Figure2Program()
@@ -206,32 +219,6 @@ func TestVerifyBranchRangeAndBackPointers(t *testing.T) {
 			t.Errorf("error = %q, want substring %q", err, want)
 		}
 	}
-
-	t.Run("backward cbz", func(t *testing.T) {
-		p := NewProgram()
-		f := p.AddFunc(&Function{Name: "main"})
-		Build(f.AddBlock("a")).Nop()
-		Build(f.AddBlock("b")).Cbz(isa.R0, "a")
-		Build(f.AddBlock("c")).Ret()
-		p.Reindex()
-		expect(t, p, "forward displacements only")
-	})
-
-	t.Run("out-of-range cbnz", func(t *testing.T) {
-		p := NewProgram()
-		f := p.AddFunc(&Function{Name: "main"})
-		Build(f.AddBlock("near")).Cbnz(isa.R0, "far")
-		// 70 two-byte instructions: a 140-byte lower bound, beyond any
-		// cbz/cbnz encoding regardless of layout decisions.
-		mid := Build(f.AddBlock("mid"))
-		for i := 0; i < 70; i++ {
-			mid.Nop()
-		}
-		mid.Ret()
-		Build(f.AddBlock("far")).Ret()
-		p.Reindex()
-		expect(t, p, "beyond the 126-byte cbz/cbnz range")
-	})
 
 	t.Run("stale literal back-pointer", func(t *testing.T) {
 		p := NewProgram()

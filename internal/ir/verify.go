@@ -8,21 +8,16 @@ import (
 
 // Verify checks structural invariants of a program:
 //
-//   - every instruction's (op, form) pair is in the modeled instruction
-//     set (isa.OpForms)
+//   - every instruction's (op, form, predicated) triple is in the
+//     modeled instruction set (isa.OpForms)
 //   - every block label is unique program-wide
-//   - every branch target (b/cbz/cbnz, ldr pc,=label, conditional ldr
-//     =label used by instrumentation) resolves to a block label; every bl
-//     target resolves to a function; every ldr =sym data reference resolves
-//     to a global, function or block
-//   - cbz/cbnz targets lie forward and within the encodable 126-byte
-//     range (using a 2-bytes-per-instruction lower bound on the skipped
-//     distance, so no layout decision can rescue a rejected branch)
+//   - every branch target (b, ldr pc,=label, conditional ldr =label used
+//     by instrumentation) resolves to a block label; every bl target
+//     resolves to a function; every ldr =sym data reference resolves to a
+//     global, function or block
 //   - blocks referenced by literal loads carry fresh Reindex back-pointers,
 //     and predicated (instrumentation) literals stay within their function
 //   - control-transfer instructions appear only as block terminators
-//     (instrumentation bx sequences excepted: the predicated ldr pair
-//     before a bx is permitted)
 //   - a block that can fall through has a following block
 //   - the entry function exists and is non-empty
 //
@@ -88,11 +83,11 @@ func Verify(p *Program) error {
 				in := &b.Instrs[ii]
 				last := ii == len(b.Instrs)-1
 				if !isa.Emitted(in) {
-					return fmt.Errorf("ir: %s/%s: %q is outside the modeled instruction set (%v, %v form)",
-						f.Name, b.Label, in.String(), in.Op, isa.FormOf(in))
+					return fmt.Errorf("ir: %s/%s: %q is outside the modeled instruction set (%v, %v form, predicated %v)",
+						f.Name, b.Label, in.String(), in.Op, isa.FormOf(in), in.Cond != isa.AL)
 				}
 				switch in.Op {
-				case isa.B, isa.CBZ, isa.CBNZ:
+				case isa.B:
 					if !last {
 						return fmt.Errorf("ir: %s/%s: branch %q not at block end",
 							f.Name, b.Label, in.String())
@@ -106,26 +101,6 @@ func Verify(p *Program) error {
 						return fmt.Errorf("ir: %s/%s: branch crosses into function %s",
 							f.Name, b.Label, tgt.Func.Name)
 					}
-					if in.Op == isa.CBZ || in.Op == isa.CBNZ {
-						if tgt.Index <= bi {
-							return fmt.Errorf("ir: %s/%s: %s targets %q backward; cbz/cbnz encode forward displacements only",
-								f.Name, b.Label, in.Op, in.Sym)
-						}
-						// Lower bound on the displacement: every skipped
-						// instruction occupies at least 2 bytes whatever
-						// widths layout later picks, and the encoding
-						// reaches at most pc+4+126 — 128 bytes past the
-						// cbz itself. If even the lower bound is out of
-						// reach, no layout can encode this branch.
-						min := 0
-						for _, between := range f.Blocks[bi+1 : tgt.Index] {
-							min += 2 * len(between.Instrs)
-						}
-						if min > 128 {
-							return fmt.Errorf("ir: %s/%s: %s to %q skips at least %d bytes, beyond the 126-byte cbz/cbnz range",
-								f.Name, b.Label, in.Op, in.Sym, min)
-						}
-					}
 				case isa.BL:
 					if _, ok := funcs[in.Sym]; !ok {
 						return fmt.Errorf("ir: %s/%s: call to unknown function %q",
@@ -133,13 +108,13 @@ func Verify(p *Program) error {
 					}
 				case isa.BX:
 					// bx through a register; the only structural rule is
-					// that an unconditional bx terminates its block.
-					if !last && in.Cond == isa.AL {
+					// that it terminates its block.
+					if !last {
 						return fmt.Errorf("ir: %s/%s: bx not at block end", f.Name, b.Label)
 					}
 				case isa.LDRLIT:
 					if in.Rd == isa.PC {
-						if !last && in.Cond == isa.AL {
+						if !last {
 							return fmt.Errorf("ir: %s/%s: ldr pc not at block end",
 								f.Name, b.Label)
 						}

@@ -24,7 +24,6 @@ const (
 //	ldr rd, =sym:     Rd, Sym (address of symbol) or Imm (constant)
 //	push/pop:         RegList bitmask
 //	b{cond}:          Sym (target label), Cond
-//	cbz/cbnz:         Rn, Sym
 //	bl:               Sym (callee)
 //	blx/bx:           Rm
 //	it:               Cond (condition of the then-clause), ITMask
@@ -44,7 +43,7 @@ type Instr struct {
 	Mode    AddrMode
 	RegList uint16 // push/pop register bitmask (bit i = Ri)
 
-	ITMask string // for IT: "t", "te", "tt", etc. ("" means plain it)
+	ITMask string // for IT: "" (it, then only) or "e" (ite, then and else)
 }
 
 // NewInstr returns an instruction with sensible zero operands.
@@ -88,8 +87,6 @@ func (in *Instr) Uses() []Reg {
 		}
 	case POP:
 		add(SP)
-	case CBZ, CBNZ:
-		add(in.Rn)
 	case BLX, BX:
 		add(in.Rm)
 	default:
@@ -103,7 +100,7 @@ func (in *Instr) Uses() []Reg {
 func (in *Instr) Defs() []Reg {
 	var d []Reg
 	switch in.Op {
-	case NOP, IT, CMP, B, CBZ, CBNZ, BX:
+	case NOP, IT, CMP, B, BX:
 	case STR, STRB, STRH:
 	case PUSH:
 		d = append(d, SP)
@@ -193,9 +190,6 @@ func (in *Instr) String() string {
 	case B, BL:
 		sp()
 		b.WriteString(in.Sym)
-	case CBZ, CBNZ:
-		sp()
-		fmt.Fprintf(&b, "%s, %s", in.Rn, in.Sym)
 	case BLX, BX:
 		sp()
 		b.WriteString(in.Rm.String())

@@ -7,11 +7,10 @@
 // compiler (with the soft-float runtime it compiles), the long-range
 // indirect-branch idioms the flash/RAM instrumentation inserts (Figure 4
 // of the paper: ldr pc, =label and it/ldr/ldr/bx sequences) and the
-// hand-built Figure 1 and Figure 2 programs. OpForms lists its (op, form)
-// pairs; a producer-set test compiles and transforms every benchmark and
-// kernel source to pin that the list is neither wider nor narrower than
-// what they emit (CBZ and CBNZ excepted: the transform and the analyses
-// still model them, though nothing emits them today).
+// hand-built Figure 1 and Figure 2 programs. OpForms lists its (op, form,
+// predicated) triples; a producer-set test compiles and transforms every
+// benchmark and kernel source to pin that the list is neither wider nor
+// narrower than what they emit.
 package isa
 
 import "fmt"
@@ -196,19 +195,17 @@ const (
 	PUSH   // push {reglist}
 	POP    // pop {reglist}
 
-	// IT block marker: predicates the following 1-4 instructions. We model
-	// only the single-instruction and two-instruction (then/else) forms the
-	// instrumentation needs; the simulator honours per-instruction Cond
-	// fields and charges the IT's cycle.
+	// IT block marker: predicates the following instructions. We model
+	// only the forms the producers emit — it<c> over one mov<c>, and
+	// it<c>e over the instrumentation's ldr<c>/ldr<c'> pair; the simulator
+	// honours per-instruction Cond fields and charges the IT's cycle.
 	IT
 
 	// Control flow.
-	B    // b{cond} label
-	CBZ  // cbz rn, label (forward only, short range)
-	CBNZ // cbnz rn, label
-	BL   // bl label (direct call)
-	BLX  // blx rm  (indirect call)
-	BX   // bx rm   (indirect branch; bx lr = return)
+	B   // b{cond} label
+	BL  // bl label (direct call)
+	BLX // blx rm  (indirect call)
+	BX  // bx rm   (indirect branch; bx lr = return)
 
 	numOps
 )
@@ -220,8 +217,7 @@ var opNames = [...]string{
 	SXTH: "sxth", UXTB: "uxtb", UXTH: "uxth", CMP: "cmp", LDR: "ldr",
 	LDRB: "ldrb", LDRH: "ldrh", LDRSB: "ldrsb", LDRSH: "ldrsh", STR: "str",
 	STRB: "strb", STRH: "strh", LDRLIT: "ldr", PUSH: "push", POP: "pop",
-	IT: "it", B: "b", CBZ: "cbz", CBNZ: "cbnz", BL: "bl", BLX: "blx",
-	BX: "bx",
+	IT: "it", B: "b", BL: "bl", BLX: "blx", BX: "bx",
 }
 
 // String returns the base mnemonic (without condition suffix).
@@ -240,7 +236,7 @@ type Form uint8
 const (
 	FormReg Form = iota // registers or none: add rd, rn, rm; bx rm; push {...}; nop
 	FormImm             // an immediate: add rd, rn, #imm; ldr rd, [rn, #imm]; ldr rd, =const
-	FormSym             // a symbol: b label; bl fn; cbz rn, label; ldr rd, =sym
+	FormSym             // a symbol: b label; bl fn; ldr rd, =sym
 	numForms
 )
 
@@ -266,52 +262,74 @@ func FormOf(in *Instr) Form {
 	return FormReg
 }
 
-// OpForm is one (op, form) pair of the modeled instruction set.
+// OpForm is one (op, form, predicated) triple of the modeled instruction
+// set. Pred is whether the instruction carries a condition other than AL.
 type OpForm struct {
 	Op   Op
 	Form Form
+	Pred bool
 }
 
+// Form bits of the emitted table: a predicated form's bit sits numForms
+// above its unpredicated one.
 const (
 	regF = 1 << FormReg
 	immF = 1 << FormImm
 	symF = 1 << FormSym
+	regP = regF << numForms
+	immP = immF << numForms
+	symP = symF << numForms
 )
 
 // emitted is the modeled instruction set: per op, the forms some producer
-// emits — mcc's code generator (and the soft-float runtime it compiles),
-// the Figure 4 transform, the Figure 1 micro-programs and Figure 2's
-// hand-built program; cbz and cbnz stay modeled though none emits them
-// (the transform, layout and analyses still handle them). ir.Verify
-// rejects every other pair, so a new producer adds its op here together
-// with the simulator, encoder and tests that cover it.
+// emits, unpredicated and predicated — mcc's code generator (and the
+// soft-float runtime it compiles), the Figure 4 transform, the Figure 1
+// micro-programs and Figure 2's hand-built program. Only four forms take a
+// condition: b<c> label, mcc's it<c>; mov<c> rd, #1 for a comparison used
+// as a value, and the transform's it<c>e; ldr<c> rS, =l; ldr<c'> rS, =l'.
+// ir.Verify rejects everything else, so a new producer adds its form here
+// together with the simulator, encoder and tests that cover it.
 var emitted = [numOps]uint8{
-	NOP: regF, IT: regF,
-	MOV: regF | immF, MVN: regF, SXTB: regF, SXTH: regF, UXTB: regF, UXTH: regF,
+	NOP: regF, IT: regP,
+	MOV: regF | immF | immP, MVN: regF, SXTB: regF, SXTH: regF, UXTB: regF, UXTH: regF,
 	ADD: regF | immF, SUB: regF | immF, RSB: immF,
 	MUL: regF, SDIV: regF, UDIV: regF,
 	AND: regF, ORR: regF, EOR: regF, LSL: regF, LSR: regF, ASR: regF,
 	CMP: regF | immF,
 	LDR: immF, LDRB: immF, LDRH: immF, LDRSB: immF, LDRSH: immF,
 	STR: immF, STRB: immF, STRH: immF,
-	LDRLIT: immF | symF, PUSH: regF, POP: regF,
-	B: symF, CBZ: symF, CBNZ: symF, BL: symF, BLX: regF, BX: regF,
+	LDRLIT: immF | symF | symP, PUSH: regF, POP: regF,
+	B: symF | symP, BL: symF, BLX: regF, BX: regF,
 }
 
-// Emitted reports whether in's (op, form) pair is in the modeled
-// instruction set.
+// Emitted reports whether in is in the modeled instruction set: its
+// (op, form, predicated) triple is in the table, a predicated ldr =sym
+// does not load pc, and an it's mask is "" or "e".
 func Emitted(in *Instr) bool {
-	return in.Op < numOps && emitted[in.Op]&(1<<FormOf(in)) != 0
+	if in.Op >= numOps {
+		return false
+	}
+	bit := FormOf(in)
+	if in.Cond != AL {
+		if in.Op == LDRLIT && in.Rd == PC {
+			return false
+		}
+		bit += numForms
+	}
+	if in.Op == IT && in.ITMask != "" && in.ITMask != "e" {
+		return false
+	}
+	return emitted[in.Op]&(1<<bit) != 0
 }
 
-// OpForms lists the modeled instruction set's (op, form) pairs in op
-// order.
+// OpForms lists the modeled instruction set's (op, form, predicated)
+// triples in op order, unpredicated before predicated.
 func OpForms() []OpForm {
 	var out []OpForm
 	for op := range numOps {
-		for f := range numForms {
-			if emitted[op]&(1<<f) != 0 {
-				out = append(out, OpForm{op, f})
+		for bit := range 2 * numForms {
+			if emitted[op]&(1<<bit) != 0 {
+				out = append(out, OpForm{op, bit % numForms, bit >= numForms})
 			}
 		}
 	}
@@ -321,7 +339,7 @@ func OpForms() []OpForm {
 // IsBranch reports whether the operation redirects control flow.
 func (o Op) IsBranch() bool {
 	switch o {
-	case B, CBZ, CBNZ, BL, BLX, BX:
+	case B, BL, BLX, BX:
 		return true
 	}
 	return false

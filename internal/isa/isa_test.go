@@ -81,7 +81,7 @@ func TestClassOf(t *testing.T) {
 		MUL: ClassMul, SDIV: ClassMul,
 		LDR: ClassLoad, LDRB: ClassLoad, LDRLIT: ClassLoad, POP: ClassLoad,
 		STR: ClassStore, PUSH: ClassStore,
-		B: ClassBranch, BL: ClassBranch, BX: ClassBranch, CBZ: ClassBranch,
+		B: ClassBranch, BL: ClassBranch, BX: ClassBranch,
 	}
 	for op, want := range cases {
 		if got := ClassOf(op); got != want {
@@ -105,7 +105,6 @@ func TestSizeNarrowForms(t *testing.T) {
 		{Op: LDRB, Rd: R0, Rn: R1, Mode: AddrOffset, Imm: 31},
 		{Op: LDRLIT, Rd: R5, Sym: "x"},
 		{Op: B, Sym: "l"},
-		{Op: CBZ, Rn: R0, Sym: "l"},
 		{Op: BX, Rm: LR},
 		{Op: PUSH, RegList: 1<<R4 | 1<<R5 | 1<<LR},
 		{Op: POP, RegList: 1<<R4 | 1<<R5 | 1<<PC},
@@ -221,7 +220,6 @@ func TestInstrString(t *testing.T) {
 		{Instr{Op: LDR, Rd: R0, Rn: R1, Mode: AddrOffset}, "ldr r0, [r1]"},
 		{Instr{Op: STR, Rd: R2, Rn: SP, Mode: AddrOffset, Imm: 4}, "str r2, [sp, #4]"},
 		{Instr{Op: PUSH, RegList: 1<<R4 | 1<<LR}, "push {r4, lr}"},
-		{Instr{Op: CBNZ, Rn: R0, Sym: "label"}, "cbnz r0, label"},
 		{Instr{Op: SUB, Rd: R3, Rn: R4, Rm: R5}, "sub r3, r4, r5"},
 		{Instr{Op: ADD, Rd: R3, Rn: R4, Imm: -4, HasImm: true}, "add r3, r4, #-4"},
 	}

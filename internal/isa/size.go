@@ -85,7 +85,7 @@ func Size(in *Instr) int {
 			return 2
 		}
 		return 4
-	case B, CBZ, CBNZ:
+	case B:
 		return 2
 	case BL:
 		return 4

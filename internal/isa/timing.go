@@ -9,7 +9,6 @@ package isa
 //	ldr pc, =label                      4 cycles, 4 bytes
 //	it cc; ldrcc r5,=a; ldrcc' r5,=b;
 //	bx r5                               7 cycles, 8 bytes
-//	cmp rn,#0 + the above               8 cycles, 10 bytes
 //
 // (load-to-PC = 2-cycle load + 2-cycle pipeline refill; a predicated
 // instruction whose condition fails still costs 1 cycle; bx = 1 + 2.)
@@ -64,8 +63,6 @@ func Cycles(in *Instr) int {
 		return c
 	case B:
 		return 1 + BranchRefillCycles
-	case CBZ, CBNZ:
-		return 1 + BranchRefillCycles
 	case BL:
 		return 1 + BranchRefillCycles + 1 // extra cycle for LR write
 	case BLX:
@@ -78,12 +75,7 @@ func Cycles(in *Instr) int {
 }
 
 // CyclesNotTaken returns the cost when a conditional branch falls through
-// or a predicated instruction's condition fails.
+// or a predicated instruction's condition fails: one issue cycle.
 func CyclesNotTaken(in *Instr) int {
-	switch in.Op {
-	case B, CBZ, CBNZ:
-		return 1
-	default:
-		return 1 // failed predicated instruction costs one issue cycle
-	}
+	return 1
 }

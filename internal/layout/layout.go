@@ -139,11 +139,7 @@ func New(p *ir.Program, cfg Config, inRAM map[string]bool) (*Image, error) {
 		}
 	}
 
-	// Range-check short conditional branches (cbz/cbnz cannot be widened)
-	// and literal loads (bounded by the wide ldr's ±4095 reach).
-	if err := img.checkShortBranches(); err != nil {
-		return nil, err
-	}
+	// Range-check literal loads (bounded by the wide ldr's ±4095 reach).
 	if err := img.checkLiterals(); err != nil {
 		return nil, err
 	}
@@ -314,29 +310,6 @@ func (img *Image) checkLiterals() error {
 				return fmt.Errorf(
 					"layout: %s: literal pool slot %d bytes away exceeds the ±4095 ldr range "+
 						"(function too large for deferred pools)", b.Label, off)
-			}
-		}
-	}
-	return nil
-}
-
-// checkShortBranches verifies cbz/cbnz targets are in forward short range.
-func (img *Image) checkShortBranches() error {
-	for _, pl := range img.Blocks {
-		b := pl.Block
-		for i := range b.Instrs {
-			in := &b.Instrs[i]
-			if in.Op != isa.CBZ && in.Op != isa.CBNZ {
-				continue
-			}
-			tgt, ok := img.byLabel[in.Sym]
-			if !ok {
-				return fmt.Errorf("layout: %s: cbz/cbnz to unknown label %q", b.Label, in.Sym)
-			}
-			delta := int64(tgt.Addr) - int64(pl.InstrAddrs[i]+4)
-			if delta < 0 || delta > 126 {
-				return fmt.Errorf("layout: %s: cbz/cbnz target %q out of range (%d bytes)",
-					b.Label, in.Sym, delta)
 			}
 		}
 	}

@@ -306,25 +306,6 @@ func TestBranchWidening(t *testing.T) {
 	}
 }
 
-func TestCbzOutOfRangeRejected(t *testing.T) {
-	p := ir.NewProgram()
-	f := p.AddFunc(&ir.Function{Name: "main"})
-	head := f.AddBlock("head")
-	ir.Build(head).Cbz(isa.R0, "tail")
-	big := f.AddBlock("big")
-	bb := ir.Build(big)
-	for i := 0; i < 100; i++ {
-		bb.Nop()
-	}
-	tail := f.AddBlock("tail")
-	ir.Build(tail).Ret()
-	p.Reindex()
-	_, err := New(p, DefaultConfig(), nil)
-	if err == nil || !strings.Contains(err.Error(), "out of range") {
-		t.Fatalf("err = %v, want cbz range error", err)
-	}
-}
-
 func TestRodataStaysInFlash(t *testing.T) {
 	p := ir.Figure2Program()
 	p.AddGlobal(&ir.Global{Name: "table", Size: 64, RO: true})

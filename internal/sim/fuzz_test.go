@@ -16,13 +16,13 @@ import (
 // generator, biased toward what exercises the superblock engine: flag
 // writers feeding conditional terminals, loads/stores that mostly hit the
 // global buffer but sometimes fault, multiplies, literal loads. Op bytes
-// 234-255 select the forms that sit on fusion boundaries — IT-predicated
-// ALU ops, loads and stores, a push/pop pair mid-body, a conditional
-// bx lr and a conditional bl; bytes below 234 keep the original 26
-// shapes, so older corpus entries still build the programs they were
-// minimized for. Programs are straight-line plus forward branches and a
-// leaf call; a conditional bx lr taken after a bl returns into the body,
-// which the instruction limit bounds.
+// 234-255 select the forms that sit on fusion boundaries — mcc's
+// IT-predicated it<c>; mov<c> rd, #imm and a push/pop pair mid-body;
+// bytes below 234 keep the original 26 shapes, so older corpus entries
+// still build the programs they were minimized for. Every form is one a
+// producer emits. Terminators are b, b<c>, the Figure 4 it<c>e; ldr<c>
+// r5, =l; ldr<c'> r5, =l'; bx r5 sequence or none. Programs are
+// straight-line plus forward branches and a leaf call.
 func synthExecProgram(data []byte) (*ir.Program, map[string]bool) {
 	if len(data) < 4 {
 		return nil, nil
@@ -44,12 +44,6 @@ func synthExecProgram(data []byte) (*ir.Program, map[string]bool) {
 	imm8 := func(b byte) int32 { return int32(b) }
 
 	conds := []isa.Cond{isa.EQ, isa.NE, isa.LT, isa.GE, isa.GT, isa.LE, isa.HI, isa.LS}
-	// pred emits an IT block of one instruction under condition c.
-	pred := func(c isa.Cond, in isa.Instr) {
-		body.Append(isa.Instr{Op: isa.IT, Cond: c})
-		in.Cond = c
-		body.Append(in)
-	}
 
 	n := (len(data) - 2) / 3
 	if n > 25 {
@@ -58,20 +52,12 @@ func synthExecProgram(data []byte) (*ir.Program, map[string]bool) {
 	for i := 0; i < n; i++ {
 		op, a, b := data[3*i+1], data[3*i+2], data[3*i+3]
 		if op >= 234 {
-			c := conds[b%8]
-			switch (op - 234) % 6 {
-			case 0:
-				pred(c, isa.Instr{Op: isa.ADD, Rd: lo(a), Rn: lo(a), Imm: imm8(b), HasImm: true})
-			case 1:
-				pred(c, isa.Instr{Op: isa.LDR, Rd: lo(a), Rn: isa.R7, Mode: isa.AddrOffset, Imm: int32(op%32) * 4})
-			case 2:
-				pred(c, isa.Instr{Op: isa.STR, Rd: lo(a), Rn: isa.R7, Mode: isa.AddrOffset, Imm: int32(op%32) * 4})
-			case 3:
+			if (op-234)%6 == 3 {
 				bb.Push(lo(a), isa.R5).AddImm(lo(a), lo(a), imm8(b)).Pop(lo(a), isa.R5)
-			case 4:
-				pred(c, isa.Instr{Op: isa.BX, Rm: isa.LR})
-			case 5:
-				pred(c, isa.Instr{Op: isa.BL, Sym: "leaf"})
+			} else {
+				c := conds[b%8]
+				body.Append(isa.Instr{Op: isa.IT, Cond: c})
+				body.Append(isa.Instr{Op: isa.MOV, Cond: c, Rd: lo(a), Imm: imm8(b), HasImm: true})
 			}
 			continue
 		}
@@ -145,10 +131,17 @@ func synthExecProgram(data []byte) (*ir.Program, map[string]bool) {
 		bb.B("m2")
 	case 2:
 		bb.Bcond(conds[t%8], "m2")
-	case 3:
-		bb.Cbz(lo(t), "m2")
-	case 4:
-		bb.Cbnz(lo(t), "m2")
+	case 3, 4:
+		// Figure 4's long-range conditional: to m2 on the condition,
+		// else to m1 (t%5 == 3) or the other way round.
+		c, taken, other := conds[t%8], "m2", "m1"
+		if t%5 == 4 {
+			taken, other = other, taken
+		}
+		body.Append(isa.Instr{Op: isa.IT, Cond: c, ITMask: "e"})
+		body.Append(isa.Instr{Op: isa.LDRLIT, Cond: c, Rd: isa.R5, Sym: taken})
+		body.Append(isa.Instr{Op: isa.LDRLIT, Cond: c.Invert(), Rd: isa.R5, Sym: other})
+		body.Append(isa.Instr{Op: isa.BX, Rm: isa.R5})
 	}
 	ir.Build(f.AddBlock("m1")).AddImm(isa.R5, isa.R5, 1)
 	ir.Build(f.AddBlock("m2")).Pop(isa.R4, isa.PC)
@@ -170,9 +163,9 @@ func synthExecProgram(data []byte) (*ir.Program, map[string]bool) {
 // and mid-run entries all sit on that boundary. Per-instruction
 // semantics are pinned separately by TestISAOracle. The seed corpus under
 // testdata/fuzz covers ALU-only runs, load/store mixes, faulting
-// accesses, conditional terminators, RAM placements, IT-predicated ALU
-// ops, loads and stores, mid-body push/pop, conditional bx lr and
-// conditional bl; CI replays it under -race.
+// accesses, conditional terminators, RAM placements, IT-predicated movs,
+// mid-body push/pop and the Figure 4 it/ldr/ldr/bx terminator; CI replays
+// it under -race.
 func FuzzFusedVsSlot(f *testing.F) {
 	f.Add([]byte("\x00\x01\x02\x03\x15\x04\x00\x02\x05\x06\x07\x01\x02\x03"))
 	f.Add([]byte("\x01\x19\x02\x03\x15\x01\x00\x16\x02\x04\x07\x05\x00\x04"))

@@ -183,7 +183,7 @@ func (m *Machine) predecode() {
 			var targetOK bool
 			litMem := s.fetchMem
 			switch in.Op {
-			case isa.B, isa.CBZ, isa.CBNZ, isa.BL:
+			case isa.B, isa.BL:
 				target, targetOK = img.Symbols[in.Sym]
 				if targetOK {
 					e.splits = append(e.splits, target)

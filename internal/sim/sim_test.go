@@ -355,7 +355,7 @@ type oracleCase struct {
 // oracleCases pins the edge cases of the instruction semantics with
 // hand-computed expected values, so the executor is checked against an
 // oracle independent of any second implementation. Between them the
-// cases execute every (op, form) pair of isa.OpForms
+// cases execute every (op, form, predicated) triple of isa.OpForms
 // (TestISAOracleCoversEveryForm).
 func oracleCases() []oracleCase {
 	const (
@@ -387,10 +387,9 @@ func oracleCases() []oracleCase {
 		}
 		return in
 	}
-	sym := func(op isa.Op, rn isa.Reg, label string) isa.Instr {
-		return isa.Instr{Op: op, Rn: rn, Sym: label}
-	}
+	sym := func(op isa.Op, label string) isa.Instr { return isa.Instr{Op: op, Sym: label} }
 	lit := func(rd isa.Reg, label string) isa.Instr { return isa.Instr{Op: isa.LDRLIT, Rd: rd, Sym: label} }
+	deref := func(rd, rn isa.Reg) isa.Instr { return isa.Instr{Op: isa.LDR, Rd: rd, Rn: rn, Mode: isa.AddrOffset} }
 	pred := func(c isa.Cond, in isa.Instr) isa.Instr { in.Cond = c; return in }
 	it := func(c isa.Cond) isa.Instr { return isa.Instr{Op: isa.IT, Cond: c} }
 	// skipped is a block that sets r1 to 7 unless branched around.
@@ -493,31 +492,33 @@ func oracleCases() []oracleCase {
 			body: []isa.Instr{list(isa.PUSH, r0, r1), list(isa.POP, r2, r3)},
 			want: regs{r2: 1, r3: 2}},
 
-		// cmp r0, r0 sets Z: the ne-predicated access must not happen.
-		{name: "predicated load fails", in: regs{r0: 1, r1: 0x1234}, mem: []byte{0xEF, 0xBE, 0xAD, 0xDE},
-			body: []isa.Instr{cmp(r0, r0), it(isa.NE), pred(isa.NE, mem(isa.LDR, r1, 0))},
-			want: regs{r1: 0x1234}, nzcv: "0110", words: map[int]uint32{0: 0xDEADBEEF}},
-		{name: "predicated store fails", in: regs{r0: 1, r1: 0x1234}, mem: []byte{0xEF, 0xBE, 0xAD, 0xDE},
-			body: []isa.Instr{cmp(r0, r0), it(isa.NE), pred(isa.NE, mem(isa.STR, r1, 0))},
-			want: regs{r1: 0x1234}, words: map[int]uint32{0: 0xDEADBEEF}},
+		// cmp r0, r0 sets Z: the ne-predicated instruction must not
+		// execute. The predicated forms are mcc's it<c>; mov<c> rd, #1 and
+		// the literal loads of the Figure 4 it<c>e sequence.
+		{name: "predicated load fails", in: regs{r0: 1, r1: 0x1234},
+			body: []isa.Instr{cmp(r0, r0), it(isa.NE), pred(isa.NE, lit(r1, "scratch"))},
+			want: regs{r1: 0x1234}, nzcv: "0110"},
+		{name: "predicated mov fails", in: regs{r0: 1, r1: 0x1234},
+			body: []isa.Instr{cmp(r0, r0), it(isa.NE), pred(isa.NE, movi(r1, 1))},
+			want: regs{r1: 0x1234}, nzcv: "0110"},
 		{name: "predicated load passes", in: regs{r0: 1, r1: 0x1234}, mem: []byte{0xEF, 0xBE, 0xAD, 0xDE},
-			body: []isa.Instr{cmp(r0, r0), it(isa.EQ), pred(isa.EQ, mem(isa.LDR, r1, 0))},
+			body: []isa.Instr{cmp(r0, r0), it(isa.EQ), pred(isa.EQ, lit(r1, "scratch")), deref(r1, r1)},
+			want: regs{r1: 0xDEADBEEF}},
+		{name: "ite loads the else literal", in: regs{r0: 1}, mem: []byte{0xEF, 0xBE, 0xAD, 0xDE},
+			body: []isa.Instr{cmp(r0, r0), {Op: isa.IT, Cond: isa.NE, ITMask: "e"},
+				pred(isa.NE, lit(r1, "done")), pred(isa.EQ, lit(r1, "scratch")), deref(r1, r1)},
 			want: regs{r1: 0xDEADBEEF}},
 
 		{name: "b skips a block", in: regs{r1: 1},
-			body: []isa.Instr{sym(isa.B, isa.NoReg, "done")}, blocks: skipped, want: regs{r1: 1}},
+			body: []isa.Instr{sym(isa.B, "done")}, blocks: skipped, want: regs{r1: 1}},
 		{name: "beq taken", in: regs{r1: 1},
-			body: []isa.Instr{cmp(r0, r0), pred(isa.EQ, sym(isa.B, isa.NoReg, "done"))}, blocks: skipped, want: regs{r1: 1}},
+			body: []isa.Instr{cmp(r0, r0), pred(isa.EQ, sym(isa.B, "done"))}, blocks: skipped, want: regs{r1: 1}},
 		{name: "bne falls through", in: regs{r1: 1},
-			body: []isa.Instr{cmp(r0, r0), pred(isa.NE, sym(isa.B, isa.NoReg, "done"))}, blocks: skipped, want: regs{r1: 7}},
-		{name: "cbz taken", in: regs{r0: 0, r1: 1},
-			body: []isa.Instr{sym(isa.CBZ, r0, "done")}, blocks: skipped, want: regs{r1: 1}},
-		{name: "cbnz falls through", in: regs{r0: 0, r1: 1},
-			body: []isa.Instr{sym(isa.CBNZ, r0, "done")}, blocks: skipped, want: regs{r1: 7}},
+			body: []isa.Instr{cmp(r0, r0), pred(isa.NE, sym(isa.B, "done"))}, blocks: skipped, want: regs{r1: 7}},
 		{name: "ldr pc, =label", in: regs{r1: 1},
 			body: []isa.Instr{lit(isa.PC, "done")}, blocks: skipped, want: regs{r1: 1}},
 		{name: "bl and bx lr", in: regs{r1: 1, r4: 9},
-			body: []isa.Instr{list(isa.PUSH, r4, isa.LR), sym(isa.BL, isa.NoReg, "leaf"), list(isa.POP, r4, isa.PC)},
+			body: []isa.Instr{list(isa.PUSH, r4, isa.LR), sym(isa.BL, "leaf"), list(isa.POP, r4, isa.PC)},
 			leaf: addOne, want: regs{r1: 2, r4: 9}},
 		{name: "blx", in: regs{r1: 1},
 			body: []isa.Instr{list(isa.PUSH, r4, isa.LR), lit(r4, "leaf"), {Op: isa.BLX, Rm: r4}, list(isa.POP, r4, isa.PC)},
@@ -585,9 +586,9 @@ func TestISAOracle(t *testing.T) {
 	}
 }
 
-// TestISAOracleCoversEveryForm: every (op, form) pair of the modeled
-// instruction set is executed by some oracle case, outside the harness's
-// own input loads.
+// TestISAOracleCoversEveryForm: every (op, form, predicated) triple of
+// the modeled instruction set is executed by some oracle case, outside
+// the harness's own input loads.
 func TestISAOracleCoversEveryForm(t *testing.T) {
 	seen := map[isa.OpForm]bool{}
 	for _, tc := range oracleCases() {
@@ -596,28 +597,29 @@ func TestISAOracleCoversEveryForm(t *testing.T) {
 			instrs = append(instrs, blk...)
 		}
 		for i := range instrs {
-			seen[isa.OpForm{Op: instrs[i].Op, Form: isa.FormOf(&instrs[i])}] = true
+			seen[isa.OpForm{Op: instrs[i].Op, Form: isa.FormOf(&instrs[i]), Pred: instrs[i].Cond != isa.AL}] = true
 		}
 	}
 	for _, of := range isa.OpForms() {
 		if !seen[of] {
-			t.Errorf("no oracle case executes %v in %v form", of.Op, of.Form)
+			t.Errorf("no oracle case executes %v in %v form (predicated %v)", of.Op, of.Form, of.Pred)
 		}
 	}
 }
 
-// TestPredicatedFailCharge: a failed predicated load charges one issue
-// cycle at its own class with no data access and no stall, exactly like
-// any failed predicate — observed per instruction through the event
-// stream, from RAM so a stall would show.
+// TestPredicatedFailCharge: a failed predicated literal load (the Figure
+// 4 it<c>e; ldr<c>; ldr<c'> pair) charges one issue cycle at its own
+// class with no data access and no stall, exactly like any failed
+// predicate — observed per instruction through the event stream, from
+// RAM so a stall would show.
 func TestPredicatedFailCharge(t *testing.T) {
 	p := ir.NewProgram()
 	fn := p.AddFunc(&ir.Function{Name: "ramfn"})
 	b := fn.AddBlock("ramfn_body")
 	ir.Build(b).LdrLit(isa.R1, "buf").CmpImm(isa.R1, 0) // buf != 0: NE holds, EQ fails
 	b.Append(isa.Instr{Op: isa.IT, Cond: isa.EQ, ITMask: "e"})
-	b.Append(isa.Instr{Op: isa.LDR, Cond: isa.EQ, Rd: isa.R0, Rn: isa.R1, Mode: isa.AddrOffset})
-	b.Append(isa.Instr{Op: isa.LDR, Cond: isa.NE, Rd: isa.R2, Rn: isa.R1, Mode: isa.AddrOffset})
+	b.Append(isa.Instr{Op: isa.LDRLIT, Cond: isa.EQ, Rd: isa.R0, Sym: "buf"})
+	b.Append(isa.Instr{Op: isa.LDRLIT, Cond: isa.NE, Rd: isa.R2, Sym: "buf"})
 	ir.Build(b).Ret()
 	mn := p.AddFunc(&ir.Function{Name: "main"})
 	ir.Build(mn.AddBlock("main_entry")).
@@ -634,8 +636,8 @@ func TestPredicatedFailCharge(t *testing.T) {
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if m.Reg(isa.R0) != 0 || m.Reg(isa.R2) != 7 {
-		t.Errorf("r0, r2 = %d, %d; want 0 (skipped), 7 (loaded)", m.Reg(isa.R0), m.Reg(isa.R2))
+	if buf := m.Img.Symbols["buf"]; m.Reg(isa.R0) != 0 || m.Reg(isa.R2) != buf {
+		t.Errorf("r0, r2 = %#x, %#x; want 0 (skipped), %#x (loaded)", m.Reg(isa.R0), m.Reg(isa.R2), buf)
 	}
 	var failed, passed *Event
 	for i := range rec.events {
@@ -911,22 +913,27 @@ func TestSetImageSameImageSkipsRebuild(t *testing.T) {
 }
 
 func TestPredicationCostsOneCycle(t *testing.T) {
-	// mov(1) + cmp(1) + it(1) + failing addeq(1) + passing addne(1) + bx(3)
+	// mov(1) + cmp(1) + ite(1) + failing ldreq(1) + passing ldrne(2) +
+	// it(1) + failing moveq(1) + bx(3)
 	p := ir.NewProgram()
 	f := p.AddFunc(&ir.Function{Name: "main"})
 	b := f.AddBlock("entry")
 	ir.Build(b).MovImm(isa.R0, 1).CmpImm(isa.R0, 0)
 	b.Append(isa.Instr{Op: isa.IT, Cond: isa.EQ, ITMask: "e"})
-	b.Append(isa.Instr{Op: isa.ADD, Cond: isa.EQ, Rd: isa.R1, Rn: isa.R1, Imm: 5, HasImm: true})
-	b.Append(isa.Instr{Op: isa.ADD, Cond: isa.NE, Rd: isa.R1, Rn: isa.R1, Imm: 9, HasImm: true})
+	b.Append(isa.Instr{Op: isa.LDRLIT, Cond: isa.EQ, Rd: isa.R1, Sym: "a"})
+	b.Append(isa.Instr{Op: isa.LDRLIT, Cond: isa.NE, Rd: isa.R1, Sym: "b"})
+	b.Append(isa.Instr{Op: isa.IT, Cond: isa.EQ})
+	b.Append(isa.Instr{Op: isa.MOV, Cond: isa.EQ, Rd: isa.R1, Imm: 1, HasImm: true})
 	b.Append(isa.Instr{Op: isa.BX, Rm: isa.LR})
+	p.AddGlobal(&ir.Global{Name: "a", Size: 4})
+	p.AddGlobal(&ir.Global{Name: "b", Size: 4})
 	p.Reindex()
 	m, st := run(t, p, nil)
-	if got := m.Reg(isa.R1); got != 9 {
-		t.Errorf("r1 = %d, want 9 (eq path must be skipped)", got)
+	if got, want := m.Reg(isa.R1), m.Img.Symbols["b"]; got != want {
+		t.Errorf("r1 = %#x, want &b = %#x (the eq instructions must be skipped)", got, want)
 	}
-	if st.Cycles != 8 {
-		t.Errorf("cycles = %d, want 8", st.Cycles)
+	if st.Cycles != 11 {
+		t.Errorf("cycles = %d, want 11", st.Cycles)
 	}
 }
 
@@ -982,6 +989,33 @@ func TestUnresolvedSymbolFaults(t *testing.T) {
 				t.Errorf("fault messages differ across dispatch modes: %q", msgs)
 			}
 		})
+	}
+}
+
+// TestUnmodeledInstructionFaults: an instruction outside isa.OpForms
+// faults when reached, fused or not — a predicated one too,
+// even when its condition fails (cmp r0, r0 sets Z, so ne fails).
+func TestUnmodeledInstructionFaults(t *testing.T) {
+	for _, in := range []isa.Instr{
+		{Op: isa.MUL, Rd: isa.R0, Rn: isa.R0, Imm: 3, HasImm: true},
+		{Op: isa.ADD, Cond: isa.NE, Rd: isa.R1, Rn: isa.R1, Imm: 1, HasImm: true},
+		{Op: isa.BX, Cond: isa.NE, Rm: isa.LR},
+	} {
+		p := ir.NewProgram()
+		b := p.AddFunc(&ir.Function{Name: "main"}).AddBlock("entry")
+		ir.Build(b).MovImm(isa.R0, 1).Cmp(isa.R0, isa.R0)
+		b.Append(isa.Instr{Op: isa.IT, Cond: isa.NE})
+		b.Append(in)
+		ir.Build(b).Ret()
+		p.Reindex()
+		img := mustImage(t, p, nil)
+		for _, nofuse := range []bool{false, true} {
+			m := New(img, power.STM32F100())
+			m.NoFuse = nofuse
+			if _, err := m.Run(); err == nil || !strings.Contains(err.Error(), "outside the modeled instruction set") {
+				t.Errorf("%s (nofuse %v): err = %v, want a fault outside the modeled set", in.String(), nofuse, err)
+			}
+		}
 	}
 }
 

@@ -21,13 +21,12 @@ import (
 // Fusion rules (DESIGN.md §6k):
 //
 //   - A run is a maximal address-contiguous sequence of instructions in
-//     one memory. It may close with one terminal control transfer (B,
-//     CBZ/CBNZ, BL, BX/BLX, ldr pc and pop {..., pc}, predicated or
-//     not); everything else — data processing, loads, stores, literal
-//     loads, push/pop, predicated instructions, faulting uops — is a
-//     body uop. A fault mid-run flushes the exact partial stats of the
-//     instructions before it and reports the same Fault a length-1
-//     dispatch would.
+//     one memory. It may close with one terminal control transfer (B
+//     or B<c>, BL, BX/BLX, ldr pc and pop {..., pc}); everything else —
+//     data processing, loads, stores, literal loads, push/pop,
+//     predicated mov and ldr =sym, faulting uops — is a body uop. A
+//     fault mid-run flushes the exact partial stats of the instructions
+//     before it and reports the same Fault a length-1 dispatch would.
 //   - A superblock is entered only at its head. Statically known entry
 //     points — branch targets, call-return addresses, symbol-valued
 //     LDRLIT results (potential computed-jump targets),
@@ -98,10 +97,11 @@ const (
 	uSTR  // store [rn, #imm]
 	uPUSH // push {imm}: sz registers, ascending
 	uPOP  // pop {imm} without pc
-	// uGUARD precedes the uop of an IT-predicated instruction and is no
-	// instruction itself: when cond holds the guarded uop executes next;
-	// when it fails the guarded instruction charges its cyc2 cycles of no
-	// data access at its own class, has no effects and is skipped.
+	// uGUARD precedes the uop of an IT-predicated instruction (mov<c> or
+	// ldr<c> =sym, never a terminal) and is no instruction itself: when
+	// cond holds the guarded uop executes next; when it fails the guarded
+	// instruction charges its cyc2 cycles of no data access at its own
+	// class, has no effects and is skipped.
 	uGUARD
 	// uFAULT faults when reached, charging nothing: unresolved LDRLIT
 	// symbols, instructions outside isa.OpForms.
@@ -109,8 +109,6 @@ const (
 	// Terminal uops — always last in a run.
 	uB     // pc = imm
 	uBCC   // pc = imm when cond holds, else fall-through at cyc2
-	uCBZ   // pc = imm when regs[rn] == 0, else fall-through at cyc2
-	uCBNZ  // pc = imm when regs[rn] != 0, else fall-through at cyc2
 	uBL    // LR = fall-through, pc = imm
 	uBX    // pc = regs[rm] &^ 1
 	uBLX   // LR = fall-through, pc = regs[rm] &^ 1
@@ -198,8 +196,7 @@ type superblock struct {
 // cycles, except for a conditional terminal, whose direction is picked
 // at run time.
 func (u *uop) static() uint64 {
-	switch u.code {
-	case uBCC, uCBZ, uCBNZ:
+	if u.code == uBCC {
 		return 0
 	}
 	return uint64(u.cyc)
@@ -255,9 +252,6 @@ var forms = [...][isa.FormImm + 1]uint8{
 	isa.LSL: {uLSLR}, isa.LSR: {uLSRR}, isa.ASR: {uASRR},
 	isa.CMP: {uCMPR, uCMPI},
 }
-
-// branches maps a direct branch op to its uop.
-var branches = [...]uint8{isa.B: uB, isa.CBZ: uCBZ, isa.CBNZ: uCBNZ, isa.BL: uBL}
 
 // lower translates one instruction to its uop. target is its resolved
 // branch target or literal value (valid iff targetOK); litMem is where an
@@ -336,13 +330,15 @@ func lower(in *isa.Instr, fetchMem, litMem power.Memory, target uint32, targetOK
 			u.code = uPOPPC
 		}
 		stallIf(power.RAM)
-	case isa.B, isa.CBZ, isa.CBNZ, isa.BL:
-		u.code = branches[in.Op]
-		u.imm = target
+	case isa.B, isa.BL:
+		u.code, u.imm = uB, target
+		if in.Op == isa.BL {
+			u.code = uBL
+		}
 		if !targetOK {
 			u.imm = unresolvedPC
 		}
-		if in.Op == isa.B && in.Cond != isa.AL {
+		if in.Cond != isa.AL { // only b takes a condition
 			u.code, u.cond = uBCC, uint8(in.Cond)
 		}
 	case isa.BX, isa.BLX:
@@ -355,10 +351,11 @@ func lower(in *isa.Instr, fetchMem, litMem power.Memory, target uint32, targetOK
 }
 
 // guard returns the uGUARD uop lowered ahead of u when in is
-// IT-predicated (a conditional B carries its own condition instead). A
-// predicated no-op whose charge is the same either way needs none.
+// IT-predicated. A conditional B carries its own condition instead, an it
+// charges the same either way, and an instruction outside the modeled
+// set faults whether its condition holds or not.
 func guard(in *isa.Instr, u *uop) (uop, bool) {
-	if in.Cond == isa.AL || in.Op == isa.B || (u.code == uNOP && u.cyc == u.cyc2) {
+	if in.Cond == isa.AL || in.Op == isa.B || in.Op == isa.IT || u.code == uFAULT {
 		return uop{}, false
 	}
 	return uop{code: uGUARD, cond: uint8(in.Cond)}, true
@@ -423,11 +420,8 @@ func (e *engine) link() {
 		last := len(sb.uops) - 1
 		switch u := &sb.uops[last]; u.code {
 		case uB, uBL, uLDLPC:
-			if last > 0 && sb.uops[last-1].code == uGUARD {
-				continue // may fall through instead: dynamic
-			}
 			next = u.imm
-		case uBCC, uCBZ, uCBNZ, uBX, uBLX, uPOPPC:
+		case uBCC, uBX, uBLX, uPOPPC:
 			continue // dynamic successor: the chain ends here
 		}
 		if s := e.slotAt(next); s != nil && s.sb >= 0 {
@@ -566,7 +560,7 @@ func (m *Machine) wildJump(pc uint32, last *slot) *Fault {
 		return f
 	}
 	switch u := m.eng.uopOf(last); u.code {
-	case uB, uBCC, uCBZ, uCBNZ, uBL:
+	case uB, uBCC, uBL:
 		if pc == unresolvedPC && u.imm == unresolvedPC {
 			in := &last.pl.Block.Instrs[last.index]
 			f = &Fault{PC: last.pl.InstrAddrs[last.index], Reason: fmt.Sprintf("branch to unresolved %q", in.Sym)}
@@ -770,11 +764,6 @@ loop:
 			i++
 			g := &uops[i]
 			m.oc = ocNT
-			if g.code == uCBZ || g.code == uCBNZ {
-				// Charged exactly like the branch not taken.
-				tcyc = uint64(g.cyc2)
-				break loop
-			}
 			// Move the pre-aggregated executed cost to the failed
 			// predicate's cell on the spot (wrapping arithmetic: a cell
 			// may dip below zero until the run's flush adds it back).
@@ -801,14 +790,6 @@ loop:
 			break loop
 		case uBCC:
 			if isa.Cond(u.cond).Holds(m.n, m.z, m.c, m.v) {
-				next, tcyc = u.imm, uint64(u.cyc)
-			} else {
-				tcyc = uint64(u.cyc2)
-				m.oc = ocAlt
-			}
-			break loop
-		case uCBZ, uCBNZ:
-			if (m.regs[u.rn] == 0) == (u.code == uCBZ) {
 				next, tcyc = u.imm, uint64(u.cyc)
 			} else {
 				tcyc = uint64(u.cyc2)

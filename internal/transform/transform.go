@@ -6,12 +6,12 @@
 //
 //	unconditional b label   →  ldr pc, =label
 //	b<cc> label             →  it<cc,e>; ldr<cc> rS,=label; ldr<cc'> rS,=fallthrough; bx rS
-//	cbz/cbnz rn, label      →  cmp rn, #0; the conditional form with eq/ne
 //	fall-through            →  ldr pc, =next
 //	bl callee               →  ldr rS, =callee; blx rS
 //
 // rS is r12 (IP), the AAPCS scratch register reserved for exactly this
-// kind of veneer; the paper's figure shows r5 for illustration. The
+// kind of veneer; the paper's figure shows r5 for illustration. (Figure 4
+// also rewrites cbz/cbnz; no producer here emits them.) The
 // package also computes the per-block instrumentation costs Kb (bytes) and
 // Tb (cycles) the ILP model needs (§4.1).
 package transform
@@ -34,7 +34,6 @@ const (
 	ShapeReturn      Shape = iota // bx lr / pop {...,pc}: never instrumented
 	ShapeUncond                   // b label
 	ShapeCond                     // b<cc> label with fall-through
-	ShapeShortCond                // cbz/cbnz rn, label with fall-through
 	ShapeFallThrough              // no terminator
 	ShapeIndirect                 // bx reg / ldr pc: already long-range
 )
@@ -47,8 +46,6 @@ func (s Shape) String() string {
 		return "unconditional"
 	case ShapeCond:
 		return "conditional"
-	case ShapeShortCond:
-		return "short conditional"
 	case ShapeFallThrough:
 		return "fall-through"
 	case ShapeIndirect:
@@ -69,8 +66,6 @@ func ShapeOf(b *ir.Block) Shape {
 			return ShapeUncond
 		}
 		return ShapeCond
-	case isa.CBZ, isa.CBNZ:
-		return ShapeShortCond
 	case isa.BX:
 		if t.Rm == isa.LR {
 			return ShapeReturn
@@ -115,9 +110,6 @@ func shapeCost(s Shape, scratch isa.Reg) Cost {
 	case ShapeCond:
 		// b<cc>(2B,3cy taken) → it(2)+ldr+ldr+bx(2) (7cy executed path)
 		return Cost{Bytes: 2 + 2*ldrW + 2 - 2, PoolBytes: 8, Cycles: 7 - 3}
-	case ShapeShortCond:
-		// cbz(2B,3cy) → cmp(2)+it(2)+ldr+ldr+bx(2) (8cy)
-		return Cost{Bytes: 2 + 2 + 2*ldrW + 2 - 2, PoolBytes: 8, Cycles: 8 - 3}
 	case ShapeFallThrough:
 		// nothing → ldr pc,=l (4B,4cy)
 		return Cost{Bytes: 4, PoolBytes: 4, Cycles: 4}
@@ -151,24 +143,6 @@ func InstrumentationCost(b *ir.Block) Cost {
 		c.Cycles += nCalls * cc.Cycles
 	}
 	return c
-}
-
-// PaperCost returns the cost table of Figure 4 exactly as printed — the
-// full sequence sizes/cycles with the paper's low scratch register —
-// used by tests that pin our arithmetic to the paper's numbers.
-func PaperCost(s Shape) (bytes, cycles int) {
-	switch s {
-	case ShapeUncond:
-		return 4, 4 // ldr pc, =label
-	case ShapeCond:
-		return 8, 7 // it + 2×ldr(narrow r5) + bx
-	case ShapeShortCond:
-		return 10, 8 // cmp + it + 2×ldr + bx
-	case ShapeFallThrough:
-		return 4, 4 // ldr pc, =label
-	default:
-		return 0, 0
-	}
 }
 
 // Report summarizes what Apply changed.
@@ -282,44 +256,23 @@ func apply(p *ir.Program, inRAM map[string]bool, o Options) (*Report, error) {
 					*t = isa.Instr{Op: isa.LDRLIT, Rd: isa.PC, Sym: t.Sym}
 					changed = true
 				}
-			case ShapeCond, ShapeShortCond, ShapeFallThrough:
-				var target, fallthru string
-				var cond isa.Cond
-				if shape == ShapeFallThrough {
-					if bi+1 >= len(f.Blocks) {
-						return nil, fmt.Errorf("transform: %s falls off function end", b.Label)
-					}
-					fallthru = f.Blocks[bi+1].Label
-					if blockRAM(fallthru) == myRAM {
-						break
-					}
-					b.Instrs = append(b.Instrs, isa.Instr{Op: isa.LDRLIT, Rd: isa.PC, Sym: fallthru})
-					changed = true
-					break
-				}
-				t := b.Instrs[len(b.Instrs)-1]
-				target = t.Sym
+			case ShapeCond, ShapeFallThrough:
 				if bi+1 >= len(f.Blocks) {
 					return nil, fmt.Errorf("transform: %s falls off function end", b.Label)
 				}
-				fallthru = f.Blocks[bi+1].Label
-				if blockRAM(target) == myRAM && blockRAM(fallthru) == myRAM {
+				fallthru := f.Blocks[bi+1].Label
+				if shape == ShapeFallThrough {
+					if blockRAM(fallthru) != myRAM {
+						b.Instrs = append(b.Instrs, isa.Instr{Op: isa.LDRLIT, Rd: isa.PC, Sym: fallthru})
+						changed = true
+					}
+					break
+				}
+				t := b.Instrs[len(b.Instrs)-1]
+				if blockRAM(t.Sym) == myRAM && blockRAM(fallthru) == myRAM {
 					break // both edges stay local
 				}
-				switch shape {
-				case ShapeCond:
-					cond = t.Cond
-					b.Instrs = b.Instrs[:len(b.Instrs)-1]
-				case ShapeShortCond:
-					// cbz → eq condition, cbnz → ne, preceded by cmp #0.
-					cond = isa.NE
-					if t.Op == isa.CBZ {
-						cond = isa.EQ
-					}
-					b.Instrs = b.Instrs[:len(b.Instrs)-1]
-					b.Instrs = append(b.Instrs,
-						isa.Instr{Op: isa.CMP, Rn: t.Rn, Imm: 0, HasImm: true})
-				}
+				b.Instrs = b.Instrs[:len(b.Instrs)-1]
 				scratch := ScratchReg
 				if liveOut != nil {
 					if r, ok := scavenge(liveOut[b]); ok {
@@ -328,9 +281,9 @@ func apply(p *ir.Program, inRAM map[string]bool, o Options) (*Report, error) {
 					}
 				}
 				b.Instrs = append(b.Instrs,
-					isa.Instr{Op: isa.IT, Cond: cond, ITMask: "e"},
-					isa.Instr{Op: isa.LDRLIT, Cond: cond, Rd: scratch, Sym: target},
-					isa.Instr{Op: isa.LDRLIT, Cond: cond.Invert(), Rd: scratch, Sym: fallthru},
+					isa.Instr{Op: isa.IT, Cond: t.Cond, ITMask: "e"},
+					isa.Instr{Op: isa.LDRLIT, Cond: t.Cond, Rd: scratch, Sym: t.Sym},
+					isa.Instr{Op: isa.LDRLIT, Cond: t.Cond.Invert(), Rd: scratch, Sym: fallthru},
 					isa.Instr{Op: isa.BX, Rm: scratch},
 				)
 				changed = true

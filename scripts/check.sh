@@ -1,8 +1,9 @@
 #!/bin/sh
 # check.sh — lint gate run alongside the tier-1 tests (see ROADMAP.md).
 #
-#   gofmt -l            all Go sources formatted
-#   go vet ./...        no vet complaints
+#   gofmt -l            all Go sources formatted, pipebench included
+#   go vet ./...        no vet complaints, in the root module and in
+#                       pipebench (its own module, which ./... skips)
 #   flashram analyze    static analysis suite, with the energy-bounds
 #                       pass, clean on every BEEBS benchmark and on the
 #                       examples/kernels sources at both paper levels
@@ -18,7 +19,7 @@
 set -e
 cd "$(dirname "$0")/.."
 
-unformatted=$(gofmt -l cmd internal examples bench_test.go)
+unformatted=$(gofmt -l cmd internal examples bench_test.go pipebench)
 if [ -n "$unformatted" ]; then
     echo "gofmt: the following files need formatting:" >&2
     echo "$unformatted" >&2
@@ -26,6 +27,7 @@ if [ -n "$unformatted" ]; then
 fi
 
 go vet ./...
+(cd pipebench && go vet ./...)
 
 # Sweep and service configuration must live on the Sweep/Server values,
 # not in package globals — the old `evaluation.Workers` variable let two
