@@ -76,6 +76,7 @@ func BenchmarkFigure5(b *testing.B) {
 	for _, bench := range beebs.All() {
 		bench := bench
 		b.Run(bench.Name, func(b *testing.B) {
+			b.ReportAllocs()
 			var rep *core.Report
 			for i := 0; i < b.N; i++ {
 				r, err := evaluation.NewSweep(1).RunBenchmark(context.Background(), bench, mcc.O2, core.Options{})
@@ -157,6 +158,7 @@ func BenchmarkFigure6(b *testing.B) {
 // simulated fdct, Es per period, best saving and battery-life extension
 // (paper: Es=4.32 mJ with its measured values; up to 25% / 32%).
 func BenchmarkCaseStudy(b *testing.B) {
+	b.ReportAllocs()
 	var sc casestudy.Scenario
 	for i := 0; i < b.N; i++ {
 		r, err := evaluation.NewSweep(1).RunBenchmark(context.Background(), beebs.Get("fdct"), mcc.O2, core.Options{})

@@ -152,15 +152,14 @@ func main() {
 		}
 		flashFile := *emit + ".flash.bin"
 		ramFile := *emit + ".ram.bin"
-		flashLen := rep.Image.FlashCodeBytes + rep.Image.RodataBytes
-		if err := os.WriteFile(flashFile, flash[:flashLen], 0o644); err != nil {
+		if err := os.WriteFile(flashFile, flash, 0o644); err != nil {
 			fatal(err)
 		}
 		if err := os.WriteFile(ramFile, ram, 0o644); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("  emitted  : %s (%d bytes), %s (%d bytes of .ramcode, copied at boot)\n",
-			flashFile, flashLen, ramFile, len(ram))
+			flashFile, len(flash), ramFile, len(ram))
 	}
 }
 

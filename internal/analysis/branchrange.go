@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/encode"
@@ -19,7 +20,8 @@ import (
 //
 //	BR001  direct branch displacement does not fit its encoding
 //	BR003  literal load without a pool slot, or slot out of ldr reach
-//	BR004  instruction fails to encode or its bytes fail to decode
+//	BR004  instruction fails to encode, or its emitted bytes fail to
+//	       decode or decode to a size other than its laid-out one
 //	BR005  decoded target address disagrees with the symbol address
 //	BR006  literal pool word does not hold the referenced symbol's address
 type BranchRangePass struct{}
@@ -57,25 +59,22 @@ func (p BranchRangePass) Run(ctx *Context) ([]Diagnostic, error) {
 		})
 	}
 
-	// Materialize the binary once so literal-pool words can be inspected.
-	// Image re-encodes every instruction; an error here is re-discovered
-	// per-instruction below with a precise location, so it is not fatal.
+	// Materialize the binary once: the literal-pool words and every
+	// instruction are checked in the bytes actually emitted. When the
+	// image does not encode, each instruction is encoded on its own below,
+	// so every unencodable one is named.
 	flash, ramcode, imgErr := encode.Image(img)
 
-	readWord := func(addr uint32) (uint32, bool) {
-		if imgErr != nil {
-			return 0, false
-		}
-		var buf []byte
+	// emitted returns the image bytes from addr to the end of its section
+	// (none when the image did not encode).
+	emitted := func(addr uint32) []byte {
 		switch {
-		case addr >= img.Config.FlashBase && int(addr-img.Config.FlashBase)+4 <= len(flash):
-			buf = flash[addr-img.Config.FlashBase:]
-		case addr >= img.Config.RAMBase && int(addr-img.Config.RAMBase)+4 <= len(ramcode):
-			buf = ramcode[addr-img.Config.RAMBase:]
-		default:
-			return 0, false
+		case addr >= img.Config.FlashBase && addr-img.Config.FlashBase < uint32(len(flash)):
+			return flash[addr-img.Config.FlashBase:]
+		case addr >= img.Config.RAMBase && addr-img.Config.RAMBase < uint32(len(ramcode)):
+			return ramcode[addr-img.Config.RAMBase:]
 		}
-		return uint32(buf[0]) | uint32(buf[1])<<8 | uint32(buf[2])<<16 | uint32(buf[3])<<24, true
+		return nil
 	}
 
 	for _, pl := range img.Blocks {
@@ -83,7 +82,8 @@ func (p BranchRangePass) Run(ctx *Context) ([]Diagnostic, error) {
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
 			addr := pl.InstrAddrs[i]
-			wide := pl.InstrSize(i) == 4
+			size := pl.InstrSize(i)
+			wide := size == 4
 
 			// Independent displacement arithmetic from the assigned
 			// addresses, not trusting the encoder.
@@ -127,26 +127,34 @@ func (p BranchRangePass) Run(ctx *Context) ([]Diagnostic, error) {
 						report("BR005", Error, pl, i, "literal references unknown symbol %q", in.Sym)
 						continue
 					}
-					if got, ok := readWord(slot); ok && got != want {
+					if w := emitted(slot); len(w) >= 4 && binary.LittleEndian.Uint32(w) != want {
 						report("BR006", Error, pl, i,
 							"literal pool word at %#x holds %#x, want &%s = %#x",
-							slot, got, in.Sym, want)
+							slot, binary.LittleEndian.Uint32(w), in.Sym, want)
 						continue
 					}
 				}
 			}
 
-			// Bit-level round trip: encode the instruction as laid out and
-			// decode it back; a branch or literal must decode to exactly
-			// the address the symbol table promises.
-			bytes, err := encode.EncodeInstr(img, pl, i)
-			if err != nil {
-				report("BR004", Error, pl, i, "does not encode: %v", err)
-				continue
+			// Bit-level round trip: decode the instruction's bytes at its
+			// address; a branch or literal must decode to exactly the
+			// address the symbol table promises.
+			bytes := emitted(addr)
+			if imgErr != nil {
+				var err error
+				if bytes, err = encode.EncodeInstr(img, pl, i); err != nil {
+					report("BR004", Error, pl, i, "does not encode: %v", err)
+					continue
+				}
 			}
 			d, err := encode.Decode(bytes, addr)
 			if err != nil {
 				report("BR004", Error, pl, i, "encoded bytes do not decode: %v", err)
+				continue
+			}
+			if d.Size != size {
+				report("BR004", Error, pl, i, "emitted bytes decode as a %d-byte instruction, laid out as %d bytes",
+					d.Size, size)
 				continue
 			}
 			switch in.Op {

@@ -14,7 +14,8 @@ import (
 // sequence, because no direct Thumb-2 branch can span the 0x18000000
 // flash↔RAM distance — and (2) the scratch register each sequence clobbers
 // was provably dead at the instrumentation point, cross-checked against
-// the same liveness analysis (transform.LiveOut) the scavenger used.
+// the same liveness analysis (transform.LiveOut) the scavenger used,
+// derived only for a function that holds such a rewrite.
 //
 // Codes:
 //
@@ -81,19 +82,24 @@ func (p InstrumentationPass) Run(ctx *Context) ([]Diagnostic, error) {
 	var diags []Diagnostic
 
 	for _, f := range ctx.Prog.Funcs {
-		// Live-out sets of the pre-transformation function: the facts that
-		// must justify every scratch-register clobber. Nil when no original
-		// program (baseline lint) or the function is new.
-		var origLive map[string]transform.LiveSet
+		// The pre-transformation function, whose live-out sets must
+		// justify every scratch-register clobber; nil when there is no
+		// original program (baseline lint) or the function is new. Its
+		// liveness is derived when the first rewrite to check asks for it.
 		var origF *ir.Function
 		if ctx.Original != nil {
-			if origF = ctx.Original.Func(f.Name); origF != nil {
+			origF = ctx.Original.Func(f.Name)
+		}
+		var origLive map[*ir.Block]transform.LiveSet
+		liveness := func() (map[*ir.Block]transform.LiveSet, error) {
+			if origLive == nil {
 				lo, err := transform.LiveOut(ctx.Original, origF)
 				if err != nil {
-					return diags, fmt.Errorf("liveness of original %s: %v", f.Name, err)
+					return nil, fmt.Errorf("liveness of original %s: %v", f.Name, err)
 				}
 				origLive = lo
 			}
+			return origLive, nil
 		}
 
 		for bi, b := range f.Blocks {
@@ -123,14 +129,16 @@ func (p InstrumentationPass) Run(ctx *Context) ([]Diagnostic, error) {
 				case isa.BLX:
 					// A rewritten call: ldr rS, =callee; blx rS. The scratch
 					// must have been dead across the original call.
-					if ii > 0 && b.Instrs[ii-1].Op == isa.LDRLIT &&
+					if origF != nil && ii > 0 && b.Instrs[ii-1].Op == isa.LDRLIT &&
 						b.Instrs[ii-1].Rd == in.Rm && b.Instrs[ii-1].Sym != "" {
-						if origLive != nil {
-							if live, ok := liveBeforeCall(origF, b.Label, callOrdinal, origLive); ok && live.Has(in.Rm) {
-								diag("IC004", ii,
-									"call rewrite clobbers %s, which is live across the original bl %s",
-									in.Rm, b.Instrs[ii-1].Sym)
-							}
+						lo, err := liveness()
+						if err != nil {
+							return diags, err
+						}
+						if live, ok := liveBeforeCall(origF, b.Label, callOrdinal, lo); ok && live.Has(in.Rm) {
+							diag("IC004", ii,
+								"call rewrite clobbers %s, which is live across the original bl %s",
+								in.Rm, b.Instrs[ii-1].Sym)
 						}
 					}
 					callOrdinal++
@@ -161,8 +169,12 @@ func (p InstrumentationPass) Run(ctx *Context) ([]Diagnostic, error) {
 			}
 
 			// (4) Conditional long-branch tails: shape and scratch liveness.
-			if seq := matchCondSeq(b, diag); seq != nil && origLive != nil {
-				if origLive[b.Label].Has(seq.scratch) {
+			if seq := matchCondSeq(b, diag); seq != nil && origF != nil {
+				lo, err := liveness()
+				if err != nil {
+					return diags, err
+				}
+				if lo[origF.Block(b.Label)].Has(seq.scratch) {
 					diag("IC004", seq.start,
 						"long-branch sequence clobbers %s, which is live out of the original block",
 						seq.scratch)
@@ -178,7 +190,7 @@ func (p InstrumentationPass) Run(ctx *Context) ([]Diagnostic, error) {
 // the block backwards from its live-out set. Returns ok=false when the
 // block or call does not exist in the original (structure divergence is
 // the CFG-equivalence pass's finding, not ours).
-func liveBeforeCall(f *ir.Function, label string, n int, liveOut map[string]transform.LiveSet) (transform.LiveSet, bool) {
+func liveBeforeCall(f *ir.Function, label string, n int, liveOut map[*ir.Block]transform.LiveSet) (transform.LiveSet, bool) {
 	b := f.Block(label)
 	if b == nil {
 		return 0, false
@@ -198,7 +210,7 @@ func liveBeforeCall(f *ir.Function, label string, n int, liveOut map[string]tran
 	if callIdx < 0 {
 		return 0, false
 	}
-	live := liveOut[label]
+	live := liveOut[b]
 	for i := len(b.Instrs) - 1; i > callIdx; i-- {
 		in := &b.Instrs[i]
 		live &^= transform.DefsOf(in)

@@ -180,6 +180,35 @@ func TestMutationBranchRange(t *testing.T) {
 	})
 }
 
+// TestMutationBranchRangeDecodedSize moves a narrow instruction onto the
+// address of the wide one before it, after layout: the wide instruction's
+// own bytes still encode, but the image now holds a 2-byte instruction
+// where the layout put a 4-byte one.
+func TestMutationBranchRangeDecodedSize(t *testing.T) {
+	m := findMutant(t, buildMutant, func(m *mutant) bool {
+		for _, pl := range m.img.Blocks {
+			for i := 0; i+1 < len(pl.Block.Instrs); i++ {
+				switch pl.Block.Instrs[i+1].Op {
+				case isa.B, isa.BL, isa.LDRLIT:
+					continue // pc-relative: the move would change its displacement
+				}
+				if pl.InstrSize(i) == 4 && pl.InstrSize(i+1) == 2 {
+					pl.InstrAddrs[i+1] = pl.InstrAddrs[i]
+					return true
+				}
+			}
+		}
+		return false
+	})
+	res := runPass(t, m.ctx(), BranchRangePass{}, "BR004")
+	for _, d := range res.ByCode("BR004") {
+		if strings.Contains(d.Message, "decode as a 2-byte instruction, laid out as 4 bytes") {
+			return
+		}
+	}
+	t.Fatalf("no BR004 names the decoded size; got:\n%s", res)
+}
+
 func TestMutationInstrumentation(t *testing.T) {
 	t.Run("IC001 bl across memories", func(t *testing.T) {
 		m := findMutant(t, buildMutant, func(m *mutant) bool {

@@ -11,6 +11,7 @@ import (
 	"repro/internal/layout"
 	"repro/internal/mcc"
 	"repro/internal/sim"
+	"repro/internal/transform"
 )
 
 // stageDelta is the change in one stage's hit/miss counters.
@@ -68,6 +69,40 @@ func TestAwareEmptyPlacementReusesBaselineRuns(t *testing.T) {
 	// The configuration's own artifacts stay its own.
 	if aware.Image == nil || aware.Transform == nil || aware.Analysis == nil {
 		t.Fatal("aware report lost its image, transform or analysis")
+	}
+}
+
+// The empty placement is served the session program and the baseline's
+// image, not a transformed clone laid out again: Verify and Optimize of a
+// solve that keeps everything in flash hand out the same pointers as
+// Program and the baseline Measurement, and an empty transform report.
+func TestEmptyPlacementSharesTheBaseline(t *testing.T) {
+	s := sessionForTest(t, "crc32", mcc.O2)
+	ctx := context.Background()
+	aware := core.Options{PowerTrace: sim.ProfileAdversarial, CkptAware: true}
+	actx, _, err := s.Verify(ctx, aware)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := s.Optimize(ctx, aware)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(rep.MovedLabels()); n != 0 {
+		t.Fatalf("precondition: the aware solve moved %d blocks, want the empty placement", n)
+	}
+	base, err := s.Baseline(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if actx.Prog != s.Program() || rep.Optimized0 != s.Program() {
+		t.Error("the empty placement's program is not the session program")
+	}
+	if actx.Image != base.Image || rep.Image != base.Image {
+		t.Error("the empty placement's image is not the baseline run's image")
+	}
+	if !reflect.DeepEqual(rep.Transform, &transform.Report{}) {
+		t.Errorf("the empty placement's transform report is %+v, want empty", rep.Transform)
 	}
 }
 

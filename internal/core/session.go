@@ -64,6 +64,7 @@ type Session struct {
 		bytes int
 	}
 
+	baseImg    memo[struct{}, *layout.Image] // the all-flash raw image, off the ledger
 	graphs     memo[struct{}, map[string]*cfg.Graph]
 	spare      memo[struct{}, float64]
 	freqs      memo[freqKey, freq.Estimate]
@@ -234,8 +235,8 @@ const (
 
 // imageKey identifies one laid-out image: the placement and its form.
 // The empty placement is the all-flash baseline in every form (the
-// transform leaves the program untouched, which placeFor checks), so
-// it normalizes to the zero key.
+// transform leaves the program untouched, so placeFor serves it the
+// baseline's program and image), so it normalizes to the zero key.
 type imageKey struct {
 	placement string
 	form      imageForm
@@ -426,15 +427,21 @@ func (s *Session) Measure(ctx context.Context, inRAM map[string]bool, traced boo
 	return s.run(ctx, &s.counters.baseline, errs.StageBaseline, key, s.rawImage(inRAM))
 }
 
-// rawImage lays out the untransformed session program.
+// rawImage lays out the untransformed session program. The all-flash
+// image is laid out once per session: every run of the baseline and the
+// empty placement's transform share it.
 func (s *Session) rawImage(inRAM map[string]bool) func() (*layout.Image, error) {
-	return func() (*layout.Image, error) {
+	layOut := func() (*layout.Image, error) {
 		img, err := layout.New(s.prog, s.layout, inRAM)
 		if err != nil {
 			return nil, errs.Wrap(errs.StageLayout, err)
 		}
 		return img, nil
 	}
+	if canonicalPlacement(inRAM) != "" {
+		return layOut
+	}
+	return func() (*layout.Image, error) { return s.baseImg.do(nil, struct{}{}, layOut) }
 }
 
 // run simulates one image, memoized on (image, tracing, instruction
@@ -890,9 +897,17 @@ func (s *Session) transformFor(key transformKey, inRAM map[string]bool) (*transf
 
 // placeFor clones, transforms and lays out the program for one placement
 // and transform mode (key.rspare is zero), once per session and off the
-// ledger, like the model families.
+// ledger, like the model families. The empty placement moves and
+// rewrites nothing: it is the session program and its all-flash image.
 func (s *Session) placeFor(key transformKey, inRAM map[string]bool) (*placed, error) {
 	return s.placements.do(nil, key, func() (*placed, error) {
+		if key.placement == "" {
+			img, err := s.rawImage(nil)()
+			if err != nil {
+				return nil, err
+			}
+			return &placed{prog: s.prog, trep: &transform.Report{}, img: img}, nil
+		}
 		// Transformation on a clone: the shared session program stays
 		// pristine for every other configuration.
 		opt := s.prog.Clone()
@@ -903,12 +918,6 @@ func (s *Session) placeFor(key transformKey, inRAM map[string]bool) (*placed, er
 		trep, err := applyFn(opt, inRAM)
 		if err != nil {
 			return nil, errs.Wrap(errs.StageTransform, err)
-		}
-		// The image memos serve the empty placement from the baseline's
-		// entries; that holds only while the transform leaves it alone.
-		if key.placement == "" && (len(trep.Moved) > 0 || len(trep.Instrumented) > 0) {
-			return nil, errs.Wrap(errs.StageTransform,
-				fmt.Errorf("empty placement rewrote the program (moved %v, instrumented %v)", trep.Moved, trep.Instrumented))
 		}
 		optImg, err := layout.New(opt, s.layout, inRAM)
 		if err != nil {

@@ -23,8 +23,6 @@ type Decoded struct {
 	Target  uint32
 	RegList uint16
 	Size    int
-	// Mnemonic is a human-readable rendering.
-	Mnemonic string
 }
 
 // Decode disassembles the instruction at data[0:], fetched from addr.
@@ -61,13 +59,11 @@ func decodeNarrow(h uint16, addr uint32) (*Decoded, error) {
 	switch {
 	case h == 0xBF00:
 		d := mk(isa.NOP, 2)
-		d.Mnemonic = "nop"
 		return d, nil
 
 	case h&0xFF00 == 0xBF00: // IT
 		d := mk(isa.IT, 2)
 		d.Cond = condFromBits(h >> 4 & 0xF)
-		d.Mnemonic = "it"
 		return d, nil
 
 	case h&0xF800 == 0x2000: // MOVS rd, #imm8
@@ -75,14 +71,12 @@ func decodeNarrow(h uint16, addr uint32) (*Decoded, error) {
 		d.Rd = reg(h >> 8 & 7)
 		d.Imm = int32(h & 0xFF)
 		d.HasImm = true
-		d.Mnemonic = fmt.Sprintf("movs %s, #%d", d.Rd, d.Imm)
 		return d, nil
 
 	case h&0xFF00 == 0x4600: // MOV rd, rm (T1)
 		d := mk(isa.MOV, 2)
 		d.Rd = reg(h&7 | h>>4&8)
 		d.Rm = reg(h >> 3 & 15)
-		d.Mnemonic = fmt.Sprintf("mov %s, %s", d.Rd, d.Rm)
 		return d, nil
 
 	case h&0xFE00 == 0x1800 || h&0xFE00 == 0x1A00: // ADDS/SUBS reg
@@ -94,7 +88,6 @@ func decodeNarrow(h uint16, addr uint32) (*Decoded, error) {
 		d.Rd = reg(h & 7)
 		d.Rn = reg(h >> 3 & 7)
 		d.Rm = reg(h >> 6 & 7)
-		d.Mnemonic = fmt.Sprintf("%vs %s, %s, %s", op, d.Rd, d.Rn, d.Rm)
 		return d, nil
 
 	case h&0xFE00 == 0x1C00 || h&0xFE00 == 0x1E00: // ADDS/SUBS imm3

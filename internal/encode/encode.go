@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/isa"
 	"repro/internal/layout"
-	"repro/internal/power"
 )
 
 // EncodeInstr encodes one instruction located at addr within the image.
@@ -539,26 +538,33 @@ func thumbExpandImm(v uint32) (uint16, bool) {
 }
 
 // Image encodes every instruction of a laid-out program and materializes
-// the flash and RAM code contents (including literal pools). Returns the
-// initialized flash image and the .ramcode bytes (RAM-relative).
+// the flash and RAM code contents: instructions, literal pools and the
+// read-only globals' initial bytes. flash runs from the flash base to the
+// end of the last flash object; ramcode is the .ramcode section
+// (RAM-relative). Writable globals' initial values are in neither: the
+// image has no .data load region.
 func Image(img *layout.Image) (flash []byte, ramcode []byte, err error) {
-	flash = make([]byte, img.Config.FlashSize)
+	// Capacity for the code, the rodata and its align-4 padding.
+	flash = make([]byte, img.FlashCodeBytes, img.FlashCodeBytes+img.RodataBytes+3*len(img.Prog.Globals))
+	for _, g := range img.Prog.Globals {
+		if g.RO {
+			off := int(img.Symbols[g.Name] - img.Config.FlashBase)
+			flash = append(flash, make([]byte, max(0, off+g.Size-len(flash)))...)
+			copy(flash[off:], g.Init)
+		}
+	}
 	ramcode = make([]byte, img.RAMCodeBytes)
 
 	writeAt := func(addr uint32, data []byte) error {
-		mem, ok := img.MemoryOf(addr)
-		if !ok {
-			return fmt.Errorf("encode: write outside memory at %#x", addr)
+		fb, rb := img.Config.FlashBase, img.Config.RAMBase
+		switch {
+		case addr >= fb && int(addr-fb)+len(data) <= len(flash):
+			copy(flash[addr-fb:], data)
+		case addr >= rb && int(addr-rb)+len(data) <= len(ramcode):
+			copy(ramcode[addr-rb:], data)
+		default:
+			return fmt.Errorf("encode: write at %#x outside the code and rodata sections", addr)
 		}
-		if mem == power.Flash {
-			copy(flash[addr-img.Config.FlashBase:], data)
-			return nil
-		}
-		off := addr - img.Config.RAMBase
-		if int(off)+len(data) > len(ramcode) {
-			return fmt.Errorf("encode: ram code write at %#x out of section", addr)
-		}
-		copy(ramcode[off:], data)
 		return nil
 	}
 

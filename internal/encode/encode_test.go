@@ -2,6 +2,7 @@ package encode
 
 import (
 	"encoding/binary"
+	"fmt"
 	"testing"
 
 	"repro/internal/beebs"
@@ -9,6 +10,8 @@ import (
 	"repro/internal/isa"
 	"repro/internal/layout"
 	"repro/internal/mcc"
+	"repro/internal/power"
+	"repro/internal/sim"
 	"repro/internal/transform"
 )
 
@@ -383,5 +386,84 @@ func TestEncodeTransformedPlacement(t *testing.T) {
 	}
 	if !found {
 		t.Error("no populated literal words in the RAM section")
+	}
+}
+
+// TestImageMatchesSimulatorMemory requires the emitted image to hold what
+// the simulator's memory holds at reset, on every BEEBS program at O2, all
+// in flash and with every function's blocks in RAM: each read-only
+// global's bytes and each literal-pool word, and a flash image that ends
+// at the end of the last flash object.
+func TestImageMatchesSimulatorMemory(t *testing.T) {
+	for _, bench := range beebs.All() {
+		prog, err := mcc.Compile(bench.Source, mcc.O2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allRAM := map[string]bool{}
+		for _, f := range prog.Funcs {
+			if !f.Library {
+				for _, b := range f.Blocks {
+					allRAM[b.Label] = true
+				}
+			}
+		}
+		moved := prog.Clone()
+		if _, err := transform.Apply(moved, allRAM); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			prog  *ir.Program
+			inRAM map[string]bool
+		}{{prog, nil}, {moved, allRAM}} {
+			img, err := layout.New(c.prog, layout.DefaultConfig(), c.inRAM)
+			if err != nil {
+				t.Fatal(err)
+			}
+			flash, ramcode, err := Image(img)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := sim.New(img, power.STM32F100())
+			// emitted reads the image byte at addr (zero outside it).
+			emitted := func(addr uint32) byte {
+				if off := addr - img.Config.RAMBase; addr >= img.Config.RAMBase && int(off) < len(ramcode) {
+					return ramcode[off]
+				}
+				if off := addr - img.Config.FlashBase; int(off) < len(flash) {
+					return flash[off]
+				}
+				return 0
+			}
+			check := func(what string, addr uint32, n int) {
+				for a := addr; a < addr+uint32(n); a++ {
+					w, err := m.ReadWord(a)
+					if err != nil {
+						t.Fatalf("%s: %s: %v", bench.Name, what, err)
+					}
+					if got := emitted(a); got != byte(w) {
+						t.Fatalf("%s: %s: image byte at %#x is %#02x, the simulator holds %#02x",
+							bench.Name, what, a, got, byte(w))
+					}
+				}
+			}
+			end := img.Config.FlashBase + uint32(img.FlashCodeBytes)
+			for _, g := range img.Prog.Globals {
+				if g.RO {
+					check("rodata "+g.Name, img.Symbols[g.Name], g.Size)
+					end = max(end, img.Symbols[g.Name]+uint32(g.Size))
+				}
+			}
+			for _, pl := range img.Blocks {
+				for i, lit := range pl.LitAddrs {
+					if lit != 0 {
+						check(fmt.Sprintf("pool word of %s[%d]", pl.Block.Label, i), lit, 4)
+					}
+				}
+			}
+			if want := int(end - img.Config.FlashBase); len(flash) != want {
+				t.Errorf("%s: flash image is %d bytes, its last object ends at %d", bench.Name, len(flash), want)
+			}
+		}
 	}
 }

@@ -248,6 +248,56 @@ func TestVerifyBranchRangeAndBackPointers(t *testing.T) {
 	})
 }
 
+// TestVerifyITBlockShape pins the IT rule: an it is followed by exactly
+// its one or two predicated instructions, with its condition and then the
+// inverse, and nothing but b<c> is predicated outside an it block. The
+// first case is a program the encoder would emit as an unconditional,
+// flag-setting movs that the simulator skips.
+func TestVerifyITBlockShape(t *testing.T) {
+	it := func(c isa.Cond, mask string) isa.Instr { return isa.Instr{Op: isa.IT, Cond: c, ITMask: mask} }
+	mov := func(c isa.Cond, imm int32) isa.Instr {
+		return isa.Instr{Op: isa.MOV, Cond: c, Rd: isa.R1, Imm: imm, HasImm: true}
+	}
+	build := func(body ...isa.Instr) *Program {
+		p := NewProgram()
+		f := p.AddFunc(&Function{Name: "main"})
+		b := f.AddBlock("entry")
+		Build(b).MovImm(isa.R0, 1).CmpImm(isa.R0, 0).MovImm(isa.R1, 5)
+		for _, in := range body {
+			b.Append(in)
+		}
+		Build(f.AddBlock("exit")).Ret()
+		p.Reindex()
+		return p
+	}
+	for _, tc := range []struct {
+		name string
+		body []isa.Instr
+		want string // "" accepts
+	}{
+		{"predicated mov without it", []isa.Instr{mov(isa.EQ, 1)}, "outside an it block"},
+		{"it covering nothing", []isa.Instr{it(isa.EQ, "")}, "ends inside the block"},
+		{"ite with equal conditions", []isa.Instr{it(isa.EQ, "e"), mov(isa.EQ, 1), mov(isa.EQ, 2)}, "wants an instruction predicated ne"},
+		{"ite missing its else", []isa.Instr{it(isa.EQ, "e"), mov(isa.EQ, 1)}, "ends inside the block"},
+		{"it then an unpredicated mov", []isa.Instr{it(isa.EQ, ""), mov(isa.AL, 1)}, "wants an instruction predicated eq"},
+		{"it with the wrong condition", []isa.Instr{it(isa.EQ, ""), mov(isa.NE, 1)}, "wants an instruction predicated eq"},
+		{"it covering a second it", []isa.Instr{it(isa.EQ, ""), it(isa.EQ, ""), mov(isa.EQ, 1)}, "wants an instruction predicated eq"},
+		{"three predicated after it", []isa.Instr{it(isa.EQ, ""), mov(isa.EQ, 1), mov(isa.EQ, 2)}, "outside an it block"},
+		{"it then its mov", []isa.Instr{it(isa.EQ, ""), mov(isa.EQ, 1)}, ""},
+		{"ite then its pair", []isa.Instr{it(isa.LT, "e"), mov(isa.LT, 1), mov(isa.GE, 2)}, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := Verify(build(tc.body...))
+			switch {
+			case tc.want == "" && err != nil:
+				t.Fatalf("Verify = %v, want nil", err)
+			case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+				t.Fatalf("Verify = %v, want an error containing %q", err, tc.want)
+			}
+		})
+	}
+}
+
 func TestVerifyAcceptsInstrumentationShapes(t *testing.T) {
 	// The Figure 4 conditional form: it / ldrCC r5,=a / ldrCC' r5,=b / bx r5
 	p := NewProgram()

@@ -17,6 +17,9 @@ import (
 //     global, function or block
 //   - blocks referenced by literal loads carry fresh Reindex back-pointers,
 //     and predicated (instrumentation) literals stay within their function
+//   - an it is followed, in its block, by exactly its one (mask "") or
+//     two (mask "e") instructions, predicated on its condition and then
+//     on the inverse; no other instruction but b<c> is predicated
 //   - control-transfer instructions appear only as block terminators
 //   - a block that can fall through has a following block
 //   - the entry function exists and is non-empty
@@ -79,12 +82,30 @@ func Verify(p *Program) error {
 			if b.Func != f || b.Index != bi {
 				return fmt.Errorf("ir: block %q has stale back-pointers (call Reindex)", b.Label)
 			}
+			var it *isa.Instr // the last it
+			left := 0         // instructions its block still covers
 			for ii := range b.Instrs {
 				in := &b.Instrs[ii]
 				last := ii == len(b.Instrs)-1
 				if !isa.Emitted(in) {
 					return fmt.Errorf("ir: %s/%s: %q is outside the modeled instruction set (%v, %v form, predicated %v)",
 						f.Name, b.Label, in.String(), in.Op, isa.FormOf(in), in.Cond != isa.AL)
+				}
+				if left > 0 {
+					want := it.Cond
+					if left == 1 && it.ITMask == "e" {
+						want = want.Invert()
+					}
+					if in.Cond != want || in.Op == isa.IT || in.Op == isa.B {
+						return fmt.Errorf("ir: %s/%s: %q in the block of %q, which wants an instruction predicated %s",
+							f.Name, b.Label, in.String(), it.String(), want)
+					}
+					left--
+				} else if in.Cond != isa.AL && in.Op != isa.B && in.Op != isa.IT {
+					return fmt.Errorf("ir: %s/%s: predicated %q outside an it block", f.Name, b.Label, in.String())
+				}
+				if in.Op == isa.IT {
+					it, left = in, len(in.ITMask)+1 // mask "" or "e"
 				}
 				switch in.Op {
 				case isa.B:
@@ -153,6 +174,9 @@ func Verify(p *Program) error {
 							f.Name, b.Label)
 					}
 				}
+			}
+			if left > 0 {
+				return fmt.Errorf("ir: %s/%s: the block ends inside the block of %q", f.Name, b.Label, it.String())
 			}
 			if b.FallsThrough() && bi == len(f.Blocks)-1 {
 				return fmt.Errorf("ir: %s/%s: final block falls off the function",

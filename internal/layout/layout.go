@@ -72,7 +72,6 @@ type Image struct {
 
 	Blocks  []*Placed
 	byLabel map[string]*Placed
-	byAddr  map[uint32]InstrRef
 
 	// Symbols maps function names, block labels and global names to
 	// addresses. A function's symbol is its entry block's address.
@@ -91,7 +90,6 @@ func New(p *ir.Program, cfg Config, inRAM map[string]bool) (*Image, error) {
 		Prog:    p,
 		Config:  cfg,
 		byLabel: make(map[string]*Placed),
-		byAddr:  make(map[uint32]InstrRef),
 		Symbols: make(map[string]uint32),
 	}
 
@@ -153,13 +151,6 @@ func New(p *ir.Program, cfg Config, inRAM map[string]bool) (*Image, error) {
 	}
 	if err := img.checkFallThroughs(); err != nil {
 		return nil, err
-	}
-
-	// Index instructions by address for the simulator.
-	for _, pl := range img.Blocks {
-		for i, a := range pl.InstrAddrs {
-			img.byAddr[a] = InstrRef{Placed: pl, Index: i}
-		}
 	}
 	return img, nil
 }
@@ -436,12 +427,6 @@ func (img *Image) MemoryOf(addr uint32) (power.Memory, bool) {
 		return power.RAM, true
 	}
 	return power.None, false
-}
-
-// InstrAt resolves a fetch address.
-func (img *Image) InstrAt(addr uint32) (InstrRef, bool) {
-	r, ok := img.byAddr[addr]
-	return r, ok
 }
 
 // CodeBounds returns the base address and byte length of the code region

@@ -13,25 +13,25 @@ import (
 // when nothing is provably dead we fall back to r12, the AAPCS scratch
 // register, at 12 bytes.
 
-// regSet is a bitmask over r0..pc.
-type regSet uint16
+// LiveSet is a register bitmask over r0..pc.
+type LiveSet uint16
 
-func (s regSet) has(r isa.Reg) bool { return s&(1<<r) != 0 }
-func (s *regSet) add(r isa.Reg)     { *s |= 1 << r }
-func (s *regSet) del(r isa.Reg)     { *s &^= 1 << r }
+// Has reports whether the register is in the set.
+func (s LiveSet) Has(r isa.Reg) bool { return s&(1<<r) != 0 }
+func (s *LiveSet) add(r isa.Reg)     { *s |= 1 << r }
 
 // returnLive is the conservative live-out set of a returning block: the
 // result registers, every callee-saved register, SP and LR.
-const returnLive = regSet(1<<isa.R0 | 1<<isa.R1 |
+const returnLive = LiveSet(1<<isa.R0 | 1<<isa.R1 |
 	1<<isa.R4 | 1<<isa.R5 | 1<<isa.R6 | 1<<isa.R7 |
 	1<<isa.R8 | 1<<isa.R9 | 1<<isa.R10 | 1<<isa.R11 |
 	1<<isa.SP | 1<<isa.LR)
 
-// instrUses returns the registers an instruction reads, augmented for
+// UsesOf returns the registers an instruction reads, augmented for
 // liveness soundness: calls consume the argument registers, returns
 // consume the conservative return-live set.
-func instrUses(in *isa.Instr) regSet {
-	var s regSet
+func UsesOf(in *isa.Instr) LiveSet {
+	var s LiveSet
 	for _, r := range in.Uses() {
 		s.add(r)
 	}
@@ -54,42 +54,45 @@ func instrUses(in *isa.Instr) regSet {
 	return s
 }
 
-func instrDefs(in *isa.Instr) regSet {
-	var s regSet
+// DefsOf returns the registers the instruction writes.
+func DefsOf(in *isa.Instr) LiveSet {
+	var s LiveSet
 	for _, r := range in.Defs() {
 		s.add(r)
 	}
 	return s
 }
 
-// liveOutSets computes per-block live-out register sets for one function
+// LiveOut computes per-block live-out register sets for one function
 // using its CFG. Blocks with indirect terminators whose targets are
-// unknown are given the conservative return-live set.
-func liveOutSets(p *ir.Program, f *ir.Function) (map[*ir.Block]regSet, error) {
+// unknown are given the conservative return-live set. The scavenger uses
+// it, so a verifier comparing against it sees exactly the facts the
+// transformation relied on.
+func LiveOut(p *ir.Program, f *ir.Function) (map[*ir.Block]LiveSet, error) {
 	g, err := cfg.Build(p, f)
 	if err != nil {
 		return nil, err
 	}
 
-	gen := make(map[*ir.Block]regSet, len(f.Blocks))
-	kill := make(map[*ir.Block]regSet, len(f.Blocks))
+	gen := make(map[*ir.Block]LiveSet, len(f.Blocks))
+	kill := make(map[*ir.Block]LiveSet, len(f.Blocks))
 	for _, b := range f.Blocks {
-		var g, k regSet
+		var g, k LiveSet
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
-			g |= instrUses(in) &^ k
-			k |= instrDefs(in)
+			g |= UsesOf(in) &^ k
+			k |= DefsOf(in)
 		}
 		gen[b], kill[b] = g, k
 	}
 
-	liveIn := make(map[*ir.Block]regSet, len(f.Blocks))
-	liveOut := make(map[*ir.Block]regSet, len(f.Blocks))
+	liveIn := make(map[*ir.Block]LiveSet, len(f.Blocks))
+	liveOut := make(map[*ir.Block]LiveSet, len(f.Blocks))
 	for changed := true; changed; {
 		changed = false
 		for i := len(f.Blocks) - 1; i >= 0; i-- {
 			b := f.Blocks[i]
-			var out regSet
+			var out LiveSet
 			succs := g.Succs(b)
 			if len(succs) == 0 && !b.IsReturn() {
 				// Unknown indirect successors (bx reg): be conservative.
@@ -108,42 +111,11 @@ func liveOutSets(p *ir.Program, f *ir.Function) (map[*ir.Block]regSet, error) {
 	return liveOut, nil
 }
 
-// LiveSet is an exported register bitmask over r0..pc, for consumers that
-// need to cross-check the scavenger's decisions (internal/analysis).
-type LiveSet uint16
-
-// Has reports whether the register is in the set.
-func (s LiveSet) Has(r isa.Reg) bool { return regSet(s).has(r) }
-
-// LiveOut computes the per-block live-out register sets of one function,
-// keyed by block label. It is the same analysis the scavenger uses, so a
-// verifier comparing against it sees exactly the facts the transformation
-// relied on.
-func LiveOut(p *ir.Program, f *ir.Function) (map[string]LiveSet, error) {
-	lo, err := liveOutSets(p, f)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]LiveSet, len(lo))
-	for b, s := range lo {
-		out[b.Label] = LiveSet(s)
-	}
-	return out, nil
-}
-
-// UsesOf returns the liveness-augmented use set of an instruction: plain
-// register reads plus the AAPCS argument registers for calls and the
-// conservative return-live set for returns.
-func UsesOf(in *isa.Instr) LiveSet { return LiveSet(instrUses(in)) }
-
-// DefsOf returns the registers the instruction writes.
-func DefsOf(in *isa.Instr) LiveSet { return LiveSet(instrDefs(in)) }
-
 // scavenge returns a provably dead low register at the end of block b, or
 // (ScratchReg, false) when none can be proven dead.
-func scavenge(liveOut regSet) (isa.Reg, bool) {
+func scavenge(liveOut LiveSet) (isa.Reg, bool) {
 	for r := isa.R0; r <= isa.R7; r++ {
-		if !liveOut.has(r) {
+		if !liveOut.Has(r) {
 			return r, true
 		}
 	}

@@ -13,27 +13,27 @@ import (
 func TestLiveOutFigure2(t *testing.T) {
 	p := ir.Figure2Program()
 	f := p.Func("fn")
-	lo, err := liveOutSets(p, f)
+	lo, err := LiveOut(p, f)
 	if err != nil {
 		t.Fatal(err)
 	}
 	loop := f.Block("fn_loop")
 	// r1 (x) and r2 (k) are live across the loop's back edge; r0 (i) too.
 	for _, r := range []isa.Reg{isa.R0, isa.R1, isa.R2} {
-		if !lo[loop].has(r) {
+		if !lo[loop].Has(r) {
 			t.Errorf("%v not live-out of fn_loop", r)
 		}
 	}
 	// r3 is never used and is caller-saved: the only scavengeable low
 	// register inside fn.
-	if lo[loop].has(isa.R3) {
+	if lo[loop].Has(isa.R3) {
 		t.Errorf("r3 incorrectly live-out of fn_loop")
 	}
 	// r4-r7 are callee-saved and fn does not push them, so the CALLER's
 	// values flow through: they must be considered live (clobbering them
 	// in an instrumentation sequence would corrupt main's state).
 	for _, r := range []isa.Reg{isa.R4, isa.R5, isa.R6, isa.R7} {
-		if !lo[loop].has(r) {
+		if !lo[loop].Has(r) {
 			t.Errorf("callee-saved %v must be live through fn", r)
 		}
 	}
@@ -45,14 +45,14 @@ func TestLiveOutFigure2(t *testing.T) {
 }
 
 func TestScavengePicksLowestDead(t *testing.T) {
-	var s regSet
+	var s LiveSet
 	s.add(isa.R0)
 	s.add(isa.R1)
 	r, ok := scavenge(s)
 	if !ok || r != isa.R2 {
 		t.Errorf("scavenge = %v/%v, want r2", r, ok)
 	}
-	full := regSet(0xFF) // r0-r7 all live
+	full := LiveSet(0xFF) // r0-r7 all live
 	if _, ok := scavenge(full); ok {
 		t.Error("scavenge found a register in a full set")
 	}

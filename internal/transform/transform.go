@@ -204,10 +204,12 @@ func apply(p *ir.Program, inRAM map[string]bool, o Options) (*Report, error) {
 			continue
 		}
 		// Liveness for dead-register scavenging (computed on the original
-		// CFG; rewrites do not change block-level successor sets).
-		var liveOut map[*ir.Block]regSet
-		if !o.NoScavenge {
-			lo, err := liveOutSets(p, f)
+		// CFG; rewrites do not change block-level successor sets). Only a
+		// conditional edge that crosses memories inside the function
+		// scavenges, so a function in one memory needs none.
+		var liveOut map[*ir.Block]LiveSet
+		if !o.NoScavenge && spansMemories(f, inRAM) {
+			lo, err := LiveOut(p, f)
 			if err != nil {
 				return nil, fmt.Errorf("transform: liveness for %s: %w", f.Name, err)
 			}
@@ -301,4 +303,14 @@ func apply(p *ir.Program, inRAM map[string]bool, o Options) (*Report, error) {
 		return nil, fmt.Errorf("transform: produced invalid program: %w", err)
 	}
 	return rep, nil
+}
+
+// spansMemories reports whether f has blocks in both flash and RAM.
+func spansMemories(f *ir.Function, inRAM map[string]bool) bool {
+	for _, b := range f.Blocks {
+		if inRAM[b.Label] != inRAM[f.Blocks[0].Label] {
+			return true
+		}
+	}
+	return false
 }

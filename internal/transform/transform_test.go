@@ -260,17 +260,19 @@ func TestApplyOnCloneLeavesOriginal(t *testing.T) {
 }
 
 // The empty placement is the all-flash baseline in every transform mode:
-// Apply and ApplyLinkTime leave every BEEBS program untouched and report
-// nothing, and the result lays out to the baseline image — same blocks,
-// addresses, literal addresses and symbols. The session's image-keyed
-// memos rely on this to serve such configurations the baseline's runs.
+// Apply and ApplyLinkTime leave every BEEBS program at every level
+// untouched and report nothing, and the result lays out to the baseline
+// image — same blocks, addresses, literal addresses and symbols. The
+// session relies on this to serve the empty placement the session
+// program, the baseline image and the baseline's runs without applying
+// the transform.
 func TestEmptyPlacementIsTheBaseline(t *testing.T) {
 	cfg := layout.DefaultConfig()
 	modes := map[string]func(*ir.Program, map[string]bool) (*Report, error){
 		"Apply": Apply, "ApplyLinkTime": ApplyLinkTime,
 	}
 	for _, b := range beebs.All() {
-		for _, level := range []mcc.OptLevel{mcc.O2, mcc.Os} {
+		for _, level := range []mcc.OptLevel{mcc.O0, mcc.O1, mcc.O2, mcc.O3, mcc.Os} {
 			p, err := mcc.Compile(b.Source, level)
 			if err != nil {
 				t.Fatal(err)
