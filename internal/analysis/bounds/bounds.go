@@ -17,11 +17,11 @@
 //     natural-loop forest, with an explicit ⊤ (unbounded) when the
 //     pattern match fails. ⊤ only widens the upper bound; lower bounds
 //     stay finite (a ⊤ loop may run zero body iterations).
-//  2. Per-block cost intervals (cost.go): every placed instruction charged
-//     exactly as the simulator charges it — same cycle constants, same
-//     power tables, same contention-stall and literal-residence rules —
-//     with min/max taken over the outcomes static analysis cannot decide
-//     (branch direction, data residence of unresolved loads).
+//  2. Per-block cost intervals (cost.go): every placed instruction priced
+//     by the simulator's own rules — power.Cycles, the power tables and
+//     layout.Image.DataMem — with min/max taken over the outcomes static
+//     analysis cannot decide (branch direction, a failed predicate, data
+//     residence of unresolved loads).
 //  3. Composition (this file): loops are collapsed innermost-first into
 //     super-nodes (trips × iteration-path + exit-path), the remaining DAG
 //     is bracketed by shortest/longest node-weighted paths, and functions

@@ -70,73 +70,25 @@ func (c *computer) blockCost(b *ir.Block) (Interval, error) {
 	return iv, nil
 }
 
-// instrCost brackets one placed instruction over every outcome the static
-// analysis cannot decide, mirroring the simulator's charging exactly:
-// cycles from isa.Cycles/CyclesNotTaken plus the RAM contention stall,
-// energy as cycles × EnergyPerCycle(InstrPower(fetch, class, data)) — the
-// same expression the predecoder builds its per-slot tables from.
+// instrCost brackets one placed instruction over the data memories and
+// outcomes the static analysis cannot decide, each priced as the
+// simulator prices it: power.Cycles at the per-cycle energy of
+// InstrPower(fetch, class, data).
 func (c *computer) instrCost(pl *layout.Placed, i int, fetchMem power.Memory) Interval {
 	in := &pl.Block.Instrs[i]
-	cl := isa.ClassOf(in.Op)
-	charge := func(cycles int, dm power.Memory) Interval {
-		cy := float64(cycles)
-		return Exact(cy, cy*c.prof.EnergyPerCycle(c.prof.InstrPower(fetchMem, cl, dm)))
+	price := func(dm power.Memory, o isa.Outcome) Interval {
+		cy := float64(power.Cycles(in, fetchMem, dm, o))
+		return Exact(cy, cy*c.prof.EnergyPerCycle(c.prof.InstrPower(fetchMem, isa.ClassOf(in.Op), dm)))
 	}
-	// chargeLoad adds the single-port contention stall the simulator adds:
-	// RAM-fetched code loading RAM data.
-	chargeLoad := func(cycles int, dm power.Memory) Interval {
-		if fetchMem == power.RAM && dm == power.RAM {
-			cycles += isa.RAMContentionStall
-		}
-		return charge(cycles, dm)
+	iv := price(c.img.DataMem(pl, i), isa.Executed)
+	if in.Op.IsLoad() && in.Mode == isa.AddrOffset && in.Rn != isa.SP {
+		// A load through a register other than sp may read flash instead.
+		iv = iv.Union(price(power.Flash, isa.Executed))
 	}
-
-	cy := isa.Cycles(in)
-	var iv Interval
-	switch in.Op {
-	case isa.B:
-		if in.Cond == isa.AL {
-			iv = charge(cy, power.None)
-		} else {
-			iv = charge(cy, power.None).Union(charge(isa.CyclesNotTaken(in), power.None))
-		}
-	case isa.LDR, isa.LDRB, isa.LDRH, isa.LDRSB, isa.LDRSH:
-		if in.Mode == isa.AddrOffset && in.Rn == isa.SP {
-			// Stack access: the stack lives in RAM by construction.
-			iv = chargeLoad(cy, power.RAM)
-		} else {
-			iv = chargeLoad(cy, power.Flash).Union(chargeLoad(cy, power.RAM))
-		}
-	case isa.LDRLIT:
-		iv = chargeLoad(cy, c.litMem(pl, i, fetchMem))
-	case isa.STR, isa.STRB, isa.STRH, isa.PUSH:
-		// Data stores always hit RAM (flash writes fault); plain charge,
-		// no contention stall — the store buffers.
-		iv = charge(cy, power.RAM)
-	case isa.POP:
-		iv = chargeLoad(cy, power.RAM)
-	default:
-		iv = charge(cy, power.None)
-	}
-
-	// A predicated instruction whose condition fails still costs its
-	// not-taken cycles at no-data power (conditional b handles its own
-	// two outcomes above).
-	if in.Cond != isa.AL && in.Op != isa.B {
-		iv = iv.Union(charge(isa.CyclesNotTaken(in), power.None))
+	// A conditional b that falls through, or a failed predicate, has no
+	// data access.
+	if o, ok := isa.Alternative(in); ok {
+		iv = iv.Union(price(power.None, o))
 	}
 	return iv
-}
-
-// litMem resolves where a literal load's pool word lives: with its block
-// unless the laid-out slot address resolves elsewhere — the predecoder's
-// rule, verbatim.
-func (c *computer) litMem(pl *layout.Placed, i int, fetchMem power.Memory) power.Memory {
-	lm := fetchMem
-	if la := pl.LitAddrs[i]; la != 0 {
-		if mm, ok := c.img.MemoryOf(la); ok {
-			lm = mm
-		}
-	}
-	return lm
 }

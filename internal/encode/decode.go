@@ -27,14 +27,14 @@ type Decoded struct {
 
 // Decode disassembles the instruction at data[0:], fetched from addr.
 // It covers exactly the encodings the encoder emits.
-func Decode(data []byte, addr uint32) (*Decoded, error) {
+func Decode(data []byte, addr uint32) (Decoded, error) {
 	if len(data) < 2 {
-		return nil, fmt.Errorf("decode: truncated stream")
+		return Decoded{}, fmt.Errorf("decode: truncated stream")
 	}
 	hw1 := uint16(data[0]) | uint16(data[1])<<8
 	if isWidePrefix(hw1) {
 		if len(data) < 4 {
-			return nil, fmt.Errorf("decode: truncated 32-bit instruction")
+			return Decoded{}, fmt.Errorf("decode: truncated 32-bit instruction")
 		}
 		hw2 := uint16(data[2]) | uint16(data[3])<<8
 		return decodeWide(hw1, hw2, addr)
@@ -50,12 +50,12 @@ func isWidePrefix(hw1 uint16) bool {
 
 func reg(v uint16) isa.Reg { return isa.Reg(v & 15) }
 
-func mk(op isa.Op, size int) *Decoded {
-	return &Decoded{Op: op, Cond: isa.AL, Rd: isa.NoReg, Rn: isa.NoReg,
+func mk(op isa.Op, size int) Decoded {
+	return Decoded{Op: op, Cond: isa.AL, Rd: isa.NoReg, Rn: isa.NoReg,
 		Rm: isa.NoReg, Size: size}
 }
 
-func decodeNarrow(h uint16, addr uint32) (*Decoded, error) {
+func decodeNarrow(h uint16, addr uint32) (Decoded, error) {
 	switch {
 	case h == 0xBF00:
 		d := mk(isa.NOP, 2)
@@ -244,19 +244,19 @@ func decodeNarrow(h uint16, addr uint32) (*Decoded, error) {
 		d.Target = uint32(int64(addr) + 4 + int64(off))
 		return d, nil
 	}
-	return nil, fmt.Errorf("decode: unrecognized 16-bit encoding %04X", h)
+	return Decoded{}, fmt.Errorf("decode: unrecognized 16-bit encoding %04X", h)
 }
 
 // decodeALU decodes the 16-bit data-processing register group (T1). The
 // six slots outside the modeled set are zero here and do not decode.
-func decodeALU(h uint16) (*Decoded, error) {
+func decodeALU(h uint16) (Decoded, error) {
 	ops := [16]isa.Op{
 		0: isa.AND, 1: isa.EOR, 2: isa.LSL, 3: isa.LSR, 4: isa.ASR,
 		9: isa.RSB, 10: isa.CMP, 12: isa.ORR, 13: isa.MUL, 15: isa.MVN,
 	}
 	op := ops[h>>6&0xF]
 	if op == isa.NOP {
-		return nil, fmt.Errorf("decode: unrecognized 16-bit encoding %04X", h)
+		return Decoded{}, fmt.Errorf("decode: unrecognized 16-bit encoding %04X", h)
 	}
 	d := mk(op, 2)
 	rdn := reg(h & 7)
@@ -277,7 +277,7 @@ func decodeALU(h uint16) (*Decoded, error) {
 	return d, nil
 }
 
-func decodeWide(hw1, hw2 uint16, addr uint32) (*Decoded, error) {
+func decodeWide(hw1, hw2 uint16, addr uint32) (Decoded, error) {
 	switch {
 	case hw1 == 0xE92D: // PUSH.W (stmdb sp!)
 		d := mk(isa.PUSH, 4)
@@ -331,7 +331,7 @@ func decodeWide(hw1, hw2 uint16, addr uint32) (*Decoded, error) {
 		// Register forms (T2/T3) with an unshifted rm: a shifted operand
 		// or rn = pc (mov.w and its shifts) is not in the modeled set.
 		if hw2&0x70F0 != 0 || hw1&0xF == 0xF {
-			return nil, fmt.Errorf("decode: unrecognized 32-bit encoding %04X %04X", hw1, hw2)
+			return Decoded{}, fmt.Errorf("decode: unrecognized 32-bit encoding %04X %04X", hw1, hw2)
 		}
 		op := isa.ADD
 		switch hw1 & 0xFFE0 {
@@ -442,10 +442,10 @@ func decodeWide(hw1, hw2 uint16, addr uint32) (*Decoded, error) {
 		d.Target = uint32(int64(addr) + 4 + v)
 		return d, nil
 	}
-	return nil, fmt.Errorf("decode: unrecognized 32-bit encoding %04X %04X", hw1, hw2)
+	return Decoded{}, fmt.Errorf("decode: unrecognized 32-bit encoding %04X %04X", hw1, hw2)
 }
 
-func decodeWideMem(hw1, hw2 uint16) (*Decoded, error) {
+func decodeWideMem(hw1, hw2 uint16) (Decoded, error) {
 	immForm := map[uint16]isa.Op{
 		0xF8D0: isa.LDR, 0xF8C0: isa.STR, 0xF890: isa.LDRB, 0xF880: isa.STRB,
 		0xF8B0: isa.LDRH, 0xF8A0: isa.STRH, 0xF990: isa.LDRSB, 0xF9B0: isa.LDRSH,
@@ -459,7 +459,7 @@ func decodeWideMem(hw1, hw2 uint16) (*Decoded, error) {
 		d.HasImm = true
 		return d, nil
 	}
-	return nil, fmt.Errorf("decode: unrecognized memory encoding %04X %04X", hw1, hw2)
+	return Decoded{}, fmt.Errorf("decode: unrecognized memory encoding %04X %04X", hw1, hw2)
 }
 
 func condFromBits(b uint16) isa.Cond {

@@ -224,29 +224,6 @@ func (b *Block) SizeWithLiterals() int {
 	return n
 }
 
-// Cycles returns a static estimate of one execution of the block,
-// branch-taken assumption for the terminator (see isa.Cycles). This is the
-// model's Cb parameter.
-func (b *Block) Cycles() int {
-	c := 0
-	for i := range b.Instrs {
-		c += isa.Cycles(&b.Instrs[i])
-	}
-	return c
-}
-
-// LoadCount counts load instructions; the model's Lb stall term is
-// proportional to it (§4, Eq. 6).
-func (b *Block) LoadCount() int {
-	n := 0
-	for i := range b.Instrs {
-		if b.Instrs[i].Op.IsLoad() && b.Instrs[i].Op != isa.POP {
-			n++
-		}
-	}
-	return n
-}
-
 // Calls returns the callee names of all direct calls in the block.
 func (b *Block) Calls() []string {
 	var out []string

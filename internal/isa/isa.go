@@ -1,7 +1,7 @@
 // Package isa defines the subset of the ARMv7-M Thumb-2 instruction set
 // used throughout the reproduction: opcodes, condition codes, operand
-// shapes, encoding sizes (16- or 32-bit) and base cycle timings for a
-// Cortex-M3-class three-stage pipeline.
+// shapes, encoding sizes (16- or 32-bit) and execution outcomes. The
+// cycles an instruction costs in each outcome are power.Cycles.
 //
 // The subset is exactly what the system's producers emit: the mini-C
 // compiler (with the soft-float runtime it compiles), the long-range
@@ -149,6 +149,30 @@ func (c Cond) Holds(n, z, cf, v bool) bool {
 		return true
 	}
 	panic(fmt.Sprintf("isa: unknown condition %d", uint8(c)))
+}
+
+// Outcome is how one execution of an instruction went; with its fetch and
+// data memories it selects the instruction's cost (power.Cycles).
+type Outcome uint8
+
+// Execution outcomes.
+const (
+	Executed        Outcome = iota // it ran; a conditional b was taken
+	NotTaken                       // a conditional b fell through
+	PredicateFailed                // an IT-predicated instruction was skipped
+)
+
+// Alternative returns the outcome in takes when its condition fails: a
+// conditional b falls through, an IT-predicated instruction is skipped.
+// ok is false when in always executes (an it itself included).
+func Alternative(in *Instr) (o Outcome, ok bool) {
+	switch {
+	case in.Cond == AL || in.Op == IT:
+		return Executed, false
+	case in.Op == B:
+		return NotTaken, true
+	}
+	return PredicateFailed, true
 }
 
 // Op is an operation mnemonic.

@@ -157,50 +157,6 @@ func TestSizeAlwaysValid(t *testing.T) {
 	}
 }
 
-// TestCyclesPositive: every instruction costs at least one cycle.
-func TestCyclesPositive(t *testing.T) {
-	f := func(op, regList uint16) bool {
-		in := Instr{Op: Op(op % uint16(numOps)), RegList: regList}
-		return Cycles(&in) >= 1 && CyclesNotTaken(&in) >= 1
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCyclesFigure4Primitives(t *testing.T) {
-	ldrPC := Instr{Op: LDRLIT, Rd: PC, Sym: "l"}
-	if got := Cycles(&ldrPC); got != 4 {
-		t.Errorf("ldr pc,=l cycles = %d, want 4", got)
-	}
-	if got := Size(&ldrPC); got != 4 {
-		t.Errorf("ldr pc,=l size = %d, want 4", got)
-	}
-	b := Instr{Op: B, Sym: "l"}
-	if got := Cycles(&b); got != 3 {
-		t.Errorf("b taken cycles = %d, want 3", got)
-	}
-	if got := CyclesNotTaken(&b); got != 1 {
-		t.Errorf("b not-taken cycles = %d, want 1", got)
-	}
-	bx := Instr{Op: BX, Rm: R5}
-	if got := Cycles(&bx); got != 3 {
-		t.Errorf("bx cycles = %d, want 3", got)
-	}
-	it := Instr{Op: IT, Cond: NE}
-	if got := Cycles(&it); got != 1 {
-		t.Errorf("it cycles = %d, want 1", got)
-	}
-	ldrLit := Instr{Op: LDRLIT, Rd: R5, Sym: "l"}
-	if got := Cycles(&ldrLit); got != 2 {
-		t.Errorf("ldr r5,=l cycles = %d, want 2", got)
-	}
-	pop := Instr{Op: POP, RegList: 1<<R4 | 1<<PC}
-	if got := Cycles(&pop); got != 5 { // 1 + 2 regs + 2 refill
-		t.Errorf("pop {r4,pc} cycles = %d, want 5", got)
-	}
-}
-
 func TestInstrString(t *testing.T) {
 	cases := []struct {
 		in   Instr

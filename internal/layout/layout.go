@@ -429,6 +429,28 @@ func (img *Image) MemoryOf(addr uint32) (power.Memory, bool) {
 	return power.None, false
 }
 
+// DataMem returns the memory instruction i of pl reads or writes when it
+// executes. An ldr =x reads its literal-pool word: in the block's own
+// memory, unless the word's laid-out address resolves to the other one.
+// Every other load and store hits RAM, where the stack and every writable
+// global live; a load through a register may read flash instead. Other
+// instructions touch no data (power.None).
+func (img *Image) DataMem(pl *Placed, i int) power.Memory {
+	switch in := &pl.Block.Instrs[i]; {
+	case in.Op == isa.LDRLIT:
+		if m, ok := img.MemoryOf(pl.LitAddrs[i]); ok && pl.LitAddrs[i] != 0 {
+			return m
+		}
+		if pl.InRAM {
+			return power.RAM
+		}
+		return power.Flash
+	case in.Op.IsLoad() || in.Op.IsStore():
+		return power.RAM
+	}
+	return power.None
+}
+
 // CodeBounds returns the base address and byte length of the code region
 // (instructions plus literal pools) resident in mem. Every instruction
 // address of a block in mem lies in [base, base+length); the simulator's

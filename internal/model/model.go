@@ -47,6 +47,7 @@ import (
 	"repro/internal/ir"
 	"repro/internal/isa"
 	"repro/internal/lp"
+	"repro/internal/power"
 	"repro/internal/transform"
 )
 
@@ -174,12 +175,22 @@ func Build(p *ir.Program, graphs map[string]*cfg.Graph, est freq.Estimate, param
 			bd := &BlockData{
 				Block:   b,
 				S:       float64(b.SizeWithLiterals()),
-				C:       float64(b.Cycles()),
 				F:       est.Of(b),
 				K:       float64(cost.Total()),
 				T:       float64(cost.Cycles),
-				L:       float64(b.LoadCount() * isa.RAMContentionStall),
 				Movable: !fn.Library || params.IncludeLibrary,
+			}
+			// Cb runs every instruction from flash; Lb is what a RAM
+			// fetch adds to the loads that read RAM. Two approximations
+			// remain: every instruction counts as executed, so a
+			// conditional b is priced taken, and a pop's stall is left
+			// out of Lb.
+			for i := range b.Instrs {
+				in := &b.Instrs[i]
+				bd.C += float64(power.Cycles(in, power.Flash, power.RAM, isa.Executed))
+				if in.Op != isa.POP {
+					bd.L += float64(power.Cycles(in, power.RAM, power.RAM, isa.Executed) - power.Cycles(in, power.Flash, power.RAM, isa.Executed))
+				}
 			}
 			if g != nil {
 				bd.Edges = append(bd.Edges, g.Succs(b)...)

@@ -59,7 +59,7 @@ func TestExtractedParameters(t *testing.T) {
 	if loop == nil {
 		t.Fatal("no data for fn_loop")
 	}
-	if loop.C != 6 { // mul+add+cmp+bne(taken)
+	if loop.C != 6 { // mul(1) + add(1) + cmp(1) + bne taken(3)
 		t.Errorf("C(loop) = %v, want 6", loop.C)
 	}
 	if loop.S != 8 {
@@ -88,8 +88,8 @@ func TestExtractedParameters(t *testing.T) {
 	}
 
 	mainB := m.Data("main_entry")
-	if mainB.L == 0 {
-		t.Error("main_entry has a literal load; L must be positive")
+	if mainB.L != 1 { // the ldr =result literal load; the pop's stall is not in Lb
+		t.Errorf("L(main_entry) = %v, want 1", mainB.L)
 	}
 	// Call edge to fn_init must be present.
 	foundCallEdge := false

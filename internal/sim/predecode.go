@@ -181,7 +181,6 @@ func (m *Machine) predecode() {
 			in := &s.pl.Block.Instrs[s.index]
 			var target uint32
 			var targetOK bool
-			litMem := s.fetchMem
 			switch in.Op {
 			case isa.B, isa.BL:
 				target, targetOK = img.Symbols[in.Sym]
@@ -189,13 +188,6 @@ func (m *Machine) predecode() {
 					e.splits = append(e.splits, target)
 				}
 			case isa.LDRLIT:
-				// The pool travels with its block unless the slot address
-				// resolves elsewhere.
-				if la := s.pl.LitAddrs[s.index]; la != 0 {
-					if mm, ok := img.MemoryOf(la); ok {
-						litMem = mm
-					}
-				}
 				if in.Sym != "" {
 					target, targetOK = img.Symbols[in.Sym]
 					if targetOK {
@@ -209,7 +201,7 @@ func (m *Machine) predecode() {
 				e.splits = append(e.splits, s.seqNext)
 			}
 			s.k, s.w = int32(len(e.uops)), 1
-			u := lower(in, s.fetchMem, litMem, target, targetOK)
+			u := lower(in, s.fetchMem, img.DataMem(s.pl, int(s.index)), target, targetOK)
 			if g, ok := guard(in, &u); ok {
 				s.w = 2
 				e.uops = append(e.uops, g)

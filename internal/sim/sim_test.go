@@ -657,7 +657,7 @@ func TestPredicatedFailCharge(t *testing.T) {
 		failed.Class != isa.ClassLoad || failed.Taken {
 		t.Errorf("failed predicate event %+v, want 1 cycle, no stall, no data access, load class", *failed)
 	}
-	if passed.Cycles != uint64(isa.LoadCycles+isa.RAMContentionStall) || passed.Stall != isa.RAMContentionStall ||
+	if passed.Cycles != 3 || passed.Stall != 1 ||
 		passed.DataMem != power.RAM {
 		t.Errorf("passed predicate event %+v, want a stalled RAM load", *passed)
 	}

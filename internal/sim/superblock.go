@@ -227,7 +227,7 @@ func (sb *superblock) aggregate(charges *[]charge) {
 		// own cost when that is higher.
 		sb.maxCycles += max(uint64(u.cyc), uint64(u.cyc2))
 		if u.code == uLDR && u.fl&fStall != 0 {
-			sb.maxCycles += isa.RAMContentionStall
+			sb.maxCycles += power.RAMContentionStall
 		}
 	}
 	c0 := len(*charges)
@@ -254,30 +254,30 @@ var forms = [...][isa.FormImm + 1]uint8{
 }
 
 // lower translates one instruction to its uop. target is its resolved
-// branch target or literal value (valid iff targetOK); litMem is where an
-// LDRLIT's pool word lives.
-func lower(in *isa.Instr, fetchMem, litMem power.Memory, target uint32, targetOK bool) uop {
-	cyc := isa.Cycles(in)
+// branch target or literal value (valid iff targetOK); dm is where its
+// data access lands in the main outcome (layout.Image.DataMem: a load
+// hitting flash instead is the executor's alternative). Its cycles are
+// power.Cycles.
+func lower(in *isa.Instr, fetchMem, dm power.Memory, target uint32, targetOK bool) uop {
 	u := uop{
 		rd: uint8(in.Rd), rn: uint8(in.Rn),
-		cyc: uint8(cyc), cyc2: uint8(isa.CyclesNotTaken(in)),
-		cl: uint8(isa.ClassOf(in.Op)),
-		dm: uint8(power.None),
+		cyc: uint8(power.Cycles(in, fetchMem, dm, isa.Executed)),
+		cl:  uint8(isa.ClassOf(in.Op)),
+		dm:  uint8(dm),
+	}
+	if o, ok := isa.Alternative(in); ok {
+		u.cyc2 = uint8(power.Cycles(in, fetchMem, power.None, o))
+	}
+	// Whatever a RAM access costs over a flash one is the single RAM
+	// port's stall.
+	if dm == power.RAM && power.Cycles(in, fetchMem, power.RAM, isa.Executed) > power.Cycles(in, fetchMem, power.Flash, isa.Executed) {
+		u.fl |= fStall
 	}
 	if !isa.Emitted(in) {
 		u.code = uFAULT
 		return u
 	}
 	imm := uint32(in.Imm)
-	// A RAM-fetched access to RAM data stalls the single RAM port.
-	stallIf := func(dataMem power.Memory) {
-		if fetchMem == power.RAM && dataMem == power.RAM {
-			cyc += isa.RAMContentionStall
-			u.fl |= fStall
-		}
-		u.cyc = uint8(cyc)
-		u.dm = uint8(dataMem)
-	}
 
 	switch in.Op {
 	case isa.NOP, isa.IT:
@@ -287,8 +287,7 @@ func lower(in *isa.Instr, fetchMem, litMem power.Memory, target uint32, targetOK
 		isa.AND, isa.ORR, isa.EOR, isa.LSL, isa.LSR, isa.ASR, isa.CMP:
 		u.code, u.rm, u.imm = forms[in.Op][isa.FormOf(in)], uint8(in.Rm), imm
 	case isa.LDRLIT:
-		stallIf(litMem)
-		if litMem == power.RAM {
+		if dm == power.RAM {
 			u.fl |= fLitRAM
 		}
 		u.code, u.imm = uLDL, target
@@ -300,36 +299,24 @@ func lower(in *isa.Instr, fetchMem, litMem power.Memory, target uint32, targetOK
 		}
 	case isa.LDR, isa.LDRB, isa.LDRH, isa.LDRSB, isa.LDRSH,
 		isa.STR, isa.STRB, isa.STRH:
-		u.code, u.imm = uLDR, imm
-		if in.Op.IsStore() {
-			u.code = uSTR
+		u.code, u.imm = uSTR, imm
+		if in.Op.IsLoad() {
+			// Priced at flash data: the executor adds the stall when a
+			// RAM-fetched load (fStall) hits RAM.
+			u.code, u.cyc = uLDR, uint8(power.Cycles(in, fetchMem, power.Flash, isa.Executed))
 		}
 		size, signed := memWidth(in.Op)
 		u.sz = uint8(size)
 		if signed {
 			u.fl |= fSign
 		}
-		if in.Op.IsStore() {
-			// A successful store always hits RAM (stores to flash fault).
-			u.dm = uint8(power.RAM)
-			break
-		}
-		// The main outcome is RAM data — the stack and every writable
-		// global live there — with a RAM fetch's stall added at run time;
-		// a flash hit is the executor's alternative.
-		u.dm = uint8(power.RAM)
-		if fetchMem == power.RAM {
-			u.fl |= fStall
-		}
 	case isa.PUSH:
 		u.code, u.imm, u.sz = uPUSH, uint32(in.RegList), uint8(bits.OnesCount16(in.RegList))
-		u.dm = uint8(power.RAM)
 	case isa.POP:
 		u.code, u.imm = uPOP, uint32(in.RegList)
 		if in.RegList&(1<<isa.PC) != 0 {
 			u.code = uPOPPC
 		}
-		stallIf(power.RAM)
 	case isa.B, isa.BL:
 		u.code, u.imm = uB, target
 		if in.Op == isa.BL {
@@ -581,7 +568,7 @@ func (m *Machine) emit(s *slot, pc uint32) {
 		Block: s.pl, Index: int(s.index), PC: pc,
 		Class: isa.Class(u.cl), FetchMem: s.fetchMem, DataMem: power.None,
 		Cycles:     m.stats.Cycles - m.cycles0,
-		Stall:      (m.stats.ContentionStalls - m.stalls0) * isa.RAMContentionStall,
+		Stall:      (m.stats.ContentionStalls - m.stalls0) * power.RAMContentionStall,
 		BlockEntry: s.index == 0,
 	}
 	op := u.code

@@ -13,7 +13,9 @@
 // kind of veneer; the paper's figure shows r5 for illustration. (Figure 4
 // also rewrites cbz/cbnz; no producer here emits them.) The
 // package also computes the per-block instrumentation costs Kb (bytes) and
-// Tb (cycles) the ILP model needs (§4.1).
+// Tb (cycles) the ILP model needs (§4.1): the size and executed-path
+// cycles (power.Cycles, at flash fetch) of the sequences apply emits,
+// minus those of the instruction each replaces.
 package transform
 
 import (
@@ -21,6 +23,7 @@ import (
 
 	"repro/internal/ir"
 	"repro/internal/isa"
+	"repro/internal/power"
 )
 
 // ScratchReg is the register used by the indirect-branch sequences.
@@ -79,7 +82,10 @@ func ShapeOf(b *ir.Block) Shape {
 	return ShapeFallThrough
 }
 
-// Cost is the instrumentation overhead of one block.
+// Cost is the instrumentation overhead of one block: the size and
+// executed-path cycles of the Figure 4 sequences the rewrite emits, minus
+// those of the instructions they replace, priced at flash fetch through
+// power.Cycles.
 type Cost struct {
 	// Bytes is the extra instruction bytes (the paper's Kb, Figure 4).
 	Bytes int
@@ -95,37 +101,79 @@ type Cost struct {
 // actually occupies.
 func (c Cost) Total() int { return c.Bytes + c.PoolBytes }
 
+// plus returns c + k·d.
+func (c Cost) plus(d Cost, k int) Cost {
+	return Cost{Bytes: c.Bytes + k*d.Bytes, PoolBytes: c.PoolBytes + k*d.PoolBytes, Cycles: c.Cycles + k*d.Cycles}
+}
+
+// price returns the size, pool bytes and executed-path cycles of seq
+// fetched from flash. On the executed path a conditional b is taken and
+// an IT block's then-instructions run while its else-instructions are
+// skipped (both ldr of the conditional sequence cost the same either way).
+func price(seq ...isa.Instr) Cost {
+	var c Cost
+	then := isa.AL
+	for i := range seq {
+		in := &seq[i]
+		o := isa.Executed
+		if in.Op == isa.IT {
+			then = in.Cond
+		} else if alt, ok := isa.Alternative(in); ok && alt == isa.PredicateFailed && in.Cond != then {
+			o = alt
+		}
+		c.Bytes += isa.Size(in)
+		c.PoolBytes += isa.LiteralBytes(in)
+		c.Cycles += power.Cycles(in, power.Flash, power.Flash, o)
+	}
+	return c
+}
+
+// farJump is Figure 4's long-range unconditional transfer.
+func farJump(label string) isa.Instr {
+	return isa.Instr{Op: isa.LDRLIT, Rd: isa.PC, Sym: label}
+}
+
+// farBranch is Figure 4's long-range conditional transfer through scratch:
+// to taken when c holds, else to fall.
+func farBranch(c isa.Cond, scratch isa.Reg, taken, fall string) [4]isa.Instr {
+	return [4]isa.Instr{
+		{Op: isa.IT, Cond: c, ITMask: "e"},
+		{Op: isa.LDRLIT, Cond: c, Rd: scratch, Sym: taken},
+		{Op: isa.LDRLIT, Cond: c.Invert(), Rd: scratch, Sym: fall},
+		{Op: isa.BX, Rm: scratch},
+	}
+}
+
+// farCall is Figure 4's long-range call through scratch.
+func farCall(scratch isa.Reg, callee string) [2]isa.Instr {
+	return [2]isa.Instr{
+		{Op: isa.LDRLIT, Rd: scratch, Sym: callee},
+		{Op: isa.BLX, Rm: scratch},
+	}
+}
+
 // shapeCost returns the Figure 4 delta for a terminator shape, using the
 // given scratch register (encoding width depends on it: the paper's
 // illustration uses low r5, our emission uses r12).
 func shapeCost(s Shape, scratch isa.Reg) Cost {
-	ldrW := 2 // narrow ldr rd, [pc, #imm]
-	if !scratch.IsLow() {
-		ldrW = 4
-	}
+	b := isa.Instr{Op: isa.B, Sym: "l"}
 	switch s {
 	case ShapeUncond:
-		// b(2B,3cy) → ldr pc,=l (4B,4cy) + 1 pool word
-		return Cost{Bytes: 4 - 2, PoolBytes: 4, Cycles: 4 - 3}
+		return price(farJump("l")).plus(price(b), -1)
 	case ShapeCond:
-		// b<cc>(2B,3cy taken) → it(2)+ldr+ldr+bx(2) (7cy executed path)
-		return Cost{Bytes: 2 + 2*ldrW + 2 - 2, PoolBytes: 8, Cycles: 7 - 3}
+		b.Cond = isa.NE
+		seq := farBranch(isa.NE, scratch, "l", "f")
+		return price(seq[:]...).plus(price(b), -1)
 	case ShapeFallThrough:
-		// nothing → ldr pc,=l (4B,4cy)
-		return Cost{Bytes: 4, PoolBytes: 4, Cycles: 4}
-	default:
-		return Cost{}
+		return price(farJump("l"))
 	}
+	return Cost{}
 }
 
-// callCost is the delta for rewriting one direct call:
-// bl(4B,4cy) → ldr rS,=f + blx rS (2B, ldr 2cy + blx 4cy).
+// callCost is the delta for rewriting one direct call.
 func callCost(scratch isa.Reg) Cost {
-	ldrW := 2
-	if !scratch.IsLow() {
-		ldrW = 4
-	}
-	return Cost{Bytes: ldrW + 2 - 4, PoolBytes: 4, Cycles: 2 + 4 - 4}
+	seq := farCall(scratch, "f")
+	return price(seq[:]...).plus(price(isa.Instr{Op: isa.BL, Sym: "f"}), -1)
 }
 
 // InstrumentationCost returns the worst-case cost of instrumenting the
@@ -134,15 +182,7 @@ func callCost(scratch isa.Reg) Cost {
 // transformation only rewrites the transfers that really cross memories,
 // so the model is conservative for multi-call blocks.
 func InstrumentationCost(b *ir.Block) Cost {
-	c := shapeCost(ShapeOf(b), ScratchReg)
-	nCalls := len(b.Calls())
-	if nCalls > 0 {
-		cc := callCost(ScratchReg)
-		c.Bytes += nCalls * cc.Bytes
-		c.PoolBytes += nCalls * cc.PoolBytes
-		c.Cycles += nCalls * cc.Cycles
-	}
-	return c
+	return shapeCost(ShapeOf(b), ScratchReg).plus(callCost(ScratchReg), len(b.Calls()))
 }
 
 // Report summarizes what Apply changed.
@@ -222,7 +262,7 @@ func apply(p *ir.Program, inRAM map[string]bool, o Options) (*Report, error) {
 			}
 			myRAM := blockRAM(b.Label)
 			changed := false
-			oldBytes, oldCycles := b.SizeWithLiterals(), b.Cycles()
+			before := price(b.Instrs...)
 
 			// Rewrite crossing calls first (mid-block, indexes stable as
 			// we replace 1 instruction with 2 going backwards).
@@ -239,11 +279,8 @@ func apply(p *ir.Program, inRAM map[string]bool, o Options) (*Report, error) {
 				if calleeRAM == myRAM {
 					continue
 				}
-				seq := []isa.Instr{
-					{Op: isa.LDRLIT, Rd: ScratchReg, Sym: in.Sym},
-					{Op: isa.BLX, Rm: ScratchReg},
-				}
-				b.Instrs = append(b.Instrs[:ii], append(seq, b.Instrs[ii+1:]...)...)
+				seq := farCall(ScratchReg, in.Sym)
+				b.Instrs = append(b.Instrs[:ii], append(seq[:], b.Instrs[ii+1:]...)...)
 				changed = true
 			}
 
@@ -255,7 +292,7 @@ func apply(p *ir.Program, inRAM map[string]bool, o Options) (*Report, error) {
 			case ShapeUncond:
 				t := &b.Instrs[len(b.Instrs)-1]
 				if blockRAM(t.Sym) != myRAM {
-					*t = isa.Instr{Op: isa.LDRLIT, Rd: isa.PC, Sym: t.Sym}
+					*t = farJump(t.Sym)
 					changed = true
 				}
 			case ShapeCond, ShapeFallThrough:
@@ -265,7 +302,7 @@ func apply(p *ir.Program, inRAM map[string]bool, o Options) (*Report, error) {
 				fallthru := f.Blocks[bi+1].Label
 				if shape == ShapeFallThrough {
 					if blockRAM(fallthru) != myRAM {
-						b.Instrs = append(b.Instrs, isa.Instr{Op: isa.LDRLIT, Rd: isa.PC, Sym: fallthru})
+						b.Instrs = append(b.Instrs, farJump(fallthru))
 						changed = true
 					}
 					break
@@ -282,19 +319,16 @@ func apply(p *ir.Program, inRAM map[string]bool, o Options) (*Report, error) {
 						rep.Scavenged++
 					}
 				}
-				b.Instrs = append(b.Instrs,
-					isa.Instr{Op: isa.IT, Cond: t.Cond, ITMask: "e"},
-					isa.Instr{Op: isa.LDRLIT, Cond: t.Cond, Rd: scratch, Sym: t.Sym},
-					isa.Instr{Op: isa.LDRLIT, Cond: t.Cond.Invert(), Rd: scratch, Sym: fallthru},
-					isa.Instr{Op: isa.BX, Rm: scratch},
-				)
+				seq := farBranch(t.Cond, scratch, t.Sym, fallthru)
+				b.Instrs = append(b.Instrs, seq[:]...)
 				changed = true
 			}
 
 			if changed {
 				rep.Instrumented = append(rep.Instrumented, b.Label)
-				rep.ExtraBytes += b.SizeWithLiterals() - oldBytes
-				rep.ExtraCycles += b.Cycles() - oldCycles
+				d := price(b.Instrs...).plus(before, -1)
+				rep.ExtraBytes += d.Total()
+				rep.ExtraCycles += d.Cycles
 			}
 		}
 	}

@@ -14,36 +14,28 @@ import (
 	"repro/internal/sim"
 )
 
-// TestFigure4PaperCosts: the original terminator plus the modeled delta
-// (shapeCost with the paper's low r5) gives Figure 4's printed sequences —
-// ldr pc, =label at 4 B/4 cy, it/ldr/ldr/bx at 8 B/7 cy on its executed
-// path — and the delta of an already long-range terminator is zero.
+// TestFigure4PaperCosts: the replaced terminator (b, 2 B/3 cy taken) plus
+// the derived delta (shapeCost with the paper's low r5) gives Figure 4's
+// printed sequences — ldr pc, =label at 4 B/4 cy, it/ldr/ldr/bx at
+// 8 B/7 cy on its executed path — and the delta of an already long-range
+// terminator is zero.
 func TestFigure4PaperCosts(t *testing.T) {
-	b := isa.Instr{Op: isa.B, Sym: "l"}
-	bcc := isa.Instr{Op: isa.B, Cond: isa.NE, Sym: "l"}
 	cases := []struct {
-		shape  Shape
-		orig   *isa.Instr // nil: no terminator
-		bytes  int
-		cycles int
+		shape             Shape
+		origB, origCy     int // the replaced terminator; 0 when there is none
+		wantB, wantCycles int
 	}{
-		{ShapeUncond, &b, 4, 4},
-		{ShapeCond, &bcc, 8, 7},
-		{ShapeFallThrough, nil, 4, 4},
-		{ShapeReturn, nil, 0, 0},
-		{ShapeIndirect, nil, 0, 0},
+		{ShapeUncond, 2, 3, 4, 4},
+		{ShapeCond, 2, 3, 8, 7},
+		{ShapeFallThrough, 0, 0, 4, 4},
+		{ShapeReturn, 0, 0, 0, 0},
+		{ShapeIndirect, 0, 0, 0, 0},
 	}
 	for _, c := range cases {
-		var bytes, cycles int
-		if c.orig != nil {
-			bytes, cycles = isa.Size(c.orig), isa.Cycles(c.orig)
-		}
 		d := shapeCost(c.shape, isa.R5)
-		bytes += d.Bytes
-		cycles += d.Cycles
-		if bytes != c.bytes || cycles != c.cycles {
+		if bytes, cycles := c.origB+d.Bytes, c.origCy+d.Cycles; bytes != c.wantB || cycles != c.wantCycles {
 			t.Errorf("%v: original + shapeCost = %dB/%dcy, want %dB/%dcy (Figure 4)",
-				c.shape, bytes, cycles, c.bytes, c.cycles)
+				c.shape, bytes, cycles, c.wantB, c.wantCycles)
 		}
 	}
 }
@@ -88,6 +80,40 @@ func TestInstrumentationCostShapes(t *testing.T) {
 	c = InstrumentationCost(p.Func("main").Block("main_entry"))
 	if c.Bytes != 2 || c.PoolBytes != 4 || c.Cycles != 2 {
 		t.Errorf("call cost = %+v, want {2 4 2}", c)
+	}
+}
+
+// TestReportMatchesInstrumentationCost: when the only block in RAM is the
+// entry (no predecessor to rewrite) and its every successor and callee
+// stays in flash, the rewrite emits exactly the sequences Kb/Tb price, so
+// the report's deltas equal InstrumentationCost for each terminator shape.
+func TestReportMatchesInstrumentationCost(t *testing.T) {
+	terms := map[Shape]func(*ir.BlockBuilder){
+		ShapeCond:        func(bb *ir.BlockBuilder) { bb.Bcond(isa.EQ, "main_a") },
+		ShapeUncond:      func(bb *ir.BlockBuilder) { bb.B("main_a") },
+		ShapeFallThrough: func(*ir.BlockBuilder) {},
+	}
+	for shape, term := range terms {
+		p := ir.NewProgram()
+		mn := p.AddFunc(&ir.Function{Name: "main"})
+		entry := mn.AddBlock("main_entry")
+		term(ir.Build(entry).Push(isa.R4, isa.LR).Bl("f").CmpImm(isa.R0, 0))
+		ir.Build(mn.AddBlock("main_b")).MovImm(isa.R1, 1)
+		ir.Build(mn.AddBlock("main_a")).Pop(isa.R4, isa.PC)
+		ir.Build(p.AddFunc(&ir.Function{Name: "f"}).AddBlock("f_entry")).MovImm(isa.R0, 0).Ret()
+		p.Reindex()
+		if got := ShapeOf(entry); got != shape {
+			t.Fatalf("ShapeOf(main_entry) = %v, want %v", got, shape)
+		}
+		want := InstrumentationCost(entry)
+		rep, err := ApplyWithOptions(p, map[string]bool{"main_entry": true}, Options{NoScavenge: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.ExtraBytes != want.Total() || rep.ExtraCycles != want.Cycles {
+			t.Errorf("%v: report adds %dB/%dcy, InstrumentationCost prices %dB/%dcy",
+				shape, rep.ExtraBytes, rep.ExtraCycles, want.Total(), want.Cycles)
+		}
 	}
 }
 

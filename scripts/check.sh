@@ -109,6 +109,19 @@ if grep -n 'func (m \*Machine) runFrom(' internal/sim/sim.go internal/sim/predec
     exit 1
 fi
 
+# The board's timing is one function, power.Cycles (DESIGN.md §3.1): the
+# model's Cb/Lb, the Figure 4 rewrite's Kb/Tb, the energy bounds and the
+# simulator all price an instruction through it. A timing constant named
+# in the model, the transform, the IR or the bounds is a second copy of
+# that rule, which drifts from the simulator's charging.
+pricers=$(ls internal/model/*.go internal/transform/*.go internal/ir/*.go internal/analysis/bounds/*.go | grep -v '_test\.go$')
+timing=$(grep -n 'RAMContentionStall\|LoadCycles\|StoreCycles\|BranchRefillCycles\|DivCycles' $pricers || true)
+if [ -n "$timing" ]; then
+    echo "a timing constant is named outside power.Cycles (price through power.Cycles instead):" >&2
+    echo "$timing" >&2
+    exit 1
+fi
+
 go build -o /tmp/flashram.check ./cmd/flashram
 trap 'rm -f /tmp/flashram.check' EXIT
 
